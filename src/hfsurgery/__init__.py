@@ -28,12 +28,10 @@ from .cfk import (
 )
 from .f2 import (
     DimensionError,
-    F2ChainComplex,
     F2Matrix,
     HomologyBasis,
     InvalidComplexError,
     NotAChainMapError,
-    homology_dimensions,
     image_basis,
     image_intersection_basis,
     image_intersection_rank,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import f2
 from .f2 import F2Matrix, HomologyBasis, InvalidComplexError
@@ -130,8 +131,13 @@ class RegionComplex:
         self.tag = tag
         self.basis = basis
         self.boundary = boundary
-        self.homology = HomologyBasis(boundary)
         self._pos = {elem: i for i, elem in enumerate(basis)}
+
+    @cached_property
+    def homology(self) -> HomologyBasis:
+        """Homology basis, built on first read: the chain route never reads
+        it beyond the regions that :meth:`CfkComplex.genus` inspects."""
+        return HomologyBasis(self.boundary)
 
     @property
     def dim(self) -> int:
@@ -157,8 +163,12 @@ class FilteredChainMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.induced = f2.induced_map_on_homology(
-            matrix, source.homology, target.homology, check=False
+
+    @cached_property
+    def induced(self) -> F2Matrix:
+        """Matrix on homology, built on first read."""
+        return f2.induced_map_on_homology(
+            self.matrix, self.source.homology, self.target.homology, check=False
         )
 
     def induced_rank(self) -> int:
@@ -201,6 +211,18 @@ class CfkComplex:
             self._build_flip_map()
         self._memo: dict = {}
 
+    def cached(self, key, compute):
+        """The value memoized under ``key``, computed by ``compute()`` on a miss.
+
+        A value is stored only once ``compute`` returns, so a check it makes,
+        such as :meth:`require_valid`, need not be repeated on a hit."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = self._memo[key] = compute()
+        return value
+
     # -- construction helpers -------------------------------------------
 
     def _build_flip_map(self):
@@ -229,8 +251,9 @@ class CfkComplex:
 
     def validate(self) -> ValidationReport:
         """Check every structural invariant; collects failures, never raises."""
-        if "validation" in self._memo:
-            return self._memo["validation"]
+        return self.cached("validation", self._collect_issues)
+
+    def _collect_issues(self) -> ValidationReport:
         issues: list[ValidationIssue] = []
         seen_ids = set()
         for g in self.generators:
@@ -278,9 +301,7 @@ class CfkComplex:
             issues.extend(self._check_d_squared())
         if self.flip_pairs is not None:
             issues.extend(self._check_flip(terms_ok))
-        report = ValidationReport(tuple(issues))
-        self._memo["validation"] = report
-        return report
+        return ValidationReport(tuple(issues))
 
     def _check_d_squared(self) -> list[ValidationIssue]:
         issues = []
@@ -399,37 +420,46 @@ class CfkComplex:
         return members
 
     def region_complex(self, tag) -> RegionComplex:
+        return self.cached(("region", tag), lambda: self._build_region(tag))
+
+    def _build_region(self, tag) -> RegionComplex:
         self.require_valid()
-        key = ("region", tag)
-        if key not in self._memo:
-            members = self._region_members(tag)
-            index = {elem: i for i, elem in enumerate(members)}
-            masks = [0] * len(members)
-            for (gid, k), col in index.items():
-                for target, m in self._terms_by_source[gid]:
-                    row = index.get((target, k + m))
-                    if row is not None:
-                        masks[row] ^= 1 << col
-            boundary = F2Matrix(len(members), len(members), tuple(masks))
-            self._memo[key] = RegionComplex(tag, tuple(members), boundary)
-        return self._memo[key]
+        members = self._region_members(tag)
+        index = {elem: i for i, elem in enumerate(members)}
+        masks = [0] * len(members)
+        for (gid, k), col in index.items():
+            for target, m in self._terms_by_source[gid]:
+                row = index.get((target, k + m))
+                if row is not None:
+                    masks[row] ^= 1 << col
+        boundary = F2Matrix(len(members), len(members), tuple(masks))
+        return RegionComplex(tag, tuple(members), boundary)
 
     # -- the canonical maps -------------------------------------------------
 
+    def _region_map(self, source_tag, target_tag, image) -> FilteredChainMap:
+        """The chain map sending basis element (gid, k) of the source region
+        to the target element ``image(gid, k)``, or to zero when that is None.
+
+        Fetching the regions validates the complex."""
+        source = self.region_complex(source_tag)
+        target = self.region_complex(target_tag)
+        masks = [0] * target.dim
+        for col, (gid, k) in enumerate(source.basis):
+            elem = image(gid, k)
+            if elem is not None:
+                masks[target.position(*elem)] |= 1 << col
+        matrix = F2Matrix(target.dim, source.dim, tuple(masks))
+        return FilteredChainMap(source, target, matrix)
+
     def v_hat(self, s: int) -> FilteredChainMap:
         """Vertical projection HatA(s) -> HatB: keep the i = 0 part."""
-        self.require_valid()
-        key = ("v", s)
-        if key not in self._memo:
-            source = self.region_complex(HatA(s))
-            target = self.region_complex(HatB())
-            masks = [0] * target.dim
-            for col, (gid, k) in enumerate(source.basis):
-                if k == 0:
-                    masks[target.position(gid, 0)] |= 1 << col
-            matrix = F2Matrix(target.dim, source.dim, tuple(masks))
-            self._memo[key] = FilteredChainMap(source, target, matrix)
-        return self._memo[key]
+        return self.cached(
+            ("v", s),
+            lambda: self._region_map(
+                HatA(s), HatB(), lambda gid, k: (gid, 0) if k == 0 else None
+            ),
+        )
 
     def h_hat(self, s: int) -> FilteredChainMap:
         """Horizontal map HatA(s) -> HatB.
@@ -438,32 +468,29 @@ class CfkComplex:
         apply the flip.  On the canonical bases the composite sends
         (x, k) to (flip(x), 0) exactly when alexander(x) >= s.
         """
-        self.require_valid()
-        self.require_flip()
-        key = ("h", s)
-        if key not in self._memo:
-            source = self.region_complex(HatA(s))
-            target = self.region_complex(HatB())
-            masks = [0] * target.dim
-            for col, (gid, k) in enumerate(source.basis):
-                if self.alexander[gid] >= s:
-                    masks[target.position(self.flip_map[gid], 0)] |= 1 << col
-            matrix = F2Matrix(target.dim, source.dim, tuple(masks))
-            self._memo[key] = FilteredChainMap(source, target, matrix)
-        return self._memo[key]
+
+        def build() -> FilteredChainMap:
+            self.require_valid()
+            self.require_flip()
+            flip, alexander = self.flip_map, self.alexander
+            return self._region_map(
+                HatA(s),
+                HatB(),
+                lambda gid, k: (flip[gid], 0) if alexander[gid] >= s else None,
+            )
+
+        return self.cached(("h", s), build)
 
     def region_flip_equivalence(self, s: int) -> FilteredChainMap:
         """The chain isomorphism HatA(s) -> HatA(-s) given by U^s then the flip."""
         self.require_valid()
         self.require_flip()
-        source = self.region_complex(HatA(s))
-        target = self.region_complex(HatA(-s))
-        masks = [0] * target.dim
-        for col, (gid, k) in enumerate(source.basis):
-            partner = self.flip_map[gid]
-            masks[target.position(partner, max(0, s - self.alexander[gid]))] |= 1 << col
-        matrix = F2Matrix(target.dim, source.dim, tuple(masks))
-        return FilteredChainMap(source, target, matrix)
+        flip, alexander = self.flip_map, self.alexander
+        return self._region_map(
+            HatA(s),
+            HatA(-s),
+            lambda gid, k: (flip[gid], max(0, s - alexander[gid])),
+        )
 
     # -- derived invariants ---------------------------------------------------
 
@@ -477,15 +504,15 @@ class CfkComplex:
         The scan starts at max_alexander + 1; reducedness bounds the
         filtration support, so everything above is an isomorphism.
         """
-        self.require_valid()
-        if "genus" not in self._memo:
-            value = 0
+
+        def scan() -> int:
+            self.require_valid()
             for s in range(self.max_alexander + 1, 0, -1):
                 if not self.v_hat(s - 1).is_induced_iso():
-                    value = s
-                    break
-            self._memo["genus"] = value
-        return self._memo["genus"]
+                    return s
+            return 0
+
+        return self.cached("genus", scan)
 
     def single_point_region_rank(self) -> int:
         """Homology rank of the quadrant i < 0, j >= genus - 1.
@@ -547,17 +574,37 @@ class CfkComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CfkComplex":
+        """Build a complex from parsed JSON.  Data of the wrong shape raises
+        ValueError; the complex axioms are left to :meth:`validate`."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a complex must be a JSON object, not {type(data).__name__}")
+
+        def entries(key: str, fields: dict) -> list[dict]:
+            items = data.get(key, [])
+            if not isinstance(items, list):
+                raise ValueError(f"{key!r} must be a list")
+            for item in items:
+                if not isinstance(item, dict):
+                    raise ValueError(f"every {key!r} entry must be an object, got {item!r}")
+                for name, kind in fields.items():
+                    value = item.get(name)
+                    if not isinstance(value, kind) or isinstance(value, bool):
+                        raise ValueError(
+                            f"{key!r} entry {item!r} needs {kind.__name__} field {name!r}"
+                        )
+            return items
+
         gens = [
             Generator(g["id"], g["alexander"], g.get("maslov"))
-            for g in data.get("generators", [])
+            for g in entries("generators", {"id": str, "alexander": int})
         ]
         terms = [
             DiffTerm(t["from"], t["to"], t["upower"])
-            for t in data.get("differential", [])
+            for t in entries("differential", {"from": str, "to": str, "upower": int})
         ]
         flip = None
         if "flip" in data:
-            flip = [FlipPair(p["from"], p["to"]) for p in data["flip"]]
+            flip = [FlipPair(p["from"], p["to"]) for p in entries("flip", {"from": str, "to": str})]
         return cls(gens, terms, flip, data.get("name", "complex"))
 
     @classmethod

@@ -35,11 +35,12 @@ class UsageError(Exception):
 def _load_complex(source: str) -> CfkComplex:
     """Resolve an input argument: a JSON file path or a builtin name."""
     if os.path.exists(source):
-        with open(source) as handle:
-            try:
+        try:
+            with open(source) as handle:
                 return CfkComplex.from_json(handle.read())
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise UsageError(f"cannot parse complex file {source!r}: {exc}") from exc
+        except (OSError, ValueError, RecursionError) as exc:
+            # RecursionError: json gives up on arrays or objects nested too deep
+            raise UsageError(f"cannot load complex file {source!r}: {exc}") from exc
     try:
         return builtin(source)
     except UnknownBuiltinError:

@@ -5,6 +5,11 @@ and matrices keep one mask per row.  Arbitrary-precision ints give
 word-packed XOR row operations for free, which is all the Gaussian
 elimination here needs.  Everything is exact; there is no floating point
 anywhere in this package.
+
+There is one elimination loop, ``_eliminate``, which builds a pivot table
+keyed on lowest set bits, and its reduce-only form ``_reduce``.  Rank is
+the table size, the row-echelon form is the table after back-substitution,
+and every other routine here reads its answer off one of the two.
 """
 
 from __future__ import annotations
@@ -101,9 +106,6 @@ class F2Matrix:
             mask |= ((self.data[r] >> c) & 1) << r
         return mask
 
-    def columns(self) -> list[int]:
-        return [self.column(c) for c in range(self.cols)]
-
     def transpose(self) -> "F2Matrix":
         masks = [0] * self.cols
         for r in range(self.rows):
@@ -131,11 +133,6 @@ class F2Matrix:
             masks.append(acc)
         return F2Matrix(self.rows, other.cols, tuple(masks))
 
-    def __add__(self, other: "F2Matrix") -> "F2Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix sum needs equal shapes")
-        return F2Matrix(self.rows, self.cols, tuple(a ^ b for a, b in zip(self.data, other.data)))
-
     def hstack(self, other: "F2Matrix") -> "F2Matrix":
         if self.rows != other.rows:
             raise DimensionError("hstack needs equal row counts")
@@ -154,48 +151,62 @@ class F2Matrix:
         )
 
 
-def rank(m: F2Matrix) -> int:
-    """GF(2) rank, by elimination keyed on lowest set bits."""
+def _eliminate(rows: Iterable[int]) -> dict[int, int]:
+    """Pivot table of ``rows``, keyed on lowest set bits.
+
+    Each row is reduced by the entry owning its lowest set bit until it
+    vanishes or that bit is free, and then owns that bit.  The entries are
+    independent and span the rows.
+    """
     table: dict[int, int] = {}
-    r = 0
-    for row in m.data:
+    for row in rows:
         while row:
             low = row & -row
             pivot = table.get(low)
             if pivot is None:
                 table[low] = row
-                r += 1
                 break
             row ^= pivot
-    return r
+    return table
+
+
+def _reduce(table: dict[int, int], row: int) -> int:
+    """The elimination loop of :func:`_eliminate`, without adding the row.
+
+    The result is zero exactly when ``row`` lies in the span of the table.
+    """
+    while row:
+        pivot = table.get(row & -row)
+        if pivot is None:
+            break
+        row ^= pivot
+    return row
+
+
+def rank(m: F2Matrix) -> int:
+    """GF(2) rank: the size of the pivot table of the rows."""
+    return len(_eliminate(m.data))
 
 
 def rref(m: F2Matrix) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form.
 
     Returns ``(rows, pivot_cols)`` where ``rows`` are the reduced row
-    masks and ``pivot_cols`` the pivot column indices in ascending order.
-    Pivots are chosen deterministically (leftmost column, topmost row).
+    masks (nonzero rows in ascending pivot order, then the zero rows) and
+    ``pivot_cols`` the pivot column indices in ascending order.  The form
+    is unique, so it does not depend on how the pivot table was built.
     """
-    rows = list(m.data)
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        bit = 1 << c
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i] & bit:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        for i in range(m.rows):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+    table = _eliminate(m.data)
+    lows = sorted(table)
+    # Back-substitution from the highest pivot down: every row reduced so
+    # far holds no pivot bit but its own, so one XOR clears each pivot bit.
+    pivot_mask = 0
+    for low in reversed(lows):
+        for p in bits(table[low] & pivot_mask):
+            table[low] ^= table[1 << p]
+        pivot_mask |= low
+    rows = [table[low] for low in lows] + [0] * (m.rows - len(lows))
+    return rows, [low.bit_length() - 1 for low in lows]
 
 
 def kernel_basis(m: F2Matrix) -> list[int]:
@@ -226,35 +237,20 @@ def image_basis(m: F2Matrix) -> list[int]:
 
 
 def solve(m: F2Matrix, target: int) -> int | None:
-    """One solution ``x`` of ``m x = target`` (free coordinates zero), or None."""
+    """One solution ``x`` of ``m x = target``, or None when there is none.
+
+    Read off the reduced row-echelon form of ``[m | target]``: no solution
+    when the target column holds a pivot, else the pivot coordinates of
+    ``x`` are the target bits of their rows and the free coordinates are zero.
+    """
     if target < 0 or target >> m.rows:
         raise DimensionError("target vector has bits outside the row range")
-    aug_bit = 1 << m.cols
-    rows = [m.data[r] | (aug_bit if (target >> r) & 1 else 0) for r in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        bit = 1 << c
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i] & bit:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i]:
-            return None
+    rows, pivots = rref(m.hstack(F2Matrix.from_columns([target], m.rows)))
+    if pivots and pivots[-1] == m.cols:
+        return None
     x = 0
-    for i, p in enumerate(pivots):
-        if rows[i] & aug_bit:
-            x |= 1 << p
+    for row, p in zip(rows, pivots):
+        x |= ((row >> m.cols) & 1) << p
     return x
 
 
@@ -288,14 +284,10 @@ def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[int]:
     basis: list[int] = []
     for pair in kernel_basis(stacked):
         vec = m1.apply(pair & low_mask)
-        reduced = vec
-        while reduced:
-            pivot = table.get(reduced & -reduced)
-            if pivot is None:
-                table[reduced & -reduced] = reduced
-                basis.append(vec)
-                break
-            reduced ^= pivot
+        reduced = _reduce(table, vec)
+        if reduced:
+            table[reduced & -reduced] = reduced
+            basis.append(vec)
     return basis
 
 
@@ -314,41 +306,29 @@ class HomologyBasis:
         if not (differential @ differential).is_zero():
             raise InvalidComplexError("differential does not square to zero")
         self.differential = differential
-        # Table entries (vec, coeff) satisfy: vec is congruent, modulo the
-        # boundary space, to the combination of representatives named by coeff.
-        self._table: dict[int, tuple[int, int]] = {}
+        n = differential.cols
+        self._cycle_mask = (1 << n) - 1
+        # A table row is a cycle in its low n bits and, above them, the
+        # representatives it is congruent to modulo the boundary space.
+        # Boundary rows carry no representative, and every key is below
+        # bit n, so a row reduced to zero in its low part stops reducing.
+        self._table = _eliminate(differential.transpose().data)
         reps: list[int] = []
-        for boundary in image_basis(differential):
-            self._insert(boundary, 0)
         for cycle in kernel_basis(differential):
-            vec, coeff = self._reduce(cycle, 0)
-            if vec:
-                coeff ^= 1 << len(reps)
+            row = _reduce(self._table, cycle)
+            if row & self._cycle_mask:
+                row ^= 1 << (n + len(reps))
+                self._table[row & -row] = row
                 reps.append(cycle)
-                self._table[vec & -vec] = (vec, coeff)
         self.reps: tuple[int, ...] = tuple(reps)
         self.dim: int = len(reps)
 
-    def _reduce(self, vec: int, coeff: int) -> tuple[int, int]:
-        while vec:
-            entry = self._table.get(vec & -vec)
-            if entry is None:
-                break
-            vec ^= entry[0]
-            coeff ^= entry[1]
-        return vec, coeff
-
-    def _insert(self, vec: int, coeff: int) -> None:
-        vec, coeff = self._reduce(vec, coeff)
-        if vec:
-            self._table[vec & -vec] = (vec, coeff)
-
     def coords(self, vec: int) -> int:
         """Coordinates of the class of ``vec`` in the chosen basis."""
-        vec, coeff = self._reduce(vec, 0)
-        if vec:
+        row = _reduce(self._table, vec)
+        if vec & ~self._cycle_mask or row & self._cycle_mask:
             raise ValueError("vector is not a cycle of this differential")
-        return coeff
+        return row >> self.differential.cols
 
 
 def induced_map_on_homology(
@@ -373,38 +353,3 @@ def induced_map_on_homology(
             raise NotAChainMapError("map does not commute with the differentials")
     col_masks = [target.coords(f.apply(rep)) for rep in source.reps]
     return F2Matrix.from_columns(col_masks, target.dim)
-
-
-@dataclass(frozen=True)
-class F2ChainComplex:
-    """A finite chain complex of GF(2) vector spaces.
-
-    ``dims[k]`` is the dimension in homological degree ``k`` and
-    ``boundaries[k]`` maps degree ``k + 1`` to degree ``k``.  Consecutive
-    boundaries must compose to zero.
-    """
-
-    dims: tuple[int, ...]
-    boundaries: tuple[F2Matrix, ...]
-
-    def __post_init__(self):
-        if len(self.boundaries) != max(0, len(self.dims) - 1):
-            raise DimensionError("need one boundary matrix per adjacent degree pair")
-        for k, b in enumerate(self.boundaries):
-            if b.rows != self.dims[k] or b.cols != self.dims[k + 1]:
-                raise DimensionError(f"boundary {k} has shape {b.rows}x{b.cols}")
-        for k in range(len(self.boundaries) - 1):
-            if not (self.boundaries[k] @ self.boundaries[k + 1]).is_zero():
-                raise InvalidComplexError(
-                    f"boundaries {k} and {k + 1} do not compose to zero"
-                )
-
-
-def homology_dimensions(c: F2ChainComplex) -> list[int]:
-    """Homology dimension in each degree: dim ker(out) - rank(in)."""
-    out = []
-    for k, dim in enumerate(c.dims):
-        cycles = dim if k == 0 else dim - rank(c.boundaries[k - 1])
-        borders = rank(c.boundaries[k]) if k < len(c.boundaries) else 0
-        out.append(cycles - borders)
-    return out

@@ -8,10 +8,12 @@ when its target column does not exist, which happens exactly on the p
 leftmost columns (h only) and the p rightmost columns (v only).
 
 Route one treats the whole cone as a single chain complex and computes
-its homology from the chain-level boundary, never touching induced maps.
-Route two counts kernel plus cokernel of the induced block matrix on
-homology.  Over a field the two always agree, so route one continuously
-validates the homology-level bookkeeping route two relies on.
+its homology from the chain-level boundary.  It reads homology only
+through the genus, which fixes the truncation level, and never builds
+the cone's induced maps.  Route two counts kernel plus cokernel of the
+induced block matrix on homology.  Over a field the two always agree, so
+route one continuously validates the homology-level bookkeeping route
+two relies on.
 """
 
 from __future__ import annotations
@@ -103,9 +105,6 @@ class MappingCone:
         self._a_regions = {j: complex_.region_complex(HatA(j // slope.q)) for j in self.a_columns}
         self._b_region = complex_.region_complex(HatB())
         self._memo: dict = {}
-
-    def a_region(self, j: int):
-        return self._a_regions[j]
 
     def v_map(self, j: int):
         """Chain map out of column j into HatB column j, or None if dropped."""
@@ -238,22 +237,23 @@ def build_cone(c: CfkComplex, slope: Slope, level: int | None = None) -> Mapping
 
 def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> int:
     """Total homology rank of the cone, from the chain-level boundary only."""
-    key = ("cone_rank_chain", slope.p, slope.q, level)
-    if key not in c._memo:
+
+    def compute() -> int:
         cone = build_cone(c, slope, level)
-        boundary = cone.total_boundary()
-        c._memo[key] = cone.total_dim - 2 * f2.rank(boundary)
-    return c._memo[key]
+        return cone.total_dim - 2 * f2.rank(cone.total_boundary())
+
+    return c.cached(("cone_rank_chain", slope.p, slope.q, level), compute)
 
 
 def cone_rank_homological(c: CfkComplex, slope: Slope, level: int | None = None) -> int:
     """Kernel plus cokernel of the induced block matrix on homology."""
-    key = ("cone_rank_homological", slope.p, slope.q, level)
-    if key not in c._memo:
+
+    def compute() -> int:
         cone = build_cone(c, slope, level)
         r = f2.rank(cone.block_matrix())
-        c._memo[key] = (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
-    return c._memo[key]
+        return (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
+
+    return c.cached(("cone_rank_homological", slope.p, slope.q, level), compute)
 
 
 def t_invariant(c: CfkComplex, slope: Slope) -> int:
@@ -280,7 +280,8 @@ def hypothesis_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]
     """
     c.require_valid()
     c.require_flip()
-    if "hypothesis" not in c._memo:
+
+    def compute() -> tuple[dict[int, bool], dict[int, bool]]:
         g = c.genus()
         h_in_v: dict[int, bool] = {}
         v_in_h: dict[int, bool] = {}
@@ -292,8 +293,9 @@ def hypothesis_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]
             v_ind = c.v_hat(s).induced
             h_ind = c.h_hat(s).induced
             v_in_h[s] = f2.image_intersection_rank(v_ind, h_ind) == f2.rank(v_ind)
-        c._memo["hypothesis"] = (h_in_v, v_in_h)
-    return c._memo["hypothesis"]
+        return h_in_v, v_in_h
+
+    return c.cached("hypothesis", compute)
 
 
 def hypothesis_holds(c: CfkComplex) -> bool:

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from hfsurgery import cli
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -138,6 +140,45 @@ class TestInfoValidate:
         path.write_text(json.dumps(bad))
         code, out, _ = run(["validate", str(path)], capsys)
         assert code == 1 and "valid=no" in out
+
+
+MALFORMED = {
+    "top-level-list": "[]",
+    "truncated": '{"generators": [',
+    "generators-not-list": '{"generators": {"id": "x", "alexander": 0}}',
+    "generator-not-object": '{"generators": ["x"]}',
+    "id-not-string": '{"generators": [{"id": 1, "alexander": 0}]}',
+    "alexander-string": '{"generators": [{"id": "x", "alexander": "0"}]}',
+    "alexander-bool": '{"generators": [{"id": "x", "alexander": true}]}',
+    "alexander-missing": '{"generators": [{"id": "x"}]}',
+    "upower-string": (
+        '{"generators": [{"id": "x", "alexander": 1}, {"id": "y", "alexander": 0}],'
+        ' "differential": [{"from": "x", "to": "y", "upower": "0"}]}'
+    ),
+    "differential-not-list": '{"generators": [], "differential": 3}',
+    "flip-null": '{"generators": [], "flip": null}',
+    "flip-target-not-string": (
+        '{"generators": [{"id": "x", "alexander": 0}], "flip": [{"from": "x", "to": 0}]}'
+    ),
+    "nested-too-deep": "[" * 100000 + "]" * 100000,
+}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["rank", "-p", "1", "-q", "1"]])
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_json_is_a_usage_error(tmp_path, capsys, text, command):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run([command[0], str(path), *command[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot load complex file") and err.count("\n") == 1
+
+
+def test_directory_input_is_a_usage_error(tmp_path, capsys):
+    code, _, err = run(["validate", str(tmp_path)], capsys)
+    assert code == 2 and err.startswith("error: cannot load complex file")
 
 
 class TestGen:

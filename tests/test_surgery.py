@@ -5,7 +5,7 @@ import math
 import pytest
 
 from hfsurgery import f2
-from hfsurgery.cfk import CfkComplex, FlipRequiredError, Generator, HatA
+from hfsurgery.cfk import CfkComplex, FlipRequiredError, Generator, HatA, HatB
 from hfsurgery.knots import builtin
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
@@ -140,6 +140,24 @@ class TestConeRanks:
                 base = cone_rank_chain(c, slope, bound)
                 for extra in (1, 3):
                     assert cone_rank_chain(c, slope, bound + extra) == base
+
+    def test_chain_route_builds_only_the_homology_genus_reads(self, monkeypatch):
+        # The 1/2 cone on t25 has HatA(-4..3) columns and HatB; genus() reads
+        # v_hat(2) and v_hat(1), so only HatA(2), HatA(1) and HatB need homology.
+        built = []
+        init = f2.HomologyBasis.__init__
+
+        def counting_init(self, differential):
+            built.append(differential.rows)
+            init(self, differential)
+
+        monkeypatch.setattr(f2.HomologyBasis, "__init__", counting_init)
+        c = builtin("t25")
+        assert cone_rank_chain(c, Slope(1, 2)) == 11
+        assert len(built) == 3
+        tags = [HatB()] + [HatA(s) for s in range(-4, 4)]
+        with_homology = [t for t in tags if "homology" in vars(c.region_complex(t))]
+        assert with_homology == [HatB(), HatA(1), HatA(2)]
 
 
 class TestTInvariant:
