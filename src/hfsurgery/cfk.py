@@ -255,6 +255,9 @@ class CfkComplex:
 
     def _collect_issues(self) -> ValidationReport:
         issues: list[ValidationIssue] = []
+        if not self.generators:
+            # HatB would be zero, and HF-hat of a closed 3-manifold never is.
+            issues.append(ValidationIssue("empty", "complex has no generators"))
         seen_ids = set()
         for g in self.generators:
             if g.id in seen_ids:

@@ -7,9 +7,17 @@ elimination here needs.  Everything is exact; there is no floating point
 anywhere in this package.
 
 There is one elimination loop, ``_eliminate``, which builds a pivot table
-keyed on lowest set bits, and its reduce-only form ``_reduce``.  Rank is
-the table size, the row-echelon form is the table after back-substitution,
-and every other routine here reads its answer off one of the two.
+keyed on the bit position of each entry's lowest set bit, and its
+reduce-only form ``_reduce``.  Rank is the table size, the row-echelon
+form is the table after back-substitution, and every other routine here
+reads its answer off one of the two.
+
+The table stores each entry shifted down by its key, so that bit 0 is
+set, and the loop strips a row's trailing zeros after every XOR.  A step
+therefore costs the row's span (highest set bit minus lowest), not its
+highest bit: a sparse row far out in a wide matrix is as cheap as the
+same row at the start of a narrow one.  The mapping cone lays out its
+blocks to keep every span short.
 """
 
 from __future__ import annotations
@@ -152,19 +160,25 @@ class F2Matrix:
 
 
 def _eliminate(rows: Iterable[int]) -> dict[int, int]:
-    """Pivot table of ``rows``, keyed on lowest set bits.
+    """Pivot table of ``rows``, keyed on the position of lowest set bits.
 
     Each row is reduced by the entry owning its lowest set bit until it
-    vanishes or that bit is free, and then owns that bit.  The entries are
-    independent and span the rows.
+    vanishes or that bit is free, and then owns that bit.  An entry is
+    stored shifted down by its key, so bit 0 is set and the int is only as
+    wide as the row's span; every step strips the row's trailing zeros, so
+    it costs the span too.  Shifted back, the entries are independent and
+    span the rows.
     """
     table: dict[int, int] = {}
     for row in rows:
+        pos = 0
         while row:
-            low = row & -row
-            pivot = table.get(low)
+            low = (row & -row).bit_length() - 1
+            row >>= low
+            pos += low
+            pivot = table.get(pos)
             if pivot is None:
-                table[low] = row
+                table[pos] = row
                 break
             row ^= pivot
     return table
@@ -173,14 +187,26 @@ def _eliminate(rows: Iterable[int]) -> dict[int, int]:
 def _reduce(table: dict[int, int], row: int) -> int:
     """The elimination loop of :func:`_eliminate`, without adding the row.
 
-    The result is zero exactly when ``row`` lies in the span of the table.
+    Returns the reduced row, unshifted; it is zero exactly when ``row``
+    lies in the span of the table.
     """
+    pos = 0
     while row:
-        pivot = table.get(row & -row)
+        low = (row & -row).bit_length() - 1
+        row >>= low
+        pos += low
+        pivot = table.get(pos)
         if pivot is None:
             break
         row ^= pivot
-    return row
+    return row << pos
+
+
+def _insert(table: dict[int, int], row: int) -> None:
+    """Store a nonzero row that :func:`_reduce` returned, shifted down,
+    under its lowest set bit, which no entry owns yet."""
+    low = (row & -row).bit_length() - 1
+    table[low] = row >> low
 
 
 def rank(m: F2Matrix) -> int:
@@ -197,16 +223,16 @@ def rref(m: F2Matrix) -> tuple[list[int], list[int]]:
     is unique, so it does not depend on how the pivot table was built.
     """
     table = _eliminate(m.data)
-    lows = sorted(table)
+    pivots = sorted(table)
+    rows = {p: table[p] << p for p in pivots}
     # Back-substitution from the highest pivot down: every row reduced so
     # far holds no pivot bit but its own, so one XOR clears each pivot bit.
     pivot_mask = 0
-    for low in reversed(lows):
-        for p in bits(table[low] & pivot_mask):
-            table[low] ^= table[1 << p]
-        pivot_mask |= low
-    rows = [table[low] for low in lows] + [0] * (m.rows - len(lows))
-    return rows, [low.bit_length() - 1 for low in lows]
+    for p in reversed(pivots):
+        for q in bits(rows[p] & pivot_mask):
+            rows[p] ^= rows[q]
+        pivot_mask |= 1 << p
+    return [rows[p] for p in pivots] + [0] * (m.rows - len(pivots)), pivots
 
 
 def kernel_basis(m: F2Matrix) -> list[int]:
@@ -286,7 +312,7 @@ def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[int]:
         vec = m1.apply(pair & low_mask)
         reduced = _reduce(table, vec)
         if reduced:
-            table[reduced & -reduced] = reduced
+            _insert(table, reduced)
             basis.append(vec)
     return basis
 
@@ -318,7 +344,7 @@ class HomologyBasis:
             row = _reduce(self._table, cycle)
             if row & self._cycle_mask:
                 row ^= 1 << (n + len(reps))
-                self._table[row & -row] = row
+                _insert(self._table, row)
                 reps.append(cycle)
         self.reps: tuple[int, ...] = tuple(reps)
         self.dim: int = len(reps)

@@ -8,12 +8,19 @@ when its target column does not exist, which happens exactly on the p
 leftmost columns (h only) and the p rightmost columns (v only).
 
 Route one treats the whole cone as a single chain complex and computes
-its homology from the chain-level boundary.  It reads homology only
-through the genus, which fixes the truncation level, and never builds
-the cone's induced maps.  Route two counts kernel plus cokernel of the
-induced block matrix on homology.  Over a field the two always agree, so
-route one continuously validates the homology-level bookkeeping route
-two relies on.
+its homology from the chain-level boundary.  The boundary is laid out in
+chain order: for each residue class of j mod p, the columns j of that
+class in ascending order, each as its HatB block (when it exists) and
+then its HatA block.  Column j maps only to HatB blocks j and j + p, both
+in the class of j, so the cone is block-diagonal over j mod p, and a
+HatB row j has entries only in the HatA blocks j - p and j on either side
+of it.  No row spans more than three blocks, which keeps the elimination
+in ``f2`` cheap.  Route one reads homology only through the genus, which
+fixes the truncation level, and never builds the cone's induced maps.
+
+Route two counts kernel plus cokernel of the induced block matrix on
+homology.  Over a field the two always agree, so route one continuously
+validates the homology-level bookkeeping route two relies on.
 """
 
 from __future__ import annotations
@@ -102,9 +109,14 @@ class MappingCone:
         self.a_columns = tuple(range(-qc + 1, qc))
         self.b_columns = tuple(range(-qc + slope.p + 1, qc))
         self._b_set = set(self.b_columns)
-        self._a_regions = {j: complex_.region_complex(HatA(j // slope.q)) for j in self.a_columns}
+        # Column j is a copy of HatA(j // q): one region per s, not per column.
+        s_range = range(self.a_columns[0] // slope.q, self.a_columns[-1] // slope.q + 1)
+        self._a_regions = {s: complex_.region_complex(HatA(s)) for s in s_range}
         self._b_region = complex_.region_complex(HatB())
         self._memo: dict = {}
+
+    def _a_region(self, j: int):
+        return self._a_regions[j // self.slope.q]
 
     def v_map(self, j: int):
         """Chain map out of column j into HatB column j, or None if dropped."""
@@ -122,21 +134,24 @@ class MappingCone:
 
     @property
     def total_dim(self) -> int:
-        return sum(r.dim for r in self._a_regions.values()) + self._b_region.dim * len(
-            self.b_columns
-        )
+        return self._offsets()[2]
 
     def _offsets(self):
+        """Block offsets in chain order: for each residue class of j mod p,
+        its columns j in ascending order, each as the HatB block j (when it
+        exists) followed by the HatA block j."""
         if "offsets" not in self._memo:
-            a_off = {}
+            p = self.slope.p
+            b_dim = self._b_region.dim
+            a_off, b_off = {}, {}
             pos = 0
-            for j in self.a_columns:
-                a_off[j] = pos
-                pos += self._a_regions[j].dim
-            b_off = {}
-            for j in self.b_columns:
-                b_off[j] = pos
-                pos += self._b_region.dim
+            for i in range(p):
+                for j in self.a_columns[i::p]:
+                    if j in self._b_set:
+                        b_off[j] = pos
+                        pos += b_dim
+                    a_off[j] = pos
+                    pos += self._a_region(j).dim
             self._memo["offsets"] = (a_off, b_off, pos)
         return self._memo["offsets"]
 
@@ -145,26 +160,31 @@ class MappingCone:
         of every column plus the v and h blocks."""
         if "total_boundary" not in self._memo:
             a_off, b_off, total = self._offsets()
+            p, q = self.slope.p, self.slope.q
             masks = [0] * total
-            for j in self.a_columns:
-                region = self._a_regions[j]
-                oa = a_off[j]
-                for r, row in enumerate(region.boundary.data):
-                    masks[oa + r] |= row << oa
-                vmap = self.v_map(j)
-                if vmap is not None:
-                    ob = b_off[j]
-                    for r, row in enumerate(vmap.matrix.data):
-                        masks[ob + r] |= row << oa
-                hmap = self.h_map(j)
-                if hmap is not None:
-                    ob = b_off[j + self.slope.p]
-                    for r, row in enumerate(hmap.matrix.data):
-                        masks[ob + r] |= row << oa
-            for j in self.b_columns:
-                ob = b_off[j]
-                for r, row in enumerate(self._b_region.boundary.data):
-                    masks[ob + r] |= row << ob
+            for j, oa in a_off.items():
+                rows = self._a_region(j).boundary.data
+                masks[oa : oa + len(rows)] = [row << oa for row in rows]
+            b_rows = self._b_region.boundary.data
+            # HatB row block j reads HatA blocks j - p and j, which sit right
+            # before and right after it, so its rows are one narrow block,
+            # shifted once to the start of block j - p.  That narrow block
+            # depends only on (floor((j - p) / q), floor(j / q)).
+            narrow = {}
+            for j, ob in b_off.items():
+                key = ((j - p) // q, j // q)
+                rows = narrow.get(key)
+                if rows is None:
+                    b_shift = self._a_region(j - p).dim
+                    a_shift = b_shift + len(b_rows)
+                    rows = narrow[key] = [
+                        h | (d << b_shift) | (v << a_shift)
+                        for h, d, v in zip(
+                            self.h_map(j - p).matrix.data, b_rows, self.v_map(j).matrix.data
+                        )
+                    ]
+                base = a_off[j - p]
+                masks[ob : ob + len(rows)] = [row << base for row in rows]
             self._memo["total_boundary"] = F2Matrix(total, total, tuple(masks))
         return self._memo["total_boundary"]
 
@@ -176,7 +196,7 @@ class MappingCone:
             pos = 0
             for j in self.a_columns:
                 a_off[j] = pos
-                pos += self._a_regions[j].homology.dim
+                pos += self._a_region(j).homology.dim
             self._memo["hom_offsets"] = (a_off, pos)
         return self._memo["hom_offsets"]
 

@@ -112,6 +112,13 @@ class TestValidate:
         report = c.validate()
         assert any(i.code == "unknown-generator" for i in report.issues)
 
+    def test_empty_complex_is_invalid(self):
+        # HF-hat of a closed 3-manifold is never zero, so b_rank >= 1.
+        c = CfkComplex([], [], [], "empty")
+        assert [i.code for i in c.validate().issues] == ["empty"]
+        with pytest.raises(InvalidComplexError):
+            c.require_valid()
+
     def test_require_valid_raises(self):
         c = CfkComplex([Generator("x", 0), Generator("x", 0)], [], None, "dup")
         with pytest.raises(InvalidComplexError):

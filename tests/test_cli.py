@@ -141,6 +141,29 @@ class TestInfoValidate:
         code, out, _ = run(["validate", str(path)], capsys)
         assert code == 1 and "valid=no" in out
 
+    def test_validate_empty_complex(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"generators": [], "flip": []}')
+        code, out, _ = run(["validate", str(path)], capsys)
+        assert code == 1 and "valid=no" in out and "issue\tempty\t" in out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["rank", "-p", "3", "-q", "1"], ["scan", "--pmax", "2", "--qmax", "2"], ["info"]],
+    ids=["rank", "scan", "info"],
+)
+def test_empty_complex_is_a_check_failure(tmp_path, capsys, command):
+    path = tmp_path / "empty.json"
+    path.write_text('{"generators": [], "flip": []}')
+    code, out, err = run([command[0], str(path), *command[1:]], capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert lines[0].startswith("error:") and "empty" in err
+    assert sum(line.startswith("error:") for line in lines) == 1
+
 
 MALFORMED = {
     "top-level-list": "[]",

@@ -222,3 +222,41 @@ def test_rref_is_reduced_echelon_form(data):
     x = data.draw(st.integers(0, (1 << m.cols) - 1))
     y = f2.solve(m, m.apply(x))
     assert y is not None and m.apply(y) == m.apply(x)
+
+
+def reference_rank(rows: list[set[int]]) -> int:
+    """Rank by elimination on sets of column indices, pivoting on the
+    highest column: no bit masks, and the opposite pivot rule to ``f2``."""
+    table: dict[int, set[int]] = {}
+    for row in rows:
+        row = set(row)
+        while row:
+            top = max(row)
+            if top not in table:
+                table[top] = row
+                break
+            row ^= table[top]
+    return len(table)
+
+
+@st.composite
+def wide_sparse_rows(draw):
+    """Rows of at most three entries, on columns spread over thousands of
+    bits, with some rows the sum of two others, in a random order."""
+    n = draw(st.integers(1, 12))
+    columns = draw(st.lists(st.integers(0, 4000), min_size=n, max_size=n, unique=True))
+    offset = draw(st.integers(0, 4000))
+    rows = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=3), min_size=1, max_size=12))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=4)):
+        rows.append(rows[a % len(rows)] ^ rows[b % len(rows)])
+    rows = draw(st.permutations(rows))
+    return [{offset + columns[c] for c in row} for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_sparse_rows())
+def test_rank_of_wide_sparse_rows(rows):
+    m = F2Matrix.from_rows([sum(1 << c for c in row) for row in rows], 8001)
+    expected = reference_rank(rows)
+    assert f2.rank(m) == expected
+    assert f2.rank(m.transpose()) == expected

@@ -6,7 +6,7 @@ import pytest
 
 from hfsurgery import f2
 from hfsurgery.cfk import CfkComplex, FlipRequiredError, Generator, HatA, HatB
-from hfsurgery.knots import builtin
+from hfsurgery.knots import BUILTIN_NAMES, builtin, tensor
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
     NotApplicableError,
@@ -89,6 +89,25 @@ class TestBuildCone:
                 cone = build_cone(builtin(name), slope)
                 boundary = cone.total_boundary()
                 assert (boundary @ boundary).is_zero(), (name, slope)
+
+    def test_total_boundary_rows_are_narrow(self):
+        # Chain order puts HatA j - p, HatB j and HatA j side by side, so no
+        # row of the boundary reaches beyond those three blocks.
+        complexes = [builtin(name) for name in BUILTIN_NAMES]
+        complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
+        for c in complexes:
+            for slope in SMALL_SLOPES:
+                cone = build_cone(c, slope)
+                a_dim = max(
+                    c.region_complex(HatA(j // slope.q)).dim for j in cone.a_columns
+                )
+                limit = 2 * a_dim + c.region_complex(HatB()).dim
+                boundary = cone.total_boundary()
+                assert boundary.rows == cone.total_dim
+                for r in boundary.data:
+                    if r:
+                        span = r.bit_length() - (r & -r).bit_length()
+                        assert span < limit, (c.name, slope)
 
     def test_boundary_columns_drop_single_block(self):
         # leftmost p columns have no v target; rightmost p have no h target
