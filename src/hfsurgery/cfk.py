@@ -17,6 +17,17 @@ with the induced differential keeping exactly the components that stay
 inside the region.  The maps v_hat(s) and h_hat(s) from HatA(s) to HatB
 are the vertical projection and the horizontal projection composed with
 U^s and the flip involution.
+
+This module owns the precondition policy and checks it where data is
+built.  Regions, the genus and the hfk counts need a valid complex
+(:meth:`CfkComplex.require_valid`); h_hat, the region flip equivalence
+and the reflected complex also need a flip
+(:meth:`CfkComplex.require_flip`).  A memoized value implies that its
+checks passed, so a memo hit repeats none of them.  A caller that reads
+a region, a chain map or the genus therefore raises InvalidComplexError
+for an invalid complex, and FlipRequiredError once it reads an h-map of
+a complex without a flip, with no guard of its own.  Only code that
+returns before reading any of these keeps its own guard.
 """
 
 from __future__ import annotations
@@ -608,7 +619,10 @@ class CfkComplex:
         flip = None
         if "flip" in data:
             flip = [FlipPair(p["from"], p["to"]) for p in entries("flip", {"from": str, "to": str})]
-        return cls(gens, terms, flip, data.get("name", "complex"))
+        name = data.get("name", "complex")
+        if not isinstance(name, str):
+            raise ValueError(f"'name' must be a string, got {name!r}")
+        return cls(gens, terms, flip, name)
 
     @classmethod
     def from_json(cls, text: str) -> "CfkComplex":

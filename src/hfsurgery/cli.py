@@ -68,7 +68,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_info(args) -> int:
     c = _load_complex(args.input)
-    c.require_valid()
     profile = c.hfk_profile()
     b = c.b_rank()
     nu = nu_surrogate(c) if b == 1 else None
@@ -129,9 +128,11 @@ def _cmd_scan(args) -> int:
         bad = [r for r in reports if r.formula_rank is None or not r.consistent]
         if bad:
             for r in bad:
+                formula = "-" if r.formula_rank is None else r.formula_rank
+                why = "" if r.hypothesis_ok else " (containment hypothesis fails)"
                 print(
                     f"check failed at {r.slope}: oracle={r.oracle_rank} "
-                    f"formula={r.formula_rank}",
+                    f"formula={formula}{why}",
                     file=sys.stderr,
                 )
             return 1

@@ -65,10 +65,9 @@ class F2Matrix:
             raise DimensionError(
                 f"expected {self.rows} row masks, got {len(self.data)}"
             )
-        limit = 1 << self.cols
-        for mask in self.data:
-            if mask < 0 or mask >= limit:
-                raise DimensionError("row mask has bits outside the column range")
+        # One C-level pass each for min and max: a cone boundary has ~10^5 rows.
+        if self.data and (min(self.data) < 0 or max(self.data) >> self.cols):
+            raise DimensionError("row mask has bits outside the column range")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
@@ -107,12 +106,6 @@ class F2Matrix:
 
     def entry(self, r: int, c: int) -> int:
         return (self.data[r] >> c) & 1
-
-    def column(self, c: int) -> int:
-        mask = 0
-        for r in range(self.rows):
-            mask |= ((self.data[r] >> c) & 1) << r
-        return mask
 
     def transpose(self) -> "F2Matrix":
         masks = [0] * self.cols
@@ -254,12 +247,6 @@ def kernel_basis(m: F2Matrix) -> list[int]:
                 vec |= 1 << p
         basis.append(vec)
     return basis
-
-
-def image_basis(m: F2Matrix) -> list[int]:
-    """The pivot columns of ``m``: an independent spanning set of the column space."""
-    _, pivots = rref(m)
-    return [m.column(p) for p in pivots]
 
 
 def solve(m: F2Matrix, target: int) -> int | None:

@@ -126,8 +126,6 @@ def complement_check(c: CfkComplex, q: int) -> ObstructionVerdict:
     """Compare the rank of 1/q surgery with the rank of the unsurgered manifold."""
     if q < 1:
         raise ValueError("complement check needs q >= 1")
-    c.require_valid()
-    c.require_flip()
     slope = Slope(1, q)
     surgered = cone_rank_chain(c, slope)
     ambient = c.b_rank()
@@ -160,8 +158,6 @@ def monotonicity_scan(c: CfkComplex, p: int, qmax: int) -> list[tuple[int, int]]
     """
     if p < 1 or qmax < 1:
         raise ValueError("monotonicity scan needs positive p and qmax")
-    c.require_valid()
-    c.require_flip()
     if not hypothesis_holds(c):
         raise FormulaNotApplicableError(
             f"complex {c.name!r} fails the containment hypothesis; "

@@ -21,6 +21,12 @@ fixes the truncation level, and never builds the cone's induced maps.
 Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
 validates the homology-level bookkeeping route two relies on.
+
+Preconditions follow the policy stated in ``cfk``: every function here
+reads a region, a chain map or the genus before it returns, so ``cfk``
+raises for an invalid complex or a missing flip.  The one guard kept here
+is the flip check in :func:`build_cone`, because a cone reads its h-maps
+only when its boundary or block matrix is built.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import f2
 from .cfk import CfkComplex, HatA, HatB
@@ -94,7 +101,6 @@ def coprime_slopes(pmax: int, qmax: int):
 
 def truncation_bound(c: CfkComplex, slope: Slope) -> int:
     """Smallest safe truncation level, ceil(genus + p/q + 1)."""
-    c.require_valid()
     return c.genus() + 1 + -(-slope.p // slope.q)
 
 
@@ -113,7 +119,6 @@ class MappingCone:
         s_range = range(self.a_columns[0] // slope.q, self.a_columns[-1] // slope.q + 1)
         self._a_regions = {s: complex_.region_complex(HatA(s)) for s in s_range}
         self._b_region = complex_.region_complex(HatB())
-        self._memo: dict = {}
 
     def _a_region(self, j: int):
         return self._a_regions[j // self.slope.q]
@@ -134,79 +139,91 @@ class MappingCone:
 
     @property
     def total_dim(self) -> int:
-        return self._offsets()[2]
+        return self._offsets[2]
 
+    @cached_property
     def _offsets(self):
         """Block offsets in chain order: for each residue class of j mod p,
         its columns j in ascending order, each as the HatB block j (when it
         exists) followed by the HatA block j."""
-        if "offsets" not in self._memo:
-            p = self.slope.p
-            b_dim = self._b_region.dim
-            a_off, b_off = {}, {}
-            pos = 0
-            for i in range(p):
-                for j in self.a_columns[i::p]:
-                    if j in self._b_set:
-                        b_off[j] = pos
-                        pos += b_dim
-                    a_off[j] = pos
-                    pos += self._a_region(j).dim
-            self._memo["offsets"] = (a_off, b_off, pos)
-        return self._memo["offsets"]
+        p = self.slope.p
+        b_dim = self._b_region.dim
+        a_off, b_off = {}, {}
+        pos = 0
+        for i in range(p):
+            for j in self.a_columns[i::p]:
+                if j in self._b_set:
+                    b_off[j] = pos
+                    pos += b_dim
+                a_off[j] = pos
+                pos += self._a_region(j).dim
+        return a_off, b_off, pos
 
     def total_boundary(self) -> F2Matrix:
         """Boundary of the cone seen as one complex: internal differentials
-        of every column plus the v and h blocks."""
-        if "total_boundary" not in self._memo:
-            a_off, b_off, total = self._offsets()
-            p, q = self.slope.p, self.slope.q
-            masks = [0] * total
-            for j, oa in a_off.items():
-                rows = self._a_region(j).boundary.data
-                masks[oa : oa + len(rows)] = [row << oa for row in rows]
-            b_rows = self._b_region.boundary.data
-            # HatB row block j reads HatA blocks j - p and j, which sit right
-            # before and right after it, so its rows are one narrow block,
-            # shifted once to the start of block j - p.  That narrow block
-            # depends only on (floor((j - p) / q), floor(j / q)).
-            narrow = {}
-            for j, ob in b_off.items():
-                key = ((j - p) // q, j // q)
-                rows = narrow.get(key)
-                if rows is None:
-                    b_shift = self._a_region(j - p).dim
-                    a_shift = b_shift + len(b_rows)
-                    rows = narrow[key] = [
-                        h | (d << b_shift) | (v << a_shift)
-                        for h, d, v in zip(
-                            self.h_map(j - p).matrix.data, b_rows, self.v_map(j).matrix.data
-                        )
-                    ]
-                base = a_off[j - p]
-                masks[ob : ob + len(rows)] = [row << base for row in rows]
-            self._memo["total_boundary"] = F2Matrix(total, total, tuple(masks))
-        return self._memo["total_boundary"]
+        of every column plus the v and h blocks.  Built on every call; the
+        chain route makes one call per cone."""
+        a_off, b_off, total = self._offsets
+        p, q = self.slope.p, self.slope.q
+        masks = [0] * total
+        for j, oa in a_off.items():
+            rows = self._a_region(j).boundary.data
+            masks[oa : oa + len(rows)] = [row << oa for row in rows]
+        b_rows = self._b_region.boundary.data
+        # HatB row block j reads HatA blocks j - p and j, which sit right
+        # before and right after it, so its rows are one narrow block,
+        # shifted once to the start of block j - p.  That narrow block
+        # depends only on (floor((j - p) / q), floor(j / q)).
+        narrow = {}
+        for j, ob in b_off.items():
+            key = ((j - p) // q, j // q)
+            rows = narrow.get(key)
+            if rows is None:
+                b_shift = self._a_region(j - p).dim
+                a_shift = b_shift + len(b_rows)
+                rows = narrow[key] = [
+                    h | (d << b_shift) | (v << a_shift)
+                    for h, d, v in zip(
+                        self.h_map(j - p).matrix.data, b_rows, self.v_map(j).matrix.data
+                    )
+                ]
+            base = a_off[j - p]
+            masks[ob : ob + len(rows)] = [row << base for row in rows]
+        return F2Matrix(total, total, tuple(masks))
 
     # -- homology-level view --------------------------------------------------
 
+    @cached_property
     def _hom_offsets(self):
-        if "hom_offsets" not in self._memo:
-            a_off = {}
-            pos = 0
-            for j in self.a_columns:
-                a_off[j] = pos
-                pos += self._a_region(j).homology.dim
-            self._memo["hom_offsets"] = (a_off, pos)
-        return self._memo["hom_offsets"]
+        a_off = {}
+        pos = 0
+        for j in self.a_columns:
+            a_off[j] = pos
+            pos += self._a_region(j).homology.dim
+        return a_off, pos
 
     @property
     def a_homology_dim(self) -> int:
-        return self._hom_offsets()[1]
+        return self._hom_offsets[1]
 
     @property
     def b_homology_dim(self) -> int:
         return self._b_region.homology.dim * len(self.b_columns)
+
+    @cached_property
+    def _block_matrix(self) -> F2Matrix:
+        a_off, a_total = self._hom_offsets
+        b = self._b_region.homology.dim
+        q, p = self.slope.q, self.slope.p
+        masks = []
+        for j in self.b_columns:
+            v_ind = self.complex.v_hat(j // q).induced
+            h_ind = self.complex.h_hat((j - p) // q).induced
+            for r in range(b):
+                masks.append(
+                    (v_ind.data[r] << a_off[j]) | (h_ind.data[r] << a_off[j - p])
+                )
+        return F2Matrix(len(masks), a_total, tuple(masks))
 
     def block_matrix(self) -> F2Matrix:
         """Induced block matrix on homology.
@@ -215,24 +232,11 @@ class MappingCone:
         induced h_hat from column j - p; both source columns always exist
         inside the truncation window.
         """
-        if "block_matrix" not in self._memo:
-            a_off, a_total = self._hom_offsets()
-            b = self._b_region.homology.dim
-            q, p = self.slope.q, self.slope.p
-            masks = []
-            for j in self.b_columns:
-                v_ind = self.complex.v_hat(j // q).induced
-                h_ind = self.complex.h_hat((j - p) // q).induced
-                for r in range(b):
-                    masks.append(
-                        (v_ind.data[r] << a_off[j]) | (h_ind.data[r] << a_off[j - p])
-                    )
-            self._memo["block_matrix"] = F2Matrix(len(masks), a_total, tuple(masks))
-        return self._memo["block_matrix"]
+        return self._block_matrix
 
     def flatten(self, element: dict[int, int]) -> int:
         """Pack a column-indexed homology element into block coordinates."""
-        a_off, _ = self._hom_offsets()
+        a_off, _ = self._hom_offsets
         out = 0
         for j, coeff in element.items():
             out |= coeff << a_off[j]
@@ -243,9 +247,10 @@ class MappingCone:
 
 
 def build_cone(c: CfkComplex, slope: Slope, level: int | None = None) -> MappingCone:
-    c.require_valid()
-    c.require_flip()
     bound = truncation_bound(c, slope)
+    # The cone reads h-maps only when its boundary is built, so the flip is
+    # checked here, after the bound has checked that the complex is valid.
+    c.require_flip()
     if level is None:
         level = bound
     if level < bound:
@@ -279,8 +284,6 @@ def cone_rank_homological(c: CfkComplex, slope: Slope, level: int | None = None)
 def t_invariant(c: CfkComplex, slope: Slope) -> int:
     """Sum over j = 0..p-1 of dim(im v_hat(j/q) meet im h_hat((j-p)/q)) in
     the homology of HatB."""
-    c.require_valid()
-    c.require_flip()
     q, p = slope.q, slope.p
     total = 0
     for j in range(p):
@@ -298,21 +301,19 @@ def hypothesis_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]
     finiteness of the maps.  Containment is tested through intersection
     ranks, which is exact over GF(2).
     """
-    c.require_valid()
-    c.require_flip()
 
     def compute() -> tuple[dict[int, bool], dict[int, bool]]:
         g = c.genus()
         h_in_v: dict[int, bool] = {}
         v_in_h: dict[int, bool] = {}
-        for s in range(0, g + 1):
+        for s in range(-g, g + 1):
             v_ind = c.v_hat(s).induced
             h_ind = c.h_hat(s).induced
-            h_in_v[s] = f2.image_intersection_rank(v_ind, h_ind) == f2.rank(h_ind)
-        for s in range(-g, 1):
-            v_ind = c.v_hat(s).induced
-            h_ind = c.h_hat(s).induced
-            v_in_h[s] = f2.image_intersection_rank(v_ind, h_ind) == f2.rank(v_ind)
+            meet = f2.image_intersection_rank(v_ind, h_ind)
+            if s >= 0:
+                h_in_v[s] = meet == f2.rank(h_ind)
+            if s <= 0:
+                v_in_h[s] = meet == f2.rank(v_ind)
         return h_in_v, v_in_h
 
     return c.cached("hypothesis", compute)
@@ -342,8 +343,6 @@ def rank_formula(c: CfkComplex, slope: Slope) -> int:
     b is the homology rank of HatB, and t is t_invariant.  Only asserted
     when the image-containment hypothesis holds.
     """
-    c.require_valid()
-    c.require_flip()
     _require_hypothesis(c)
     q, p = slope.q, slope.p
     b = c.b_rank()
@@ -359,7 +358,6 @@ def rank_formula(c: CfkComplex, slope: Slope) -> int:
 
 def nu_surrogate(c: CfkComplex) -> int:
     """Least s >= 0 with v_hat(s) surjective on homology (b_rank 1 only)."""
-    c.require_valid()
     if c.b_rank() != 1:
         raise NotApplicableError(
             f"nu needs a complex with b_rank 1, got {c.b_rank()}"
@@ -381,8 +379,6 @@ def t_closed_form(c: CfkComplex, slope: Slope) -> int:
 def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     """Dimension of the kernel of the induced block matrix, in closed form:
     q*ker(v0) + 2q*sum(s=1..g-1) ker(vs) + t."""
-    c.require_valid()
-    c.require_flip()
     _require_hypothesis(c)
     q = slope.q
     g = c.genus()
@@ -405,8 +401,6 @@ def kernel_basis_construction(
     im v_hat(j/q) meet im h_hat((j-p)/q) is built from a matched pair and
     cancelled in both directions.
     """
-    c.require_valid()
-    c.require_flip()
     _require_hypothesis(c)
     cone = build_cone(c, slope, level)
     q, p = slope.q, slope.p
@@ -418,56 +412,39 @@ def kernel_basis_construction(
     def ind_h(j: int) -> F2Matrix:
         return c.h_hat(j // q).induced
 
-    def extend_right(element: dict[int, int], j: int, coeff: int) -> None:
+    def extend(element: dict[int, int], j: int, coeff: int, step: int) -> None:
+        """Cancel the image of ``coeff`` at column j, column by column:
+        rightward (step p) along h_hat, solved against v_hat, or leftward
+        (step -p) along v_hat, solved against h_hat."""
+        if step > 0:
+            out_map, out_ind, back_ind, way = cone.h_map, ind_h, ind_v, "rightward"
+        else:
+            out_map, out_ind, back_ind, way = cone.v_map, ind_v, ind_h, "leftward"
         while True:
-            if cone.h_map(j) is None:
-                return  # the h block is dropped at the right boundary
-            target = ind_h(j).apply(coeff)
+            if out_map(j) is None:
+                return  # the block is dropped at the window's edge
+            target = out_ind(j).apply(coeff)
             if target == 0:
                 return
-            j += p
-            if j > hi:
+            j += step
+            if not lo <= j <= hi:
                 raise InternalInvariantError(
-                    f"rightward cancellation left the truncation window at column {j}"
+                    f"{way} cancellation left the truncation window at column {j}"
                 )
-            coeff = f2.solve(ind_v(j), target)
+            coeff = f2.solve(back_ind(j), target)
             if coeff is None:
                 raise InternalInvariantError(
-                    f"no rightward cancellation at column {j}; containment check was wrong"
-                )
-            element[j] = element.get(j, 0) ^ coeff
-
-    def extend_left(element: dict[int, int], j: int, coeff: int) -> None:
-        while True:
-            if cone.v_map(j) is None:
-                return  # the v block is dropped at the left boundary
-            target = ind_v(j).apply(coeff)
-            if target == 0:
-                return
-            j -= p
-            if j < lo:
-                raise InternalInvariantError(
-                    f"leftward cancellation left the truncation window at column {j}"
-                )
-            coeff = f2.solve(ind_h(j), target)
-            if coeff is None:
-                raise InternalInvariantError(
-                    f"no leftward cancellation at column {j}; containment check was wrong"
+                    f"no {way} cancellation at column {j}; containment check was wrong"
                 )
             element[j] = element.get(j, 0) ^ coeff
 
     basis: list[dict[int, int]] = []
     for j in cone.a_columns:
-        if j >= 0:
-            for vec in f2.kernel_basis(ind_v(j)):
-                element = {j: vec}
-                extend_right(element, j, vec)
-                basis.append(element)
-        else:
-            for vec in f2.kernel_basis(ind_h(j)):
-                element = {j: vec}
-                extend_left(element, j, vec)
-                basis.append(element)
+        ind, step = (ind_v, p) if j >= 0 else (ind_h, -p)
+        for vec in f2.kernel_basis(ind(j)):
+            element = {j: vec}
+            extend(element, j, vec, step)
+            basis.append(element)
     for j in range(p):
         v_ind = ind_v(j)
         h_ind = ind_h(j - p)
@@ -480,8 +457,8 @@ def kernel_basis_construction(
                 )
             element = {j: y}
             element[j - p] = element.get(j - p, 0) ^ z
-            extend_right(element, j, y)
-            extend_left(element, j - p, z)
+            extend(element, j, y, p)
+            extend(element, j - p, z, -p)
             basis.append(element)
     return basis
 
@@ -544,8 +521,6 @@ class RankReport:
 
 def compute_rank_report(c: CfkComplex, slope: Slope) -> RankReport:
     """Run both routes plus the auxiliary invariants for one slope."""
-    c.require_valid()
-    c.require_flip()
     timings: dict[str, float] = {}
     start = time.perf_counter()
     oracle = cone_rank_chain(c, slope)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hfsurgery import cli
+from hfsurgery import cli, surgery
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -88,6 +88,17 @@ class TestScan:
         for row, entry in zip(rows, data):
             assert int(row[3]) == entry["oracle"]
             assert int(row[4]) == entry["formula"]
+
+    def test_check_says_why_formula_is_missing(self, capsys, monkeypatch):
+        monkeypatch.setattr(surgery, "hypothesis_holds", lambda c: False)
+        code, out, err = run(["scan", "trefoil_rh", "--pmax", "2", "--qmax", "1", "--check"], capsys)
+        assert code == 1
+        assert "\tfail\t" in out
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == (
+            "check failed at 1/1: oracle=1 formula=- (containment hypothesis fails)"
+        )
 
 
 class TestObstructionCommands:
@@ -184,6 +195,10 @@ MALFORMED = {
         '{"generators": [{"id": "x", "alexander": 0}], "flip": [{"from": "x", "to": 0}]}'
     ),
     "nested-too-deep": "[" * 100000 + "]" * 100000,
+    "name-not-string": (
+        '{"name": 5, "generators": [{"id": "x", "alexander": 0}],'
+        ' "flip": [{"from": "x", "to": "x"}]}'
+    ),
 }
 
 

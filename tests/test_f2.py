@@ -17,6 +17,18 @@ def mat(rows, cols, entries):
     return F2Matrix.from_entries(rows, cols, entries)
 
 
+@pytest.mark.parametrize("rows, cols, data", [(1, 2, (0b100,)), (2, 3, (0b1, -1)), (1, 0, (1,))])
+def test_row_mask_outside_column_range(rows, cols, data):
+    with pytest.raises(DimensionError, match="outside the column range"):
+        F2Matrix(rows, cols, data)
+
+
+def test_row_masks_inside_column_range():
+    assert F2Matrix(2, 3, (0b111, 0)).data == (0b111, 0)
+    assert F2Matrix(0, 3, ()).rows == 0
+    assert F2Matrix(1, 0, (0,)).cols == 0
+
+
 class TestRank:
     def test_zero(self):
         assert f2.rank(F2Matrix.zero(3, 3)) == 0
@@ -51,24 +63,6 @@ class TestKernel:
         assert len(basis) == 4 - f2.rank(m)
         for vec in basis:
             assert m.apply(vec) == 0
-
-
-class TestImage:
-    def test_identity(self):
-        assert len(f2.image_basis(F2Matrix.identity(2))) == 2
-
-    def test_zero(self):
-        assert f2.image_basis(F2Matrix.zero(2, 2)) == []
-
-    def test_all_ones(self):
-        assert f2.image_basis(F2Matrix(2, 2, (0b11, 0b11))) == [0b11]
-
-    def test_spans_column_space(self):
-        m = mat(3, 5, [(0, 0), (1, 0), (1, 2), (2, 2), (0, 4)])
-        basis = f2.image_basis(m)
-        assert len(basis) == f2.rank(m)
-        stacked = F2Matrix.from_columns(basis, 3).hstack(m)
-        assert f2.rank(stacked) == len(basis)
 
 
 class TestImageIntersection:
@@ -201,7 +195,6 @@ def test_kernel_image_counts(data):
     m = data.draw(matrices())
     r = f2.rank(m)
     assert len(f2.kernel_basis(m)) == m.cols - r
-    assert len(f2.image_basis(m)) == r
 
 
 @settings(max_examples=200, deadline=None)

@@ -325,6 +325,19 @@ class TestKernel:
                 stacked = f2.F2Matrix.from_columns(flattened, cone.a_homology_dim)
                 assert f2.rank(stacked) == len(basis), (name, slope, "independence")
 
+    def test_leftward_tails_on_a_tensor(self):
+        # h_hat kernel classes on negative columns of trefoil_lh # trefoil_lh
+        # cancel leftward over more than one column, solving against h_hat
+        c = tensor(builtin("trefoil_lh"), builtin("trefoil_lh"))
+        for q in (1, 2, 3):
+            slope = Slope(1, q)
+            cone = build_cone(c, slope)
+            basis = kernel_basis_construction(c, slope)
+            assert len(basis) == cone.a_homology_dim - f2.rank(cone.block_matrix())
+            for element in basis:
+                assert cone.block_apply(element) == 0
+            assert any(sum(j < 0 for j in e) >= 2 for e in basis), slope
+
 
 class TestLargeSurgeryWindow:
     def test_integer_slope_count(self):
