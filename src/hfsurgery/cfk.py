@@ -162,7 +162,7 @@ class RegionComplex:
 
 
 class FilteredChainMap:
-    """A chain map between region complexes with its induced homology matrix."""
+    """A chain map between region complexes; the one check of f∘∂ = ∂∘f is here."""
 
     def __init__(self, source: RegionComplex, target: RegionComplex, matrix: F2Matrix):
         left = matrix @ source.boundary
@@ -179,7 +179,7 @@ class FilteredChainMap:
     def induced(self) -> F2Matrix:
         """Matrix on homology, built on first read."""
         return f2.induced_map_on_homology(
-            self.matrix, self.source.homology, self.target.homology, check=False
+            self.matrix, self.source.homology, self.target.homology
         )
 
     def induced_rank(self) -> int:
@@ -201,6 +201,11 @@ class CfkComplex:
     """
 
     def __init__(self, generators, differential, flip=None, name: str = "complex"):
+        # The name is printed on its own line and as a TSV cell.
+        if not isinstance(name, str):
+            raise ValueError(f"'name' must be a string, got {name!r}")
+        if any(ch < " " for ch in name):
+            raise ValueError(f"'name' must not contain control characters, got {name!r}")
         self.generators: tuple[Generator, ...] = tuple(generators)
         self.differential: tuple[DiffTerm, ...] = tuple(differential)
         self.flip_pairs: tuple[FlipPair, ...] | None = (
@@ -619,10 +624,7 @@ class CfkComplex:
         flip = None
         if "flip" in data:
             flip = [FlipPair(p["from"], p["to"]) for p in entries("flip", {"from": str, "to": str})]
-        name = data.get("name", "complex")
-        if not isinstance(name, str):
-            raise ValueError(f"'name' must be a string, got {name!r}")
-        return cls(gens, terms, flip, name)
+        return cls(gens, terms, flip, data.get("name", "complex"))
 
     @classmethod
     def from_json(cls, text: str) -> "CfkComplex":

@@ -15,14 +15,13 @@ import sys
 from .cfk import CfkComplex, FlipRequiredError
 from .f2 import InvalidComplexError
 from .knots import BUILTIN_NAMES, RandomSpec, UnknownBuiltinError, builtin, random_complex
-from .obstructions import complement_check, cosmetic_pair_check
+from .obstructions import complement_check, cosmetic_pair_check, hypothesis_check
 from .surgery import (
     RankReport,
     Slope,
     compute_rank_report,
     cone_rank_chain,
     coprime_slopes,
-    hypothesis_holds,
     nu_surrogate,
     rank_formula,
 )
@@ -69,19 +68,22 @@ def _cmd_validate(args) -> int:
 def _cmd_info(args) -> int:
     c = _load_complex(args.input)
     profile = c.hfk_profile()
+    genus = c.genus()
     b = c.b_rank()
     nu = nu_surrogate(c) if b == 1 else None
-    hyp = hypothesis_holds(c) if c.has_flip else None
+    report = hypothesis_check(c) if c.has_flip else None
+    hyp = None if report is None else report.overall
     if args.format == "json":
-        print(json.dumps(
-            {"name": c.name, "genus": c.genus(), "b": b,
-             "hfk": {str(s): n for s, n in profile.items()},
-             "nu": nu,
-             "hypothesis": hyp},
-            indent=2))
+        data = {"name": c.name, "genus": genus, "b": b,
+                "hfk": {str(s): n for s, n in profile.items()},
+                "nu": nu,
+                "hypothesis": hyp}
+        if hyp is False:
+            data["containment"] = report.to_json_dict()
+        print(json.dumps(data, indent=2))
     else:
         print(f"name={c.name}")
-        print(f"genus={c.genus()}")
+        print(f"genus={genus}")
         print(f"b={b}")
         print("hfk=" + ",".join(f"{s}:{n}" for s, n in profile.items()))
         print(f"nu={nu if nu is not None else '-'}")
@@ -89,6 +91,10 @@ def _cmd_info(args) -> int:
             print("hypothesis=no-flip")
         else:
             print(f"hypothesis={'pass' if hyp else 'fail'}")
+        if hyp is False:
+            for key, verdicts in (("h_not_in_v", report.h_in_v), ("v_not_in_h", report.v_in_h)):
+                failing = sorted(s for s, ok in verdicts.items() if not ok)
+                print(f"{key}=" + (",".join(map(str, failing)) or "-"))
     return 0
 
 

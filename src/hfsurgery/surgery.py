@@ -112,9 +112,9 @@ class MappingCone:
         self.slope = slope
         self.level = level
         qc = slope.q * level
-        self.a_columns = tuple(range(-qc + 1, qc))
-        self.b_columns = tuple(range(-qc + slope.p + 1, qc))
-        self._b_set = set(self.b_columns)
+        # Ranges: ``j in self.b_columns`` is an O(1) membership test.
+        self.a_columns = range(-qc + 1, qc)
+        self.b_columns = range(-qc + slope.p + 1, qc)
         # Column j is a copy of HatA(j // q): one region per s, not per column.
         s_range = range(self.a_columns[0] // slope.q, self.a_columns[-1] // slope.q + 1)
         self._a_regions = {s: complex_.region_complex(HatA(s)) for s in s_range}
@@ -125,13 +125,13 @@ class MappingCone:
 
     def v_map(self, j: int):
         """Chain map out of column j into HatB column j, or None if dropped."""
-        if j not in self._b_set:
+        if j not in self.b_columns:
             return None
         return self.complex.v_hat(j // self.slope.q)
 
     def h_map(self, j: int):
         """Chain map out of column j into HatB column j + p, or None if dropped."""
-        if j + self.slope.p not in self._b_set:
+        if j + self.slope.p not in self.b_columns:
             return None
         return self.complex.h_hat(j // self.slope.q)
 
@@ -152,7 +152,7 @@ class MappingCone:
         pos = 0
         for i in range(p):
             for j in self.a_columns[i::p]:
-                if j in self._b_set:
+                if j in self.b_columns:
                     b_off[j] = pos
                     pos += b_dim
                 a_off[j] = pos
@@ -283,14 +283,16 @@ def cone_rank_homological(c: CfkComplex, slope: Slope, level: int | None = None)
 
 def t_invariant(c: CfkComplex, slope: Slope) -> int:
     """Sum over j = 0..p-1 of dim(im v_hat(j/q) meet im h_hat((j-p)/q)) in
-    the homology of HatB."""
+    the homology of HatB; memoized per slope."""
     q, p = slope.q, slope.p
-    total = 0
-    for j in range(p):
-        v_ind = c.v_hat(j // q).induced
-        h_ind = c.h_hat((j - p) // q).induced
-        total += f2.image_intersection_rank(v_ind, h_ind)
-    return total
+
+    def compute() -> int:
+        return sum(
+            f2.image_intersection_rank(c.v_hat(j // q).induced, c.h_hat((j - p) // q).induced)
+            for j in range(p)
+        )
+
+    return c.cached(("t", p, q), compute)
 
 
 def hypothesis_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]]:
@@ -298,8 +300,10 @@ def hypothesis_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]
     0 <= s <= genus, and im v_hat(s) inside im h_hat(s) for -genus <= s <= 0.
 
     Outside this window the containments are forced by the genus
-    finiteness of the maps.  Containment is tested through intersection
-    ranks, which is exact over GF(2).
+    finiteness of the maps.  With joint = rank [v | h], im h lies in im v
+    exactly when joint == rank v, and im v in im h exactly when
+    joint == rank h; this is exact over GF(2), because
+    dim(im v meet im h) = rank v + rank h - joint.
     """
 
     def compute() -> tuple[dict[int, bool], dict[int, bool]]:
@@ -309,11 +313,11 @@ def hypothesis_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]
         for s in range(-g, g + 1):
             v_ind = c.v_hat(s).induced
             h_ind = c.h_hat(s).induced
-            meet = f2.image_intersection_rank(v_ind, h_ind)
+            joint = f2.rank(v_ind.hstack(h_ind))
             if s >= 0:
-                h_in_v[s] = meet == f2.rank(h_ind)
+                h_in_v[s] = joint == f2.rank(v_ind)
             if s <= 0:
-                v_in_h[s] = meet == f2.rank(v_ind)
+                v_in_h[s] = joint == f2.rank(h_ind)
         return h_in_v, v_in_h
 
     return c.cached("hypothesis", compute)
@@ -332,6 +336,12 @@ def _require_hypothesis(c: CfkComplex) -> None:
         )
 
 
+def _v_sum(c: CfkComplex, slope: Slope, term) -> int:
+    """q*term(v_hat(0)) + 2q * sum over s = 1..g-1 of term(v_hat(s))."""
+    q = slope.q
+    return q * term(c.v_hat(0)) + 2 * q * sum(term(c.v_hat(s)) for s in range(1, c.genus()))
+
+
 def rank_formula(c: CfkComplex, slope: Slope) -> int:
     """Closed-form surgery rank.
 
@@ -340,20 +350,14 @@ def rank_formula(c: CfkComplex, slope: Slope) -> int:
       + 2*t - p*b
 
     where ker/rk are kernel dimension and rank of the induced v_hat(s),
-    b is the homology rank of HatB, and t is t_invariant.  Only asserted
+    b is the homology rank of HatB, and t is t_invariant.  Each term is
+    read as dim H(HatA(s)) + b - 2 rk vs, one rank per s.  Only asserted
     when the image-containment hypothesis holds.
     """
     _require_hypothesis(c)
-    q, p = slope.q, slope.p
     b = c.b_rank()
-    g = c.genus()
-    v0 = c.v_hat(0)
-    total = q * (v0.induced_kernel_dim() + b - v0.induced_rank())
-    for s in range(1, g):
-        vs = c.v_hat(s)
-        total += 2 * q * (vs.induced_kernel_dim() + b - vs.induced_rank())
-    total += 2 * t_invariant(c, slope) - p * b
-    return total
+    total = _v_sum(c, slope, lambda v: v.source.homology.dim + b - 2 * v.induced_rank())
+    return total + 2 * t_invariant(c, slope) - slope.p * b
 
 
 def nu_surrogate(c: CfkComplex) -> int:
@@ -380,12 +384,7 @@ def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     """Dimension of the kernel of the induced block matrix, in closed form:
     q*ker(v0) + 2q*sum(s=1..g-1) ker(vs) + t."""
     _require_hypothesis(c)
-    q = slope.q
-    g = c.genus()
-    total = q * c.v_hat(0).induced_kernel_dim()
-    for s in range(1, g):
-        total += 2 * q * c.v_hat(s).induced_kernel_dim()
-    return total + t_invariant(c, slope)
+    return _v_sum(c, slope, lambda v: v.induced_kernel_dim()) + t_invariant(c, slope)
 
 
 def kernel_basis_construction(

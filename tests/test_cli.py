@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hfsurgery import cli, surgery
+from hfsurgery import cli, obstructions, surgery
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -136,6 +136,22 @@ class TestInfoValidate:
         code, out, _ = run(["info", "t27", "--format", "json"], capsys)
         data = json.loads(out)
         assert data["genus"] == 3 and data["b"] == 1 and data["nu"] == 3
+        assert "containment" not in data
+
+    def test_info_names_the_failing_s(self, capsys, monkeypatch):
+        verdicts = ({0: True, 1: False, 2: False}, {-2: True, -1: False, 0: True})
+        monkeypatch.setattr(obstructions, "hypothesis_verdicts", lambda c: verdicts)
+        code, out, _ = run(["info", "t25"], capsys)
+        assert code == 0
+        assert out.splitlines()[-3:] == ["hypothesis=fail", "h_not_in_v=1,2", "v_not_in_h=-1"]
+        code, out, _ = run(["info", "t25", "--format", "json"], capsys)
+        data = json.loads(out)
+        assert data["hypothesis"] is False
+        assert data["containment"] == {
+            "h_image_in_v_image": {"0": True, "1": False, "2": False},
+            "v_image_in_h_image": {"-1": False, "-2": True, "0": True},
+            "overall": False,
+        }
 
     def test_validate_builtin(self, capsys):
         code, out, _ = run(["validate", "figure_eight"], capsys)
@@ -199,6 +215,14 @@ MALFORMED = {
         '{"name": 5, "generators": [{"id": "x", "alexander": 0}],'
         ' "flip": [{"from": "x", "to": "x"}]}'
     ),
+    "name-with-tab": (
+        r'{"name": "a\tb", "generators": [{"id": "x", "alexander": 0}],'
+        ' "flip": [{"from": "x", "to": "x"}]}'
+    ),
+    "name-with-newline": (
+        r'{"name": "x\nb=7", "generators": [{"id": "x", "alexander": 0}],'
+        ' "flip": [{"from": "x", "to": "x"}]}'
+    ),
 }
 
 
@@ -244,6 +268,11 @@ class TestGen:
     def test_gen_name_override(self, capsys):
         _, out, _ = run(["gen", "--builtin", "t25", "--name", "cinquefoil"], capsys)
         assert json.loads(out)["name"] == "cinquefoil"
+
+    def test_gen_name_with_tab_is_a_usage_error(self, capsys):
+        code, out, err = run(["gen", "--builtin", "t25", "--name", "a\tb"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: 'name' must not contain control characters")
 
 
 def test_module_entry_point():

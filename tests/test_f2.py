@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfsurgery import f2
+from hfsurgery.cfk import FilteredChainMap, RegionComplex
 from hfsurgery.f2 import (
     DimensionError,
     F2Matrix,
@@ -146,11 +147,11 @@ class TestInducedMap:
         assert ind.is_zero()
 
     def test_non_chain_map_rejected(self):
-        d = mat(2, 2, [(1, 0)])
-        hb = HomologyBasis(d)
+        # FilteredChainMap is the one place that checks f∘∂ = ∂∘f.
+        region = RegionComplex("segment", (("x", 0), ("y", 0)), mat(2, 2, [(1, 0)]))
         swap = mat(2, 2, [(0, 1), (1, 0)])
         with pytest.raises(NotAChainMapError):
-            f2.induced_map_on_homology(swap, hb, hb)
+            FilteredChainMap(region, region, swap)
 
 
 small = st.integers(min_value=0, max_value=5)
@@ -187,6 +188,33 @@ def test_intersection_rank_identity(data):
     expected = f2.rank(m1) + f2.rank(m2) - f2.rank(m1.hstack(m2))
     assert f2.image_intersection_rank(m1, m2) == expected
     assert len(f2.image_intersection_basis(m1, m2)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_containment_by_joint_rank(data):
+    # im m2 inside im m1 exactly when appending m2 adds no rank, and back.
+    rows = data.draw(small)
+    m1 = data.draw(matrices(rows=rows))
+    m2 = data.draw(matrices(rows=rows))
+    joint = f2.rank(m1.hstack(m2))
+    meet = f2.image_intersection_rank(m1, m2)
+    assert (joint == f2.rank(m1)) == (meet == f2.rank(m2))
+    assert (joint == f2.rank(m2)) == (meet == f2.rank(m1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_transpose_reads_rows_as_columns(m):
+    t = m.transpose()
+    assert t == F2Matrix.from_columns(m.data, m.cols)
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert all(t.entry(c, r) == m.entry(r, c) for r in range(m.rows) for c in range(m.cols))
+
+
+def test_from_columns_rejects_bits_outside_row_range():
+    with pytest.raises(DimensionError, match="outside the row range"):
+        F2Matrix.from_columns([0b01, 0b100], 2)
 
 
 @settings(max_examples=100, deadline=None)

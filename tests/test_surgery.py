@@ -356,6 +356,19 @@ class TestLargeSurgeryWindow:
 
 
 class TestRankReport:
+    def test_t_computed_once_per_slope(self, monkeypatch):
+        calls = []
+        meet = f2.image_intersection_rank
+
+        def counting(m1, m2):
+            calls.append(1)
+            return meet(m1, m2)
+
+        monkeypatch.setattr(f2, "image_intersection_rank", counting)
+        report = compute_rank_report(builtin("t25"), Slope(3, 2))
+        assert report.formula_rank == report.oracle_rank
+        assert len(calls) == 3  # one per j in 0..p-1
+
     def test_trefoil_report(self):
         report = compute_rank_report(builtin("trefoil_rh"), Slope(1, 1))
         assert report.oracle_rank == 1 and report.formula_rank == 1
