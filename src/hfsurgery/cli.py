@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 check failure (rank mismatch or invalid
-complex), 2 usage error.  Output is line oriented for shell use; pass
---format json for machine-readable output.
+complex) or a stdout closed by its reader, 2 usage error.  Output is
+line oriented for shell use; pass --format json for machine-readable
+output.
 """
 
 from __future__ import annotations
@@ -145,24 +146,20 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _print_verdict(verdict, fmt: str) -> int:
+    print(json.dumps(verdict.to_json_dict(), indent=2) if fmt == "json" else verdict)
+    return 0
+
+
 def _cmd_cosmetic(args) -> int:
     c = _load_complex(args.input)
     verdict = cosmetic_pair_check(c, Slope.parse(args.r), Slope.parse(args.s))
-    if args.format == "json":
-        print(json.dumps(verdict.to_json_dict(), indent=2))
-    else:
-        print(verdict)
-    return 0
+    return _print_verdict(verdict, args.format)
 
 
 def _cmd_complement(args) -> int:
     c = _load_complex(args.input)
-    verdict = complement_check(c, args.q)
-    if args.format == "json":
-        print(json.dumps(verdict.to_json_dict(), indent=2))
-    else:
-        print(verdict)
-    return 0
+    return _print_verdict(complement_check(c, args.q), args.format)
 
 
 def _cmd_gen(args) -> int:
@@ -255,7 +252,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull so the flush at
+        # interpreter exit stays quiet too (the recipe in Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InvalidComplexError, FlipRequiredError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

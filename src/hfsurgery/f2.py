@@ -140,14 +140,6 @@ class F2Matrix:
     def is_zero(self) -> bool:
         return all(mask == 0 for mask in self.data)
 
-    def __str__(self) -> str:
-        if self.rows == 0:
-            return f"<empty {self.rows}x{self.cols}>"
-        return "\n".join(
-            "".join("1" if (mask >> c) & 1 else "." for c in range(self.cols))
-            for mask in self.data
-        )
-
 
 def _eliminate(rows: Iterable[int]) -> dict[int, int]:
     """Pivot table of ``rows``, keyed on the position of lowest set bits.

@@ -83,43 +83,29 @@ def cosmetic_pair_check(c: CfkComplex, r: Slope, s: Slope) -> ObstructionVerdict
         raise ValueError("cosmetic check needs two distinct slopes")
     c.require_valid()
     c.require_flip()
+    ranks = None
     if r.p != s.p:
-        return ObstructionVerdict(
-            kind="cosmetic",
-            slopes=(str(r), str(s)),
-            ranks=None,
-            verdict=NOT_APPLICABLE,
-            reason=(
-                f"first homology distinguishes the surgeries already "
-                f"(orders differ by Z/{r.p} vs Z/{s.p}); no rank comparison needed"
-            ),
-        )
-    rank_r = cone_rank_chain(c, r)
-    rank_s = cone_rank_chain(c, s)
-    if rank_r != rank_s:
-        return ObstructionVerdict(
-            kind="cosmetic",
-            slopes=(str(r), str(s)),
-            ranks=(rank_r, rank_s),
-            verdict=OBSTRUCTED,
-            reason=f"total ranks differ ({rank_r} vs {rank_s}); the surgeries cannot be homeomorphic",
-        )
-    if detect_unknot(c):
-        caveat = "the complex is trivial, so equal ranks are expected at every slope"
-    elif min(r.p / r.q, s.p / s.q) <= 1:
-        caveat = (
-            "equal ranks at a slope <= 1 on a nontrivial complex would "
-            "contradict the cosmetic bound when the containment hypothesis holds"
+        verdict, reason = NOT_APPLICABLE, (
+            f"first homology distinguishes the surgeries already "
+            f"(orders differ by Z/{r.p} vs Z/{s.p}); no rank comparison needed"
         )
     else:
-        caveat = "both slopes exceed 1, where the rank obstruction is silent"
-    return ObstructionVerdict(
-        kind="cosmetic",
-        slopes=(str(r), str(s)),
-        ranks=(rank_r, rank_s),
-        verdict=CONSISTENT,
-        reason=f"total ranks agree ({rank_r}); {caveat}",
-    )
+        rank_r, rank_s = ranks = (cone_rank_chain(c, r), cone_rank_chain(c, s))
+        if rank_r != rank_s:
+            verdict = OBSTRUCTED
+            reason = f"total ranks differ ({rank_r} vs {rank_s}); the surgeries cannot be homeomorphic"
+        else:
+            if detect_unknot(c):
+                caveat = "the complex is trivial, so equal ranks are expected at every slope"
+            elif min(r.p / r.q, s.p / s.q) <= 1:
+                caveat = (
+                    "equal ranks at a slope <= 1 on a nontrivial complex would "
+                    "contradict the cosmetic bound when the containment hypothesis holds"
+                )
+            else:
+                caveat = "both slopes exceed 1, where the rank obstruction is silent"
+            verdict, reason = CONSISTENT, f"total ranks agree ({rank_r}); {caveat}"
+    return ObstructionVerdict("cosmetic", (str(r), str(s)), ranks, verdict, reason)
 
 
 def complement_check(c: CfkComplex, q: int) -> ObstructionVerdict:
@@ -130,23 +116,14 @@ def complement_check(c: CfkComplex, q: int) -> ObstructionVerdict:
     surgered = cone_rank_chain(c, slope)
     ambient = c.b_rank()
     if surgered != ambient:
-        return ObstructionVerdict(
-            kind="complement",
-            slopes=(str(slope),),
-            ranks=(surgered, ambient),
-            verdict=OBSTRUCTED,
-            reason=(
-                f"rank {surgered} at slope {slope} differs from the ambient rank {ambient}; "
-                "the surgery cannot return the original manifold"
-            ),
+        verdict, reason = OBSTRUCTED, (
+            f"rank {surgered} at slope {slope} differs from the ambient rank {ambient}; "
+            "the surgery cannot return the original manifold"
         )
-    return ObstructionVerdict(
-        kind="complement",
-        slopes=(str(slope),),
-        ranks=(surgered, ambient),
-        verdict=CONSISTENT,
-        reason=f"rank {surgered} at slope {slope} matches the ambient rank; no obstruction",
-    )
+    else:
+        verdict = CONSISTENT
+        reason = f"rank {surgered} at slope {slope} matches the ambient rank; no obstruction"
+    return ObstructionVerdict("complement", (str(slope),), (surgered, ambient), verdict, reason)
 
 
 def monotonicity_scan(c: CfkComplex, p: int, qmax: int) -> list[tuple[int, int]]:

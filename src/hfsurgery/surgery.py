@@ -3,9 +3,10 @@
 For a slope p/q the cone has one HatA(floor(j/q)) column for each
 j in [-qc+1, qc-1] and one HatB column for each j in [-qc+p+1, qc-1],
 where c is the truncation level.  Column j maps to the HatB column j by
-v_hat and to the HatB column j+p by h_hat; a block is simply dropped
-when its target column does not exist, which happens exactly on the p
-leftmost columns (h only) and the p rightmost columns (v only).
+v_hat and to the HatB column j+p by h_hat.  The drop rule is membership
+in ``MappingCone.b_columns``: the v block of column j exists exactly when
+j is in it and the h block exactly when j + p is, so the p leftmost
+columns keep only h and the p rightmost columns keep only v.
 
 Route one treats the whole cone as a single chain complex and computes
 its homology from the chain-level boundary.  The boundary is laid out in
@@ -32,8 +33,7 @@ only when its boundary or block matrix is built.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import f2
@@ -123,18 +123,6 @@ class MappingCone:
     def _a_region(self, j: int):
         return self._a_regions[j // self.slope.q]
 
-    def v_map(self, j: int):
-        """Chain map out of column j into HatB column j, or None if dropped."""
-        if j not in self.b_columns:
-            return None
-        return self.complex.v_hat(j // self.slope.q)
-
-    def h_map(self, j: int):
-        """Chain map out of column j into HatB column j + p, or None if dropped."""
-        if j + self.slope.p not in self.b_columns:
-            return None
-        return self.complex.h_hat(j // self.slope.q)
-
     # -- chain-level view ---------------------------------------------------
 
     @property
@@ -181,11 +169,11 @@ class MappingCone:
             if rows is None:
                 b_shift = self._a_region(j - p).dim
                 a_shift = b_shift + len(b_rows)
+                h_rows = self.complex.h_hat((j - p) // q).matrix.data
+                v_rows = self.complex.v_hat(j // q).matrix.data
                 rows = narrow[key] = [
                     h | (d << b_shift) | (v << a_shift)
-                    for h, d, v in zip(
-                        self.h_map(j - p).matrix.data, b_rows, self.v_map(j).matrix.data
-                    )
+                    for h, d, v in zip(h_rows, b_rows, v_rows)
                 ]
             base = a_off[j - p]
             masks[ob : ob + len(rows)] = [row << base for row in rows]
@@ -270,15 +258,15 @@ def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> in
     return c.cached(("cone_rank_chain", slope.p, slope.q, level), compute)
 
 
-def cone_rank_homological(c: CfkComplex, slope: Slope, level: int | None = None) -> int:
+def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
     """Kernel plus cokernel of the induced block matrix on homology."""
 
     def compute() -> int:
-        cone = build_cone(c, slope, level)
+        cone = build_cone(c, slope)
         r = f2.rank(cone.block_matrix())
         return (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
 
-    return c.cached(("cone_rank_homological", slope.p, slope.q, level), compute)
+    return c.cached(("cone_rank_homological", slope.p, slope.q), compute)
 
 
 def t_invariant(c: CfkComplex, slope: Slope) -> int:
@@ -387,9 +375,7 @@ def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     return _v_sum(c, slope, lambda v: v.induced_kernel_dim()) + t_invariant(c, slope)
 
 
-def kernel_basis_construction(
-    c: CfkComplex, slope: Slope, level: int | None = None
-) -> list[dict[int, int]]:
+def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int]]:
     """Explicit spanning set of the kernel of the induced block matrix.
 
     Elements are column-indexed homology classes (coefficient masks with
@@ -401,7 +387,7 @@ def kernel_basis_construction(
     cancelled in both directions.
     """
     _require_hypothesis(c)
-    cone = build_cone(c, slope, level)
+    cone = build_cone(c, slope)
     q, p = slope.q, slope.p
     lo, hi = cone.a_columns[0], cone.a_columns[-1]
 
@@ -414,14 +400,13 @@ def kernel_basis_construction(
     def extend(element: dict[int, int], j: int, coeff: int, step: int) -> None:
         """Cancel the image of ``coeff`` at column j, column by column:
         rightward (step p) along h_hat, solved against v_hat, or leftward
-        (step -p) along v_hat, solved against h_hat."""
+        (step -p) along v_hat, solved against h_hat.  The walk stops where
+        the outgoing block, into HatB column j + row, is dropped."""
         if step > 0:
-            out_map, out_ind, back_ind, way = cone.h_map, ind_h, ind_v, "rightward"
+            row, out_ind, back_ind, way = p, ind_h, ind_v, "rightward"
         else:
-            out_map, out_ind, back_ind, way = cone.v_map, ind_v, ind_h, "leftward"
-        while True:
-            if out_map(j) is None:
-                return  # the block is dropped at the window's edge
+            row, out_ind, back_ind, way = 0, ind_v, ind_h, "leftward"
+        while j + row in cone.b_columns:
             target = out_ind(j).apply(coeff)
             if target == 0:
                 return
@@ -475,31 +460,20 @@ class RankReport:
     hypothesis_ok: bool
     b: int
     genus: int
-    timings: dict[str, float] = field(default_factory=dict)
     note: str = ""
 
-    TSV_HEADER = "name\tp\tq\toracle\tformula\tt\tnu\thypothesis\tb\tgenus"
+    # The TSV columns are the JSON keys of the same names, in the same order.
+    TSV_COLUMNS = ("name", "p", "q", "oracle", "formula", "t", "nu", "hypothesis", "b", "genus")
+    TSV_HEADER = "\t".join(TSV_COLUMNS)
 
     @property
     def consistent(self) -> bool:
         return self.formula_rank is None or self.formula_rank == self.oracle_rank
 
     def tsv_row(self) -> str:
-        fmt = lambda x: "-" if x is None else str(x)
-        return "\t".join(
-            [
-                self.name,
-                str(self.slope.p),
-                str(self.slope.q),
-                str(self.oracle_rank),
-                fmt(self.formula_rank),
-                str(self.t_value),
-                fmt(self.nu),
-                "pass" if self.hypothesis_ok else "fail",
-                str(self.b),
-                str(self.genus),
-            ]
-        )
+        data = self.to_json_dict()
+        data["hypothesis"] = "pass" if self.hypothesis_ok else "fail"
+        return "\t".join("-" if data[k] is None else str(data[k]) for k in self.TSV_COLUMNS)
 
     def to_json_dict(self) -> dict:
         return {
@@ -513,35 +487,25 @@ class RankReport:
             "hypothesis": self.hypothesis_ok,
             "b": self.b,
             "genus": self.genus,
-            "timings": self.timings,
             "note": self.note,
         }
 
 
 def compute_rank_report(c: CfkComplex, slope: Slope) -> RankReport:
     """Run both routes plus the auxiliary invariants for one slope."""
-    timings: dict[str, float] = {}
-    start = time.perf_counter()
     oracle = cone_rank_chain(c, slope)
-    timings["oracle_seconds"] = time.perf_counter() - start
     hyp = hypothesis_holds(c)
-    formula = None
-    if hyp:
-        start = time.perf_counter()
-        formula = rank_formula(c, slope)
-        timings["formula_seconds"] = time.perf_counter() - start
+    formula = rank_formula(c, slope) if hyp else None
     b = c.b_rank()
-    nu = nu_surrogate(c) if b == 1 else None
     return RankReport(
         name=c.name,
         slope=slope,
         oracle_rank=oracle,
         formula_rank=formula,
         t_value=t_invariant(c, slope),
-        nu=nu,
+        nu=nu_surrogate(c) if b == 1 else None,
         hypothesis_ok=hyp,
         b=b,
         genus=c.genus(),
-        timings=timings,
         note="t computed from the supplied flip involution",
     )

@@ -287,3 +287,52 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "oracle=1 formula=1"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "t27", "--pmax", "8", "--qmax", "8"],
+        ["info", "t25"],
+        ["rank", "t25", "-p", "3", "-q", "2", "--format", "json"],
+    ],
+    ids=["scan", "info", "rank-json"],
+)
+def test_closed_stdout_exits_1_without_traceback(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    # A pipe whose read end is closed before the child starts: every write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hfsurgery", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=REPO,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rank", "t25", "-p", "3", "-q", "2", "--format", "json"],
+        ["scan", "t25", "--pmax", "3", "--qmax", "3", "--format", "json"],
+    ],
+    ids=["rank", "scan"],
+)
+def test_json_output_is_deterministic(args, capsys):
+    # Each run loads a fresh builtin, so no memo is shared between the runs.
+    first = run(args, capsys)
+    second = run(args, capsys)
+    assert first[0] == 0 and first == second
+    data = json.loads(first[1])
+    for record in data if isinstance(data, list) else [data]:
+        assert "timings" not in record
