@@ -74,6 +74,7 @@ from .surgery import (
     compute_rank_report,
     cone_rank_chain,
     cone_rank_homological,
+    cone_window,
     coprime_slopes,
     hypothesis_holds,
     kernel_basis_construction,

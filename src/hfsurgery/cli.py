@@ -102,13 +102,17 @@ def _cmd_info(args) -> int:
 def _cmd_rank(args) -> int:
     c = _load_complex(args.input)
     slope = Slope(args.p, args.q)
-    if args.method == "oracle":
-        value = cone_rank_chain(c, slope)
-        print(f"oracle={value}")
-        return 0
-    if args.method == "formula":
-        value = rank_formula(c, slope)
-        print(f"formula={value}")
+    if args.method != "both":
+        compute = cone_rank_chain if args.method == "oracle" else rank_formula
+        value = compute(c, slope)
+        data = {"name": c.name, "p": slope.p, "q": slope.q, args.method: value}
+        if args.format == "json":
+            print(json.dumps(data, indent=2))
+        elif args.format == "tsv":
+            print("\t".join(data))
+            print("\t".join(map(str, data.values())))
+        else:
+            print(f"{args.method}={value}")
         return 0
     report = compute_rank_report(c, slope)
     if args.format == "json":

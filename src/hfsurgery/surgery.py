@@ -1,12 +1,28 @@
 """Surgery ranks from the truncated mapping cone, by two independent routes.
 
-For a slope p/q the cone has one HatA(floor(j/q)) column for each
-j in [-qc+1, qc-1] and one HatB column for each j in [-qc+p+1, qc-1],
-where c is the truncation level.  Column j maps to the HatB column j by
-v_hat and to the HatB column j+p by h_hat.  The drop rule is membership
-in ``MappingCone.b_columns``: the v block of column j exists exactly when
-j is in it and the h block exactly when j + p is, so the p leftmost
-columns keep only h and the p rightmost columns keep only v.
+For a slope p/q the mapping cone has a HatA(floor(j/q)) column and a HatB
+column for every integer j; column j maps to the HatB column j by v_hat
+and to the HatB column j+p by h_hat.  A truncated cone keeps the HatA
+columns of a window lo <= j <= hi and the HatB columns lo+p <= j <= hi.
+The drop rule is membership in ``MappingCone.b_columns``: the v block of
+column j exists exactly when j is in it and the h block exactly when
+j + p is, so the columns j < lo+p lose v and the columns j > hi-p lose h
+(a window of fewer than 2p columns has columns that lose both).
+
+Both rank routes use the tight window of :func:`cone_window`.  With g the
+genus, lo = -(g-1)q and hi = max(gq-1, lo+p-1), which keeps
+max((2g-1)q, p) HatA columns.  It is exact by the truncation argument of
+Ozsvath-Szabo (arXiv math/0504404), with both cuts placed at the genus.
+v_hat(s) is a homology isomorphism for s >= g, so the columns j > hi with
+their HatB columns form a subcomplex whose boundary is triangular with
+quasi-isomorphisms on the diagonal, which makes it acyclic.  h_hat(s) is
+one for s <= -g, so in the quotient the columns j < lo with the HatB
+columns j < lo+p form an acyclic subcomplex in the same way; those HatB
+columns survive the first cut because hi >= lo+p-1.  Dropping both leaves
+the homology unchanged.  A symmetric level c keeps the window
+[-qc+1, qc-1] instead, which contains the tight one and is exact for every
+c >= :func:`truncation_bound`; passing a level is how the rank is checked
+to stay put as the window grows.
 
 Route one treats the whole cone as a single chain complex and computes
 its homology from the chain-level boundary.  The boundary is laid out in
@@ -17,7 +33,7 @@ in the class of j, so the cone is block-diagonal over j mod p, and a
 HatB row j has entries only in the HatA blocks j - p and j on either side
 of it.  No row spans more than three blocks, which keeps the elimination
 in ``f2`` cheap.  Route one reads homology only through the genus, which
-fixes the truncation level, and never builds the cone's induced maps.
+fixes the window, and never builds the cone's induced maps.
 
 Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
@@ -26,8 +42,8 @@ validates the homology-level bookkeeping route two relies on.
 Preconditions follow the policy stated in ``cfk``: every function here
 reads a region, a chain map or the genus before it returns, so ``cfk``
 raises for an invalid complex or a missing flip.  The one guard kept here
-is the flip check in :func:`build_cone`, because a cone reads its h-maps
-only when its boundary or block matrix is built.
+is the flip check in ``MappingCone``, because a cone reads its h-maps only
+when its boundary or block matrix is built.
 """
 
 from __future__ import annotations
@@ -104,19 +120,41 @@ def truncation_bound(c: CfkComplex, slope: Slope) -> int:
     return c.genus() + 1 + -(-slope.p // slope.q)
 
 
-class MappingCone:
-    """The truncated cone for one slope, with chain and homology views."""
+def cone_window(c: CfkComplex, slope: Slope, level: int | None = None) -> tuple[int, int]:
+    """HatA column window (lo, hi) of the truncated cone.
 
-    def __init__(self, complex_: CfkComplex, slope: Slope, level: int):
+    With no level, the tight window lo = -(g-1)q, hi = max(gq-1, lo+p-1);
+    with a level c, the symmetric window [-qc+1, qc-1], refused below
+    :func:`truncation_bound`.  The module docstring says why both are exact.
+    """
+    p, q = slope.p, slope.q
+    if level is None:
+        g = c.genus()
+        lo = -(g - 1) * q
+        return lo, max(g * q - 1, lo + p - 1)
+    bound = truncation_bound(c, slope)
+    if level < bound:
+        raise TruncationError(
+            f"truncation level {level} is below the safe bound {bound} for slope {slope}"
+        )
+    return -q * level + 1, q * level - 1
+
+
+class MappingCone:
+    """The truncated cone for one slope on the HatA window lo..hi, with
+    chain and homology views."""
+
+    def __init__(self, complex_: CfkComplex, slope: Slope, lo: int, hi: int):
+        # The cone reads h-maps only when its boundary or block matrix is
+        # built, so the flip is checked here, before any region is built.
+        complex_.require_flip()
         self.complex = complex_
         self.slope = slope
-        self.level = level
-        qc = slope.q * level
         # Ranges: ``j in self.b_columns`` is an O(1) membership test.
-        self.a_columns = range(-qc + 1, qc)
-        self.b_columns = range(-qc + slope.p + 1, qc)
+        self.a_columns = range(lo, hi + 1)
+        self.b_columns = range(lo + slope.p, hi + 1)
         # Column j is a copy of HatA(j // q): one region per s, not per column.
-        s_range = range(self.a_columns[0] // slope.q, self.a_columns[-1] // slope.q + 1)
+        s_range = range(lo // slope.q, hi // slope.q + 1)
         self._a_regions = {s: complex_.region_complex(HatA(s)) for s in s_range}
         self._b_region = complex_.region_complex(HatB())
 
@@ -235,34 +273,32 @@ class MappingCone:
 
 
 def build_cone(c: CfkComplex, slope: Slope, level: int | None = None) -> MappingCone:
-    bound = truncation_bound(c, slope)
-    # The cone reads h-maps only when its boundary is built, so the flip is
-    # checked here, after the bound has checked that the complex is valid.
-    c.require_flip()
+    """The cone on the symmetric window of ``level``, by default the safe
+    bound; :func:`kernel_basis_construction` needs that width."""
     if level is None:
-        level = bound
-    if level < bound:
-        raise TruncationError(
-            f"truncation level {level} is below the safe bound {bound} for slope {slope}"
-        )
-    return MappingCone(c, slope, level)
+        level = truncation_bound(c, slope)
+    return MappingCone(c, slope, *cone_window(c, slope, level))
 
 
 def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> int:
-    """Total homology rank of the cone, from the chain-level boundary only."""
+    """Total homology rank of the cone, from the chain-level boundary only.
+
+    The cone is on the tight window, or on the symmetric window of
+    ``level`` when one is given."""
 
     def compute() -> int:
-        cone = build_cone(c, slope, level)
+        cone = MappingCone(c, slope, *cone_window(c, slope, level))
         return cone.total_dim - 2 * f2.rank(cone.total_boundary())
 
     return c.cached(("cone_rank_chain", slope.p, slope.q, level), compute)
 
 
 def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
-    """Kernel plus cokernel of the induced block matrix on homology."""
+    """Kernel plus cokernel of the induced block matrix on homology, on the
+    tight window."""
 
     def compute() -> int:
-        cone = build_cone(c, slope)
+        cone = MappingCone(c, slope, *cone_window(c, slope))
         r = f2.rank(cone.block_matrix())
         return (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
 
@@ -385,6 +421,11 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     each residue column 0 <= j <= p-1 one element per dimension of
     im v_hat(j/q) meet im h_hat((j-p)/q) is built from a matched pair and
     cancelled in both directions.
+
+    The cone is :func:`build_cone`'s symmetric one, not the tight window of
+    the rank routes: the walks need the columns -p..p-1 and must not be cut
+    off early.  On figure_eight at 1/1 the tight window {0} widened to
+    {-1, 0} still stops the matched element's rightward walk at column 0.
     """
     _require_hypothesis(c)
     cone = build_cone(c, slope)

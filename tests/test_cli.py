@@ -35,6 +35,22 @@ class TestRank:
         code, out, _ = run(["rank", "figure_eight", "-p", "1", "-q", "2", "--method", "formula"], capsys)
         assert code == 0 and out.strip() == "formula=5"
 
+    @pytest.mark.parametrize("method", ["oracle", "formula"])
+    def test_single_method_json(self, method, capsys):
+        code, out, _ = run(
+            ["rank", "t25", "-p", "3", "-q", "2", "--method", method, "--format", "json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out) == {"name": "t25", "p": 3, "q": 2, method: 9}
+
+    @pytest.mark.parametrize("method", ["oracle", "formula"])
+    def test_single_method_tsv(self, method, capsys):
+        code, out, _ = run(
+            ["rank", "t25", "-p", "3", "-q", "2", "--method", method, "--format", "tsv"], capsys
+        )
+        assert code == 0
+        assert out.splitlines() == [f"name\tp\tq\t{method}", "t25\t3\t2\t9"]
+
     def test_json_format(self, capsys):
         code, out, _ = run(["rank", "t25", "-p", "3", "-q", "2", "--format", "json"], capsys)
         assert code == 0

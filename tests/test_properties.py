@@ -130,6 +130,15 @@ def test_truncation_stability(c, slope):
 
 @settings(max_examples=20, deadline=None)
 @given(complexes, slopes)
+def test_tight_window_equals_symmetric(c, slope):
+    assert cone_rank_chain(c, slope) == cone_rank_chain(c, slope, truncation_bound(c, slope))
+    cone = build_cone(c, slope)
+    r = f2.rank(cone.block_matrix())
+    assert cone_rank_homological(c, slope) == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
+
+
+@settings(max_examples=20, deadline=None)
+@given(complexes, slopes)
 def test_kernel_construction_counts(c, slope):
     if not hypothesis_check(c).overall:
         return

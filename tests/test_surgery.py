@@ -1,5 +1,6 @@
 """Unit tests for the mapping cone, the two rank routes and the closed forms."""
 
+import itertools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from hfsurgery.cfk import CfkComplex, FlipRequiredError, Generator, HatA, HatB
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
+    MappingCone,
     NotApplicableError,
     RankReport,
     Slope,
@@ -18,6 +20,7 @@ from hfsurgery.surgery import (
     compute_rank_report,
     cone_rank_chain,
     cone_rank_homological,
+    cone_window,
     coprime_slopes,
     hypothesis_holds,
     kernel_basis_construction,
@@ -77,6 +80,39 @@ class TestBuildCone:
     def test_level_too_small(self):
         with pytest.raises(TruncationError):
             build_cone(builtin("trefoil_rh"), Slope(1, 1), 2)
+
+    @pytest.mark.parametrize(
+        "name, slope, a_columns, b_columns",
+        [
+            ("unknot", Slope(1, 1), [1], []),  # g = 0, so the window starts at q
+            ("trefoil_rh", Slope(1, 1), [0], []),
+            ("trefoil_rh", Slope(1, 2), [0, 1], [1]),
+            ("t25", Slope(7, 2), list(range(-2, 5)), []),  # max((2g-1)q, p) = 7 columns
+        ],
+    )
+    def test_tight_window_columns(self, name, slope, a_columns, b_columns):
+        c = builtin(name)
+        cone = MappingCone(c, slope, *cone_window(c, slope))
+        assert list(cone.a_columns) == a_columns
+        assert list(cone.b_columns) == b_columns
+
+    def test_rank_routes_build_the_tight_window(self, monkeypatch):
+        windows = []
+
+        class Recording(MappingCone):
+            def __init__(self, complex_, slope, lo, hi):
+                windows.append((lo, hi))
+                super().__init__(complex_, slope, lo, hi)
+
+        monkeypatch.setattr(surgery, "MappingCone", Recording)
+        c = builtin("t25")
+        cone_rank_chain(c, Slope(7, 2))
+        cone_rank_homological(c, Slope(7, 2))
+        assert windows == [(-2, 4), (-2, 4)]
+
+    def test_level_too_small_for_the_chain_route(self):
+        with pytest.raises(TruncationError):
+            cone_rank_chain(builtin("trefoil_rh"), Slope(1, 1), 2)
 
     def test_missing_flip(self):
         c = CfkComplex([Generator("x", 0)], [], None, "flipless")
@@ -154,6 +190,21 @@ class TestConeRanks:
             for slope in SMALL_SLOPES:
                 assert cone_rank_chain(c, slope) == cone_rank_homological(c, slope)
 
+    def test_tight_window_equals_symmetric_on_builtins_and_tensors(self):
+        complexes = [builtin(name) for name in BUILTIN_NAMES]
+        pairs = itertools.combinations(BUILTIN_NAMES, 2)
+        complexes += [tensor(builtin(a), builtin(b)) for a, b in pairs]
+        assert len(complexes) == 21
+        for c in complexes:
+            for slope in coprime_slopes(5, 5):
+                bound = truncation_bound(c, slope)
+                symmetric = cone_rank_chain(c, slope, bound)
+                assert cone_rank_chain(c, slope) == symmetric, (c.name, slope)
+                cone = build_cone(c, slope)
+                r = f2.rank(cone.block_matrix())
+                symmetric = (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
+                assert cone_rank_homological(c, slope) == symmetric, (c.name, slope)
+
     def test_truncation_stability(self):
         for name in ("trefoil_rh", "figure_eight", "t25"):
             c = builtin(name)
@@ -164,7 +215,7 @@ class TestConeRanks:
                     assert cone_rank_chain(c, slope, bound + extra) == base
 
     def test_chain_route_builds_only_the_homology_genus_reads(self, monkeypatch):
-        # The 1/2 cone on t25 has HatA(-4..3) columns and HatB; genus() reads
+        # The 1/2 cone on t25 has HatA(-1..1) columns and HatB; genus() reads
         # v_hat(2) and v_hat(1), so only HatA(2), HatA(1) and HatB need homology.
         built = []
         init = f2.HomologyBasis.__init__
