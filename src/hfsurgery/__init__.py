@@ -53,7 +53,6 @@ from .obstructions import (
     CONSISTENT,
     NOT_APPLICABLE,
     OBSTRUCTED,
-    HypothesisReport,
     ObstructionVerdict,
     complement_check,
     cosmetic_pair_check,
@@ -63,6 +62,7 @@ from .obstructions import (
 )
 from .surgery import (
     FormulaNotApplicableError,
+    HypothesisReport,
     InternalInvariantError,
     MappingCone,
     NotApplicableError,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 check failure (rank mismatch or invalid
-complex) or a stdout closed by its reader, 2 usage error.  Output is
+Exit codes: 0 success, 1 check failure (rank mismatch, invalid complex,
+or a closed form asked of a complex that fails the containment
+hypothesis) or a stdout closed by its reader, 2 usage error.  Output is
 line oriented for shell use; pass --format json for machine-readable
 output.
 """
@@ -18,6 +19,7 @@ from .f2 import InvalidComplexError
 from .knots import BUILTIN_NAMES, RandomSpec, UnknownBuiltinError, builtin, random_complex
 from .obstructions import complement_check, cosmetic_pair_check, hypothesis_check
 from .surgery import (
+    FormulaNotApplicableError,
     RankReport,
     Slope,
     compute_rank_report,
@@ -88,10 +90,7 @@ def _cmd_info(args) -> int:
         print(f"b={b}")
         print("hfk=" + ",".join(f"{s}:{n}" for s, n in profile.items()))
         print(f"nu={nu if nu is not None else '-'}")
-        if hyp is None:
-            print("hypothesis=no-flip")
-        else:
-            print(f"hypothesis={'pass' if hyp else 'fail'}")
+        print("hypothesis=" + ("no-flip" if hyp is None else "pass" if hyp else "fail"))
         if hyp is False:
             for key, verdicts in (("h_not_in_v", report.h_in_v), ("v_not_in_h", report.v_in_h)):
                 failing = sorted(s for s, ok in verdicts.items() if not ok)
@@ -135,19 +134,15 @@ def _cmd_scan(args) -> int:
         print(RankReport.TSV_HEADER)
         for report in reports:
             print(report.tsv_row())
-    if args.check:
-        bad = [r for r in reports if r.formula_rank is None or not r.consistent]
-        if bad:
-            for r in bad:
-                formula = "-" if r.formula_rank is None else r.formula_rank
-                why = "" if r.hypothesis_ok else " (containment hypothesis fails)"
-                print(
-                    f"check failed at {r.slope}: oracle={r.oracle_rank} "
-                    f"formula={formula}{why}",
-                    file=sys.stderr,
-                )
-            return 1
-    return 0
+    bad = [r for r in reports if r.formula_rank is None or not r.consistent] if args.check else []
+    for r in bad:
+        formula = "-" if r.formula_rank is None else r.formula_rank
+        why = "" if r.hypothesis_ok else " (containment hypothesis fails)"
+        print(
+            f"check failed at {r.slope}: oracle={r.oracle_rank} formula={formula}{why}",
+            file=sys.stderr,
+        )
+    return 1 if bad else 0
 
 
 def _print_verdict(verdict, fmt: str) -> int:
@@ -264,7 +259,7 @@ def main(argv=None) -> int:
         # interpreter exit stays quiet too (the recipe in Python's signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (InvalidComplexError, FlipRequiredError) as exc:
+    except (InvalidComplexError, FlipRequiredError, FormulaNotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, ValueError) as exc:

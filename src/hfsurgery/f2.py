@@ -18,6 +18,11 @@ therefore costs the row's span (highest set bit minus lowest), not its
 highest bit: a sparse row far out in a wide matrix is as cheap as the
 same row at the start of a narrow one.  The mapping cone lays out its
 blocks to keep every span short.
+
+``_reduce`` keeps its own copy of the loop on purpose: ``_eliminate``
+written as ``_reduce`` plus ``_insert`` per row took the 903 tight cones
+of a ``scan-grid`` pass (732,794 rows) from 0.32 to 0.56 s median, over
+7 alternating runs on one Intel Xeon core.
 """
 
 from __future__ import annotations

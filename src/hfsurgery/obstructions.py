@@ -5,6 +5,9 @@ three-manifold, so equality of ranks never confirms anything: verdicts
 are three-valued and "consistent" only means the obstruction failed to
 fire.  Slope pairs with different p are settled by first homology alone
 and never reach a rank computation.
+
+The containment verdict and its error belong to ``surgery``, looked up on
+the module at call time so that every caller reads the one verdict.
 """
 
 from __future__ import annotations
@@ -12,34 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import surgery
 from .cfk import CfkComplex
-from .surgery import (
-    FormulaNotApplicableError,
-    Slope,
-    cone_rank_chain,
-    hypothesis_holds,
-    hypothesis_verdicts,
-)
+from .surgery import HypothesisReport, Slope, cone_rank_chain
 
 OBSTRUCTED = "obstructed"
 CONSISTENT = "consistent"
 NOT_APPLICABLE = "not-applicable"
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Image-containment verdicts, per filtration level and overall."""
-
-    h_in_v: dict[int, bool]
-    v_in_h: dict[int, bool]
-    overall: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "h_image_in_v_image": {str(s): ok for s, ok in sorted(self.h_in_v.items())},
-            "v_image_in_h_image": {str(s): ok for s, ok in sorted(self.v_in_h.items())},
-            "overall": self.overall,
-        }
 
 
 @dataclass(frozen=True)
@@ -65,10 +47,8 @@ class ObstructionVerdict:
 
 
 def hypothesis_check(c: CfkComplex) -> HypothesisReport:
-    """Check the image containments the closed-form rank relies on."""
-    h_in_v, v_in_h = hypothesis_verdicts(c)
-    overall = all(h_in_v.values()) and all(v_in_h.values())
-    return HypothesisReport(dict(h_in_v), dict(v_in_h), overall)
+    """The containment verdict the closed form needs, from ``surgery``."""
+    return surgery.hypothesis_verdicts(c)
 
 
 def detect_unknot(c: CfkComplex) -> bool:
@@ -135,11 +115,7 @@ def monotonicity_scan(c: CfkComplex, p: int, qmax: int) -> list[tuple[int, int]]
     """
     if p < 1 or qmax < 1:
         raise ValueError("monotonicity scan needs positive p and qmax")
-    if not hypothesis_holds(c):
-        raise FormulaNotApplicableError(
-            f"complex {c.name!r} fails the containment hypothesis; "
-            "monotonicity is not guaranteed"
-        )
+    surgery.require_hypothesis(c)
     return [
         (q, cone_rank_chain(c, Slope(p, q)))
         for q in range(1, qmax + 1)

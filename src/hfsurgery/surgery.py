@@ -39,6 +39,10 @@ Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
 validates the homology-level bookkeeping route two relies on.
 
+The closed form, the kernel construction and the monotonicity scan need
+the image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
+memoized verdict and :func:`require_hypothesis` its one error.
+
 Preconditions follow the policy stated in ``cfk``: every function here
 reads a region, a chain map or the genus before it returns, so ``cfk``
 raises for an invalid complex or a missing flip.  The one guard kept here
@@ -319,7 +323,26 @@ def t_invariant(c: CfkComplex, slope: Slope) -> int:
     return c.cached(("t", p, q), compute)
 
 
-def hypothesis_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]]:
+@dataclass(frozen=True)
+class HypothesisReport:
+    """Image-containment verdicts per s, and overall; shared, so read only."""
+
+    h_in_v: dict[int, bool]
+    v_in_h: dict[int, bool]
+
+    @property
+    def overall(self) -> bool:
+        return all(self.h_in_v.values()) and all(self.v_in_h.values())
+
+    def to_json_dict(self) -> dict:
+        return {
+            "h_image_in_v_image": {str(s): ok for s, ok in sorted(self.h_in_v.items())},
+            "v_image_in_h_image": {str(s): ok for s, ok in sorted(self.v_in_h.items())},
+            "overall": self.overall,
+        }
+
+
+def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
     """Per-s image containments: im h_hat(s) inside im v_hat(s) for
     0 <= s <= genus, and im v_hat(s) inside im h_hat(s) for -genus <= s <= 0.
 
@@ -330,7 +353,7 @@ def hypothesis_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]
     dim(im v meet im h) = rank v + rank h - joint.
     """
 
-    def compute() -> tuple[dict[int, bool], dict[int, bool]]:
+    def compute() -> HypothesisReport:
         g = c.genus()
         h_in_v: dict[int, bool] = {}
         v_in_h: dict[int, bool] = {}
@@ -342,17 +365,16 @@ def hypothesis_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]
                 h_in_v[s] = joint == f2.rank(v_ind)
             if s <= 0:
                 v_in_h[s] = joint == f2.rank(h_ind)
-        return h_in_v, v_in_h
+        return HypothesisReport(h_in_v, v_in_h)
 
     return c.cached("hypothesis", compute)
 
 
 def hypothesis_holds(c: CfkComplex) -> bool:
-    h_in_v, v_in_h = hypothesis_verdicts(c)
-    return all(h_in_v.values()) and all(v_in_h.values())
+    return hypothesis_verdicts(c).overall
 
 
-def _require_hypothesis(c: CfkComplex) -> None:
+def require_hypothesis(c: CfkComplex) -> None:
     if not hypothesis_holds(c):
         raise FormulaNotApplicableError(
             f"complex {c.name!r} fails the image-containment hypothesis; "
@@ -378,7 +400,7 @@ def rank_formula(c: CfkComplex, slope: Slope) -> int:
     read as dim H(HatA(s)) + b - 2 rk vs, one rank per s.  Only asserted
     when the image-containment hypothesis holds.
     """
-    _require_hypothesis(c)
+    require_hypothesis(c)
     b = c.b_rank()
     total = _v_sum(c, slope, lambda v: v.source.homology.dim + b - 2 * v.induced_rank())
     return total + 2 * t_invariant(c, slope) - slope.p * b
@@ -407,7 +429,7 @@ def t_closed_form(c: CfkComplex, slope: Slope) -> int:
 def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     """Dimension of the kernel of the induced block matrix, in closed form:
     q*ker(v0) + 2q*sum(s=1..g-1) ker(vs) + t."""
-    _require_hypothesis(c)
+    require_hypothesis(c)
     return _v_sum(c, slope, lambda v: v.induced_kernel_dim()) + t_invariant(c, slope)
 
 
@@ -427,7 +449,7 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     off early.  On figure_eight at 1/1 the tight window {0} widened to
     {-1, 0} still stops the matched element's rightward walk at column 0.
     """
-    _require_hypothesis(c)
+    require_hypothesis(c)
     cone = build_cone(c, slope)
     q, p = slope.q, slope.p
     lo, hi = cone.a_columns[0], cone.a_columns[-1]

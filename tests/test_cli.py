@@ -68,6 +68,16 @@ class TestRank:
         for column in ("oracle", "formula", "t", "b", "genus"):
             assert cells[column] == str(data[column])
 
+    def test_formula_on_failing_hypothesis_is_a_check_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(surgery, "hypothesis_holds", lambda c: False)
+        code, out, err = run(["rank", "t25", "-p", "3", "-q", "2", "--method", "formula"], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: complex 't25' fails the image-containment hypothesis; "
+            "the closed-form rank is not asserted (the cone oracles still apply)"
+        ]
+        assert "Traceback" not in err
+
     def test_noncoprime_usage_error(self, capsys):
         code, _, err = run(["rank", "trefoil_rh", "-p", "2", "-q", "4"], capsys)
         assert code == 2 and "lowest terms" in err
@@ -156,7 +166,7 @@ class TestInfoValidate:
 
     def test_info_names_the_failing_s(self, capsys, monkeypatch):
         verdicts = ({0: True, 1: False, 2: False}, {-2: True, -1: False, 0: True})
-        monkeypatch.setattr(obstructions, "hypothesis_verdicts", lambda c: verdicts)
+        monkeypatch.setattr(surgery, "hypothesis_verdicts", lambda c: surgery.HypothesisReport(*verdicts))
         code, out, _ = run(["info", "t25"], capsys)
         assert code == 0
         assert out.splitlines()[-3:] == ["hypothesis=fail", "h_not_in_v=1,2", "v_not_in_h=-1"]

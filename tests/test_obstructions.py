@@ -14,7 +14,12 @@ from hfsurgery.obstructions import (
     hypothesis_check,
     monotonicity_scan,
 )
-from hfsurgery.surgery import FormulaNotApplicableError, Slope
+from hfsurgery.surgery import (
+    FormulaNotApplicableError,
+    Slope,
+    hypothesis_holds,
+    hypothesis_verdicts,
+)
 
 NONTRIVIAL = ("trefoil_rh", "trefoil_lh", "figure_eight", "t25", "t27")
 
@@ -42,6 +47,12 @@ class TestHypothesisCheck:
         c = CfkComplex([Generator("x", 0)], [], None, "flipless")
         with pytest.raises(FlipRequiredError):
             hypothesis_check(c)
+
+    def test_one_record_for_every_reader(self):
+        for c in (builtin("t25"), random_complex(RandomSpec(seed=3, dots=2))):
+            report = hypothesis_check(c)
+            assert report is hypothesis_verdicts(c)
+            assert hypothesis_holds(c) == report.overall
 
     def test_json_dict(self):
         data = hypothesis_check(builtin("trefoil_rh")).to_json_dict()
@@ -150,7 +161,7 @@ class TestMonotonicityScan:
     def test_gated_on_hypothesis(self, monkeypatch):
         import hfsurgery.obstructions as obstructions
 
-        monkeypatch.setattr(obstructions, "hypothesis_holds", lambda c: False)
+        monkeypatch.setattr("hfsurgery.surgery.hypothesis_holds", lambda c: False)
         with pytest.raises(FormulaNotApplicableError):
             obstructions.monotonicity_scan(builtin("trefoil_rh"), 1, 3)
 
