@@ -182,15 +182,19 @@ class FilteredChainMap:
             self.matrix, self.source.homology, self.target.homology
         )
 
-    def induced_rank(self) -> int:
+    @cached_property
+    def _rank(self) -> int:
+        """Rank of the induced map, the one elimination of that matrix."""
         return f2.rank(self.induced)
 
+    def induced_rank(self) -> int:
+        return self._rank
+
     def induced_kernel_dim(self) -> int:
-        return self.source.homology.dim - f2.rank(self.induced)
+        return self.source.homology.dim - self._rank
 
     def is_induced_iso(self) -> bool:
-        r = f2.rank(self.induced)
-        return r == self.source.homology.dim == self.target.homology.dim
+        return self._rank == self.source.homology.dim == self.target.homology.dim
 
 
 class CfkComplex:
@@ -406,8 +410,7 @@ class CfkComplex:
         Reducedness makes the graded differential vanish, so this is a
         generator count.
         """
-        self.require_valid()
-        return sum(1 for g in self.generators if g.alexander == s)
+        return self.hfk_profile().get(s, 0)
 
     def hfk_profile(self) -> dict[int, int]:
         self.require_valid()

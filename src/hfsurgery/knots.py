@@ -172,19 +172,16 @@ def random_complex(spec: RandomSpec) -> CfkComplex:
         m = rng.randint(1, spec.max_side)
         n = rng.randint(1, spec.max_side)
         offset = rng.randint(-spec.max_offset, spec.max_offset)
+        g, t = _box(f"b{i}", m, n, offset)
+        gens += g
+        terms += t
         if m == n and offset == 0:
-            g, t = _box(f"b{i}", m, n, offset)
-            gens += g
-            terms += t
             flip += [
                 FlipPair(f"b{i}1", f"b{i}1"),
                 FlipPair(f"b{i}2", f"b{i}3"),
                 FlipPair(f"b{i}4", f"b{i}4"),
             ]
         else:
-            g, t = _box(f"b{i}", m, n, offset)
-            gens += g
-            terms += t
             g, t = _box(f"c{i}", n, m, -offset)
             gens += g
             terms += t
@@ -216,20 +213,11 @@ def _trefoil_lh() -> CfkComplex:
 
 
 def _figure_eight() -> CfkComplex:
+    """A unit box centred at Alexander grading 0, plus the dot e."""
+    gens, terms = _box("b", 1, 1, 0)
     return CfkComplex(
-        [
-            Generator("b1", 0),
-            Generator("b2", -1),
-            Generator("b3", 1),
-            Generator("b4", 0),
-            Generator("e", 0),
-        ],
-        [
-            DiffTerm("b1", "b2", 0),
-            DiffTerm("b1", "b3", 1),
-            DiffTerm("b2", "b4", 1),
-            DiffTerm("b3", "b4", 0),
-        ],
+        gens + [Generator("e", 0)],
+        terms,
         [
             FlipPair("b1", "b1"),
             FlipPair("b2", "b3"),

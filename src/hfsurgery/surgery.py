@@ -41,7 +41,9 @@ validates the homology-level bookkeeping route two relies on.
 
 The closed form, the kernel construction and the monotonicity scan need
 the image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
-memoized verdict and :func:`require_hypothesis` its one error.
+memoized verdict and :func:`require_hypothesis` its one error.  The verdict
+and t both read how the images of v_hat and h_hat meet in H(HatB), from the
+one memo of :func:`_meet`.
 
 Preconditions follow the policy stated in ``cfk``: every function here
 reads a region, a chain map or the genus before it returns, so ``cfk``
@@ -278,7 +280,7 @@ class MappingCone:
 
 def build_cone(c: CfkComplex, slope: Slope, level: int | None = None) -> MappingCone:
     """The cone on the symmetric window of ``level``, by default the safe
-    bound; :func:`kernel_basis_construction` needs that width."""
+    bound, the width :func:`kernel_basis_construction` walks on."""
     if level is None:
         level = truncation_bound(c, slope)
     return MappingCone(c, slope, *cone_window(c, slope, level))
@@ -309,18 +311,29 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
     return c.cached(("cone_rank_homological", slope.p, slope.q), compute)
 
 
-def t_invariant(c: CfkComplex, slope: Slope) -> int:
-    """Sum over j = 0..p-1 of dim(im v_hat(j/q) meet im h_hat((j-p)/q)) in
-    the homology of HatB; memoized per slope."""
-    q, p = slope.q, slope.p
+def _meet(c: CfkComplex, a: int, b: int) -> int:
+    """dim(im v_hat(a) meet im h_hat(b)) on homology, memoized per pair.
+
+    v_hat(a) is onto for a >= genus and h_hat(b) for b <= -genus, so the
+    clamped pair a <= genus, b >= -genus has the same meet and reads no map
+    beyond the genus.  The meet is rank v + rank h - rank [v | h], as in
+    ``f2.image_intersection_rank``, but with the ranks the maps cache.
+    """
+    g = c.genus()
+    a, b = min(a, g), max(b, -g)
 
     def compute() -> int:
-        return sum(
-            f2.image_intersection_rank(c.v_hat(j // q).induced, c.h_hat((j - p) // q).induced)
-            for j in range(p)
-        )
+        v, h = c.v_hat(a), c.h_hat(b)
+        return v.induced_rank() + h.induced_rank() - f2.rank(v.induced.hstack(h.induced))
 
-    return c.cached(("t", p, q), compute)
+    return c.cached(("meet", a, b), compute)
+
+
+def t_invariant(c: CfkComplex, slope: Slope) -> int:
+    """Sum over j = 0..p-1 of dim(im v_hat(j/q) meet im h_hat((j-p)/q)) in
+    the homology of HatB."""
+    q, p = slope.q, slope.p
+    return sum(_meet(c, j // q, (j - p) // q) for j in range(p))
 
 
 @dataclass(frozen=True)
@@ -347,25 +360,17 @@ def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
     0 <= s <= genus, and im v_hat(s) inside im h_hat(s) for -genus <= s <= 0.
 
     Outside this window the containments are forced by the genus
-    finiteness of the maps.  With joint = rank [v | h], im h lies in im v
-    exactly when joint == rank v, and im v in im h exactly when
-    joint == rank h; this is exact over GF(2), because
-    dim(im v meet im h) = rank v + rank h - joint.
+    finiteness of the maps.  im h lies in im v exactly when the meet of the
+    two images has the rank of h, and im v in im h exactly when it has the
+    rank of v.
     """
 
     def compute() -> HypothesisReport:
         g = c.genus()
-        h_in_v: dict[int, bool] = {}
-        v_in_h: dict[int, bool] = {}
-        for s in range(-g, g + 1):
-            v_ind = c.v_hat(s).induced
-            h_ind = c.h_hat(s).induced
-            joint = f2.rank(v_ind.hstack(h_ind))
-            if s >= 0:
-                h_in_v[s] = joint == f2.rank(v_ind)
-            if s <= 0:
-                v_in_h[s] = joint == f2.rank(h_ind)
-        return HypothesisReport(h_in_v, v_in_h)
+        return HypothesisReport(
+            {s: _meet(c, s, s) == c.h_hat(s).induced_rank() for s in range(g + 1)},
+            {s: _meet(c, s, s) == c.v_hat(s).induced_rank() for s in range(-g, 1)},
+        )
 
     return c.cached("hypothesis", compute)
 
@@ -444,15 +449,17 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     im v_hat(j/q) meet im h_hat((j-p)/q) is built from a matched pair and
     cancelled in both directions.
 
-    The cone is :func:`build_cone`'s symmetric one, not the tight window of
-    the rank routes: the walks need the columns -p..p-1 and must not be cut
-    off early.  On figure_eight at 1/1 the tight window {0} widened to
+    The walks run on :func:`build_cone`'s symmetric window, not the tight
+    window of the rank routes: they need the columns -p..p-1 and must not be
+    cut off early.  On figure_eight at 1/1 the tight window {0} widened to
     {-1, 0} still stops the matched element's rightward walk at column 0.
+    Kernels are seeded on -(g-1)q <= j <= gq-1 only: beyond it v_hat and
+    h_hat are isomorphisms, so no region there is built for a seed.
     """
     require_hypothesis(c)
-    cone = build_cone(c, slope)
     q, p = slope.q, slope.p
-    lo, hi = cone.a_columns[0], cone.a_columns[-1]
+    g = c.genus()
+    lo, hi = cone_window(c, slope, truncation_bound(c, slope))
 
     def ind_v(j: int) -> F2Matrix:
         return c.v_hat(j // q).induced
@@ -469,7 +476,7 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
             row, out_ind, back_ind, way = p, ind_h, ind_v, "rightward"
         else:
             row, out_ind, back_ind, way = 0, ind_v, ind_h, "leftward"
-        while j + row in cone.b_columns:
+        while lo + p <= j + row <= hi:
             target = out_ind(j).apply(coeff)
             if target == 0:
                 return
@@ -486,7 +493,7 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
             element[j] = element.get(j, 0) ^ coeff
 
     basis: list[dict[int, int]] = []
-    for j in cone.a_columns:
+    for j in range(max(lo, -(g - 1) * q), min(hi, g * q - 1) + 1):
         ind, step = (ind_v, p) if j >= 0 else (ind_h, -p)
         for vec in f2.kernel_basis(ind(j)):
             element = {j: vec}

@@ -1,5 +1,7 @@
 """Unit tests for the built-in models and constructors."""
 
+import hashlib
+
 import pytest
 
 from hfsurgery.cfk import DiffTerm, HatA
@@ -180,3 +182,45 @@ class TestRandomComplex:
     def test_needs_a_dot(self):
         with pytest.raises(ValueError):
             RandomSpec(seed=0, dots=0)
+
+
+# sha256 of to_json(), pinned so that a rewrite of a constructor must keep
+# its output byte for byte.
+BUILTIN_JSON_SHA256 = {
+    "unknot": "4f6c5b57092457786026406fde8941a6c072ed90cd3b93a22e5c2aaf5ce9ad38",
+    "trefoil_rh": "16b958f94f9db6782c51448b8444382550a867682bc35de8a899b52479d0e36d",
+    "trefoil_lh": "30faa177d3c86c18424e0f2e878705ebc0a1fecc5b34e1f90fc49efb98995b4c",
+    "figure_eight": "a8f083e0618107433098d2429b0da57d606d7eb49e5373d9d9c485afadf0045d",
+    "t25": "514be5ed7f5e5094b88ceb468708937cc7e258876f901ac9b036ba21bd234d3c",
+    "t27": "a222e005a3549e7a7b395756bba6b33bb1ede39f284528a0e8e0dcefa03cd5ca",
+}
+
+RANDOM_JSON_SHA256 = [
+    (RandomSpec(seed=0), "a7fc8124e2d32dc08f556fe810631120d5d71f4344952d6d320f2fb1f3b4bfd0"),
+    (
+        RandomSpec(seed=7, dots=2, boxes=3),
+        "120c00ef5578b2c1d22b015feecb7db72efec0d27c116e0e0c3e739a0f3327c1",
+    ),
+    (
+        RandomSpec(seed=20240119, dots=1, boxes=4, max_side=2, max_offset=3),
+        "065dd52137715ccb6d90870ce3e92c19e72a68962c01a51e702c0fdd5ea9b4d1",
+    ),
+    (
+        RandomSpec(seed=42, dots=3, boxes=5, max_side=3, max_offset=2),
+        "220e70d546f88919ec17aefe97c8e29ee44ff3b38ffdfc6afc2832e477ab1ea2",
+    ),
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_json_is_pinned(name):
+    assert _sha256(builtin(name).to_json()) == BUILTIN_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("spec, digest", RANDOM_JSON_SHA256)
+def test_random_complex_json_is_pinned(spec, digest):
+    assert _sha256(random_complex(spec).to_json()) == digest

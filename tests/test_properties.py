@@ -160,6 +160,17 @@ def test_t_closed_form_for_b_one(c, slope):
     assert t_invariant(c, slope) == t_closed_form(c, slope)
 
 
+@settings(max_examples=30, deadline=None)
+@given(complexes, slopes)
+def test_t_is_the_unclamped_sum_of_image_meets(c, slope):
+    p, q = slope.p, slope.q
+    unclamped = sum(
+        f2.image_intersection_rank(c.v_hat(j // q).induced, c.h_hat((j - p) // q).induced)
+        for j in range(p)
+    )
+    assert t_invariant(c, slope) == unclamped
+
+
 @settings(max_examples=40, deadline=None)
 @given(complexes)
 def test_json_round_trip(c):

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hfsurgery import f2, surgery
-from hfsurgery.cfk import CfkComplex, FlipRequiredError, Generator, HatA, HatB
+from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, Generator, HatA, HatB
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
@@ -379,6 +379,24 @@ class TestKernel:
                 stacked = f2.F2Matrix.from_columns(flattened, cone.a_homology_dim)
                 assert f2.rank(stacked) == len(basis), (name, slope, "independence")
 
+    def test_seeds_read_no_map_beyond_the_genus(self):
+        c = builtin("t25")
+        slope = Slope(1, 4)
+        cone_rank_chain(c, slope)
+        cone_rank_homological(c, slope)
+        rank_formula(c, slope)
+        before = set(c._memo)
+        kernel_basis_construction(c, slope)
+        beyond = {
+            ("region", HatA(3)),
+            ("region", HatA(-3)),
+            ("region", HatA(-4)),
+            ("v", 3),
+            ("h", -3),
+            ("h", -4),
+        }
+        assert not (set(c._memo) - before) & beyond
+
     def test_leftward_tails_on_a_tensor(self):
         # h_hat kernel classes on negative columns of trefoil_lh # trefoil_lh
         # cancel leftward over more than one column, solving against h_hat
@@ -411,17 +429,41 @@ class TestLargeSurgeryWindow:
 
 class TestRankReport:
     def test_t_computed_once_per_slope(self, monkeypatch):
-        calls = []
-        meet = f2.image_intersection_rank
+        # A meet ranks one stacked matrix [v | h]; the pairs are clamped to
+        # the genus, so t25 (genus 2) at 3/2 takes 3 meets for t and 5 for
+        # the verdict, and t at 3/4 reads (0, -1) again.
+        stacks = []
+        hstack = f2.F2Matrix.hstack
 
         def counting(m1, m2):
-            calls.append(1)
-            return meet(m1, m2)
+            stacks.append(1)
+            return hstack(m1, m2)
 
-        monkeypatch.setattr(f2, "image_intersection_rank", counting)
-        report = compute_rank_report(builtin("t25"), Slope(3, 2))
+        monkeypatch.setattr(f2.F2Matrix, "hstack", counting)
+        c = builtin("t25")
+        report = compute_rank_report(c, Slope(3, 2))
         assert report.formula_rank == report.oracle_rank
-        assert len(calls) == 3  # one per j in 0..p-1
+        assert len(stacks) == 8
+        compute_rank_report(c, Slope(3, 4))
+        assert len(stacks) == 8
+
+    def test_each_induced_matrix_ranked_once(self, monkeypatch):
+        # Ranked matrices are kept alive, so that no id is reused.
+        ranked = {}
+        rank = f2.rank
+
+        def keeping(m):
+            ranked.setdefault(id(m), []).append(m)
+            return rank(m)
+
+        monkeypatch.setattr(f2, "rank", keeping)
+        c = tensor(builtin("t25"), builtin("figure_eight"))
+        for slope in coprime_slopes(8, 8):
+            compute_rank_report(c, slope)
+            cone_rank_homological(c, slope)
+        maps = [m for m in c._memo.values() if isinstance(m, FilteredChainMap)]
+        assert any(id(m.induced) in ranked for m in maps)
+        assert all(len(ms) == 1 for ms in ranked.values())
 
     def test_trefoil_report(self):
         report = compute_rank_report(builtin("trefoil_rh"), Slope(1, 1))
