@@ -150,6 +150,11 @@ class RegionComplex:
         it beyond the regions that :meth:`CfkComplex.genus` inspects."""
         return HomologyBasis(self.boundary)
 
+    @cached_property
+    def boundary_rref(self) -> tuple[list[int], list[int]]:
+        """Reduced row-echelon form of the boundary, built on first read."""
+        return f2.rref(self.boundary)
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -181,6 +186,12 @@ class FilteredChainMap:
         return f2.induced_map_on_homology(
             self.matrix, self.source.homology, self.target.homology
         )
+
+    @cached_property
+    def reduced_rows(self) -> list[int]:
+        """Rows of the matrix in normal form modulo the boundary rows of the
+        source, built on first read."""
+        return f2.normal_forms(self.source.boundary_rref, self.matrix.data)
 
     @cached_property
     def _rank(self) -> int:

@@ -222,6 +222,27 @@ def rref(m: F2Matrix) -> tuple[list[int], list[int]]:
     return [rows[p] for p in pivots] + [0] * (m.rows - len(pivots)), pivots
 
 
+def normal_forms(echelon: tuple[list[int], list[int]], vectors: Iterable[int]) -> list[int]:
+    """Each vector modulo the row space of ``echelon``, an :func:`rref` result.
+
+    A reduced row holds no pivot bit but its own, so clearing each pivot bit
+    of a vector takes one XOR of that pivot's row, with no further
+    elimination.  The result has no pivot bit set and differs from the
+    vector by an element of the row space.  The map is linear with the row
+    space as its kernel, so the rank of the results is the rank of the
+    vectors modulo the row space.
+    """
+    rows, pivots = echelon
+    pivot_row = dict(zip(pivots, rows))
+    pivot_mask = sum(1 << p for p in pivots)
+    out = []
+    for vec in vectors:
+        for p in bits(vec & pivot_mask):
+            vec ^= pivot_row[p]
+        out.append(vec)
+    return out
+
+
 def kernel_basis(m: F2Matrix) -> list[int]:
     """Deterministic basis of the right kernel, as masks over the columns.
 

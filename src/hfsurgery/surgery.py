@@ -25,15 +25,32 @@ c >= :func:`truncation_bound`; passing a level is how the rank is checked
 to stay put as the window grows.
 
 Route one treats the whole cone as a single chain complex and computes
-its homology from the chain-level boundary.  The boundary is laid out in
-chain order: for each residue class of j mod p, the columns j of that
-class in ascending order, each as its HatB block (when it exists) and
-then its HatA block.  Column j maps only to HatB blocks j and j + p, both
-in the class of j, so the cone is block-diagonal over j mod p, and a
-HatB row j has entries only in the HatA blocks j - p and j on either side
-of it.  No row spans more than three blocks, which keeps the elimination
-in ``f2`` cheap.  Route one reads homology only through the genus, which
-fixes the window, and never builds the cone's induced maps.
+its homology from the chain-level boundary D, without assembling all of
+it.  A HatA row of D (a target in some HatA block) has entries only in
+its own block, because the boundary of a HatA element leaves the block
+only through v_hat and h_hat, into HatB.  So the HatA rows of D are the
+block-diagonal sum of the regions' own boundaries, and
+
+    rank D = sum over the HatA columns j of rank d(HatA(floor(j/q)))
+             + rank of the HatB rows reduced modulo the HatA rows.
+
+This is exact over any field: stacking rows under a matrix adds the rank
+of their classes modulo its row space, and the normal form modulo a
+reduced row-echelon form is linear with that row space as its kernel.
+The first term is read off one reduced row-echelon form per region.  In
+the second, each HatB row is h_hat, the HatB boundary and v_hat side by
+side, so reducing it modulo the HatA rows reduces each map's rows modulo
+the boundary rows of its source region; that normal form is taken once
+per map.  Only those reduced HatB rows go through the one large
+elimination.  Their columns are laid out in chain order: for each residue
+class of j mod p, the columns j of that class in ascending order, each as
+its HatB block (when it exists) and then its HatA block.  Column j maps
+only to HatB blocks j and j + p, both in the class of j, so the cone is
+block-diagonal over j mod p, and a HatB row j has entries only in the
+HatA blocks j - p and j on either side of it.  No row spans more than
+three blocks, which keeps the elimination in ``f2`` cheap.  Route one
+reads homology only through the genus, which fixes the window, and never
+builds the cone's induced maps.
 
 Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
@@ -171,57 +188,70 @@ class MappingCone:
 
     @property
     def total_dim(self) -> int:
-        return self._offsets[2]
+        return self._offsets[1]
 
     @cached_property
     def _offsets(self):
-        """Block offsets in chain order: for each residue class of j mod p,
-        its columns j in ascending order, each as the HatB block j (when it
-        exists) followed by the HatA block j."""
+        """HatA block offsets in chain order, and the total dimension: for
+        each residue class of j mod p, its columns j in ascending order,
+        each as the HatB block j (when it exists) followed by the HatA
+        block j.  So HatB block j starts where HatA block j - p ends."""
         p = self.slope.p
         b_dim = self._b_region.dim
-        a_off, b_off = {}, {}
+        a_off = {}
         pos = 0
         for i in range(p):
             for j in self.a_columns[i::p]:
                 if j in self.b_columns:
-                    b_off[j] = pos
                     pos += b_dim
                 a_off[j] = pos
                 pos += self._a_region(j).dim
-        return a_off, b_off, pos
+        return a_off, pos
+
+    @property
+    def a_boundary_rank(self) -> int:
+        """Rank of the boundary's HatA rows: the boundary rank of each
+        column's region, summed over the columns."""
+        return sum(len(self._a_region(j).boundary_rref[1]) for j in self.a_columns)
 
     def total_boundary(self) -> F2Matrix:
-        """Boundary of the cone seen as one complex: internal differentials
-        of every column plus the v and h blocks.  Built on every call; the
-        chain route makes one call per cone."""
-        a_off, b_off, total = self._offsets
+        """The HatB rows of the cone's boundary, reduced modulo its HatA rows.
+
+        A HatA row has entries only in its own block, so the rank of the
+        whole boundary is :attr:`a_boundary_rank` plus the rank of these
+        rows.  HatB row block j is h_hat((j - p) // q), the HatB boundary and
+        v_hat(j // q), each map's rows in normal form modulo the boundary
+        rows of its source region.  It holds only the nonzero ones of these
+        rows, so it has fewer rows than columns; its columns are the cone's,
+        in chain order.  Built on every call; the chain route makes one call
+        per cone."""
+        a_off, total = self._offsets
         p, q = self.slope.p, self.slope.q
-        masks = [0] * total
-        for j, oa in a_off.items():
-            rows = self._a_region(j).boundary.data
-            masks[oa : oa + len(rows)] = [row << oa for row in rows]
         b_rows = self._b_region.boundary.data
-        # HatB row block j reads HatA blocks j - p and j, which sit right
-        # before and right after it, so its rows are one narrow block,
-        # shifted once to the start of block j - p.  That narrow block
-        # depends only on (floor((j - p) / q), floor(j / q)).
+        # HatB block j sits between HatA blocks j - p and j, the only ones
+        # its rows read, so its rows are one narrow block, shifted once to
+        # the start of block j - p.  That narrow block depends only on
+        # (floor((j - p) / q), floor(j / q)).
         narrow = {}
-        for j, ob in b_off.items():
+        masks = []
+        for j in a_off:  # chain order
+            if j not in self.b_columns:
+                continue
             key = ((j - p) // q, j // q)
             rows = narrow.get(key)
             if rows is None:
                 b_shift = self._a_region(j - p).dim
                 a_shift = b_shift + len(b_rows)
-                h_rows = self.complex.h_hat((j - p) // q).matrix.data
-                v_rows = self.complex.v_hat(j // q).matrix.data
+                h_rows = self.complex.h_hat(key[0]).reduced_rows
+                v_rows = self.complex.v_hat(key[1]).reduced_rows
                 rows = narrow[key] = [
-                    h | (d << b_shift) | (v << a_shift)
+                    row
                     for h, d, v in zip(h_rows, b_rows, v_rows)
+                    if (row := h | (d << b_shift) | (v << a_shift))
                 ]
             base = a_off[j - p]
-            masks[ob : ob + len(rows)] = [row << base for row in rows]
-        return F2Matrix(total, total, tuple(masks))
+            masks.extend(row << base for row in rows)
+        return F2Matrix(len(masks), total, tuple(masks))
 
     # -- homology-level view --------------------------------------------------
 
@@ -294,7 +324,7 @@ def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> in
 
     def compute() -> int:
         cone = MappingCone(c, slope, *cone_window(c, slope, level))
-        return cone.total_dim - 2 * f2.rank(cone.total_boundary())
+        return cone.total_dim - 2 * (cone.a_boundary_rank + f2.rank(cone.total_boundary()))
 
     return c.cached(("cone_rank_chain", slope.p, slope.q, level), compute)
 

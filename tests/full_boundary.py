@@ -1,0 +1,44 @@
+"""The whole chain-level boundary of a mapping cone, as a test reference.
+
+The chain route ranks only the HatB rows reduced modulo the HatA rows
+(``MappingCone.total_boundary``); this module assembles every row, so
+tests can check that split against the full matrix.
+"""
+
+from hfsurgery.cfk import HatA, HatB
+from hfsurgery.f2 import F2Matrix
+
+
+def full_boundary(cone) -> F2Matrix:
+    """Every row of the cone's boundary, in chain order: for each residue
+    class of j mod p, the columns j ascending, each as the HatB block j
+    (when it exists) and then the HatA block j.  HatB row block j holds
+    h_hat((j - p) // q) on HatA block j - p, the HatB boundary on its own
+    block and v_hat(j // q) on HatA block j."""
+    c, p, q = cone.complex, cone.slope.p, cone.slope.q
+    b_region = c.region_complex(HatB())
+
+    def a_region(j):
+        return c.region_complex(HatA(j // q))
+
+    a_off, b_off = {}, {}
+    pos = 0
+    for i in range(p):
+        for j in cone.a_columns[i::p]:
+            if j in cone.b_columns:
+                b_off[j] = pos
+                pos += b_region.dim
+            a_off[j] = pos
+            pos += a_region(j).dim
+    masks = [0] * pos
+    for j, oa in a_off.items():
+        rows = a_region(j).boundary.data
+        masks[oa : oa + len(rows)] = [row << oa for row in rows]
+    for j, ob in b_off.items():
+        h_rows = c.h_hat((j - p) // q).matrix.data
+        v_rows = c.v_hat(j // q).matrix.data
+        masks[ob : ob + b_region.dim] = [
+            (h << a_off[j - p]) | (d << ob) | (v << a_off[j])
+            for h, d, v in zip(h_rows, b_region.boundary.data, v_rows)
+        ]
+    return F2Matrix(pos, pos, tuple(masks))

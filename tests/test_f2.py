@@ -245,6 +245,26 @@ def test_rref_is_reduced_echelon_form(data):
     assert y is not None and m.apply(y) == m.apply(x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normal_forms_modulo_a_row_space(data):
+    m = data.draw(matrices())
+    vecs = data.draw(st.lists(st.integers(0, (1 << m.cols) - 1), max_size=6))
+    echelon = f2.rref(m)
+    forms = f2.normal_forms(echelon, vecs)
+    r = f2.rank(m)
+    pivot_mask = sum(1 << p for p in echelon[1])
+    for vec, form in zip(vecs, forms):
+        assert form & pivot_mask == 0
+        # vec - form lies in the row space; form is zero exactly when vec does
+        assert f2.rank(F2Matrix.from_rows(list(m.data) + [vec ^ form], m.cols)) == r
+        in_row_space = f2.rank(F2Matrix.from_rows(list(m.data) + [vec], m.cols)) == r
+        assert (form == 0) == in_row_space
+    # rank of the vectors modulo the row space is the rank of their forms
+    stacked = F2Matrix.from_rows(list(m.data) + vecs, m.cols)
+    assert f2.rank(stacked) == r + f2.rank(F2Matrix.from_rows(forms, m.cols))
+
+
 def reference_rank(rows: list[set[int]]) -> int:
     """Rank by elimination on sets of column indices, pivoting on the
     highest column: no bit masks, and the opposite pivot rule to ``f2``."""

@@ -13,10 +13,12 @@ from hfsurgery.cfk import CfkComplex, HatA
 from hfsurgery.knots import RandomSpec, builtin, random_complex
 from hfsurgery.obstructions import hypothesis_check
 from hfsurgery.surgery import (
+    MappingCone,
     Slope,
     build_cone,
     cone_rank_chain,
     cone_rank_homological,
+    cone_window,
     kernel_basis_construction,
     kernel_rank,
     rank_formula,
@@ -24,6 +26,8 @@ from hfsurgery.surgery import (
     t_invariant,
     truncation_bound,
 )
+
+from full_boundary import full_boundary
 
 specs = st.builds(
     RandomSpec,
@@ -126,6 +130,15 @@ def test_truncation_stability(c, slope):
     base = cone_rank_chain(c, slope, bound)
     assert cone_rank_chain(c, slope, bound + 1) == base
     assert cone_rank_chain(c, slope, bound + 3) == base
+
+
+@settings(max_examples=30, deadline=None)
+@given(complexes, slopes, st.sampled_from([None, 0, 1, 2]))
+def test_chain_route_equals_rank_of_full_boundary(c, slope, extra):
+    level = None if extra is None else truncation_bound(c, slope) + extra
+    cone = MappingCone(c, slope, *cone_window(c, slope, level))
+    expected = cone.total_dim - 2 * f2.rank(full_boundary(cone))
+    assert cone_rank_chain(c, slope, level) == expected
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 
 from hfsurgery import f2, surgery
 from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, Generator, HatA, HatB
+from hfsurgery.f2 import F2Matrix
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
@@ -31,6 +32,8 @@ from hfsurgery.surgery import (
     t_invariant,
     truncation_bound,
 )
+
+from full_boundary import full_boundary
 
 SMALL_SLOPES = [Slope(p, q) for p in range(1, 5) for q in range(1, 5) if math.gcd(p, q) == 1]
 
@@ -120,15 +123,25 @@ class TestBuildCone:
             build_cone(c, Slope(1, 1))
 
     def test_total_boundary_squares_to_zero(self):
-        for name in ("unknot", "trefoil_rh", "figure_eight"):
-            for slope in (Slope(1, 1), Slope(2, 3)):
-                cone = build_cone(builtin(name), slope)
-                boundary = cone.total_boundary()
-                assert (boundary @ boundary).is_zero(), (name, slope)
+        # The full boundary is a differential, the chain route's split
+        # gives its rank, and the reduced HatB rows lie in its row space.
+        complexes = [builtin(name) for name in ("unknot", "trefoil_rh", "figure_eight", "t25")]
+        complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
+        for c in complexes:
+            for slope in (Slope(1, 1), Slope(2, 3), Slope(3, 1), Slope(1, 4)):
+                for cone in (build_cone(c, slope), MappingCone(c, slope, *cone_window(c, slope))):
+                    full = full_boundary(cone)
+                    assert (full @ full).is_zero(), (c.name, slope)
+                    reduced = cone.total_boundary()
+                    r = f2.rank(full)
+                    assert r == cone.a_boundary_rank + f2.rank(reduced), (c.name, slope)
+                    stacked = F2Matrix.from_rows(full.data + reduced.data, cone.total_dim)
+                    assert f2.rank(stacked) == r, (c.name, slope)
 
     def test_total_boundary_rows_are_narrow(self):
         # Chain order puts HatA j - p, HatB j and HatA j side by side, so no
-        # row of the boundary reaches beyond those three blocks.
+        # reduced HatB row reaches beyond those three blocks, and zero rows
+        # are dropped.
         complexes = [builtin(name) for name in BUILTIN_NAMES]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
@@ -137,13 +150,15 @@ class TestBuildCone:
                 a_dim = max(
                     c.region_complex(HatA(j // slope.q)).dim for j in cone.a_columns
                 )
-                limit = 2 * a_dim + c.region_complex(HatB()).dim
+                b_dim = c.region_complex(HatB()).dim
+                limit = 2 * a_dim + b_dim
                 boundary = cone.total_boundary()
-                assert boundary.rows == cone.total_dim
+                assert boundary.cols == cone.total_dim
+                assert boundary.rows <= b_dim * len(cone.b_columns)
                 for r in boundary.data:
-                    if r:
-                        span = r.bit_length() - (r & -r).bit_length()
-                        assert span < limit, (c.name, slope)
+                    assert r, (c.name, slope)
+                    span = r.bit_length() - (r & -r).bit_length()
+                    assert span < limit, (c.name, slope)
 
     def test_boundary_columns_drop_single_block(self):
         # leftmost p columns have no v target; rightmost p have no h target.
@@ -231,6 +246,15 @@ class TestConeRanks:
         tags = [HatB()] + [HatA(s) for s in range(-4, 4)]
         with_homology = [t for t in tags if "homology" in vars(c.region_complex(t))]
         assert with_homology == [HatB(), HatA(1), HatA(2)]
+
+        # The symmetric window at level 6 builds fresh regions and maps, yet
+        # reads no further homology and no induced map.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chain route read an induced map")
+
+        monkeypatch.setattr(f2, "induced_map_on_homology", refuse)
+        assert cone_rank_chain(c, Slope(1, 2), 6) == 11
+        assert len(built) == 3
 
 
 class TestTInvariant:
