@@ -41,7 +41,6 @@ from .f2 import (
 from .knots import (
     BUILTIN_NAMES,
     RandomSpec,
-    StaircaseSpec,
     UnknownBuiltinError,
     builtin,
     mirror,

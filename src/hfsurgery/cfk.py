@@ -299,17 +299,17 @@ class CfkComplex:
             key = (t.source, t.target, t.upower)
             if key in seen_terms:
                 issues.append(
-                    ValidationIssue("duplicate-term", f"term {t.source}->{t.target} U^{t.upower} repeated")
+                    ValidationIssue("duplicate-term", f"term {t.source!r}->{t.target!r} U^{t.upower} repeated")
                 )
             seen_terms.add(key)
             if t.source not in self.alexander or t.target not in self.alexander:
                 issues.append(
-                    ValidationIssue("unknown-generator", f"term {t.source}->{t.target} names a missing generator")
+                    ValidationIssue("unknown-generator", f"term {t.source!r}->{t.target!r} names a missing generator")
                 )
                 continue
             if t.upower < 0:
                 issues.append(
-                    ValidationIssue("negative-upower", f"term {t.source}->{t.target} has U^{t.upower}")
+                    ValidationIssue("negative-upower", f"term {t.source!r}->{t.target!r} has U^{t.upower}")
                 )
                 continue
             a_from = self.alexander[t.source]
@@ -318,14 +318,14 @@ class CfkComplex:
                 issues.append(
                     ValidationIssue(
                         "filtration",
-                        f"term {t.source}->{t.target} U^{t.upower} raises the j filtration",
+                        f"term {t.source!r}->{t.target!r} U^{t.upower} raises the j filtration",
                     )
                 )
             if t.upower == 0 and a_to == a_from:
                 issues.append(
                     ValidationIssue(
                         "reduced",
-                        f"term {t.source}->{t.target} drops neither filtration coordinate",
+                        f"term {t.source!r}->{t.target!r} drops neither filtration coordinate",
                     )
                 )
         terms_ok = not any(
@@ -349,7 +349,7 @@ class CfkComplex:
                     issues.append(
                         ValidationIssue(
                             "d-squared",
-                            f"d^2({x}) contains U^{k} {z} with odd multiplicity {count}",
+                            f"d^2({x!r}) contains U^{k} {z!r} with odd multiplicity {count}",
                         )
                     )
         return issues
@@ -465,7 +465,7 @@ class CfkComplex:
                 row = index.get((target, k + m))
                 if row is not None:
                     masks[row] ^= 1 << col
-        boundary = F2Matrix(len(members), len(members), tuple(masks))
+        boundary = F2Matrix(len(members), tuple(masks))
         return RegionComplex(tag, tuple(members), boundary)
 
     # -- the canonical maps -------------------------------------------------
@@ -482,7 +482,7 @@ class CfkComplex:
             elem = image(gid, k)
             if elem is not None:
                 masks[target.position(*elem)] |= 1 << col
-        matrix = F2Matrix(target.dim, source.dim, tuple(masks))
+        matrix = F2Matrix(source.dim, tuple(masks))
         return FilteredChainMap(source, target, matrix)
 
     def v_hat(self, s: int) -> FilteredChainMap:

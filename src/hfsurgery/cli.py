@@ -126,6 +126,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.pmax < 1 or args.qmax < 1:
+        raise UsageError(f"--pmax and --qmax must be at least 1, got {args.pmax} and {args.qmax}")
     c = _load_complex(args.input)
     reports = [compute_rank_report(c, slope) for slope in coprime_slopes(args.pmax, args.qmax)]
     if args.format == "json":
@@ -189,8 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("plain", "tsv", "json"), default="plain")
+    def add_format(p, choices=("plain", "json")):
+        p.add_argument("--format", choices=choices, default="plain")
 
     p = sub.add_parser("validate", help="check the complex axioms")
     p.add_argument("input")
@@ -207,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
     p.add_argument("--method", choices=("oracle", "formula", "both"), default="both")
-    add_format(p)
+    add_format(p, ("plain", "tsv", "json"))
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("scan", help="rank table over a coprime slope grid")

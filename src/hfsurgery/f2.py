@@ -59,28 +59,19 @@ class F2Matrix:
     row mask doubles as the row vector and XOR is row addition.
     """
 
-    rows: int
     cols: int
     data: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionError("matrix dimensions must be nonnegative")
-        if len(self.data) != self.rows:
-            raise DimensionError(
-                f"expected {self.rows} row masks, got {len(self.data)}"
-            )
+        if self.cols < 0:
+            raise DimensionError("column count must be nonnegative")
         # One C-level pass each for min and max: a cone boundary has ~10^5 rows.
         if self.data and (min(self.data) < 0 or max(self.data) >> self.cols):
             raise DimensionError("row mask has bits outside the column range")
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
+    @property
+    def rows(self) -> int:
+        return len(self.data)
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> "F2Matrix":
@@ -93,11 +84,7 @@ class F2Matrix:
                 raise DimensionError(f"duplicate entry ({r}, {c})")
             seen.add((r, c))
             masks[r] |= 1 << c
-        return cls(rows, cols, tuple(masks))
-
-    @classmethod
-    def from_rows(cls, row_masks: Sequence[int], cols: int) -> "F2Matrix":
-        return cls(len(row_masks), cols, tuple(row_masks))
+        return cls(cols, tuple(masks))
 
     @classmethod
     def from_columns(cls, col_masks: Sequence[int], rows: int) -> "F2Matrix":
@@ -107,10 +94,7 @@ class F2Matrix:
                 if r >= rows:
                     raise DimensionError("column mask has bits outside the row range")
                 masks[r] |= 1 << c
-        return cls(rows, len(col_masks), tuple(masks))
-
-    def entry(self, r: int, c: int) -> int:
-        return (self.data[r] >> c) & 1
+        return cls(len(col_masks), tuple(masks))
 
     def transpose(self) -> "F2Matrix":
         """The rows of this matrix, read as the columns of the result."""
@@ -134,13 +118,13 @@ class F2Matrix:
             for k in bits(self.data[r]):
                 acc ^= other.data[k]
             masks.append(acc)
-        return F2Matrix(self.rows, other.cols, tuple(masks))
+        return F2Matrix(other.cols, tuple(masks))
 
     def hstack(self, other: "F2Matrix") -> "F2Matrix":
         if self.rows != other.rows:
             raise DimensionError("hstack needs equal row counts")
         masks = tuple(a | (b << self.cols) for a, b in zip(self.data, other.data))
-        return F2Matrix(self.rows, self.cols + other.cols, masks)
+        return F2Matrix(self.cols + other.cols, masks)
 
     def is_zero(self) -> bool:
         return all(mask == 0 for mask in self.data)
@@ -204,10 +188,9 @@ def rank(m: F2Matrix) -> int:
 def rref(m: F2Matrix) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form.
 
-    Returns ``(rows, pivot_cols)`` where ``rows`` are the reduced row
-    masks (nonzero rows in ascending pivot order, then the zero rows) and
-    ``pivot_cols`` the pivot column indices in ascending order.  The form
-    is unique, so it does not depend on how the pivot table was built.
+    Returns ``(rows, pivot_cols)``: one reduced row mask per pivot, in
+    ascending pivot order, and the pivot column indices in that order.  The
+    form is unique, so it does not depend on how the pivot table was built.
     """
     table = _eliminate(m.data)
     pivots = sorted(table)
@@ -219,7 +202,7 @@ def rref(m: F2Matrix) -> tuple[list[int], list[int]]:
         for q in bits(rows[p] & pivot_mask):
             rows[p] ^= rows[q]
         pivot_mask |= 1 << p
-    return [rows[p] for p in pivots] + [0] * (m.rows - len(pivots)), pivots
+    return [rows[p] for p in pivots], pivots
 
 
 def normal_forms(echelon: tuple[list[int], list[int]], vectors: Iterable[int]) -> list[int]:

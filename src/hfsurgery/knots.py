@@ -18,21 +18,6 @@ class UnknownBuiltinError(ValueError):
 
 
 @dataclass(frozen=True)
-class StaircaseSpec:
-    """Alternating step lengths, horizontal first; must read the same reversed."""
-
-    steps: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.steps) % 2:
-            raise ValueError("staircase needs an even number of steps")
-        if any(s < 1 for s in self.steps):
-            raise ValueError("staircase steps must be positive")
-        if tuple(reversed(self.steps)) != self.steps:
-            raise ValueError("staircase step list must be palindromic")
-
-
-@dataclass(frozen=True)
 class RandomSpec:
     """Seeded recipe for a direct sum of dots and flip-symmetric boxes.
 
@@ -55,12 +40,18 @@ class RandomSpec:
             raise ValueError("box parameters out of range")
 
 
-def staircase(spec: StaircaseSpec | list[int] | tuple[int, ...]) -> CfkComplex:
-    """Staircase complex with the given steps; genus is the sum of the
-    horizontal (odd-position) step lengths and b_rank is 1."""
-    if not isinstance(spec, StaircaseSpec):
-        spec = StaircaseSpec(tuple(spec))
-    steps = spec.steps
+def staircase(steps: list[int] | tuple[int, ...]) -> CfkComplex:
+    """Staircase complex with the given steps, alternating horizontal and
+    vertical, horizontal first; the list must read the same reversed.  The
+    genus is the sum of the horizontal (odd-position) step lengths and
+    b_rank is 1."""
+    steps = tuple(steps)
+    if len(steps) % 2:
+        raise ValueError("staircase needs an even number of steps")
+    if any(s < 1 for s in steps):
+        raise ValueError("staircase steps must be positive")
+    if steps[::-1] != steps:
+        raise ValueError("staircase step list must be palindromic")
     n = len(steps) // 2
     name = "staircase-" + "-".join(map(str, steps)) if steps else "staircase-empty"
     genus = sum(steps[0::2])

@@ -190,14 +190,12 @@ class MappingCone:
     def total_dim(self) -> int:
         return self._offsets[1]
 
-    @cached_property
-    def _offsets(self):
-        """HatA block offsets in chain order, and the total dimension: for
-        each residue class of j mod p, its columns j in ascending order,
-        each as the HatB block j (when it exists) followed by the HatA
-        block j.  So HatB block j starts where HatA block j - p ends."""
+    def _layout(self, a_dim, b_dim: int):
+        """The HatA block offsets by column, in the chain order of the module
+        docstring, and the total dimension; ``a_dim(region)`` is a HatA
+        block's width and ``b_dim`` the HatB block's.  HatB block j starts
+        where HatA block j - p ends."""
         p = self.slope.p
-        b_dim = self._b_region.dim
         a_off = {}
         pos = 0
         for i in range(p):
@@ -205,8 +203,12 @@ class MappingCone:
                 if j in self.b_columns:
                     pos += b_dim
                 a_off[j] = pos
-                pos += self._a_region(j).dim
+                pos += a_dim(self._a_region(j))
         return a_off, pos
+
+    @cached_property
+    def _offsets(self):
+        return self._layout(lambda region: region.dim, self._b_region.dim)
 
     @property
     def a_boundary_rank(self) -> int:
@@ -251,18 +253,15 @@ class MappingCone:
                 ]
             base = a_off[j - p]
             masks.extend(row << base for row in rows)
-        return F2Matrix(len(masks), total, tuple(masks))
+        return F2Matrix(total, tuple(masks))
 
     # -- homology-level view --------------------------------------------------
 
     @cached_property
     def _hom_offsets(self):
-        a_off = {}
-        pos = 0
-        for j in self.a_columns:
-            a_off[j] = pos
-            pos += self._a_region(j).homology.dim
-        return a_off, pos
+        # The block matrix's columns are HatA alone; their order leaves its
+        # rank unchanged, and flatten reads the same offsets.
+        return self._layout(lambda region: region.homology.dim, 0)
 
     @property
     def a_homology_dim(self) -> int:
@@ -285,7 +284,7 @@ class MappingCone:
                 masks.append(
                     (v_ind.data[r] << a_off[j]) | (h_ind.data[r] << a_off[j - p])
                 )
-        return F2Matrix(len(masks), a_total, tuple(masks))
+        return F2Matrix(a_total, tuple(masks))
 
     def block_matrix(self) -> F2Matrix:
         """Induced block matrix on homology.

@@ -10,9 +10,8 @@ from hfsurgery.f2 import F2Matrix
 
 
 def full_boundary(cone) -> F2Matrix:
-    """Every row of the cone's boundary, in chain order: for each residue
-    class of j mod p, the columns j ascending, each as the HatB block j
-    (when it exists) and then the HatA block j.  HatB row block j holds
+    """Every row of the cone's boundary, laid out in the chain order of the
+    ``surgery`` module docstring.  HatB row block j holds
     h_hat((j - p) // q) on HatA block j - p, the HatB boundary on its own
     block and v_hat(j // q) on HatA block j."""
     c, p, q = cone.complex, cone.slope.p, cone.slope.q
@@ -41,4 +40,4 @@ def full_boundary(cone) -> F2Matrix:
             (h << a_off[j - p]) | (d << ob) | (v << a_off[j])
             for h, d, v in zip(h_rows, b_region.boundary.data, v_rows)
         ]
-    return F2Matrix(pos, pos, tuple(masks))
+    return F2Matrix(pos, tuple(masks))

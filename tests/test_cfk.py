@@ -130,7 +130,7 @@ class TestRegions:
         region = trefoil.region_complex(HatA(0))
         assert set(region.basis) == {("a", 1), ("b", 0), ("c", 0)}
         col = region.position("b", 0)
-        image = [row for row in range(region.dim) if region.boundary.entry(row, col)]
+        image = [row for row in range(region.dim) if region.boundary.data[row] >> col & 1]
         assert {region.basis[r] for r in image} == {("a", 1), ("c", 0)}
         assert region.homology.dim == 1
 
@@ -139,7 +139,7 @@ class TestRegions:
         assert set(region.basis) == {("a", 0), ("b", 0), ("c", 0)}
         # the U a component has i = -1 and is dropped
         col = region.position("b", 0)
-        image = [row for row in range(region.dim) if region.boundary.entry(row, col)]
+        image = [row for row in range(region.dim) if region.boundary.data[row] >> col & 1]
         assert {region.basis[r] for r in image} == {("c", 0)}
         assert region.homology.dim == 1
 
@@ -220,9 +220,9 @@ class TestHhat:
             for col, (gid, k) in enumerate(j_0.basis):
                 flip[target.position(fig8.flip_map[gid], 0)] |= 1 << col
             composite = (
-                f2.F2Matrix(target.dim, j_0.dim, tuple(flip))
-                @ f2.F2Matrix(j_0.dim, j_s.dim, tuple(shift))
-                @ f2.F2Matrix(j_s.dim, source.dim, tuple(proj))
+                f2.F2Matrix(j_0.dim, tuple(flip))
+                @ f2.F2Matrix(j_s.dim, tuple(shift))
+                @ f2.F2Matrix(source.dim, tuple(proj))
             )
             assert composite.data == fig8.h_hat(s).matrix.data
 

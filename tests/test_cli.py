@@ -115,6 +115,16 @@ class TestScan:
             assert int(row[3]) == entry["oracle"]
             assert int(row[4]) == entry["formula"]
 
+    @pytest.mark.parametrize(
+        "bounds, fmt",
+        [(["--pmax", "0", "--qmax", "3"], "plain"), (["--pmax", "3", "--qmax", "-1"], "json")],
+        ids=["pmax-plain", "qmax-json"],
+    )
+    def test_empty_grid_is_a_usage_error(self, capsys, bounds, fmt):
+        code, out, err = run(["scan", "t25", *bounds, "--check", "--format", fmt], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "at least 1" in err
+
     def test_check_says_why_formula_is_missing(self, capsys, monkeypatch):
         monkeypatch.setattr(surgery, "hypothesis_holds", lambda c: False)
         code, out, err = run(["scan", "trefoil_rh", "--pmax", "2", "--qmax", "1", "--check"], capsys)
@@ -199,6 +209,45 @@ class TestInfoValidate:
         path.write_text('{"generators": [], "flip": []}')
         code, out, _ = run(["validate", str(path)], capsys)
         assert code == 1 and "valid=no" in out and "issue\tempty\t" in out
+
+    # A generator id holding a newline must not print a line of its own.
+    FORGED = "b\nvalid=yes"
+
+    @pytest.mark.parametrize(
+        "alexander, terms, code",
+        [
+            ({"a": 0, FORGED: 0}, [("a", FORGED, 0)], "reduced"),
+            ({"a": 0, FORGED: 1}, [("a", FORGED, 0)], "filtration"),
+            ({"a": 1, FORGED: 0}, [("a", FORGED, 0), ("a", FORGED, 0)], "duplicate-term"),
+            ({"a": 0}, [("a", FORGED, 0)], "unknown-generator"),
+            ({"a": 0, FORGED: 0}, [("a", FORGED, -1)], "negative-upower"),
+            ({"a": 1, "m": 0, FORGED: -1}, [("a", "m", 0), ("m", FORGED, 0)], "d-squared"),
+        ],
+        ids=["reduced", "filtration", "duplicate-term", "unknown-generator",
+             "negative-upower", "d-squared"],
+    )
+    def test_generator_id_cannot_forge_a_line(self, tmp_path, capsys, alexander, terms, code):
+        data = {
+            "generators": [{"id": g, "alexander": a} for g, a in alexander.items()],
+            "differential": [{"from": x, "to": y, "upower": k} for x, y, k in terms],
+        }
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(data))
+        status, out, _ = run(["validate", str(path)], capsys)
+        assert status == 1
+        assert [line for line in out.splitlines() if line.startswith("valid=")] == ["valid=no"]
+        assert f"issue\t{code}\t" in out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["info"], ["scan", "--pmax", "2", "--qmax", "2"],
+     ["cosmetic", "-r", "1/1", "-s", "1/2"], ["complement", "-q", "2"]],
+    ids=["validate", "info", "scan", "cosmetic", "complement"],
+)
+def test_tsv_format_is_for_rank_only(capsys, command):
+    code, out, err = run([command[0], "t25", *command[1:], "--format", "tsv"], capsys)
+    assert code == 2 and out == "" and "invalid choice: 'tsv'" in err
 
 
 @pytest.mark.parametrize(

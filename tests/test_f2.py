@@ -18,28 +18,28 @@ def mat(rows, cols, entries):
     return F2Matrix.from_entries(rows, cols, entries)
 
 
-@pytest.mark.parametrize("rows, cols, data", [(1, 2, (0b100,)), (2, 3, (0b1, -1)), (1, 0, (1,))])
-def test_row_mask_outside_column_range(rows, cols, data):
+@pytest.mark.parametrize("cols, data", [(2, (0b100,)), (3, (0b1, -1)), (0, (1,))])
+def test_row_mask_outside_column_range(cols, data):
     with pytest.raises(DimensionError, match="outside the column range"):
-        F2Matrix(rows, cols, data)
+        F2Matrix(cols, data)
 
 
 def test_row_masks_inside_column_range():
-    assert F2Matrix(2, 3, (0b111, 0)).data == (0b111, 0)
-    assert F2Matrix(0, 3, ()).rows == 0
-    assert F2Matrix(1, 0, (0,)).cols == 0
+    assert F2Matrix(3, (0b111, 0)).data == (0b111, 0)
+    assert F2Matrix(3, ()).rows == 0
+    assert F2Matrix(0, (0,)).cols == 0
 
 
 class TestRank:
     def test_zero(self):
-        assert f2.rank(F2Matrix.zero(3, 3)) == 0
+        assert f2.rank(F2Matrix(3, (0, 0, 0))) == 0
 
     def test_identity(self):
-        assert f2.rank(F2Matrix.identity(3)) == 3
+        assert f2.rank(F2Matrix(3, (1, 2, 4))) == 3
 
     def test_all_ones(self):
         # the two rows are equal over GF(2)
-        assert f2.rank(F2Matrix(2, 2, (0b11, 0b11))) == 1
+        assert f2.rank(F2Matrix(2, (0b11, 0b11))) == 1
 
     def test_bounds(self):
         m = mat(2, 5, [(0, 0), (0, 3), (1, 1)])
@@ -48,15 +48,15 @@ class TestRank:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
-        assert f2.kernel_basis(F2Matrix.identity(4)) == []
+        assert f2.kernel_basis(F2Matrix(4, (1, 2, 4, 8))) == []
 
     def test_zero_matrix(self):
-        basis = f2.kernel_basis(F2Matrix.zero(2, 2))
+        basis = f2.kernel_basis(F2Matrix(2, (0, 0)))
         assert len(basis) == 2
         assert f2.rank(F2Matrix.from_columns(basis, 2)) == 2
 
     def test_all_ones(self):
-        assert f2.kernel_basis(F2Matrix(2, 2, (0b11, 0b11))) == [0b11]
+        assert f2.kernel_basis(F2Matrix(2, (0b11, 0b11))) == [0b11]
 
     def test_members_annihilated(self):
         m = mat(3, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)])
@@ -68,7 +68,7 @@ class TestKernel:
 
 class TestImageIntersection:
     def test_same_space(self):
-        i2 = F2Matrix.identity(2)
+        i2 = F2Matrix(2, (1, 2))
         assert f2.image_intersection_rank(i2, i2) == 2
 
     def test_complementary_axes(self):
@@ -79,12 +79,12 @@ class TestImageIntersection:
     def test_diagonal_line(self):
         # im (1,1) inside GF(2)^2 = {00, 11}; the full plane meets it in 1 dim.
         m1 = F2Matrix.from_columns([0b11], 2)
-        m2 = F2Matrix.identity(2)
+        m2 = F2Matrix(2, (1, 2))
         assert f2.image_intersection_rank(m1, m2) == 1
 
     def test_row_mismatch(self):
         with pytest.raises(DimensionError):
-            f2.image_intersection_rank(F2Matrix.zero(2, 1), F2Matrix.zero(3, 1))
+            f2.image_intersection_rank(F2Matrix(1, (0, 0)), F2Matrix(1, (0, 0, 0)))
 
     def test_basis_matches_rank(self):
         m1 = mat(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)])
@@ -99,21 +99,21 @@ class TestImageIntersection:
 
 class TestSolve:
     def test_consistent(self):
-        m = F2Matrix.from_rows([0b011, 0b110], 3)
+        m = F2Matrix(3, (0b011, 0b110))
         x = f2.solve(m, 0b11)
         assert x is not None and m.apply(x) == 0b11
 
     def test_inconsistent(self):
-        assert f2.solve(F2Matrix.zero(2, 2), 0b01) is None
+        assert f2.solve(F2Matrix(2, (0, 0)), 0b01) is None
 
     def test_zero_target(self):
-        assert f2.solve(F2Matrix.identity(3), 0) == 0
+        assert f2.solve(F2Matrix(3, (1, 2, 4)), 0) == 0
 
 
 class TestHomologyBasis:
     def test_differential_must_square_to_zero(self):
         with pytest.raises(InvalidComplexError):
-            HomologyBasis(F2Matrix.identity(2))
+            HomologyBasis(F2Matrix(2, (1, 2)))
 
     def test_segment(self):
         # d(e0) = e1 kills two of four dimensions
@@ -137,13 +137,13 @@ class TestInducedMap:
     def test_identity_chain_map(self):
         d = mat(4, 4, [(1, 0)])
         hb = HomologyBasis(d)
-        ind = f2.induced_map_on_homology(F2Matrix.identity(4), hb, hb)
-        assert ind.data == F2Matrix.identity(hb.dim).data
+        ind = f2.induced_map_on_homology(F2Matrix(4, (1, 2, 4, 8)), hb, hb)
+        assert ind.data == tuple(1 << i for i in range(hb.dim))
 
     def test_zero_chain_map(self):
         d = mat(4, 4, [(1, 0)])
         hb = HomologyBasis(d)
-        ind = f2.induced_map_on_homology(F2Matrix.zero(4, 4), hb, hb)
+        ind = f2.induced_map_on_homology(F2Matrix(4, (0, 0, 0, 0)), hb, hb)
         assert ind.is_zero()
 
     def test_non_chain_map_rejected(self):
@@ -162,7 +162,7 @@ def matrices(draw, rows=None, cols=None):
     r = draw(small) if rows is None else rows
     c = draw(small) if cols is None else cols
     data = tuple(draw(st.integers(0, (1 << c) - 1)) for _ in range(r))
-    return F2Matrix(r, c, data)
+    return F2Matrix(c, data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,7 +209,7 @@ def test_transpose_reads_rows_as_columns(m):
     t = m.transpose()
     assert t == F2Matrix.from_columns(m.data, m.cols)
     assert (t.rows, t.cols) == (m.cols, m.rows)
-    assert all(t.entry(c, r) == m.entry(r, c) for r in range(m.rows) for c in range(m.cols))
+    assert all(t.data[c] >> r & 1 == m.data[r] >> c & 1 for r in range(m.rows) for c in range(m.cols))
 
 
 def test_from_columns_rejects_bits_outside_row_range():
@@ -231,15 +231,14 @@ def test_rref_is_reduced_echelon_form(data):
     m = data.draw(matrices())
     rows, pivots = f2.rref(m)
     r = len(pivots)
-    assert len(rows) == m.rows
+    assert len(rows) == r  # one row per pivot, no zero rows
     assert pivots == sorted(set(pivots))
-    assert all(row == 0 for row in rows[r:])
     for i, p in enumerate(pivots):
         assert rows[i] & -rows[i] == 1 << p  # the pivot leads its row
-        assert [(row >> p) & 1 for row in rows] == [int(k == i) for k in range(m.rows)]
+        assert [(row >> p) & 1 for row in rows] == [int(k == i) for k in range(r)]
     # same row space: the reduced rows are independent and add nothing to m
     assert f2.rank(m) == r
-    assert f2.rank(F2Matrix.from_rows(list(m.data) + rows, m.cols)) == r
+    assert f2.rank(F2Matrix(m.cols, m.data + tuple(rows))) == r
     x = data.draw(st.integers(0, (1 << m.cols) - 1))
     y = f2.solve(m, m.apply(x))
     assert y is not None and m.apply(y) == m.apply(x)
@@ -257,12 +256,12 @@ def test_normal_forms_modulo_a_row_space(data):
     for vec, form in zip(vecs, forms):
         assert form & pivot_mask == 0
         # vec - form lies in the row space; form is zero exactly when vec does
-        assert f2.rank(F2Matrix.from_rows(list(m.data) + [vec ^ form], m.cols)) == r
-        in_row_space = f2.rank(F2Matrix.from_rows(list(m.data) + [vec], m.cols)) == r
+        assert f2.rank(F2Matrix(m.cols, m.data + (vec ^ form,))) == r
+        in_row_space = f2.rank(F2Matrix(m.cols, m.data + (vec,))) == r
         assert (form == 0) == in_row_space
     # rank of the vectors modulo the row space is the rank of their forms
-    stacked = F2Matrix.from_rows(list(m.data) + vecs, m.cols)
-    assert f2.rank(stacked) == r + f2.rank(F2Matrix.from_rows(forms, m.cols))
+    stacked = F2Matrix(m.cols, m.data + tuple(vecs))
+    assert f2.rank(stacked) == r + f2.rank(F2Matrix(m.cols, tuple(forms)))
 
 
 def reference_rank(rows: list[set[int]]) -> int:
@@ -297,7 +296,7 @@ def wide_sparse_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(wide_sparse_rows())
 def test_rank_of_wide_sparse_rows(rows):
-    m = F2Matrix.from_rows([sum(1 << c for c in row) for row in rows], 8001)
+    m = F2Matrix(8001, tuple(sum(1 << c for c in row) for row in rows))
     expected = reference_rank(rows)
     assert f2.rank(m) == expected
     assert f2.rank(m.transpose()) == expected

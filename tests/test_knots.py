@@ -8,7 +8,6 @@ from hfsurgery.cfk import DiffTerm, HatA
 from hfsurgery.knots import (
     BUILTIN_NAMES,
     RandomSpec,
-    StaircaseSpec,
     UnknownBuiltinError,
     builtin,
     mirror,
@@ -85,15 +84,15 @@ class TestStaircase:
 
     def test_non_palindromic_rejected(self):
         with pytest.raises(ValueError):
-            StaircaseSpec((1, 2))
+            staircase((1, 2))
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
-            StaircaseSpec((1, 1, 1))
+            staircase((1, 1, 1))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            StaircaseSpec((0, 0))
+            staircase((0, 0))
 
 
 class TestMirror:

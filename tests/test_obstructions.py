@@ -3,7 +3,7 @@
 import pytest
 
 from hfsurgery.cfk import CfkComplex, FlipRequiredError, Generator
-from hfsurgery.knots import builtin, random_complex, RandomSpec
+from hfsurgery.knots import builtin, random_complex, RandomSpec, tensor
 from hfsurgery.obstructions import (
     CONSISTENT,
     NOT_APPLICABLE,
@@ -30,6 +30,14 @@ class TestHypothesisCheck:
             report = hypothesis_check(builtin(name))
             assert report.overall, name
             assert all(report.h_in_v.values()) and all(report.v_in_h.values())
+
+    def test_builtin_tensors_pass(self):
+        # A tensor of two builtins has b = 1, where rk v_s = rk h_-s and the
+        # images growing with s force both containments.
+        names = ("unknot",) + NONTRIVIAL
+        for a in names:
+            for b in names:
+                assert hypothesis_holds(tensor(builtin(a), builtin(b))), (a, b)
 
     def test_verdict_range_covers_genus_window(self):
         c = builtin("t25")

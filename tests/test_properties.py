@@ -19,6 +19,7 @@ from hfsurgery.surgery import (
     cone_rank_chain,
     cone_rank_homological,
     cone_window,
+    hypothesis_holds,
     kernel_basis_construction,
     kernel_rank,
     rank_formula,
@@ -114,6 +115,24 @@ def test_single_point_region_is_top_hfk(c):
 @given(complexes, slopes)
 def test_oracles_agree(c, slope):
     assert cone_rank_chain(c, slope) == cone_rank_homological(c, slope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        RandomSpec,
+        seed=st.integers(0, 10**6),
+        dots=st.integers(1, 3),
+        boxes=st.integers(0, 4),
+        max_side=st.integers(1, 2),
+        max_offset=st.integers(0, 3),
+    )
+)
+def test_containment_hypothesis_holds_on_random_complexes(spec):
+    # A random complex is a direct sum of dots and boxes, summands with
+    # b <= 1, and for b <= 1 the containments follow from the rank symmetry
+    # rk v_s = rk h_-s and the monotone images; a direct sum inherits them.
+    assert hypothesis_holds(random_complex(spec))
 
 
 @settings(max_examples=30, deadline=None)

@@ -135,7 +135,7 @@ class TestBuildCone:
                     reduced = cone.total_boundary()
                     r = f2.rank(full)
                     assert r == cone.a_boundary_rank + f2.rank(reduced), (c.name, slope)
-                    stacked = F2Matrix.from_rows(full.data + reduced.data, cone.total_dim)
+                    stacked = F2Matrix(cone.total_dim, full.data + reduced.data)
                     assert f2.rank(stacked) == r, (c.name, slope)
 
     def test_total_boundary_rows_are_narrow(self):
