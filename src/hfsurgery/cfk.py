@@ -33,6 +33,7 @@ returns before reading any of these keeps its own guard.
 from __future__ import annotations
 
 import json
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -151,9 +152,10 @@ class RegionComplex:
         return HomologyBasis(self.boundary)
 
     @cached_property
-    def boundary_rref(self) -> tuple[list[int], list[int]]:
-        """Reduced row-echelon form of the boundary, built on first read."""
-        return f2.rref(self.boundary)
+    def cycles(self) -> F2Matrix:
+        """A basis of the boundary's kernel, one column per cycle, built on
+        first read."""
+        return F2Matrix.from_columns(f2.kernel_basis(self.boundary), self.dim)
 
     @property
     def dim(self) -> int:
@@ -188,10 +190,11 @@ class FilteredChainMap:
         )
 
     @cached_property
-    def reduced_rows(self) -> list[int]:
-        """Rows of the matrix in normal form modulo the boundary rows of the
-        source, built on first read."""
-        return f2.normal_forms(self.source.boundary_rref, self.matrix.data)
+    def on_cycles(self) -> F2Matrix:
+        """The matrix on the source's cycle basis, built on first read.  A
+        row of it is zero exactly when that row of the matrix lies in the
+        row space of the source's boundary."""
+        return self.matrix @ self.source.cycles
 
     @cached_property
     def _rank(self) -> int:
@@ -216,11 +219,15 @@ class CfkComplex:
     """
 
     def __init__(self, generators, differential, flip=None, name: str = "complex"):
-        # The name is printed on its own line and as a TSV cell.
+        # The name is printed on its own line and as a TSV cell, so it holds
+        # no control character (Cc) and no line or paragraph separator
+        # (Zl, Zp), which str.splitlines() also splits on.
         if not isinstance(name, str):
             raise ValueError(f"'name' must be a string, got {name!r}")
-        if any(ch < " " for ch in name):
-            raise ValueError(f"'name' must not contain control characters, got {name!r}")
+        if any(unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in name):
+            raise ValueError(
+                f"'name' must not contain control characters or line separators, got {name!r}"
+            )
         self.generators: tuple[Generator, ...] = tuple(generators)
         self.differential: tuple[DiffTerm, ...] = tuple(differential)
         self.flip_pairs: tuple[FlipPair, ...] | None = (

@@ -20,9 +20,10 @@ same row at the start of a narrow one.  The mapping cone lays out its
 blocks to keep every span short.
 
 ``_reduce`` keeps its own copy of the loop on purpose: ``_eliminate``
-written as ``_reduce`` plus ``_insert`` per row took the 903 tight cones
-of a ``scan-grid`` pass (732,794 rows) from 0.32 to 0.56 s median, over
-7 alternating runs on one Intel Xeon core.
+written as ``_reduce`` plus ``_insert`` per row took a ``scan-grid`` pass
+(903 tight cones, 217,800 HatB rows ranked) from 0.37 to 0.45 s median
+``wall_s``, and was slower in each of 5 alternating pairs of 8 s runs on
+a shared 2-core Intel Xeon with Python 3.11.7.
 """
 
 from __future__ import annotations
@@ -112,11 +113,14 @@ class F2Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        # The loop of ``bits`` inlined: most rows of a chain map hold one bit.
         masks = []
-        for r in range(self.rows):
+        for row in self.data:
             acc = 0
-            for k in bits(self.data[r]):
-                acc ^= other.data[k]
+            while row:
+                low = row & -row
+                acc ^= other.data[low.bit_length() - 1]
+                row ^= low
             masks.append(acc)
         return F2Matrix(other.cols, tuple(masks))
 
@@ -205,46 +209,23 @@ def rref(m: F2Matrix) -> tuple[list[int], list[int]]:
     return [rows[p] for p in pivots], pivots
 
 
-def normal_forms(echelon: tuple[list[int], list[int]], vectors: Iterable[int]) -> list[int]:
-    """Each vector modulo the row space of ``echelon``, an :func:`rref` result.
-
-    A reduced row holds no pivot bit but its own, so clearing each pivot bit
-    of a vector takes one XOR of that pivot's row, with no further
-    elimination.  The result has no pivot bit set and differs from the
-    vector by an element of the row space.  The map is linear with the row
-    space as its kernel, so the rank of the results is the rank of the
-    vectors modulo the row space.
-    """
-    rows, pivots = echelon
-    pivot_row = dict(zip(pivots, rows))
-    pivot_mask = sum(1 << p for p in pivots)
-    out = []
-    for vec in vectors:
-        for p in bits(vec & pivot_mask):
-            vec ^= pivot_row[p]
-        out.append(vec)
-    return out
-
-
 def kernel_basis(m: F2Matrix) -> list[int]:
     """Deterministic basis of the right kernel, as masks over the columns.
 
-    One vector per free column, taken in ascending column order; each has
-    count ``cols - rank(m)`` and is annihilated by ``m``.
+    One vector per free column, taken in ascending column order: its own
+    bit and the pivot of each reduced row that holds it.  There are
+    ``cols - rank(m)`` of them, each annihilated by ``m``.
     """
     rows, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        fbit = 1 << free
-        for i, p in enumerate(pivots):
-            if rows[i] & fbit:
-                vec |= 1 << p
-        basis.append(vec)
-    return basis
+    free_mask = (1 << m.cols) - 1
+    for p in pivots:
+        free_mask ^= 1 << p
+    basis = {free: 1 << free for free in bits(free_mask)}
+    # A reduced row holds no pivot bit but its own.
+    for row, p in zip(rows, pivots):
+        for free in bits(row ^ (1 << p)):
+            basis[free] |= 1 << p
+    return list(basis.values())
 
 
 def solve(m: F2Matrix, target: int) -> int | None:

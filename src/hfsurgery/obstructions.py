@@ -89,9 +89,9 @@ def cosmetic_pair_check(c: CfkComplex, r: Slope, s: Slope) -> ObstructionVerdict
 
 
 def complement_check(c: CfkComplex, q: int) -> ObstructionVerdict:
-    """Compare the rank of 1/q surgery with the rank of the unsurgered manifold."""
-    if q < 1:
-        raise ValueError("complement check needs q >= 1")
+    """Compare the rank of 1/q surgery with the rank of the unsurgered manifold.
+
+    ``Slope`` refuses q < 1 before any work."""
     slope = Slope(1, q)
     surgered = cone_rank_chain(c, slope)
     ambient = c.b_rank()

@@ -29,28 +29,29 @@ its homology from the chain-level boundary D, without assembling all of
 it.  A HatA row of D (a target in some HatA block) has entries only in
 its own block, because the boundary of a HatA element leaves the block
 only through v_hat and h_hat, into HatB.  So the HatA rows of D are the
-block-diagonal sum of the regions' own boundaries, and
+block-diagonal sum of the regions' own boundaries d.  Change the basis of
+each HatA block so that its last vectors are a basis N of its cycles, the
+kernel of d.  On the other basis vectors the block's rows have full
+column rank, so row operations with them clear every HatB entry there
+and change nothing else.  Hence, exactly over any field,
 
     rank D = sum over the HatA columns j of rank d(HatA(floor(j/q)))
-             + rank of the HatB rows reduced modulo the HatA rows.
+             + rank of the HatB rows [h_hat N(j-p) | d(HatB) | v_hat N(j)].
 
-This is exact over any field: stacking rows under a matrix adds the rank
-of their classes modulo its row space, and the normal form modulo a
-reduced row-echelon form is linear with that row space as its kernel.
-The first term is read off one reduced row-echelon form per region.  In
-the second, each HatB row is h_hat, the HatB boundary and v_hat side by
-side, so reducing it modulo the HatA rows reduces each map's rows modulo
-the boundary rows of its source region; that normal form is taken once
-per map.  Only those reduced HatB rows go through the one large
+The first term is each block's dimension less its number of cycles.  The
+cycle basis is taken once per region and each map's product with it once
+per map.  A map's row vanishes on the cycles exactly when it lies in the
+row space of d, so a HatB row is zero exactly when it lies in the span of
+the HatA rows, and only the nonzero ones go through the one large
 elimination.  Their columns are laid out in chain order: for each residue
 class of j mod p, the columns j of that class in ascending order, each as
-its HatB block (when it exists) and then its HatA block.  Column j maps
-only to HatB blocks j and j + p, both in the class of j, so the cone is
-block-diagonal over j mod p, and a HatB row j has entries only in the
-HatA blocks j - p and j on either side of it.  No row spans more than
-three blocks, which keeps the elimination in ``f2`` cheap.  Route one
-reads homology only through the genus, which fixes the window, and never
-builds the cone's induced maps.
+its HatB block (when it exists) and then its HatA block, as wide as its
+cycles.  Column j maps only to HatB blocks j and j + p, both in the class
+of j, so the cone is block-diagonal over j mod p, and a HatB row j has
+entries only in the HatA blocks j - p and j on either side of it.  No row
+spans more than three blocks, which keeps the elimination in ``f2`` cheap.
+Route one reads homology only through the genus, which fixes the window,
+and never builds the cone's induced maps.
 
 Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
@@ -188,11 +189,12 @@ class MappingCone:
 
     @property
     def total_dim(self) -> int:
-        return self._offsets[1]
+        """The cone's dimension, each HatA block at its full width."""
+        return self._offsets[1] + self.a_boundary_rank
 
     def _layout(self, a_dim, b_dim: int):
         """The HatA block offsets by column, in the chain order of the module
-        docstring, and the total dimension; ``a_dim(region)`` is a HatA
+        docstring, and the total width; ``a_dim(region)`` is a HatA
         block's width and ``b_dim`` the HatB block's.  HatB block j starts
         where HatA block j - p ends."""
         p = self.slope.p
@@ -208,26 +210,28 @@ class MappingCone:
 
     @cached_property
     def _offsets(self):
-        return self._layout(lambda region: region.dim, self._b_region.dim)
+        # Each HatA block as wide as its cycles, as total_boundary reads it.
+        return self._layout(lambda region: region.cycles.cols, self._b_region.dim)
 
-    @property
+    @cached_property
     def a_boundary_rank(self) -> int:
         """Rank of the boundary's HatA rows: the boundary rank of each
-        column's region, summed over the columns."""
-        return sum(len(self._a_region(j).boundary_rref[1]) for j in self.a_columns)
+        column's region, its dimension less its cycles, summed over the
+        columns."""
+        regions = map(self._a_region, self.a_columns)
+        return sum(region.dim - region.cycles.cols for region in regions)
 
     def total_boundary(self) -> F2Matrix:
-        """The HatB rows of the cone's boundary, reduced modulo its HatA rows.
+        """The HatB rows of the cone's boundary on the HatA cycle bases.
 
-        A HatA row has entries only in its own block, so the rank of the
-        whole boundary is :attr:`a_boundary_rank` plus the rank of these
-        rows.  HatB row block j is h_hat((j - p) // q), the HatB boundary and
-        v_hat(j // q), each map's rows in normal form modulo the boundary
-        rows of its source region.  It holds only the nonzero ones of these
-        rows, so it has fewer rows than columns; its columns are the cone's,
-        in chain order.  Built on every call; the chain route makes one call
-        per cone."""
-        a_off, total = self._offsets
+        The rank of the whole boundary is :attr:`a_boundary_rank` plus the
+        rank of these rows.  HatB row block j is h_hat((j - p) // q), the
+        HatB boundary and v_hat(j // q), each map on the cycle basis of its
+        source region.  It holds only the nonzero ones of these rows, so it
+        has fewer rows than columns; its columns are in chain order, each
+        HatA block as wide as its cycles.  Built on every call; the chain
+        route makes one call per cone."""
+        a_off, width = self._offsets
         p, q = self.slope.p, self.slope.q
         b_rows = self._b_region.boundary.data
         # HatB block j sits between HatA blocks j - p and j, the only ones
@@ -242,18 +246,18 @@ class MappingCone:
             key = ((j - p) // q, j // q)
             rows = narrow.get(key)
             if rows is None:
-                b_shift = self._a_region(j - p).dim
+                h_map = self.complex.h_hat(key[0]).on_cycles
+                b_shift = h_map.cols
                 a_shift = b_shift + len(b_rows)
-                h_rows = self.complex.h_hat(key[0]).reduced_rows
-                v_rows = self.complex.v_hat(key[1]).reduced_rows
+                v_rows = self.complex.v_hat(key[1]).on_cycles.data
                 rows = narrow[key] = [
                     row
-                    for h, d, v in zip(h_rows, b_rows, v_rows)
+                    for h, d, v in zip(h_map.data, b_rows, v_rows)
                     if (row := h | (d << b_shift) | (v << a_shift))
                 ]
             base = a_off[j - p]
             masks.extend(row << base for row in rows)
-        return F2Matrix(total, tuple(masks))
+        return F2Matrix(width, tuple(masks))
 
     # -- homology-level view --------------------------------------------------
 

@@ -1,8 +1,9 @@
 """The whole chain-level boundary of a mapping cone, as a test reference.
 
-The chain route ranks only the HatB rows reduced modulo the HatA rows
-(``MappingCone.total_boundary``); this module assembles every row, so
-tests can check that split against the full matrix.
+The chain route ranks only the HatB rows on the cycle bases of the HatA
+blocks (``MappingCone.total_boundary``) and adds the HatA blocks' own
+boundary ranks; this module assembles every row in the original basis,
+so tests can check that split against the full matrix.
 """
 
 from hfsurgery.cfk import HatA, HatB

@@ -1,13 +1,18 @@
 """CLI contract tests: output formats, exit codes, round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfsurgery import cli, obstructions, surgery
+from hfsurgery.knots import RandomSpec, random_complex
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -159,6 +164,12 @@ class TestObstructionCommands:
         code, _, err = run(["cosmetic", "unknot", "-r", "0/1", "-s", "1/2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["0", "-1"])
+    def test_complement_q_below_one_is_a_usage_error(self, capsys, q):
+        code, out, err = run(["complement", "t25", "-q", q], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestInfoValidate:
     def test_info_trefoil(self, capsys):
@@ -298,6 +309,10 @@ MALFORMED = {
         r'{"name": "x\nb=7", "generators": [{"id": "x", "alexander": 0}],'
         ' "flip": [{"from": "x", "to": "x"}]}'
     ),
+    "name-with-line-separator": (
+        r'{"name": "x\u2028valid=yes", "generators": [{"id": "x", "alexander": 0}],'
+        ' "flip": [{"from": "x", "to": "x"}]}'
+    ),
 }
 
 
@@ -345,9 +360,12 @@ class TestGen:
         assert json.loads(out)["name"] == "cinquefoil"
 
     def test_gen_name_with_tab_is_a_usage_error(self, capsys):
-        code, out, err = run(["gen", "--builtin", "t25", "--name", "a\tb"], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error: 'name' must not contain control characters")
+        # DEL, the C1 controls (NEL among them) and the two Unicode line
+        # breaks too: str.splitlines() splits on the last three.
+        for ch in ("\t", "\x7f", "\x85", "\u2028", "\u2029"):
+            code, out, err = run(["gen", "--builtin", "t25", "--name", f"a{ch}b"], capsys)
+            assert code == 2 and out == "", repr(ch)
+            assert err.startswith("error: 'name' must not contain control characters"), repr(ch)
 
 
 def test_module_entry_point():
@@ -411,3 +429,80 @@ def test_json_output_is_deterministic(args, capsys):
     data = json.loads(first[1])
     for record in data if isinstance(data, list) else [data]:
         assert "timings" not in record
+
+
+# -- fuzz: any file content, any small slope, no traceback --------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+GEN_IDS = st.sampled_from("abcdef")
+
+
+@st.composite
+def small_complexes(draw):
+    """At most 6 generators with |alexander| <= 3, each edit made one time
+    in four, so that many reach the rank commands valid.  Small gradings
+    keep every region small."""
+
+    def edit() -> bool:
+        return draw(st.integers(0, 3)) == 0
+
+    if draw(st.booleans()):
+        spec = RandomSpec(seed=0, dots=draw(st.integers(1, 2)), boxes=draw(st.integers(0, 1)),
+                          max_side=1, max_offset=0)
+        data = random_complex(spec).to_json_dict()
+    else:
+        ids = draw(st.lists(GEN_IDS, max_size=6))
+        data = {
+            "generators": [{"id": g, "alexander": draw(st.integers(-3, 3))} for g in ids],
+            "differential": [],
+            "flip": [{"from": g, "to": g} for g in ids],
+        }
+    gens = data["generators"]
+    if gens and edit():
+        draw(st.sampled_from(gens))["alexander"] = draw(st.integers(-3, 3))
+    if edit():
+        ids = st.sampled_from([g["id"] for g in gens]) | GEN_IDS if gens else GEN_IDS
+        term = st.fixed_dictionaries({"from": ids, "to": ids, "upower": st.integers(-1, 3)})
+        data["differential"] += draw(st.lists(term, min_size=1, max_size=2))
+    if edit():
+        del data["flip"]
+    if edit():
+        data["name"] = draw(st.text(max_size=6) | JSON_VALUES)
+    return json.dumps(data)
+
+
+SMALL = st.integers(0, 3)
+SLOPE_TEXT = st.builds("{}/{}".format, st.integers(-1, 3), SMALL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    content=st.binary(max_size=24) | JSON_VALUES.map(json.dumps) | small_complexes(),
+    p=SMALL, q=SMALL, r=SLOPE_TEXT, s=SLOPE_TEXT,
+    fmt=st.sampled_from(["plain", "json"]),
+)
+def test_any_input_exits_0_1_or_2_without_traceback(content, p, q, r, s, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb" if isinstance(content, bytes) else "w") as handle:
+            handle.write(content)
+        for args in (
+            ["validate", path],
+            ["info", path],
+            ["rank", path, "-p", str(p), "-q", str(q)],
+            ["cosmetic", path, f"-r={r}", f"-s={s}"],
+            ["complement", path, "-q", str(q)],
+            ["scan", path, "--pmax", str(p), "--qmax", str(q)],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main([*args, "--format", fmt])
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            assert code in (0, 1, 2), (args, err.getvalue())
+            assert "Traceback" not in err.getvalue(), args

@@ -246,22 +246,20 @@ def test_rref_is_reduced_echelon_form(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_normal_forms_modulo_a_row_space(data):
+def test_rank_modulo_a_row_space_is_rank_on_the_kernel(data):
+    # The chain route's split: a vector lies in the row space of m exactly
+    # when it vanishes on ker m, so the rank of vectors modulo that row
+    # space is the rank of their products with a kernel basis.
     m = data.draw(matrices())
     vecs = data.draw(st.lists(st.integers(0, (1 << m.cols) - 1), max_size=6))
-    echelon = f2.rref(m)
-    forms = f2.normal_forms(echelon, vecs)
+    cycles = F2Matrix.from_columns(f2.kernel_basis(m), m.cols)
+    on_kernel = F2Matrix(m.cols, tuple(vecs)) @ cycles
     r = f2.rank(m)
-    pivot_mask = sum(1 << p for p in echelon[1])
-    for vec, form in zip(vecs, forms):
-        assert form & pivot_mask == 0
-        # vec - form lies in the row space; form is zero exactly when vec does
-        assert f2.rank(F2Matrix(m.cols, m.data + (vec ^ form,))) == r
+    for vec, form in zip(vecs, on_kernel.data):
         in_row_space = f2.rank(F2Matrix(m.cols, m.data + (vec,))) == r
         assert (form == 0) == in_row_space
-    # rank of the vectors modulo the row space is the rank of their forms
     stacked = F2Matrix(m.cols, m.data + tuple(vecs))
-    assert f2.rank(stacked) == r + f2.rank(F2Matrix(m.cols, tuple(forms)))
+    assert f2.rank(stacked) == r + f2.rank(on_kernel)
 
 
 def reference_rank(rows: list[set[int]]) -> int:
