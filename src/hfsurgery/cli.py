@@ -175,7 +175,7 @@ def _cmd_gen(args) -> int:
             max_offset=args.max_offset,
         )
         c = random_complex(spec)
-    if args.name:
+    if args.name is not None:
         c = c.renamed(args.name)
     sys.stdout.write(c.to_json())
     return 0

@@ -49,7 +49,11 @@ its HatB block (when it exists) and then its HatA block, as wide as its
 cycles.  Column j maps only to HatB blocks j and j + p, both in the class
 of j, so the cone is block-diagonal over j mod p, and a HatB row j has
 entries only in the HatA blocks j - p and j on either side of it.  No row
-spans more than three blocks, which keeps the elimination in ``f2`` cheap.
+spans more than three blocks, so each is built as one narrow row and
+streamed to the elimination at its block offset, the start of block
+j - p, never shifted there: ``f2.rank`` starts it at that base.  So
+neither a row's width nor the cost of one elimination step grows with
+the cone.
 Route one reads homology only through the genus, which fixes the window,
 and never builds the cone's induced maps.
 
@@ -75,6 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from . import f2
 from .cfk import CfkComplex, HatA, HatB
@@ -197,7 +202,9 @@ class MappingCone:
         docstring, and the total width; ``a_dim(region)`` is a HatA
         block's width and ``b_dim`` the HatB block's.  HatB block j starts
         where HatA block j - p ends."""
-        p = self.slope.p
+        p, q = self.slope.p, self.slope.q
+        # One width per region, not per column.
+        a_width = {s: a_dim(region) for s, region in self._a_regions.items()}
         a_off = {}
         pos = 0
         for i in range(p):
@@ -205,7 +212,7 @@ class MappingCone:
                 if j in self.b_columns:
                     pos += b_dim
                 a_off[j] = pos
-                pos += a_dim(self._a_region(j))
+                pos += a_width[j // q]
         return a_off, pos
 
     @cached_property
@@ -221,25 +228,27 @@ class MappingCone:
         regions = map(self._a_region, self.a_columns)
         return sum(region.dim - region.cycles.cols for region in regions)
 
-    def total_boundary(self) -> F2Matrix:
-        """The HatB rows of the cone's boundary on the HatA cycle bases.
+    def total_boundary(self) -> tuple[F2Matrix, list[int]]:
+        """The HatB rows of the cone's boundary on the HatA cycle bases,
+        each as a narrow row and the column where it starts.
 
         The rank of the whole boundary is :attr:`a_boundary_rank` plus the
-        rank of these rows.  HatB row block j is h_hat((j - p) // q), the
-        HatB boundary and v_hat(j // q), each map on the cycle basis of its
-        source region.  It holds only the nonzero ones of these rows, so it
-        has fewer rows than columns; its columns are in chain order, each
-        HatA block as wide as its cycles.  Built on every call; the chain
-        route makes one call per cone."""
-        a_off, width = self._offsets
+        rank of these rows, ``f2.rank(rows, bases)``.  HatB row block j is
+        h_hat((j - p) // q), the HatB boundary and v_hat(j // q), each map
+        on the cycle basis of its source region.  Only the nonzero ones of
+        these rows are kept, fewer than the cone has columns; the columns
+        are in chain order, each HatA block as wide as its cycles.
+        Built on every call; the chain route makes one call per cone."""
+        a_off, _ = self._offsets
         p, q = self.slope.p, self.slope.q
         b_rows = self._b_region.boundary.data
         # HatB block j sits between HatA blocks j - p and j, the only ones
-        # its rows read, so its rows are one narrow block, shifted once to
-        # the start of block j - p.  That narrow block depends only on
-        # (floor((j - p) / q), floor(j / q)).
+        # its rows read, so its rows are one narrow block streamed at the
+        # start of block j - p, never shifted there.  That narrow block
+        # depends only on (floor((j - p) / q), floor(j / q)).
         narrow = {}
-        masks = []
+        masks, bases = [], []
+        cols = 0
         for j in a_off:  # chain order
             if j not in self.b_columns:
                 continue
@@ -249,15 +258,16 @@ class MappingCone:
                 h_map = self.complex.h_hat(key[0]).on_cycles
                 b_shift = h_map.cols
                 a_shift = b_shift + len(b_rows)
-                v_rows = self.complex.v_hat(key[1]).on_cycles.data
+                v_map = self.complex.v_hat(key[1]).on_cycles
+                cols = max(cols, a_shift + v_map.cols)
                 rows = narrow[key] = [
                     row
-                    for h, d, v in zip(h_map.data, b_rows, v_rows)
+                    for h, d, v in zip(h_map.data, b_rows, v_map.data)
                     if (row := h | (d << b_shift) | (v << a_shift))
                 ]
-            base = a_off[j - p]
-            masks.extend(row << base for row in rows)
-        return F2Matrix(width, tuple(masks))
+            masks.extend(rows)
+            bases.extend(repeat(a_off[j - p], len(rows)))
+        return F2Matrix(cols, tuple(masks)), bases
 
     # -- homology-level view --------------------------------------------------
 
@@ -327,7 +337,7 @@ def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> in
 
     def compute() -> int:
         cone = MappingCone(c, slope, *cone_window(c, slope, level))
-        return cone.total_dim - 2 * (cone.a_boundary_rank + f2.rank(cone.total_boundary()))
+        return cone.total_dim - 2 * (cone.a_boundary_rank + f2.rank(*cone.total_boundary()))
 
     return c.cached(("cone_rank_chain", slope.p, slope.q, level), compute)
 

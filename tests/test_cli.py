@@ -359,6 +359,14 @@ class TestGen:
         _, out, _ = run(["gen", "--builtin", "t25", "--name", "cinquefoil"], capsys)
         assert json.loads(out)["name"] == "cinquefoil"
 
+    def test_gen_empty_name_is_kept(self, tmp_path, capsys):
+        code, out, _ = run(["gen", "--builtin", "t25", "--name", ""], capsys)
+        assert code == 0 and json.loads(out)["name"] == ""
+        path = tmp_path / "unnamed.json"
+        path.write_text(out)
+        code, _, _ = run(["validate", str(path)], capsys)
+        assert code == 0
+
     def test_gen_name_with_tab_is_a_usage_error(self, capsys):
         # DEL, the C1 controls (NEL among them) and the two Unicode line
         # breaks too: str.splitlines() splits on the last three.

@@ -132,13 +132,15 @@ class TestBuildCone:
                     full = full_boundary(cone)
                     assert full.cols == cone.total_dim
                     assert (full @ full).is_zero(), (c.name, slope)
-                    reduced = cone.total_boundary()
-                    assert f2.rank(full) == cone.a_boundary_rank + f2.rank(reduced), (c.name, slope)
+                    rows, bases = cone.total_boundary()
+                    streamed = f2.rank(rows, bases)
+                    assert f2.rank(full) == cone.a_boundary_rank + streamed, (c.name, slope)
 
     def test_total_boundary_rows_are_narrow(self):
         # Chain order puts HatA j - p, HatB j and HatA j side by side, each
-        # HatA block as wide as its cycles, so no HatB row reaches beyond
-        # those three blocks, and zero rows are dropped.
+        # HatA block as wide as its cycles, so a HatB row, streamed from the
+        # start of block j - p, reaches no further than those three blocks,
+        # and zero rows are dropped.
         complexes = [builtin(name) for name in BUILTIN_NAMES]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
@@ -149,13 +151,13 @@ class TestBuildCone:
                 )
                 b_dim = c.region_complex(HatB()).dim
                 limit = 2 * a_width + b_dim
-                boundary = cone.total_boundary()
-                assert boundary.cols == cone.total_dim - cone.a_boundary_rank
-                assert boundary.rows <= b_dim * len(cone.b_columns)
-                for r in boundary.data:
+                width = cone.total_dim - cone.a_boundary_rank
+                rows, bases = cone.total_boundary()
+                assert len(bases) == rows.rows <= b_dim * len(cone.b_columns)
+                for r, base in zip(rows.data, bases):
                     assert r, (c.name, slope)
-                    span = r.bit_length() - (r & -r).bit_length()
-                    assert span < limit, (c.name, slope)
+                    assert r.bit_length() <= limit, (c.name, slope)
+                    assert base + r.bit_length() <= width, (c.name, slope)
 
     def test_boundary_columns_drop_single_block(self):
         # leftmost p columns have no v target; rightmost p have no h target.
@@ -473,9 +475,9 @@ class TestRankReport:
         ranked = {}
         rank = f2.rank
 
-        def keeping(m):
+        def keeping(m, *args):
             ranked.setdefault(id(m), []).append(m)
-            return rank(m)
+            return rank(m, *args)
 
         monkeypatch.setattr(f2, "rank", keeping)
         c = tensor(builtin("t25"), builtin("figure_eight"))
