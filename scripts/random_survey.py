@@ -35,7 +35,10 @@ def main() -> int:
             max_offset=seed % 3,
         )
         c = random_complex(spec)
-        assert c.validate().ok
+        report = c.validate()
+        if not report.ok:
+            print(f"{c.name}: invalid complex\n{report}", file=sys.stderr)
+            return 1
         hyp = hypothesis_check(c).overall
         ranks = []
         for slope in SLOPES:

@@ -147,15 +147,18 @@ class RegionComplex:
 
     @cached_property
     def homology(self) -> HomologyBasis:
-        """Homology basis, built on first read: the chain route never reads
-        it beyond the regions that :meth:`CfkComplex.genus` inspects."""
-        return HomologyBasis(self.boundary)
+        """Homology basis, built on first read as the quotient of
+        :attr:`cycles`: the chain route never reads it beyond the regions
+        that :meth:`CfkComplex.genus` inspects."""
+        return HomologyBasis(self.boundary, self.cycles)
 
     @cached_property
-    def cycles(self) -> F2Matrix:
-        """A basis of the boundary's kernel, one column per cycle, built on
-        first read."""
-        return F2Matrix.from_columns(f2.kernel_basis(self.boundary), self.dim)
+    def cycles(self) -> tuple[int, ...]:
+        """The region's one basis of its boundary's kernel,
+        ``f2.kernel_basis(boundary)`` as column masks, built on first read.
+        Both rank routes read it, so the boundary is eliminated once for
+        its cycles."""
+        return tuple(f2.kernel_basis(self.boundary))
 
     @property
     def dim(self) -> int:
@@ -191,10 +194,12 @@ class FilteredChainMap:
 
     @cached_property
     def on_cycles(self) -> F2Matrix:
-        """The matrix on the source's cycle basis, built on first read.  A
-        row of it is zero exactly when that row of the matrix lies in the
-        row space of the source's boundary."""
-        return self.matrix @ self.source.cycles
+        """The matrix on the source's cycle basis, one column per vector of
+        ``source.cycles``, built on first read.  A row of it is zero exactly
+        when that row of the matrix lies in the row space of the source's
+        boundary.  Only the chain route reads it; the homological route
+        applies the matrix to each homology representative instead."""
+        return self.matrix @ F2Matrix.from_columns(self.source.cycles, self.source.dim)
 
     @cached_property
     def _rank(self) -> int:

@@ -297,13 +297,15 @@ def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[int]:
 class HomologyBasis:
     """A deterministic basis of ker(d) / im(d) for one square differential.
 
-    The chosen representatives are kernel-basis vectors that extend a
-    basis of the boundary space, picked greedily in the pivot order of
-    :func:`kernel_basis`.  ``coords`` expresses any cycle in the chosen
+    ``cycles`` must be a basis of ker(d) as column masks, for example
+    ``kernel_basis(d)``; the homology quotients exactly that basis and
+    eliminates d only for its boundary space.  The chosen representatives
+    are cycles that extend a basis of the boundary space, picked greedily
+    in the order given.  ``coords`` expresses any cycle in the chosen
     basis, which is what makes induced-map matrices reproducible.
     """
 
-    def __init__(self, differential: F2Matrix):
+    def __init__(self, differential: F2Matrix, cycles: Sequence[int]):
         if differential.rows != differential.cols:
             raise DimensionError("a differential must be square")
         if not (differential @ differential).is_zero():
@@ -316,8 +318,11 @@ class HomologyBasis:
         # Boundary rows carry no representative, and every key is below
         # bit n, so a row reduced to zero in its low part stops reducing.
         self._table = _eliminate(differential.transpose().data)
+        # The table's size is rank(d), so a kernel basis has n - rank(d) vectors.
+        if len(cycles) != n - len(self._table):
+            raise DimensionError(f"need {n - len(self._table)} cycles, got {len(cycles)}")
         reps: list[int] = []
-        for cycle in kernel_basis(differential):
+        for cycle in cycles:
             row = _reduce(self._table, cycle)
             if row & self._cycle_mask:
                 row ^= 1 << (n + len(reps))

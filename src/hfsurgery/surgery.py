@@ -59,7 +59,12 @@ and never builds the cone's induced maps.
 
 Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
-validates the homology-level bookkeeping route two relies on.
+validates the homology-level bookkeeping route two relies on.  Both start
+from the same object: each region's cycle basis, ``RegionComplex.cycles``,
+is taken once, and its homology quotients that same basis.  From there
+the routes part: route one multiplies each map by the basis
+(``on_cycles``), route two applies each map to the homology
+representatives, so a fault in either product shows as a disagreement.
 
 The closed form, the kernel construction and the monotonicity scan need
 the image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
@@ -218,7 +223,7 @@ class MappingCone:
     @cached_property
     def _offsets(self):
         # Each HatA block as wide as its cycles, as total_boundary reads it.
-        return self._layout(lambda region: region.cycles.cols, self._b_region.dim)
+        return self._layout(lambda region: len(region.cycles), self._b_region.dim)
 
     @cached_property
     def a_boundary_rank(self) -> int:
@@ -226,7 +231,7 @@ class MappingCone:
         column's region, its dimension less its cycles, summed over the
         columns."""
         regions = map(self._a_region, self.a_columns)
-        return sum(region.dim - region.cycles.cols for region in regions)
+        return sum(region.dim - len(region.cycles) for region in regions)
 
     def total_boundary(self) -> tuple[F2Matrix, list[int]]:
         """The HatB rows of the cone's boundary on the HatA cycle bases,

@@ -158,6 +158,24 @@ class TestRegions:
     def test_region_memoized(self, trefoil):
         assert trefoil.region_complex(HatA(0)) is trefoil.region_complex(HatA(0))
 
+    def test_cycles_and_homology_share_one_kernel_basis(self, fig8, monkeypatch):
+        # A fresh region eliminates its boundary once for its cycles,
+        # whichever of cycles and homology is read first.
+        calls = []
+        kernel_basis = f2.kernel_basis
+
+        def counting(m):
+            calls.append(m.rows)
+            return kernel_basis(m)
+
+        monkeypatch.setattr(f2, "kernel_basis", counting)
+        for tag, first in ((HatA(0), "cycles"), (HatB(), "homology")):
+            region = fig8.region_complex(tag)
+            getattr(region, first)
+            assert set(region.homology.reps) <= set(region.cycles)
+            assert calls == [region.dim], tag
+            calls.clear()
+
 
 class TestVhat:
     def test_unknot_identity(self, unknot):

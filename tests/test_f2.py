@@ -123,17 +123,27 @@ class TestSolve:
 
 class TestHomologyBasis:
     def test_differential_must_square_to_zero(self):
+        d = F2Matrix(2, (1, 2))
         with pytest.raises(InvalidComplexError):
-            HomologyBasis(F2Matrix(2, (1, 2)))
+            HomologyBasis(d, f2.kernel_basis(d))
 
     def test_segment(self):
         # d(e0) = e1 kills two of four dimensions
         d = mat(4, 4, [(1, 0)])
-        assert HomologyBasis(d).dim == 2
+        assert HomologyBasis(d, f2.kernel_basis(d)).dim == 2
+
+    @pytest.mark.parametrize("change", [lambda k: k[:-1], lambda k: k + k[:1]], ids=["few", "many"])
+    def test_needs_exactly_one_cycle_per_kernel_dimension(self, change):
+        # d(e0) = e1: rank 1, so a kernel basis has 4 - 1 = 3 cycles.
+        d = mat(4, 4, [(1, 0)])
+        cycles = f2.kernel_basis(d)
+        assert len(cycles) == 3
+        with pytest.raises(DimensionError, match="need 3 cycles"):
+            HomologyBasis(d, change(cycles))
 
     def test_coords_rejects_non_cycles(self):
         d = mat(2, 2, [(1, 0)])
-        hb = HomologyBasis(d)
+        hb = HomologyBasis(d, f2.kernel_basis(d))
         with pytest.raises(ValueError):
             hb.coords(0b01)  # e0 is not a cycle
 
@@ -141,19 +151,19 @@ class TestHomologyBasis:
         # The four-generator box, one source, two middles, one sink, as an
         # ungraded 4x4 differential of rank 2: total homology vanishes.
         d = mat(4, 4, [(1, 0), (2, 0), (3, 1), (3, 2)])
-        assert HomologyBasis(d).dim == 0
+        assert HomologyBasis(d, f2.kernel_basis(d)).dim == 0
 
 
 class TestInducedMap:
     def test_identity_chain_map(self):
         d = mat(4, 4, [(1, 0)])
-        hb = HomologyBasis(d)
+        hb = HomologyBasis(d, f2.kernel_basis(d))
         ind = f2.induced_map_on_homology(F2Matrix(4, (1, 2, 4, 8)), hb, hb)
         assert ind.data == tuple(1 << i for i in range(hb.dim))
 
     def test_zero_chain_map(self):
         d = mat(4, 4, [(1, 0)])
-        hb = HomologyBasis(d)
+        hb = HomologyBasis(d, f2.kernel_basis(d))
         ind = f2.induced_map_on_homology(F2Matrix(4, (0, 0, 0, 0)), hb, hb)
         assert ind.is_zero()
 

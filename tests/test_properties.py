@@ -9,7 +9,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from hfsurgery import f2
-from hfsurgery.cfk import CfkComplex, HatA
+from hfsurgery.cfk import CfkComplex, HatA, HatB
 from hfsurgery.knots import RandomSpec, builtin, random_complex
 from hfsurgery.obstructions import hypothesis_check
 from hfsurgery.surgery import (
@@ -94,6 +94,18 @@ def test_a_region_stabilizes_at_b(c):
     g, b = c.genus(), c.b_rank()
     for s in (g, g + 1, -g, -g - 1):
         assert c.region_complex(HatA(s)).homology.dim == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes)
+def test_homology_quotients_the_region_cycles(c):
+    # Both rank routes start from one cycle basis per region: the homology
+    # picks its representatives among those cycles.
+    g = c.genus()
+    for tag in [HatB()] + [HatA(s) for s in range(-g - 1, g + 2)]:
+        region = c.region_complex(tag)
+        assert set(region.homology.reps) <= set(region.cycles), tag
+        assert region.homology.dim == len(region.cycles) - f2.rank(region.boundary), tag
 
 
 @settings(max_examples=40, deadline=None)
