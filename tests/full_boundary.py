@@ -1,9 +1,12 @@
 """The whole chain-level boundary of a mapping cone, as a test reference.
 
-The chain route ranks only the HatB rows on the cycle bases of the HatA
-blocks (``MappingCone.total_boundary``) and adds the HatA blocks' own
-boundary ranks; this module assembles every row in the original basis,
-so tests can check that split against the full matrix.
+The chain route never assembles the boundary.  It adds the HatA blocks'
+own boundary ranks to the ranks its sweep adds, block by block, from the
+HatB rows on the cycle bases of the HatA blocks
+(``MappingCone.total_boundary(key)``), each residue class of j mod p
+carrying one canonical block.  This module assembles every row in the
+original basis, so tests can check that split against the full matrix,
+and replays the sweep's steps from the memo the chain route leaves.
 """
 
 from hfsurgery.cfk import HatA, HatB
@@ -42,3 +45,20 @@ def full_boundary(cone) -> F2Matrix:
             for h, d, v in zip(h_rows, b_region.boundary.data, v_rows)
         ]
     return F2Matrix(pos, tuple(masks))
+
+
+def sweep_increments(cone) -> list[list[int]]:
+    """The rank each HatB block adds in the chain route's sweep, block by
+    block for each residue class of j mod p, replayed from the memo that
+    ``cone_rank_chain`` left on the complex for this cone's window.  A
+    missing step raises ``KeyError``."""
+    c, p, q = cone.complex, cone.slope.p, cone.slope.q
+    hi = cone.a_columns[-1]
+    classes = []
+    for first in cone.a_columns[:p]:
+        carry, steps = (), []
+        for j in range(first + p, hi + 1, p):
+            increment, carry = c._memo[("sweep", carry, ((j - p) // q, j // q))]
+            steps.append(increment)
+        classes.append(steps)
+    return classes

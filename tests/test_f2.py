@@ -45,17 +45,6 @@ class TestRank:
         m = mat(2, 5, [(0, 0), (0, 3), (1, 1)])
         assert f2.rank(m) <= min(2, 5)
 
-    def test_rows_at_bases(self):
-        # 0b11 at 0 and at 1 and 0b101 at 0 are dependent; 0b1 at 7 is not.
-        m = F2Matrix(3, (0b11, 0b11, 0b101, 0b1))
-        assert f2.rank(m, [0, 1, 0, 7]) == 3
-        assert f2.rank(m, [0, 0, 0, 0]) == f2.rank(m) == 3
-
-    @pytest.mark.parametrize("bases", [[0], [0, 1, 2], [0, -1]])
-    def test_one_nonnegative_base_per_row(self, bases):
-        with pytest.raises(DimensionError, match="one nonnegative base per row"):
-            f2.rank(F2Matrix(2, (0b1, 0b11)), bases)
-
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
@@ -319,24 +308,3 @@ def test_rank_of_wide_sparse_rows(rows):
     expected = reference_rank(rows)
     assert f2.rank(m) == expected
     assert f2.rank(m.transpose()) == expected
-
-
-@st.composite
-def rows_at_bases(draw):
-    """Narrow rows and one base per row.  The distinct bases step by 0 to
-    2 * width + 1, so rows repeat a base, overlap and leave gaps."""
-    width = draw(st.integers(0, 8))
-    steps = draw(st.lists(st.integers(0, 2 * width + 1), min_size=1, max_size=5))
-    starts = [sum(steps[: i + 1]) for i in range(len(steps))]
-    n = draw(st.integers(0, 12))
-    data = tuple(draw(st.integers(0, (1 << width) - 1)) for _ in range(n))
-    bases = [draw(st.sampled_from(starts)) for _ in range(n)]
-    return F2Matrix(width, data), bases
-
-
-@settings(max_examples=200, deadline=None)
-@given(rows_at_bases())
-def test_rank_at_bases_is_rank_of_shifted_rows(case):
-    m, bases = case
-    shifted = F2Matrix(m.cols + max(bases, default=0), tuple(r << b for r, b in zip(m.data, bases)))
-    assert f2.rank(m, bases) == f2.rank(shifted)

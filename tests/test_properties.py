@@ -172,6 +172,23 @@ def test_chain_route_equals_rank_of_full_boundary(c, slope, extra):
     assert cone_rank_chain(c, slope, level) == expected
 
 
+@settings(max_examples=30, deadline=None)
+@given(complexes, slopes, st.sampled_from([None, 1]))
+def test_sweep_carries_are_canonical(c, slope, extra):
+    # Every carry the sweep returns is its own reduced row-echelon form on
+    # the cycle coordinates of HatA(key[1]), and every carry it reads is
+    # on those of HatA(key[0]).
+    level = None if extra is None else truncation_bound(c, slope) + extra
+    cone_rank_chain(c, slope, level)
+    steps = [(k, v) for k, v in c._memo.items() if k[0] == "sweep"]
+    for (_, carry_in, key), (increment, carry) in steps:
+        widths = [len(c.region_complex(HatA(s)).cycles) for s in key]
+        for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
+            assert all(0 < row < 1 << width for row in rows)
+            assert tuple(f2.rref(f2.F2Matrix(width, rows))[0]) == rows
+        assert increment >= 0
+
+
 @settings(max_examples=20, deadline=None)
 @given(complexes, slopes)
 def test_tight_window_equals_symmetric(c, slope):

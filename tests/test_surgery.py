@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -32,7 +33,7 @@ from hfsurgery.surgery import (
     truncation_bound,
 )
 
-from full_boundary import full_boundary
+from full_boundary import full_boundary, sweep_increments
 
 SMALL_SLOPES = [Slope(p, q) for p in range(1, 5) for q in range(1, 5) if math.gcd(p, q) == 1]
 
@@ -123,41 +124,46 @@ class TestBuildCone:
 
     def test_total_boundary_squares_to_zero(self):
         # The full boundary is a differential, and the chain route's split
-        # on the HatA cycle bases gives its rank.
+        # on the HatA cycle bases, swept class by class, gives its rank.
         complexes = [builtin(name) for name in ("unknot", "trefoil_rh", "figure_eight", "t25")]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
             for slope in (Slope(1, 1), Slope(2, 3), Slope(3, 1), Slope(1, 4)):
-                for cone in (build_cone(c, slope), MappingCone(c, slope, *cone_window(c, slope))):
+                windows = ((build_cone(c, slope), truncation_bound(c, slope)),
+                           (MappingCone(c, slope, *cone_window(c, slope)), None))
+                for cone, level in windows:
                     full = full_boundary(cone)
                     assert full.cols == cone.total_dim
                     assert (full @ full).is_zero(), (c.name, slope)
-                    rows, bases = cone.total_boundary()
-                    streamed = f2.rank(rows, bases)
-                    assert f2.rank(full) == cone.a_boundary_rank + streamed, (c.name, slope)
+                    cone_rank_chain(c, slope, level)
+                    swept = sum(map(sum, sweep_increments(cone)))
+                    assert f2.rank(full) == cone.a_boundary_rank + swept, (c.name, slope)
 
     def test_total_boundary_rows_are_narrow(self):
-        # Chain order puts HatA j - p, HatB j and HatA j side by side, each
-        # HatA block as wide as its cycles, so a HatB row, streamed from the
-        # start of block j - p, reaches no further than those three blocks,
-        # and zero rows are dropped.
+        # A key's rows sit on HatA j - p, HatB j and HatA j side by side,
+        # each HatA block as wide as its cycles, so no row reaches further
+        # than those three blocks, and zero rows are dropped.
         complexes = [builtin(name) for name in BUILTIN_NAMES]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
             for slope in SMALL_SLOPES:
                 cone = build_cone(c, slope)
+                p, q = slope.p, slope.q
                 a_width = max(
-                    len(c.region_complex(HatA(j // slope.q)).cycles) for j in cone.a_columns
+                    len(c.region_complex(HatA(j // q)).cycles) for j in cone.a_columns
                 )
                 b_dim = c.region_complex(HatB()).dim
                 limit = 2 * a_width + b_dim
-                width = cone.total_dim - cone.a_boundary_rank
-                rows, bases = cone.total_boundary()
-                assert len(bases) == rows.rows <= b_dim * len(cone.b_columns)
-                for r, base in zip(rows.data, bases):
-                    assert r, (c.name, slope)
-                    assert r.bit_length() <= limit, (c.name, slope)
-                    assert base + r.bit_length() <= width, (c.name, slope)
+                for key in {((j - p) // q, j // q) for j in cone.b_columns}:
+                    rows, v_start = cone.total_boundary(key)
+                    h_width, v_width = (len(c.region_complex(HatA(s)).cycles) for s in key)
+                    assert v_start == h_width + b_dim
+                    assert rows.cols == v_start + v_width <= limit
+                    assert rows.rows <= b_dim
+                    for r in rows.data:
+                        assert r, (c.name, slope)
+                        assert r.bit_length() <= limit, (c.name, slope)
+                        assert r.bit_length() <= rows.cols, (c.name, slope)
 
     def test_boundary_columns_drop_single_block(self):
         # leftmost p columns have no v target; rightmost p have no h target.
@@ -254,6 +260,114 @@ class TestConeRanks:
         monkeypatch.setattr(f2, "induced_map_on_homology", refuse)
         assert cone_rank_chain(c, Slope(1, 2), 6) == 11
         assert len(built) == 3
+
+
+def _sweep_entries(c):
+    return [key for key in c._memo if key[0] == "sweep"]
+
+
+def _shifted_blocks(cone, first):
+    """The HatB blocks j of the residue class of column ``first``, in chain
+    order: each block's rows shifted to the start of HatA block j - p in
+    the class's own layout, with j."""
+    p, q = cone.slope.p, cone.slope.q
+    base = 0
+    for j in range(first + p, cone.a_columns[-1] + 1, p):
+        narrow, v_start = cone.total_boundary(((j - p) // q, j // q))
+        yield j, [row << base for row in narrow.data]
+        base += v_start
+
+
+def _matrix(rows):
+    return f2.F2Matrix(max(map(int.bit_length, rows), default=0), tuple(rows))
+
+
+def _complex(name):
+    """A fresh builtin, or a fresh tensor of builtins joined by '#'."""
+    first, *rest = name.split("#")
+    c = builtin(first)
+    for part in rest:
+        c = tensor(c, builtin(part))
+    return c
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "name", ["trefoil_rh", "figure_eight", "t25", "t27", "trefoil_rh#figure_eight"]
+    )
+    def test_increments_are_the_ranks_each_block_adds(self, name):
+        # Each residue class laid out in chain order, every HatB row
+        # shifted to the start of its HatA block j - p: the rank that the
+        # rows of block j add to those before them is the sweep's
+        # increment there, so the carry loses nothing the later rows read.
+        c = _complex(name)
+        for slope in (Slope(1, 1), Slope(2, 3), Slope(3, 2), Slope(1, 4), Slope(5, 2)):
+            cone = MappingCone(c, slope, *cone_window(c, slope))
+            cone_rank_chain(c, slope)
+            for first, steps in zip(cone.a_columns[:slope.p], sweep_increments(cone)):
+                rows, before = [], 0
+                for (j, block), increment in zip(_shifted_blocks(cone, first), steps, strict=True):
+                    rows += block
+                    rank = f2.rank(_matrix(rows))
+                    assert rank - before == increment, (name, slope, j)
+                    before = rank
+
+    @pytest.mark.parametrize("name", ["t25", "trefoil_rh#figure_eight"])
+    def test_carry_is_exact_on_arbitrary_blocks(self, monkeypatch, name):
+        # On the builtins every carry happens to meet the next block's rows
+        # trivially, so here each key gets random rows of the same shape,
+        # whose carries do matter.  The sweep must still give the rank of
+        # each class's rows laid out in chain order.
+        def random_rows(cone, key):
+            widths = [len(cone.complex.region_complex(HatA(s)).cycles) for s in key]
+            v_start = widths[0] + cone._b_region.dim
+            rng = random.Random(f"{seed} {key}")
+            count = rng.randint(0, v_start + widths[1])
+            rows = [rng.getrandbits(v_start + widths[1]) for _ in range(count)]
+            return f2.F2Matrix(v_start + widths[1], tuple(r for r in rows if r)), v_start
+
+        monkeypatch.setattr(MappingCone, "total_boundary", random_rows)
+        carried = 0
+        for seed in range(8):
+            c = _complex(name)  # a fresh memo for each seed's rows
+            for slope in (Slope(1, 1), Slope(1, 3), Slope(2, 3), Slope(3, 2), Slope(5, 4)):
+                cone = MappingCone(c, slope, *cone_window(c, slope))
+                ranked = sum(
+                    f2.rank(_matrix([row for _, block in _shifted_blocks(cone, first) for row in block]))
+                    for first in cone.a_columns[:slope.p]
+                )
+                expected = cone.total_dim - 2 * (cone.a_boundary_rank + ranked)
+                assert cone_rank_chain(c, slope) == expected, (seed, slope)
+            carried += sum(1 for _, carry, _ in _sweep_entries(c) if carry)
+        assert carried
+
+    def test_rows_depend_on_the_key_alone(self):
+        c = builtin("t25")
+        cones = [MappingCone(c, s, *cone_window(c, s)) for s in (Slope(1, 3), Slope(5, 2))]
+        cones.append(build_cone(c, Slope(2, 1)))
+        for key in ((-1, -1), (-1, 0), (0, 0), (0, 1), (1, 1)):
+            first, *others = (cone.total_boundary(key) for cone in cones)
+            assert all(other == first for other in others), key
+
+    def test_memo_stays_bounded_as_q_grows(self):
+        # Only the distinct (carry, key) steps are eliminated, and on t27
+        # the slopes 1/q for q up to 20 already meet every one of them.
+        c = builtin("t27")
+        for q in range(1, 21):
+            cone_rank_chain(c, Slope(1, q))
+        entries = len(_sweep_entries(c))
+        assert entries > 0
+        for q in range(21, 301):
+            cone_rank_chain(c, Slope(1, q))
+        assert len(_sweep_entries(c)) == entries
+        assert cone_rank_chain(c, Slope(1, 300)) == 1 + 2 * (5 * 300 - 1)
+
+    def test_no_hatb_column_means_no_step(self):
+        # On trefoil_rh at 7/1 the tight window is 0..6, shorter than 2p,
+        # so no column keeps a HatB block: the rank is the cone dimension.
+        c = builtin("trefoil_rh")
+        assert cone_rank_chain(c, Slope(7, 1)) == 7
+        assert _sweep_entries(c) == []
 
 
 class TestTInvariant:
