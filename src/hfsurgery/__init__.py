@@ -18,7 +18,6 @@ from .cfk import (
     Generator,
     HatA,
     HatB,
-    JLevel,
     Quadrant,
     RegionComplex,
     UndefinedRegionError,
@@ -80,7 +79,6 @@ from .surgery import (
     kernel_rank,
     nu_surrogate,
     rank_formula,
-    t_closed_form,
     t_invariant,
     truncation_bound,
 )

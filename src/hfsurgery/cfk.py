@@ -10,7 +10,6 @@ The finite hat-flavor regions are level sets of the (i, j) filtration:
 
     HatA(s)      max(i, j - s) = 0      one basis element per generator
     HatB         i = 0                  one basis element per generator
-    JLevel(s)    j = s                  one basis element per generator
     Quadrant(t)  i < 0 and j >= t       finitely many elements
 
 with the induced differential keeping exactly the components that stay
@@ -20,8 +19,7 @@ U^s and the flip involution.
 
 This module owns the precondition policy and checks it where data is
 built.  Regions, the genus and the hfk counts need a valid complex
-(:meth:`CfkComplex.require_valid`); h_hat, the region flip equivalence
-and the reflected complex also need a flip
+(:meth:`CfkComplex.require_valid`); h_hat also needs a flip
 (:meth:`CfkComplex.require_flip`).  A memoized value implies that its
 checks passed, so a memo hit repeats none of them.  A caller that reads
 a region, a chain map or the genus therefore raises InvalidComplexError
@@ -92,11 +90,6 @@ class HatA:
 @dataclass(frozen=True)
 class HatB:
     pass
-
-
-@dataclass(frozen=True)
-class JLevel:
-    s: int
 
 
 @dataclass(frozen=True)
@@ -452,9 +445,6 @@ class CfkComplex:
         elif isinstance(tag, HatB):
             for g in self.generators:
                 members.append((g.id, 0))
-        elif isinstance(tag, JLevel):
-            for g in self.generators:
-                members.append((g.id, g.alexander - tag.s))
         elif isinstance(tag, Quadrant):
             # i = -k < 0 and j = alexander - k >= min_j pin k to [1, A - min_j].
             for g in self.generators:
@@ -526,17 +516,6 @@ class CfkComplex:
 
         return self.cached(("h", s), build)
 
-    def region_flip_equivalence(self, s: int) -> FilteredChainMap:
-        """The chain isomorphism HatA(s) -> HatA(-s) given by U^s then the flip."""
-        self.require_valid()
-        self.require_flip()
-        flip, alexander = self.flip_map, self.alexander
-        return self._region_map(
-            HatA(s),
-            HatA(-s),
-            lambda gid, k: (flip[gid], max(0, s - alexander[gid])),
-        )
-
     # -- derived invariants ---------------------------------------------------
 
     def b_rank(self) -> int:
@@ -569,27 +548,6 @@ class CfkComplex:
         if g < 1:
             raise UndefinedRegionError("the quadrant region needs genus >= 1")
         return self.region_complex(Quadrant(g - 1)).homology.dim
-
-    def reflected(self) -> "CfkComplex":
-        """The complex with the two filtration roles exchanged.
-
-        Generator x keeps its id with alexander grading negated; a term
-        with drops (k, d_j) becomes a term with drops (d_j, k).  For every
-        s the maps v_hat(s) of the result and h_hat(-s) of the original
-        have the same rank and kernel dimension.
-        """
-        self.require_valid()
-        self.require_flip()
-        gens = [Generator(g.id, -g.alexander) for g in self.generators]
-        terms = [
-            DiffTerm(
-                t.source,
-                t.target,
-                t.upower + self.alexander[t.source] - self.alexander[t.target],
-            )
-            for t in self.differential
-        ]
-        return CfkComplex(gens, terms, self.flip_pairs, f"reflected({self.name})")
 
     # -- serialization -----------------------------------------------------
 

@@ -74,19 +74,6 @@ class F2Matrix:
         return len(self.data)
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> "F2Matrix":
-        masks = [0] * rows
-        seen = set()
-        for r, c in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise DimensionError(f"entry ({r}, {c}) out of bounds")
-            if (r, c) in seen:
-                raise DimensionError(f"duplicate entry ({r}, {c})")
-            seen.add((r, c))
-            masks[r] |= 1 << c
-        return cls(cols, tuple(masks))
-
-    @classmethod
     def from_columns(cls, col_masks: Sequence[int], rows: int) -> "F2Matrix":
         masks = [0] * rows
         for c, col in enumerate(col_masks):

@@ -98,6 +98,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 from . import f2
 from .cfk import CfkComplex, HatA, HatB
@@ -486,14 +487,6 @@ def nu_surrogate(c: CfkComplex) -> int:
     return s
 
 
-def t_closed_form(c: CfkComplex, slope: Slope) -> int:
-    """Case formula for t: p when nu = 0, else max(0, p - (2 nu - 1) q)."""
-    nu = nu_surrogate(c)
-    if nu == 0:
-        return slope.p
-    return max(0, slope.p - (2 * nu - 1) * slope.q)
-
-
 def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     """Dimension of the kernel of the induced block matrix, in closed form:
     q*ker(v0) + 2q*sum(s=1..g-1) ker(vs) + t."""
@@ -593,7 +586,8 @@ class RankReport:
     hypothesis_ok: bool
     b: int
     genus: int
-    note: str = ""
+    # The same caveat for every report, serialized as the JSON "note" key.
+    note: ClassVar[str] = "t computed from the supplied flip involution"
 
     # The TSV columns are the JSON keys of the same names, in the same order.
     TSV_COLUMNS = ("name", "p", "q", "oracle", "formula", "t", "nu", "hypothesis", "b", "genus")
@@ -640,5 +634,4 @@ def compute_rank_report(c: CfkComplex, slope: Slope) -> RankReport:
         hypothesis_ok=hyp,
         b=b,
         genus=c.genus(),
-        note="t computed from the supplied flip involution",
     )

@@ -11,13 +11,14 @@ from hfsurgery.cfk import (
     Generator,
     HatA,
     HatB,
-    JLevel,
     Quadrant,
     UndefinedRegionError,
     UnknownRegionError,
 )
 from hfsurgery.f2 import InvalidComplexError
 from hfsurgery.knots import builtin
+
+import models
 
 
 @pytest.fixture
@@ -144,16 +145,17 @@ class TestRegions:
         assert region.homology.dim == 1
 
     def test_unknot_j_level(self, unknot):
-        region = unknot.region_complex(JLevel(0))
+        region = models.j_level_region(unknot, 0)
         assert region.dim == 1 and region.homology.dim == 1
 
     def test_quadrant_single_point(self, trefoil):
         region = trefoil.region_complex(Quadrant(0))
         assert region.basis == (("a", 1),)
 
-    def test_unknown_tag(self, trefoil):
+    @pytest.mark.parametrize("tag", ["nonsense", models.JLevel(0)], ids=["nonsense", "j-level"])
+    def test_unknown_tag(self, trefoil, tag):
         with pytest.raises(UnknownRegionError):
-            trefoil.region_complex("nonsense")
+            trefoil.region_complex(tag)
 
     def test_region_memoized(self, trefoil):
         assert trefoil.region_complex(HatA(0)) is trefoil.region_complex(HatA(0))
@@ -221,11 +223,11 @@ class TestHhat:
 
     def test_matches_three_stage_composite(self, fig8):
         """h_hat agrees with projection, U^s shift, then flip, assembled
-        explicitly through the JLevel regions."""
+        explicitly through the j-level regions of ``models``."""
         for s in (-1, 0, 1):
             source = fig8.region_complex(HatA(s))
-            j_s = fig8.region_complex(JLevel(s))
-            j_0 = fig8.region_complex(JLevel(0))
+            j_s = models.j_level_region(fig8, s)
+            j_0 = models.j_level_region(fig8, 0)
             target = fig8.region_complex(HatB())
             proj = [0] * j_s.dim
             for col, (gid, k) in enumerate(source.basis):
@@ -282,12 +284,12 @@ class TestInvariants:
 
 class TestReflected:
     def test_unknot_fixed(self, unknot):
-        r = unknot.reflected()
+        r = models.reflected(unknot)
         assert r.validate().ok
         assert r.hfk_profile() == unknot.hfk_profile()
 
     def test_trefoil_relabels_staircase(self, trefoil):
-        r = trefoil.reflected()
+        r = models.reflected(trefoil)
         assert r.validate().ok
         # the staircase is flip symmetric: swapping i and j relabels a and c
         assert r.alexander == {"a": -1, "b": 0, "c": 1}
@@ -295,7 +297,7 @@ class TestReflected:
 
     def test_rank_symmetry_with_h(self, trefoil, fig8):
         for c in (trefoil, fig8, builtin("t25")):
-            r = c.reflected()
+            r = models.reflected(c)
             for s in range(-3, 4):
                 assert r.v_hat(s).induced_rank() == c.h_hat(-s).induced_rank()
                 assert r.v_hat(s).induced_kernel_dim() == c.h_hat(-s).induced_kernel_dim()
@@ -303,7 +305,7 @@ class TestReflected:
     def test_requires_flip(self):
         c = CfkComplex([Generator("x", 0)], [], None, "flipless")
         with pytest.raises(FlipRequiredError):
-            c.reflected()
+            models.reflected(c)
 
 
 class TestFlipEquivalence:
@@ -312,7 +314,7 @@ class TestFlipEquivalence:
         # HatA(s) -> HatA(-s); its induced matrix must be invertible
         for c in (trefoil, fig8):
             for s in range(-2, 3):
-                eq = c.region_flip_equivalence(s)
+                eq = models.region_flip_equivalence(c, s)
                 assert eq.is_induced_iso()
 
 

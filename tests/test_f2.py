@@ -15,7 +15,10 @@ from hfsurgery.f2 import (
 
 
 def mat(rows, cols, entries):
-    return F2Matrix.from_entries(rows, cols, entries)
+    masks = [0] * rows
+    for r, c in entries:
+        masks[r] |= 1 << c
+    return F2Matrix(cols, tuple(masks))
 
 
 @pytest.mark.parametrize("cols, data", [(2, (0b100,)), (3, (0b1, -1)), (0, (1,))])

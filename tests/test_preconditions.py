@@ -24,10 +24,11 @@ from hfsurgery.surgery import (
     kernel_rank,
     nu_surrogate,
     rank_formula,
-    t_closed_form,
     t_invariant,
     truncation_bound,
 )
+
+import models
 
 SLOPE = Slope(1, 2)
 
@@ -36,7 +37,7 @@ NEEDS_VALID = {
     "b_rank": lambda c: c.b_rank(),
     "v_hat": lambda c: c.v_hat(0),
     "nu_surrogate": nu_surrogate,
-    "t_closed_form": lambda c: t_closed_form(c, SLOPE),
+    "t_closed_form": lambda c: models.t_closed_form(c, SLOPE),
     "truncation_bound": lambda c: truncation_bound(c, SLOPE),
     "hfk_profile": lambda c: c.hfk_profile(),
     "mirror": mirror,

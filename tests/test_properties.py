@@ -23,11 +23,11 @@ from hfsurgery.surgery import (
     kernel_basis_construction,
     kernel_rank,
     rank_formula,
-    t_closed_form,
     t_invariant,
     truncation_bound,
 )
 
+import models
 from full_boundary import full_boundary
 
 specs = st.builds(
@@ -218,7 +218,7 @@ def test_kernel_construction_counts(c, slope):
 @settings(max_examples=30, deadline=None)
 @given(specs.filter(lambda s: s.dots == 1).map(random_complex), slopes)
 def test_t_closed_form_for_b_one(c, slope):
-    assert t_invariant(c, slope) == t_closed_form(c, slope)
+    assert t_invariant(c, slope) == models.t_closed_form(c, slope)
 
 
 @settings(max_examples=30, deadline=None)
@@ -242,7 +242,7 @@ def test_json_round_trip(c):
 @settings(max_examples=30, deadline=None)
 @given(complexes)
 def test_reflected_swaps_v_and_h(c):
-    r = c.reflected()
+    r = models.reflected(c)
     assert r.validate().ok
     g = c.genus()
     for s in range(-g - 1, g + 2):
