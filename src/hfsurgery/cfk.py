@@ -13,9 +13,13 @@ The finite hat-flavor regions are level sets of the (i, j) filtration:
     Quadrant(t)  i < 0 and j >= t       finitely many elements
 
 with the induced differential keeping exactly the components that stay
-inside the region.  The maps v_hat(s) and h_hat(s) from HatA(s) to HatB
-are the vertical projection and the horizontal projection composed with
-U^s and the flip involution.
+inside the region.  Element i of a region is U^upowers[i] times the
+generator ids[i].  HatA(s) and HatB hold one copy of each generator, in
+the complex's generator order, and share its one id tuple: element i is
+(x_i, max(0, alexander(x_i) - s)) in HatA(s) and (x_i, 0) in HatB.  The
+maps v_hat(s) and h_hat(s) from HatA(s) to HatB are the vertical
+projection and the horizontal projection composed with U^s and the flip
+involution, built straight from that order.
 
 This module owns the precondition policy and checks it where data is
 built.  Regions, the genus and the hfk counts need a valid complex
@@ -125,18 +129,24 @@ class ValidationReport:
 class RegionComplex:
     """A finite GF(2) complex cut out of the (i, j) lattice.
 
-    ``basis`` lists (generator id, upower) lattice elements inside the
-    region; ``boundary`` keeps the differential components that stay in
-    the region.  Components leaving the region are dropped, and nothing
-    can enter from outside because regions are differences of upward
-    closed sets.
+    Element i is the lattice element ``(ids[i], upowers[i])``, U^upowers[i]
+    times the generator ids[i]; ``boundary`` keeps the differential
+    components that stay in the region.  Components leaving the region are
+    dropped, and nothing can enter from outside because regions are
+    differences of upward closed sets.  HatA(s) and HatB share their
+    complex's id tuple, so element i of either is a copy of generator i.
     """
 
-    def __init__(self, tag, basis: tuple[tuple[str, int], ...], boundary: F2Matrix):
+    def __init__(self, tag, ids: tuple[str, ...], upowers: tuple[int, ...], boundary: F2Matrix):
         self.tag = tag
-        self.basis = basis
+        self.ids = ids
+        self.upowers = upowers
         self.boundary = boundary
-        self._pos = {elem: i for i, elem in enumerate(basis)}
+
+    @property
+    def basis(self) -> tuple[tuple[str, int], ...]:
+        """The elements as (generator id, upower) pairs, built on each read."""
+        return tuple(zip(self.ids, self.upowers))
 
     @cached_property
     def homology(self) -> HomologyBasis:
@@ -155,10 +165,7 @@ class RegionComplex:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def position(self, gen_id: str, upower: int) -> int | None:
-        return self._pos.get((gen_id, upower))
+        return len(self.ids)
 
     def __repr__(self) -> str:
         return f"RegionComplex({self.tag}, dim={self.dim})"
@@ -437,82 +444,93 @@ class CfkComplex:
 
     # -- regions -----------------------------------------------------------
 
-    def _region_members(self, tag) -> list[tuple[str, int]]:
-        members: list[tuple[str, int]] = []
-        if isinstance(tag, HatA):
-            for g in self.generators:
-                members.append((g.id, max(0, g.alexander - tag.s)))
-        elif isinstance(tag, HatB):
-            for g in self.generators:
-                members.append((g.id, 0))
-        elif isinstance(tag, Quadrant):
-            # i = -k < 0 and j = alexander - k >= min_j pin k to [1, A - min_j].
-            for g in self.generators:
-                for k in range(1, g.alexander - tag.min_j + 1):
-                    members.append((g.id, k))
-        else:
-            raise UnknownRegionError(f"unknown region tag {tag!r}")
-        return members
+    @cached_property
+    def _order(self) -> tuple:
+        """The generator order that HatA(s) and HatB are indexed by:
+        ``(ids, alexander, index, units, arcs)``, with ``index`` the position
+        of each id, ``units[i] = 1 << i`` and the differential as arcs
+        (source position, target position, upower).  Built on the first
+        region or map of a valid complex, not when the complex is made."""
+        self.require_valid()
+        ids = tuple(g.id for g in self.generators)
+        index = {gid: i for i, gid in enumerate(ids)}
+        arcs = tuple((index[t.source], index[t.target], t.upower) for t in self.differential)
+        alexander = tuple(g.alexander for g in self.generators)
+        return ids, alexander, index, tuple(1 << i for i in range(len(ids))), arcs
 
     def region_complex(self, tag) -> RegionComplex:
         return self.cached(("region", tag), lambda: self._build_region(tag))
 
     def _build_region(self, tag) -> RegionComplex:
-        self.require_valid()
-        members = self._region_members(tag)
-        index = {elem: i for i, elem in enumerate(members)}
+        if isinstance(tag, Quadrant):
+            return self._build_quadrant(tag)
+        ids, alexander, _, units, arcs = self._order
+        if isinstance(tag, HatA):
+            upowers = tuple([a - tag.s if a > tag.s else 0 for a in alexander])
+        elif isinstance(tag, HatB):
+            upowers = (0,) * len(ids)
+        else:
+            raise UnknownRegionError(f"unknown region tag {tag!r}")
+        # One element per generator, so a term stays inside exactly when it
+        # lands on its target's one upower.
+        masks = [0] * len(ids)
+        for col, row, m in arcs:
+            if upowers[row] == upowers[col] + m:
+                masks[row] ^= units[col]
+        return RegionComplex(tag, ids, upowers, F2Matrix(len(ids), tuple(masks)))
+
+    def _build_quadrant(self, tag: Quadrant) -> RegionComplex:
+        ids, alexander, _, _, arcs = self._order
+        # i = -k < 0 and j = alexander - k >= min_j pin k to [1, A - min_j].
+        members = [(i, k) for i, a in enumerate(alexander) for k in range(1, a - tag.min_j + 1)]
+        index = {elem: pos for pos, elem in enumerate(members)}
         masks = [0] * len(members)
-        for (gid, k), col in index.items():
-            for target, m in self._terms_by_source[gid]:
-                row = index.get((target, k + m))
-                if row is not None:
-                    masks[row] ^= 1 << col
-        boundary = F2Matrix(len(members), tuple(masks))
-        return RegionComplex(tag, tuple(members), boundary)
+        for col, row, m in arcs:
+            for k in range(1, alexander[col] - tag.min_j + 1):
+                pos = index.get((row, k + m))
+                if pos is not None:
+                    masks[pos] ^= 1 << index[(col, k)]
+        region_ids, upowers = tuple(ids[i] for i, _ in members), tuple(k for _, k in members)
+        return RegionComplex(tag, region_ids, upowers, F2Matrix(len(members), tuple(masks)))
 
     # -- the canonical maps -------------------------------------------------
 
-    def _region_map(self, source_tag, target_tag, image) -> FilteredChainMap:
-        """The chain map sending basis element (gid, k) of the source region
-        to the target element ``image(gid, k)``, or to zero when that is None.
-
-        Fetching the regions validates the complex."""
-        source = self.region_complex(source_tag)
-        target = self.region_complex(target_tag)
-        masks = [0] * target.dim
-        for col, (gid, k) in enumerate(source.basis):
-            elem = image(gid, k)
-            if elem is not None:
-                masks[target.position(*elem)] |= 1 << col
-        matrix = F2Matrix(source.dim, tuple(masks))
-        return FilteredChainMap(source, target, matrix)
+    def _from_hat_a(self, s: int, rows: list[int]) -> FilteredChainMap:
+        """The chain map HatA(s) -> HatB with these row masks."""
+        source, target = self.region_complex(HatA(s)), self.region_complex(HatB())
+        return FilteredChainMap(source, target, F2Matrix(source.dim, tuple(rows)))
 
     def v_hat(self, s: int) -> FilteredChainMap:
-        """Vertical projection HatA(s) -> HatB: keep the i = 0 part."""
-        return self.cached(
-            ("v", s),
-            lambda: self._region_map(
-                HatA(s), HatB(), lambda gid, k: (gid, 0) if k == 0 else None
-            ),
-        )
+        """Vertical projection HatA(s) -> HatB: keep the i = 0 part.  Row i
+        is the unit mask 1 << i when alexander(x_i) <= s, and zero otherwise.
+
+        Reading the generator order validates the complex."""
+
+        def build() -> FilteredChainMap:
+            _, alexander, _, units, _ = self._order
+            return self._from_hat_a(s, [u if a <= s else 0 for a, u in zip(alexander, units)])
+
+        return self.cached(("v", s), build)
 
     def h_hat(self, s: int) -> FilteredChainMap:
         """Horizontal map HatA(s) -> HatB.
 
         Project onto the j = s part, shift it to j = 0 with U^s, then
         apply the flip.  On the canonical bases the composite sends
-        (x, k) to (flip(x), 0) exactly when alexander(x) >= s.
+        (x, k) to (flip(x), 0) exactly when alexander(x) >= s, so row
+        index(flip(x_i)) gets the unit mask 1 << i then.
         """
 
         def build() -> FilteredChainMap:
-            self.require_valid()
+            ids, alexander, index, units, _ = self._order  # validates first
             self.require_flip()
-            flip, alexander = self.flip_map, self.alexander
-            return self._region_map(
-                HatA(s),
-                HatB(),
-                lambda gid, k: (flip[gid], 0) if alexander[gid] >= s else None,
-            )
+            rows = [0] * len(ids)
+            # A valid flip is a bijection, so each row gets at most one unit
+            # mask, and it keeps the shared one.
+            for gid, a, u in zip(ids, alexander, units):
+                if a >= s:
+                    rows[index[self.flip_map[gid]]] = u
+            return self._from_hat_a(s, rows)
 
         return self.cached(("h", s), build)
 

@@ -4,12 +4,24 @@ public API only.
 The tests read them to check the paper's lemmas: the reflection swaps the
 ranks of v_hat and h_hat, the flip is a chain isomorphism between HatA(s)
 and HatA(-s), the j-level regions factor h_hat, and t has a case formula
-when b = 1.
+when b = 1.  The reference regions and maps build HatA(s), HatB,
+Quadrant(t), v_hat and h_hat element by element, through an (id, upower)
+index, and ``assert_matches_reference`` checks the library's
+generator-indexed ones against them.
 """
 
 from dataclasses import dataclass
 
-from hfsurgery.cfk import CfkComplex, DiffTerm, FilteredChainMap, Generator, HatA, RegionComplex
+from hfsurgery.cfk import (
+    CfkComplex,
+    DiffTerm,
+    FilteredChainMap,
+    Generator,
+    HatA,
+    HatB,
+    Quadrant,
+    RegionComplex,
+)
 from hfsurgery.f2 import F2Matrix
 from hfsurgery.surgery import Slope, nu_surrogate
 
@@ -38,7 +50,7 @@ def region_flip_equivalence(c: CfkComplex, s: int) -> FilteredChainMap:
     c.require_flip()
     masks = [0] * target.dim
     for col, (gid, k) in enumerate(source.basis):
-        masks[target.position(c.flip_map[gid], max(0, s - c.alexander[gid]))] |= 1 << col
+        masks[position(target, c.flip_map[gid], max(0, s - c.alexander[gid]))] |= 1 << col
     return FilteredChainMap(source, target, F2Matrix(source.dim, tuple(masks)))
 
 
@@ -53,15 +65,81 @@ def j_level_region(c: CfkComplex, s: int) -> RegionComplex:
     """The region j = s: one basis element (x, alexander(x) - s) per
     generator, keeping the differential terms that stay in it."""
     c.require_valid()
-    basis = tuple((g.id, g.alexander - s) for g in c.generators)
-    index = {elem: i for i, elem in enumerate(basis)}
-    masks = [0] * len(basis)
+    ids = tuple(g.id for g in c.generators)
+    upowers = tuple(g.alexander - s for g in c.generators)
+    index = {elem: i for i, elem in enumerate(zip(ids, upowers))}
+    masks = [0] * len(ids)
     for t in c.differential:
         k = c.alexander[t.source] - s
         row = index.get((t.target, k + t.upower))
         if row is not None:
             masks[row] ^= 1 << index[(t.source, k)]
-    return RegionComplex(JLevel(s), basis, F2Matrix(len(basis), tuple(masks)))
+    return RegionComplex(JLevel(s), ids, upowers, F2Matrix(len(ids), tuple(masks)))
+
+
+def position(region: RegionComplex, gen_id: str, upower: int) -> int | None:
+    """The index of the element U^upower * gen_id in the region, or None."""
+    try:
+        return region.basis.index((gen_id, upower))
+    except ValueError:
+        return None
+
+
+def reference_members(c: CfkComplex, tag) -> list[tuple[str, int]]:
+    """The (id, upower) elements of HatA(s), HatB or Quadrant(t), one per
+    lattice element, in the library's order."""
+    if isinstance(tag, HatA):
+        return [(g.id, max(0, g.alexander - tag.s)) for g in c.generators]
+    if isinstance(tag, HatB):
+        return [(g.id, 0) for g in c.generators]
+    assert isinstance(tag, Quadrant)
+    return [(g.id, k) for g in c.generators for k in range(1, g.alexander - tag.min_j + 1)]
+
+
+def reference_region(c: CfkComplex, tag) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
+    """The region's elements and boundary row masks: each term of each
+    element is looked up in an (id, upower) index and kept when it lands
+    inside."""
+    c.require_valid()
+    members = reference_members(c, tag)
+    index = {elem: i for i, elem in enumerate(members)}
+    masks = [0] * len(members)
+    for (gid, k), col in index.items():
+        for t in c.differential:
+            row = index.get((t.target, k + t.upower)) if t.source == gid else None
+            if row is not None:
+                masks[row] ^= 1 << col
+    return tuple(members), tuple(masks)
+
+
+def reference_map(c: CfkComplex, kind: str, s: int) -> tuple[int, ...]:
+    """The row masks of v_hat(s) (``kind`` "v") or h_hat(s) ("h"): each
+    element (x, k) of HatA(s) goes to the HatB position of (x, 0) when
+    k = 0, or of (flip(x), 0) when alexander(x) >= s."""
+    c.require_valid()
+    index = {elem: i for i, elem in enumerate(reference_members(c, HatB()))}
+    masks = [0] * len(index)
+    for col, (gid, k) in enumerate(reference_members(c, HatA(s))):
+        if kind == "v" and k == 0:
+            masks[index[(gid, 0)]] |= 1 << col
+        elif kind == "h" and c.alexander[gid] >= s:
+            masks[index[(c.flip_map[gid], 0)]] |= 1 << col
+    return tuple(masks)
+
+
+def assert_matches_reference(c: CfkComplex) -> None:
+    """Every HatA(s) and Quadrant(s) with |s| <= genus + 1 and HatB has the
+    reference elements and boundary, and every v_hat(s) and h_hat(s) the
+    reference matrix.  Quadrant(genus - 1) is the one the library reads."""
+    g = c.genus()
+    window = range(-g - 1, g + 2)
+    for tag in [HatA(s) for s in window] + [HatB()] + [Quadrant(s) for s in window]:
+        region = c.region_complex(tag)
+        assert (region.basis, region.boundary.data) == reference_region(c, tag), tag
+        assert region.dim == len(region.basis)
+    for s in window:
+        assert c.v_hat(s).matrix.data == reference_map(c, "v", s), s
+        assert c.h_hat(s).matrix.data == reference_map(c, "h", s), s
 
 
 def t_closed_form(c: CfkComplex, slope: Slope) -> int:

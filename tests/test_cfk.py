@@ -1,5 +1,7 @@
 """Unit tests for the bifiltered complex data model and its regions."""
 
+from itertools import combinations
+
 import pytest
 
 from hfsurgery import f2
@@ -16,7 +18,8 @@ from hfsurgery.cfk import (
     UnknownRegionError,
 )
 from hfsurgery.f2 import InvalidComplexError
-from hfsurgery.knots import builtin
+from hfsurgery.knots import BUILTIN_NAMES, builtin, tensor
+from hfsurgery.surgery import Slope, compute_rank_report, cone_rank_homological
 
 import models
 
@@ -130,7 +133,7 @@ class TestRegions:
     def test_trefoil_hat_a0(self, trefoil):
         region = trefoil.region_complex(HatA(0))
         assert set(region.basis) == {("a", 1), ("b", 0), ("c", 0)}
-        col = region.position("b", 0)
+        col = models.position(region, "b", 0)
         image = [row for row in range(region.dim) if region.boundary.data[row] >> col & 1]
         assert {region.basis[r] for r in image} == {("a", 1), ("c", 0)}
         assert region.homology.dim == 1
@@ -139,7 +142,7 @@ class TestRegions:
         region = trefoil.region_complex(HatB())
         assert set(region.basis) == {("a", 0), ("b", 0), ("c", 0)}
         # the U a component has i = -1 and is dropped
-        col = region.position("b", 0)
+        col = models.position(region, "b", 0)
         image = [row for row in range(region.dim) if region.boundary.data[row] >> col & 1]
         assert {region.basis[r] for r in image} == {("c", 0)}
         assert region.homology.dim == 1
@@ -159,6 +162,28 @@ class TestRegions:
 
     def test_region_memoized(self, trefoil):
         assert trefoil.region_complex(HatA(0)) is trefoil.region_complex(HatA(0))
+
+    def test_hat_regions_share_one_id_tuple_and_keep_no_basis(self):
+        # After both rank routes, every memoized HatA and HatB region
+        # holds the complex's one id tuple and one upower per generator,
+        # and no per-element basis tuple or position dict.
+        c = tensor(builtin("t25"), builtin("t27"))
+        for slope in (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(5, 3)):
+            compute_rank_report(c, slope)
+            cone_rank_homological(c, slope)
+        regions = [
+            value
+            for key, value in c._memo.items()
+            if isinstance(key, tuple) and key[0] == "region" and isinstance(key[1], (HatA, HatB))
+        ]
+        assert len(regions) > 2
+        ids = regions[0].ids
+        assert ids == tuple(g.id for g in c.generators)
+        for region in regions:
+            assert region.ids is ids
+            assert len(region.upowers) == len(ids)
+            assert "basis" not in vars(region)
+            assert not any(isinstance(value, dict) for value in vars(region).values())
 
     def test_cycles_and_homology_share_one_kernel_basis(self, fig8, monkeypatch):
         # A fresh region eliminates its boundary once for its cycles,
@@ -232,13 +257,13 @@ class TestHhat:
             proj = [0] * j_s.dim
             for col, (gid, k) in enumerate(source.basis):
                 if fig8.alexander[gid] - k == s:
-                    proj[j_s.position(gid, fig8.alexander[gid] - s)] |= 1 << col
+                    proj[models.position(j_s, gid, fig8.alexander[gid] - s)] |= 1 << col
             shift = [0] * j_0.dim
             for col, (gid, k) in enumerate(j_s.basis):
-                shift[j_0.position(gid, fig8.alexander[gid])] |= 1 << col
+                shift[models.position(j_0, gid, fig8.alexander[gid])] |= 1 << col
             flip = [0] * target.dim
             for col, (gid, k) in enumerate(j_0.basis):
-                flip[target.position(fig8.flip_map[gid], 0)] |= 1 << col
+                flip[models.position(target, fig8.flip_map[gid], 0)] |= 1 << col
             composite = (
                 f2.F2Matrix(j_0.dim, tuple(flip))
                 @ f2.F2Matrix(j_s.dim, tuple(shift))
@@ -333,3 +358,13 @@ class TestJson:
     def test_flipless_has_no_flip_key(self):
         c = CfkComplex([Generator("x", 0)], [], None, "flipless")
         assert "flip" not in c.to_json_dict()
+
+
+class TestReferenceModel:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        models.assert_matches_reference(builtin(name))
+
+    @pytest.mark.parametrize("pair", list(combinations(BUILTIN_NAMES, 2)), ids="#".join)
+    def test_builtin_tensors(self, pair):
+        models.assert_matches_reference(tensor(builtin(pair[0]), builtin(pair[1])))

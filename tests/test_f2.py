@@ -161,7 +161,7 @@ class TestInducedMap:
 
     def test_non_chain_map_rejected(self):
         # FilteredChainMap is the one place that checks f∘∂ = ∂∘f.
-        region = RegionComplex("segment", (("x", 0), ("y", 0)), mat(2, 2, [(1, 0)]))
+        region = RegionComplex("segment", ("x", "y"), (0, 0), mat(2, 2, [(1, 0)]))
         swap = mat(2, 2, [(0, 1), (1, 0)])
         with pytest.raises(NotAChainMapError):
             FilteredChainMap(region, region, swap)

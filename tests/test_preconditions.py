@@ -2,7 +2,10 @@
 
 Derived data is built only for a valid complex, and h-maps only for a
 complex with a flip; ``cfk`` enforces both where the data is built.  An
-invalid complex must raise InvalidComplexError everywhere, flip or not.
+invalid complex must raise InvalidComplexError everywhere, flip or not,
+and so must a complex whose flip names a missing generator or is not an
+involution: h-maps index HatB by the flip partner's position, so reading
+one before the check would raise KeyError instead.
 A valid complex without a flip must raise FlipRequiredError wherever an
 h-map or a cone is read, and must still work wherever it is not.
 """
@@ -10,7 +13,7 @@ h-map or a cone is read, and must still work wherever it is not.
 import pytest
 
 from hfsurgery import builtin, mirror
-from hfsurgery.cfk import CfkComplex, DiffTerm, FlipRequiredError
+from hfsurgery.cfk import CfkComplex, DiffTerm, FlipPair, FlipRequiredError
 from hfsurgery.f2 import InvalidComplexError
 from hfsurgery.obstructions import complement_check, cosmetic_pair_check, monotonicity_scan
 from hfsurgery.surgery import (
@@ -72,6 +75,14 @@ def bad_complex(valid: bool, flip: bool) -> CfkComplex:
     return CfkComplex(t.generators, terms, t.flip_pairs if flip else None, "bad")
 
 
+# Flips of the right-handed trefoil (a, b, c at A = 1, 0, -1) that fail
+# validation, by the issue code they raise.
+BAD_FLIPS = {
+    "flip-unknown": (FlipPair("a", "c"), FlipPair("b", "z")),
+    "flip-involution": (FlipPair("a", "c"), FlipPair("c", "b")),
+}
+
+
 def warm(c: CfkComplex) -> None:
     """Fill the memo with everything that can be built without a flip, so
     that a memo hit cannot skip a check."""
@@ -106,3 +117,16 @@ def test_flipless_complex_raises_where_h_is_read(name, warmed):
 @pytest.mark.parametrize("name", NEEDS_VALID)
 def test_flipless_complex_works_without_h(name):
     NEEDS_VALID[name](bad_complex(valid=True, flip=False))
+
+
+@pytest.mark.parametrize("warmed", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("defect", BAD_FLIPS)
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_bad_flip_raises_invalid_everywhere(name, defect, warmed):
+    t = builtin("trefoil_rh")
+    c = CfkComplex(t.generators, t.differential, BAD_FLIPS[defect], "bad")
+    if warmed:
+        warm(c)
+    with pytest.raises(InvalidComplexError, match="complex 'bad' is invalid:\n") as info:
+        ENTRY_POINTS[name](c)
+    assert f"\n{defect}: " in str(info.value)

@@ -255,3 +255,9 @@ def test_reflected_swaps_v_and_h(c):
 def test_builtin_oracle_agreement(name, slope):
     c = builtin(name)
     assert cone_rank_chain(c, slope) == cone_rank_homological(c, slope) == rank_formula(c, slope)
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes)
+def test_regions_and_maps_match_the_reference_model(c):
+    models.assert_matches_reference(c)
