@@ -16,7 +16,9 @@ with the induced differential keeping exactly the components that stay
 inside the region.  Element i of a region is U^upowers[i] times the
 generator ids[i].  HatA(s) and HatB hold one copy of each generator, in
 the complex's generator order, and share its one id tuple: element i is
-(x_i, max(0, alexander(x_i) - s)) in HatA(s) and (x_i, 0) in HatB.  The
+(x_i, max(0, alexander(x_i) - s)) in HatA(s) and (x_i, 0) in HatB.  For
+s >= max_alexander every upower is 0, and HatA(s) is the HatB region
+itself, one object with one kernel and one homology basis.  The
 maps v_hat(s) and h_hat(s) from HatA(s) to HatB are the vertical
 projection and the horizontal projection composed with U^s and the flip
 involution, built straight from that order.
@@ -466,6 +468,10 @@ class CfkComplex:
             return self._build_quadrant(tag)
         ids, alexander, _, units, arcs = self._order
         if isinstance(tag, HatA):
+            if tag.s >= self.max_alexander:
+                # Every upower is 0, so HatA(s) is HatB element for element:
+                # serve that one region, with its one kernel and homology.
+                return self.region_complex(HatB())
             upowers = tuple([a - tag.s if a > tag.s else 0 for a in alexander])
         elif isinstance(tag, HatB):
             upowers = (0,) * len(ids)
@@ -476,7 +482,10 @@ class CfkComplex:
         masks = [0] * len(ids)
         for col, row, m in arcs:
             if upowers[row] == upowers[col] + m:
-                masks[row] ^= units[col]
+                # A row's first bit keeps the shared unit mask, as the rows of
+                # v_hat do; 0 ^ unit would make a fresh int.
+                mask = masks[row]
+                masks[row] = mask ^ units[col] if mask else units[col]
         return RegionComplex(tag, ids, upowers, F2Matrix(len(ids), tuple(masks)))
 
     def _build_quadrant(self, tag: Quadrant) -> RegionComplex:

@@ -38,11 +38,14 @@ and change nothing else.  Hence, exactly over any field,
     rank D = sum over the HatA columns j of rank d(HatA(floor(j/q)))
              + rank of the HatB rows [h_hat N(j-p) | d(HatB) | v_hat N(j)].
 
-The first term is each block's dimension less its number of cycles.  The
-cycle basis is taken once per region and each map's product with it once
-per map.  A map's row vanishes on the cycles exactly when it lies in the
-row space of d, so a HatB row is zero exactly when it lies in the span of
-the HatA rows, and only the nonzero ones are eliminated.  Their columns
+The first term is each block's dimension less its number of cycles, so
+the rank of the cone's homology, its dimension less twice rank D, is the
+HatB dimension plus, per region, (2 * cycles - dim) times the columns that
+copy it, less twice the second term.  The cycle basis is taken once per
+region and each map's product with it once per map.  A map's row vanishes
+on the cycles exactly when it lies in the row space of d, so a HatB row is
+zero exactly when it lies in the span of the HatA rows, and only the
+nonzero ones are eliminated.  Their columns
 are laid out in chain order: for each residue class of j mod p, the
 columns j of that class in ascending order, each as its HatB block (when
 it exists) and then its HatA block, as wide as its cycles.  Column j maps
@@ -65,7 +68,7 @@ dimension, and the next carry is the part of that row space with no bit
 below HatA block j: the reduced rows whose pivot lies in block j.  Both
 are functions of the carry and the key (floor((j - p) / q), floor(j / q))
 that fixes block j's rows, so each step is memoized on the complex under
-(carry, key), shared across classes, slopes and windows.  Only the
+("sweep", carry, key), shared across classes, slopes and windows.  Only the
 distinct steps are ever eliminated, and no step's matrix spans more than
 three blocks.
 Route one reads homology only through the genus, which fixes the window,
@@ -80,6 +83,24 @@ the routes part: route one multiplies each map by the basis
 (``on_cycles``), route two applies each map to the homology
 representatives, so a fault in either product shows as a disagreement.
 
+The block matrix has the cone's shape without the HatB blocks: its row
+block j is [h_hat((j - p) // q)_* | v_hat(j // q)_*] on the homology of
+HatA blocks j - p and j, so it too is block-diagonal over j mod p and
+bidiagonal within each class, and the same sweep ranks it.  Its carry is
+the row space so far cut down to HatA block j - p in homology coordinates,
+and its steps are memoized under ("hsweep", carry, key), apart from the
+chain route's ("sweep", carry, key).  Each memo miss is eliminated once by
+``f2.rref``: the rank it adds is the pivot count less the carry's size,
+and the next carry the reduced rows with their pivot in the v block.  The
+chain route reads its increment from an ``f2.rank`` call instead, the call
+the benchmark's tracer counts as the cone elimination.  Route two never
+builds the block matrix; :meth:`MappingCone.block_matrix` assembles the
+same per-key rows for the kernel construction and the tests.
+
+A cone reads its window's HatA regions from one memo entry per range of s,
+a dict shared by every cone on that range, so building a cone costs two
+lookups however many regions it spans.
+
 The closed form, the kernel construction and the monotonicity scan need
 the image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
 memoized verdict and :func:`require_hypothesis` its one error.  The verdict
@@ -90,7 +111,7 @@ Preconditions follow the policy stated in ``cfk``: every function here
 reads a region, a chain map or the genus before it returns, so ``cfk``
 raises for an invalid complex or a missing flip.  The one guard kept here
 is the flip check in ``MappingCone``, because a cone reads its h-maps only
-when its boundary or block matrix is built.
+when the rows of a HatB block are built.
 """
 
 from __future__ import annotations
@@ -193,7 +214,7 @@ class MappingCone:
     chain and homology views."""
 
     def __init__(self, complex_: CfkComplex, slope: Slope, lo: int, hi: int):
-        # The cone reads h-maps only when its boundary or block matrix is
+        # The cone reads h-maps only when the rows of a HatB block are
         # built, so the flip is checked here, before any region is built.
         complex_.require_flip()
         self.complex = complex_
@@ -201,9 +222,14 @@ class MappingCone:
         # Ranges: ``j in self.b_columns`` is an O(1) membership test.
         self.a_columns = range(lo, hi + 1)
         self.b_columns = range(lo + slope.p, hi + 1)
-        # Column j is a copy of HatA(j // q): one region per s, not per column.
-        s_range = range(lo // slope.q, hi // slope.q + 1)
-        self._a_regions = {s: complex_.region_complex(HatA(s)) for s in s_range}
+        # Column j is a copy of HatA(j // q): one region per s, not per
+        # column, and the window's regions are one memo entry, read only,
+        # shared by every cone on the same range of s.
+        s_lo, s_hi = lo // slope.q, hi // slope.q
+        self._a_regions = complex_.cached(
+            ("a_regions", s_lo, s_hi),
+            lambda: {s: complex_.region_complex(HatA(s)) for s in range(s_lo, s_hi + 1)},
+        )
         self._b_region = complex_.region_complex(HatB())
 
     # -- chain-level view ---------------------------------------------------
@@ -219,12 +245,16 @@ class MappingCone:
         )
 
     @property
+    def b_dim(self) -> int:
+        """The dimension of the cone's HatB blocks together."""
+        return self._b_region.dim * len(self.b_columns)
+
+    @property
     def total_dim(self) -> int:
         """The cone's dimension, each HatA block at its full width."""
-        b_dim = self._b_region.dim * len(self.b_columns)
-        return self._per_column(lambda region: region.dim) + b_dim
+        return self._per_column(lambda region: region.dim) + self.b_dim
 
-    @cached_property
+    @property
     def a_boundary_rank(self) -> int:
         """Rank of the boundary's HatA rows: the boundary rank of each
         column's region, its dimension less its cycles, summed over the
@@ -255,13 +285,24 @@ class MappingCone:
 
     # -- homology-level view --------------------------------------------------
 
+    def induced_boundary(self, key: tuple[int, int]) -> tuple[F2Matrix, int]:
+        """One HatB row block of the induced block matrix, and the column
+        where its v block starts.
+
+        Block j with key = ((j - p) // q, j // q) is
+        ``[h_hat(key[0])_* | v_hat(key[1])_*]`` on the homology bases: the
+        HatA block j - p, then the HatA block j.  Like
+        :meth:`total_boundary` it depends on the key alone and is built on
+        every call."""
+        h_ind = self.complex.h_hat(key[0]).induced
+        return h_ind.hstack(self.complex.v_hat(key[1]).induced), h_ind.cols
+
     @cached_property
-    def _hom_offsets(self):
-        """The HatA block offsets by column and the total width, each block
-        as wide as its homology, the columns of each residue class of
-        j mod p in ascending order.  The block matrix's columns are HatA
-        alone; their order leaves its rank unchanged, and flatten reads the
-        same offsets."""
+    def _hom_offsets(self) -> dict[int, int]:
+        """The HatA block offset of each column, each block as wide as its
+        homology, the columns of each residue class of j mod p in ascending
+        order.  The block matrix's columns are HatA alone; their order
+        leaves its rank unchanged, and flatten reads the same offsets."""
         p, q = self.slope.p, self.slope.q
         # One width per region, not per column.
         a_width = {s: region.homology.dim for s, region in self._a_regions.items()}
@@ -271,11 +312,11 @@ class MappingCone:
             for j in self.a_columns[i::p]:
                 a_off[j] = pos
                 pos += a_width[j // q]
-        return a_off, pos
+        return a_off
 
     @property
     def a_homology_dim(self) -> int:
-        return self._hom_offsets[1]
+        return self._per_column(lambda region: region.homology.dim)
 
     @property
     def b_homology_dim(self) -> int:
@@ -283,31 +324,31 @@ class MappingCone:
 
     @cached_property
     def _block_matrix(self) -> F2Matrix:
-        a_off, a_total = self._hom_offsets
-        b = self._b_region.homology.dim
+        a_off = self._hom_offsets
         q, p = self.slope.q, self.slope.p
         masks = []
         for j in self.b_columns:
-            v_ind = self.complex.v_hat(j // q).induced
-            h_ind = self.complex.h_hat((j - p) // q).induced
-            for r in range(b):
-                masks.append(
-                    (v_ind.data[r] << a_off[j]) | (h_ind.data[r] << a_off[j - p])
-                )
-        return F2Matrix(a_total, tuple(masks))
+            rows, v_start = self.induced_boundary(((j - p) // q, j // q))
+            h_mask = (1 << v_start) - 1
+            masks += [
+                ((row & h_mask) << a_off[j - p]) | ((row >> v_start) << a_off[j])
+                for row in rows.data
+            ]
+        return F2Matrix(self.a_homology_dim, tuple(masks))
 
     def block_matrix(self) -> F2Matrix:
-        """Induced block matrix on homology.
+        """Induced block matrix on homology, from the rows of
+        :meth:`induced_boundary` placed at the offsets of their columns.
 
         HatB row block j receives the induced v_hat from column j and the
         induced h_hat from column j - p; both source columns always exist
-        inside the truncation window.
+        inside the truncation window.  The rank routes never build it.
         """
         return self._block_matrix
 
     def flatten(self, element: dict[int, int]) -> int:
         """Pack a column-indexed homology element into block coordinates."""
-        a_off, _ = self._hom_offsets
+        a_off = self._hom_offsets
         out = 0
         for j, coeff in element.items():
             out |= coeff << a_off[j]
@@ -325,51 +366,70 @@ def build_cone(c: CfkComplex, slope: Slope, level: int | None = None) -> Mapping
     return MappingCone(c, slope, *cone_window(c, slope, level))
 
 
+def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
+    """The rank of a route's HatB rows: the sum of what each HatB block
+    adds, each residue class of j mod p swept in chain order, as the module
+    docstring explains.
+
+    ``rows(key)`` gives one block's rows and the column where their v block
+    starts, and ``rank(m, pivots)`` the rank of m = [carry; rows] with the
+    pivots of its rref.  Each (carry, key) step is memoized on the complex
+    under ``(tag, carry, key)``, so only the distinct steps are eliminated."""
+    c, p, q = cone.complex, cone.slope.p, cone.slope.q
+
+    def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
+        block, v_start = rows(key)
+        m = F2Matrix(block.cols, carry + block.data)
+        reduced, pivots = f2.rref(m)
+        # The next carry: the reduced rows with no bit below the v block.
+        carry_out = tuple(row >> v_start for row, pivot in zip(reduced, pivots) if pivot >= v_start)
+        return rank(m, pivots) - len(carry), carry_out
+
+    added = 0
+    hi = cone.a_columns[-1]
+    for first in cone.a_columns[:p]:
+        carry = ()
+        for j in range(first + p, hi + 1, p):
+            key = ((j - p) // q, j // q)
+            increment, carry = c.cached((tag, carry, key), lambda: step(carry, key))
+            added += increment
+    return added
+
+
 def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> int:
     """Total homology rank of the cone, from the chain-level boundary only.
 
     The cone is on the tight window, or on the symmetric window of
     ``level`` when one is given.  Each residue class of j mod p is swept
-    in chain order, one memoized (carry, key) step per HatB block, as the
-    module docstring explains."""
+    in chain order, one memoized ("sweep", carry, key) step per HatB block,
+    as the module docstring explains."""
 
     def compute() -> int:
         cone = MappingCone(c, slope, *cone_window(c, slope, level))
-        p, q = slope.p, slope.q
-
-        def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
-            rows, v_start = cone.total_boundary(key)
-            m = F2Matrix(rows.cols, carry + rows.data)
-            # The increment is read from an f2.rank call made here, in the
-            # chain route itself, not off the rref below: perfbench's
-            # tracer counts exactly that call as the cone elimination
-            # (f2.elim_cone).
-            added = f2.rank(m) - len(carry)
-            # The next carry: the reduced rows with no bit below the v block.
-            reduced, pivots = f2.rref(m)
-            carry = tuple(row >> v_start for row, pivot in zip(reduced, pivots) if pivot >= v_start)
-            return added, carry
-
-        added = 0
-        hi = cone.a_columns[-1]
-        for first in cone.a_columns[:p]:
-            carry = ()
-            for j in range(first + p, hi + 1, p):
-                key = ((j - p) // q, j // q)
-                increment, carry = c.cached(("sweep", carry, key), lambda: step(carry, key))
-                added += increment
-        return cone.total_dim - 2 * (cone.a_boundary_rank + added)
+        # The increment is read from an f2.rank call, made while this route
+        # runs, not off the pivots: perfbench's tracer counts exactly an
+        # f2.rank call directly under the chain route as the cone
+        # elimination (f2.elim_cone).
+        added = _sweep(cone, "sweep", cone.total_boundary, lambda m, pivots: f2.rank(m))
+        # The dimension less twice the boundary rank.  A HatA column adds its
+        # region's dimension less twice its boundary rank, dim - cycles: one
+        # pass over the regions.
+        a_part = cone._per_column(lambda region: 2 * len(region.cycles) - region.dim)
+        return cone.b_dim + a_part - 2 * added
 
     return c.cached(("cone_rank_chain", slope.p, slope.q, level), compute)
 
 
 def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
     """Kernel plus cokernel of the induced block matrix on homology, on the
-    tight window."""
+    tight window.  Its rank is swept class by class like the chain route's,
+    one memoized ("hsweep", carry, key) step per HatB block, from the rows
+    of :meth:`MappingCone.induced_boundary`; the block matrix itself is
+    never built."""
 
     def compute() -> int:
         cone = MappingCone(c, slope, *cone_window(c, slope))
-        r = f2.rank(cone.block_matrix())
+        r = _sweep(cone, "hsweep", cone.induced_boundary, lambda m, pivots: len(pivots))
         return (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
 
     return c.cached(("cone_rank_homological", slope.p, slope.q), compute)

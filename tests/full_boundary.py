@@ -7,7 +7,12 @@ HatB rows on the cycle bases of the HatA blocks
 carrying one canonical block.  This module assembles every row in the
 original basis, so tests can check that split against the full matrix,
 and replays the sweep's steps from the memo the chain route leaves.
+On every complex tried, real cones leave every carry of either route's
+sweep empty, so ``random_induced_boundary`` gives the homological route
+rows whose carries matter.
 """
+
+import random
 
 from hfsurgery.cfk import HatA, HatB
 from hfsurgery.f2 import F2Matrix
@@ -62,3 +67,19 @@ def sweep_increments(cone) -> list[list[int]]:
             steps.append(increment)
         classes.append(steps)
     return classes
+
+
+def random_induced_boundary(seed):
+    """A stand-in for ``MappingCone.induced_boundary``: random rows of one
+    HatB block on the homology coordinates [HatA(key[0]) | HatA(key[1])],
+    fixed by the seed and the key, and the column where the second block
+    starts."""
+
+    def rows(cone, key):
+        h_width, v_width = (cone.complex.region_complex(HatA(s)).homology.dim for s in key)
+        rng = random.Random(f"{seed} {key}")
+        count = rng.randint(0, h_width + v_width)
+        data = tuple(rng.getrandbits(h_width + v_width) for _ in range(count))
+        return F2Matrix(h_width + v_width, data), h_width
+
+    return rows

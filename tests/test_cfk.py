@@ -185,6 +185,31 @@ class TestRegions:
             assert "basis" not in vars(region)
             assert not any(isinstance(value, dict) for value in vars(region).values())
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("t25#t27",))
+    def test_hat_a_at_or_above_the_top_grading_is_hat_b(self, name):
+        # Every upower of HatA(s) is 0 once s >= max_alexander, so it is
+        # served as the HatB region itself; below that it is its own region.
+        first, *rest = name.split("#")
+        c = builtin(first)
+        for part in rest:
+            c = tensor(c, builtin(part))
+        top = c.max_alexander
+        for s in range(top - 2, top + 3):
+            assert (c.region_complex(HatA(s)) is c.region_complex(HatB())) == (s >= top), s
+
+    def test_single_bit_boundary_rows_share_the_unit_masks(self):
+        # A boundary row with one set bit is the complex's unit mask for it,
+        # the same int object as the row of v_hat, not a copy.
+        c = tensor(builtin("t25"), builtin("t27"))
+        units = c.v_hat(c.max_alexander).matrix.data
+        single = 0
+        for tag in (HatB(), HatA(0), HatA(1)):
+            for row in c.region_complex(tag).boundary.data:
+                if row.bit_count() == 1:
+                    assert row is units[row.bit_length() - 1], (tag, row)
+                    single += 1
+        assert single
+
     def test_cycles_and_homology_share_one_kernel_basis(self, fig8, monkeypatch):
         # A fresh region eliminates its boundary once for its cycles,
         # whichever of cycles and homology is read first.

@@ -6,6 +6,7 @@ fixed 100-seed corpus, but with hypothesis searching the RandomSpec space.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfsurgery import f2
@@ -28,7 +29,7 @@ from hfsurgery.surgery import (
 )
 
 import models
-from full_boundary import full_boundary
+from full_boundary import full_boundary, random_induced_boundary
 
 specs = st.builds(
     RandomSpec,
@@ -183,6 +184,30 @@ def test_sweep_carries_are_canonical(c, slope, extra):
     steps = [(k, v) for k, v in c._memo.items() if k[0] == "sweep"]
     for (_, carry_in, key), (increment, carry) in steps:
         widths = [len(c.region_complex(HatA(s)).cycles) for s in key]
+        for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
+            assert all(0 < row < 1 << width for row in rows)
+            assert tuple(f2.rref(f2.F2Matrix(width, rows))[0]) == rows
+        assert increment >= 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(complexes, slopes, st.one_of(st.none(), st.integers(0, 10**6)))
+def test_homological_sweep_carries_are_canonical(c, slope, seed):
+    # Every carry the homological sweep returns is its own reduced
+    # row-echelon form on the homology coordinates of HatA(key[1]), and
+    # every carry it reads is on those of HatA(key[0]).  Real rows have
+    # left every carry empty, so a seed swaps in random rows on the same
+    # coordinates; either way the sweep gives the block matrix's rank.
+    with pytest.MonkeyPatch.context() as patch:
+        if seed is not None:
+            patch.setattr(MappingCone, "induced_boundary", random_induced_boundary(seed))
+        rank = cone_rank_homological(c, slope)
+        cone = MappingCone(c, slope, *cone_window(c, slope))
+        r = f2.rank(cone.block_matrix())
+    assert rank == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
+    steps = [(k, v) for k, v in c._memo.items() if k[0] == "hsweep"]
+    for (_, carry_in, key), (increment, carry) in steps:
+        widths = [c.region_complex(HatA(s)).homology.dim for s in key]
         for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
             assert all(0 < row < 1 << width for row in rows)
             assert tuple(f2.rref(f2.F2Matrix(width, rows))[0]) == rows

@@ -33,7 +33,7 @@ from hfsurgery.surgery import (
 )
 
 import models
-from full_boundary import full_boundary, sweep_increments
+from full_boundary import full_boundary, random_induced_boundary, sweep_increments
 
 SMALL_SLOPES = [Slope(p, q) for p in range(1, 5) for q in range(1, 5) if math.gcd(p, q) == 1]
 
@@ -116,6 +116,21 @@ class TestBuildCone:
     def test_level_too_small_for_the_chain_route(self):
         with pytest.raises(TruncationError):
             cone_rank_chain(builtin("trefoil_rh"), Slope(1, 1), 2)
+
+    def test_cones_on_one_range_of_s_share_their_regions(self, monkeypatch):
+        # The window's HatA regions are one memo entry per (lo // q, hi // q):
+        # a second cone on the same range looks up only HatB.
+        c = builtin("t25")
+        first = MappingCone(c, Slope(1, 2), -2, 3)
+        calls = []
+        lookup = CfkComplex.region_complex
+        monkeypatch.setattr(
+            CfkComplex, "region_complex", lambda self, tag: calls.append(tag) or lookup(self, tag)
+        )
+        second = MappingCone(c, Slope(3, 2), -1, 2)
+        assert calls == [HatB()]
+        assert second._a_regions is first._a_regions
+        assert list(first._a_regions) == [-1, 0, 1]
 
     def test_missing_flip(self):
         c = CfkComplex([Generator("x", 0)], [], None, "flipless")
@@ -237,6 +252,8 @@ class TestConeRanks:
     def test_chain_route_builds_only_the_homology_genus_reads(self, monkeypatch):
         # The 1/2 cone on t25 has HatA(-1..1) columns and HatB; genus() reads
         # v_hat(2) and v_hat(1), so only HatA(2), HatA(1) and HatB need homology.
+        # HatA(2) is the HatB region itself (2 is t25's top Alexander grading),
+        # so two homology bases are built.
         built = []
         init = f2.HomologyBasis.__init__
 
@@ -247,10 +264,12 @@ class TestConeRanks:
         monkeypatch.setattr(f2.HomologyBasis, "__init__", counting_init)
         c = builtin("t25")
         assert cone_rank_chain(c, Slope(1, 2)) == 11
-        assert len(built) == 3
+        assert len(built) == 2
         tags = [HatB()] + [HatA(s) for s in range(-4, 4)]
         with_homology = [t for t in tags if "homology" in vars(c.region_complex(t))]
-        assert with_homology == [HatB(), HatA(1), HatA(2)]
+        # HatA(3), first read here, is the HatB region as well.
+        assert with_homology == [HatB(), HatA(1), HatA(2), HatA(3)]
+        assert c.region_complex(HatA(3)) is c.region_complex(HatA(2)) is c.region_complex(HatB())
 
         # The symmetric window at level 6 builds fresh regions and maps, yet
         # reads no further homology and no induced map.
@@ -259,21 +278,22 @@ class TestConeRanks:
 
         monkeypatch.setattr(f2, "induced_map_on_homology", refuse)
         assert cone_rank_chain(c, Slope(1, 2), 6) == 11
-        assert len(built) == 3
+        assert len(built) == 2
 
 
-def _sweep_entries(c):
-    return [key for key in c._memo if key[0] == "sweep"]
+def _sweep_entries(c, tag="sweep"):
+    return [key for key in c._memo if key[0] == tag]
 
 
-def _shifted_blocks(cone, first):
+def _shifted_blocks(cone, first, rows="total_boundary"):
     """The HatB blocks j of the residue class of column ``first``, in chain
-    order: each block's rows shifted to the start of HatA block j - p in
-    the class's own layout, with j."""
+    order: each block's rows, read from the cone method named ``rows``,
+    shifted to the start of HatA block j - p in the class's own layout,
+    with j."""
     p, q = cone.slope.p, cone.slope.q
     base = 0
     for j in range(first + p, cone.a_columns[-1] + 1, p):
-        narrow, v_start = cone.total_boundary(((j - p) // q, j // q))
+        narrow, v_start = getattr(cone, rows)(((j - p) // q, j // q))
         yield j, [row << base for row in narrow.data]
         base += v_start
 
@@ -368,6 +388,52 @@ class TestSweep:
         c = builtin("trefoil_rh")
         assert cone_rank_chain(c, Slope(7, 1)) == 7
         assert _sweep_entries(c) == []
+
+
+class TestHomologicalSweep:
+    @pytest.mark.parametrize("name", ["t25", "trefoil_rh#figure_eight"])
+    def test_carry_is_exact_on_arbitrary_blocks(self, monkeypatch, name):
+        # Real cones have left every carry empty, so each key gets random
+        # rows on its two HatA homology blocks.  The sweep must still give the
+        # rank of each class's rows laid out in chain order, and so must the
+        # block matrix built from the same rows.
+        carried = 0
+        for seed in range(8):
+            monkeypatch.setattr(MappingCone, "induced_boundary", random_induced_boundary(seed))
+            c = _complex(name)  # a fresh memo for each seed's rows
+            for slope in (Slope(1, 1), Slope(1, 3), Slope(2, 3), Slope(3, 2), Slope(5, 4)):
+                cone = MappingCone(c, slope, *cone_window(c, slope))
+                classes = (_shifted_blocks(cone, first, "induced_boundary") for first in cone.a_columns[:slope.p])
+                ranked = sum(f2.rank(_matrix([row for _, block in blocks for row in block])) for blocks in classes)
+                assert f2.rank(cone.block_matrix()) == ranked, (seed, slope)
+                expected = cone.a_homology_dim + cone.b_homology_dim - 2 * ranked
+                assert cone_rank_homological(c, slope) == expected, (seed, slope)
+            carried += sum(1 for _, carry, _ in _sweep_entries(c, "hsweep") if carry)
+        assert carried
+
+    def test_memo_stays_bounded_as_q_grows(self):
+        # On t27 the slopes 1/q for q up to 20 already make every
+        # (carry, key) step that q up to 300 reads.
+        c = builtin("t27")
+        for q in range(1, 21):
+            cone_rank_homological(c, Slope(1, q))
+        entries = set(_sweep_entries(c, "hsweep"))
+        assert entries
+        for q in range(21, 301):
+            cone_rank_homological(c, Slope(1, q))
+        assert set(_sweep_entries(c, "hsweep")) == entries
+        assert cone_rank_homological(c, Slope(1, 300)) == 1 + 2 * (5 * 300 - 1)
+
+    def test_rank_builds_no_block_matrix_or_offsets(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the homological route built the block matrix or its offsets")
+
+        monkeypatch.setattr(MappingCone, "_block_matrix", property(refuse))
+        monkeypatch.setattr(MappingCone, "_hom_offsets", property(refuse))
+        for name in BUILTIN_NAMES + ("trefoil_rh#figure_eight",):
+            c = _complex(name)
+            for slope in SMALL_SLOPES:
+                assert cone_rank_homological(c, slope) == cone_rank_chain(c, slope), (name, slope)
 
 
 class TestTInvariant:
