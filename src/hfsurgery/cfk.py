@@ -624,10 +624,12 @@ class CfkComplex:
                         )
             return items
 
-        gens = [
-            Generator(g["id"], g["alexander"], g.get("maslov"))
-            for g in entries("generators", {"id": str, "alexander": int})
-        ]
+        gens = []
+        for g in entries("generators", {"id": str, "alexander": int}):
+            maslov = g.get("maslov")
+            if maslov is not None and (not isinstance(maslov, int) or isinstance(maslov, bool)):
+                raise ValueError(f"'generators' entry {g!r} has a maslov field that is not an int")
+            gens.append(Generator(g["id"], g["alexander"], maslov))
         terms = [
             DiffTerm(t["from"], t["to"], t["upower"])
             for t in entries("differential", {"from": str, "to": str, "upower": int})

@@ -18,11 +18,20 @@ therefore costs the row's span (highest set bit minus lowest), not its
 highest bit: a sparse row far out in a wide matrix is as cheap as the
 same row at the start of a narrow one.
 
-``_reduce`` keeps its own copy of the loop on purpose: ``_eliminate``
-written as ``_reduce`` plus ``_insert`` per row took a ``scan-grid`` pass
-(903 tight cones, 217,800 HatB rows ranked) from 0.37 to 0.45 s median
-``wall_s``, and was slower in each of 5 alternating pairs of 8 s runs on
-a shared 2-core Intel Xeon with Python 3.11.7.
+``_reduce`` keeps its own copy of the loop, and the entries stay
+shifted, on purpose.  The rank routes now eliminate only their distinct
+sweep steps, so most eliminations are small, and both simpler forms were
+measured slower there, in alternating pairs of 10 s ``perfbench`` runs on
+a shared 2-core Intel Xeon with Python 3.11.7:
+
+- ``_eliminate`` written as ``_reduce`` plus ``_insert`` per row, on the
+  shifted storage, took ``survey-fresh`` ``wall_s`` from 0.587 to
+  0.645 s (+10%, slower in 6 of 6 pairs, seeds 4501-4506; run again,
+  0.565 -> 0.621 s, slower in 4 of 4, seeds 5601-5604);
+- one unshifted loop keyed on bit positions, serving both, read
+  ``survey-fresh`` ``wall_s`` +3.4% (slower in 7 of 8 pairs, seeds
+  4601-4608) with ``peak_rss_mb`` 30.27 -> 30.67 MB (higher in 8 of 8),
+  and ``scan-grid`` ``wall_s`` +4.2% (slower in 6 of 6, seeds 4701-4706).
 """
 
 from __future__ import annotations

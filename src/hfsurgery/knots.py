@@ -61,10 +61,8 @@ def staircase(steps: list[int] | tuple[int, ...]) -> CfkComplex:
         alex.append(alex[-1] - h)   # b_{i+1}, reached by a horizontal step
         alex.append(alex[-1] - v)   # a_{i+1}, reached by a vertical step
     gens = []
-    ids = []
     for i in range(2 * n + 1):
         gid = f"a{i // 2}" if i % 2 == 0 else f"b{(i + 1) // 2}"
-        ids.append(gid)
         gens.append(Generator(gid, alex[i]))
     terms = []
     for i in range(1, n + 1):

@@ -38,20 +38,20 @@ and change nothing else.  Hence, exactly over any field,
     rank D = sum over the HatA columns j of rank d(HatA(floor(j/q)))
              + rank of the HatB rows [h_hat N(j-p) | d(HatB) | v_hat N(j)].
 
-The first term is each block's dimension less its number of cycles, so
-the rank of the cone's homology, its dimension less twice rank D, is the
-HatB dimension plus, per region, (2 * cycles - dim) times the columns that
-copy it, less twice the second term.  The cycle basis is taken once per
-region and each map's product with it once per map.  A map's row vanishes
-on the cycles exactly when it lies in the row space of d, so a HatB row is
-zero exactly when it lies in the span of the HatA rows, and only the
-nonzero ones are eliminated.  Their columns
-are laid out in chain order: for each residue class of j mod p, the
-columns j of that class in ascending order, each as its HatB block (when
-it exists) and then its HatA block, as wide as its cycles.  Column j maps
-only to HatB blocks j and j + p, both in the class of j, so the cone is
-block-diagonal over j mod p, and a HatB row j has entries only in the
-HatA blocks j - p and j on either side of it.
+The first term is each block's dimension less its number of cycles,
+``MappingCone.a_boundary_rank``, and the second is what the sweep below
+adds up, so the rank of the cone's homology is its dimension less twice
+the sum of the two.  The cycle basis is taken once per region and each
+map's product with it once per map.  A map's row vanishes on the cycles
+exactly when it lies in the row space of d, so a HatB row is zero
+exactly when it lies in the span of the HatA rows, and only the nonzero
+ones are eliminated.  Their columns are laid out in chain order: for
+each residue class of j mod p, the columns j of that class in ascending
+order, each as its HatB block (when it exists) and then its HatA block,
+as wide as its cycles.  Column j maps only to HatB blocks j and j + p,
+both in the class of j, so the cone is block-diagonal over j mod p, and
+a HatB row j has entries only in the HatA blocks j - p and j on either
+side of it.
 
 So each class is ranked by a sweep over its HatB blocks in chain order,
 eliminating by lowest set bit.  A row is only ever reduced by pivots at
@@ -86,16 +86,20 @@ representatives, so a fault in either product shows as a disagreement.
 The block matrix has the cone's shape without the HatB blocks: its row
 block j is [h_hat((j - p) // q)_* | v_hat(j // q)_*] on the homology of
 HatA blocks j - p and j, so it too is block-diagonal over j mod p and
-bidiagonal within each class, and the same sweep ranks it.  Its carry is
-the row space so far cut down to HatA block j - p in homology coordinates,
-and its steps are memoized under ("hsweep", carry, key), apart from the
-chain route's ("sweep", carry, key).  Each memo miss is eliminated once by
-``f2.rref``: the rank it adds is the pivot count less the carry's size,
-and the next carry the reduced rows with their pivot in the v block.  The
-chain route reads its increment from an ``f2.rank`` call instead, the call
-the benchmark's tracer counts as the cone elimination.  Route two never
-builds the block matrix; :meth:`MappingCone.block_matrix` assembles the
-same per-key rows for the kernel construction and the tests.
+bidiagonal within each class, and the same sweep ranks it.
+(:meth:`MappingCone.block_matrix` lays its columns out in plain column
+order, a permutation that changes neither its rank nor its kernel's
+dimension.)  Its carry is the row space so far cut down to HatA block
+j - p in homology coordinates, and its steps are memoized under
+("hsweep", carry, key), apart from the chain route's ("sweep", carry,
+key).  Each memo miss is eliminated once by ``f2.rref``: the rank it
+adds is the pivot count less the carry's size, and the next carry the
+reduced rows with their pivot in the v block.  The chain route reads its
+increment from an ``f2.rank`` call instead, the call the benchmark's
+tracer counts as the cone elimination.  Route two never builds the block
+matrix; :meth:`MappingCone.block_matrix` assembles the same per-key rows
+for the tests, which check the routes and the kernel construction
+against it.
 
 A cone reads its window's HatA regions from one memo entry per range of s,
 a dict shared by every cone on that range, so building a cone costs two
@@ -143,7 +147,8 @@ class NotApplicableError(ValueError):
 
 
 class InternalInvariantError(RuntimeError):
-    """Cancellation ran past the truncation window; the hypothesis check lied."""
+    """A cancellation the containment hypothesis promises is missing; the
+    hypothesis check lied."""
 
 
 @dataclass(frozen=True)
@@ -210,12 +215,19 @@ def cone_window(c: CfkComplex, slope: Slope, level: int | None = None) -> tuple[
 
 
 class MappingCone:
-    """The truncated cone for one slope on the HatA window lo..hi, with
-    chain and homology views."""
+    """The truncated cone for one slope, with chain and homology views.
 
-    def __init__(self, complex_: CfkComplex, slope: Slope, lo: int, hi: int):
+    Its HatA columns are the window :func:`cone_window` gives for
+    ``level``: with ``level=None`` the tight window of the rank routes,
+    with a level the symmetric window of that level, refused below
+    :func:`truncation_bound`."""
+
+    def __init__(self, complex_: CfkComplex, slope: Slope, level: int | None = None):
+        # The window reads the genus, which validates the complex first.
+        lo, hi = cone_window(complex_, slope, level)
         # The cone reads h-maps only when the rows of a HatB block are
-        # built, so the flip is checked here, before any region is built.
+        # built, so the flip is checked here, before any window region is
+        # built.
         complex_.require_flip()
         self.complex = complex_
         self.slope = slope
@@ -235,24 +247,19 @@ class MappingCone:
     # -- chain-level view ---------------------------------------------------
 
     def _per_column(self, term) -> int:
-        """Sum of ``term(region)`` over the HatA columns: one term per
-        region, times the number of columns that copy it."""
+        """Sum of ``term(region)`` over the HatA columns: region s is copied
+        by the q columns j with j // q = s, less the columns the window
+        cuts off its first and last regions."""
         q = self.slope.q
         lo, hi = self.a_columns[0], self.a_columns[-1]
-        return sum(
-            term(region) * (min(hi, s * q + q - 1) - max(lo, s * q) + 1)
-            for s, region in self._a_regions.items()
-        )
-
-    @property
-    def b_dim(self) -> int:
-        """The dimension of the cone's HatB blocks together."""
-        return self._b_region.dim * len(self.b_columns)
+        regions = self._a_regions
+        cut = lo % q * term(regions[lo // q]) + (q - 1 - hi % q) * term(regions[hi // q])
+        return q * sum(map(term, regions.values())) - cut
 
     @property
     def total_dim(self) -> int:
         """The cone's dimension, each HatA block at its full width."""
-        return self._per_column(lambda region: region.dim) + self.b_dim
+        return self._per_column(lambda region: region.dim) + self._b_region.dim * len(self.b_columns)
 
     @property
     def a_boundary_rank(self) -> int:
@@ -299,19 +306,15 @@ class MappingCone:
 
     @cached_property
     def _hom_offsets(self) -> dict[int, int]:
-        """The HatA block offset of each column, each block as wide as its
-        homology, the columns of each residue class of j mod p in ascending
-        order.  The block matrix's columns are HatA alone; their order
-        leaves its rank unchanged, and flatten reads the same offsets."""
-        p, q = self.slope.p, self.slope.q
-        # One width per region, not per column.
-        a_width = {s: region.homology.dim for s, region in self._a_regions.items()}
-        a_off = {}
-        pos = 0
-        for i in range(p):
-            for j in self.a_columns[i::p]:
-                a_off[j] = pos
-                pos += a_width[j // q]
+        """The HatA block offset of each column, in column order, each block
+        as wide as its homology.  The block matrix's columns are HatA alone;
+        their order leaves its rank unchanged, and flatten reads the same
+        offsets."""
+        q = self.slope.q
+        a_off, pos = {}, 0
+        for j in self.a_columns:
+            a_off[j] = pos
+            pos += self._a_regions[j // q].homology.dim
         return a_off
 
     @property
@@ -359,11 +362,10 @@ class MappingCone:
 
 
 def build_cone(c: CfkComplex, slope: Slope, level: int | None = None) -> MappingCone:
-    """The cone on the symmetric window of ``level``, by default the safe
-    bound, the width :func:`kernel_basis_construction` walks on."""
-    if level is None:
-        level = truncation_bound(c, slope)
-    return MappingCone(c, slope, *cone_window(c, slope, level))
+    """The cone on the symmetric window of ``level``; ``level=None`` means
+    the safe bound :func:`truncation_bound`, the width
+    :func:`kernel_basis_construction` walks on."""
+    return MappingCone(c, slope, truncation_bound(c, slope) if level is None else level)
 
 
 def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
@@ -405,17 +407,15 @@ def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> in
     as the module docstring explains."""
 
     def compute() -> int:
-        cone = MappingCone(c, slope, *cone_window(c, slope, level))
+        cone = MappingCone(c, slope, level)
         # The increment is read from an f2.rank call, made while this route
         # runs, not off the pivots: perfbench's tracer counts exactly an
         # f2.rank call directly under the chain route as the cone
         # elimination (f2.elim_cone).
         added = _sweep(cone, "sweep", cone.total_boundary, lambda m, pivots: f2.rank(m))
-        # The dimension less twice the boundary rank.  A HatA column adds its
-        # region's dimension less twice its boundary rank, dim - cycles: one
-        # pass over the regions.
-        a_part = cone._per_column(lambda region: 2 * len(region.cycles) - region.dim)
-        return cone.b_dim + a_part - 2 * added
+        # The dimension less twice the boundary rank: the HatA rows' rank
+        # plus what the sweep adds.
+        return cone.total_dim - 2 * (cone.a_boundary_rank + added)
 
     return c.cached(("cone_rank_chain", slope.p, slope.q, level), compute)
 
@@ -428,7 +428,7 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
     never built."""
 
     def compute() -> int:
-        cone = MappingCone(c, slope, *cone_window(c, slope))
+        cone = MappingCone(c, slope)
         r = _sweep(cone, "hsweep", cone.induced_boundary, lambda m, pivots: len(pivots))
         return (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
 
@@ -587,7 +587,8 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
         """Cancel the image of ``coeff`` at column j, column by column:
         rightward (step p) along h_hat, solved against v_hat, or leftward
         (step -p) along v_hat, solved against h_hat.  The walk stops where
-        the outgoing block, into HatB column j + row, is dropped."""
+        the outgoing block, into HatB column j + row, is dropped, so every
+        column it reaches lies in the window."""
         if step > 0:
             row, out_ind, back_ind, way = p, ind_h, ind_v, "rightward"
         else:
@@ -597,10 +598,6 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
             if target == 0:
                 return
             j += step
-            if not lo <= j <= hi:
-                raise InternalInvariantError(
-                    f"{way} cancellation left the truncation window at column {j}"
-                )
             coeff = f2.solve(back_ind(j), target)
             if coeff is None:
                 raise InternalInvariantError(
@@ -625,8 +622,7 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
                 raise InternalInvariantError(
                     f"intersection class at column {j} has no matched pair"
                 )
-            element = {j: y}
-            element[j - p] = element.get(j - p, 0) ^ z
+            element = {j: y, j - p: z}
             extend(element, j, y, p)
             extend(element, j - p, z, -p)
             basis.append(element)

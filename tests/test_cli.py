@@ -287,6 +287,9 @@ MALFORMED = {
     "alexander-string": '{"generators": [{"id": "x", "alexander": "0"}]}',
     "alexander-bool": '{"generators": [{"id": "x", "alexander": true}]}',
     "alexander-missing": '{"generators": [{"id": "x"}]}',
+    "maslov-string": '{"generators": [{"id": "x", "alexander": 0, "maslov": "q"}]}',
+    "maslov-float": '{"generators": [{"id": "x", "alexander": 0, "maslov": 0.5}]}',
+    "maslov-bool": '{"generators": [{"id": "x", "alexander": 0, "maslov": false}]}',
     "upower-string": (
         '{"generators": [{"id": "x", "alexander": 1}, {"id": "y", "alexander": 0}],'
         ' "differential": [{"from": "x", "to": "y", "upower": "0"}]}'

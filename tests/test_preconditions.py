@@ -17,6 +17,7 @@ from hfsurgery.cfk import CfkComplex, DiffTerm, FlipPair, FlipRequiredError
 from hfsurgery.f2 import InvalidComplexError
 from hfsurgery.obstructions import complement_check, cosmetic_pair_check, monotonicity_scan
 from hfsurgery.surgery import (
+    MappingCone,
     Slope,
     build_cone,
     compute_rank_report,
@@ -55,6 +56,7 @@ NEEDS_FLIP = {
     "kernel_basis_construction": lambda c: kernel_basis_construction(c, SLOPE),
     "compute_rank_report": lambda c: compute_rank_report(c, SLOPE),
     "build_cone": lambda c: build_cone(c, SLOPE),
+    "MappingCone": lambda c: MappingCone(c, SLOPE),
     "cone_rank_chain": lambda c: cone_rank_chain(c, SLOPE),
     "cone_rank_homological": lambda c: cone_rank_homological(c, SLOPE),
     "complement_check": lambda c: complement_check(c, 2),

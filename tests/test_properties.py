@@ -19,7 +19,6 @@ from hfsurgery.surgery import (
     build_cone,
     cone_rank_chain,
     cone_rank_homological,
-    cone_window,
     hypothesis_holds,
     kernel_basis_construction,
     kernel_rank,
@@ -168,7 +167,7 @@ def test_truncation_stability(c, slope):
 @given(complexes, slopes, st.sampled_from([None, 0, 1, 2]))
 def test_chain_route_equals_rank_of_full_boundary(c, slope, extra):
     level = None if extra is None else truncation_bound(c, slope) + extra
-    cone = MappingCone(c, slope, *cone_window(c, slope, level))
+    cone = MappingCone(c, slope, level)
     expected = cone.total_dim - 2 * f2.rank(full_boundary(cone))
     assert cone_rank_chain(c, slope, level) == expected
 
@@ -202,7 +201,7 @@ def test_homological_sweep_carries_are_canonical(c, slope, seed):
         if seed is not None:
             patch.setattr(MappingCone, "induced_boundary", random_induced_boundary(seed))
         rank = cone_rank_homological(c, slope)
-        cone = MappingCone(c, slope, *cone_window(c, slope))
+        cone = MappingCone(c, slope)
         r = f2.rank(cone.block_matrix())
     assert rank == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
     steps = [(k, v) for k, v in c._memo.items() if k[0] == "hsweep"]

@@ -21,7 +21,6 @@ from hfsurgery.surgery import (
     compute_rank_report,
     cone_rank_chain,
     cone_rank_homological,
-    cone_window,
     coprime_slopes,
     hypothesis_holds,
     kernel_basis_construction,
@@ -95,7 +94,7 @@ class TestBuildCone:
     )
     def test_tight_window_columns(self, name, slope, a_columns, b_columns):
         c = builtin(name)
-        cone = MappingCone(c, slope, *cone_window(c, slope))
+        cone = MappingCone(c, slope)
         assert list(cone.a_columns) == a_columns
         assert list(cone.b_columns) == b_columns
 
@@ -103,9 +102,9 @@ class TestBuildCone:
         windows = []
 
         class Recording(MappingCone):
-            def __init__(self, complex_, slope, lo, hi):
-                windows.append((lo, hi))
-                super().__init__(complex_, slope, lo, hi)
+            def __init__(self, complex_, slope, level=None):
+                super().__init__(complex_, slope, level)
+                windows.append((self.a_columns[0], self.a_columns[-1]))
 
         monkeypatch.setattr(surgery, "MappingCone", Recording)
         c = builtin("t25")
@@ -119,18 +118,28 @@ class TestBuildCone:
 
     def test_cones_on_one_range_of_s_share_their_regions(self, monkeypatch):
         # The window's HatA regions are one memo entry per (lo // q, hi // q):
-        # a second cone on the same range looks up only HatB.
+        # a second cone on the same range looks up only HatB, though its
+        # window differs.
         c = builtin("t25")
-        first = MappingCone(c, Slope(1, 2), -2, 3)
+        first = MappingCone(c, Slope(1, 2))
         calls = []
         lookup = CfkComplex.region_complex
         monkeypatch.setattr(
             CfkComplex, "region_complex", lambda self, tag: calls.append(tag) or lookup(self, tag)
         )
-        second = MappingCone(c, Slope(3, 2), -1, 2)
+        second = MappingCone(c, Slope(1, 3))
         assert calls == [HatB()]
         assert second._a_regions is first._a_regions
         assert list(first._a_regions) == [-1, 0, 1]
+        assert (first.a_columns, second.a_columns) == (range(-2, 4), range(-3, 6))
+
+    def test_level_below_the_bound_builds_no_regions(self):
+        # The window is refused before the cone reads its regions.
+        c = builtin("t25")
+        slope = Slope(1, 2)
+        with pytest.raises(TruncationError):
+            MappingCone(c, slope, truncation_bound(c, slope) - 1)
+        assert not [key for key in c._memo if key[0] == "a_regions"]
 
     def test_missing_flip(self):
         c = CfkComplex([Generator("x", 0)], [], None, "flipless")
@@ -145,7 +154,7 @@ class TestBuildCone:
         for c in complexes:
             for slope in (Slope(1, 1), Slope(2, 3), Slope(3, 1), Slope(1, 4)):
                 windows = ((build_cone(c, slope), truncation_bound(c, slope)),
-                           (MappingCone(c, slope, *cone_window(c, slope)), None))
+                           (MappingCone(c, slope), None))
                 for cone, level in windows:
                     full = full_boundary(cone)
                     assert full.cols == cone.total_dim
@@ -322,7 +331,7 @@ class TestSweep:
         # increment there, so the carry loses nothing the later rows read.
         c = _complex(name)
         for slope in (Slope(1, 1), Slope(2, 3), Slope(3, 2), Slope(1, 4), Slope(5, 2)):
-            cone = MappingCone(c, slope, *cone_window(c, slope))
+            cone = MappingCone(c, slope)
             cone_rank_chain(c, slope)
             for first, steps in zip(cone.a_columns[:slope.p], sweep_increments(cone)):
                 rows, before = [], 0
@@ -351,7 +360,7 @@ class TestSweep:
         for seed in range(8):
             c = _complex(name)  # a fresh memo for each seed's rows
             for slope in (Slope(1, 1), Slope(1, 3), Slope(2, 3), Slope(3, 2), Slope(5, 4)):
-                cone = MappingCone(c, slope, *cone_window(c, slope))
+                cone = MappingCone(c, slope)
                 ranked = sum(
                     f2.rank(_matrix([row for _, block in _shifted_blocks(cone, first) for row in block]))
                     for first in cone.a_columns[:slope.p]
@@ -363,7 +372,7 @@ class TestSweep:
 
     def test_rows_depend_on_the_key_alone(self):
         c = builtin("t25")
-        cones = [MappingCone(c, s, *cone_window(c, s)) for s in (Slope(1, 3), Slope(5, 2))]
+        cones = [MappingCone(c, s) for s in (Slope(1, 3), Slope(5, 2))]
         cones.append(build_cone(c, Slope(2, 1)))
         for key in ((-1, -1), (-1, 0), (0, 0), (0, 1), (1, 1)):
             first, *others = (cone.total_boundary(key) for cone in cones)
@@ -402,7 +411,7 @@ class TestHomologicalSweep:
             monkeypatch.setattr(MappingCone, "induced_boundary", random_induced_boundary(seed))
             c = _complex(name)  # a fresh memo for each seed's rows
             for slope in (Slope(1, 1), Slope(1, 3), Slope(2, 3), Slope(3, 2), Slope(5, 4)):
-                cone = MappingCone(c, slope, *cone_window(c, slope))
+                cone = MappingCone(c, slope)
                 classes = (_shifted_blocks(cone, first, "induced_boundary") for first in cone.a_columns[:slope.p])
                 ranked = sum(f2.rank(_matrix([row for _, block in blocks for row in block])) for blocks in classes)
                 assert f2.rank(cone.block_matrix()) == ranked, (seed, slope)
