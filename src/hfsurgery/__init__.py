@@ -67,12 +67,9 @@ from .surgery import (
     RankReport,
     Slope,
     SlopeError,
-    TruncationError,
-    build_cone,
     compute_rank_report,
     cone_rank_chain,
     cone_rank_homological,
-    cone_window,
     coprime_slopes,
     hypothesis_holds,
     kernel_basis_construction,
@@ -80,7 +77,6 @@ from .surgery import (
     nu_surrogate,
     rank_formula,
     t_invariant,
-    truncation_bound,
 )
 
 __version__ = "0.1.0"

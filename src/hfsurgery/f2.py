@@ -254,12 +254,14 @@ def image_intersection_rank(m1: F2Matrix, m2: F2Matrix) -> int:
     return rank(m1) + rank(m2) - rank(m1.hstack(m2))
 
 
-def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[int]:
-    """Deterministic basis of the intersection of the two column spaces.
+def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[tuple[int, int]]:
+    """Deterministic basis of the intersection of the two column spaces, as
+    matched pairs.
 
     Every kernel vector (a | b) of [m1 | m2] satisfies m1 a = m2 b, an
-    element of the intersection; an independent subset of those values
-    spans it.
+    element of the intersection.  The pairs (a, b) are kept, in kernel-basis
+    order, while their common images stay independent; those images form
+    the basis.
     """
     if m1.rows != m2.rows:
         raise DimensionError(
@@ -268,14 +270,14 @@ def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[int]:
     stacked = m1.hstack(m2)
     low_mask = (1 << m1.cols) - 1
     table: dict[int, int] = {}
-    basis: list[int] = []
+    pairs: list[tuple[int, int]] = []
     for pair in kernel_basis(stacked):
-        vec = m1.apply(pair & low_mask)
-        reduced = _reduce(table, vec)
+        a = pair & low_mask
+        reduced = _reduce(table, m1.apply(a))
         if reduced:
             _insert(table, reduced)
-            basis.append(vec)
-    return basis
+            pairs.append((a, pair >> m1.cols))
+    return pairs
 
 
 class HomologyBasis:

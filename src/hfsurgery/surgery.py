@@ -9,8 +9,8 @@ column j exists exactly when j is in it and the h block exactly when
 j + p is, so the columns j < lo+p lose v and the columns j > hi-p lose h
 (a window of fewer than 2p columns has columns that lose both).
 
-Both rank routes use the tight window of :func:`cone_window`.  With g the
-genus, lo = -(g-1)q and hi = max(gq-1, lo+p-1), which keeps
+Both rank routes use the tight window, which ``MappingCone`` computes.
+With g the genus, lo = -(g-1)q and hi = max(gq-1, lo+p-1), which keeps
 max((2g-1)q, p) HatA columns.  It is exact by the truncation argument of
 Ozsvath-Szabo (arXiv math/0504404), with both cuts placed at the genus.
 v_hat(s) is a homology isomorphism for s >= g, so the columns j > hi with
@@ -19,10 +19,10 @@ quasi-isomorphisms on the diagonal, which makes it acyclic.  h_hat(s) is
 one for s <= -g, so in the quotient the columns j < lo with the HatB
 columns j < lo+p form an acyclic subcomplex in the same way; those HatB
 columns survive the first cut because hi >= lo+p-1.  Dropping both leaves
-the homology unchanged.  A symmetric level c keeps the window
-[-qc+1, qc-1] instead, which contains the tight one and is exact for every
-c >= :func:`truncation_bound`; passing a level is how the rank is checked
-to stay put as the window grows.
+the homology unchanged.  The argument's own symmetric window
+[-qc+1, qc-1], exact for every level c >= ceil(g + p/q + 1), contains the
+tight one; the tests check the tight window's rank against the full
+boundary of the symmetric window at several such levels.
 
 Route one treats the whole cone as a single chain complex and computes
 its homology from the chain-level boundary D, without assembling all of
@@ -86,20 +86,17 @@ representatives, so a fault in either product shows as a disagreement.
 The block matrix has the cone's shape without the HatB blocks: its row
 block j is [h_hat((j - p) // q)_* | v_hat(j // q)_*] on the homology of
 HatA blocks j - p and j, so it too is block-diagonal over j mod p and
-bidiagonal within each class, and the same sweep ranks it.
-(:meth:`MappingCone.block_matrix` lays its columns out in plain column
-order, a permutation that changes neither its rank nor its kernel's
-dimension.)  Its carry is the row space so far cut down to HatA block
-j - p in homology coordinates, and its steps are memoized under
-("hsweep", carry, key), apart from the chain route's ("sweep", carry,
-key).  Each memo miss is eliminated once by ``f2.rref``: the rank it
-adds is the pivot count less the carry's size, and the next carry the
-reduced rows with their pivot in the v block.  The chain route reads its
-increment from an ``f2.rank`` call instead, the call the benchmark's
-tracer counts as the cone elimination.  Route two never builds the block
-matrix; :meth:`MappingCone.block_matrix` assembles the same per-key rows
-for the tests, which check the routes and the kernel construction
-against it.
+bidiagonal within each class, and the same sweep ranks it.  Its carry
+is the row space so far cut down to HatA block j - p in homology
+coordinates, and its steps are memoized under ("hsweep", carry, key),
+apart from the chain route's ("sweep", carry, key).  Each memo miss is
+eliminated once by ``f2.rref``: the rank it adds is the pivot count less
+the carry's size, and the next carry the reduced rows with their pivot in
+the v block.  The chain route reads its increment from an ``f2.rank``
+call instead, the call the benchmark's tracer counts as the cone
+elimination.  Route two never builds the block matrix; the tests assemble
+it from the same per-key rows and check the routes and the kernel
+construction against it.
 
 A cone reads its window's HatA regions from one memo entry per range of s,
 a dict shared by every cone on that range, so building a cone costs two
@@ -122,7 +119,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 from . import f2
@@ -132,10 +128,6 @@ from .f2 import F2Matrix
 
 class SlopeError(ValueError):
     """Slopes must be coprime positive fractions p/q."""
-
-
-class TruncationError(ValueError):
-    """The requested truncation level is below the safe bound."""
 
 
 class FormulaNotApplicableError(ValueError):
@@ -189,42 +181,15 @@ def coprime_slopes(pmax: int, qmax: int):
     ]
 
 
-def truncation_bound(c: CfkComplex, slope: Slope) -> int:
-    """Smallest safe truncation level, ceil(genus + p/q + 1)."""
-    return c.genus() + 1 + -(-slope.p // slope.q)
-
-
-def cone_window(c: CfkComplex, slope: Slope, level: int | None = None) -> tuple[int, int]:
-    """HatA column window (lo, hi) of the truncated cone.
-
-    With no level, the tight window lo = -(g-1)q, hi = max(gq-1, lo+p-1);
-    with a level c, the symmetric window [-qc+1, qc-1], refused below
-    :func:`truncation_bound`.  The module docstring says why both are exact.
-    """
-    p, q = slope.p, slope.q
-    if level is None:
-        g = c.genus()
-        lo = -(g - 1) * q
-        return lo, max(g * q - 1, lo + p - 1)
-    bound = truncation_bound(c, slope)
-    if level < bound:
-        raise TruncationError(
-            f"truncation level {level} is below the safe bound {bound} for slope {slope}"
-        )
-    return -q * level + 1, q * level - 1
-
-
 class MappingCone:
-    """The truncated cone for one slope, with chain and homology views.
+    """The truncated cone for one slope on the tight window, with chain and
+    homology views.  The module docstring says why the window is exact."""
 
-    Its HatA columns are the window :func:`cone_window` gives for
-    ``level``: with ``level=None`` the tight window of the rank routes,
-    with a level the symmetric window of that level, refused below
-    :func:`truncation_bound`."""
-
-    def __init__(self, complex_: CfkComplex, slope: Slope, level: int | None = None):
+    def __init__(self, complex_: CfkComplex, slope: Slope):
         # The window reads the genus, which validates the complex first.
-        lo, hi = cone_window(complex_, slope, level)
+        g, p, q = complex_.genus(), slope.p, slope.q
+        lo = -(g - 1) * q
+        hi = max(g * q - 1, lo + p - 1)
         # The cone reads h-maps only when the rows of a HatB block are
         # built, so the flip is checked here, before any window region is
         # built.
@@ -233,11 +198,11 @@ class MappingCone:
         self.slope = slope
         # Ranges: ``j in self.b_columns`` is an O(1) membership test.
         self.a_columns = range(lo, hi + 1)
-        self.b_columns = range(lo + slope.p, hi + 1)
+        self.b_columns = range(lo + p, hi + 1)
         # Column j is a copy of HatA(j // q): one region per s, not per
         # column, and the window's regions are one memo entry, read only,
         # shared by every cone on the same range of s.
-        s_lo, s_hi = lo // slope.q, hi // slope.q
+        s_lo, s_hi = lo // q, hi // q
         self._a_regions = complex_.cached(
             ("a_regions", s_lo, s_hi),
             lambda: {s: complex_.region_complex(HatA(s)) for s in range(s_lo, s_hi + 1)},
@@ -304,19 +269,6 @@ class MappingCone:
         h_ind = self.complex.h_hat(key[0]).induced
         return h_ind.hstack(self.complex.v_hat(key[1]).induced), h_ind.cols
 
-    @cached_property
-    def _hom_offsets(self) -> dict[int, int]:
-        """The HatA block offset of each column, in column order, each block
-        as wide as its homology.  The block matrix's columns are HatA alone;
-        their order leaves its rank unchanged, and flatten reads the same
-        offsets."""
-        q = self.slope.q
-        a_off, pos = {}, 0
-        for j in self.a_columns:
-            a_off[j] = pos
-            pos += self._a_regions[j // q].homology.dim
-        return a_off
-
     @property
     def a_homology_dim(self) -> int:
         return self._per_column(lambda region: region.homology.dim)
@@ -324,48 +276,6 @@ class MappingCone:
     @property
     def b_homology_dim(self) -> int:
         return self._b_region.homology.dim * len(self.b_columns)
-
-    @cached_property
-    def _block_matrix(self) -> F2Matrix:
-        a_off = self._hom_offsets
-        q, p = self.slope.q, self.slope.p
-        masks = []
-        for j in self.b_columns:
-            rows, v_start = self.induced_boundary(((j - p) // q, j // q))
-            h_mask = (1 << v_start) - 1
-            masks += [
-                ((row & h_mask) << a_off[j - p]) | ((row >> v_start) << a_off[j])
-                for row in rows.data
-            ]
-        return F2Matrix(self.a_homology_dim, tuple(masks))
-
-    def block_matrix(self) -> F2Matrix:
-        """Induced block matrix on homology, from the rows of
-        :meth:`induced_boundary` placed at the offsets of their columns.
-
-        HatB row block j receives the induced v_hat from column j and the
-        induced h_hat from column j - p; both source columns always exist
-        inside the truncation window.  The rank routes never build it.
-        """
-        return self._block_matrix
-
-    def flatten(self, element: dict[int, int]) -> int:
-        """Pack a column-indexed homology element into block coordinates."""
-        a_off = self._hom_offsets
-        out = 0
-        for j, coeff in element.items():
-            out |= coeff << a_off[j]
-        return out
-
-    def block_apply(self, element: dict[int, int]) -> int:
-        return self.block_matrix().apply(self.flatten(element))
-
-
-def build_cone(c: CfkComplex, slope: Slope, level: int | None = None) -> MappingCone:
-    """The cone on the symmetric window of ``level``; ``level=None`` means
-    the safe bound :func:`truncation_bound`, the width
-    :func:`kernel_basis_construction` walks on."""
-    return MappingCone(c, slope, truncation_bound(c, slope) if level is None else level)
 
 
 def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
@@ -398,16 +308,15 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     return added
 
 
-def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> int:
+def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
     """Total homology rank of the cone, from the chain-level boundary only.
 
-    The cone is on the tight window, or on the symmetric window of
-    ``level`` when one is given.  Each residue class of j mod p is swept
+    The cone is on the tight window.  Each residue class of j mod p is swept
     in chain order, one memoized ("sweep", carry, key) step per HatB block,
     as the module docstring explains."""
 
     def compute() -> int:
-        cone = MappingCone(c, slope, level)
+        cone = MappingCone(c, slope)
         # The increment is read from an f2.rank call, made while this route
         # runs, not off the pivots: perfbench's tracer counts exactly an
         # f2.rank call directly under the chain route as the cone
@@ -417,7 +326,7 @@ def cone_rank_chain(c: CfkComplex, slope: Slope, level: int | None = None) -> in
         # plus what the sweep adds.
         return cone.total_dim - 2 * (cone.a_boundary_rank + added)
 
-    return c.cached(("cone_rank_chain", slope.p, slope.q, level), compute)
+    return c.cached(("cone_rank_chain", slope.p, slope.q), compute)
 
 
 def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
@@ -565,17 +474,16 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     im v_hat(j/q) meet im h_hat((j-p)/q) is built from a matched pair and
     cancelled in both directions.
 
-    The walks run on :func:`build_cone`'s symmetric window, not the tight
-    window of the rank routes: they need the columns -p..p-1 and must not be
-    cut off early.  On figure_eight at 1/1 the tight window {0} widened to
-    {-1, 0} still stops the matched element's rightward walk at column 0.
     Kernels are seeded on -(g-1)q <= j <= gq-1 only: beyond it v_hat and
-    h_hat are isomorphisms, so no region there is built for a seed.
+    h_hat are isomorphisms, so no region there is built for a seed.  A walk
+    reads no window: it runs until the outgoing induced image is zero.
+    Every walk ends, because on homology v_hat(s) vanishes for s <= -g-1
+    and h_hat(s) for s >= g+1, past the genus; so a walk reaches only the
+    columns -gq-p <= j < (g+1)q+p.
     """
     require_hypothesis(c)
     q, p = slope.q, slope.p
     g = c.genus()
-    lo, hi = cone_window(c, slope, truncation_bound(c, slope))
 
     def ind_v(j: int) -> F2Matrix:
         return c.v_hat(j // q).induced
@@ -586,42 +494,33 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     def extend(element: dict[int, int], j: int, coeff: int, step: int) -> None:
         """Cancel the image of ``coeff`` at column j, column by column:
         rightward (step p) along h_hat, solved against v_hat, or leftward
-        (step -p) along v_hat, solved against h_hat.  The walk stops where
-        the outgoing block, into HatB column j + row, is dropped, so every
-        column it reaches lies in the window."""
+        (step -p) along v_hat, solved against h_hat.  Every column the walk
+        reaches is new to its element: a seed's walk moves away from its
+        seed, and a matched element's two walks leave j and j - p in
+        opposite directions."""
         if step > 0:
-            row, out_ind, back_ind, way = p, ind_h, ind_v, "rightward"
+            out_ind, back_ind, way = ind_h, ind_v, "rightward"
         else:
-            row, out_ind, back_ind, way = 0, ind_v, ind_h, "leftward"
-        while lo + p <= j + row <= hi:
-            target = out_ind(j).apply(coeff)
-            if target == 0:
-                return
+            out_ind, back_ind, way = ind_v, ind_h, "leftward"
+        while target := out_ind(j).apply(coeff):
             j += step
             coeff = f2.solve(back_ind(j), target)
             if coeff is None:
                 raise InternalInvariantError(
                     f"no {way} cancellation at column {j}; containment check was wrong"
                 )
-            element[j] = element.get(j, 0) ^ coeff
+            element[j] = coeff
 
     basis: list[dict[int, int]] = []
-    for j in range(max(lo, -(g - 1) * q), min(hi, g * q - 1) + 1):
+    for j in range(-(g - 1) * q, g * q):
         ind, step = (ind_v, p) if j >= 0 else (ind_h, -p)
         for vec in f2.kernel_basis(ind(j)):
             element = {j: vec}
             extend(element, j, vec, step)
             basis.append(element)
     for j in range(p):
-        v_ind = ind_v(j)
-        h_ind = ind_h(j - p)
-        for w in f2.image_intersection_basis(v_ind, h_ind):
-            y = f2.solve(v_ind, w)
-            z = f2.solve(h_ind, w)
-            if y is None or z is None:
-                raise InternalInvariantError(
-                    f"intersection class at column {j} has no matched pair"
-                )
+        # A matched pair (y, z) has v_hat y = h_hat z, one class of the meet.
+        for y, z in f2.image_intersection_basis(ind_v(j), ind_h(j - p)):
             element = {j: y, j - p: z}
             extend(element, j, y, p)
             extend(element, j - p, z, -p)

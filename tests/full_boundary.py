@@ -1,4 +1,6 @@
-"""The whole chain-level boundary of a mapping cone, as a test reference.
+"""Test references for the mapping cone: its whole chain-level boundary,
+the symmetric windows of the truncation argument and the induced block
+matrix.
 
 The chain route never assembles the boundary.  It adds the HatA blocks'
 own boundary ranks to the ranks its sweep adds, block by block, from the
@@ -10,12 +12,45 @@ and replays the sweep's steps from the memo the chain route leaves.
 On every complex tried, real cones leave every carry of either route's
 sweep empty, so ``random_induced_boundary`` gives the homological route
 rows whose carries matter.
+
+The rank routes use only the tight window.  ``build_cone`` gives the same
+cone on the symmetric window -q*level < j < q*level of the truncation
+argument, exact for every level from ``truncation_bound`` up, and the
+tests check the tight window's rank against the full boundary there,
+which runs no sweep.  ``block_matrix`` assembles the induced block matrix
+from the rows of ``MappingCone.induced_boundary``, so a test that patches
+those rows patches the matrix too, and ``flatten`` packs a kernel element
+into its columns.
 """
 
 import random
 
+from hfsurgery import f2
 from hfsurgery.cfk import HatA, HatB
 from hfsurgery.f2 import F2Matrix
+from hfsurgery.surgery import MappingCone, _sweep
+
+
+def truncation_bound(c, slope) -> int:
+    """The smallest level whose symmetric window is exact,
+    ceil(genus + p/q + 1)."""
+    return c.genus() + 1 + -(-slope.p // slope.q)
+
+
+def build_cone(c, slope, level=None) -> MappingCone:
+    """The cone on the symmetric window -q*level < j < q*level, the HatB
+    columns being those p further right; ``level=None`` means
+    :func:`truncation_bound`.  It is the tight cone with its window
+    widened, so it reads the genus and checks the flip first, and every
+    view of the cone works on it."""
+    cone = MappingCone(c, slope)
+    q = slope.q
+    level = truncation_bound(c, slope) if level is None else level
+    lo, hi = -q * level + 1, q * level - 1
+    cone.a_columns = range(lo, hi + 1)
+    cone.b_columns = range(lo + slope.p, hi + 1)
+    cone._a_regions = {s: c.region_complex(HatA(s)) for s in range(lo // q, hi // q + 1)}
+    return cone
 
 
 def full_boundary(cone) -> F2Matrix:
@@ -83,3 +118,50 @@ def random_induced_boundary(seed):
         return F2Matrix(h_width + v_width, data), h_width
 
     return rows
+
+
+def sweep_rank(cone) -> int:
+    """The chain route's rank, swept on the cone's own window: what
+    ``cone_rank_chain`` computes on the tight one."""
+    added = _sweep(cone, "sweep", cone.total_boundary, lambda m, pivots: f2.rank(m))
+    return cone.total_dim - 2 * (cone.a_boundary_rank + added)
+
+
+def _hom_offsets(cone) -> tuple[dict[int, int], int]:
+    """The block matrix's column offset of each HatA column, in plain
+    column order, each block as wide as its homology, and the width."""
+    q = cone.slope.q
+    a_off, pos = {}, 0
+    for j in cone.a_columns:
+        a_off[j] = pos
+        pos += cone.complex.region_complex(HatA(j // q)).homology.dim
+    return a_off, pos
+
+
+def block_matrix(cone) -> F2Matrix:
+    """The induced block matrix on homology.  HatB row block j holds the
+    rows ``cone.induced_boundary`` gives for its key, the h part on HatA
+    column j - p and the v part on HatA column j; both always lie in the
+    window.  Column order changes neither its rank nor its kernel's
+    dimension."""
+    a_off, width = _hom_offsets(cone)
+    p, q = cone.slope.p, cone.slope.q
+    masks = []
+    for j in cone.b_columns:
+        rows, v_start = cone.induced_boundary(((j - p) // q, j // q))
+        h_mask = (1 << v_start) - 1
+        masks += [
+            ((row & h_mask) << a_off[j - p]) | ((row >> v_start) << a_off[j])
+            for row in rows.data
+        ]
+    return F2Matrix(width, tuple(masks))
+
+
+def flatten(cone, element: dict[int, int]) -> int:
+    """Pack a column-indexed homology element into the block matrix's
+    columns."""
+    a_off, _ = _hom_offsets(cone)
+    out = 0
+    for j, coeff in element.items():
+        out |= coeff << a_off[j]
+    return out

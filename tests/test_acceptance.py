@@ -22,7 +22,6 @@ from hfsurgery.obstructions import (
 )
 from hfsurgery.surgery import (
     Slope,
-    build_cone,
     cone_rank_chain,
     cone_rank_homological,
     coprime_slopes,
@@ -30,8 +29,9 @@ from hfsurgery.surgery import (
     kernel_rank,
     rank_formula,
     t_invariant,
-    truncation_bound,
 )
+
+from full_boundary import block_matrix, build_cone, flatten, full_boundary, truncation_bound
 
 NONTRIVIAL = ("trefoil_rh", "trefoil_lh", "figure_eight", "t25", "t27")
 
@@ -193,28 +193,31 @@ def test_criterion_8_structural_invariants():
         # top of the filtration support
         if g >= 1:
             assert c.single_point_region_rank() == c.hfk_hat(g) > 0, c.name
-        # truncation stability and the kernel construction at one slope
+        # truncation stability: the tight window's rank is the full
+        # boundary's on the symmetric windows of three levels from the bound
         slope = Slope(1, 1)
         bound = truncation_bound(c, slope)
-        base = cone_rank_chain(c, slope, bound)
-        assert cone_rank_chain(c, slope, bound + 1) == base, c.name
-        assert cone_rank_chain(c, slope, bound + 3) == base, c.name
+        base = cone_rank_chain(c, slope)
+        for level in (bound, bound + 1, bound + 3):
+            full = full_boundary(build_cone(c, slope, level))
+            assert full.cols - 2 * f2.rank(full) == base, (c.name, level)
+        # the kernel construction at one slope
         cone = build_cone(c, slope)
         basis = kernel_basis_construction(c, slope)
-        block_kernel = cone.a_homology_dim - f2.rank(cone.block_matrix())
+        block = block_matrix(cone)
+        block_kernel = cone.a_homology_dim - f2.rank(block)
         assert len(basis) == kernel_rank(c, slope) == block_kernel, c.name
-        for element in basis:
-            assert cone.block_apply(element) == 0, c.name
-        stacked = f2.F2Matrix.from_columns(
-            [cone.flatten(e) for e in basis], cone.a_homology_dim
-        )
+        flattened = [flatten(cone, e) for e in basis]
+        for vec in flattened:
+            assert block.apply(vec) == 0, c.name
+        stacked = f2.F2Matrix.from_columns(flattened, cone.a_homology_dim)
         assert f2.rank(stacked) == len(basis), c.name
     # a second slope on a sample of the corpus exercises q > 1 kernels
     for c in [builtin("t25")] + corpus()[::10]:
         slope = Slope(3, 2)
         cone = build_cone(c, slope)
         basis = kernel_basis_construction(c, slope)
-        block_kernel = cone.a_homology_dim - f2.rank(cone.block_matrix())
+        block_kernel = cone.a_homology_dim - f2.rank(block_matrix(cone))
         assert len(basis) == kernel_rank(c, slope) == block_kernel, c.name
     print("ACCEPTANCE 8 structural invariants: PASS")
 

@@ -92,12 +92,15 @@ class TestImageIntersection:
     def test_basis_matches_rank(self):
         m1 = mat(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)])
         m2 = mat(3, 2, [(0, 0), (1, 0), (2, 1)])
-        basis = f2.image_intersection_basis(m1, m2)
-        assert len(basis) == f2.image_intersection_rank(m1, m2)
-        # every basis vector lies in both column spaces
-        for vec in basis:
+        pairs = f2.image_intersection_basis(m1, m2)
+        assert len(pairs) == f2.image_intersection_rank(m1, m2)
+        # every basis vector m1 a is m2 b, so it lies in both column spaces
+        basis = [m1.apply(a) for a, _ in pairs]
+        for (a, b), vec in zip(pairs, basis):
+            assert m2.apply(b) == vec
             for m in (m1, m2):
                 assert f2.rank(m.hstack(F2Matrix.from_columns([vec], 3))) == f2.rank(m)
+        assert f2.rank(F2Matrix.from_columns(basis, 3)) == len(basis)
 
 
 class TestSolve:
@@ -200,7 +203,12 @@ def test_intersection_rank_identity(data):
     m2 = data.draw(matrices(rows=rows))
     expected = f2.rank(m1) + f2.rank(m2) - f2.rank(m1.hstack(m2))
     assert f2.image_intersection_rank(m1, m2) == expected
-    assert len(f2.image_intersection_basis(m1, m2)) == expected
+    pairs = f2.image_intersection_basis(m1, m2)
+    assert len(pairs) == expected
+    # Each pair's two images agree, and those images are independent.
+    images = [m1.apply(a) for a, _ in pairs]
+    assert images == [m2.apply(b) for _, b in pairs]
+    assert f2.rank(F2Matrix.from_columns(images, rows)) == expected
 
 
 @settings(max_examples=200, deadline=None)

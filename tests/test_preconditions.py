@@ -8,6 +8,9 @@ involution: h-maps index HatB by the flip partner's position, so reading
 one before the check would raise KeyError instead.
 A valid complex without a flip must raise FlipRequiredError wherever an
 h-map or a cone is read, and must still work wherever it is not.
+The test references that the other tests read, the t case formula of
+``models`` and the symmetric window and its bound of ``full_boundary``,
+are held to the same policy, so that none of them gets round a check.
 """
 
 import pytest
@@ -19,7 +22,6 @@ from hfsurgery.obstructions import complement_check, cosmetic_pair_check, monoto
 from hfsurgery.surgery import (
     MappingCone,
     Slope,
-    build_cone,
     compute_rank_report,
     cone_rank_chain,
     cone_rank_homological,
@@ -29,10 +31,10 @@ from hfsurgery.surgery import (
     nu_surrogate,
     rank_formula,
     t_invariant,
-    truncation_bound,
 )
 
 import models
+from full_boundary import build_cone, truncation_bound
 
 SLOPE = Slope(1, 2)
 

@@ -16,7 +16,6 @@ from hfsurgery.obstructions import hypothesis_check
 from hfsurgery.surgery import (
     MappingCone,
     Slope,
-    build_cone,
     cone_rank_chain,
     cone_rank_homological,
     hypothesis_holds,
@@ -24,11 +23,18 @@ from hfsurgery.surgery import (
     kernel_rank,
     rank_formula,
     t_invariant,
-    truncation_bound,
 )
 
 import models
-from full_boundary import full_boundary, random_induced_boundary
+from full_boundary import (
+    block_matrix,
+    build_cone,
+    flatten,
+    full_boundary,
+    random_induced_boundary,
+    sweep_rank,
+    truncation_bound,
+)
 
 specs = st.builds(
     RandomSpec,
@@ -157,19 +163,27 @@ def test_formula_matches_oracle_under_hypothesis(c, slope):
 @settings(max_examples=20, deadline=None)
 @given(complexes, slopes)
 def test_truncation_stability(c, slope):
+    # The tight window's rank is the full boundary's on the symmetric
+    # window of the safe bound and of two levels above it.
     bound = truncation_bound(c, slope)
-    base = cone_rank_chain(c, slope, bound)
-    assert cone_rank_chain(c, slope, bound + 1) == base
-    assert cone_rank_chain(c, slope, bound + 3) == base
+    base = cone_rank_chain(c, slope)
+    for level in (bound, bound + 1, bound + 3):
+        full = full_boundary(build_cone(c, slope, level))
+        assert full.cols - 2 * f2.rank(full) == base
 
 
 @settings(max_examples=30, deadline=None)
 @given(complexes, slopes, st.sampled_from([None, 0, 1, 2]))
 def test_chain_route_equals_rank_of_full_boundary(c, slope, extra):
-    level = None if extra is None else truncation_bound(c, slope) + extra
-    cone = MappingCone(c, slope, level)
+    # On the tight window and on symmetric windows from the safe bound up,
+    # the sweep on the cone's own window and the chain route's tight rank
+    # both give the cone's dimension less twice its full boundary's rank.
+    if extra is None:
+        cone = MappingCone(c, slope)
+    else:
+        cone = build_cone(c, slope, truncation_bound(c, slope) + extra)
     expected = cone.total_dim - 2 * f2.rank(full_boundary(cone))
-    assert cone_rank_chain(c, slope, level) == expected
+    assert cone_rank_chain(c, slope) == sweep_rank(cone) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,8 +192,9 @@ def test_sweep_carries_are_canonical(c, slope, extra):
     # Every carry the sweep returns is its own reduced row-echelon form on
     # the cycle coordinates of HatA(key[1]), and every carry it reads is
     # on those of HatA(key[0]).
-    level = None if extra is None else truncation_bound(c, slope) + extra
-    cone_rank_chain(c, slope, level)
+    cone_rank_chain(c, slope)
+    if extra is not None:
+        sweep_rank(build_cone(c, slope, truncation_bound(c, slope) + extra))
     steps = [(k, v) for k, v in c._memo.items() if k[0] == "sweep"]
     for (_, carry_in, key), (increment, carry) in steps:
         widths = [len(c.region_complex(HatA(s)).cycles) for s in key]
@@ -202,7 +217,7 @@ def test_homological_sweep_carries_are_canonical(c, slope, seed):
             patch.setattr(MappingCone, "induced_boundary", random_induced_boundary(seed))
         rank = cone_rank_homological(c, slope)
         cone = MappingCone(c, slope)
-        r = f2.rank(cone.block_matrix())
+        r = f2.rank(block_matrix(cone))
     assert rank == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
     steps = [(k, v) for k, v in c._memo.items() if k[0] == "hsweep"]
     for (_, carry_in, key), (increment, carry) in steps:
@@ -216,9 +231,10 @@ def test_homological_sweep_carries_are_canonical(c, slope, seed):
 @settings(max_examples=20, deadline=None)
 @given(complexes, slopes)
 def test_tight_window_equals_symmetric(c, slope):
-    assert cone_rank_chain(c, slope) == cone_rank_chain(c, slope, truncation_bound(c, slope))
     cone = build_cone(c, slope)
-    r = f2.rank(cone.block_matrix())
+    full = full_boundary(cone)
+    assert cone_rank_chain(c, slope) == full.cols - 2 * f2.rank(full)
+    r = f2.rank(block_matrix(cone))
     assert cone_rank_homological(c, slope) == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
 
 
@@ -229,14 +245,31 @@ def test_kernel_construction_counts(c, slope):
         return
     cone = build_cone(c, slope)
     basis = kernel_basis_construction(c, slope)
-    true_kernel = cone.a_homology_dim - f2.rank(cone.block_matrix())
+    block = block_matrix(cone)
+    true_kernel = cone.a_homology_dim - f2.rank(block)
     assert len(basis) == kernel_rank(c, slope) == true_kernel
-    for element in basis:
-        assert cone.block_apply(element) == 0
-    stacked = f2.F2Matrix.from_columns(
-        [cone.flatten(e) for e in basis], cone.a_homology_dim
-    )
+    flattened = [flatten(cone, e) for e in basis]
+    for vec in flattened:
+        assert block.apply(vec) == 0
+    stacked = f2.F2Matrix.from_columns(flattened, cone.a_homology_dim)
     assert f2.rank(stacked) == len(basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(complexes, slopes)
+def test_kernel_walks_stay_within_the_genus_thresholds(c, slope):
+    # A walk stops where the outgoing induced image vanishes, which it does
+    # past the genus: v_hat(s) for s <= -g-1 and h_hat(s) for s >= g+1.
+    # So every column lies in -gq-p <= j < (g+1)q+p, which the symmetric
+    # window of the safe bound contains.
+    if not hypothesis_check(c).overall:
+        return
+    g, p, q = c.genus(), slope.p, slope.q
+    window = build_cone(c, slope).a_columns
+    for element in kernel_basis_construction(c, slope):
+        for j in element:
+            assert -g * q - p <= j < (g + 1) * q + p, (c.name, slope, j)
+            assert j in window
 
 
 @settings(max_examples=30, deadline=None)

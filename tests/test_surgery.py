@@ -16,8 +16,6 @@ from hfsurgery.surgery import (
     RankReport,
     Slope,
     SlopeError,
-    TruncationError,
-    build_cone,
     compute_rank_report,
     cone_rank_chain,
     cone_rank_homological,
@@ -28,11 +26,19 @@ from hfsurgery.surgery import (
     nu_surrogate,
     rank_formula,
     t_invariant,
-    truncation_bound,
 )
 
 import models
-from full_boundary import full_boundary, random_induced_boundary, sweep_increments
+from full_boundary import (
+    block_matrix,
+    build_cone,
+    flatten,
+    full_boundary,
+    random_induced_boundary,
+    sweep_increments,
+    sweep_rank,
+    truncation_bound,
+)
 
 SMALL_SLOPES = [Slope(p, q) for p in range(1, 5) for q in range(1, 5) if math.gcd(p, q) == 1]
 
@@ -79,10 +85,6 @@ class TestBuildCone:
         cone = build_cone(builtin("trefoil_rh"), Slope(1, 2), 3)
         assert len(cone.a_columns) == 11 and len(cone.b_columns) == 10
 
-    def test_level_too_small(self):
-        with pytest.raises(TruncationError):
-            build_cone(builtin("trefoil_rh"), Slope(1, 1), 2)
-
     @pytest.mark.parametrize(
         "name, slope, a_columns, b_columns",
         [
@@ -102,8 +104,8 @@ class TestBuildCone:
         windows = []
 
         class Recording(MappingCone):
-            def __init__(self, complex_, slope, level=None):
-                super().__init__(complex_, slope, level)
+            def __init__(self, complex_, slope):
+                super().__init__(complex_, slope)
                 windows.append((self.a_columns[0], self.a_columns[-1]))
 
         monkeypatch.setattr(surgery, "MappingCone", Recording)
@@ -111,10 +113,6 @@ class TestBuildCone:
         cone_rank_chain(c, Slope(7, 2))
         cone_rank_homological(c, Slope(7, 2))
         assert windows == [(-2, 4), (-2, 4)]
-
-    def test_level_too_small_for_the_chain_route(self):
-        with pytest.raises(TruncationError):
-            cone_rank_chain(builtin("trefoil_rh"), Slope(1, 1), 2)
 
     def test_cones_on_one_range_of_s_share_their_regions(self, monkeypatch):
         # The window's HatA regions are one memo entry per (lo // q, hi // q):
@@ -133,33 +131,27 @@ class TestBuildCone:
         assert list(first._a_regions) == [-1, 0, 1]
         assert (first.a_columns, second.a_columns) == (range(-2, 4), range(-3, 6))
 
-    def test_level_below_the_bound_builds_no_regions(self):
-        # The window is refused before the cone reads its regions.
-        c = builtin("t25")
-        slope = Slope(1, 2)
-        with pytest.raises(TruncationError):
-            MappingCone(c, slope, truncation_bound(c, slope) - 1)
-        assert not [key for key in c._memo if key[0] == "a_regions"]
-
     def test_missing_flip(self):
         c = CfkComplex([Generator("x", 0)], [], None, "flipless")
         with pytest.raises(FlipRequiredError):
-            build_cone(c, Slope(1, 1))
+            MappingCone(c, Slope(1, 1))
 
     def test_total_boundary_squares_to_zero(self):
         # The full boundary is a differential, and the chain route's split
-        # on the HatA cycle bases, swept class by class, gives its rank.
+        # on the HatA cycle bases, swept class by class, gives its rank, on
+        # the tight window and on the symmetric window of the safe bound.
+        # There it also gives the tight window's rank.
         complexes = [builtin(name) for name in ("unknot", "trefoil_rh", "figure_eight", "t25")]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
             for slope in (Slope(1, 1), Slope(2, 3), Slope(3, 1), Slope(1, 4)):
-                windows = ((build_cone(c, slope), truncation_bound(c, slope)),
-                           (MappingCone(c, slope), None))
-                for cone, level in windows:
+                rank = cone_rank_chain(c, slope)
+                for cone in (build_cone(c, slope), MappingCone(c, slope)):
                     full = full_boundary(cone)
                     assert full.cols == cone.total_dim
                     assert (full @ full).is_zero(), (c.name, slope)
-                    cone_rank_chain(c, slope, level)
+                    assert rank == full.cols - 2 * f2.rank(full), (c.name, slope)
+                    sweep_rank(cone)
                     swept = sum(map(sum, sweep_increments(cone)))
                     assert f2.rank(full) == cone.a_boundary_rank + swept, (c.name, slope)
 
@@ -229,10 +221,10 @@ class TestConeRanks:
         assert cone_rank_homological(builtin("figure_eight"), Slope(2, 1)) == 4
 
     def test_routes_agree_on_builtins(self):
-        for name in ("trefoil_rh", "trefoil_lh", "figure_eight", "t25"):
-            c = builtin(name)
+        for name in BUILTIN_NAMES + ("trefoil_rh#figure_eight",):
+            c = _complex(name)
             for slope in SMALL_SLOPES:
-                assert cone_rank_chain(c, slope) == cone_rank_homological(c, slope)
+                assert cone_rank_chain(c, slope) == cone_rank_homological(c, slope), (name, slope)
 
     def test_tight_window_equals_symmetric_on_builtins_and_tensors(self):
         complexes = [builtin(name) for name in BUILTIN_NAMES]
@@ -241,22 +233,24 @@ class TestConeRanks:
         assert len(complexes) == 21
         for c in complexes:
             for slope in coprime_slopes(5, 5):
-                bound = truncation_bound(c, slope)
-                symmetric = cone_rank_chain(c, slope, bound)
-                assert cone_rank_chain(c, slope) == symmetric, (c.name, slope)
                 cone = build_cone(c, slope)
-                r = f2.rank(cone.block_matrix())
+                full = full_boundary(cone)
+                assert cone_rank_chain(c, slope) == full.cols - 2 * f2.rank(full), (c.name, slope)
+                r = f2.rank(block_matrix(cone))
                 symmetric = (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
                 assert cone_rank_homological(c, slope) == symmetric, (c.name, slope)
 
     def test_truncation_stability(self):
+        # The tight window's rank is the full boundary's on the symmetric
+        # window of every level tried from the safe bound up.
         for name in ("trefoil_rh", "figure_eight", "t25"):
             c = builtin(name)
             for slope in (Slope(1, 1), Slope(2, 3)):
                 bound = truncation_bound(c, slope)
-                base = cone_rank_chain(c, slope, bound)
-                for extra in (1, 3):
-                    assert cone_rank_chain(c, slope, bound + extra) == base
+                base = cone_rank_chain(c, slope)
+                for extra in (0, 1, 3):
+                    full = full_boundary(build_cone(c, slope, bound + extra))
+                    assert full.cols - 2 * f2.rank(full) == base, (name, slope, extra)
 
     def test_chain_route_builds_only_the_homology_genus_reads(self, monkeypatch):
         # The 1/2 cone on t25 has HatA(-1..1) columns and HatB; genus() reads
@@ -280,13 +274,14 @@ class TestConeRanks:
         assert with_homology == [HatB(), HatA(1), HatA(2), HatA(3)]
         assert c.region_complex(HatA(3)) is c.region_complex(HatA(2)) is c.region_complex(HatB())
 
-        # The symmetric window at level 6 builds fresh regions and maps, yet
-        # reads no further homology and no induced map.
+        # The chain route's sweep on the symmetric window at level 6 builds
+        # fresh regions and maps, yet reads no further homology and no
+        # induced map.
         def refuse(*args, **kwargs):
             raise AssertionError("the chain route read an induced map")
 
         monkeypatch.setattr(f2, "induced_map_on_homology", refuse)
-        assert cone_rank_chain(c, Slope(1, 2), 6) == 11
+        assert sweep_rank(build_cone(c, Slope(1, 2), 6)) == 11
         assert len(built) == 2
 
 
@@ -414,7 +409,7 @@ class TestHomologicalSweep:
                 cone = MappingCone(c, slope)
                 classes = (_shifted_blocks(cone, first, "induced_boundary") for first in cone.a_columns[:slope.p])
                 ranked = sum(f2.rank(_matrix([row for _, block in blocks for row in block])) for blocks in classes)
-                assert f2.rank(cone.block_matrix()) == ranked, (seed, slope)
+                assert f2.rank(block_matrix(cone)) == ranked, (seed, slope)
                 expected = cone.a_homology_dim + cone.b_homology_dim - 2 * ranked
                 assert cone_rank_homological(c, slope) == expected, (seed, slope)
             carried += sum(1 for _, carry, _ in _sweep_entries(c, "hsweep") if carry)
@@ -432,17 +427,6 @@ class TestHomologicalSweep:
             cone_rank_homological(c, Slope(1, q))
         assert set(_sweep_entries(c, "hsweep")) == entries
         assert cone_rank_homological(c, Slope(1, 300)) == 1 + 2 * (5 * 300 - 1)
-
-    def test_rank_builds_no_block_matrix_or_offsets(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("the homological route built the block matrix or its offsets")
-
-        monkeypatch.setattr(MappingCone, "_block_matrix", property(refuse))
-        monkeypatch.setattr(MappingCone, "_hom_offsets", property(refuse))
-        for name in BUILTIN_NAMES + ("trefoil_rh#figure_eight",):
-            c = _complex(name)
-            for slope in SMALL_SLOPES:
-                assert cone_rank_homological(c, slope) == cone_rank_chain(c, slope), (name, slope)
 
 
 class TestTInvariant:
@@ -582,12 +566,12 @@ class TestKernel:
             for slope in (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(2, 3), Slope(5, 2)):
                 cone = build_cone(c, slope)
                 basis = kernel_basis_construction(c, slope)
-                block = cone.block_matrix()
+                block = block_matrix(cone)
                 true_kernel = cone.a_homology_dim - f2.rank(block)
                 assert len(basis) == kernel_rank(c, slope) == true_kernel, (name, slope)
-                for element in basis:
-                    assert cone.block_apply(element) == 0
-                flattened = [cone.flatten(e) for e in basis]
+                flattened = [flatten(cone, e) for e in basis]
+                for vec in flattened:
+                    assert block.apply(vec) == 0
                 stacked = f2.F2Matrix.from_columns(flattened, cone.a_homology_dim)
                 assert f2.rank(stacked) == len(basis), (name, slope, "independence")
 
@@ -617,9 +601,10 @@ class TestKernel:
             slope = Slope(1, q)
             cone = build_cone(c, slope)
             basis = kernel_basis_construction(c, slope)
-            assert len(basis) == cone.a_homology_dim - f2.rank(cone.block_matrix())
+            block = block_matrix(cone)
+            assert len(basis) == cone.a_homology_dim - f2.rank(block)
             for element in basis:
-                assert cone.block_apply(element) == 0
+                assert block.apply(flatten(cone, element)) == 0
             assert any(sum(j < 0 for j in e) >= 2 for e in basis), slope
 
 
