@@ -32,7 +32,6 @@ from .f2 import (
     InvalidComplexError,
     NotAChainMapError,
     image_intersection_basis,
-    image_intersection_rank,
     induced_map_on_homology,
     kernel_basis,
     rank,

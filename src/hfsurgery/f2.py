@@ -241,19 +241,6 @@ def solve(m: F2Matrix, target: int) -> int | None:
     return x
 
 
-def image_intersection_rank(m1: F2Matrix, m2: F2Matrix) -> int:
-    """Dimension of the intersection of the two column spaces.
-
-    Computed as rank(m1) + rank(m2) - rank([m1 | m2]); both matrices must
-    map into the same target space (equal row counts).
-    """
-    if m1.rows != m2.rows:
-        raise DimensionError(
-            f"image intersection needs equal row counts, got {m1.rows} and {m2.rows}"
-        )
-    return rank(m1) + rank(m2) - rank(m1.hstack(m2))
-
-
 def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[tuple[int, int]]:
     """Deterministic basis of the intersection of the two column spaces, as
     matched pairs.

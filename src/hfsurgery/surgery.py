@@ -98,9 +98,18 @@ elimination.  Route two never builds the block matrix; the tests assemble
 it from the same per-key rows and check the routes and the kernel
 construction against it.
 
-A cone reads its window's HatA regions from one memo entry per range of s,
-a dict shared by every cone on that range, so building a cone costs two
-lookups however many regions it spans.
+A cone is its distinct regions.  Column j copies HatA(j // q), and every
+HatA(s) with s >= max_alexander is the HatB region, so a cone keeps a list
+of (region, number of window columns that copy it) for s from lo/q up to
+min(hi // q, max_alexander), read from one memo entry per range of s that
+every cone on it shares.  lo is a multiple of q, so each region below the
+top counts q columns and the top one the rest of the window.  Dimensions
+and the HatA boundary rank are weighted sums over the list, and the sweep
+visits only the residue classes that own a HatB block, so however large p
+is a cone reads at most max_alexander + g regions and sweeps at most
+(2g-1)q HatB blocks.  For p >= (2g-1)q the window has no HatB column at
+all, and the rank is the large-surgery sum of dim H(HatA(j // q)) over the
+window.
 
 The closed form, the kernel construction and the monotonicity scan need
 the image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
@@ -199,27 +208,23 @@ class MappingCone:
         # Ranges: ``j in self.b_columns`` is an O(1) membership test.
         self.a_columns = range(lo, hi + 1)
         self.b_columns = range(lo + p, hi + 1)
-        # Column j is a copy of HatA(j // q): one region per s, not per
-        # column, and the window's regions are one memo entry, read only,
-        # shared by every cone on the same range of s.
-        s_lo, s_hi = lo // q, hi // q
-        self._a_regions = complex_.cached(
-            ("a_regions", s_lo, s_hi),
-            lambda: {s: complex_.region_complex(HatA(s)) for s in range(s_lo, s_hi + 1)},
+        # The distinct regions, read only and shared by every cone on the
+        # same range of s, with their column counts.  The top region is at
+        # least lo // q, which lies above max_alexander only at genus 0.
+        top = min(hi // q, max(complex_.max_alexander, lo // q))
+        regions = complex_.cached(
+            ("a_regions", lo // q, top),
+            lambda: tuple(complex_.region_complex(HatA(s)) for s in range(lo // q, top + 1)),
         )
+        self._a_regions = [(region, q) for region in regions[:-1]] + [(regions[-1], hi + 1 - top * q)]
         self._b_region = complex_.region_complex(HatB())
 
     # -- chain-level view ---------------------------------------------------
 
     def _per_column(self, term) -> int:
-        """Sum of ``term(region)`` over the HatA columns: region s is copied
-        by the q columns j with j // q = s, less the columns the window
-        cuts off its first and last regions."""
-        q = self.slope.q
-        lo, hi = self.a_columns[0], self.a_columns[-1]
-        regions = self._a_regions
-        cut = lo % q * term(regions[lo // q]) + (q - 1 - hi % q) * term(regions[hi // q])
-        return q * sum(map(term, regions.values())) - cut
+        """Sum of ``term(region)`` over the HatA columns: each distinct
+        region weighted by the number of columns that copy it."""
+        return sum(count * term(region) for region, count in self._a_regions)
 
     @property
     def total_dim(self) -> int:
@@ -280,8 +285,8 @@ class MappingCone:
 
 def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     """The rank of a route's HatB rows: the sum of what each HatB block
-    adds, each residue class of j mod p swept in chain order, as the module
-    docstring explains.
+    adds, each residue class of j mod p that owns one swept in chain order
+    from its first HatB block, as the module docstring explains.
 
     ``rows(key)`` gives one block's rows and the column where their v block
     starts, and ``rank(m, pivots)`` the rank of m = [carry; rows] with the
@@ -298,10 +303,9 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
         return rank(m, pivots) - len(carry), carry_out
 
     added = 0
-    hi = cone.a_columns[-1]
-    for first in cone.a_columns[:p]:
+    for first in cone.b_columns[:p]:
         carry = ()
-        for j in range(first + p, hi + 1, p):
+        for j in range(first, cone.b_columns.stop, p):
             key = ((j - p) // q, j // q)
             increment, carry = c.cached((tag, carry, key), lambda: step(carry, key))
             added += increment
@@ -349,8 +353,8 @@ def _meet(c: CfkComplex, a: int, b: int) -> int:
 
     v_hat(a) is onto for a >= genus and h_hat(b) for b <= -genus, so the
     clamped pair a <= genus, b >= -genus has the same meet and reads no map
-    beyond the genus.  The meet is rank v + rank h - rank [v | h], as in
-    ``f2.image_intersection_rank``, but with the ranks the maps cache.
+    beyond the genus.  The meet is rank v + rank h - rank [v | h], with
+    the ranks the maps cache.
     """
     g = c.genus()
     a, b = min(a, g), max(b, -g)
@@ -364,9 +368,21 @@ def _meet(c: CfkComplex, a: int, b: int) -> int:
 
 def t_invariant(c: CfkComplex, slope: Slope) -> int:
     """Sum over j = 0..p-1 of dim(im v_hat(j/q) meet im h_hat((j-p)/q)) in
-    the homology of HatB."""
-    q, p = slope.q, slope.p
-    return sum(_meet(c, j // q, (j - p) // q) for j in range(p))
+    the homology of HatB, memoized per slope.
+
+    For gq <= j < p - max(g-1, 0)q both pairs clamp to (g, -g) in
+    :func:`_meet`, at genus 0 for every j, so that middle run is counted,
+    not looped: t sums the meets at the two ends, at most (2g-1)q of them,
+    and reads no meet that a loop over every j would not."""
+
+    def compute() -> int:
+        p, q, g = slope.p, slope.q, c.genus()
+        start = min(g * q, p)
+        middle = max(0, p - max(g - 1, 0) * q - start)
+        t = sum(_meet(c, j // q, (j - p) // q) for j in [*range(start), *range(start + middle, p)])
+        return t + middle * _meet(c, g, -g) if middle else t
+
+    return c.cached(("t", slope.p, slope.q), compute)
 
 
 @dataclass(frozen=True)

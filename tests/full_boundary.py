@@ -49,7 +49,12 @@ def build_cone(c, slope, level=None) -> MappingCone:
     lo, hi = -q * level + 1, q * level - 1
     cone.a_columns = range(lo, hi + 1)
     cone.b_columns = range(lo + slope.p, hi + 1)
-    cone._a_regions = {s: c.region_complex(HatA(s)) for s in range(lo // q, hi // q + 1)}
+    # lo is not a multiple of q, so the first region is cut as well as the
+    # last: region s counts the columns of [sq, sq + q - 1] in the window.
+    cone._a_regions = [
+        (c.region_complex(HatA(s)), min(hi, s * q + q - 1) + 1 - max(lo, s * q))
+        for s in range(lo // q, hi // q + 1)
+    ]
     return cone
 
 
@@ -89,15 +94,15 @@ def full_boundary(cone) -> F2Matrix:
 
 def sweep_increments(cone) -> list[list[int]]:
     """The rank each HatB block adds in the chain route's sweep, block by
-    block for each residue class of j mod p, replayed from the memo that
+    block for each residue class of j mod p that owns one, in the order of
+    the classes' first HatB blocks, replayed from the memo that
     ``cone_rank_chain`` left on the complex for this cone's window.  A
     missing step raises ``KeyError``."""
     c, p, q = cone.complex, cone.slope.p, cone.slope.q
-    hi = cone.a_columns[-1]
     classes = []
-    for first in cone.a_columns[:p]:
+    for first in cone.b_columns[:p]:
         carry, steps = (), []
-        for j in range(first + p, hi + 1, p):
+        for j in range(first, cone.b_columns.stop, p):
             increment, carry = c._memo[("sweep", carry, ((j - p) // q, j // q))]
             steps.append(increment)
         classes.append(steps)

@@ -7,7 +7,9 @@ and HatA(-s), the j-level regions factor h_hat, and t has a case formula
 when b = 1.  The reference regions and maps build HatA(s), HatB,
 Quadrant(t), v_hat and h_hat element by element, through an (id, upower)
 index, and ``assert_matches_reference`` checks the library's
-generator-indexed ones against them.
+generator-indexed ones against them.  ``image_intersection_rank`` is the
+plain meet of two column spaces, which the tests compare the library's
+memoized meets and t against.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,8 @@ from hfsurgery.cfk import (
     Quadrant,
     RegionComplex,
 )
-from hfsurgery.f2 import F2Matrix
+from hfsurgery import f2
+from hfsurgery.f2 import DimensionError, F2Matrix
 from hfsurgery.surgery import Slope, nu_surrogate
 
 
@@ -140,6 +143,19 @@ def assert_matches_reference(c: CfkComplex) -> None:
     for s in window:
         assert c.v_hat(s).matrix.data == reference_map(c, "v", s), s
         assert c.h_hat(s).matrix.data == reference_map(c, "h", s), s
+
+
+def image_intersection_rank(m1: F2Matrix, m2: F2Matrix) -> int:
+    """Dimension of the intersection of the two column spaces.
+
+    Computed as rank(m1) + rank(m2) - rank([m1 | m2]); both matrices must
+    map into the same target space (equal row counts).
+    """
+    if m1.rows != m2.rows:
+        raise DimensionError(
+            f"image intersection needs equal row counts, got {m1.rows} and {m2.rows}"
+        )
+    return f2.rank(m1) + f2.rank(m2) - f2.rank(m1.hstack(m2))
 
 
 def t_closed_form(c: CfkComplex, slope: Slope) -> int:

@@ -31,6 +31,7 @@ from hfsurgery.surgery import (
     t_invariant,
 )
 
+import models
 from full_boundary import block_matrix, build_cone, flatten, full_boundary, truncation_bound
 
 NONTRIVIAL = ("trefoil_rh", "trefoil_lh", "figure_eight", "t25", "t27")
@@ -179,9 +180,9 @@ def test_criterion_8_structural_invariants():
         # image monotonicity
         for s in range(-g - 1, g + 1):
             v_small, v_big = c.v_hat(s).induced, c.v_hat(s + 1).induced
-            assert f2.image_intersection_rank(v_small, v_big) == f2.rank(v_small), (c.name, s)
+            assert models.image_intersection_rank(v_small, v_big) == f2.rank(v_small), (c.name, s)
             h_small, h_big = c.h_hat(s).induced, c.h_hat(s + 1).induced
-            assert f2.image_intersection_rank(h_small, h_big) == f2.rank(h_big), (c.name, s)
+            assert models.image_intersection_rank(h_small, h_big) == f2.rank(h_big), (c.name, s)
         # iso and vanishing thresholds
         assert c.v_hat(g).is_induced_iso(), c.name
         assert c.h_hat(-g).is_induced_iso(), c.name

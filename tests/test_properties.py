@@ -7,7 +7,7 @@ fixed 100-seed corpus, but with hypothesis searching the RandomSpec space.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hfsurgery import f2
 from hfsurgery.cfk import CfkComplex, HatA, HatB
@@ -78,10 +78,10 @@ def test_image_monotonicity(c):
     for s in range(-g - 1, g + 1):
         v_small = c.v_hat(s).induced
         v_big = c.v_hat(s + 1).induced
-        assert f2.image_intersection_rank(v_small, v_big) == f2.rank(v_small)
+        assert models.image_intersection_rank(v_small, v_big) == f2.rank(v_small)
         h_small = c.h_hat(s).induced
         h_big = c.h_hat(s + 1).induced
-        assert f2.image_intersection_rank(h_small, h_big) == f2.rank(h_big)
+        assert models.image_intersection_rank(h_small, h_big) == f2.rank(h_big)
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,12 +278,24 @@ def test_t_closed_form_for_b_one(c, slope):
     assert t_invariant(c, slope) == models.t_closed_form(c, slope)
 
 
-@settings(max_examples=30, deadline=None)
-@given(complexes, slopes)
+# p up to 60 passes (2g - 1)q, so t's counted middle run of clamped meets
+# is checked; at genus 0 (dots only: boxes=0, or the unknot) every j is in it.
+wide_slopes = (
+    st.tuples(st.integers(1, 60), st.integers(1, 8))
+    .filter(lambda pq: math.gcd(*pq) == 1)
+    .map(lambda pq: Slope(*pq))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes, wide_slopes)
+@example(builtin("unknot"), Slope(59, 7))
+@example(random_complex(RandomSpec(seed=5, dots=3, boxes=0)), Slope(60, 1))
+@example(builtin("t27"), Slope(47, 4))
 def test_t_is_the_unclamped_sum_of_image_meets(c, slope):
     p, q = slope.p, slope.q
     unclamped = sum(
-        f2.image_intersection_rank(c.v_hat(j // q).induced, c.h_hat((j - p) // q).induced)
+        models.image_intersection_rank(c.v_hat(j // q).induced, c.h_hat((j - p) // q).induced)
         for j in range(p)
     )
     assert t_invariant(c, slope) == unclamped

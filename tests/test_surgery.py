@@ -115,9 +115,9 @@ class TestBuildCone:
         assert windows == [(-2, 4), (-2, 4)]
 
     def test_cones_on_one_range_of_s_share_their_regions(self, monkeypatch):
-        # The window's HatA regions are one memo entry per (lo // q, hi // q):
-        # a second cone on the same range looks up only HatB, though its
-        # window differs.
+        # The window's distinct HatA regions are one memo entry per range of
+        # s: a second cone on the same range looks up only HatB, though its
+        # window, and so the number of columns copying each region, differs.
         c = builtin("t25")
         first = MappingCone(c, Slope(1, 2))
         calls = []
@@ -127,9 +127,27 @@ class TestBuildCone:
         )
         second = MappingCone(c, Slope(1, 3))
         assert calls == [HatB()]
-        assert second._a_regions is first._a_regions
-        assert list(first._a_regions) == [-1, 0, 1]
+        regions = [region for region, _ in first._a_regions]
+        assert all(a is b for a, (b, _) in zip(regions, second._a_regions, strict=True))
+        assert [region.tag for region in regions] == [HatA(-1), HatA(0), HatA(1)]
+        assert [count for _, count in first._a_regions] == [2, 2, 2]
+        assert [count for _, count in second._a_regions] == [3, 3, 3]
         assert (first.a_columns, second.a_columns) == (range(-2, 4), range(-3, 6))
+
+    def test_large_p_cones_keep_only_their_distinct_regions(self):
+        # Every HatA(s) with s >= max_alexander is the HatB region, so a cone
+        # keeps its regions only up to there, however far p stretches the
+        # window: t25#t27#figure_eight (genus 6, max_alexander 6) reads the
+        # 12 regions HatA(-5..6) and HatB, where 200001/1 used to leave one
+        # memo entry per s.
+        c = _complex("t25#t27#figure_eight")
+        for slope in (Slope(11, 1), Slope(23, 2), Slope(200001, 1)):
+            cone_rank_chain(c, slope)
+        assert len([key for key in c._memo if key[0] == "region"]) <= 13
+        cone = MappingCone(c, Slope(200001, 1))
+        assert [count for _, count in cone._a_regions] == [1] * 11 + [200001 - 11]
+        assert cone._a_regions[-1][0] is c.region_complex(HatB())
+        assert sum(count for _, count in cone._a_regions) == len(cone.a_columns)
 
     def test_missing_flip(self):
         c = CfkComplex([Generator("x", 0)], [], None, "flipless")
@@ -611,17 +629,16 @@ class TestKernel:
 class TestLargeSurgeryWindow:
     def test_integer_slope_count(self):
         # for n >= 2g + 2 the rank is the total H(HatA) mass on |s| <= g
-        # plus (n - 2g - 1) copies of b
+        # plus (n - 2g - 1) copies of b, by every route; at 200001/1 the
+        # window reads only the distinct regions and t its clamped meets
         for name in ("trefoil_rh", "trefoil_lh", "figure_eight", "t25", "t27"):
             c = builtin(name)
             g, b = c.genus(), c.b_rank()
-            for n in (2 * g + 2, 2 * g + 4):
-                window = sum(
-                    c.region_complex(HatA(s)).homology.dim for s in range(-g, g + 1)
-                )
+            window = sum(c.region_complex(HatA(s)).homology.dim for s in range(-g, g + 1))
+            for n in (2 * g + 2, 2 * g + 4) + ((200001,) if name == "t27" else ()):
                 expected = window + (n - (2 * g + 1)) * b
-                assert rank_formula(c, Slope(n, 1)) == expected
-                assert cone_rank_chain(c, Slope(n, 1)) == expected
+                for route in (rank_formula, cone_rank_chain, cone_rank_homological):
+                    assert route(c, Slope(n, 1)) == expected, (name, n, route.__name__)
 
 
 class TestRankReport:
