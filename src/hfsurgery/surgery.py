@@ -496,32 +496,44 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     Every walk ends, because on homology v_hat(s) vanishes for s <= -g-1
     and h_hat(s) for s >= g+1, past the genus; so a walk reaches only the
     columns -gq-p <= j < (g+1)q+p.
+
+    Column j reads its map at s = j // q clamped to where the maps differ,
+    with M = max_alexander: v_hat at -M-1 <= s <= M and h_hat at
+    -M <= s <= M+1.  The clamp is exact.  For s >= M, HatA(s) is the HatB
+    region, v_hat(s) the identity on it and h_hat(s) zero once s > M.  A
+    valid flip puts the lowest Alexander grading at -M, so for s <= -M
+    every upower is a - s and an arc stays exactly when a(target) =
+    a(source) + m: each such HatA(s) has the same boundary rows, hence the
+    same cycles and homology basis.  h_hat(s) keeps every generator there,
+    and v_hat(s) none once s < -M.  So a clamped map has the same induced
+    matrix, in the coordinates the elements store, and the construction
+    reads at most 2M + 2 distinct regions however large p is.  The clamp is
+    not at the genus, as in :func:`_meet`: for g <= s < M, HatA(s) is a
+    region of its own with its own basis.
     """
     require_hypothesis(c)
     q, p = slope.q, slope.p
-    g = c.genus()
+    g, m = c.genus(), c.max_alexander
 
-    def ind_v(j: int) -> F2Matrix:
-        return c.v_hat(j // q).induced
-
-    def ind_h(j: int) -> F2Matrix:
-        return c.h_hat(j // q).induced
+    def ind(j: int, step: int) -> F2Matrix:
+        """The induced map column j solves against on a walk of this step:
+        v_hat for step > 0, h_hat for step < 0, at the clamped s."""
+        if step > 0:
+            return c.v_hat(min(max(j // q, -m - 1), m)).induced
+        return c.h_hat(min(max(j // q, -m), m + 1)).induced
 
     def extend(element: dict[int, int], j: int, coeff: int, step: int) -> None:
         """Cancel the image of ``coeff`` at column j, column by column:
-        rightward (step p) along h_hat, solved against v_hat, or leftward
-        (step -p) along v_hat, solved against h_hat.  Every column the walk
-        reaches is new to its element: a seed's walk moves away from its
-        seed, and a matched element's two walks leave j and j - p in
-        opposite directions."""
-        if step > 0:
-            out_ind, back_ind, way = ind_h, ind_v, "rightward"
-        else:
-            out_ind, back_ind, way = ind_v, ind_h, "leftward"
-        while target := out_ind(j).apply(coeff):
+        rightward (step p) out along h_hat, solved against v_hat, or
+        leftward (step -p) out along v_hat, solved against h_hat, each
+        read by ``ind``.  Every column the walk reaches is new to its
+        element: a seed's walk moves away from its seed, and a matched
+        element's two walks leave j and j - p in opposite directions."""
+        while target := ind(j, -step).apply(coeff):
             j += step
-            coeff = f2.solve(back_ind(j), target)
+            coeff = f2.solve(ind(j, step), target)
             if coeff is None:
+                way = "rightward" if step > 0 else "leftward"
                 raise InternalInvariantError(
                     f"no {way} cancellation at column {j}; containment check was wrong"
                 )
@@ -529,14 +541,14 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
 
     basis: list[dict[int, int]] = []
     for j in range(-(g - 1) * q, g * q):
-        ind, step = (ind_v, p) if j >= 0 else (ind_h, -p)
-        for vec in f2.kernel_basis(ind(j)):
+        step = p if j >= 0 else -p
+        for vec in f2.kernel_basis(ind(j, step)):
             element = {j: vec}
             extend(element, j, vec, step)
             basis.append(element)
     for j in range(p):
         # A matched pair (y, z) has v_hat y = h_hat z, one class of the meet.
-        for y, z in f2.image_intersection_basis(ind_v(j), ind_h(j - p)):
+        for y, z in f2.image_intersection_basis(ind(j, p), ind(j - p, -p)):
             element = {j: y, j - p: z}
             extend(element, j, y, p)
             extend(element, j - p, z, -p)

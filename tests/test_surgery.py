@@ -579,9 +579,12 @@ class TestKernel:
         assert spans == [(-1, 0, 1), (0,), (0,)]
 
     def test_counts_and_membership(self):
+        # The builtins have max_alexander <= 3, so 11/1, 13/2 and 17/3 read
+        # v_hat and h_hat at their clamps, checked against the block matrix.
+        slopes = (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(2, 3), Slope(5, 2), Slope(11, 1), Slope(13, 2), Slope(17, 3))
         for name in ("unknot", "trefoil_rh", "trefoil_lh", "figure_eight", "t25"):
             c = builtin(name)
-            for slope in (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(2, 3), Slope(5, 2)):
+            for slope in slopes:
                 cone = build_cone(c, slope)
                 basis = kernel_basis_construction(c, slope)
                 block = block_matrix(cone)
@@ -610,6 +613,38 @@ class TestKernel:
             ("h", -4),
         }
         assert not (set(c._memo) - before) & beyond
+
+    def test_memo_stays_bounded_as_p_grows(self):
+        # Every read is clamped to v_hat at -M-1 <= s <= M and h_hat at
+        # -M <= s <= M+1, so a larger p builds no new region or map.
+        c = builtin("t27")
+        m = c.max_alexander
+
+        def reads():
+            return {key for key in c._memo if isinstance(key, tuple) and key[0] in ("region", "v", "h")}
+
+        kernel_basis_construction(c, Slope(201, 1))
+        before = reads()
+        kernel_basis_construction(c, Slope(2001, 1))
+        assert reads() == before
+        assert all(-m - 1 <= s <= m for kind, s in before if kind == "v")
+        assert all(-m <= s <= m + 1 for kind, s in before if kind == "h")
+        assert all(tag.s >= -m - 1 for kind, tag in before if kind == "region" and isinstance(tag, HatA))
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("unknot", "no rightward cancellation at column 1"),
+            ("trefoil_lh#trefoil_lh", "no leftward cancellation at column -2"),
+        ],
+    )
+    def test_missing_cancellation_raises(self, monkeypatch, name, message):
+        # A walk whose next column cannot cancel its image names its direction
+        # and the column.
+        c = tensor(*map(builtin, name.split("#"))) if "#" in name else builtin(name)
+        monkeypatch.setattr(f2, "solve", lambda m, target: None)
+        with pytest.raises(surgery.InternalInvariantError, match=message):
+            kernel_basis_construction(c, Slope(1, 1))
 
     def test_leftward_tails_on_a_tensor(self):
         # h_hat kernel classes on negative columns of trefoil_lh # trefoil_lh
