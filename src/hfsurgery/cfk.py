@@ -423,11 +423,9 @@ class CfkComplex:
 
     # -- basic invariants --------------------------------------------------
 
-    @property
+    @cached_property
     def max_alexander(self) -> int:
-        if not self.generators:
-            return 0
-        return max(g.alexander for g in self.generators)
+        return max((g.alexander for g in self.generators), default=0)
 
     def hfk_hat(self, s: int) -> int:
         """Rank of the associated graded piece in Alexander grading s.

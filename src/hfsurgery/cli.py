@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 check failure (rank mismatch, invalid complex,
 or a closed form asked of a complex that fails the containment
-hypothesis) or a stdout closed by its reader, 2 usage error.  Output is
+hypothesis) or a stdout closed by its reader, 2 usage error: argparse's
+own, or any ValueError, such as a bad slope, an input that is neither a
+readable complex file nor a builtin, or an empty scan grid.  Output is
 line oriented for shell use; pass --format json for machine-readable
 output.
 """
@@ -30,10 +32,6 @@ from .surgery import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_complex(source: str) -> CfkComplex:
     """Resolve an input argument: a JSON file path or a builtin name."""
     if os.path.exists(source):
@@ -42,29 +40,29 @@ def _load_complex(source: str) -> CfkComplex:
                 return CfkComplex.from_json(handle.read())
         except (OSError, ValueError, RecursionError) as exc:
             # RecursionError: json gives up on arrays or objects nested too deep
-            raise UsageError(f"cannot load complex file {source!r}: {exc}") from exc
+            raise ValueError(f"cannot load complex file {source!r}: {exc}") from exc
     try:
         return builtin(source)
     except UnknownBuiltinError:
-        raise UsageError(
+        raise ValueError(
             f"{source!r} is neither a file nor a builtin "
             f"(builtins: {', '.join(BUILTIN_NAMES)})"
         ) from None
 
 
+def _emit(args, payload, plain) -> None:
+    """Print the JSON payload under --format json, else the plain text."""
+    print(json.dumps(payload, indent=2) if args.format == "json" else plain)
+
+
 def _cmd_validate(args) -> int:
     c = _load_complex(args.input)
     report = c.validate()
-    if args.format == "json":
-        print(json.dumps(
-            {"name": c.name, "valid": report.ok,
-             "issues": [{"code": i.code, "message": i.message} for i in report.issues]},
-            indent=2))
-    else:
-        print(f"name={c.name}")
-        print(f"valid={'yes' if report.ok else 'no'}")
-        for issue in report.issues:
-            print(f"issue\t{issue.code}\t{issue.message}")
+    payload = {"name": c.name, "valid": report.ok,
+               "issues": [{"code": i.code, "message": i.message} for i in report.issues]}
+    lines = [f"name={c.name}", f"valid={'yes' if report.ok else 'no'}"]
+    lines += [f"issue\t{i.code}\t{i.message}" for i in report.issues]
+    _emit(args, payload, "\n".join(lines))
     return 0 if report.ok else 1
 
 
@@ -76,91 +74,64 @@ def _cmd_info(args) -> int:
     nu = nu_surrogate(c) if b == 1 else None
     report = hypothesis_check(c) if c.has_flip else None
     hyp = None if report is None else report.overall
-    if args.format == "json":
-        data = {"name": c.name, "genus": genus, "b": b,
-                "hfk": {str(s): n for s, n in profile.items()},
-                "nu": nu,
-                "hypothesis": hyp}
-        if hyp is False:
-            data["containment"] = report.to_json_dict()
-        print(json.dumps(data, indent=2))
-    else:
-        print(f"name={c.name}")
-        print(f"genus={genus}")
-        print(f"b={b}")
-        print("hfk=" + ",".join(f"{s}:{n}" for s, n in profile.items()))
-        print(f"nu={nu if nu is not None else '-'}")
-        print("hypothesis=" + ("no-flip" if hyp is None else "pass" if hyp else "fail"))
-        if hyp is False:
-            for key, verdicts in (("h_not_in_v", report.h_in_v), ("v_not_in_h", report.v_in_h)):
-                failing = sorted(s for s, ok in verdicts.items() if not ok)
-                print(f"{key}=" + (",".join(map(str, failing)) or "-"))
+    payload = {"name": c.name, "genus": genus, "b": b,
+               "hfk": {str(s): n for s, n in profile.items()}, "nu": nu, "hypothesis": hyp}
+    lines = [f"name={c.name}", f"genus={genus}", f"b={b}",
+             "hfk=" + ",".join(f"{s}:{n}" for s, n in profile.items()),
+             f"nu={nu if nu is not None else '-'}",
+             "hypothesis=" + ("no-flip" if hyp is None else "pass" if hyp else "fail")]
+    if hyp is False:
+        payload["containment"] = report.to_json_dict()
+        for key, verdicts in (("h_not_in_v", report.h_in_v), ("v_not_in_h", report.v_in_h)):
+            failing = sorted(s for s, ok in verdicts.items() if not ok)
+            lines.append(f"{key}=" + (",".join(map(str, failing)) or "-"))
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
 def _cmd_rank(args) -> int:
     c = _load_complex(args.input)
     slope = Slope(args.p, args.q)
-    if args.method != "both":
+    if args.method == "both":
+        report = compute_rank_report(c, slope)
+        payload, plain, status = report.to_json_dict(), report, 0 if report.consistent else 1
+        table = (RankReport.TSV_HEADER, report.tsv_row())
+    else:
         compute = cone_rank_chain if args.method == "oracle" else rank_formula
         value = compute(c, slope)
-        data = {"name": c.name, "p": slope.p, "q": slope.q, args.method: value}
-        if args.format == "json":
-            print(json.dumps(data, indent=2))
-        elif args.format == "tsv":
-            print("\t".join(data))
-            print("\t".join(map(str, data.values())))
-        else:
-            print(f"{args.method}={value}")
-        return 0
-    report = compute_rank_report(c, slope)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    elif args.format == "tsv":
-        print(RankReport.TSV_HEADER)
-        print(report.tsv_row())
-    else:
-        formula = report.formula_rank if report.formula_rank is not None else "-"
-        print(f"oracle={report.oracle_rank} formula={formula}")
-    return 0 if report.consistent else 1
+        payload = {"name": c.name, "p": slope.p, "q": slope.q, args.method: value}
+        plain, status = f"{args.method}={value}", 0
+        table = ("\t".join(payload), "\t".join(map(str, payload.values())))
+    _emit(args, payload, "\n".join(table) if args.format == "tsv" else plain)
+    return status
 
 
 def _cmd_scan(args) -> int:
     if args.pmax < 1 or args.qmax < 1:
-        raise UsageError(f"--pmax and --qmax must be at least 1, got {args.pmax} and {args.qmax}")
+        raise ValueError(f"--pmax and --qmax must be at least 1, got {args.pmax} and {args.qmax}")
     c = _load_complex(args.input)
     reports = [compute_rank_report(c, slope) for slope in coprime_slopes(args.pmax, args.qmax)]
-    if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
-    else:
-        print(RankReport.TSV_HEADER)
-        for report in reports:
-            print(report.tsv_row())
+    table = [RankReport.TSV_HEADER, *(r.tsv_row() for r in reports)]
+    _emit(args, [r.to_json_dict() for r in reports], "\n".join(table))
     bad = [r for r in reports if r.formula_rank is None or not r.consistent] if args.check else []
     for r in bad:
-        formula = "-" if r.formula_rank is None else r.formula_rank
         why = "" if r.hypothesis_ok else " (containment hypothesis fails)"
-        print(
-            f"check failed at {r.slope}: oracle={r.oracle_rank} formula={formula}{why}",
-            file=sys.stderr,
-        )
+        print(f"check failed at {r.slope}: {r}{why}", file=sys.stderr)
     return 1 if bad else 0
-
-
-def _print_verdict(verdict, fmt: str) -> int:
-    print(json.dumps(verdict.to_json_dict(), indent=2) if fmt == "json" else verdict)
-    return 0
 
 
 def _cmd_cosmetic(args) -> int:
     c = _load_complex(args.input)
     verdict = cosmetic_pair_check(c, Slope.parse(args.r), Slope.parse(args.s))
-    return _print_verdict(verdict, args.format)
+    _emit(args, verdict.to_json_dict(), verdict)
+    return 0
 
 
 def _cmd_complement(args) -> int:
     c = _load_complex(args.input)
-    return _print_verdict(complement_check(c, args.q), args.format)
+    verdict = complement_check(c, args.q)
+    _emit(args, verdict.to_json_dict(), verdict)
+    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -264,7 +235,7 @@ def main(argv=None) -> int:
     except (InvalidComplexError, FlipRequiredError, FormulaNotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

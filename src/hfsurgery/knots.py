@@ -75,13 +75,15 @@ def staircase(steps: list[int] | tuple[int, ...]) -> CfkComplex:
 
 
 def mirror(c: CfkComplex) -> CfkComplex:
-    """The dual complex: arrows transposed, Alexander gradings negated.
+    """The dual complex: arrows transposed, Alexander and Maslov gradings
+    negated.
 
     Each term keeps its U power; the flip pairing carries over.  Applying
     mirror twice returns an identical complex.
     """
     c.require_valid()
-    gens = [Generator(g.id, -g.alexander) for g in c.generators]
+    gens = [Generator(g.id, -g.alexander, None if g.maslov is None else -g.maslov)
+            for g in c.generators]
     terms = [DiffTerm(t.target, t.source, t.upower) for t in c.differential]
     return CfkComplex(gens, terms, c.flip_pairs, f"mirror({c.name})")
 

@@ -580,6 +580,10 @@ class RankReport:
     def consistent(self) -> bool:
         return self.formula_rank is None or self.formula_rank == self.oracle_rank
 
+    def __str__(self) -> str:
+        formula = "-" if self.formula_rank is None else self.formula_rank
+        return f"oracle={self.oracle_rank} formula={formula}"
+
     def tsv_row(self) -> str:
         data = self.to_json_dict()
         data["hypothesis"] = "pass" if self.hypothesis_ok else "fail"

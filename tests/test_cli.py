@@ -250,6 +250,109 @@ class TestInfoValidate:
         assert f"issue\t{code}\t" in out
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _scan_record(p, q, rank, t):
+    return {"name": "trefoil_rh", "p": p, "q": q, "oracle": rank, "formula": rank, "t": t,
+            "nu": 1, "hypothesis": True, "b": 1, "genus": 1, "note": surgery.RankReport.note}
+
+
+COSMETIC_REASON = "total ranks differ (1 vs 3); the surgeries cannot be homeomorphic"
+COMPLEMENT_REASON = ("rank 5 at slope 1/2 differs from the ambient rank 1; "
+                     "the surgery cannot return the original manifold")
+T25_HFK = {"-2": 1, "-1": 1, "0": 1, "1": 1, "2": 1}
+# Written to tmp_path as {noflip} and {invalid}.
+PINNED_FILES = {
+    "noflip": {"name": "noflip", "generators": [{"id": "x", "alexander": 0}]},
+    "invalid": {"name": "broken", "generators": [{"id": "x", "alexander": 0}],
+                "differential": [{"from": "x", "to": "x", "upower": 0}],
+                "flip": [{"from": "x", "to": "x"}]},
+}
+# (arguments, exit code, exact stdout).  A JSON expectation is the payload
+# literal in key order, rendered with the two-space indent, so every byte
+# of the output is pinned.
+PINNED_OUTPUT = {
+    "rank-tsv": (
+        "rank t25 -p 3 -q 2 --format tsv", 0,
+        "name\tp\tq\toracle\tformula\tt\tnu\thypothesis\tb\tgenus\n"
+        "t25\t3\t2\t9\t9\t0\t2\tpass\t1\t2\n",
+    ),
+    "rank-json": (
+        "rank t25 -p 3 -q 2 --format json", 0,
+        _json({"name": "t25", "p": 3, "q": 2, "oracle": 9, "formula": 9, "t": 0, "nu": 2,
+               "hypothesis": True, "b": 1, "genus": 2, "note": surgery.RankReport.note}),
+    ),
+    "rank-oracle-json": (
+        "rank t25 -p 3 -q 2 --method oracle --format json", 0,
+        _json({"name": "t25", "p": 3, "q": 2, "oracle": 9}),
+    ),
+    "scan": (
+        "scan trefoil_rh --pmax 2 --qmax 2", 0,
+        "name\tp\tq\toracle\tformula\tt\tnu\thypothesis\tb\tgenus\n"
+        "trefoil_rh\t1\t1\t1\t1\t0\t1\tpass\t1\t1\n"
+        "trefoil_rh\t1\t2\t3\t3\t0\t1\tpass\t1\t1\n"
+        "trefoil_rh\t2\t1\t2\t2\t1\t1\tpass\t1\t1\n",
+    ),
+    "scan-json": (
+        "scan trefoil_rh --pmax 2 --qmax 2 --format json", 0,
+        _json([_scan_record(1, 1, 1, 0), _scan_record(1, 2, 3, 0), _scan_record(2, 1, 2, 1)]),
+    ),
+    "info": (
+        "info t25", 0,
+        "name=t25\ngenus=2\nb=1\nhfk=-2:1,-1:1,0:1,1:1,2:1\nnu=2\nhypothesis=pass\n",
+    ),
+    "info-json": (
+        "info t25 --format json", 0,
+        _json({"name": "t25", "genus": 2, "b": 1, "hfk": T25_HFK, "nu": 2, "hypothesis": True}),
+    ),
+    "validate": ("validate t25", 0, "name=t25\nvalid=yes\n"),
+    "validate-json": (
+        "validate t25 --format json", 0, _json({"name": "t25", "valid": True, "issues": []}),
+    ),
+    "cosmetic": (
+        "cosmetic trefoil_rh -r 1/1 -s 1/2", 0,
+        f"verdict=obstructed ranks=1,3 reason={COSMETIC_REASON}\n",
+    ),
+    "cosmetic-json": (
+        "cosmetic trefoil_rh -r 1/1 -s 1/2 --format json", 0,
+        _json({"kind": "cosmetic", "slopes": ["1/1", "1/2"], "ranks": [1, 3],
+               "verdict": "obstructed", "reason": COSMETIC_REASON}),
+    ),
+    "complement": (
+        "complement figure_eight -q 2", 0,
+        f"verdict=obstructed ranks=5,1 reason={COMPLEMENT_REASON}\n",
+    ),
+    "complement-json": (
+        "complement figure_eight -q 2 --format json", 0,
+        _json({"kind": "complement", "slopes": ["1/2"], "ranks": [5, 1],
+               "verdict": "obstructed", "reason": COMPLEMENT_REASON}),
+    ),
+    "info-noflip": (
+        "info {noflip}", 0, "name=noflip\ngenus=0\nb=1\nhfk=0:1\nnu=0\nhypothesis=no-flip\n",
+    ),
+    "validate-noflip": ("validate {noflip}", 0, "name=noflip\nvalid=yes\n"),
+    "info-invalid": ("info {invalid}", 1, ""),
+    "validate-invalid": (
+        "validate {invalid}", 1,
+        "name=broken\nvalid=no\n"
+        "issue\treduced\tterm 'x'->'x' drops neither filtration coordinate\n"
+        "issue\td-squared\td^2('x') contains U^0 'x' with odd multiplicity 1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, code, stdout", PINNED_OUTPUT.values(), ids=PINNED_OUTPUT.keys())
+def test_pinned_output(tmp_path, capsys, command, code, stdout):
+    paths = {}
+    for key, data in PINNED_FILES.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(data))
+    args = [arg.format(**paths) for arg in command.split()]
+    assert run(args, capsys)[:2] == (code, stdout)
+
+
 @pytest.mark.parametrize(
     "command",
     [["validate"], ["info"], ["scan", "--pmax", "2", "--qmax", "2"],

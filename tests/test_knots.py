@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from hfsurgery.cfk import DiffTerm, HatA
+from hfsurgery.cfk import CfkComplex, DiffTerm, HatA
 from hfsurgery.knots import (
     BUILTIN_NAMES,
     RandomSpec,
@@ -109,11 +109,16 @@ class TestMirror:
         assert set(m.differential) == {DiffTerm("a", "b", 1), DiffTerm("c", "b", 0)}
 
     def test_involution(self):
-        for name in ("trefoil_rh", "figure_eight", "t25"):
-            c = builtin(name)
+        # The builtins carry no maslov; a trefoil that does must keep it too.
+        data = builtin("trefoil_rh").to_json_dict()
+        for g, maslov in zip(data["generators"], (2, 1, 0)):
+            g["maslov"] = maslov
+        graded = CfkComplex.from_json_dict(data)
+        for c in [builtin(name) for name in ("trefoil_rh", "figure_eight", "t25")] + [graded]:
             mm = mirror(mirror(c))
             assert mm.to_json_dict()["generators"] == c.to_json_dict()["generators"]
             assert mm.to_json_dict()["differential"] == c.to_json_dict()["differential"]
+        assert [g.maslov for g in mirror(graded).generators] == [-2, -1, 0]
 
     def test_fig8_amphichiral_profile(self):
         c = builtin("figure_eight")
