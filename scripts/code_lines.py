@@ -1,4 +1,5 @@
-"""Print the number of code lines in ``src``.
+"""Print the number of code lines of each module in ``src``, then their
+total on the last line.
 
 A code line is a source line that holds at least one token other than a
 comment or a docstring; blank lines do not count.  A docstring here is a
@@ -32,4 +33,9 @@ def code_lines(text: str) -> int:
 
 
 if __name__ == "__main__":
-    print(sum(code_lines(path.read_text()) for path in sorted(SRC.rglob("*.py"))))
+    total = 0
+    for path in sorted(SRC.rglob("*.py")):
+        count = code_lines(path.read_text())
+        print(f"{count:5d}  {path.relative_to(SRC)}")
+        total += count
+    print(total)

@@ -18,9 +18,7 @@ from .cfk import (
     Generator,
     HatA,
     HatB,
-    Quadrant,
     RegionComplex,
-    UndefinedRegionError,
     UnknownRegionError,
     ValidationIssue,
     ValidationReport,

@@ -6,11 +6,11 @@ sits at (-k, alexander(x) - k), so j - i = alexander(x) along the whole
 U-tower.  Differentials are U-equivariant and every term strictly drops
 at least one filtration coordinate (the complex is reduced).
 
-The finite hat-flavor regions are level sets of the (i, j) filtration:
+The finite hat-flavor regions that the surgery mapping cone reads are
+level sets of the (i, j) filtration:
 
-    HatA(s)      max(i, j - s) = 0      one basis element per generator
-    HatB         i = 0                  one basis element per generator
-    Quadrant(t)  i < 0 and j >= t       finitely many elements
+    HatA(s)  max(i, j - s) = 0      one basis element per generator
+    HatB     i = 0                  one basis element per generator
 
 with the induced differential keeping exactly the components that stay
 inside the region.  Element i of a region is U^upowers[i] times the
@@ -54,10 +54,6 @@ class UnknownRegionError(ValueError):
     """The region tag is not one of the supported kinds."""
 
 
-class UndefinedRegionError(ValueError):
-    """The requested region is not defined for this complex."""
-
-
 @dataclass(frozen=True)
 class Generator:
     """One F2[U, U^-1] generator; maslov is metadata and never computed with."""
@@ -96,13 +92,6 @@ class HatA:
 @dataclass(frozen=True)
 class HatB:
     pass
-
-
-@dataclass(frozen=True)
-class Quadrant:
-    """The region i < 0, j >= min_j."""
-
-    min_j: int
 
 
 @dataclass(frozen=True)
@@ -462,8 +451,6 @@ class CfkComplex:
         return self.cached(("region", tag), lambda: self._build_region(tag))
 
     def _build_region(self, tag) -> RegionComplex:
-        if isinstance(tag, Quadrant):
-            return self._build_quadrant(tag)
         ids, alexander, _, units, arcs = self._order
         if isinstance(tag, HatA):
             if tag.s >= self.max_alexander:
@@ -485,20 +472,6 @@ class CfkComplex:
                 mask = masks[row]
                 masks[row] = mask ^ units[col] if mask else units[col]
         return RegionComplex(tag, ids, upowers, F2Matrix(len(ids), tuple(masks)))
-
-    def _build_quadrant(self, tag: Quadrant) -> RegionComplex:
-        ids, alexander, _, _, arcs = self._order
-        # i = -k < 0 and j = alexander - k >= min_j pin k to [1, A - min_j].
-        members = [(i, k) for i, a in enumerate(alexander) for k in range(1, a - tag.min_j + 1)]
-        index = {elem: pos for pos, elem in enumerate(members)}
-        masks = [0] * len(members)
-        for col, row, m in arcs:
-            for k in range(1, alexander[col] - tag.min_j + 1):
-                pos = index.get((row, k + m))
-                if pos is not None:
-                    masks[pos] ^= 1 << index[(col, k)]
-        region_ids, upowers = tuple(ids[i] for i, _ in members), tuple(k for _, k in members)
-        return RegionComplex(tag, region_ids, upowers, F2Matrix(len(members), tuple(masks)))
 
     # -- the canonical maps -------------------------------------------------
 
@@ -562,17 +535,6 @@ class CfkComplex:
             return 0
 
         return self.cached("genus", scan)
-
-    def single_point_region_rank(self) -> int:
-        """Homology rank of the quadrant i < 0, j >= genus - 1.
-
-        For a reduced complex of positive genus the region collapses to
-        the lattice point (-1, genus - 1), so this equals hfk_hat(genus).
-        """
-        g = self.genus()
-        if g < 1:
-            raise UndefinedRegionError("the quadrant region needs genus >= 1")
-        return self.region_complex(Quadrant(g - 1)).homology.dim
 
     # -- serialization -----------------------------------------------------
 

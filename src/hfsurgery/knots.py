@@ -79,7 +79,8 @@ def mirror(c: CfkComplex) -> CfkComplex:
     negated.
 
     Each term keeps its U power; the flip pairing carries over.  Applying
-    mirror twice returns an identical complex.
+    mirror twice gives back the generators, gradings, differential and
+    flip; only the name gains ``mirror(...)`` twice.
     """
     c.require_valid()
     gens = [Generator(g.id, -g.alexander, None if g.maslov is None else -g.maslov)
@@ -91,9 +92,10 @@ def mirror(c: CfkComplex) -> CfkComplex:
 def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     """Tensor product complex (connected sum model).
 
-    Generators are pairs with additive Alexander grading, the differential
-    follows the Leibniz rule (no signs over GF(2)) and the flip is the
-    product of the two flips.
+    Generators are pairs with additive Alexander grading, and additive
+    Maslov grading when both factors carry one (None otherwise); the
+    differential follows the Leibniz rule (no signs over GF(2)) and the
+    flip is the product of the two flips.
     """
     c1.require_valid()
     c2.require_valid()
@@ -104,7 +106,8 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
         return f"{x}|{y}"
 
     gens = [
-        Generator(pid(g1.id, g2.id), g1.alexander + g2.alexander)
+        Generator(pid(g1.id, g2.id), g1.alexander + g2.alexander,
+                  None if None in (g1.maslov, g2.maslov) else g1.maslov + g2.maslov)
         for g1 in c1.generators
         for g2 in c2.generators
     ]

@@ -3,13 +3,15 @@ public API only.
 
 The tests read them to check the paper's lemmas: the reflection swaps the
 ranks of v_hat and h_hat, the flip is a chain isomorphism between HatA(s)
-and HatA(-s), the j-level regions factor h_hat, and t has a case formula
-when b = 1.  The reference regions and maps build HatA(s), HatB,
-Quadrant(t), v_hat and h_hat element by element, through an (id, upower)
-index, and ``assert_matches_reference`` checks the library's
-generator-indexed ones against them.  ``image_intersection_rank`` is the
-plain meet of two column spaces, which the tests compare the library's
-memoized meets and t against.
+and HatA(-s), the j-level regions factor h_hat, the quadrant
+i < 0, j >= genus - 1 collapses to the top Alexander grading, and t has a
+case formula when b = 1.  The reference regions and maps build HatA(s),
+HatB, Quadrant(t), v_hat and h_hat element by element, through an
+(id, upower) index, and ``assert_matches_reference`` checks the library's
+generator-indexed HatA(s), HatB and maps against them; the library builds
+no quadrant, so ``single_point_region_rank`` reads the reference one.
+``image_intersection_rank`` is the plain meet of two column spaces, which
+the tests compare the library's memoized meets and t against.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,6 @@ from hfsurgery.cfk import (
     Generator,
     HatA,
     HatB,
-    Quadrant,
     RegionComplex,
 )
 from hfsurgery import f2
@@ -64,6 +65,14 @@ class JLevel:
     s: int
 
 
+@dataclass(frozen=True)
+class Quadrant:
+    """The region i < 0, j >= min_j; ``CfkComplex.region_complex`` does not
+    own this tag."""
+
+    min_j: int
+
+
 def j_level_region(c: CfkComplex, s: int) -> RegionComplex:
     """The region j = s: one basis element (x, alexander(x) - s) per
     generator, keeping the differential terms that stay in it."""
@@ -90,7 +99,8 @@ def position(region: RegionComplex, gen_id: str, upower: int) -> int | None:
 
 def reference_members(c: CfkComplex, tag) -> list[tuple[str, int]]:
     """The (id, upower) elements of HatA(s), HatB or Quadrant(t), one per
-    lattice element, in the library's order."""
+    lattice element, in generator order: the library's order for HatA(s)
+    and HatB."""
     if isinstance(tag, HatA):
         return [(g.id, max(0, g.alexander - tag.s)) for g in c.generators]
     if isinstance(tag, HatB):
@@ -130,13 +140,26 @@ def reference_map(c: CfkComplex, kind: str, s: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def single_point_region_rank(c: CfkComplex) -> int:
+    """Homology rank of the reference Quadrant(genus - 1), for genus >= 1.
+
+    For a reduced complex of positive genus the region collapses to the
+    lattice point (-1, genus - 1), so this equals hfk_hat(genus)."""
+    g = c.genus()
+    assert g >= 1, "the quadrant region needs genus >= 1"
+    tag = Quadrant(g - 1)
+    members, masks = reference_region(c, tag)
+    ids, upowers = tuple(gid for gid, _ in members), tuple(k for _, k in members)
+    return RegionComplex(tag, ids, upowers, F2Matrix(len(members), masks)).homology.dim
+
+
 def assert_matches_reference(c: CfkComplex) -> None:
-    """Every HatA(s) and Quadrant(s) with |s| <= genus + 1 and HatB has the
-    reference elements and boundary, and every v_hat(s) and h_hat(s) the
-    reference matrix.  Quadrant(genus - 1) is the one the library reads."""
+    """Every HatA(s) with |s| <= genus + 1 and HatB has the reference
+    elements and boundary, and every v_hat(s) and h_hat(s) the reference
+    matrix."""
     g = c.genus()
     window = range(-g - 1, g + 2)
-    for tag in [HatA(s) for s in window] + [HatB()] + [Quadrant(s) for s in window]:
+    for tag in [HatA(s) for s in window] + [HatB()]:
         region = c.region_complex(tag)
         assert (region.basis, region.boundary.data) == reference_region(c, tag), tag
         assert region.dim == len(region.basis)

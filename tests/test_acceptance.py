@@ -193,7 +193,7 @@ def test_criterion_8_structural_invariants():
             assert c.region_complex(HatA(s)).homology.dim == b, (c.name, s)
         # top of the filtration support
         if g >= 1:
-            assert c.single_point_region_rank() == c.hfk_hat(g) > 0, c.name
+            assert models.single_point_region_rank(c) == c.hfk_hat(g) > 0, c.name
         # truncation stability: the tight window's rank is the full
         # boundary's on the symmetric windows of three levels from the bound
         slope = Slope(1, 1)

@@ -13,8 +13,6 @@ from hfsurgery.cfk import (
     Generator,
     HatA,
     HatB,
-    Quadrant,
-    UndefinedRegionError,
     UnknownRegionError,
 )
 from hfsurgery.f2 import InvalidComplexError
@@ -152,10 +150,14 @@ class TestRegions:
         assert region.dim == 1 and region.homology.dim == 1
 
     def test_quadrant_single_point(self, trefoil):
-        region = trefoil.region_complex(Quadrant(0))
-        assert region.basis == (("a", 1),)
+        members, _ = models.reference_region(trefoil, models.Quadrant(0))
+        assert members == (("a", 1),)
 
-    @pytest.mark.parametrize("tag", ["nonsense", models.JLevel(0)], ids=["nonsense", "j-level"])
+    @pytest.mark.parametrize(
+        "tag",
+        ["nonsense", models.JLevel(0), models.Quadrant(0)],
+        ids=["nonsense", "j-level", "quadrant"],
+    )
     def test_unknown_tag(self, trefoil, tag):
         with pytest.raises(UnknownRegionError):
             trefoil.region_complex(tag)
@@ -323,13 +325,9 @@ class TestInvariants:
         assert builtin("t25").genus() == 2
 
     def test_single_point_region(self, trefoil, fig8):
-        assert trefoil.single_point_region_rank() == 1
-        assert fig8.single_point_region_rank() == 1
-        assert builtin("t25").single_point_region_rank() == 1
-
-    def test_single_point_needs_genus(self, unknot):
-        with pytest.raises(UndefinedRegionError):
-            unknot.single_point_region_rank()
+        assert models.single_point_region_rank(trefoil) == 1
+        assert models.single_point_region_rank(fig8) == 1
+        assert models.single_point_region_rank(builtin("t25")) == 1
 
 
 class TestReflected:

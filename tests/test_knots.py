@@ -17,6 +17,14 @@ from hfsurgery.knots import (
 )
 
 
+def graded_trefoil() -> CfkComplex:
+    """The right-handed trefoil with maslov gradings 2, 1, 0 on a, b, c."""
+    data = builtin("trefoil_rh").to_json_dict()
+    for g, maslov in zip(data["generators"], (2, 1, 0)):
+        g["maslov"] = maslov
+    return CfkComplex.from_json_dict(data)
+
+
 class TestBuiltin:
     def test_all_validate(self):
         for name in BUILTIN_NAMES:
@@ -110,10 +118,7 @@ class TestMirror:
 
     def test_involution(self):
         # The builtins carry no maslov; a trefoil that does must keep it too.
-        data = builtin("trefoil_rh").to_json_dict()
-        for g, maslov in zip(data["generators"], (2, 1, 0)):
-            g["maslov"] = maslov
-        graded = CfkComplex.from_json_dict(data)
+        graded = graded_trefoil()
         for c in [builtin(name) for name in ("trefoil_rh", "figure_eight", "t25")] + [graded]:
             mm = mirror(mirror(c))
             assert mm.to_json_dict()["generators"] == c.to_json_dict()["generators"]
@@ -148,6 +153,14 @@ class TestTensor:
         profile = t.hfk_profile()
         assert [profile.get(s, 0) for s in range(-2, 3)] == [1, 2, 3, 2, 1]
         assert t.genus() == 2
+
+    def test_maslov_additive(self):
+        # A factor without maslov, as every builtin is, leaves it unset.
+        graded = graded_trefoil()
+        square = tensor(graded, graded)
+        assert [g.maslov for g in square.generators] == [4, 3, 2, 3, 2, 1, 2, 1, 0]
+        assert [g.maslov for g in mirror(square).generators] == [-4, -3, -2, -3, -2, -1, -2, -1, 0]
+        assert {g.maslov for g in tensor(graded, builtin("trefoil_rh")).generators} == {None}
 
     def test_genus_additive(self):
         pairs = [("trefoil_rh", "figure_eight"), ("t25", "trefoil_lh")]
@@ -186,6 +199,10 @@ class TestRandomComplex:
     def test_needs_a_dot(self):
         with pytest.raises(ValueError):
             RandomSpec(seed=0, dots=0)
+
+    def test_needs_nonnegative_boxes(self):
+        with pytest.raises(ValueError, match="box parameters out of range"):
+            RandomSpec(seed=0, boxes=-1)
 
 
 # sha256 of to_json(), pinned so that a rewrite of a constructor must keep

@@ -97,6 +97,22 @@ class TestCosmetic:
         v = cosmetic_pair_check(builtin("figure_eight"), Slope(2, 1), Slope(2, 3))
         assert v.verdict == OBSTRUCTED and v.ranks == (4, 8)
 
+    def test_trefoil_consistent_above_slope_one(self):
+        v = cosmetic_pair_check(builtin("trefoil_rh"), Slope(5, 1), Slope(5, 2))
+        assert v.verdict == CONSISTENT and v.ranks == (5, 5)
+        assert v.reason == "total ranks agree (5); both slopes exceed 1, where the rank obstruction is silent"
+
+    def test_equal_ranks_at_slope_one_contradict_the_bound(self, monkeypatch):
+        # The trefoil's ranks at 1/1 and 1/2 differ (1 vs 3); patched equal,
+        # they reach the caveat for a slope <= 1.
+        monkeypatch.setattr("hfsurgery.obstructions.cone_rank_chain", lambda c, slope: 3)
+        v = cosmetic_pair_check(builtin("trefoil_rh"), Slope(1, 1), Slope(1, 2))
+        assert v.verdict == CONSISTENT and v.ranks == (3, 3)
+        assert v.reason == (
+            "total ranks agree (3); equal ranks at a slope <= 1 on a nontrivial complex "
+            "would contradict the cosmetic bound when the containment hypothesis holds"
+        )
+
     def test_different_p_short_circuits(self):
         v = cosmetic_pair_check(builtin("t27"), Slope(2, 1), Slope(3, 1))
         assert v.verdict == NOT_APPLICABLE and v.ranks is None

@@ -3,9 +3,9 @@
 Derived data is built only for a valid complex, and h-maps only for a
 complex with a flip; ``cfk`` enforces both where the data is built.  An
 invalid complex must raise InvalidComplexError everywhere, flip or not,
-and so must a complex whose flip names a missing generator or is not an
-involution: h-maps index HatB by the flip partner's position, so reading
-one before the check would raise KeyError instead.
+and so must a complex whose flip names a missing generator, leaves one
+out or is not an involution: h-maps index HatB by the flip partner's
+position, so reading one before the check would raise KeyError instead.
 A valid complex without a flip must raise FlipRequiredError wherever an
 h-map or a cone is read, and must still work wherever it is not.
 The test references that the other tests read, the t case formula of
@@ -84,6 +84,7 @@ def bad_complex(valid: bool, flip: bool) -> CfkComplex:
 BAD_FLIPS = {
     "flip-unknown": (FlipPair("a", "c"), FlipPair("b", "z")),
     "flip-involution": (FlipPair("a", "c"), FlipPair("c", "b")),
+    "flip-missing": (FlipPair("a", "c"),),
 }
 
 

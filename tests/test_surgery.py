@@ -57,8 +57,9 @@ class TestSlope:
     def test_parse(self):
         assert Slope.parse("3/2") == Slope(3, 2)
         assert Slope.parse("5") == Slope(5, 1)
-        with pytest.raises(SlopeError):
-            Slope.parse("x/y")
+        for text in ("x/y", "1/2/3"):
+            with pytest.raises(SlopeError, match="expected P/Q"):
+                Slope.parse(text)
 
 
 class TestTruncationBound:
