@@ -13,15 +13,25 @@ level sets of the (i, j) filtration:
     HatB     i = 0                  one basis element per generator
 
 with the induced differential keeping exactly the components that stay
-inside the region.  Element i of a region is U^upowers[i] times the
-generator ids[i].  HatA(s) and HatB hold one copy of each generator, in
-the complex's generator order, and share its one id tuple: element i is
-(x_i, max(0, alexander(x_i) - s)) in HatA(s) and (x_i, 0) in HatB.  For
-s >= max_alexander every upower is 0, and HatA(s) is the HatB region
-itself, one object with one kernel and one homology basis.  The
-maps v_hat(s) and h_hat(s) from HatA(s) to HatB are the vertical
-projection and the horizontal projection composed with U^s and the flip
-involution, built straight from that order.
+inside the region.  HatA(s) and HatB hold one copy of each generator, in
+the complex's generator order: element i is U^k x_i with
+k = max(0, alexander(x_i) - s) in HatA(s) and k = 0 in HatB.  A region
+keeps only its boundary.  For s at or above the top Alexander grading
+every upower is 0, and HatA(s) is the HatB region itself, one object with one kernel and one
+homology basis.  The maps v_hat(s) and h_hat(s) from HatA(s) to HatB are
+the vertical projection and the horizontal projection composed with U^s
+and the flip involution, built straight from that order.
+
+HatA(s), v_hat(s) and h_hat(s) change with s only where s crosses an
+Alexander grading.  The cuts are a and a + 1 for every grading a, and the
+Alexander class of s is the largest cut at or below s, or the lowest cut
+less one below them all; all three are memoized under the class of s, so
+s and its class give one object.  Proof: a class is a single grading or
+a run of s that meets none, so v_hat (keep x when alexander(x) <= s) and
+h_hat (when alexander(x) >= s) keep the same generators across it, and
+an arc x -> U^k y, which stays in HatA(s) exactly when
+max(0, A(y) - s) = max(0, A(x) - s) + k, could switch only at
+A(x) < s = A(y) - k, which the filtration rule A(y) - k <= A(x) forbids.
 
 This module owns the precondition policy and checks it where data is
 built.  Regions, the genus and the hfk counts need a valid complex
@@ -38,6 +48,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,24 +131,17 @@ class ValidationReport:
 class RegionComplex:
     """A finite GF(2) complex cut out of the (i, j) lattice.
 
-    Element i is the lattice element ``(ids[i], upowers[i])``, U^upowers[i]
-    times the generator ids[i]; ``boundary`` keeps the differential
-    components that stay in the region.  Components leaving the region are
-    dropped, and nothing can enter from outside because regions are
-    differences of upward closed sets.  HatA(s) and HatB share their
-    complex's id tuple, so element i of either is a copy of generator i.
+    ``boundary`` keeps the differential components that stay in the
+    region.  Components leaving the region are dropped, and nothing can
+    enter from outside because regions are differences of upward closed
+    sets.  Element i of HatA(s) or HatB is a copy of generator i; its
+    U-power is not kept, because one HatA region serves a whole Alexander
+    class of s, whose members put different powers on it.
     """
 
-    def __init__(self, tag, ids: tuple[str, ...], upowers: tuple[int, ...], boundary: F2Matrix):
+    def __init__(self, tag, boundary: F2Matrix):
         self.tag = tag
-        self.ids = ids
-        self.upowers = upowers
         self.boundary = boundary
-
-    @property
-    def basis(self) -> tuple[tuple[str, int], ...]:
-        """The elements as (generator id, upower) pairs, built on each read."""
-        return tuple(zip(self.ids, self.upowers))
 
     @cached_property
     def homology(self) -> HomologyBasis:
@@ -156,7 +160,7 @@ class RegionComplex:
 
     @property
     def dim(self) -> int:
-        return len(self.ids)
+        return self.boundary.cols
 
     def __repr__(self) -> str:
         return f"RegionComplex({self.tag}, dim={self.dim})"
@@ -412,10 +416,6 @@ class CfkComplex:
 
     # -- basic invariants --------------------------------------------------
 
-    @cached_property
-    def max_alexander(self) -> int:
-        return max((g.alexander for g in self.generators), default=0)
-
     def hfk_hat(self, s: int) -> int:
         """Rank of the associated graded piece in Alexander grading s.
 
@@ -447,31 +447,49 @@ class CfkComplex:
         alexander = tuple(g.alexander for g in self.generators)
         return ids, alexander, index, tuple(1 << i for i in range(len(ids))), arcs
 
+    @cached_property
+    def alexander_cuts(self) -> tuple[int, ...]:
+        """The sorted cuts, a and a + 1 for every Alexander grading a, where
+        the class of s can change.  Read off the generator order, so
+        reading them validates the complex."""
+        return tuple(sorted({cut for a in self._order[1] for cut in (a, a + 1)}))
+
+    def alexander_class(self, s: int) -> int:
+        """The class of s: the largest cut at or below s, or the lowest cut
+        less one below them all.  The module docstring says why s and its
+        class give the same region and maps."""
+        i = bisect_right(self.alexander_cuts, s)
+        return self.alexander_cuts[i - 1] if i else self.alexander_cuts[0] - 1
+
     def region_complex(self, tag) -> RegionComplex:
+        """The region of this tag, HatA(s) memoized under the class of s."""
+        if isinstance(tag, HatA):
+            s = self.alexander_class(tag.s)
+            tag = tag if s == tag.s else HatA(s)
         return self.cached(("region", tag), lambda: self._build_region(tag))
 
     def _build_region(self, tag) -> RegionComplex:
-        ids, alexander, _, units, arcs = self._order
-        if isinstance(tag, HatA):
-            if tag.s >= self.max_alexander:
-                # Every upower is 0, so HatA(s) is HatB element for element:
-                # serve that one region, with its one kernel and homology.
-                return self.region_complex(HatB())
-            upowers = tuple([a - tag.s if a > tag.s else 0 for a in alexander])
-        elif isinstance(tag, HatB):
-            upowers = (0,) * len(ids)
-        else:
+        _, alexander, _, units, arcs = self._order
+        top = self.alexander_cuts[-1] - 1  # the top Alexander grading
+        if isinstance(tag, HatA) and tag.s >= top:
+            # Every upower is 0, so HatA(s) is HatB element for element:
+            # serve that one region, with its one kernel and homology.
+            return self.region_complex(HatB())
+        if not isinstance(tag, (HatA, HatB)):
             raise UnknownRegionError(f"unknown region tag {tag!r}")
+        # HatB has every upower 0, as HatA(top) has.
+        s = tag.s if isinstance(tag, HatA) else top
+        upowers = [a - s if a > s else 0 for a in alexander]
         # One element per generator, so a term stays inside exactly when it
         # lands on its target's one upower.
-        masks = [0] * len(ids)
+        masks = [0] * len(units)
         for col, row, m in arcs:
             if upowers[row] == upowers[col] + m:
                 # A row's first bit keeps the shared unit mask, as the rows of
                 # v_hat do; 0 ^ unit would make a fresh int.
                 mask = masks[row]
                 masks[row] = mask ^ units[col] if mask else units[col]
-        return RegionComplex(tag, ids, upowers, F2Matrix(len(ids), tuple(masks)))
+        return RegionComplex(tag, F2Matrix(len(units), tuple(masks)))
 
     # -- the canonical maps -------------------------------------------------
 
@@ -484,7 +502,8 @@ class CfkComplex:
         """Vertical projection HatA(s) -> HatB: keep the i = 0 part.  Row i
         is the unit mask 1 << i when alexander(x_i) <= s, and zero otherwise.
 
-        Reading the generator order validates the complex."""
+        Memoized under the class of s; finding it validates the complex."""
+        s = self.alexander_class(s)
 
         def build() -> FilteredChainMap:
             _, alexander, _, units, _ = self._order
@@ -498,11 +517,13 @@ class CfkComplex:
         Project onto the j = s part, shift it to j = 0 with U^s, then
         apply the flip.  On the canonical bases the composite sends
         (x, k) to (flip(x), 0) exactly when alexander(x) >= s, so row
-        index(flip(x_i)) gets the unit mask 1 << i then.
+        index(flip(x_i)) gets the unit mask 1 << i then.  Memoized under
+        the class of s, which validates the complex before the flip check.
         """
+        s = self.alexander_class(s)
 
         def build() -> FilteredChainMap:
-            ids, alexander, index, units, _ = self._order  # validates first
+            ids, alexander, index, units, _ = self._order
             self.require_flip()
             rows = [0] * len(ids)
             # A valid flip is a bijection, so each row gets at most one unit
@@ -523,16 +544,15 @@ class CfkComplex:
     def genus(self) -> int:
         """Largest s with v_hat(s - 1) not a homology isomorphism, or 0.
 
-        The scan starts at max_alexander + 1; reducedness bounds the
-        filtration support, so everything above is an isomorphism.
+        Whether v_hat(s - 1) is one is constant on the class of s - 1, and
+        the largest s of each such run is a cut, so the scan tests only the
+        cuts s >= 1, from the top.  Above the top cut, one past the top
+        grading, v_hat(s - 1) is the identity of HatB.
         """
 
         def scan() -> int:
-            self.require_valid()
-            for s in range(self.max_alexander + 1, 0, -1):
-                if not self.v_hat(s - 1).is_induced_iso():
-                    return s
-            return 0
+            tops = [s for s in reversed(self.alexander_cuts) if s >= 1]  # validates first
+            return next((s for s in tops if not self.v_hat(s - 1).is_induced_iso()), 0)
 
         return self.cached("genus", scan)
 

@@ -66,11 +66,14 @@ the carry depends only on that subspace, not on the rows that led to it.
 The rank block j adds is rank [carry; rows of block j] less the carry's
 dimension, and the next carry is the part of that row space with no bit
 below HatA block j: the reduced rows whose pivot lies in block j.  Both
-are functions of the carry and the key (floor((j - p) / q), floor(j / q))
-that fixes block j's rows, so each step is memoized on the complex under
-("sweep", carry, key), shared across classes, slopes and windows.  Only the
-distinct steps are ever eliminated, and no step's matrix spans more than
-three blocks.
+are functions of the carry and of the maps h_hat((j - p) // q) and
+v_hat(j // q) that fix block j's rows.  ``cfk`` builds those once per
+Alexander class of s, so the key is the pair of classes of the two floors,
+read from one table per range of floors, and each step is memoized on the
+complex under ("sweep", carry, key), shared across residue classes,
+slopes and windows.  Only the distinct steps are ever eliminated, so a
+run of blocks in the same two classes costs one elimination per distinct
+carry, and no step's matrix spans more than three blocks.
 Route one reads homology only through the genus, which fixes the window,
 and never builds the cone's induced maps.
 
@@ -98,18 +101,19 @@ elimination.  Route two never builds the block matrix; the tests assemble
 it from the same per-key rows and check the routes and the kernel
 construction against it.
 
-A cone is its distinct regions.  Column j copies HatA(j // q), and every
-HatA(s) with s >= max_alexander is the HatB region, so a cone keeps a list
-of (region, number of window columns that copy it) for s from lo/q up to
-min(hi // q, max_alexander), read from one memo entry per range of s that
-every cone on it shares.  lo is a multiple of q, so each region below the
-top counts q columns and the top one the rest of the window.  Dimensions
-and the HatA boundary rank are weighted sums over the list, and the sweep
-visits only the residue classes that own a HatB block, so however large p
-is a cone reads at most max_alexander + g regions and sweeps at most
-(2g-1)q HatB blocks.  For p >= (2g-1)q the window has no HatB column at
-all, and the rank is the large-surgery sum of dim H(HatA(j // q)) over the
-window.
+A cone is its distinct regions.  Column j copies HatA(j // q), which
+``cfk`` builds once per Alexander class, so a cone keeps a list of
+(region, number of window columns that copy it) with one entry per run of
+a class from lo // q to hi // q; the two top classes share the HatB region
+and one entry.  The runs start at lo // q and at the cuts above it, and
+are read from one memo entry that every cone from the same lo // q whose
+hi // q lies in the same class shares.  Dimensions and the HatA boundary
+rank are weighted sums over the list, and the sweep visits only the
+residue classes that own a HatB block, so however large p is and however
+far apart the Alexander gradings are, a cone reads at most one region per
+class run and sweeps at most (2g-1)q HatB blocks.  For p >= (2g-1)q the
+window has no HatB column at all, and the rank is the large-surgery sum of
+dim H(HatA(j // q)) over the window.
 
 The closed form, the kernel construction and the monotonicity scan need
 the image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
@@ -208,15 +212,24 @@ class MappingCone:
         # Ranges: ``j in self.b_columns`` is an O(1) membership test.
         self.a_columns = range(lo, hi + 1)
         self.b_columns = range(lo + p, hi + 1)
-        # The distinct regions, read only and shared by every cone on the
-        # same range of s, with their column counts.  The top region is at
-        # least lo // q, which lies above max_alexander only at genus 0.
-        top = min(hi // q, max(complex_.max_alexander, lo // q))
-        regions = complex_.cached(
-            ("a_regions", lo // q, top),
-            lambda: tuple(complex_.region_complex(HatA(s)) for s in range(lo // q, top + 1)),
-        )
-        self._a_regions = [(region, q) for region in regions[:-1]] + [(regions[-1], hi + 1 - top * q)]
+        # The distinct regions, read only, with their column counts.  Column
+        # j copies HatA(j // q), one region per Alexander class, so the
+        # region changes only at the cuts from lo // q up to hi // q, and
+        # the two top classes share the HatB region.  Each region and the
+        # s its run starts at are memoized for every cone from the same
+        # lo // q whose hi // q has the same class, so however large p is
+        # there is at most one entry per class.  lo is a multiple of q, so
+        # a run from s counts the columns from s * q up to the next run's.
+
+        def runs() -> tuple:
+            regions: dict = {}
+            for s in [lo // q, *(cut for cut in complex_.alexander_cuts if lo // q < cut <= hi // q)]:
+                regions.setdefault(complex_.region_complex(HatA(s)), s)
+            return tuple(regions.items())
+
+        regions = complex_.cached(("a_regions", lo // q, complex_.alexander_class(hi // q)), runs)
+        bounds = [lo, *[s * q for _, s in regions[1:]], hi + 1]
+        self._a_regions = [(region, stop - start) for (region, _), start, stop in zip(regions, bounds, bounds[1:])]
         self._b_region = complex_.region_complex(HatB())
 
     # -- chain-level view ---------------------------------------------------
@@ -242,7 +255,8 @@ class MappingCone:
         """The nonzero HatB rows of one block of the cone's boundary, on the
         HatA cycle bases, and the column where their v block starts.
 
-        A HatB row block j with key = ((j - p) // q, j // q) is
+        A HatB row block j with key = ((j - p) // q, j // q), or the
+        Alexander classes of the two, which give the same maps, is
         ``[h_hat(key[0]) | HatB boundary | v_hat(key[1])]``, each map on the
         cycle basis of its source region: the HatA block j - p, the HatB
         block j and the HatA block j, side by side in chain order.  Rows
@@ -266,7 +280,7 @@ class MappingCone:
         """One HatB row block of the induced block matrix, and the column
         where its v block starts.
 
-        Block j with key = ((j - p) // q, j // q) is
+        Block j with key = ((j - p) // q, j // q), or their classes, is
         ``[h_hat(key[0])_* | v_hat(key[1])_*]`` on the homology bases: the
         HatA block j - p, then the HatA block j.  Like
         :meth:`total_boundary` it depends on the key alone and is built on
@@ -292,7 +306,13 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     starts, and ``rank(m, pivots)`` the rank of m = [carry; rows] with the
     pivots of its rref.  Each (carry, key) step is memoized on the complex
     under ``(tag, carry, key)``, so only the distinct steps are eliminated."""
-    c, p, q = cone.complex, cone.slope.p, cone.slope.q
+    c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
+    # The Alexander class of every floor the HatB blocks read, from one
+    # table memoized per range of floors rather than a lookup per block.
+    # With a HatB column the tight window's floors are -(g-1)..g-1, so
+    # every such cone shares one table.
+    first, last = (b.start - p) // q, (b.stop - 1) // q
+    classes = c.cached(("classes", first, last), lambda: [*map(c.alexander_class, range(first, last + 1))]) if b else []
 
     def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
         block, v_start = rows(key)
@@ -303,10 +323,11 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
         return rank(m, pivots) - len(carry), carry_out
 
     added = 0
-    for first in cone.b_columns[:p]:
+    for start in b[:p]:
         carry = ()
-        for j in range(first, cone.b_columns.stop, p):
-            key = ((j - p) // q, j // q)
+        # j runs shifted by first * q, so that floor s is entry s - first.
+        for j in range(start - first * q, b.stop - first * q, p):
+            key = (classes[(j - p) // q], classes[j // q])
             increment, carry = c.cached((tag, carry, key), lambda: step(carry, key))
             added += increment
     return added
@@ -436,10 +457,15 @@ def require_hypothesis(c: CfkComplex) -> None:
         )
 
 
-def _v_sum(c: CfkComplex, slope: Slope, term) -> int:
-    """q*term(v_hat(0)) + 2q * sum over s = 1..g-1 of term(v_hat(s))."""
-    q = slope.q
-    return q * term(c.v_hat(0)) + 2 * q * sum(term(c.v_hat(s)) for s in range(1, c.genus()))
+def _v_sum(c: CfkComplex, slope: Slope, name: str, term) -> int:
+    """q*term(v_hat(0)) + 2q * sum over s = 1..g-1 of term(v_hat(s)).  The
+    sum over s does not depend on the slope, so it is memoized on the
+    complex under ("v_sum", name), and only the first slope reads maps."""
+
+    def per_q() -> int:
+        return term(c.v_hat(0)) + 2 * sum(term(c.v_hat(s)) for s in range(1, c.genus()))
+
+    return slope.q * c.cached(("v_sum", name), per_q)
 
 
 def rank_formula(c: CfkComplex, slope: Slope) -> int:
@@ -456,7 +482,7 @@ def rank_formula(c: CfkComplex, slope: Slope) -> int:
     """
     require_hypothesis(c)
     b = c.b_rank()
-    total = _v_sum(c, slope, lambda v: v.source.homology.dim + b - 2 * v.induced_rank())
+    total = _v_sum(c, slope, "formula", lambda v: v.source.homology.dim + b - 2 * v.induced_rank())
     return total + 2 * t_invariant(c, slope) - slope.p * b
 
 
@@ -466,17 +492,15 @@ def nu_surrogate(c: CfkComplex) -> int:
         raise NotApplicableError(
             f"nu needs a complex with b_rank 1, got {c.b_rank()}"
         )
-    s = 0
-    while c.v_hat(s).induced_rank() < 1:
-        s += 1
-    return s
+    # v_hat(genus) is an isomorphism, so the scan stops by then.
+    return c.cached("nu", lambda: next(s for s in range(c.genus() + 1) if c.v_hat(s).induced_rank()))
 
 
 def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     """Dimension of the kernel of the induced block matrix, in closed form:
     q*ker(v0) + 2q*sum(s=1..g-1) ker(vs) + t."""
     require_hypothesis(c)
-    return _v_sum(c, slope, lambda v: v.induced_kernel_dim()) + t_invariant(c, slope)
+    return _v_sum(c, slope, "kernel", lambda v: v.induced_kernel_dim()) + t_invariant(c, slope)
 
 
 def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int]]:
@@ -497,30 +521,17 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     and h_hat(s) for s >= g+1, past the genus; so a walk reaches only the
     columns -gq-p <= j < (g+1)q+p.
 
-    Column j reads its map at s = j // q clamped to where the maps differ,
-    with M = max_alexander: v_hat at -M-1 <= s <= M and h_hat at
-    -M <= s <= M+1.  The clamp is exact.  For s >= M, HatA(s) is the HatB
-    region, v_hat(s) the identity on it and h_hat(s) zero once s > M.  A
-    valid flip puts the lowest Alexander grading at -M, so for s <= -M
-    every upower is a - s and an arc stays exactly when a(target) =
-    a(source) + m: each such HatA(s) has the same boundary rows, hence the
-    same cycles and homology basis.  h_hat(s) keeps every generator there,
-    and v_hat(s) none once s < -M.  So a clamped map has the same induced
-    matrix, in the coordinates the elements store, and the construction
-    reads at most 2M + 2 distinct regions however large p is.  The clamp is
-    not at the genus, as in :func:`_meet`: for g <= s < M, HatA(s) is a
-    region of its own with its own basis.
+    Column j reads its maps at s = j // q, which ``cfk`` memoizes under the
+    Alexander class of s, so however large p is the construction builds
+    one region and one map of each kind per class.
     """
     require_hypothesis(c)
-    q, p = slope.q, slope.p
-    g, m = c.genus(), c.max_alexander
+    q, p, g = slope.q, slope.p, c.genus()
 
     def ind(j: int, step: int) -> F2Matrix:
         """The induced map column j solves against on a walk of this step:
-        v_hat for step > 0, h_hat for step < 0, at the clamped s."""
-        if step > 0:
-            return c.v_hat(min(max(j // q, -m - 1), m)).induced
-        return c.h_hat(min(max(j // q, -m), m + 1)).induced
+        v_hat for step > 0, h_hat for step < 0."""
+        return (c.v_hat(j // q) if step > 0 else c.h_hat(j // q)).induced
 
     def extend(element: dict[int, int], j: int, coeff: int, step: int) -> None:
         """Cancel the image of ``coeff`` at column j, column by column:

@@ -49,12 +49,15 @@ def build_cone(c, slope, level=None) -> MappingCone:
     lo, hi = -q * level + 1, q * level - 1
     cone.a_columns = range(lo, hi + 1)
     cone.b_columns = range(lo + slope.p, hi + 1)
-    # lo is not a multiple of q, so the first region is cut as well as the
-    # last: region s counts the columns of [sq, sq + q - 1] in the window.
-    cone._a_regions = [
-        (c.region_complex(HatA(s)), min(hi, s * q + q - 1) + 1 - max(lo, s * q))
-        for s in range(lo // q, hi // q + 1)
-    ]
+    # lo is not a multiple of q, so the first floor is cut as well as the
+    # last: floor s counts the columns of [sq, sq + q - 1] in the window.
+    # Floors of one Alexander class share their region, so like the tight
+    # cone this one keeps each distinct region once, with all its columns.
+    counts: dict = {}
+    for s in range(lo // q, hi // q + 1):
+        region = c.region_complex(HatA(s))
+        counts[region] = counts.get(region, 0) + min(hi, s * q + q - 1) + 1 - max(lo, s * q)
+    cone._a_regions = list(counts.items())
     return cone
 
 
@@ -96,14 +99,16 @@ def sweep_increments(cone) -> list[list[int]]:
     """The rank each HatB block adds in the chain route's sweep, block by
     block for each residue class of j mod p that owns one, in the order of
     the classes' first HatB blocks, replayed from the memo that
-    ``cone_rank_chain`` left on the complex for this cone's window.  A
-    missing step raises ``KeyError``."""
+    ``cone_rank_chain`` left on the complex for this cone's window.  The
+    sweep keys block j on the Alexander classes of (j - p) // q and j // q,
+    so the replay looks each one up.  A missing step raises ``KeyError``."""
     c, p, q = cone.complex, cone.slope.p, cone.slope.q
     classes = []
     for first in cone.b_columns[:p]:
         carry, steps = (), []
         for j in range(first, cone.b_columns.stop, p):
-            increment, carry = c._memo[("sweep", carry, ((j - p) // q, j // q))]
+            key = (c.alexander_class((j - p) // q), c.alexander_class(j // q))
+            increment, carry = c._memo[("sweep", carry, key)]
             steps.append(increment)
         classes.append(steps)
     return classes

@@ -10,6 +10,8 @@ HatB, Quadrant(t), v_hat and h_hat element by element, through an
 (id, upower) index, and ``assert_matches_reference`` checks the library's
 generator-indexed HatA(s), HatB and maps against them; the library builds
 no quadrant, so ``single_point_region_rank`` reads the reference one.
+A library region keeps only its boundary, so its (id, upower) elements
+are ``reference_members`` of its tag, rebuilt from s itself.
 ``image_intersection_rank`` is the plain meet of two column spaces, which
 the tests compare the library's memoized meets and t against.
 """
@@ -53,8 +55,8 @@ def region_flip_equivalence(c: CfkComplex, s: int) -> FilteredChainMap:
     source, target = c.region_complex(HatA(s)), c.region_complex(HatA(-s))
     c.require_flip()
     masks = [0] * target.dim
-    for col, (gid, k) in enumerate(source.basis):
-        masks[position(target, c.flip_map[gid], max(0, s - c.alexander[gid]))] |= 1 << col
+    for col, (gid, k) in enumerate(reference_members(c, HatA(s))):
+        masks[position(c, HatA(-s), c.flip_map[gid], max(0, s - c.alexander[gid]))] |= 1 << col
     return FilteredChainMap(source, target, F2Matrix(source.dim, tuple(masks)))
 
 
@@ -76,35 +78,27 @@ class Quadrant:
 def j_level_region(c: CfkComplex, s: int) -> RegionComplex:
     """The region j = s: one basis element (x, alexander(x) - s) per
     generator, keeping the differential terms that stay in it."""
-    c.require_valid()
-    ids = tuple(g.id for g in c.generators)
-    upowers = tuple(g.alexander - s for g in c.generators)
-    index = {elem: i for i, elem in enumerate(zip(ids, upowers))}
-    masks = [0] * len(ids)
-    for t in c.differential:
-        k = c.alexander[t.source] - s
-        row = index.get((t.target, k + t.upower))
-        if row is not None:
-            masks[row] ^= 1 << index[(t.source, k)]
-    return RegionComplex(JLevel(s), ids, upowers, F2Matrix(len(ids), tuple(masks)))
+    return reference_complex(c, JLevel(s))
 
 
-def position(region: RegionComplex, gen_id: str, upower: int) -> int | None:
+def position(c: CfkComplex, tag, gen_id: str, upower: int) -> int | None:
     """The index of the element U^upower * gen_id in the region, or None."""
     try:
-        return region.basis.index((gen_id, upower))
+        return reference_members(c, tag).index((gen_id, upower))
     except ValueError:
         return None
 
 
 def reference_members(c: CfkComplex, tag) -> list[tuple[str, int]]:
-    """The (id, upower) elements of HatA(s), HatB or Quadrant(t), one per
-    lattice element, in generator order: the library's order for HatA(s)
-    and HatB."""
+    """The (id, upower) elements of HatA(s), HatB, JLevel(s) or
+    Quadrant(t), one per lattice element, in generator order: the library's
+    order for HatA(s) and HatB."""
     if isinstance(tag, HatA):
         return [(g.id, max(0, g.alexander - tag.s)) for g in c.generators]
     if isinstance(tag, HatB):
         return [(g.id, 0) for g in c.generators]
+    if isinstance(tag, JLevel):
+        return [(g.id, g.alexander - tag.s) for g in c.generators]
     assert isinstance(tag, Quadrant)
     return [(g.id, k) for g in c.generators for k in range(1, g.alexander - tag.min_j + 1)]
 
@@ -123,6 +117,12 @@ def reference_region(c: CfkComplex, tag) -> tuple[tuple[tuple[str, int], ...], t
             if row is not None:
                 masks[row] ^= 1 << col
     return tuple(members), tuple(masks)
+
+
+def reference_complex(c: CfkComplex, tag) -> RegionComplex:
+    """The reference region of this tag as a complex of its own."""
+    members, masks = reference_region(c, tag)
+    return RegionComplex(tag, F2Matrix(len(members), masks))
 
 
 def reference_map(c: CfkComplex, kind: str, s: int) -> tuple[int, ...]:
@@ -147,25 +147,49 @@ def single_point_region_rank(c: CfkComplex) -> int:
     lattice point (-1, genus - 1), so this equals hfk_hat(genus)."""
     g = c.genus()
     assert g >= 1, "the quadrant region needs genus >= 1"
-    tag = Quadrant(g - 1)
-    members, masks = reference_region(c, tag)
-    ids, upowers = tuple(gid for gid, _ in members), tuple(k for _, k in members)
-    return RegionComplex(tag, ids, upowers, F2Matrix(len(members), masks)).homology.dim
+    return reference_complex(c, Quadrant(g - 1)).homology.dim
 
 
 def assert_matches_reference(c: CfkComplex) -> None:
     """Every HatA(s) with |s| <= genus + 1 and HatB has the reference
-    elements and boundary, and every v_hat(s) and h_hat(s) the reference
-    matrix."""
+    boundary, one element per reference element, and every v_hat(s) and
+    h_hat(s) the reference matrix."""
     g = c.genus()
     window = range(-g - 1, g + 2)
     for tag in [HatA(s) for s in window] + [HatB()]:
         region = c.region_complex(tag)
-        assert (region.basis, region.boundary.data) == reference_region(c, tag), tag
-        assert region.dim == len(region.basis)
+        members, masks = reference_region(c, tag)
+        assert region.boundary.data == masks, tag
+        assert region.dim == len(members), tag
     for s in window:
         assert c.v_hat(s).matrix.data == reference_map(c, "v", s), s
         assert c.h_hat(s).matrix.data == reference_map(c, "h", s), s
+
+
+def assert_classes_hold(c: CfkComplex, margin: int = 3) -> None:
+    """The Alexander class rule, checked against the reference model.
+
+    The cuts are a and a + 1 for each grading a, and the class of s is the
+    largest cut at or below s, or the lowest cut less one.  For every s
+    within ``margin`` of the gradings, HatA(s), v_hat(s) and h_hat(s) are
+    the objects memoized at the class of s, and they have the reference
+    boundary and matrices of s itself, so s and its class agree.  The genus
+    is also the largest s >= 1 with v_hat(s - 1) not an isomorphism found
+    by testing every s from the top grading + 1 down, not only the cuts."""
+    grades = [g.alexander for g in c.generators]
+    cuts = sorted({x for a in grades for x in (a, a + 1)})
+    assert c.alexander_cuts == tuple(cuts)
+    for s in range(min(grades) - margin, max(grades) + margin + 1):
+        rep = max([cut for cut in cuts if cut <= s], default=cuts[0] - 1)
+        assert c.alexander_class(s) == rep, s
+        region = c.region_complex(HatA(s))
+        assert region is c.region_complex(HatA(rep)), s
+        assert region.boundary.data == reference_region(c, HatA(s))[1], s
+        assert c.v_hat(s) is c.v_hat(rep) and c.h_hat(s) is c.h_hat(rep), s
+        assert c.v_hat(s).matrix.data == reference_map(c, "v", s), s
+        assert c.h_hat(s).matrix.data == reference_map(c, "h", s), s
+    scan = [s for s in range(max(grades) + 1, 0, -1) if not c.v_hat(s - 1).is_induced_iso()]
+    assert c.genus() == (scan[0] if scan else 0)
 
 
 def image_intersection_rank(m1: F2Matrix, m2: F2Matrix) -> int:

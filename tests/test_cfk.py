@@ -40,6 +40,7 @@ def fig8():
 class TestValidate:
     def test_unknot_valid(self, unknot):
         assert unknot.validate().ok
+        assert str(unknot.validate()) == "valid"
 
     def test_trefoil_valid(self, trefoil):
         # d^2(b) = U d(a) + d(c) = 0 by inspection
@@ -130,19 +131,21 @@ class TestValidate:
 class TestRegions:
     def test_trefoil_hat_a0(self, trefoil):
         region = trefoil.region_complex(HatA(0))
-        assert set(region.basis) == {("a", 1), ("b", 0), ("c", 0)}
-        col = models.position(region, "b", 0)
+        members = models.reference_members(trefoil, HatA(0))
+        assert set(members) == {("a", 1), ("b", 0), ("c", 0)} and region.dim == 3
+        col = models.position(trefoil, HatA(0), "b", 0)
         image = [row for row in range(region.dim) if region.boundary.data[row] >> col & 1]
-        assert {region.basis[r] for r in image} == {("a", 1), ("c", 0)}
+        assert {members[r] for r in image} == {("a", 1), ("c", 0)}
         assert region.homology.dim == 1
 
     def test_trefoil_hat_b(self, trefoil):
         region = trefoil.region_complex(HatB())
-        assert set(region.basis) == {("a", 0), ("b", 0), ("c", 0)}
+        members = models.reference_members(trefoil, HatB())
+        assert set(members) == {("a", 0), ("b", 0), ("c", 0)} and region.dim == 3
         # the U a component has i = -1 and is dropped
-        col = models.position(region, "b", 0)
+        col = models.position(trefoil, HatB(), "b", 0)
         image = [row for row in range(region.dim) if region.boundary.data[row] >> col & 1]
-        assert {region.basis[r] for r in image} == {("c", 0)}
+        assert {members[r] for r in image} == {("c", 0)}
         assert region.homology.dim == 1
 
     def test_unknot_j_level(self, unknot):
@@ -165,10 +168,11 @@ class TestRegions:
     def test_region_memoized(self, trefoil):
         assert trefoil.region_complex(HatA(0)) is trefoil.region_complex(HatA(0))
 
-    def test_hat_regions_share_one_id_tuple_and_keep_no_basis(self):
+    def test_hat_regions_keep_only_their_boundary(self):
         # After both rank routes, every memoized HatA and HatB region
-        # holds the complex's one id tuple and one upower per generator,
-        # and no per-element basis tuple or position dict.
+        # holds its tag, its boundary with one column per generator and
+        # what it caches from the boundary: no per-element data, which a
+        # region shared by a whole Alexander class could not have.
         c = tensor(builtin("t25"), builtin("t27"))
         for slope in (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(5, 3)):
             compute_rank_report(c, slope)
@@ -179,23 +183,19 @@ class TestRegions:
             if isinstance(key, tuple) and key[0] == "region" and isinstance(key[1], (HatA, HatB))
         ]
         assert len(regions) > 2
-        ids = regions[0].ids
-        assert ids == tuple(g.id for g in c.generators)
         for region in regions:
-            assert region.ids is ids
-            assert len(region.upowers) == len(ids)
-            assert "basis" not in vars(region)
-            assert not any(isinstance(value, dict) for value in vars(region).values())
+            assert region.dim == len(c.generators)
+            assert set(vars(region)) <= {"tag", "boundary", "cycles", "homology"}
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("t25#t27",))
     def test_hat_a_at_or_above_the_top_grading_is_hat_b(self, name):
-        # Every upower of HatA(s) is 0 once s >= max_alexander, so it is
+        # Every upower of HatA(s) is 0 once s reaches the top grading, so it is
         # served as the HatB region itself; below that it is its own region.
         first, *rest = name.split("#")
         c = builtin(first)
         for part in rest:
             c = tensor(c, builtin(part))
-        top = c.max_alexander
+        top = max(g.alexander for g in c.generators)
         for s in range(top - 2, top + 3):
             assert (c.region_complex(HatA(s)) is c.region_complex(HatB())) == (s >= top), s
 
@@ -203,7 +203,7 @@ class TestRegions:
         # A boundary row with one set bit is the complex's unit mask for it,
         # the same int object as the row of v_hat, not a copy.
         c = tensor(builtin("t25"), builtin("t27"))
-        units = c.v_hat(c.max_alexander).matrix.data
+        units = c.v_hat(max(g.alexander for g in c.generators)).matrix.data
         single = 0
         for tag in (HatB(), HatA(0), HatA(1)):
             for row in c.region_complex(tag).boundary.data:
@@ -282,15 +282,15 @@ class TestHhat:
             j_0 = models.j_level_region(fig8, 0)
             target = fig8.region_complex(HatB())
             proj = [0] * j_s.dim
-            for col, (gid, k) in enumerate(source.basis):
+            for col, (gid, k) in enumerate(models.reference_members(fig8, HatA(s))):
                 if fig8.alexander[gid] - k == s:
-                    proj[models.position(j_s, gid, fig8.alexander[gid] - s)] |= 1 << col
+                    proj[models.position(fig8, j_s.tag, gid, fig8.alexander[gid] - s)] |= 1 << col
             shift = [0] * j_0.dim
-            for col, (gid, k) in enumerate(j_s.basis):
-                shift[models.position(j_0, gid, fig8.alexander[gid])] |= 1 << col
+            for col, (gid, k) in enumerate(models.reference_members(fig8, j_s.tag)):
+                shift[models.position(fig8, j_0.tag, gid, fig8.alexander[gid])] |= 1 << col
             flip = [0] * target.dim
-            for col, (gid, k) in enumerate(j_0.basis):
-                flip[models.position(target, fig8.flip_map[gid], 0)] |= 1 << col
+            for col, (gid, k) in enumerate(models.reference_members(fig8, j_0.tag)):
+                flip[models.position(fig8, HatB(), fig8.flip_map[gid], 0)] |= 1 << col
             composite = (
                 f2.F2Matrix(j_0.dim, tuple(flip))
                 @ f2.F2Matrix(j_s.dim, tuple(shift))
@@ -391,3 +391,12 @@ class TestReferenceModel:
     @pytest.mark.parametrize("pair", list(combinations(BUILTIN_NAMES, 2)), ids="#".join)
     def test_builtin_tensors(self, pair):
         models.assert_matches_reference(tensor(builtin(pair[0]), builtin(pair[1])))
+
+    @pytest.mark.parametrize(
+        "parts", [(name,) for name in BUILTIN_NAMES] + list(combinations(BUILTIN_NAMES, 2)), ids="#".join
+    )
+    def test_regions_and_maps_repeat_within_each_alexander_class(self, parts):
+        c = builtin(parts[0])
+        for part in parts[1:]:
+            c = tensor(c, builtin(part))
+        models.assert_classes_hold(c)

@@ -29,6 +29,37 @@ def test_row_mask_outside_column_range(cols, data):
         F2Matrix(cols, data)
 
 
+def _homology(d: F2Matrix) -> HomologyBasis:
+    return HomologyBasis(d, f2.kernel_basis(d))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: F2Matrix(-1, ()), "column count must be nonnegative"),
+        (lambda: F2Matrix(2, (1, 2)) @ F2Matrix(2, (1,)), "cannot multiply 2x2 by 1x2"),
+        (lambda: F2Matrix(1, (1,)).hstack(F2Matrix(1, (1, 0))), "hstack needs equal row counts"),
+        (lambda: f2.solve(F2Matrix(1, (1,)), 0b10), "target vector has bits outside the row range"),
+        (
+            lambda: f2.image_intersection_basis(F2Matrix(1, (1,)), F2Matrix(1, (1, 0))),
+            "image intersection needs equal row counts, got 1 and 2",
+        ),
+        (lambda: HomologyBasis(F2Matrix(2, (0,)), []), "a differential must be square"),
+        (
+            lambda: f2.induced_map_on_homology(
+                F2Matrix(2, (0,)), _homology(F2Matrix(1, (0,))), _homology(F2Matrix(1, (0,)))
+            ),
+            "chain map shape does not match the two complexes",
+        ),
+    ],
+    ids=["negative-columns", "matmul", "hstack", "solve", "image-intersection", "homology", "induced"],
+)
+def test_shape_guards(call, message):
+    # Each entry point refuses a matrix of the wrong shape before any work.
+    with pytest.raises(DimensionError, match=message):
+        call()
+
+
 def test_row_masks_inside_column_range():
     assert F2Matrix(3, (0b111, 0)).data == (0b111, 0)
     assert F2Matrix(3, ()).rows == 0
@@ -166,7 +197,8 @@ class TestInducedMap:
 
     def test_non_chain_map_rejected(self):
         # FilteredChainMap is the one place that checks f∘∂ = ∂∘f.
-        region = RegionComplex("segment", ("x", "y"), (0, 0), mat(2, 2, [(1, 0)]))
+        region = RegionComplex("segment", mat(2, 2, [(1, 0)]))
+        assert repr(region) == "RegionComplex(segment, dim=2)"
         swap = mat(2, 2, [(0, 1), (1, 0)])
         with pytest.raises(NotAChainMapError):
             FilteredChainMap(region, region, swap)

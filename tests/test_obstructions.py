@@ -171,6 +171,11 @@ class TestMonotonicityScan:
     def test_figure_eight(self):
         assert monotonicity_scan(builtin("figure_eight"), 1, 3) == [(1, 3), (2, 5), (3, 7)]
 
+    @pytest.mark.parametrize("p, qmax", [(0, 3), (1, 0), (-2, -1)])
+    def test_needs_positive_p_and_qmax(self, p, qmax):
+        with pytest.raises(ValueError, match="monotonicity scan needs positive p and qmax"):
+            monotonicity_scan(builtin("unknot"), p, qmax)
+
     def test_skips_non_coprime(self):
         scan = monotonicity_scan(builtin("unknot"), 2, 6)
         assert [q for q, _ in scan] == [1, 3, 5]

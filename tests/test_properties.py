@@ -47,6 +47,17 @@ specs = st.builds(
 
 complexes = specs.map(random_complex)
 
+# Boxes far from the centre: long runs of s between gradings, where one
+# Alexander class stands for many s.
+wide_complexes = st.builds(
+    RandomSpec,
+    seed=st.integers(0, 10**6),
+    dots=st.integers(1, 3),
+    boxes=st.integers(0, 3),
+    max_side=st.integers(1, 3),
+    max_offset=st.integers(9, 30),
+).map(random_complex)
+
 slopes = (
     st.tuples(st.integers(1, 5), st.integers(1, 5))
     .filter(lambda pq: math.gcd(*pq) == 1)
@@ -330,3 +341,18 @@ def test_builtin_oracle_agreement(name, slope):
 @given(complexes)
 def test_regions_and_maps_match_the_reference_model(c):
     models.assert_matches_reference(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_complexes)
+def test_regions_and_maps_repeat_within_each_alexander_class(c):
+    models.assert_classes_hold(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_complexes, slopes)
+def test_wide_complexes_agree_on_every_route(c, slope):
+    rank = cone_rank_chain(c, slope)
+    assert rank == cone_rank_homological(c, slope)
+    if hypothesis_holds(c):
+        assert rank == rank_formula(c, slope)

@@ -116,9 +116,10 @@ class TestBuildCone:
         assert windows == [(-2, 4), (-2, 4)]
 
     def test_cones_on_one_range_of_s_share_their_regions(self, monkeypatch):
-        # The window's distinct HatA regions are one memo entry per range of
-        # s: a second cone on the same range looks up only HatB, though its
-        # window, and so the number of columns copying each region, differs.
+        # The window's distinct HatA regions are one memo entry per lo // q
+        # and Alexander class of hi // q: a second cone on the same range of
+        # s looks up only HatB, though its window, and so the number of
+        # columns copying each region, differs.
         c = builtin("t25")
         first = MappingCone(c, Slope(1, 2))
         calls = []
@@ -136,15 +137,19 @@ class TestBuildCone:
         assert (first.a_columns, second.a_columns) == (range(-2, 4), range(-3, 6))
 
     def test_large_p_cones_keep_only_their_distinct_regions(self):
-        # Every HatA(s) with s >= max_alexander is the HatB region, so a cone
-        # keeps its regions only up to there, however far p stretches the
-        # window: t25#t27#figure_eight (genus 6, max_alexander 6) reads the
-        # 12 regions HatA(-5..6) and HatB, where 200001/1 used to leave one
+        # A region is memoized under the Alexander class of s, and the two
+        # top classes, 6 and 7, share the HatB region, so however far p
+        # stretches the window a cone keeps one entry per distinct region:
+        # t25#t27#figure_eight (genus 6, gradings -6..6) reads the 11
+        # regions HatA(-5..5) and HatB, where 200001/1 used to leave one
         # memo entry per s.
         c = _complex("t25#t27#figure_eight")
         for slope in (Slope(11, 1), Slope(23, 2), Slope(200001, 1)):
             cone_rank_chain(c, slope)
-        assert len([key for key in c._memo if key[0] == "region"]) <= 13
+        regions = {key[1]: value for key, value in c._memo.items() if key[0] == "region"}
+        assert all(tag == HatB() or c.alexander_class(tag.s) == tag.s for tag in regions)
+        assert set(regions) == {HatB()} | {HatA(s) for s in range(-5, 8)}
+        assert len({id(region) for region in regions.values()}) == 12
         cone = MappingCone(c, Slope(200001, 1))
         assert [count for _, count in cone._a_regions] == [1] * 11 + [200001 - 11]
         assert cone._a_regions[-1][0] is c.region_complex(HatB())
@@ -580,8 +585,9 @@ class TestKernel:
         assert spans == [(-1, 0, 1), (0,), (0,)]
 
     def test_counts_and_membership(self):
-        # The builtins have max_alexander <= 3, so 11/1, 13/2 and 17/3 read
-        # v_hat and h_hat at their clamps, checked against the block matrix.
+        # The builtins' gradings lie in -3..3, so 11/1, 13/2 and 17/3 read
+        # v_hat and h_hat at their outermost Alexander classes, checked
+        # against the block matrix.
         slopes = (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(2, 3), Slope(5, 2), Slope(11, 1), Slope(13, 2), Slope(17, 3))
         for name in ("unknot", "trefoil_rh", "trefoil_lh", "figure_eight", "t25"):
             c = builtin(name)
@@ -598,6 +604,9 @@ class TestKernel:
                 assert f2.rank(stacked) == len(basis), (name, slope, "independence")
 
     def test_seeds_read_no_map_beyond_the_genus(self):
+        # Regions and maps are memoized under the Alexander class of s, so
+        # beyond the genus 2 of t25 (gradings -2..2) means the classes 3
+        # and -3 of every s >= 3 and s <= -3.
         c = builtin("t25")
         slope = Slope(1, 4)
         cone_rank_chain(c, slope)
@@ -605,21 +614,18 @@ class TestKernel:
         rank_formula(c, slope)
         before = set(c._memo)
         kernel_basis_construction(c, slope)
-        beyond = {
-            ("region", HatA(3)),
-            ("region", HatA(-3)),
-            ("region", HatA(-4)),
-            ("v", 3),
-            ("h", -3),
-            ("h", -4),
-        }
+        above = {c.alexander_class(s) for s in range(3, 8)}
+        below = {c.alexander_class(s) for s in range(-8, -2)}
+        assert (above, below) == ({3}, {-3})
+        beyond = {("region", HatA(s)) for s in above | below}
+        beyond |= {("v", s) for s in above} | {("h", s) for s in below}
         assert not (set(c._memo) - before) & beyond
 
     def test_memo_stays_bounded_as_p_grows(self):
-        # Every read is clamped to v_hat at -M-1 <= s <= M and h_hat at
-        # -M <= s <= M+1, so a larger p builds no new region or map.
+        # Every region and map is memoized under the Alexander class of s,
+        # one of the cuts -3..4 of t27 (gradings -3..3) or -4 below them,
+        # so a larger p builds no new region or map.
         c = builtin("t27")
-        m = c.max_alexander
 
         def reads():
             return {key for key in c._memo if isinstance(key, tuple) and key[0] in ("region", "v", "h")}
@@ -628,9 +634,9 @@ class TestKernel:
         before = reads()
         kernel_basis_construction(c, Slope(2001, 1))
         assert reads() == before
-        assert all(-m - 1 <= s <= m for kind, s in before if kind == "v")
-        assert all(-m <= s <= m + 1 for kind, s in before if kind == "h")
-        assert all(tag.s >= -m - 1 for kind, tag in before if kind == "region" and isinstance(tag, HatA))
+        classes = set(range(-4, 5))
+        assert {s for kind, s in before if kind != "region"} <= classes
+        assert all(tag.s in classes for kind, tag in before if kind == "region" and isinstance(tag, HatA))
 
     @pytest.mark.parametrize(
         "name, message",
