@@ -20,7 +20,12 @@ keeps only its boundary.  For s at or above the top Alexander grading
 every upower is 0, and HatA(s) is the HatB region itself, one object with one kernel and one
 homology basis.  The maps v_hat(s) and h_hat(s) from HatA(s) to HatB are
 the vertical projection and the horizontal projection composed with U^s
-and the flip involution, built straight from that order.
+and the flip involution, built straight from that order.  Each sends an
+element to one element or to zero, so it is held as a generator index
+map, with no matrix: v_hat(s) keeps element i when alexander(x_i) <= s,
+and h_hat(s) sends it to the position of flip(x_i) when
+alexander(x_i) >= s.  The chain-map check and the maps' matrices on the
+cycle basis and on homology all read the index.
 
 HatA(s), v_hat(s) and h_hat(s) change with s only where s crosses an
 Alexander grading.  The cuts are a and a + 1 for every grading a, and the
@@ -167,34 +172,100 @@ class RegionComplex:
 
 
 class FilteredChainMap:
-    """A chain map between region complexes; the one check of f∘∂ = ∂∘f is here."""
+    """A chain map between region complexes that sends each source element
+    to one target element or to zero, held as a generator index map:
+    ``index[i]`` is the target element that source element i goes to, or
+    -1, and no two source elements go to the same one.  No dense matrix is
+    kept.  When every element goes to its own position or to zero, as in
+    v_hat(s), the map is a coordinate projection: ``keep`` is the mask of
+    the elements it keeps, and applying it is one AND.  Otherwise, as in
+    h_hat(s), ``keep`` is None and the map moves bits one by one.
 
-    def __init__(self, source: RegionComplex, target: RegionComplex, matrix: F2Matrix):
-        left = matrix @ source.boundary
-        right = target.boundary @ matrix
-        if left.data != right.data:
+    The one check of f∘∂ = ∂∘f is here, made on every map built.  Row r of
+    the map's matrix holds the bit of r's preimage, or none, so row r of
+    f∘∂ is the source boundary row of that preimage, and row r of ∂∘f is
+    the target boundary row r with each bit moved to its own preimage, or
+    dropped.  The check compares the two masks row by row.
+    """
+
+    def __init__(self, source: RegionComplex, target: RegionComplex, index):
+        self.source = source
+        self.target = target
+        self.index = tuple(index)
+        if len(self.index) != source.dim:
+            raise f2.DimensionError(f"index map has {len(self.index)} entries for {source.dim} elements")
+        self.keep = (
+            sum(1 << i for i, r in enumerate(self.index) if r == i)
+            if all(r == i or r == -1 for i, r in enumerate(self.index))
+            else None
+        )
+        preimage = self._preimage()
+        boundary = source.boundary.data
+        left = [boundary[i] if i >= 0 else 0 for i in preimage]
+        if left != self._move(target.boundary.data, preimage):
             raise f2.NotAChainMapError(
                 f"map {source.tag} -> {target.tag} does not commute with boundaries"
             )
-        self.source = source
-        self.target = target
-        self.matrix = matrix
+
+    def _preimage(self) -> list[int]:
+        """``preimage[r]``: the source element that goes to target element
+        r, or -1.  Rebuilt on each read, not kept."""
+        preimage = [-1] * self.target.dim
+        for i, r in enumerate(self.index):
+            if r >= 0:
+                if preimage[r] >= 0:
+                    raise ValueError(f"index map sends elements {preimage[r]} and {i} to {r}")
+                preimage[r] = i
+        return preimage
+
+    def _move(self, masks, to) -> list[int]:
+        """Each mask with each bit b moved to bit ``to[b]``, or dropped where
+        that is -1: the map itself for ``to = index``, and its transpose
+        for the preimage.  A projection keeps the same bits either way."""
+        if self.keep is not None:
+            keep = self.keep
+            return [mask & keep for mask in masks]
+        out = []
+        for mask in masks:
+            moved = 0
+            while mask:
+                low = mask & -mask
+                b = to[low.bit_length() - 1]
+                if b >= 0:
+                    moved |= 1 << b
+                mask ^= low
+            out.append(moved)
+        return out
+
+    def apply(self, vec: int) -> int:
+        """The image of a source vector, given as a bit mask."""
+        return self._move((vec,), self.index)[0]
+
+    @property
+    def rows(self) -> int:
+        return self.target.dim
+
+    @property
+    def cols(self) -> int:
+        return self.source.dim
 
     @cached_property
     def induced(self) -> F2Matrix:
-        """Matrix on homology, built on first read."""
-        return f2.induced_map_on_homology(
-            self.matrix, self.source.homology, self.target.homology
-        )
+        """Matrix on homology, built on first read; the map is applied to
+        each homology representative by index."""
+        return f2.induced_map_on_homology(self, self.source.homology, self.target.homology)
 
     @cached_property
     def on_cycles(self) -> F2Matrix:
-        """The matrix on the source's cycle basis, one column per vector of
-        ``source.cycles``, built on first read.  A row of it is zero exactly
-        when that row of the matrix lies in the row space of the source's
-        boundary.  Only the chain route reads it; the homological route
-        applies the matrix to each homology representative instead."""
-        return self.matrix @ F2Matrix.from_columns(self.source.cycles, self.source.dim)
+        """The map on the source's cycle basis, one column per vector of
+        ``source.cycles``, built on first read: row r is the cycle row of
+        r's preimage, or zero.  A row of it is zero exactly when that row
+        of the map lies in the row space of the source's boundary.  Only
+        the chain route reads it; the homological route applies the map to
+        each homology representative instead."""
+        cycles = self.source.cycles
+        cycle_rows = F2Matrix.from_columns(cycles, self.source.dim).data
+        return F2Matrix(len(cycles), tuple(cycle_rows[i] if i >= 0 else 0 for i in self._preimage()))
 
     @cached_property
     def _rank(self) -> int:
@@ -485,29 +556,30 @@ class CfkComplex:
         masks = [0] * len(units)
         for col, row, m in arcs:
             if upowers[row] == upowers[col] + m:
-                # A row's first bit keeps the shared unit mask, as the rows of
-                # v_hat do; 0 ^ unit would make a fresh int.
+                # A row's first bit keeps the shared unit mask, so the
+                # single-bit rows of every region share one int per
+                # generator; 0 ^ unit would make a fresh int.
                 mask = masks[row]
                 masks[row] = mask ^ units[col] if mask else units[col]
         return RegionComplex(tag, F2Matrix(len(units), tuple(masks)))
 
     # -- the canonical maps -------------------------------------------------
 
-    def _from_hat_a(self, s: int, rows: list[int]) -> FilteredChainMap:
-        """The chain map HatA(s) -> HatB with these row masks."""
-        source, target = self.region_complex(HatA(s)), self.region_complex(HatB())
-        return FilteredChainMap(source, target, F2Matrix(source.dim, tuple(rows)))
+    def _from_hat_a(self, s: int, index: list[int]) -> FilteredChainMap:
+        """The chain map HatA(s) -> HatB with this index map."""
+        return FilteredChainMap(self.region_complex(HatA(s)), self.region_complex(HatB()), index)
 
     def v_hat(self, s: int) -> FilteredChainMap:
-        """Vertical projection HatA(s) -> HatB: keep the i = 0 part.  Row i
-        is the unit mask 1 << i when alexander(x_i) <= s, and zero otherwise.
+        """Vertical projection HatA(s) -> HatB: keep the i = 0 part.  Element
+        i goes to element i when alexander(x_i) <= s, and to zero otherwise.
 
         Memoized under the class of s; finding it validates the complex."""
         s = self.alexander_class(s)
 
         def build() -> FilteredChainMap:
-            _, alexander, _, units, _ = self._order
-            return self._from_hat_a(s, [u if a <= s else 0 for a, u in zip(alexander, units)])
+            _, alexander, index, _, _ = self._order
+            # The positions are the ints of ``index``, shared by every map.
+            return self._from_hat_a(s, [i if a <= s else -1 for i, a in zip(index.values(), alexander)])
 
         return self.cached(("v", s), build)
 
@@ -516,22 +588,18 @@ class CfkComplex:
 
         Project onto the j = s part, shift it to j = 0 with U^s, then
         apply the flip.  On the canonical bases the composite sends
-        (x, k) to (flip(x), 0) exactly when alexander(x) >= s, so row
-        index(flip(x_i)) gets the unit mask 1 << i then.  Memoized under
-        the class of s, which validates the complex before the flip check.
+        (x, k) to (flip(x), 0) exactly when alexander(x) >= s, so element
+        i goes to element index(flip(x_i)) then, and to zero otherwise.
+        Memoized under the class of s, which validates the complex before
+        the flip check.
         """
         s = self.alexander_class(s)
 
         def build() -> FilteredChainMap:
-            ids, alexander, index, units, _ = self._order
+            ids, alexander, index, _, _ = self._order
             self.require_flip()
-            rows = [0] * len(ids)
-            # A valid flip is a bijection, so each row gets at most one unit
-            # mask, and it keeps the shared one.
-            for gid, a, u in zip(ids, alexander, units):
-                if a >= s:
-                    rows[index[self.flip_map[gid]]] = u
-            return self._from_hat_a(s, rows)
+            flip = self.flip_map
+            return self._from_hat_a(s, [index[flip[gid]] if a >= s else -1 for gid, a in zip(ids, alexander)])
 
         return self.cached(("h", s), build)
 

@@ -108,7 +108,8 @@ class F2Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # The loop of ``bits`` inlined: most rows of a chain map hold one bit.
+        # The loop of ``bits`` inlined: most rows of a region's boundary hold
+        # one or two bits.
         masks = []
         for row in self.data:
             acc = 0
@@ -317,11 +318,14 @@ def induced_map_on_homology(
 ) -> F2Matrix:
     """Matrix of the map induced by the chain map ``f`` on homology.
 
-    ``f`` must commute with the stored differentials; the caller checks
-    that (``cfk.FilteredChainMap`` does, where chain maps are built).  The
-    matrix is taken with respect to the bases chosen by the two
-    :class:`HomologyBasis` objects, so its rank and kernel dimension are
-    basis-independent invariants of the map.
+    ``f`` is any linear map with ``rows``, ``cols`` and ``apply(vec)``: an
+    :class:`F2Matrix`, or a ``cfk.FilteredChainMap``, which applies itself
+    by its generator index map instead of a loop over rows.  Each homology
+    representative is applied once.  ``f`` must commute with the stored
+    differentials; the caller checks that (``cfk.FilteredChainMap`` does,
+    where chain maps are built).  The matrix is taken with respect to the
+    bases chosen by the two :class:`HomologyBasis` objects, so its rank and
+    kernel dimension are basis-independent invariants of the map.
     """
     if f.cols != source.differential.cols or f.rows != target.differential.cols:
         raise DimensionError("chain map shape does not match the two complexes")

@@ -41,8 +41,8 @@ and change nothing else.  Hence, exactly over any field,
 The first term is each block's dimension less its number of cycles,
 ``MappingCone.a_boundary_rank``, and the second is what the sweep below
 adds up, so the rank of the cone's homology is its dimension less twice
-the sum of the two.  The cycle basis is taken once per region and each
-map's product with it once per map.  A map's row vanishes on the cycles
+the sum of the two.  The cycle basis is taken once per region, and each
+map's rows on it once per map.  A map's row vanishes on the cycles
 exactly when it lies in the row space of d, so a HatB row is zero
 exactly when it lies in the span of the HatA rows, and only the nonzero
 ones are eliminated.  Their columns are laid out in chain order: for
@@ -82,9 +82,14 @@ homology.  Over a field the two always agree, so route one continuously
 validates the homology-level bookkeeping route two relies on.  Both start
 from the same object: each region's cycle basis, ``RegionComplex.cycles``,
 is taken once, and its homology quotients that same basis.  From there
-the routes part: route one multiplies each map by the basis
-(``on_cycles``), route two applies each map to the homology
-representatives, so a fault in either product shows as a disagreement.
+the routes part.  ``cfk`` holds each map as a generator index map, each
+element of HatA(s) going to one element of HatB or to zero, so neither
+route multiplies a map by a matrix.  Route one reads each map on the
+cycle basis (``on_cycles``): HatB row r is the cycle-basis row of the
+element that goes to r.  Route two moves the bits of each homology
+representative through the index (``induced``).  A fault in either read
+shows as a disagreement, and the tests check both against the dense
+element-by-element matrices of a reference model.
 
 The block matrix has the cone's shape without the HatB blocks: its row
 block j is [h_hat((j - p) // q)_* | v_hat(j // q)_*] on the homology of
@@ -370,15 +375,18 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
 
 
 def _meet(c: CfkComplex, a: int, b: int) -> int:
-    """dim(im v_hat(a) meet im h_hat(b)) on homology, memoized per pair.
+    """dim(im v_hat(a) meet im h_hat(b)) on homology, memoized per pair of
+    Alexander classes.
 
     v_hat(a) is onto for a >= genus and h_hat(b) for b <= -genus, so the
     clamped pair a <= genus, b >= -genus has the same meet and reads no map
-    beyond the genus.  The meet is rank v + rank h - rank [v | h], with
-    the ranks the maps cache.
+    beyond the genus.  The maps are memoized under the classes of the
+    clamped pair, so the meet is too: however far apart the gradings are,
+    there is one entry per pair of classes.  The meet is
+    rank v + rank h - rank [v | h], with the ranks the maps cache.
     """
     g = c.genus()
-    a, b = min(a, g), max(b, -g)
+    a, b = c.alexander_class(min(a, g)), c.alexander_class(max(b, -g))
 
     def compute() -> int:
         v, h = c.v_hat(a), c.h_hat(b)

@@ -7,8 +7,9 @@ own boundary ranks to the ranks its sweep adds, block by block, from the
 HatB rows on the cycle bases of the HatA blocks
 (``MappingCone.total_boundary(key)``), each residue class of j mod p
 carrying one canonical block.  This module assembles every row in the
-original basis, so tests can check that split against the full matrix,
-and replays the sweep's steps from the memo the chain route leaves.
+original basis, reading each map's dense view from ``models.dense``, so
+tests can check that split against the full matrix, and replays the
+sweep's steps from the memo the chain route leaves.
 On every complex tried, real cones leave every carry of either route's
 sweep empty, so ``random_induced_boundary`` gives the homological route
 rows whose carries matter.
@@ -29,6 +30,7 @@ from hfsurgery import f2
 from hfsurgery.cfk import HatA, HatB
 from hfsurgery.f2 import F2Matrix
 from hfsurgery.surgery import MappingCone, _sweep
+from models import dense
 
 
 def truncation_bound(c, slope) -> int:
@@ -86,8 +88,8 @@ def full_boundary(cone) -> F2Matrix:
         rows = a_region(j).boundary.data
         masks[oa : oa + len(rows)] = [row << oa for row in rows]
     for j, ob in b_off.items():
-        h_rows = c.h_hat((j - p) // q).matrix.data
-        v_rows = c.v_hat(j // q).matrix.data
+        h_rows = dense(c.h_hat((j - p) // q)).data
+        v_rows = dense(c.v_hat(j // q)).data
         masks[ob : ob + b_region.dim] = [
             (h << a_off[j - p]) | (d << ob) | (v << a_off[j])
             for h, d, v in zip(h_rows, b_region.boundary.data, v_rows)

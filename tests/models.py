@@ -10,6 +10,9 @@ HatB, Quadrant(t), v_hat and h_hat element by element, through an
 (id, upower) index, and ``assert_matches_reference`` checks the library's
 generator-indexed HatA(s), HatB and maps against them; the library builds
 no quadrant, so ``single_point_region_rank`` reads the reference one.
+The library holds a map as a generator index map, so ``dense`` builds its
+matrix, and ``assert_maps_match_dense`` checks the map's cycle and
+homology matrices against the reference matrix's.
 A library region keeps only its boundary, so its (id, upower) elements
 are ``reference_members`` of its tag, rebuilt from s itself.
 ``image_intersection_rank`` is the plain meet of two column spaces, which
@@ -54,10 +57,21 @@ def region_flip_equivalence(c: CfkComplex, s: int) -> FilteredChainMap:
     """The chain isomorphism HatA(s) -> HatA(-s) given by U^s then the flip."""
     source, target = c.region_complex(HatA(s)), c.region_complex(HatA(-s))
     c.require_flip()
-    masks = [0] * target.dim
-    for col, (gid, k) in enumerate(reference_members(c, HatA(s))):
-        masks[position(c, HatA(-s), c.flip_map[gid], max(0, s - c.alexander[gid]))] |= 1 << col
-    return FilteredChainMap(source, target, F2Matrix(source.dim, tuple(masks)))
+    index = [
+        position(c, HatA(-s), c.flip_map[gid], max(0, s - c.alexander[gid]))
+        for gid, _ in reference_members(c, HatA(s))
+    ]
+    return FilteredChainMap(source, target, index)
+
+
+def dense(m: FilteredChainMap) -> F2Matrix:
+    """The dense matrix of a chain map held as an index map: row r has the
+    bit of each source element that goes to target element r."""
+    masks = [0] * m.target.dim
+    for col, row in enumerate(m.index):
+        if row >= 0:
+            masks[row] |= 1 << col
+    return F2Matrix(m.source.dim, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -162,8 +176,23 @@ def assert_matches_reference(c: CfkComplex) -> None:
         assert region.boundary.data == masks, tag
         assert region.dim == len(members), tag
     for s in window:
-        assert c.v_hat(s).matrix.data == reference_map(c, "v", s), s
-        assert c.h_hat(s).matrix.data == reference_map(c, "h", s), s
+        assert dense(c.v_hat(s)).data == reference_map(c, "v", s), s
+        assert dense(c.h_hat(s)).data == reference_map(c, "h", s), s
+
+
+def assert_maps_match_dense(c: CfkComplex) -> None:
+    """Every v_hat(s) and h_hat(s) with |s| <= genus + 1, applied by its
+    index map, agrees with the dense element-by-element reference matrix:
+    ``on_cycles`` is that matrix times the source's cycle basis, and
+    ``induced`` is ``f2.induced_map_on_homology`` run on that matrix."""
+    g = c.genus()
+    for s in range(-g - 1, g + 2):
+        for kind, m in (("v", c.v_hat(s)), ("h", c.h_hat(s))):
+            matrix = F2Matrix(m.source.dim, reference_map(c, kind, s))
+            cycles = F2Matrix.from_columns(m.source.cycles, m.source.dim)
+            assert m.on_cycles == matrix @ cycles, (kind, s)
+            induced = f2.induced_map_on_homology(matrix, m.source.homology, m.target.homology)
+            assert m.induced == induced, (kind, s)
 
 
 def assert_classes_hold(c: CfkComplex, margin: int = 3) -> None:
@@ -186,8 +215,8 @@ def assert_classes_hold(c: CfkComplex, margin: int = 3) -> None:
         assert region is c.region_complex(HatA(rep)), s
         assert region.boundary.data == reference_region(c, HatA(s))[1], s
         assert c.v_hat(s) is c.v_hat(rep) and c.h_hat(s) is c.h_hat(rep), s
-        assert c.v_hat(s).matrix.data == reference_map(c, "v", s), s
-        assert c.h_hat(s).matrix.data == reference_map(c, "h", s), s
+        assert dense(c.v_hat(s)).data == reference_map(c, "v", s), s
+        assert dense(c.h_hat(s)).data == reference_map(c, "h", s), s
     scan = [s for s in range(max(grades) + 1, 0, -1) if not c.v_hat(s - 1).is_induced_iso()]
     assert c.genus() == (scan[0] if scan else 0)
 

@@ -200,17 +200,18 @@ class TestRegions:
             assert (c.region_complex(HatA(s)) is c.region_complex(HatB())) == (s >= top), s
 
     def test_single_bit_boundary_rows_share_the_unit_masks(self):
-        # A boundary row with one set bit is the complex's unit mask for it,
-        # the same int object as the row of v_hat, not a copy.
+        # A boundary row with one set bit is the complex's one unit mask for
+        # that bit, the same int object in every region, not a copy.
         c = tensor(builtin("t25"), builtin("t27"))
-        units = c.v_hat(max(g.alexander for g in c.generators)).matrix.data
+        units = {}
         single = 0
         for tag in (HatB(), HatA(0), HatA(1)):
             for row in c.region_complex(tag).boundary.data:
                 if row.bit_count() == 1:
-                    assert row is units[row.bit_length() - 1], (tag, row)
+                    assert units.setdefault(row, row) is row, (tag, row)
                     single += 1
-        assert single
+        # Some unit masks are read in more than one region.
+        assert single > len(units)
 
     def test_cycles_and_homology_share_one_kernel_basis(self, fig8, monkeypatch):
         # A fresh region eliminates its boundary once for its cycles,
@@ -296,7 +297,7 @@ class TestHhat:
                 @ f2.F2Matrix(j_s.dim, tuple(shift))
                 @ f2.F2Matrix(source.dim, tuple(proj))
             )
-            assert composite.data == fig8.h_hat(s).matrix.data
+            assert composite.data == models.dense(fig8.h_hat(s)).data
 
 
 class TestInvariants:
@@ -391,6 +392,10 @@ class TestReferenceModel:
     @pytest.mark.parametrize("pair", list(combinations(BUILTIN_NAMES, 2)), ids="#".join)
     def test_builtin_tensors(self, pair):
         models.assert_matches_reference(tensor(builtin(pair[0]), builtin(pair[1])))
+
+    @pytest.mark.parametrize("pair", list(combinations(BUILTIN_NAMES, 2)), ids="#".join)
+    def test_builtin_tensor_index_maps_match_the_dense_reference(self, pair):
+        models.assert_maps_match_dense(tensor(builtin(pair[0]), builtin(pair[1])))
 
     @pytest.mark.parametrize(
         "parts", [(name,) for name in BUILTIN_NAMES] + list(combinations(BUILTIN_NAMES, 2)), ids="#".join

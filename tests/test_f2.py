@@ -199,9 +199,22 @@ class TestInducedMap:
         # FilteredChainMap is the one place that checks f∘∂ = ∂∘f.
         region = RegionComplex("segment", mat(2, 2, [(1, 0)]))
         assert repr(region) == "RegionComplex(segment, dim=2)"
-        swap = mat(2, 2, [(0, 1), (1, 0)])
+        # The swap of the two elements, as an index map: element 0 goes to
+        # element 1 and element 1 to element 0.
         with pytest.raises(NotAChainMapError):
-            FilteredChainMap(region, region, swap)
+            FilteredChainMap(region, region, (1, 0))
+        # A projection is checked too: keeping element 0 alone drops the
+        # boundary of element 0.
+        with pytest.raises(NotAChainMapError):
+            FilteredChainMap(region, region, (0, -1))
+        assert FilteredChainMap(region, region, (0, 1)).keep == 0b11
+
+    def test_index_map_guards(self):
+        region = RegionComplex("segment", mat(2, 2, [(1, 0)]))
+        with pytest.raises(DimensionError, match="index map has 1 entries for 2 elements"):
+            FilteredChainMap(region, region, (0,))
+        with pytest.raises(ValueError, match="sends elements 0 and 1 to 1"):
+            FilteredChainMap(region, region, (1, 1))
 
 
 small = st.integers(min_value=0, max_value=5)

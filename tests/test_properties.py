@@ -344,6 +344,12 @@ def test_regions_and_maps_match_the_reference_model(c):
 
 
 @settings(max_examples=40, deadline=None)
+@given(complexes)
+def test_index_maps_match_the_dense_reference(c):
+    models.assert_maps_match_dense(c)
+
+
+@settings(max_examples=40, deadline=None)
 @given(wide_complexes)
 def test_regions_and_maps_repeat_within_each_alexander_class(c):
     models.assert_classes_hold(c)

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from hfsurgery import f2, surgery
-from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, Generator, HatA, HatB
-from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
+from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipPair, FlipRequiredError, Generator, HatA, HatB
+from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, _box, builtin, random_complex, tensor
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
     MappingCone,
@@ -21,6 +21,7 @@ from hfsurgery.surgery import (
     cone_rank_homological,
     coprime_slopes,
     hypothesis_holds,
+    hypothesis_verdicts,
     kernel_basis_construction,
     kernel_rank,
     nu_surrogate,
@@ -468,6 +469,32 @@ class TestTInvariant:
         c = builtin("trefoil_rh")
         for slope in SMALL_SLOPES:
             assert t_invariant(c, slope) == max(0, slope.p - slope.q)
+
+
+class TestMeets:
+    def test_meets_memoized_per_class_pair_on_a_wide_box(self):
+        # A dot and one symmetric box of side 100000 (genus 100000): the
+        # verdicts read a meet for every s in [-g, g], but the meets and maps
+        # are memoized per Alexander class, so the memo stays small.
+        n = 100000
+        gens, terms = _box("b", n, n, 0)
+        flip = [FlipPair("e0", "e0"), FlipPair("b1", "b1"), FlipPair("b2", "b3"), FlipPair("b4", "b4")]
+        c = CfkComplex([Generator("e0", 0), *gens], terms, flip, "dot+box")
+        g = c.genus()
+        report = hypothesis_verdicts(c)
+        assert g == n and len(c._memo) <= 50
+        assert sorted(report.h_in_v) == list(range(g + 1))
+        assert sorted(report.v_in_h) == list(range(-g, 1))
+        # Each verdict is the plain meet of the two induced maps at s itself.
+        near = {s + d for s in (*c.alexander_cuts, 0, g // 2, -g // 2) for d in (-1, 0, 1)}
+        for s in sorted(x for x in near if -g <= x <= g):
+            v, h = c.v_hat(s).induced, c.h_hat(s).induced
+            meet = models.image_intersection_rank(v, h)
+            if s >= 0:
+                assert report.h_in_v[s] == (meet == f2.rank(h)), s
+            if s <= 0:
+                assert report.v_in_h[s] == (meet == f2.rank(v)), s
+        assert report.overall
 
 
 class TestRankFormula:
