@@ -142,6 +142,14 @@ class RegionComplex:
     sets.  Element i of HatA(s) or HatB is a copy of generator i; its
     U-power is not kept, because one HatA region serves a whole Alexander
     class of s, whose members put different powers on it.
+
+    What a region caches is read off its boundary on first use: its
+    cycles, their rows, and its homology.  One elimination of the
+    boundary's columns, :func:`f2.column_elimination`, gives both the
+    cycles and the boundary space that the homology quotients them by, so
+    whichever of the two is read first, the boundary is eliminated once.
+    The boundary space is held from the read of the cycles until the
+    homology takes it over.
     """
 
     def __init__(self, tag, boundary: F2Matrix):
@@ -153,15 +161,29 @@ class RegionComplex:
         """Homology basis, built on first read as the quotient of
         :attr:`cycles`: the chain route never reads it beyond the regions
         that :meth:`CfkComplex.genus` inspects."""
-        return HomologyBasis(self.boundary, self.cycles)
+        cycles = self.cycles
+        # Taken, not shared: the basis extends the table in place.  Two
+        # threads may build the basis at once, and the one that finds the
+        # table taken eliminates the boundary again.
+        image = vars(self).pop("_image", None)
+        if image is None:
+            image = f2.column_elimination(self.boundary)[1]
+        return HomologyBasis(self.boundary, cycles, image)
 
     @cached_property
     def cycles(self) -> tuple[int, ...]:
         """The region's one basis of its boundary's kernel,
         ``f2.kernel_basis(boundary)`` as column masks, built on first read.
-        Both rank routes read it, so the boundary is eliminated once for
-        its cycles."""
-        return tuple(f2.kernel_basis(self.boundary))
+        The same elimination leaves the boundary space for :attr:`homology`."""
+        cycles, self._image = f2.column_elimination(self.boundary)
+        return tuple(cycles)
+
+    @cached_property
+    def cycle_rows(self) -> tuple[int, ...]:
+        """The cycles as rows, built on first read: row i has bit k set
+        when cycle k holds element i.  Every map out of the region reads
+        its rows on the cycle basis from these (``on_cycles``)."""
+        return F2Matrix.from_columns(self.cycles, self.dim).data
 
     @property
     def dim(self) -> int:
@@ -258,14 +280,14 @@ class FilteredChainMap:
     @cached_property
     def on_cycles(self) -> F2Matrix:
         """The map on the source's cycle basis, one column per vector of
-        ``source.cycles``, built on first read: row r is the cycle row of
-        r's preimage, or zero.  A row of it is zero exactly when that row
-        of the map lies in the row space of the source's boundary.  Only
-        the chain route reads it; the homological route applies the map to
-        each homology representative instead."""
-        cycles = self.source.cycles
-        cycle_rows = F2Matrix.from_columns(cycles, self.source.dim).data
-        return F2Matrix(len(cycles), tuple(cycle_rows[i] if i >= 0 else 0 for i in self._preimage()))
+        ``source.cycles``, built on first read: row r is the source's cycle
+        row (``source.cycle_rows``) of r's preimage, or zero.  A row of it
+        is zero exactly when that row of the map lies in the row space of
+        the source's boundary.  Only the chain route reads it; the
+        homological route applies the map to each homology representative
+        instead."""
+        cycle_rows = self.source.cycle_rows
+        return F2Matrix(len(self.source.cycles), tuple(cycle_rows[i] if i >= 0 else 0 for i in self._preimage()))
 
     @cached_property
     def _rank(self) -> int:

@@ -7,10 +7,14 @@ elimination here needs.  Everything is exact; there is no floating point
 anywhere in this package.
 
 There is one elimination loop, ``_eliminate``, which builds a pivot table
-keyed on the bit position of each entry's lowest set bit, and its
-reduce-only form ``_reduce``.  Rank is the table size, the row-echelon
-form is the table after back-substitution, and every other routine here
-reads its answer off one of the two.
+keyed on the bit position of each entry's lowest set bit, and two forms
+of it: ``_reduce``, which reduces a row without adding it, and
+``column_elimination``, which runs the loop over a matrix's columns and
+tracks which columns were added into each.  Rank is the table size, the
+row-echelon form is the table after back-substitution, the kernel is the
+tracked masks of the columns that vanish, a homology basis extends the
+tracked loop's table, and every other routine here reads its answer off
+one of these.
 
 The table stores each entry shifted down by its key, so that bit 0 is
 set, and the loop strips a row's trailing zeros after every XOR.  A step
@@ -32,6 +36,24 @@ a shared 2-core Intel Xeon with Python 3.11.7:
   ``survey-fresh`` ``wall_s`` +3.4% (slower in 7 of 8 pairs, seeds
   4601-4608) with ``peak_rss_mb`` 30.27 -> 30.67 MB (higher in 8 of 8),
   and ``scan-grid`` ``wall_s`` +4.2% (slower in 6 of 6, seeds 4701-4706).
+
+``column_elimination`` keeps its own copy of the loop too, with its masks
+in a dict of their own.  It replaced a row ``rref`` for the kernel and a
+second elimination of the transpose for the homology, and the simpler
+and the denser forms measured worse, on the same machine:
+
+- one tracked loop serving ``_eliminate`` as well, so that every rank
+  and ``rref`` tracks masks it then drops, read ``survey-fresh``
+  ``wall_s`` 0.499 -> 0.511 s (+2.3%, slower in 8 of 10 pairs of 10 s
+  runs, seeds 7101-7104 and 7111-7116) and ``scan-grid`` ``wall_s``
+  +2.4% (slower in 6 of 10, seeds 7201-7204 and 7211-7216); replaying
+  the row eliminations of one pass, the tracked loop took 0.070 s
+  against 0.052 s on ``survey-fresh`` and 0.0083 s against 0.0063 s on
+  ``scan-grid``;
+- each mask packed into its entry, above the column's rows, made every
+  entry as wide as the matrix and raised the peak RSS of ranking the
+  6,125-generator tensor t25#t27#figure_eight#t27#figure_eight at 5/3
+  from 163 to 180 MB.
 """
 
 from __future__ import annotations
@@ -85,11 +107,17 @@ class F2Matrix:
     @classmethod
     def from_columns(cls, col_masks: Sequence[int], rows: int) -> "F2Matrix":
         masks = [0] * rows
-        for c, col in enumerate(col_masks):
-            for r in bits(col):
-                if r >= rows:
-                    raise DimensionError("column mask has bits outside the row range")
-                masks[r] |= 1 << c
+        unit = 1
+        for col in col_masks:
+            # One check per column; a negative mask shifts to -1, not 0.
+            if col >> rows:
+                raise DimensionError("column mask has bits outside the row range")
+            # The loop of ``bits`` inlined, as in ``__matmul__``.
+            while col:
+                low = col & -col
+                masks[low.bit_length() - 1] |= unit
+                col ^= low
+            unit <<= 1
         return cls(len(col_masks), tuple(masks))
 
     def transpose(self) -> "F2Matrix":
@@ -205,23 +233,50 @@ def rref(m: F2Matrix) -> tuple[list[int], list[int]]:
     return [rows[p] for p in pivots], pivots
 
 
-def kernel_basis(m: F2Matrix) -> list[int]:
-    """Deterministic basis of the right kernel, as masks over the columns.
+def column_elimination(m: F2Matrix) -> tuple[list[int], dict[int, int]]:
+    """The right kernel of ``m`` and the pivot table of its column space,
+    from one elimination of its columns.
 
-    One vector per free column, taken in ascending column order: its own
-    bit and the pivot of each reduced row that holds it.  There are
-    ``cols - rank(m)`` of them, each annihilated by ``m``.
+    The columns are eliminated in ascending order by the loop of
+    :func:`_eliminate`, each carrying, in an int of its own, the mask of
+    the columns added into it.  The table is therefore
+    ``_eliminate(m.transpose().data)``.  A column that vanishes gives its
+    mask as a kernel vector: its own bit plus earlier pivot columns, since
+    every stored mask holds only pivot columns.  That vector is unique, so
+    the kernel is the one basis that the reduced row-echelon form gives,
+    one vector per free column in ascending order, and there are
+    ``cols - rank(m)`` of them.
     """
-    rows, pivots = rref(m)
-    free_mask = (1 << m.cols) - 1
-    for p in pivots:
-        free_mask ^= 1 << p
-    basis = {free: 1 << free for free in bits(free_mask)}
-    # A reduced row holds no pivot bit but its own.
-    for row, p in zip(rows, pivots):
-        for free in bits(row ^ (1 << p)):
-            basis[free] |= 1 << p
-    return list(basis.values())
+    table: dict[int, int] = {}
+    combos: dict[int, int] = {}
+    kernel: list[int] = []
+    unit = 1
+    for col in m.transpose().data:
+        combo = unit
+        unit <<= 1
+        pos = 0
+        while col:
+            low = (col & -col).bit_length() - 1
+            col >>= low
+            pos += low
+            pivot = table.get(pos)
+            if pivot is None:
+                table[pos] = col
+                combos[pos] = combo
+                break
+            col ^= pivot
+            combo ^= combos[pos]
+        else:
+            kernel.append(combo)
+    return kernel, table
+
+
+def kernel_basis(m: F2Matrix) -> list[int]:
+    """Deterministic basis of the right kernel, as masks over the columns:
+    the kernel of :func:`column_elimination`.  Each vector is a free
+    column's own bit plus earlier pivot columns, in ascending order of the
+    free column, and each is annihilated by ``m``."""
+    return column_elimination(m)[0]
 
 
 def solve(m: F2Matrix, target: int) -> int | None:
@@ -271,15 +326,16 @@ def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[tuple[int, int]
 class HomologyBasis:
     """A deterministic basis of ker(d) / im(d) for one square differential.
 
-    ``cycles`` must be a basis of ker(d) as column masks, for example
-    ``kernel_basis(d)``; the homology quotients exactly that basis and
-    eliminates d only for its boundary space.  The chosen representatives
+    ``cycles`` and ``image`` are what :func:`column_elimination` gives for
+    d: a basis of ker(d) as column masks and the pivot table of im(d), the
+    span of d's columns.  The basis takes the table over and extends it,
+    so d is eliminated only by that one call.  The chosen representatives
     are cycles that extend a basis of the boundary space, picked greedily
     in the order given.  ``coords`` expresses any cycle in the chosen
     basis, which is what makes induced-map matrices reproducible.
     """
 
-    def __init__(self, differential: F2Matrix, cycles: Sequence[int]):
+    def __init__(self, differential: F2Matrix, cycles: Sequence[int], image: dict[int, int]):
         if differential.rows != differential.cols:
             raise DimensionError("a differential must be square")
         if not (differential @ differential).is_zero():
@@ -291,7 +347,7 @@ class HomologyBasis:
         # representatives it is congruent to modulo the boundary space.
         # Boundary rows carry no representative, and every key is below
         # bit n, so a row reduced to zero in its low part stops reducing.
-        self._table = _eliminate(differential.transpose().data)
+        self._table = image
         # The table's size is rank(d), so a kernel basis has n - rank(d) vectors.
         if len(cycles) != n - len(self._table):
             raise DimensionError(f"need {n - len(self._table)} cycles, got {len(cycles)}")

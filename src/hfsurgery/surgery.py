@@ -80,16 +80,18 @@ and never builds the cone's induced maps.
 Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
 validates the homology-level bookkeeping route two relies on.  Both start
-from the same object: each region's cycle basis, ``RegionComplex.cycles``,
-is taken once, and its homology quotients that same basis.  From there
-the routes part.  ``cfk`` holds each map as a generator index map, each
-element of HatA(s) going to one element of HatB or to zero, so neither
-route multiplies a map by a matrix.  Route one reads each map on the
-cycle basis (``on_cycles``): HatB row r is the cycle-basis row of the
-element that goes to r.  Route two moves the bits of each homology
-representative through the index (``induced``).  A fault in either read
-shows as a disagreement, and the tests check both against the dense
-element-by-element matrices of a reference model.
+from the same object: one elimination of each region's boundary, column
+by column, gives its cycle basis, ``RegionComplex.cycles``, and the
+boundary space that its homology quotients that same basis by.  From
+there the routes part.  ``cfk`` holds each map as a generator index map,
+each element of HatA(s) going to one element of HatB or to zero, so
+neither route multiplies a map by a matrix.  Route one reads each map on
+the cycle basis (``on_cycles``): HatB row r is the row of the element
+that goes to r in the region's cycles, which are turned into rows once
+per region (``RegionComplex.cycle_rows``).  Route two moves the bits of
+each homology representative through the index (``induced``).  A fault
+in either read shows as a disagreement, and the tests check both against
+the dense element-by-element matrices of a reference model.
 
 The block matrix has the cone's shape without the HatB blocks: its row
 block j is [h_hat((j - p) // q)_* | v_hat(j // q)_*] on the homology of
@@ -256,9 +258,10 @@ class MappingCone:
         columns."""
         return self._per_column(lambda region: region.dim - len(region.cycles))
 
-    def total_boundary(self, key: tuple[int, int]) -> tuple[F2Matrix, int]:
+    def total_boundary(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
         """The nonzero HatB rows of one block of the cone's boundary, on the
-        HatA cycle bases, and the column where their v block starts.
+        HatA cycle bases: the rows, their width and the column where their
+        v block starts.
 
         A HatB row block j with key = ((j - p) // q, j // q), or the
         Alexander classes of the two, which give the same maps, is
@@ -267,31 +270,35 @@ class MappingCone:
         block j and the HatA block j, side by side in chain order.  Rows
         that lie in the span of the HatA rows are zero here and dropped.
         The rows depend on the key alone, and the chain route's sweep reads
-        them only on a memo miss, so they are built on every call."""
+        them only on a memo miss, so they are built on every call, as bare
+        masks: the sweep validates the one matrix it eliminates."""
         h_map = self.complex.h_hat(key[0]).on_cycles
         v_map = self.complex.v_hat(key[1]).on_cycles
         b_shift = h_map.cols
         v_start = b_shift + self._b_region.dim
-        rows = [
+        rows = tuple(
             row
             for h, d, v in zip(h_map.data, self._b_region.boundary.data, v_map.data)
             if (row := h | (d << b_shift) | (v << v_start))
-        ]
-        return F2Matrix(v_start + v_map.cols, tuple(rows)), v_start
+        )
+        return rows, v_start + v_map.cols, v_start
 
     # -- homology-level view --------------------------------------------------
 
-    def induced_boundary(self, key: tuple[int, int]) -> tuple[F2Matrix, int]:
-        """One HatB row block of the induced block matrix, and the column
-        where its v block starts.
+    def induced_boundary(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
+        """One HatB row block of the induced block matrix: its rows, their
+        width and the column where their v block starts.
 
         Block j with key = ((j - p) // q, j // q), or their classes, is
         ``[h_hat(key[0])_* | v_hat(key[1])_*]`` on the homology bases: the
         HatA block j - p, then the HatA block j.  Like
         :meth:`total_boundary` it depends on the key alone and is built on
-        every call."""
+        every call, as bare masks."""
         h_ind = self.complex.h_hat(key[0]).induced
-        return h_ind.hstack(self.complex.v_hat(key[1]).induced), h_ind.cols
+        v_ind = self.complex.v_hat(key[1]).induced
+        v_start = h_ind.cols
+        rows = tuple(h | (v << v_start) for h, v in zip(h_ind.data, v_ind.data))
+        return rows, v_start + v_ind.cols, v_start
 
     @property
     def a_homology_dim(self) -> int:
@@ -307,10 +314,12 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     adds, each residue class of j mod p that owns one swept in chain order
     from its first HatB block, as the module docstring explains.
 
-    ``rows(key)`` gives one block's rows and the column where their v block
-    starts, and ``rank(m, pivots)`` the rank of m = [carry; rows] with the
-    pivots of its rref.  Each (carry, key) step is memoized on the complex
-    under ``(tag, carry, key)``, so only the distinct steps are eliminated."""
+    ``rows(key)`` gives one block's rows, their width and the column where
+    their v block starts, and ``rank(m, pivots)`` the rank of
+    m = [carry; rows] with the pivots of its rref.  m is the one matrix a
+    step builds, so its rows are validated once.  Each (carry, key) step
+    is memoized on the complex under ``(tag, carry, key)``, so only the
+    distinct steps are eliminated."""
     c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
     # The Alexander class of every floor the HatB blocks read, from one
     # table memoized per range of floors rather than a lookup per block.
@@ -320,8 +329,8 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     classes = c.cached(("classes", first, last), lambda: [*map(c.alexander_class, range(first, last + 1))]) if b else []
 
     def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
-        block, v_start = rows(key)
-        m = F2Matrix(block.cols, carry + block.data)
+        block, width, v_start = rows(key)
+        m = F2Matrix(width, carry + block)
         reduced, pivots = f2.rref(m)
         # The next carry: the reduced rows with no bit below the v block.
         carry_out = tuple(row >> v_start for row, pivot in zip(reduced, pivots) if pivot >= v_start)

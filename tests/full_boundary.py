@@ -119,15 +119,15 @@ def sweep_increments(cone) -> list[list[int]]:
 def random_induced_boundary(seed):
     """A stand-in for ``MappingCone.induced_boundary``: random rows of one
     HatB block on the homology coordinates [HatA(key[0]) | HatA(key[1])],
-    fixed by the seed and the key, and the column where the second block
-    starts."""
+    fixed by the seed and the key, their width and the column where the
+    second block starts."""
 
     def rows(cone, key):
         h_width, v_width = (cone.complex.region_complex(HatA(s)).homology.dim for s in key)
         rng = random.Random(f"{seed} {key}")
         count = rng.randint(0, h_width + v_width)
         data = tuple(rng.getrandbits(h_width + v_width) for _ in range(count))
-        return F2Matrix(h_width + v_width, data), h_width
+        return data, h_width + v_width, h_width
 
     return rows
 
@@ -160,11 +160,11 @@ def block_matrix(cone) -> F2Matrix:
     p, q = cone.slope.p, cone.slope.q
     masks = []
     for j in cone.b_columns:
-        rows, v_start = cone.induced_boundary(((j - p) // q, j // q))
+        rows, _, v_start = cone.induced_boundary(((j - p) // q, j // q))
         h_mask = (1 << v_start) - 1
         masks += [
             ((row & h_mask) << a_off[j - p]) | ((row >> v_start) << a_off[j])
-            for row in rows.data
+            for row in rows
         ]
     return F2Matrix(width, tuple(masks))
 

@@ -16,7 +16,9 @@ homology matrices against the reference matrix's.
 A library region keeps only its boundary, so its (id, upower) elements
 are ``reference_members`` of its tag, rebuilt from s itself.
 ``image_intersection_rank`` is the plain meet of two column spaces, which
-the tests compare the library's memoized meets and t against.
+the tests compare the library's memoized meets and t against, and
+``reference_kernel_basis`` reads a kernel basis off the reduced row-echelon
+form, which the tests compare ``f2.kernel_basis`` against.
 """
 
 from dataclasses import dataclass
@@ -232,6 +234,24 @@ def image_intersection_rank(m1: F2Matrix, m2: F2Matrix) -> int:
             f"image intersection needs equal row counts, got {m1.rows} and {m2.rows}"
         )
     return f2.rank(m1) + f2.rank(m2) - f2.rank(m1.hstack(m2))
+
+
+def reference_kernel_basis(m: F2Matrix) -> list[int]:
+    """The right kernel read off the reduced row-echelon form of the rows.
+
+    One vector per free column, taken in ascending column order: its own
+    bit and the pivot of each reduced row that holds it.
+    """
+    rows, pivots = f2.rref(m)
+    free_mask = (1 << m.cols) - 1
+    for p in pivots:
+        free_mask ^= 1 << p
+    basis = {free: 1 << free for free in f2.bits(free_mask)}
+    # A reduced row holds no pivot bit but its own.
+    for row, p in zip(rows, pivots):
+        for free in f2.bits(row ^ (1 << p)):
+            basis[free] |= 1 << p
+    return list(basis.values())
 
 
 def t_closed_form(c: CfkComplex, slope: Slope) -> int:

@@ -171,8 +171,10 @@ class TestRegions:
     def test_hat_regions_keep_only_their_boundary(self):
         # After both rank routes, every memoized HatA and HatB region
         # holds its tag, its boundary with one column per generator and
-        # what it caches from the boundary: no per-element data, which a
-        # region shared by a whole Alexander class could not have.
+        # what it caches from the boundary, its cycles, their rows and its
+        # homology: no per-element data, which a region shared by a whole
+        # Alexander class could not have, and no boundary space apart from
+        # the homology's.
         c = tensor(builtin("t25"), builtin("t27"))
         for slope in (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(5, 3)):
             compute_rank_report(c, slope)
@@ -185,7 +187,7 @@ class TestRegions:
         assert len(regions) > 2
         for region in regions:
             assert region.dim == len(c.generators)
-            assert set(vars(region)) <= {"tag", "boundary", "cycles", "homology"}
+            assert set(vars(region)) <= {"tag", "boundary", "cycles", "cycle_rows", "homology"}
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("t25#t27",))
     def test_hat_a_at_or_above_the_top_grading_is_hat_b(self, name):
@@ -214,22 +216,37 @@ class TestRegions:
         assert single > len(units)
 
     def test_cycles_and_homology_share_one_kernel_basis(self, fig8, monkeypatch):
-        # A fresh region eliminates its boundary once for its cycles,
-        # whichever of cycles and homology is read first.
+        # A fresh region eliminates its boundary's columns once, whichever
+        # of cycles and homology is read first: the homology quotients the
+        # region's own cycles by the boundary space that pass left.
         calls = []
-        kernel_basis = f2.kernel_basis
+        column_elimination = f2.column_elimination
 
         def counting(m):
             calls.append(m.rows)
-            return kernel_basis(m)
+            return column_elimination(m)
 
-        monkeypatch.setattr(f2, "kernel_basis", counting)
+        monkeypatch.setattr(f2, "column_elimination", counting)
         for tag, first in ((HatA(0), "cycles"), (HatB(), "homology")):
             region = fig8.region_complex(tag)
             getattr(region, first)
             assert set(region.homology.reps) <= set(region.cycles)
+            assert list(region.cycles) == models.reference_kernel_basis(region.boundary)
             assert calls == [region.dim], tag
+            assert "_image" not in vars(region), tag
             calls.clear()
+        # A read that finds the boundary space taken, as a second thread
+        # building the same homology can, eliminates the boundary again and
+        # builds the same basis.
+        region = fig8.region_complex(HatA(-1))
+        region.cycles
+        vars(region).pop("_image")
+        fresh = models.reference_complex(fig8, HatA(-1))
+        assert region.homology.reps == fresh.homology.reps
+        assert [region.homology.coords(v) for v in region.cycles] == [
+            fresh.homology.coords(v) for v in fresh.cycles
+        ]
+        assert calls == [region.dim, region.dim, region.dim]
 
 
 class TestVhat:

@@ -30,7 +30,7 @@ def test_row_mask_outside_column_range(cols, data):
 
 
 def _homology(d: F2Matrix) -> HomologyBasis:
-    return HomologyBasis(d, f2.kernel_basis(d))
+    return HomologyBasis(d, *f2.column_elimination(d))
 
 
 @pytest.mark.parametrize(
@@ -44,7 +44,7 @@ def _homology(d: F2Matrix) -> HomologyBasis:
             lambda: f2.image_intersection_basis(F2Matrix(1, (1,)), F2Matrix(1, (1, 0))),
             "image intersection needs equal row counts, got 1 and 2",
         ),
-        (lambda: HomologyBasis(F2Matrix(2, (0,)), []), "a differential must be square"),
+        (lambda: HomologyBasis(F2Matrix(2, (0,)), [], {}), "a differential must be square"),
         (
             lambda: f2.induced_map_on_homology(
                 F2Matrix(2, (0,)), _homology(F2Matrix(1, (0,))), _homology(F2Matrix(1, (0,)))
@@ -153,25 +153,25 @@ class TestHomologyBasis:
     def test_differential_must_square_to_zero(self):
         d = F2Matrix(2, (1, 2))
         with pytest.raises(InvalidComplexError):
-            HomologyBasis(d, f2.kernel_basis(d))
+            HomologyBasis(d, *f2.column_elimination(d))
 
     def test_segment(self):
         # d(e0) = e1 kills two of four dimensions
         d = mat(4, 4, [(1, 0)])
-        assert HomologyBasis(d, f2.kernel_basis(d)).dim == 2
+        assert HomologyBasis(d, *f2.column_elimination(d)).dim == 2
 
     @pytest.mark.parametrize("change", [lambda k: k[:-1], lambda k: k + k[:1]], ids=["few", "many"])
     def test_needs_exactly_one_cycle_per_kernel_dimension(self, change):
         # d(e0) = e1: rank 1, so a kernel basis has 4 - 1 = 3 cycles.
         d = mat(4, 4, [(1, 0)])
-        cycles = f2.kernel_basis(d)
+        cycles, image = f2.column_elimination(d)
         assert len(cycles) == 3
         with pytest.raises(DimensionError, match="need 3 cycles"):
-            HomologyBasis(d, change(cycles))
+            HomologyBasis(d, change(cycles), image)
 
     def test_coords_rejects_non_cycles(self):
         d = mat(2, 2, [(1, 0)])
-        hb = HomologyBasis(d, f2.kernel_basis(d))
+        hb = HomologyBasis(d, *f2.column_elimination(d))
         with pytest.raises(ValueError):
             hb.coords(0b01)  # e0 is not a cycle
 
@@ -179,19 +179,19 @@ class TestHomologyBasis:
         # The four-generator box, one source, two middles, one sink, as an
         # ungraded 4x4 differential of rank 2: total homology vanishes.
         d = mat(4, 4, [(1, 0), (2, 0), (3, 1), (3, 2)])
-        assert HomologyBasis(d, f2.kernel_basis(d)).dim == 0
+        assert HomologyBasis(d, *f2.column_elimination(d)).dim == 0
 
 
 class TestInducedMap:
     def test_identity_chain_map(self):
         d = mat(4, 4, [(1, 0)])
-        hb = HomologyBasis(d, f2.kernel_basis(d))
+        hb = HomologyBasis(d, *f2.column_elimination(d))
         ind = f2.induced_map_on_homology(F2Matrix(4, (1, 2, 4, 8)), hb, hb)
         assert ind.data == tuple(1 << i for i in range(hb.dim))
 
     def test_zero_chain_map(self):
         d = mat(4, 4, [(1, 0)])
-        hb = HomologyBasis(d, f2.kernel_basis(d))
+        hb = HomologyBasis(d, *f2.column_elimination(d))
         ind = f2.induced_map_on_homology(F2Matrix(4, (0, 0, 0, 0)), hb, hb)
         assert ind.is_zero()
 
@@ -280,9 +280,25 @@ def test_transpose_reads_rows_as_columns(m):
     assert all(t.data[c] >> r & 1 == m.data[r] >> c & 1 for r in range(m.rows) for c in range(m.cols))
 
 
-def test_from_columns_rejects_bits_outside_row_range():
+@pytest.mark.parametrize("columns", [[0b01, 0b100], [0b01, -1]], ids=["wide", "negative"])
+def test_from_columns_rejects_bits_outside_row_range(columns):
     with pytest.raises(DimensionError, match="outside the row range"):
-        F2Matrix.from_columns([0b01, 0b100], 2)
+        F2Matrix.from_columns(columns, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_column_elimination_is_the_rref_kernel_and_the_transpose_table(data):
+    # On rectangular matrices up to 12 x 12: the kernel of the one tracked
+    # pass over the columns is the basis read off the reduced row-echelon
+    # form, vector for vector, and its table is the pivot table of the
+    # transpose's rows.
+    rows, cols = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    m = data.draw(matrices(rows=rows, cols=cols))
+    kernel, image = f2.column_elimination(m)
+    assert kernel == models.reference_kernel_basis(m)
+    assert f2.kernel_basis(m) == kernel
+    assert image == f2._eliminate(m.transpose().data)
 
 
 @settings(max_examples=100, deadline=None)

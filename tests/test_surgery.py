@@ -196,15 +196,15 @@ class TestBuildCone:
                 b_dim = c.region_complex(HatB()).dim
                 limit = 2 * a_width + b_dim
                 for key in {((j - p) // q, j // q) for j in cone.b_columns}:
-                    rows, v_start = cone.total_boundary(key)
+                    rows, width, v_start = cone.total_boundary(key)
                     h_width, v_width = (len(c.region_complex(HatA(s)).cycles) for s in key)
                     assert v_start == h_width + b_dim
-                    assert rows.cols == v_start + v_width <= limit
-                    assert rows.rows <= b_dim
-                    for r in rows.data:
+                    assert width == v_start + v_width <= limit
+                    assert len(rows) <= b_dim
+                    for r in rows:
                         assert r, (c.name, slope)
                         assert r.bit_length() <= limit, (c.name, slope)
-                        assert r.bit_length() <= rows.cols, (c.name, slope)
+                        assert r.bit_length() <= width, (c.name, slope)
 
     def test_boundary_columns_drop_single_block(self):
         # leftmost p columns have no v target; rightmost p have no h target.
@@ -285,9 +285,9 @@ class TestConeRanks:
         built = []
         init = f2.HomologyBasis.__init__
 
-        def counting_init(self, differential, cycles):
+        def counting_init(self, differential, cycles, image):
             built.append(differential.rows)
-            init(self, differential, cycles)
+            init(self, differential, cycles, image)
 
         monkeypatch.setattr(f2.HomologyBasis, "__init__", counting_init)
         c = builtin("t25")
@@ -322,8 +322,8 @@ def _shifted_blocks(cone, first, rows="total_boundary"):
     p, q = cone.slope.p, cone.slope.q
     base = 0
     for j in range(first + p, cone.a_columns[-1] + 1, p):
-        narrow, v_start = getattr(cone, rows)(((j - p) // q, j // q))
-        yield j, [row << base for row in narrow.data]
+        narrow, _, v_start = getattr(cone, rows)(((j - p) // q, j // q))
+        yield j, [row << base for row in narrow]
         base += v_start
 
 
@@ -373,7 +373,7 @@ class TestSweep:
             rng = random.Random(f"{seed} {key}")
             count = rng.randint(0, v_start + widths[1])
             rows = [rng.getrandbits(v_start + widths[1]) for _ in range(count)]
-            return f2.F2Matrix(v_start + widths[1], tuple(r for r in rows if r)), v_start
+            return tuple(r for r in rows if r), v_start + widths[1], v_start
 
         monkeypatch.setattr(MappingCone, "total_boundary", random_rows)
         carried = 0
