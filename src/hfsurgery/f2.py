@@ -14,7 +14,9 @@ tracks which columns were added into each.  Rank is the table size, the
 row-echelon form is the table after back-substitution, the kernel is the
 tracked masks of the columns that vanish, a homology basis extends the
 tracked loop's table, and every other routine here reads its answer off
-one of these.
+one of these.  ``column_elimination`` thus gives kernels, boundary spaces
+and the solutions of ``solve``; ``rref`` serves only the rank routes'
+sweep.
 
 The table stores each entry shifted down by its key, so that bit 0 is
 set, and the loop strips a row's trailing zeros after every XOR.  A step
@@ -282,19 +284,22 @@ def kernel_basis(m: F2Matrix) -> list[int]:
 def solve(m: F2Matrix, target: int) -> int | None:
     """One solution ``x`` of ``m x = target``, or None when there is none.
 
-    Read off the reduced row-echelon form of ``[m | target]``: no solution
-    when the target column holds a pivot, else the pivot coordinates of
-    ``x`` are the target bits of their rows and the free coordinates are zero.
+    Read off :func:`column_elimination` of ``m`` with the target appended
+    as its last column: ``m x = target`` exactly when ``x`` plus the
+    target's own bit is in the kernel.  The target column vanishes exactly
+    when it lies in the column space, and its kernel vector, the last one,
+    then holds the target's bit and pivot columns only, so the solution is
+    that vector less the target's bit: the unique one supported on the
+    pivot columns, with the free coordinates zero.
     """
     if target < 0 or target >> m.rows:
         raise DimensionError("target vector has bits outside the row range")
-    rows, pivots = rref(m.hstack(F2Matrix.from_columns([target], m.rows)))
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = 0
-    for row, p in zip(rows, pivots):
-        x |= ((row >> m.cols) & 1) << p
-    return x
+    n = m.cols
+    augmented = F2Matrix(n + 1, tuple(row | (((target >> r) & 1) << n) for r, row in enumerate(m.data)))
+    kernel = column_elimination(augmented)[0]
+    if kernel and kernel[-1] >> n:
+        return kernel[-1] ^ (1 << n)
+    return None
 
 
 def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[tuple[int, int]]:

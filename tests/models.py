@@ -17,8 +17,9 @@ A library region keeps only its boundary, so its (id, upower) elements
 are ``reference_members`` of its tag, rebuilt from s itself.
 ``image_intersection_rank`` is the plain meet of two column spaces, which
 the tests compare the library's memoized meets and t against, and
-``reference_kernel_basis`` reads a kernel basis off the reduced row-echelon
-form, which the tests compare ``f2.kernel_basis`` against.
+``reference_kernel_basis`` and ``reference_solve`` read a kernel basis and
+a solution off the reduced row-echelon form, which the tests compare
+``f2.kernel_basis`` and ``f2.solve`` against.
 """
 
 from dataclasses import dataclass
@@ -252,6 +253,23 @@ def reference_kernel_basis(m: F2Matrix) -> list[int]:
         for free in f2.bits(row ^ (1 << p)):
             basis[free] |= 1 << p
     return list(basis.values())
+
+
+def reference_solve(m: F2Matrix, target: int) -> int | None:
+    """One solution of ``m x = target`` read off the reduced row-echelon
+    form of ``[m | target]``, or None when there is none.
+
+    There is none when the target column holds a pivot; else the pivot
+    coordinates of ``x`` are the target bits of their rows and the free
+    coordinates are zero.
+    """
+    rows, pivots = f2.rref(m.hstack(F2Matrix.from_columns([target], m.rows)))
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = 0
+    for row, p in zip(rows, pivots):
+        x |= ((row >> m.cols) & 1) << p
+    return x
 
 
 def t_closed_form(c: CfkComplex, slope: Slope) -> int:

@@ -128,6 +128,15 @@ class TestValidate:
             c.require_valid()
 
 
+def after_both_routes():
+    """t25 # t27 after both rank routes at four slopes."""
+    c = tensor(builtin("t25"), builtin("t27"))
+    for slope in (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(5, 3)):
+        compute_rank_report(c, slope)
+        cone_rank_homological(c, slope)
+    return c
+
+
 class TestRegions:
     def test_trefoil_hat_a0(self, trefoil):
         region = trefoil.region_complex(HatA(0))
@@ -175,10 +184,7 @@ class TestRegions:
         # homology: no per-element data, which a region shared by a whole
         # Alexander class could not have, and no boundary space apart from
         # the homology's.
-        c = tensor(builtin("t25"), builtin("t27"))
-        for slope in (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(5, 3)):
-            compute_rank_report(c, slope)
-            cone_rank_homological(c, slope)
+        c = after_both_routes()
         regions = [
             value
             for key, value in c._memo.items()
@@ -188,6 +194,16 @@ class TestRegions:
         for region in regions:
             assert region.dim == len(c.generators)
             assert set(vars(region)) <= {"tag", "boundary", "cycles", "cycle_rows", "homology"}
+
+    def test_hat_maps_keep_only_their_index(self):
+        # After both rank routes, every memoized v_hat and h_hat holds its
+        # two regions, its index map and what it caches from them: no
+        # mask or other per-kind data beside the index.
+        c = after_both_routes()
+        maps = {key: value for key, value in c._memo.items() if isinstance(key, tuple) and key[0] in ("v", "h")}
+        assert {kind for kind, _ in maps} == {"v", "h"} and len(maps) > 2
+        for m in maps.values():
+            assert set(vars(m)) <= {"source", "target", "index", "induced", "on_cycles", "_rank"}
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("t25#t27",))
     def test_hat_a_at_or_above_the_top_grading_is_hat_b(self, name):

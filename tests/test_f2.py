@@ -207,7 +207,12 @@ class TestInducedMap:
         # boundary of element 0.
         with pytest.raises(NotAChainMapError):
             FilteredChainMap(region, region, (0, -1))
-        assert FilteredChainMap(region, region, (0, 1)).keep == 0b11
+        # The identity index map applies as the identity, and so does the
+        # map it induces: a segment and a lone element have one class.
+        identity = FilteredChainMap(region, region, (0, 1))
+        assert [identity.apply(vec) for vec in range(4)] == [0, 1, 2, 3]
+        with_point = RegionComplex("segment+point", mat(3, 3, [(1, 0)]))
+        assert FilteredChainMap(with_point, with_point, (0, 1, 2)).induced == F2Matrix(1, (1,))
 
     def test_index_map_guards(self):
         region = RegionComplex("segment", mat(2, 2, [(1, 0)]))
@@ -326,6 +331,25 @@ def test_rref_is_reduced_echelon_form(data):
     x = data.draw(st.integers(0, (1 << m.cols) - 1))
     y = f2.solve(m, m.apply(x))
     assert y is not None and m.apply(y) == m.apply(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_matches_the_rref_reference(data):
+    # A target in the column space and a random one, which is often not,
+    # on matrices with 0 to 5 rows and columns.
+    m = data.draw(matrices())
+    x = data.draw(st.integers(0, (1 << m.cols) - 1))
+    noise = data.draw(st.integers(0, (1 << m.rows) - 1))
+    for target in (m.apply(x), noise):
+        assert f2.solve(m, target) == models.reference_solve(m, target)
+
+
+@pytest.mark.parametrize("m", [F2Matrix(0, ()), F2Matrix(3, ()), F2Matrix(0, (0, 0))], ids=["0x0", "0x3", "2x0"])
+def test_solve_with_no_rows_or_no_columns(m):
+    # Every target: only the zero one is reached, by the zero vector.
+    for target in range(1 << m.rows):
+        assert f2.solve(m, target) == models.reference_solve(m, target) == (0 if target == 0 else None)
 
 
 @settings(max_examples=200, deadline=None)
