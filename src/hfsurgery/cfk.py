@@ -37,6 +37,8 @@ h_hat (when alexander(x) >= s) keep the same generators across it, and
 an arc x -> U^k y, which stays in HatA(s) exactly when
 max(0, A(y) - s) = max(0, A(x) - s) + k, could switch only at
 A(x) < s = A(y) - k, which the filtration rule A(y) - k <= A(x) forbids.
+So a scan over a range of s reads one object per run of a class, and
+:meth:`CfkComplex.class_runs` is the one place that finds the runs.
 
 This module owns the precondition policy and checks it where data is
 built.  Regions, the genus and the hfk counts need a valid complex
@@ -200,7 +202,8 @@ class FilteredChainMap:
     -1, and no two source elements go to the same one.  No dense matrix is
     kept.  v_hat(s) and h_hat(s) alike are applied, checked and transposed
     by the one bit-moving loop of :meth:`_move`, with no projection branch
-    for v_hat(s) (see :meth:`_move` for why).
+    for v_hat(s) (see :meth:`_move` for why).  On homology a map answers one
+    cached number, :attr:`induced_rank`.
 
     The one check of f∘∂ = ∂∘f is here, made on every map built.  Row r of
     the map's matrix holds the bit of r's preimage, or none, so row r of
@@ -290,18 +293,12 @@ class FilteredChainMap:
         return F2Matrix(len(self.source.cycles), tuple(cycle_rows[i] if i >= 0 else 0 for i in self._preimage()))
 
     @cached_property
-    def _rank(self) -> int:
-        """Rank of the induced map, the one elimination of that matrix."""
-        return f2.rank(self.induced)
-
     def induced_rank(self) -> int:
-        return self._rank
-
-    def induced_kernel_dim(self) -> int:
-        return self.source.homology.dim - self._rank
-
-    def is_induced_iso(self) -> bool:
-        return self._rank == self.source.homology.dim == self.target.homology.dim
+        """Rank of the induced map, the one elimination of that matrix, built
+        on first read.  It is the one rank a map answers: a caller that needs
+        the kernel dimension or whether the map is an isomorphism reads them
+        off it and the homology dimensions."""
+        return f2.rank(self.induced)
 
 
 class CfkComplex:
@@ -547,6 +544,15 @@ class CfkComplex:
         reading them validates the complex."""
         return tuple(sorted({cut for a in self._order[1] for cut in (a, a + 1)}))
 
+    def class_runs(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """The runs of one Alexander class in lo..hi, as (start, length): one
+        run starts at lo and one at each cut above it, and there is none when
+        lo > hi.  HatA(s), v_hat(s) and h_hat(s) are one object across a run,
+        so every scan over s reads these runs, one region or map per run."""
+        cuts = self.alexander_cuts
+        starts = [lo, *cuts[bisect_right(cuts, lo):bisect_right(cuts, hi)], hi + 1]
+        return [(s, stop - s) for s, stop in zip(starts, starts[1:]) if lo <= hi]
+
     def alexander_class(self, s: int) -> int:
         """The class of s: the largest cut at or below s, or the lowest cut
         less one below them all.  The module docstring says why s and its
@@ -634,15 +640,18 @@ class CfkComplex:
     def genus(self) -> int:
         """Largest s with v_hat(s - 1) not a homology isomorphism, or 0.
 
-        Whether v_hat(s - 1) is one is constant on the class of s - 1, and
-        the largest s of each such run is a cut, so the scan tests only the
-        cuts s >= 1, from the top.  Above the top cut, one past the top
-        grading, v_hat(s - 1) is the identity of HatB.
+        Whether v_hat(t) is one is constant on each class run of t, so the
+        scan reads v_hat at the start of each run of 0..top grading, from the
+        top, and a run from t of length n whose map is not one gives
+        s = t + n.  v_hat(top grading) is already the identity of HatB, so
+        the scan stops there: going past it would build one more identity.
         """
 
         def scan() -> int:
-            tops = [s for s in reversed(self.alexander_cuts) if s >= 1]  # validates first
-            return next((s for s in tops if not self.v_hat(s - 1).is_induced_iso()), 0)
+            for s, n in reversed(self.class_runs(0, self.alexander_cuts[-1] - 1)):  # validates first
+                if not (v := self.v_hat(s)).induced_rank == v.source.homology.dim == v.target.homology.dim:
+                    return s + n
+            return 0
 
         return self.cached("genus", scan)
 

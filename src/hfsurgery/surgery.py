@@ -112,8 +112,8 @@ A cone is its distinct regions.  Column j copies HatA(j // q), which
 ``cfk`` builds once per Alexander class, so a cone keeps a list of
 (region, number of window columns that copy it) with one entry per run of
 a class from lo // q to hi // q; the two top classes share the HatB region
-and one entry.  The runs start at lo // q and at the cuts above it, and
-are read from one memo entry that every cone from the same lo // q whose
+and one entry.  The runs are ``CfkComplex.class_runs(lo // q, hi // q)``,
+read from one memo entry that every cone from the same lo // q whose
 hi // q lies in the same class shares.  Dimensions and the HatA boundary
 rank are weighted sums over the list, and the sweep visits only the
 residue classes that own a HatB block, so however large p is and however
@@ -220,17 +220,17 @@ class MappingCone:
         self.a_columns = range(lo, hi + 1)
         self.b_columns = range(lo + p, hi + 1)
         # The distinct regions, read only, with their column counts.  Column
-        # j copies HatA(j // q), one region per Alexander class, so the
-        # region changes only at the cuts from lo // q up to hi // q, and
-        # the two top classes share the HatB region.  Each region and the
-        # s its run starts at are memoized for every cone from the same
-        # lo // q whose hi // q has the same class, so however large p is
-        # there is at most one entry per class.  lo is a multiple of q, so
-        # a run from s counts the columns from s * q up to the next run's.
+        # j copies HatA(j // q), one region per class run of lo // q to
+        # hi // q, and the two top classes share the HatB region.  Each
+        # region and the s its run starts at are memoized for every cone
+        # from the same lo // q whose hi // q has the same class, so however
+        # large p is there is at most one entry per class.  lo is a multiple
+        # of q, so a run from s counts the columns from s * q up to the next
+        # run's.
 
         def runs() -> tuple:
             regions: dict = {}
-            for s in [lo // q, *(cut for cut in complex_.alexander_cuts if lo // q < cut <= hi // q)]:
+            for s, _ in complex_.class_runs(lo // q, hi // q):
                 regions.setdefault(complex_.region_complex(HatA(s)), s)
             return tuple(regions.items())
 
@@ -322,11 +322,15 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     distinct steps are eliminated."""
     c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
     # The Alexander class of every floor the HatB blocks read, from one
-    # table memoized per range of floors rather than a lookup per block.
-    # With a HatB column the tight window's floors are -(g-1)..g-1, so
-    # every such cone shares one table.
+    # table memoized per range of floors rather than a lookup per block,
+    # filled one class run at a time.  With a HatB column the tight
+    # window's floors are -(g-1)..g-1, so every such cone shares one table.
     first, last = (b.start - p) // q, (b.stop - 1) // q
-    classes = c.cached(("classes", first, last), lambda: [*map(c.alexander_class, range(first, last + 1))]) if b else []
+
+    def table() -> list[int]:
+        return [k for s, n in c.class_runs(first, last) for k in [c.alexander_class(s)] * n]
+
+    classes = c.cached(("classes", first, last), table) if b else []
 
     def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
         block, width, v_start = rows(key)
@@ -392,14 +396,15 @@ def _meet(c: CfkComplex, a: int, b: int) -> int:
     beyond the genus.  The maps are memoized under the classes of the
     clamped pair, so the meet is too: however far apart the gradings are,
     there is one entry per pair of classes.  The meet is
-    rank v + rank h - rank [v | h], with the ranks the maps cache.
+    rank v + rank h - rank [v | h], with the ``induced_rank`` each map
+    caches.
     """
     g = c.genus()
     a, b = c.alexander_class(min(a, g)), c.alexander_class(max(b, -g))
 
     def compute() -> int:
         v, h = c.v_hat(a), c.h_hat(b)
-        return v.induced_rank() + h.induced_rank() - f2.rank(v.induced.hstack(h.induced))
+        return v.induced_rank + h.induced_rank - f2.rank(v.induced.hstack(h.induced))
 
     return c.cached(("meet", a, b), compute)
 
@@ -449,15 +454,17 @@ def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
     Outside this window the containments are forced by the genus
     finiteness of the maps.  im h lies in im v exactly when the meet of the
     two images has the rank of h, and im v in im h exactly when it has the
-    rank of v.
+    rank of v.  The maps and their meet are one object across a class run,
+    so each run of the window is checked once, at its start, and its
+    verdict is kept for every s of the run.
     """
 
+    def per_run(lo: int, hi: int, m) -> dict[int, bool]:
+        runs = [(s, n, _meet(c, s, s) == m(s).induced_rank) for s, n in c.class_runs(lo, hi)]
+        return {s: ok for start, n, ok in runs for s in range(start, start + n)}
+
     def compute() -> HypothesisReport:
-        g = c.genus()
-        return HypothesisReport(
-            {s: _meet(c, s, s) == c.h_hat(s).induced_rank() for s in range(g + 1)},
-            {s: _meet(c, s, s) == c.v_hat(s).induced_rank() for s in range(-g, 1)},
-        )
+        return HypothesisReport(per_run(0, c.genus(), c.h_hat), per_run(-c.genus(), 0, c.v_hat))
 
     return c.cached("hypothesis", compute)
 
@@ -477,10 +484,12 @@ def require_hypothesis(c: CfkComplex) -> None:
 def _v_sum(c: CfkComplex, slope: Slope, name: str, term) -> int:
     """q*term(v_hat(0)) + 2q * sum over s = 1..g-1 of term(v_hat(s)).  The
     sum over s does not depend on the slope, so it is memoized on the
-    complex under ("v_sum", name), and only the first slope reads maps."""
+    complex under ("v_sum", name), and only the first slope reads maps.
+    v_hat(s) is one map across a class run, so the sum reads it once per
+    run of 1..g-1, weighted by the run's length."""
 
     def per_q() -> int:
-        return term(c.v_hat(0)) + 2 * sum(term(c.v_hat(s)) for s in range(1, c.genus()))
+        return term(c.v_hat(0)) + 2 * sum(n * term(c.v_hat(s)) for s, n in c.class_runs(1, c.genus() - 1))
 
     return slope.q * c.cached(("v_sum", name), per_q)
 
@@ -494,30 +503,31 @@ def rank_formula(c: CfkComplex, slope: Slope) -> int:
 
     where ker/rk are kernel dimension and rank of the induced v_hat(s),
     b is the homology rank of HatB, and t is t_invariant.  Each term is
-    read as dim H(HatA(s)) + b - 2 rk vs, one rank per s.  Only asserted
-    when the image-containment hypothesis holds.
+    read as dim H(HatA(s)) + b - 2 rk vs, one rank per class run of s.  Only
+    asserted when the image-containment hypothesis holds.
     """
     require_hypothesis(c)
     b = c.b_rank()
-    total = _v_sum(c, slope, "formula", lambda v: v.source.homology.dim + b - 2 * v.induced_rank())
+    total = _v_sum(c, slope, "formula", lambda v: v.source.homology.dim + b - 2 * v.induced_rank)
     return total + 2 * t_invariant(c, slope) - slope.p * b
 
 
 def nu_surrogate(c: CfkComplex) -> int:
-    """Least s >= 0 with v_hat(s) surjective on homology (b_rank 1 only)."""
+    """Least s >= 0 with v_hat(s) surjective on homology (b_rank 1 only).
+
+    v_hat(s) is one map across a class run, so the least such s is the
+    start of the first run of 0..genus whose map has nonzero rank."""
     if c.b_rank() != 1:
-        raise NotApplicableError(
-            f"nu needs a complex with b_rank 1, got {c.b_rank()}"
-        )
+        raise NotApplicableError(f"nu needs a complex with b_rank 1, got {c.b_rank()}")
     # v_hat(genus) is an isomorphism, so the scan stops by then.
-    return c.cached("nu", lambda: next(s for s in range(c.genus() + 1) if c.v_hat(s).induced_rank()))
+    return c.cached("nu", lambda: next(s for s, _ in c.class_runs(0, c.genus()) if c.v_hat(s).induced_rank))
 
 
 def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     """Dimension of the kernel of the induced block matrix, in closed form:
     q*ker(v0) + 2q*sum(s=1..g-1) ker(vs) + t."""
     require_hypothesis(c)
-    return _v_sum(c, slope, "kernel", lambda v: v.induced_kernel_dim()) + t_invariant(c, slope)
+    return _v_sum(c, slope, "kernel", lambda v: v.source.homology.dim - v.induced_rank) + t_invariant(c, slope)
 
 
 def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int]]:

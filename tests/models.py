@@ -15,6 +15,12 @@ matrix, and ``assert_maps_match_dense`` checks the map's cycle and
 homology matrices against the reference matrix's.
 A library region keeps only its boundary, so its (id, upower) elements
 are ``reference_members`` of its tag, rebuilt from s itself.
+A map caches only its induced rank, so ``kernel_dim`` and ``is_iso`` read
+the kernel dimension and whether it is an isomorphism off it.
+The library scans s one Alexander class run at a time, so
+``reference_class_runs``, ``reference_genus``, ``reference_verdicts``,
+``reference_v_sum`` and ``reference_nu`` scan every s instead, and
+``assert_runs_match_per_s`` checks the library's scans against them.
 ``image_intersection_rank`` is the plain meet of two column spaces, which
 the tests compare the library's memoized meets and t against, and
 ``reference_kernel_basis`` and ``reference_solve`` read a kernel basis and
@@ -33,7 +39,7 @@ from hfsurgery.cfk import (
     HatB,
     RegionComplex,
 )
-from hfsurgery import f2
+from hfsurgery import f2, surgery
 from hfsurgery.f2 import DimensionError, F2Matrix
 from hfsurgery.surgery import Slope, nu_surrogate
 
@@ -65,6 +71,18 @@ def region_flip_equivalence(c: CfkComplex, s: int) -> FilteredChainMap:
         for gid, _ in reference_members(c, HatA(s))
     ]
     return FilteredChainMap(source, target, index)
+
+
+def kernel_dim(m: FilteredChainMap) -> int:
+    """Dimension of the kernel of the map on homology, read off the one rank
+    the map caches."""
+    return m.source.homology.dim - m.induced_rank
+
+
+def is_iso(m: FilteredChainMap) -> bool:
+    """Whether the map is an isomorphism on homology: its rank is both
+    homology dimensions."""
+    return m.induced_rank == m.source.homology.dim == m.target.homology.dim
 
 
 def dense(m: FilteredChainMap) -> F2Matrix:
@@ -220,8 +238,75 @@ def assert_classes_hold(c: CfkComplex, margin: int = 3) -> None:
         assert c.v_hat(s) is c.v_hat(rep) and c.h_hat(s) is c.h_hat(rep), s
         assert dense(c.v_hat(s)).data == reference_map(c, "v", s), s
         assert dense(c.h_hat(s)).data == reference_map(c, "h", s), s
-    scan = [s for s in range(max(grades) + 1, 0, -1) if not c.v_hat(s - 1).is_induced_iso()]
-    assert c.genus() == (scan[0] if scan else 0)
+    assert c.genus() == reference_genus(c)
+
+
+def reference_class_runs(c: CfkComplex, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The class runs of lo..hi found s by s: a run ends where the class of
+    s changes."""
+    runs: list[list[int]] = []
+    for s in range(lo, hi + 1):
+        if runs and c.alexander_class(s) == c.alexander_class(runs[-1][0]):
+            runs[-1][1] += 1
+        else:
+            runs.append([s, 1])
+    return [(s, n) for s, n in runs]
+
+
+def reference_genus(c: CfkComplex) -> int:
+    """The largest s >= 1 with v_hat(s - 1) not an isomorphism, or 0, found
+    by testing every s from one past the top grading down."""
+    top = max(g.alexander for g in c.generators)
+    return next((s for s in range(top + 1, 0, -1) if not is_iso(c.v_hat(s - 1))), 0)
+
+
+def reference_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]]:
+    """The containment verdicts checked at every s of the window: h in v for
+    0 <= s <= genus, v in h for -genus <= s <= 0."""
+    g = c.genus()
+    return (
+        {s: surgery._meet(c, s, s) == c.h_hat(s).induced_rank for s in range(g + 1)},
+        {s: surgery._meet(c, s, s) == c.v_hat(s).induced_rank for s in range(-g, 1)},
+    )
+
+
+def reference_v_sum(c: CfkComplex, term) -> int:
+    """term(v_hat(0)) + 2 * sum over every s = 1..genus-1 of term(v_hat(s)),
+    the sum that ``surgery._v_sum`` takes per unit q."""
+    return term(c.v_hat(0)) + 2 * sum(term(c.v_hat(s)) for s in range(1, c.genus()))
+
+
+def reference_nu(c: CfkComplex) -> int:
+    """The least s >= 0 with v_hat(s) of nonzero rank, testing every s."""
+    return next(s for s in range(c.genus() + 1) if c.v_hat(s).induced_rank)
+
+
+def assert_runs_match_per_s(c: CfkComplex) -> None:
+    """Every scan over s that the library makes by class runs equals the
+    scan over every s: the runs themselves on ranges around the gradings,
+    the genus, both verdict dicts in the same order, the ``_v_sum`` terms
+    and, when b = 1, nu."""
+    g, grades = c.genus(), [x.alexander for x in c.generators]
+    bottom, top = min(grades), max(grades)
+    ranges = [(0, g), (-g, 0), (1, g - 1), (1, 0), (bottom - 2, top + 2), (bottom + 1, top - 1)]
+    for lo, hi in ranges:
+        assert c.class_runs(lo, hi) == reference_class_runs(c, lo, hi), (lo, hi)
+    assert g == reference_genus(c)
+    report = surgery.hypothesis_verdicts(c)
+    h_in_v, v_in_h = reference_verdicts(c)
+    assert list(report.h_in_v.items()) == list(h_in_v.items())
+    assert list(report.v_in_h.items()) == list(v_in_h.items())
+    b = c.b_rank()
+    terms = {
+        "rank": lambda v: v.induced_rank,
+        "kernel": kernel_dim,
+        "formula": lambda v: v.source.homology.dim + b - 2 * v.induced_rank,
+    }
+    for name, term in terms.items():
+        # A name of its own, so the memo of the library's own sums is not read.
+        assert surgery._v_sum(c, Slope(1, 3), ("per-s", name), term) == 3 * reference_v_sum(c, term), name
+    if b == 1:
+        assert surgery.nu_surrogate(c) == reference_nu(c)
 
 
 def image_intersection_rank(m1: F2Matrix, m2: F2Matrix) -> int:

@@ -58,6 +58,17 @@ wide_complexes = st.builds(
     max_offset=st.integers(9, 30),
 ).map(random_complex)
 
+# Boxes anywhere from the centre to 30 away: class runs of one s beside
+# long ones.
+spread_complexes = st.builds(
+    RandomSpec,
+    seed=st.integers(0, 10**6),
+    dots=st.integers(1, 3),
+    boxes=st.integers(0, 3),
+    max_side=st.integers(1, 3),
+    max_offset=st.integers(0, 30),
+).map(random_complex)
+
 slopes = (
     st.tuples(st.integers(1, 5), st.integers(1, 5))
     .filter(lambda pq: math.gcd(*pq) == 1)
@@ -78,8 +89,8 @@ def test_v_h_rank_symmetry(c):
     for s in range(-g - 1, g + 2):
         v = c.v_hat(s)
         h = c.h_hat(-s)
-        assert v.induced_rank() == h.induced_rank()
-        assert v.induced_kernel_dim() == h.induced_kernel_dim()
+        assert v.induced_rank == h.induced_rank
+        assert models.kernel_dim(v) == models.kernel_dim(h)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,8 +110,8 @@ def test_image_monotonicity(c):
 @given(complexes)
 def test_genus_thresholds(c):
     g = c.genus()
-    assert c.v_hat(g).is_induced_iso()
-    assert c.h_hat(-g).is_induced_iso()
+    assert models.is_iso(c.v_hat(g))
+    assert models.is_iso(c.h_hat(-g))
     assert c.h_hat(g + 1).induced.is_zero()
     assert c.v_hat(-g - 1).induced.is_zero()
 
@@ -326,8 +337,8 @@ def test_reflected_swaps_v_and_h(c):
     assert r.validate().ok
     g = c.genus()
     for s in range(-g - 1, g + 2):
-        assert r.v_hat(s).induced_rank() == c.h_hat(-s).induced_rank()
-        assert r.v_hat(s).induced_kernel_dim() == c.h_hat(-s).induced_kernel_dim()
+        assert r.v_hat(s).induced_rank == c.h_hat(-s).induced_rank
+        assert models.kernel_dim(r.v_hat(s)) == models.kernel_dim(c.h_hat(-s))
 
 
 @settings(max_examples=30, deadline=None)
@@ -353,6 +364,12 @@ def test_index_maps_match_the_dense_reference(c):
 @given(wide_complexes)
 def test_regions_and_maps_repeat_within_each_alexander_class(c):
     models.assert_classes_hold(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spread_complexes)
+def test_scans_by_class_run_equal_the_scans_over_every_s(c):
+    models.assert_runs_match_per_s(c)
 
 
 @settings(max_examples=30, deadline=None)

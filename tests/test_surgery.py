@@ -471,15 +471,29 @@ class TestTInvariant:
             assert t_invariant(c, slope) == max(0, slope.p - slope.q)
 
 
+def dot_and_box(n: int) -> CfkComplex:
+    """A dot and one symmetric box of side n: 5 generators, genus n."""
+    gens, terms = _box("b", n, n, 0)
+    flip = [FlipPair("e0", "e0"), FlipPair("b1", "b1"), FlipPair("b2", "b3"), FlipPair("b4", "b4")]
+    return CfkComplex([Generator("e0", 0), *gens], terms, flip, "dot+box")
+
+
+def dot_and_pair(n: int) -> CfkComplex:
+    """A dot and two unit boxes at offsets +-n, paired as in random_complex:
+    9 generators, genus n + 1."""
+    up, up_terms = _box("b0", 1, 1, n)
+    down, down_terms = _box("c0", 1, 1, -n)
+    flip = [FlipPair("e0", "e0"), FlipPair("b01", "c01"), FlipPair("b02", "c03"), FlipPair("b03", "c02"), FlipPair("b04", "c04")]
+    return CfkComplex([Generator("e0", 0), *up, *down], up_terms + down_terms, flip, "dot+pair")
+
+
 class TestMeets:
     def test_meets_memoized_per_class_pair_on_a_wide_box(self):
         # A dot and one symmetric box of side 100000 (genus 100000): the
-        # verdicts read a meet for every s in [-g, g], but the meets and maps
-        # are memoized per Alexander class, so the memo stays small.
+        # verdicts hold one entry for every s in [-g, g], but the meets and
+        # maps are memoized per Alexander class, so the memo stays small.
         n = 100000
-        gens, terms = _box("b", n, n, 0)
-        flip = [FlipPair("e0", "e0"), FlipPair("b1", "b1"), FlipPair("b2", "b3"), FlipPair("b4", "b4")]
-        c = CfkComplex([Generator("e0", 0), *gens], terms, flip, "dot+box")
+        c = dot_and_box(n)
         g = c.genus()
         report = hypothesis_verdicts(c)
         assert g == n and len(c._memo) <= 50
@@ -495,6 +509,34 @@ class TestMeets:
             if s <= 0:
                 assert report.v_in_h[s] == (meet == f2.rank(v)), s
         assert report.overall
+
+    @pytest.mark.parametrize(
+        ("build", "ranks"), [(dot_and_box, (399999, 799999)), (dot_and_pair, (5, 11))], ids=["dot+box", "dot+pair"]
+    )
+    def test_closed_form_work_follows_the_class_runs_on_wide_complexes(self, build, ranks, monkeypatch):
+        # The containment check, the closed form, t and nu scan s one class
+        # run at a time, so their work follows the generator count, not the
+        # gradings 100000 apart: a per-s scan made over 200,000 meets and
+        # 800,000 class lookups here.
+        c = build(100000)
+        meets, lookups = [], []
+        meet, alexander_class = surgery._meet, CfkComplex.alexander_class
+        monkeypatch.setattr(surgery, "_meet", lambda *args: meets.append(args) or meet(*args))
+        monkeypatch.setattr(CfkComplex, "alexander_class", lambda self, s: lookups.append(s) or alexander_class(self, s))
+        reports = [compute_rank_report(c, slope) for slope in (Slope(1, 1), Slope(3, 2))]
+        kernel_rank(c, Slope(1, 1))
+        assert [(r.oracle_rank, r.formula_rank) for r in reports] == [(rank, rank) for rank in ranks]
+        assert len(meets) <= 50 and len(lookups) <= 200, (len(meets), len(lookups))
+
+
+@pytest.mark.parametrize(
+    "parts", [(name,) for name in BUILTIN_NAMES] + list(itertools.combinations(BUILTIN_NAMES, 2)), ids="#".join
+)
+def test_scans_by_class_run_equal_the_scans_over_every_s(parts):
+    c = builtin(parts[0])
+    for part in parts[1:]:
+        c = tensor(c, builtin(part))
+    models.assert_runs_match_per_s(c)
 
 
 class TestRankFormula:
