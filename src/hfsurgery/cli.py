@@ -82,8 +82,8 @@ def _cmd_info(args) -> int:
              "hypothesis=" + ("no-flip" if hyp is None else "pass" if hyp else "fail")]
     if hyp is False:
         payload["containment"] = report.to_json_dict()
-        for key, verdicts in (("h_not_in_v", report.h_in_v), ("v_not_in_h", report.v_in_h)):
-            failing = sorted(s for s, ok in verdicts.items() if not ok)
+        for key, runs in (("h_not_in_v", report.h_in_v), ("v_not_in_h", report.v_in_h)):
+            failing = [s for start, n, ok in runs if not ok for s in range(start, start + n)]
             lines.append(f"{key}=" + (",".join(map(str, failing)) or "-"))
     _emit(args, payload, "\n".join(lines))
     return 0

@@ -137,6 +137,7 @@ when the rows of a HatB block are built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -430,21 +431,25 @@ def t_invariant(c: CfkComplex, slope: Slope) -> int:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Image-containment verdicts per s, and overall; shared, so read only."""
+    """Image-containment verdicts, and overall; shared, so read only.
 
-    h_in_v: dict[int, bool]
-    v_in_h: dict[int, bool]
+    Each side holds one (start, length, ok) per Alexander class run of its
+    window, in ascending s: the verdict of every s from start to
+    start + length - 1.  Runs are expanded per s only where they are
+    printed, by :meth:`to_json_dict` and by ``hfsurgery info`` for the
+    failing s, so a report's size follows the class runs, not the genus."""
+
+    h_in_v: tuple[tuple[int, int, bool], ...]
+    v_in_h: tuple[tuple[int, int, bool], ...]
 
     @property
     def overall(self) -> bool:
-        return all(self.h_in_v.values()) and all(self.v_in_h.values())
+        return all(ok for _, _, ok in self.h_in_v + self.v_in_h)
 
     def to_json_dict(self) -> dict:
-        return {
-            "h_image_in_v_image": {str(s): ok for s, ok in sorted(self.h_in_v.items())},
-            "v_image_in_h_image": {str(s): ok for s, ok in sorted(self.v_in_h.items())},
-            "overall": self.overall,
-        }
+        sides = {"h_image_in_v_image": self.h_in_v, "v_image_in_h_image": self.v_in_h}
+        data = {key: {str(s): ok for s0, n, ok in runs for s in range(s0, s0 + n)} for key, runs in sides.items()}
+        return {**data, "overall": self.overall}
 
 
 def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
@@ -455,13 +460,12 @@ def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
     finiteness of the maps.  im h lies in im v exactly when the meet of the
     two images has the rank of h, and im v in im h exactly when it has the
     rank of v.  The maps and their meet are one object across a class run,
-    so each run of the window is checked once, at its start, and its
-    verdict is kept for every s of the run.
+    so each run of the window is checked once, at its start, and the report
+    keeps that one verdict for the whole run.
     """
 
-    def per_run(lo: int, hi: int, m) -> dict[int, bool]:
-        runs = [(s, n, _meet(c, s, s) == m(s).induced_rank) for s, n in c.class_runs(lo, hi)]
-        return {s: ok for start, n, ok in runs for s in range(start, start + n)}
+    def per_run(lo: int, hi: int, m) -> tuple[tuple[int, int, bool], ...]:
+        return tuple((s, n, _meet(c, s, s) == m(s).induced_rank) for s, n in c.class_runs(lo, hi))
 
     def compute() -> HypothesisReport:
         return HypothesisReport(per_run(0, c.genus(), c.h_hat), per_run(-c.genus(), 0, c.v_hat))
@@ -550,10 +554,16 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
 
     Column j reads its maps at s = j // q, which ``cfk`` memoizes under the
     Alexander class of s, so however large p is the construction builds
-    one region and one map of each kind per class.
+    one region and one map of each kind per class.  The columns of a class
+    run read the same few induced maps, so ``f2.kernel_basis``, ``f2.solve``
+    and ``f2.image_intersection_basis`` are cached for this call only:
+    each distinct (matrix, target) is eliminated once, and nothing is kept
+    on the complex.
     """
     require_hypothesis(c)
     q, p, g = slope.q, slope.p, c.genus()
+    # Read from f2 at each call, so a wrapper put on f2 is what is cached.
+    kernel_basis, solve, meet_basis = map(functools.cache, (f2.kernel_basis, f2.solve, f2.image_intersection_basis))
 
     def ind(j: int, step: int) -> F2Matrix:
         """The induced map column j solves against on a walk of this step:
@@ -569,7 +579,7 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
         element's two walks leave j and j - p in opposite directions."""
         while target := ind(j, -step).apply(coeff):
             j += step
-            coeff = f2.solve(ind(j, step), target)
+            coeff = solve(ind(j, step), target)
             if coeff is None:
                 way = "rightward" if step > 0 else "leftward"
                 raise InternalInvariantError(
@@ -580,13 +590,13 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     basis: list[dict[int, int]] = []
     for j in range(-(g - 1) * q, g * q):
         step = p if j >= 0 else -p
-        for vec in f2.kernel_basis(ind(j, step)):
+        for vec in kernel_basis(ind(j, step)):
             element = {j: vec}
             extend(element, j, vec, step)
             basis.append(element)
     for j in range(p):
         # A matched pair (y, z) has v_hat y = h_hat z, one class of the meet.
-        for y, z in f2.image_intersection_basis(ind(j, p), ind(j - p, -p)):
+        for y, z in meet_basis(ind(j, p), ind(j - p, -p)):
             element = {j: y, j - p: z}
             extend(element, j, y, p)
             extend(element, j - p, z, -p)

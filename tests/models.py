@@ -21,6 +21,10 @@ The library scans s one Alexander class run at a time, so
 ``reference_class_runs``, ``reference_genus``, ``reference_verdicts``,
 ``reference_v_sum`` and ``reference_nu`` scan every s instead, and
 ``assert_runs_match_per_s`` checks the library's scans against them.
+``dot_and_box`` and ``dot_and_pair`` are the wide complexes, 5 and 9
+generators with gradings as far as n from 0, on which the tests and CI
+check that the cost follows the generator count, not the size of the
+gradings.
 ``image_intersection_rank`` is the plain meet of two column spaces, which
 the tests compare the library's memoized meets and t against, and
 ``reference_kernel_basis`` and ``reference_solve`` read a kernel basis and
@@ -34,6 +38,7 @@ from hfsurgery.cfk import (
     CfkComplex,
     DiffTerm,
     FilteredChainMap,
+    FlipPair,
     Generator,
     HatA,
     HatB,
@@ -41,7 +46,24 @@ from hfsurgery.cfk import (
 )
 from hfsurgery import f2, surgery
 from hfsurgery.f2 import DimensionError, F2Matrix
+from hfsurgery.knots import _box
 from hfsurgery.surgery import Slope, nu_surrogate
+
+
+def dot_and_box(n: int) -> CfkComplex:
+    """A dot and one symmetric box of side n: 5 generators, genus n."""
+    gens, terms = _box("b", n, n, 0)
+    flip = [FlipPair("e0", "e0"), FlipPair("b1", "b1"), FlipPair("b2", "b3"), FlipPair("b4", "b4")]
+    return CfkComplex([Generator("e0", 0), *gens], terms, flip, "dot+box")
+
+
+def dot_and_pair(n: int) -> CfkComplex:
+    """A dot and two unit boxes at offsets +-n, paired as in random_complex:
+    9 generators, genus n + 1."""
+    up, up_terms = _box("b0", 1, 1, n)
+    down, down_terms = _box("c0", 1, 1, -n)
+    flip = [FlipPair(a, b) for a, b in [("e0", "e0"), ("b01", "c01"), ("b02", "c03"), ("b03", "c02"), ("b04", "c04")]]
+    return CfkComplex([Generator("e0", 0), *up, *down], up_terms + down_terms, flip, "dot+pair")
 
 
 def reflected(c: CfkComplex) -> CfkComplex:
@@ -284,18 +306,18 @@ def reference_nu(c: CfkComplex) -> int:
 def assert_runs_match_per_s(c: CfkComplex) -> None:
     """Every scan over s that the library makes by class runs equals the
     scan over every s: the runs themselves on ranges around the gradings,
-    the genus, both verdict dicts in the same order, the ``_v_sum`` terms
-    and, when b = 1, nu."""
+    the genus, both sides of the containment report expanded by
+    ``to_json_dict`` in the same order, the ``_v_sum`` terms and, when
+    b = 1, nu."""
     g, grades = c.genus(), [x.alexander for x in c.generators]
     bottom, top = min(grades), max(grades)
     ranges = [(0, g), (-g, 0), (1, g - 1), (1, 0), (bottom - 2, top + 2), (bottom + 1, top - 1)]
     for lo, hi in ranges:
         assert c.class_runs(lo, hi) == reference_class_runs(c, lo, hi), (lo, hi)
     assert g == reference_genus(c)
-    report = surgery.hypothesis_verdicts(c)
-    h_in_v, v_in_h = reference_verdicts(c)
-    assert list(report.h_in_v.items()) == list(h_in_v.items())
-    assert list(report.v_in_h.items()) == list(v_in_h.items())
+    data = surgery.hypothesis_verdicts(c).to_json_dict()
+    for key, verdicts in zip(("h_image_in_v_image", "v_image_in_h_image"), reference_verdicts(c)):
+        assert list(data[key].items()) == [(str(s), ok) for s, ok in verdicts.items()], key
     b = c.b_rank()
     terms = {
         "rank": lambda v: v.induced_rank,

@@ -186,7 +186,8 @@ class TestInfoValidate:
         assert "containment" not in data
 
     def test_info_names_the_failing_s(self, capsys, monkeypatch):
-        verdicts = ({0: True, 1: False, 2: False}, {-2: True, -1: False, 0: True})
+        # (start, length, ok) runs: h in v fails for s = 1..2, v in h at -1.
+        verdicts = (((0, 1, True), (1, 2, False)), ((-2, 1, True), (-1, 1, False), (0, 1, True)))
         monkeypatch.setattr(surgery, "hypothesis_verdicts", lambda c: surgery.HypothesisReport(*verdicts))
         code, out, _ = run(["info", "t25"], capsys)
         assert code == 0

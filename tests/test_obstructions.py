@@ -16,6 +16,7 @@ from hfsurgery.obstructions import (
 )
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
+    HypothesisReport,
     Slope,
     hypothesis_holds,
     hypothesis_verdicts,
@@ -29,7 +30,7 @@ class TestHypothesisCheck:
         for name in ("unknot",) + NONTRIVIAL:
             report = hypothesis_check(builtin(name))
             assert report.overall, name
-            assert all(report.h_in_v.values()) and all(report.v_in_h.values())
+            assert all(ok for _, _, ok in report.h_in_v + report.v_in_h), name
 
     def test_builtin_tensors_pass(self):
         # A tensor of two builtins has b = 1, where rk v_s = rk h_-s and the
@@ -40,16 +41,24 @@ class TestHypothesisCheck:
                 assert hypothesis_holds(tensor(builtin(a), builtin(b))), (a, b)
 
     def test_verdict_range_covers_genus_window(self):
+        # t25 has a cut at every s in -2..3, so each s of the window is a
+        # class run of its own, and the JSON has one key per s.
         c = builtin("t25")
         report = hypothesis_check(c)
-        assert sorted(report.h_in_v) == [0, 1, 2]
-        assert sorted(report.v_in_h) == [-2, -1, 0]
+        assert [(s, n) for s, n, _ in report.h_in_v] == [(0, 1), (1, 1), (2, 1)]
+        assert [(s, n) for s, n, _ in report.v_in_h] == [(-2, 1), (-1, 1), (0, 1)]
+        data = report.to_json_dict()
+        assert list(data["h_image_in_v_image"]) == ["0", "1", "2"]
+        assert list(data["v_image_in_h_image"]) == ["-2", "-1", "0"]
 
     def test_overall_is_conjunction(self):
         report = hypothesis_check(builtin("figure_eight"))
-        assert report.overall == (
-            all(report.h_in_v.values()) and all(report.v_in_h.values())
-        )
+        assert report.overall == all(ok for _, _, ok in report.h_in_v + report.v_in_h)
+        # One failing run on either side fails the whole report.
+        passing, failing = ((0, 2, True),), ((0, 1, True), (1, 3, False))
+        assert HypothesisReport(passing, passing).overall
+        assert not HypothesisReport(passing, failing).overall
+        assert not HypothesisReport(failing, passing).overall
 
     def test_requires_flip(self):
         c = CfkComplex([Generator("x", 0)], [], None, "flipless")

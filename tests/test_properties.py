@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hfsurgery import f2
 from hfsurgery.cfk import CfkComplex, HatA, HatB
-from hfsurgery.knots import RandomSpec, builtin, random_complex
+from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
 from hfsurgery.obstructions import hypothesis_check
 from hfsurgery.surgery import (
     MappingCone,
@@ -173,6 +173,44 @@ def test_containment_hypothesis_holds_on_random_complexes(spec):
     # b <= 1, and for b <= 1 the containments follow from the rank symmetry
     # rk v_s = rk h_-s and the monotone images; a direct sum inherits them.
     assert hypothesis_holds(random_complex(spec))
+
+
+builtin_tensors = st.tuples(st.sampled_from(BUILTIN_NAMES), st.sampled_from(BUILTIN_NAMES)).map(
+    lambda names: tensor(builtin(names[0]), builtin(names[1]))
+)
+
+slopes_to_8 = (
+    st.tuples(st.integers(1, 8), st.integers(1, 8))
+    .filter(lambda pq: math.gcd(*pq) == 1)
+    .map(lambda pq: Slope(*pq))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(complexes, spread_complexes, builtin_tensors), slopes_to_8)
+def test_rank_parity_is_p_times_b(c, slope):
+    """rank HF(Y_{p/q}) = p * b (mod 2) by both rank routes, a law that
+    needs no elimination.
+
+    The tight window keeps the HatA columns lo..hi and the HatB columns
+    lo+p..hi with hi >= lo+p-1, so it has p more HatA than HatB columns:
+    #A = #B + p.  Every block, HatA(s) or HatB, has n elements, one per
+    generator, so the cone has dimension n(#A + #B) = n(2#B + p), which is
+    n*p mod 2.  The chain route's rank is that dimension less twice a
+    boundary rank, so it is n*p mod 2.  The homological route's rank is
+    dim H(A) + dim H(B) less twice the block matrix's rank, and each
+    block's homology is its dimension n less twice its boundary rank, so
+    it is n(#A + #B) mod 2 as well.  Last, b = dim H(HatB) = n less twice
+    the rank of HatB's boundary, so n = b mod 2, and both ranks are p*b
+    mod 2.
+    """
+    cone = MappingCone(c, slope)
+    n, p = len(c.generators), slope.p
+    assert len(cone.a_columns) == len(cone.b_columns) + p
+    assert cone.total_dim == n * (len(cone.a_columns) + len(cone.b_columns))
+    assert n % 2 == c.b_rank() % 2
+    for route in (cone_rank_chain, cone_rank_homological):
+        assert route(c, slope) % 2 == p * c.b_rank() % 2, route.__name__
 
 
 @settings(max_examples=30, deadline=None)

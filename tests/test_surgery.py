@@ -7,8 +7,8 @@ import random
 import pytest
 
 from hfsurgery import f2, surgery
-from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipPair, FlipRequiredError, Generator, HatA, HatB
-from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, _box, builtin, random_complex, tensor
+from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, Generator, HatA, HatB
+from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
     MappingCone,
@@ -471,47 +471,43 @@ class TestTInvariant:
             assert t_invariant(c, slope) == max(0, slope.p - slope.q)
 
 
-def dot_and_box(n: int) -> CfkComplex:
-    """A dot and one symmetric box of side n: 5 generators, genus n."""
-    gens, terms = _box("b", n, n, 0)
-    flip = [FlipPair("e0", "e0"), FlipPair("b1", "b1"), FlipPair("b2", "b3"), FlipPair("b4", "b4")]
-    return CfkComplex([Generator("e0", 0), *gens], terms, flip, "dot+box")
-
-
-def dot_and_pair(n: int) -> CfkComplex:
-    """A dot and two unit boxes at offsets +-n, paired as in random_complex:
-    9 generators, genus n + 1."""
-    up, up_terms = _box("b0", 1, 1, n)
-    down, down_terms = _box("c0", 1, 1, -n)
-    flip = [FlipPair("e0", "e0"), FlipPair("b01", "c01"), FlipPair("b02", "c03"), FlipPair("b03", "c02"), FlipPair("b04", "c04")]
-    return CfkComplex([Generator("e0", 0), *up, *down], up_terms + down_terms, flip, "dot+pair")
-
-
 class TestMeets:
     def test_meets_memoized_per_class_pair_on_a_wide_box(self):
         # A dot and one symmetric box of side 100000 (genus 100000): the
-        # verdicts hold one entry for every s in [-g, g], but the meets and
-        # maps are memoized per Alexander class, so the memo stays small.
+        # meets and maps are memoized per Alexander class, so the memo
+        # stays small.
         n = 100000
-        c = dot_and_box(n)
+        c = models.dot_and_box(n)
+        report = hypothesis_verdicts(c)
+        assert c.genus() == n and len(c._memo) <= 50
+        assert report.overall
+
+    @pytest.mark.parametrize("build", [models.dot_and_box, models.dot_and_pair], ids=["dot+box", "dot+pair"])
+    def test_verdicts_held_as_class_runs_on_wide_complexes(self, build):
+        # Gradings 100000 apart: each side of the report holds one run per
+        # Alexander class run of its window, not one entry per s, and only
+        # the JSON expands them, to one key for every s of the window.
+        c = build(100000)
         g = c.genus()
         report = hypothesis_verdicts(c)
-        assert g == n and len(c._memo) <= 50
-        assert sorted(report.h_in_v) == list(range(g + 1))
-        assert sorted(report.v_in_h) == list(range(-g, 1))
+        data = report.to_json_dict()
+        assert len(report.h_in_v) <= 10 and len(report.v_in_h) <= 10, (report.h_in_v, report.v_in_h)
+        assert list(data["h_image_in_v_image"]) == [str(s) for s in range(g + 1)]
+        assert list(data["v_image_in_h_image"]) == [str(s) for s in range(-g, 1)]
         # Each verdict is the plain meet of the two induced maps at s itself.
         near = {s + d for s in (*c.alexander_cuts, 0, g // 2, -g // 2) for d in (-1, 0, 1)}
         for s in sorted(x for x in near if -g <= x <= g):
             v, h = c.v_hat(s).induced, c.h_hat(s).induced
             meet = models.image_intersection_rank(v, h)
             if s >= 0:
-                assert report.h_in_v[s] == (meet == f2.rank(h)), s
+                assert data["h_image_in_v_image"][str(s)] == (meet == f2.rank(h)), s
             if s <= 0:
-                assert report.v_in_h[s] == (meet == f2.rank(v)), s
-        assert report.overall
+                assert data["v_image_in_h_image"][str(s)] == (meet == f2.rank(v)), s
 
     @pytest.mark.parametrize(
-        ("build", "ranks"), [(dot_and_box, (399999, 799999)), (dot_and_pair, (5, 11))], ids=["dot+box", "dot+pair"]
+        ("build", "ranks"),
+        [(models.dot_and_box, (399999, 799999)), (models.dot_and_pair, (5, 11))],
+        ids=["dot+box", "dot+pair"],
     )
     def test_closed_form_work_follows_the_class_runs_on_wide_complexes(self, build, ranks, monkeypatch):
         # The containment check, the closed form, t and nu scan s one class
@@ -706,6 +702,28 @@ class TestKernel:
         classes = set(range(-4, 5))
         assert {s for kind, s in before if kind != "region"} <= classes
         assert all(tag.s in classes for kind, tag in before if kind == "region" and isinstance(tag, HatA))
+
+    @pytest.mark.parametrize(
+        ("name", "slope", "rank"),
+        [("trefoil_lh#trefoil_lh#trefoil_lh", Slope(1, 2000), 40001), ("t25#t27#figure_eight", Slope(20001, 1), 20083)],
+    )
+    def test_each_distinct_map_eliminated_once(self, monkeypatch, name, slope, rank):
+        # 1/2000 seeds 10,001 columns and walks across 10,000 more, and
+        # 20001/1 meets 20,001 residue columns, but every column reads one
+        # of a few induced maps per Alexander class, so each distinct
+        # (matrix, target) is eliminated once.
+        c = _complex(name)
+        calls = {name: 0 for name in ("kernel_basis", "solve", "image_intersection_basis")}
+        for name in calls:
+
+            def counted(*args, _name=name, _fn=getattr(f2, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(f2, name, counted)
+        basis = kernel_basis_construction(c, slope)
+        assert len(basis) == kernel_rank(c, slope) == rank
+        assert all(n <= 20 for n in calls.values()), calls
 
     @pytest.mark.parametrize(
         "name, message",
