@@ -40,6 +40,26 @@ A(x) < s = A(y) - k, which the filtration rule A(y) - k <= A(x) forbids.
 So a scan over a range of s reads one object per run of a class, and
 :meth:`CfkComplex.class_runs` is the one place that finds the runs.
 
+A complex with a flip splits along the connected components of the graph
+with one edge per differential arc and one per flip pair.  Each component
+is closed under the differential and the flip, so it is a flip-invariant
+direct summand: every region, v_hat(s) and h_hat(s) is the direct sum of
+its pieces on the components, and the cycles that one elimination of a
+region's columns gives each lie in one component.  A component's homology
+in a region of n of its elements with k of those cycles therefore has
+dimension 2k - n.  Read off the cycles of HatB, that is the component's b.
+The *essential summand* P is the union of the components with b > 0,
+built once as a complex of its own in this complex's generator order; the
+acyclic rest Z, whose HatB has no homology, is never built.  Z's v_hat(s)
+and h_hat(s) vanish on homology, so Z adds nothing to b, to the images
+the containment check and t compare, or to nu, and all of those read P.
+What Z does add is H(HatA(s)): its genus is one more than the largest
+s >= 0 with H(HatA(s)) of Z nonzero, and :meth:`CfkComplex.acyclic_sum`
+sums its dimensions over |s| < genus, both read off the cycles of this
+complex's own regions, which the chain route eliminates anyway.  P is the
+complex itself when it has no flip, when it is connected, or when no
+component, or every component, has b = 0.
+
 This module owns the precondition policy and checks it where data is
 built.  Regions, the genus and the hfk counts need a valid complex
 (:meth:`CfkComplex.require_valid`); h_hat also needs a flip
@@ -59,6 +79,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from . import f2
 from .f2 import F2Matrix, HomologyBasis, InvalidComplexError
@@ -631,11 +652,90 @@ class CfkComplex:
 
         return self.cached(("h", s), build)
 
+    # -- the essential summand --------------------------------------------------
+
+    @cached_property
+    def _split(self) -> tuple:
+        """``(P, zmask)``: the essential summand P and the mask of the
+        generator positions of the acyclic rest Z, as the module docstring
+        defines them.  Found on first read, which validates the complex, by
+        one union-find over the arcs and the flip pairs.  When P is the
+        complex itself the pair is (None, 0): holding the complex here would
+        put it in a reference cycle, freed only by the garbage collector,
+        with every region and map it holds."""
+        ids, _, index, units, arcs = self._order
+        if self.flip_map is None:
+            return None, 0
+        n = parts = len(ids)
+        # Each root is the least position of its component, so one pass in
+        # ascending order then points every position at its root.  Most
+        # knot complexes are connected, so the edges stop at one component.
+        root = list(range(n))
+        flip = self.flip_map
+        for a, b in chain(((a, b) for a, b, _ in arcs), ((i, index[flip[gid]]) for i, gid in enumerate(ids))):
+            if parts == 1:
+                break
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[max(a, b)] = min(a, b)
+                parts -= 1
+        if parts == 1:
+            return None, 0
+        for i in range(n):
+            root[i] = root[root[i]]
+        size = Counter(root)
+        kernel = Counter(root[c.bit_length() - 1] for c in self.region_complex(HatB()).cycles)
+        essential = {r for r, k in kernel.items() if 2 * k > size[r]}
+        if not essential or len(essential) == len(size):
+            return None, 0
+        kept = {i for i in range(n) if root[i] in essential}
+        summand = CfkComplex(
+            [g for i, g in enumerate(self.generators) if i in kept],
+            [t for t, (a, _, _) in zip(self.differential, arcs) if a in kept],
+            [pair for pair in self.flip_pairs if index[pair.source] in kept],
+            self.name,
+        )
+        # A direct summand of a valid complex is valid, and has no smaller
+        # summand with b = 0.
+        summand._memo["validation"] = self.validate()
+        vars(summand)["_split"] = (None, 0)
+        return summand, sum(units[i] for i in range(n) if i not in kept)
+
+    @property
+    def essential_summand(self) -> "CfkComplex":
+        """P: the union of the flip-invariant components with b > 0, which
+        every homology-level read goes through.  Reading it validates."""
+        return self._split[0] or self
+
+    def _acyclic_homology(self, s: int) -> int:
+        """dim H(HatA(s)) of the acyclic rest Z, from the cycles of this
+        complex's own HatA(s): 2 * (its cycles in Z) - (Z's size)."""
+        zmask = self._split[1]
+        return 2 * sum(1 for c in self.region_complex(HatA(s)).cycles if c & zmask) - zmask.bit_count()
+
+    def acyclic_sum(self) -> int:
+        """z: the sum of dim H(HatA(s)) of the acyclic rest Z over |s| <
+        genus, read one class run at a time, or 0 when nothing splits off.
+        Z's cone has rank q * z at every slope p/q (``surgery`` says why).
+        Memoized, and found only when read, not by :meth:`genus`."""
+        if self._split[0] is None:
+            return 0
+
+        def total() -> int:
+            g = self.genus()
+            return sum(n * self._acyclic_homology(s) for s, n in self.class_runs(1 - g, g - 1))
+
+        return self.cached("acyclic_sum", total)
+
     # -- derived invariants ---------------------------------------------------
 
     def b_rank(self) -> int:
-        """Total rank of the homology of HatB."""
-        return self.region_complex(HatB()).homology.dim
+        """Total rank of the homology of HatB, read on the essential summand
+        and memoized."""
+        return self.cached("b_rank", lambda: self.essential_summand.region_complex(HatB()).homology.dim)
 
     def genus(self) -> int:
         """Largest s with v_hat(s - 1) not a homology isomorphism, or 0.
@@ -645,10 +745,21 @@ class CfkComplex:
         top, and a run from t of length n whose map is not one gives
         s = t + n.  v_hat(top grading) is already the identity of HatB, so
         the scan stops there: going past it would build one more identity.
+
+        A direct sum's map is an isomorphism exactly when each summand's
+        is, so a complex that splits has the larger of the genus of its
+        essential summand P and that of its acyclic rest Z.  Z's v_hat(t)
+        is one exactly when H(HatA(t)) of Z is 0, so Z is scanned, on this
+        complex's own regions, only from the top down to P's genus.
         """
 
         def scan() -> int:
-            for s, n in reversed(self.class_runs(0, self.alexander_cuts[-1] - 1)):  # validates first
+            essential, top = self.essential_summand, self.alexander_cuts[-1] - 1  # validates first
+            if essential is not self:
+                g = essential.genus()
+                runs = reversed(self.class_runs(g, top - 1))
+                return next((s + n for s, n in runs if self._acyclic_homology(s)), g)
+            for s, n in reversed(self.class_runs(0, top)):
                 if not (v := self.v_hat(s)).induced_rank == v.source.homology.dim == v.target.homology.dim:
                     return s + n
             return 0

@@ -74,8 +74,9 @@ complex under ("sweep", carry, key), shared across residue classes,
 slopes and windows.  Only the distinct steps are ever eliminated, so a
 run of blocks in the same two classes costs one elimination per distinct
 carry, and no step's matrix spans more than three blocks.
-Route one reads homology only through the genus, which fixes the window,
-and never builds the cone's induced maps.
+Route one reads homology only through the genus, which fixes the window
+and is read on the essential summand below, and never builds the cone's
+induced maps.
 
 Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
@@ -121,6 +122,28 @@ far apart the Alexander gradings are, a cone reads at most one region per
 class run and sweeps at most (2g-1)q HatB blocks.  For p >= (2g-1)q the
 window has no HatB column at all, and the rank is the large-surgery sum of
 dim H(HatA(j // q)) over the window.
+
+The cone is additive over flip-invariant direct summands.  If the complex
+is P + Z as a bifiltered complex and the flip maps each summand to itself,
+then HatA(s), HatB, v_hat(s) and h_hat(s) all split, and so do the cone on
+any window, its induced block matrix, t and the containment verdicts.
+``cfk`` finds the essential summand P, the components with b > 0, and
+keeps of the rest Z only its genus g_Z and the sum
+z = sum over |s| < g of dim H(HatA(s)) of Z, g being the whole genus.  The
+b = 0 rule: on Z, H(HatB) = 0, so v_hat(s) and h_hat(s) vanish on
+homology and Z's block matrix is zero.  Every HatA class of Z is then
+kernel and there is no cokernel, so Z's part of the cone's homology is the
+sum of H(HatA(j // q)) over the window's columns j.  H(HatA(s)) of Z is 0
+for |s| >= g_Z, since v_hat(s) is an isomorphism onto H(HatB) = 0 for
+s >= g_Z and h_hat(s) one for s <= -g_Z.  The tight window from
+lo = -(g-1)q, with g >= g_Z, holds exactly q columns of every floor
+-(g-1)..g-1 and adds only floors at or above g for larger p, so Z adds
+q * z at every slope p/q.  Hence route two, the closed form and
+:func:`kernel_rank` read P and add q * z, while b, t, nu and the verdicts
+read P alone; none of them builds a region's homology or a map of the
+whole complex when it splits.  Route one never reads the split: it ranks
+the whole complex's cone, whose window alone reads the genus, so every
+query checks the b = 0 rule against an independent computation.
 
 The closed form, the kernel construction and the monotonicity scan need
 the image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
@@ -374,23 +397,26 @@ def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
 
 
 def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
-    """Kernel plus cokernel of the induced block matrix on homology, on the
-    tight window.  Its rank is swept class by class like the chain route's,
-    one memoized ("hsweep", carry, key) step per HatB block, from the rows
-    of :meth:`MappingCone.induced_boundary`; the block matrix itself is
-    never built."""
+    """Kernel plus cokernel of the induced block matrix on homology: that of
+    the essential summand on its own tight window, plus q * z for the
+    acyclic rest, as the module docstring explains.  The summand's rank is
+    swept class by class like the chain route's, one memoized
+    ("hsweep", carry, key) step per HatB block, from the rows of
+    :meth:`MappingCone.induced_boundary`; the block matrix itself is never
+    built."""
 
     def compute() -> int:
-        cone = MappingCone(c, slope)
+        cone = MappingCone(c.essential_summand, slope)
         r = _sweep(cone, "hsweep", cone.induced_boundary, lambda m, pivots: len(pivots))
-        return (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
+        return (cone.a_homology_dim - r) + (cone.b_homology_dim - r) + slope.q * c.acyclic_sum()
 
     return c.cached(("cone_rank_homological", slope.p, slope.q), compute)
 
 
 def _meet(c: CfkComplex, a: int, b: int) -> int:
     """dim(im v_hat(a) meet im h_hat(b)) on homology, memoized per pair of
-    Alexander classes.
+    Alexander classes.  Both images lie in the essential summand, so its
+    callers pass that summand.
 
     v_hat(a) is onto for a >= genus and h_hat(b) for b <= -genus, so the
     clamped pair a <= genus, b >= -genus has the same meet and reads no map
@@ -417,14 +443,16 @@ def t_invariant(c: CfkComplex, slope: Slope) -> int:
     For gq <= j < p - max(g-1, 0)q both pairs clamp to (g, -g) in
     :func:`_meet`, at genus 0 for every j, so that middle run is counted,
     not looped: t sums the meets at the two ends, at most (2g-1)q of them,
-    and reads no meet that a loop over every j would not."""
+    and reads no meet that a loop over every j would not.  Every meet lies
+    in the essential summand, so t is read there, with its genus."""
 
     def compute() -> int:
-        p, q, g = slope.p, slope.q, c.genus()
+        e = c.essential_summand
+        p, q, g = slope.p, slope.q, e.genus()
         start = min(g * q, p)
         middle = max(0, p - max(g - 1, 0) * q - start)
-        t = sum(_meet(c, j // q, (j - p) // q) for j in [*range(start), *range(start + middle, p)])
-        return t + middle * _meet(c, g, -g) if middle else t
+        t = sum(_meet(e, j // q, (j - p) // q) for j in [*range(start), *range(start + middle, p)])
+        return t + middle * _meet(e, g, -g) if middle else t
 
     return c.cached(("t", slope.p, slope.q), compute)
 
@@ -461,14 +489,17 @@ def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
     two images has the rank of h, and im v in im h exactly when it has the
     rank of v.  The maps and their meet are one object across a class run,
     so each run of the window is checked once, at its start, and the report
-    keeps that one verdict for the whole run.
+    keeps that one verdict for the whole run.  The images lie in the
+    essential summand, so the maps and runs are read there, over this
+    complex's window [-genus, genus].
     """
 
-    def per_run(lo: int, hi: int, m) -> tuple[tuple[int, int, bool], ...]:
-        return tuple((s, n, _meet(c, s, s) == m(s).induced_rank) for s, n in c.class_runs(lo, hi))
+    def per_run(e: CfkComplex, lo: int, hi: int, m) -> tuple[tuple[int, int, bool], ...]:
+        return tuple((s, n, _meet(e, s, s) == m(s).induced_rank) for s, n in e.class_runs(lo, hi))
 
     def compute() -> HypothesisReport:
-        return HypothesisReport(per_run(0, c.genus(), c.h_hat), per_run(-c.genus(), 0, c.v_hat))
+        e, g = c.essential_summand, c.genus()
+        return HypothesisReport(per_run(e, 0, g, e.h_hat), per_run(e, -g, 0, e.v_hat))
 
     return c.cached("hypothesis", compute)
 
@@ -507,31 +538,40 @@ def rank_formula(c: CfkComplex, slope: Slope) -> int:
 
     where ker/rk are kernel dimension and rank of the induced v_hat(s),
     b is the homology rank of HatB, and t is t_invariant.  Each term is
-    read as dim H(HatA(s)) + b - 2 rk vs, one rank per class run of s.  Only
-    asserted when the image-containment hypothesis holds.
+    read as dim H(HatA(s)) + b - 2 rk vs, one rank per class run of s, on
+    the essential summand, and the acyclic rest adds q * z.  Only asserted
+    when the image-containment hypothesis holds.
     """
     require_hypothesis(c)
     b = c.b_rank()
-    total = _v_sum(c, slope, "formula", lambda v: v.source.homology.dim + b - 2 * v.induced_rank)
-    return total + 2 * t_invariant(c, slope) - slope.p * b
+    total = _v_sum(c.essential_summand, slope, "formula", lambda v: v.source.homology.dim + b - 2 * v.induced_rank)
+    return total + 2 * t_invariant(c, slope) - slope.p * b + slope.q * c.acyclic_sum()
 
 
 def nu_surrogate(c: CfkComplex) -> int:
     """Least s >= 0 with v_hat(s) surjective on homology (b_rank 1 only).
 
     v_hat(s) is one map across a class run, so the least such s is the
-    start of the first run of 0..genus whose map has nonzero rank."""
+    start of the first run of 0..genus whose map has nonzero rank, read on
+    the essential summand, where v_hat has all its rank."""
     if c.b_rank() != 1:
         raise NotApplicableError(f"nu needs a complex with b_rank 1, got {c.b_rank()}")
-    # v_hat(genus) is an isomorphism, so the scan stops by then.
-    return c.cached("nu", lambda: next(s for s, _ in c.class_runs(0, c.genus()) if c.v_hat(s).induced_rank))
+
+    def scan() -> int:
+        e = c.essential_summand
+        # v_hat(genus) is an isomorphism, so the scan stops by then.
+        return next(s for s, _ in e.class_runs(0, e.genus()) if e.v_hat(s).induced_rank)
+
+    return c.cached("nu", scan)
 
 
 def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     """Dimension of the kernel of the induced block matrix, in closed form:
-    q*ker(v0) + 2q*sum(s=1..g-1) ker(vs) + t."""
+    q*ker(v0) + 2q*sum(s=1..g-1) ker(vs) + t on the essential summand, plus
+    q * z for the acyclic rest, whose whole homology is kernel."""
     require_hypothesis(c)
-    return _v_sum(c, slope, "kernel", lambda v: v.source.homology.dim - v.induced_rank) + t_invariant(c, slope)
+    kernel = _v_sum(c.essential_summand, slope, "kernel", lambda v: v.source.homology.dim - v.induced_rank)
+    return kernel + t_invariant(c, slope) + slope.q * c.acyclic_sum()
 
 
 def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int]]:

@@ -364,6 +364,55 @@ class TestInvariants:
         assert models.single_point_region_rank(builtin("t25")) == 1
 
 
+class TestEssentialSummand:
+    def test_figure_eight_splits_off_its_box(self, fig8):
+        # The dot e has b = 1 and the unit box b = 0.  The box's only
+        # homology in a HatA region is H(HatA(0)), of dimension 2, so its
+        # cone adds 2q: rank p + 2q at p/q.
+        e = fig8.essential_summand
+        assert [g.id for g in e.generators] == ["e"]
+        assert e.essential_summand is e and e.acyclic_sum() == 0
+        assert fig8.acyclic_sum() == 2
+        assert (fig8.genus(), fig8.b_rank(), e.genus(), e.b_rank()) == (1, 1, 0, 1)
+
+    @pytest.mark.parametrize("name", ["unknot", "trefoil_rh", "t27", "t25#t27", "no flip", "three dots"])
+    def test_complexes_that_do_not_split_are_their_own_summand(self, name):
+        # Connected, flipless, or with no component of b = 0.
+        if name == "no flip":
+            t = builtin("trefoil_rh")
+            c = CfkComplex(t.generators, t.differential, None, name)
+        elif name == "three dots":
+            gens = [Generator(f"e{i}", 0) for i in range(3)]
+            c = CfkComplex(gens, [], [FlipPair(g.id, g.id) for g in gens], name)
+        elif name == "t25#t27":
+            c = tensor(builtin("t25"), builtin("t27"))
+        else:
+            c = builtin(name)
+        assert c.essential_summand is c and c.acyclic_sum() == 0
+
+    def test_summand_keeps_the_order_flip_and_validation(self):
+        c = tensor(builtin("trefoil_rh"), builtin("figure_eight"))
+        e = c.essential_summand
+        kept = [g.id for g in e.generators]
+        assert kept == [g.id for g in c.generators if g.id.endswith("|e")] and len(kept) == 3
+        assert e.flip_map == {x: c.flip_map[x] for x in kept}
+        assert e.validate() is c.validate() and e.name == c.name
+        assert all(t.source in kept and t.target in kept for t in e.differential)
+
+    def test_invalid_complex_raises_before_any_split(self):
+        c = CfkComplex([Generator("a", 1)], [], [FlipPair("a", "a")], "bad flip")
+        with pytest.raises(InvalidComplexError):
+            c.essential_summand
+
+    def test_wide_box_rest(self):
+        # A dot and a box of side n: the box's HatA homology is 2 at each
+        # |s| < n, and the genus is n; rank 1 + (4n - 2) at 1/1.
+        n = 1000
+        c = models.dot_and_box(n)
+        assert [g.id for g in c.essential_summand.generators] == ["e0"]
+        assert c.genus() == n and c.acyclic_sum() == 4 * n - 2
+
+
 class TestReflected:
     def test_unknot_fixed(self, unknot):
         r = models.reflected(unknot)

@@ -213,6 +213,40 @@ def test_rank_parity_is_p_times_b(c, slope):
         assert route(c, slope) % 2 == p * c.b_rank() % 2, route.__name__
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(complexes, spread_complexes, builtin_tensors), slopes_to_8)
+def test_essential_summand_and_acyclic_rest(c, slope):
+    """The essential summand P and the acyclic rest Z partition the
+    generators, each closed under the differential and the flip; Z, built
+    here as a complex of its own, has b = 0 and a chain rank of q * z; the
+    genus read off P and Z's cycles is the genus found s by s on the whole
+    complex; and the homological route, read on P plus q * z, is the rank
+    of the whole complex's induced block matrix."""
+    e = c.essential_summand
+    kept = {g.id for g in e.generators}
+    assert [g.id for g in e.generators] == [g.id for g in c.generators if g.id in kept]
+    rest = [g for g in c.generators if g.id not in kept]
+    for side in (kept, {g.id for g in rest}):
+        assert all(c.flip_map[x] in side for x in side)
+    assert all((t.source in kept) == (t.target in kept) for t in c.differential)
+    assert e.b_rank() == c.b_rank()
+    if rest:
+        z = CfkComplex(
+            rest,
+            [t for t in c.differential if t.source not in kept],
+            [pair for pair in c.flip_pairs if pair.source not in kept],
+            "acyclic rest",
+        )
+        assert z.validate().ok and z.b_rank() == 0
+        assert cone_rank_chain(z, slope) == slope.q * c.acyclic_sum()
+    else:
+        assert e is c and c.acyclic_sum() == 0
+    assert c.genus() == models.reference_genus(c)
+    cone = MappingCone(c, slope)
+    r = f2.rank(block_matrix(cone))
+    assert cone_rank_homological(c, slope) == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
+
+
 @settings(max_examples=30, deadline=None)
 @given(complexes, slopes)
 def test_formula_matches_oracle_under_hypothesis(c, slope):
@@ -272,16 +306,20 @@ def test_homological_sweep_carries_are_canonical(c, slope, seed):
     # every carry it reads is on those of HatA(key[0]).  Real rows have
     # left every carry empty, so a seed swaps in random rows on the same
     # coordinates; either way the sweep gives the block matrix's rank.
+    # The sweep runs on the essential summand, whose memo holds its steps;
+    # the acyclic rest adds q * z to the complex's rank.
+    e = c.essential_summand
     with pytest.MonkeyPatch.context() as patch:
         if seed is not None:
             patch.setattr(MappingCone, "induced_boundary", random_induced_boundary(seed))
-        rank = cone_rank_homological(c, slope)
-        cone = MappingCone(c, slope)
+        rank = cone_rank_homological(e, slope)
+        assert cone_rank_homological(c, slope) == rank + slope.q * c.acyclic_sum()
+        cone = MappingCone(e, slope)
         r = f2.rank(block_matrix(cone))
     assert rank == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
-    steps = [(k, v) for k, v in c._memo.items() if k[0] == "hsweep"]
+    steps = [(k, v) for k, v in e._memo.items() if k[0] == "hsweep"]
     for (_, carry_in, key), (increment, carry) in steps:
-        widths = [c.region_complex(HatA(s)).homology.dim for s in key]
+        widths = [e.region_complex(HatA(s)).homology.dim for s in key]
         for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
             assert all(0 < row < 1 << width for row in rows)
             assert tuple(f2.rref(f2.F2Matrix(width, rows))[0]) == rows

@@ -425,19 +425,22 @@ class TestHomologicalSweep:
         # Real cones have left every carry empty, so each key gets random
         # rows on its two HatA homology blocks.  The sweep must still give the
         # rank of each class's rows laid out in chain order, and so must the
-        # block matrix built from the same rows.
+        # block matrix built from the same rows.  The sweep runs on the
+        # essential summand (all of t25, the dot of the figure-eight times
+        # the trefoil), and the acyclic rest adds q * z.
         carried = 0
         for seed in range(8):
             monkeypatch.setattr(MappingCone, "induced_boundary", random_induced_boundary(seed))
             c = _complex(name)  # a fresh memo for each seed's rows
+            e = c.essential_summand
             for slope in (Slope(1, 1), Slope(1, 3), Slope(2, 3), Slope(3, 2), Slope(5, 4)):
-                cone = MappingCone(c, slope)
+                cone = MappingCone(e, slope)
                 classes = (_shifted_blocks(cone, first, "induced_boundary") for first in cone.a_columns[:slope.p])
                 ranked = sum(f2.rank(_matrix([row for _, block in blocks for row in block])) for blocks in classes)
                 assert f2.rank(block_matrix(cone)) == ranked, (seed, slope)
                 expected = cone.a_homology_dim + cone.b_homology_dim - 2 * ranked
-                assert cone_rank_homological(c, slope) == expected, (seed, slope)
-            carried += sum(1 for _, carry, _ in _sweep_entries(c, "hsweep") if carry)
+                assert cone_rank_homological(c, slope) == expected + slope.q * c.acyclic_sum(), (seed, slope)
+            carried += sum(1 for _, carry, _ in _sweep_entries(e, "hsweep") if carry)
         assert carried
 
     def test_memo_stays_bounded_as_q_grows(self):
@@ -804,9 +807,37 @@ class TestRankReport:
         for slope in coprime_slopes(8, 8):
             compute_rank_report(c, slope)
             cone_rank_homological(c, slope)
-        maps = [m for m in c._memo.values() if isinstance(m, FilteredChainMap)]
+        # The induced maps are those of the essential summand, t25 times the
+        # figure-eight's dot.
+        maps = [m for m in c.essential_summand._memo.values() if isinstance(m, FilteredChainMap)]
         assert any(id(m.induced) in ranked for m in maps)
         assert all(len(ms) == 1 for ms in ranked.values())
+
+    @pytest.mark.parametrize(
+        "c",
+        [tensor(builtin("figure_eight"), builtin("t27")), random_complex(RandomSpec(seed=6, dots=1, boxes=6, max_offset=3))],
+        ids=["figure_eight#t27", "1 dot 6 boxes"],
+    )
+    def test_no_homology_basis_of_the_whole_complex(self, monkeypatch, c):
+        # Both complexes split: the figure-eight's box and every random box
+        # have b = 0.  The rank report and the homological route read
+        # homology on the essential summand only, and the acyclic rest's
+        # H(HatA(s)) off the whole complex's cycles, so no homology basis
+        # as wide as the whole complex is built.
+        widths = []
+        init = f2.HomologyBasis.__init__
+
+        def counting(self, differential, cycles, image):
+            widths.append(differential.cols)
+            init(self, differential, cycles, image)
+
+        monkeypatch.setattr(f2.HomologyBasis, "__init__", counting)
+        n = len(c.generators)
+        assert len(c.essential_summand.generators) < n
+        for slope in (Slope(1, 1), Slope(3, 2), Slope(5, 3), Slope(2, 7)):
+            compute_rank_report(c, slope)
+            cone_rank_homological(c, slope)
+        assert widths and n not in widths
 
     def test_trefoil_report(self):
         report = compute_rank_report(builtin("trefoil_rh"), Slope(1, 1))
