@@ -40,6 +40,41 @@ A(x) < s = A(y) - k, which the filtration rule A(y) - k <= A(x) forbids.
 So a scan over a range of s reads one object per run of a class, and
 :meth:`CfkComplex.class_runs` is the one place that finds the runs.
 
+A complex with a flip has the conjugation symmetry of Ozsvath-Szabo (arXiv
+math/0504404), and ``cfk`` reads h_hat(s) and half of the regions' cycles
+through it.  The flip sends U^k x to U^(k - A(x)) flip(x), which sits at
+(j, i) when U^k x sits at (i, j), so Phi_s = U^s o flip sends (i, j) to
+(j - s, i - s) and the level set max(i, j - s) = 0 onto
+max(i', j' + s) = 0.  Validation checks that the flip commutes with the
+differential, so Phi_s is a chain isomorphism HatA(s) -> HatA(-s), and it
+sends the one copy of x_i to the one copy of flip(x_i): element i goes to
+element flip[i], the flip permutation of the generator order.  It lands
+in i' = 0 exactly when j = s, so h_hat(s) = v_hat(-s) o Phi_s: v_hat(-s)
+keeps element flip[i] when A(flip(x_i)) = -A(x_i) <= -s, which is
+h_hat(s)'s rule.  Validation also checks A(flip(x)) = -A(x), so the
+gradings, and with them the cuts a and a + 1, are symmetric under
+s -> 1 - s: the run of a class from a cut c to the next cut c' - 1 goes
+to the run from 1 - c' to -c, and the classes mirror exactly.  The run
+that contains 0 goes to itself; it is the one self-conjugate class, the
+middle one.
+A region whose class lies below its mirror's (``alexander_class(-s) > s``)
+is a :class:`MirroredRegion`: it takes the mirror's cycles moved through
+the flip permutation, in the mirror's order, and their rows permuted,
+with no elimination.  Phi_s being a chain isomorphism, they are a basis
+of its cycles.  The two bases then correspond under Phi_s on every class
+but the middle one, and so do the homology bases built on them: a
+:class:`f2.HomologyBasis` picks cycle k exactly when it is independent of
+the boundary space and the cycles picked before it, Phi_s maps boundary
+space onto boundary space, so both sides pick the same k, and ``coords``
+of Phi_s(z) on one side is ``coords`` of z on the other.  Hence every
+matrix a map out of HatA(-s) has on the cycle basis or on homology is the
+matrix of that map composed with Phi_s, and h_hat(s)'s ``on_cycles``,
+``induced`` and ``induced_rank`` are exactly those of v_hat of the mirror
+class.  :meth:`CfkComplex.h_read` returns that map; h_hat(s) itself is
+built, and chain-map checked, only where it is asked for, which the rank
+routes do for the middle class alone: there HatA(s) is its own mirror,
+and Phi_s is an automorphism of it that need not fix its one basis.
+
 A complex with a flip splits along the connected components of the graph
 with one edge per differential arc and one per flip pair.  Each component
 is closed under the differential and the flip, so it is a flip-invariant
@@ -62,7 +97,7 @@ component, or every component, has b = 0.
 
 This module owns the precondition policy and checks it where data is
 built.  Regions, the genus and the hfk counts need a valid complex
-(:meth:`CfkComplex.require_valid`); h_hat also needs a flip
+(:meth:`CfkComplex.require_valid`); h_hat and h_read also need a flip
 (:meth:`CfkComplex.require_flip`).  A memoized value implies that its
 checks passed, so a memo hit repeats none of them.  A caller that reads
 a region, a chain map or the genus therefore raises InvalidComplexError
@@ -156,6 +191,32 @@ class ValidationReport:
         return "\n".join(str(issue) for issue in self.issues)
 
 
+def move_bits(masks, to) -> list[int]:
+    """Each mask with each bit b moved to bit ``to[b]``, or dropped where
+    that is -1: a chain map for ``to = index`` and its transpose for the
+    preimage, and the flip permutation for a mirrored region's cycles.
+
+    There is one path for every map.  A projection branch for v_hat(s),
+    one AND with a mask of the kept elements, cost more than it saved,
+    since finding the mask scans the index twice on every map built:
+    without it, ``survey-fresh`` ``wall_s`` read 0.489 -> 0.473 s
+    median (faster in 9 of 10 alternating pairs of 20 s ``perfbench``
+    runs, seeds 2901-2910, on a shared 2-core Intel Xeon with Python
+    3.11.7), and ``scan-grid`` and ``cli`` stayed within 1.5%.
+    """
+    out = []
+    for mask in masks:
+        moved = 0
+        while mask:
+            low = mask & -mask
+            b = to[low.bit_length() - 1]
+            if b >= 0:
+                moved |= 1 << b
+            mask ^= low
+        out.append(moved)
+    return out
+
+
 class RegionComplex:
     """A finite GF(2) complex cut out of the (i, j) lattice.
 
@@ -172,7 +233,9 @@ class RegionComplex:
     cycles and the boundary space that the homology quotients them by, so
     whichever of the two is read first, the boundary is eliminated once.
     The boundary space is held from the read of the cycles until the
-    homology takes it over.
+    homology takes it over.  A :class:`MirroredRegion` reads its cycles
+    and their rows off its mirror instead, and eliminates its boundary
+    only if its homology is read.
     """
 
     def __init__(self, tag, boundary: F2Matrix):
@@ -187,7 +250,8 @@ class RegionComplex:
         cycles = self.cycles
         # Taken, not shared: the basis extends the table in place.  Two
         # threads may build the basis at once, and the one that finds the
-        # table taken eliminates the boundary again.
+        # table taken eliminates the boundary again.  A mirrored region
+        # never holds one.
         image = vars(self).pop("_image", None)
         if image is None:
             image = f2.column_elimination(self.boundary)[1]
@@ -195,9 +259,12 @@ class RegionComplex:
 
     @cached_property
     def cycles(self) -> tuple[int, ...]:
-        """The region's one basis of its boundary's kernel,
-        ``f2.kernel_basis(boundary)`` as column masks, built on first read.
-        The same elimination leaves the boundary space for :attr:`homology`."""
+        """The region's one basis of its boundary's kernel, as column masks,
+        built on first read: ``f2.kernel_basis(boundary)`` for a region
+        built directly, whose elimination leaves the boundary space for
+        :attr:`homology`.  A :class:`MirroredRegion` moves its mirror's
+        basis instead, which is a basis of the same kernel but not, in
+        general, the one ``kernel_basis`` gives."""
         cycles, self._image = f2.column_elimination(self.boundary)
         return tuple(cycles)
 
@@ -216,15 +283,41 @@ class RegionComplex:
         return f"RegionComplex({self.tag}, dim={self.dim})"
 
 
+class MirroredRegion(RegionComplex):
+    """HatA(s) for a class s below its mirror class, whose cycles and their
+    rows are its mirror's moved through the flip permutation ``flip``.
+
+    The ``cfk`` module docstring proves that element i of HatA(s) going to
+    element flip[i] of HatA(-s) is a chain isomorphism, so the moved basis
+    is a basis of this region's cycles, in the mirror's order.  Cycle k here
+    is the image of the mirror's cycle k, and row i of its cycle rows is the
+    mirror's row flip[i]; neither read eliminates or transposes anything.
+    """
+
+    def __init__(self, tag, boundary: F2Matrix, mirror: RegionComplex, flip: tuple[int, ...]):
+        super().__init__(tag, boundary)
+        self.mirror = mirror
+        self.flip = flip
+
+    @cached_property
+    def cycles(self) -> tuple[int, ...]:
+        return tuple(move_bits(self.mirror.cycles, self.flip))
+
+    @cached_property
+    def cycle_rows(self) -> tuple[int, ...]:
+        rows = self.mirror.cycle_rows
+        return tuple(rows[i] for i in self.flip)
+
+
 class FilteredChainMap:
     """A chain map between region complexes that sends each source element
     to one target element or to zero, held as a generator index map:
     ``index[i]`` is the target element that source element i goes to, or
     -1, and no two source elements go to the same one.  No dense matrix is
     kept.  v_hat(s) and h_hat(s) alike are applied, checked and transposed
-    by the one bit-moving loop of :meth:`_move`, with no projection branch
-    for v_hat(s) (see :meth:`_move` for why).  On homology a map answers one
-    cached number, :attr:`induced_rank`.
+    by the one bit-moving loop of :func:`move_bits`, with no projection
+    branch for v_hat(s) (see :func:`move_bits` for why).  On homology a map
+    answers one cached number, :attr:`induced_rank`.
 
     The one check of f∘∂ = ∂∘f is here, made on every map built.  Row r of
     the map's matrix holds the bit of r's preimage, or none, so row r of
@@ -242,7 +335,7 @@ class FilteredChainMap:
         preimage = self._preimage()
         boundary = source.boundary.data
         left = [boundary[i] if i >= 0 else 0 for i in preimage]
-        if left != self._move(target.boundary.data, preimage):
+        if left != move_bits(target.boundary.data, preimage):
             raise f2.NotAChainMapError(
                 f"map {source.tag} -> {target.tag} does not commute with boundaries"
             )
@@ -258,34 +351,9 @@ class FilteredChainMap:
                 preimage[r] = i
         return preimage
 
-    def _move(self, masks, to) -> list[int]:
-        """Each mask with each bit b moved to bit ``to[b]``, or dropped where
-        that is -1: the map itself for ``to = index``, and its transpose
-        for the preimage.
-
-        There is one path for every map.  A projection branch for v_hat(s),
-        one AND with a mask of the kept elements, cost more than it saved,
-        since finding the mask scans the index twice on every map built:
-        without it, ``survey-fresh`` ``wall_s`` read 0.489 -> 0.473 s
-        median (faster in 9 of 10 alternating pairs of 20 s ``perfbench``
-        runs, seeds 2901-2910, on a shared 2-core Intel Xeon with Python
-        3.11.7), and ``scan-grid`` and ``cli`` stayed within 1.5%.
-        """
-        out = []
-        for mask in masks:
-            moved = 0
-            while mask:
-                low = mask & -mask
-                b = to[low.bit_length() - 1]
-                if b >= 0:
-                    moved |= 1 << b
-                mask ^= low
-            out.append(moved)
-        return out
-
     def apply(self, vec: int) -> int:
         """The image of a source vector, given as a bit mask."""
-        return self._move((vec,), self.index)[0]
+        return move_bits((vec,), self.index)[0]
 
     @property
     def rows(self) -> int:
@@ -610,7 +678,20 @@ class CfkComplex:
                 # generator; 0 ^ unit would make a fresh int.
                 mask = masks[row]
                 masks[row] = mask ^ units[col] if mask else units[col]
-        return RegionComplex(tag, F2Matrix(len(units), tuple(masks)))
+        boundary = F2Matrix(len(units), tuple(masks))
+        if self.flip_map is not None and (mirror := self.alexander_class(-s)) > s:
+            # A class below its mirror: its cycles are the mirror's, moved.
+            return MirroredRegion(tag, boundary, self.region_complex(HatA(mirror)), self._flip_index)
+        return RegionComplex(tag, boundary)
+
+    @cached_property
+    def _flip_index(self) -> tuple[int, ...]:
+        """The flip as a permutation of the generator order: entry i is the
+        position of flip(x_i), one of the ints of ``index``.  Read only on a
+        valid complex with a flip."""
+        ids, _, index, _, _ = self._order
+        flip = self.flip_map
+        return tuple(index[flip[gid]] for gid in ids)
 
     # -- the canonical maps -------------------------------------------------
 
@@ -640,17 +721,27 @@ class CfkComplex:
         (x, k) to (flip(x), 0) exactly when alexander(x) >= s, so element
         i goes to element index(flip(x_i)) then, and to zero otherwise.
         Memoized under the class of s, which validates the complex before
-        the flip check.
+        the flip check.  The rank routes read it through :meth:`h_read`.
         """
         s = self.alexander_class(s)
 
         def build() -> FilteredChainMap:
-            ids, alexander, index, _, _ = self._order
+            alexander = self._order[1]
             self.require_flip()
-            flip = self.flip_map
-            return self._from_hat_a(s, [index[flip[gid]] if a >= s else -1 for gid, a in zip(ids, alexander)])
+            return self._from_hat_a(s, [f if a >= s else -1 for f, a in zip(self._flip_index, alexander)])
 
         return self.cached(("h", s), build)
+
+    def h_read(self, s: int) -> FilteredChainMap:
+        """The map to read h_hat(s) off: its ``on_cycles``, ``induced`` and
+        ``induced_rank`` are h_hat(s)'s.  For every class but the middle one
+        it is v_hat of the mirror class, h_hat(s) = v_hat(-s) o Phi_s, as the
+        module docstring proves; only the middle class builds h_hat itself.
+        Finding the class validates the complex before the flip check."""
+        s = self.alexander_class(s)
+        self.require_flip()
+        mirror = self.alexander_class(-s)
+        return self.h_hat(s) if mirror == s else self.v_hat(mirror)
 
     # -- the essential summand --------------------------------------------------
 
@@ -671,8 +762,7 @@ class CfkComplex:
         # ascending order then points every position at its root.  Most
         # knot complexes are connected, so the edges stop at one component.
         root = list(range(n))
-        flip = self.flip_map
-        for a, b in chain(((a, b) for a, b, _ in arcs), ((i, index[flip[gid]]) for i, gid in enumerate(ids))):
+        for a, b in chain(((a, b) for a, b, _ in arcs), enumerate(self._flip_index)):
             if parts == 1:
                 break
             while root[a] != a:

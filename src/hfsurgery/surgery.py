@@ -68,10 +68,10 @@ dimension, and the next carry is the part of that row space with no bit
 below HatA block j: the reduced rows whose pivot lies in block j.  Both
 are functions of the carry and of the maps h_hat((j - p) // q) and
 v_hat(j // q) that fix block j's rows.  ``cfk`` builds those once per
-Alexander class of s, so the key is the pair of classes of the two floors,
-read from one table per range of floors, and each step is memoized on the
-complex under ("sweep", carry, key), shared across residue classes,
-slopes and windows.  Only the distinct steps are ever eliminated, so a
+Alexander class of s (h_hat read as below), so the key is the pair of
+classes of the two floors, read from one table per range of floors, and
+each step is memoized on the complex under ("sweep", carry, key), shared
+across residue classes, slopes and windows.  Only the distinct steps are ever eliminated, so a
 run of blocks in the same two classes costs one elimination per distinct
 carry, and no step's matrix spans more than three blocks.
 Route one reads homology only through the genus, which fixes the window
@@ -93,6 +93,17 @@ per region (``RegionComplex.cycle_rows``).  Route two moves the bits of
 each homology representative through the index (``induced``).  A fault
 in either read shows as a disagreement, and the tests check both against
 the dense element-by-element matrices of a reference model.
+
+Both routes, the containment verdicts, t and the kernel construction
+read h_hat(s) through ``CfkComplex.h_read``.  For every Alexander class
+but the middle one, the run that contains 0, that is v_hat of the mirror
+class: h_hat(s) = v_hat(-s) o Phi_s with Phi_s = U^s o flip a chain
+isomorphism HatA(s) -> HatA(-s), and a region below its mirror class takes
+its cycles from the mirror through Phi_s, so the two maps have one matrix
+on the cycle basis and one on homology (the ``cfk`` docstring has the
+proof).  A complex thus builds one map per class, v_hat, and h_hat for the
+middle class alone.  The mirror is looked up only where a map is built or
+a sweep step is a memo miss, never on a hit.
 
 The block matrix has the cone's shape without the HatB blocks: its row
 block j is [h_hat((j - p) // q)_* | v_hat(j // q)_*] on the homology of
@@ -296,7 +307,7 @@ class MappingCone:
         The rows depend on the key alone, and the chain route's sweep reads
         them only on a memo miss, so they are built on every call, as bare
         masks: the sweep validates the one matrix it eliminates."""
-        h_map = self.complex.h_hat(key[0]).on_cycles
+        h_map = self.complex.h_read(key[0]).on_cycles
         v_map = self.complex.v_hat(key[1]).on_cycles
         b_shift = h_map.cols
         v_start = b_shift + self._b_region.dim
@@ -318,7 +329,7 @@ class MappingCone:
         HatA block j - p, then the HatA block j.  Like
         :meth:`total_boundary` it depends on the key alone and is built on
         every call, as bare masks."""
-        h_ind = self.complex.h_hat(key[0]).induced
+        h_ind = self.complex.h_read(key[0]).induced
         v_ind = self.complex.v_hat(key[1]).induced
         v_start = h_ind.cols
         rows = tuple(h | (v << v_start) for h, v in zip(h_ind.data, v_ind.data))
@@ -364,13 +375,19 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
         carry_out = tuple(row >> v_start for row, pivot in zip(reduced, pivots) if pivot >= v_start)
         return rank(m, pivots) - len(carry), carry_out
 
+    # One probe of the memo per HatB block: ``c.cached`` would add a call
+    # and a closure to every block, hit or miss.
+    memo = c._memo
     added = 0
     for start in b[:p]:
         carry = ()
         # j runs shifted by first * q, so that floor s is entry s - first.
         for j in range(start - first * q, b.stop - first * q, p):
             key = (classes[(j - p) // q], classes[j // q])
-            increment, carry = c.cached((tag, carry, key), lambda: step(carry, key))
+            entry = memo.get(memo_key := (tag, carry, key))
+            if entry is None:
+                entry = memo[memo_key] = step(carry, key)
+            increment, carry = entry
             added += increment
     return added
 
@@ -424,13 +441,13 @@ def _meet(c: CfkComplex, a: int, b: int) -> int:
     clamped pair, so the meet is too: however far apart the gradings are,
     there is one entry per pair of classes.  The meet is
     rank v + rank h - rank [v | h], with the ``induced_rank`` each map
-    caches.
+    caches, h_hat(b) read through ``CfkComplex.h_read``.
     """
     g = c.genus()
     a, b = c.alexander_class(min(a, g)), c.alexander_class(max(b, -g))
 
     def compute() -> int:
-        v, h = c.v_hat(a), c.h_hat(b)
+        v, h = c.v_hat(a), c.h_read(b)
         return v.induced_rank + h.induced_rank - f2.rank(v.induced.hstack(h.induced))
 
     return c.cached(("meet", a, b), compute)
@@ -499,7 +516,7 @@ def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
 
     def compute() -> HypothesisReport:
         e, g = c.essential_summand, c.genus()
-        return HypothesisReport(per_run(e, 0, g, e.h_hat), per_run(e, -g, 0, e.v_hat))
+        return HypothesisReport(per_run(e, 0, g, e.h_read), per_run(e, -g, 0, e.v_hat))
 
     return c.cached("hypothesis", compute)
 
@@ -594,11 +611,14 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
 
     Column j reads its maps at s = j // q, which ``cfk`` memoizes under the
     Alexander class of s, so however large p is the construction builds
-    one region and one map of each kind per class.  The columns of a class
-    run read the same few induced maps, so ``f2.kernel_basis``, ``f2.solve``
-    and ``f2.image_intersection_basis`` are cached for this call only:
-    each distinct (matrix, target) is eliminated once, and nothing is kept
-    on the complex.
+    one region and one map of each kind per class.  Its coefficients are
+    on the homology basis of HatA(j // q), which is what h_hat's induced
+    matrix read through ``CfkComplex.h_read`` is on as well, since a region
+    below its mirror class has the mirror's basis moved through the flip.
+    The columns of a class run read the same few induced maps, so
+    ``f2.kernel_basis``, ``f2.solve`` and ``f2.image_intersection_basis``
+    are cached for this call only: each distinct (matrix, target) is
+    eliminated once, and nothing is kept on the complex.
     """
     require_hypothesis(c)
     q, p, g = slope.q, slope.p, c.genus()
@@ -608,7 +628,7 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     def ind(j: int, step: int) -> F2Matrix:
         """The induced map column j solves against on a walk of this step:
         v_hat for step > 0, h_hat for step < 0."""
-        return (c.v_hat(j // q) if step > 0 else c.h_hat(j // q)).induced
+        return (c.v_hat(j // q) if step > 0 else c.h_read(j // q)).induced
 
     def extend(element: dict[int, int], j: int, coeff: int, step: int) -> None:
         """Cancel the image of ``coeff`` at column j, column by column:

@@ -15,6 +15,11 @@ matrix, and ``assert_maps_match_dense`` checks the map's cycle and
 homology matrices against the reference matrix's.
 A library region keeps only its boundary, so its (id, upower) elements
 are ``reference_members`` of its tag, rebuilt from s itself.
+The library reads h_hat(s) off v_hat of the mirror class and takes the
+cycles of a region below its mirror class from that mirror, so
+``assert_conjugation_symmetry`` checks both against h_hat(s) built
+directly, against the elimination-free laws of a cycle basis and against
+``region_flip_equivalence``.
 A map caches only its induced rank, so ``kernel_dim`` and ``is_iso`` read
 the kernel dimension and whether it is an isomorphism off it.
 The library scans s one Alexander class run at a time, so
@@ -42,6 +47,7 @@ from hfsurgery.cfk import (
     Generator,
     HatA,
     HatB,
+    MirroredRegion,
     RegionComplex,
 )
 from hfsurgery import f2, surgery
@@ -93,6 +99,37 @@ def region_flip_equivalence(c: CfkComplex, s: int) -> FilteredChainMap:
         for gid, _ in reference_members(c, HatA(s))
     ]
     return FilteredChainMap(source, target, index)
+
+
+def assert_conjugation_symmetry(c: CfkComplex) -> int:
+    """For every Alexander class s but the self-conjugate middle one,
+    h_hat(s), built directly, has the cycle matrix, induced matrix and
+    induced rank of v_hat of the mirror class, which is what
+    ``CfkComplex.h_read(s)`` returns; the middle class reads h_hat itself.
+    A region is a ``MirroredRegion`` exactly when its class lies below its
+    mirror's, and then its flip is the reference isomorphism
+    HatA(s) -> HatA(-s), its cycles are closed, independent and
+    dim - rank(boundary) in number, and its cycle rows are its cycles as
+    rows.  Returns the number of classes other than the middle one."""
+    cuts = c.alexander_cuts
+    checked = 0
+    for s, _ in c.class_runs(cuts[0] - 1, cuts[-1]):
+        mirror, region = c.alexander_class(-s), c.region_complex(HatA(s))
+        assert isinstance(region, MirroredRegion) == (mirror > s), s
+        if mirror == s:
+            assert c.h_read(s) is c.h_hat(s), s
+            continue
+        h, v = c.h_hat(s), c.v_hat(mirror)
+        assert c.h_read(s) is v, s
+        assert (h.on_cycles, h.induced, h.induced_rank) == (v.on_cycles, v.induced, v.induced_rank), s
+        if isinstance(region, MirroredRegion):
+            assert region.flip == region_flip_equivalence(c, s).index, s
+            rows = F2Matrix.from_columns(region.cycles, region.dim)
+            assert (region.boundary @ rows).is_zero() and rows.data == region.cycle_rows, s
+            independent = f2.rank(F2Matrix(region.dim, region.cycles))
+            assert len(region.cycles) == region.dim - f2.rank(region.boundary) == independent, s
+        checked += 1
+    return checked
 
 
 def kernel_dim(m: FilteredChainMap) -> int:

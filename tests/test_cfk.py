@@ -13,9 +13,11 @@ from hfsurgery.cfk import (
     Generator,
     HatA,
     HatB,
+    MirroredRegion,
     UnknownRegionError,
+    move_bits,
 )
-from hfsurgery.f2 import InvalidComplexError
+from hfsurgery.f2 import F2Matrix, InvalidComplexError
 from hfsurgery.knots import BUILTIN_NAMES, builtin, tensor
 from hfsurgery.surgery import Slope, compute_rank_report, cone_rank_homological
 
@@ -183,17 +185,27 @@ class TestRegions:
         # what it caches from the boundary, its cycles, their rows and its
         # homology: no per-element data, which a region shared by a whole
         # Alexander class could not have, and no boundary space apart from
-        # the homology's.
+        # the homology's.  A region below its mirror class holds, besides,
+        # the mirror region it reads its cycles off and the complex's flip
+        # permutation, and no boundary space at all.
         c = after_both_routes()
         regions = [
             value
             for key, value in c._memo.items()
             if isinstance(key, tuple) and key[0] == "region" and isinstance(key[1], (HatA, HatB))
         ]
-        assert len(regions) > 2
-        for region in regions:
+        direct = [region for region in regions if not isinstance(region, MirroredRegion)]
+        mirrored = [region for region in regions if isinstance(region, MirroredRegion)]
+        assert len(direct) > 2 and len(mirrored) > 2
+        for region in direct:
             assert region.dim == len(c.generators)
             assert set(vars(region)) <= {"tag", "boundary", "cycles", "cycle_rows", "homology"}
+        for region in mirrored:
+            assert region.dim == len(c.generators)
+            assert set(vars(region)) <= {"tag", "boundary", "cycles", "cycle_rows", "homology", "mirror", "flip"}
+            assert region.mirror is c.region_complex(HatA(-region.tag.s))
+            assert not isinstance(region.mirror, MirroredRegion)
+            assert region.flip is c._flip_index
 
     def test_hat_maps_keep_only_their_index(self):
         # After both rank routes, every memoized v_hat and h_hat holds its
@@ -253,16 +265,36 @@ class TestRegions:
             calls.clear()
         # A read that finds the boundary space taken, as a second thread
         # building the same homology can, eliminates the boundary again and
-        # builds the same basis.
-        region = fig8.region_complex(HatA(-1))
+        # builds the same basis.  HatA(-1) of the figure-eight is read off
+        # its mirror, so the region here is t25's HatA(1), built directly.
+        t25 = builtin("t25")
+        region = t25.region_complex(HatA(1))
+        assert not isinstance(region, MirroredRegion)
         region.cycles
         vars(region).pop("_image")
-        fresh = models.reference_complex(fig8, HatA(-1))
+        fresh = models.reference_complex(t25, HatA(1))
         assert region.homology.reps == fresh.homology.reps
         assert [region.homology.coords(v) for v in region.cycles] == [
             fresh.homology.coords(v) for v in fresh.cycles
         ]
         assert calls == [region.dim, region.dim, region.dim]
+        calls.clear()
+        # HatA(-1) of the figure-eight lies below its mirror class, whose
+        # region is HatB: its cycles are HatB's moved through the flip, read
+        # with no elimination and holding no boundary space.  They are a
+        # basis of its cycles, in HatB's order; its homology eliminates its
+        # own boundary once and picks the moved representatives.
+        region, mirror = fig8.region_complex(HatA(-1)), fig8.region_complex(HatB())
+        assert isinstance(region, MirroredRegion) and region.mirror is mirror
+        region.cycles
+        assert calls == [] and "_image" not in vars(region)
+        assert list(region.cycles) == move_bits(mirror.cycles, region.flip)
+        rows = F2Matrix.from_columns(region.cycles, region.dim)
+        assert (region.boundary @ rows).is_zero() and rows.data == region.cycle_rows
+        assert len(region.cycles) == region.dim - f2.rank(region.boundary) == f2.rank(F2Matrix(region.dim, region.cycles))
+        assert list(region.homology.reps) == move_bits(mirror.homology.reps, region.flip)
+        assert set(region.homology.reps) <= set(region.cycles)
+        assert calls == [region.dim] and "_image" not in vars(region)
 
 
 class TestVhat:

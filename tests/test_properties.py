@@ -5,13 +5,14 @@ fixed 100-seed corpus, but with hypothesis searching the RandomSpec space.
 """
 
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hfsurgery import f2
 from hfsurgery.cfk import CfkComplex, HatA, HatB
-from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
+from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, staircase, tensor
 from hfsurgery.obstructions import hypothesis_check
 from hfsurgery.surgery import (
     MappingCone,
@@ -455,3 +456,93 @@ def test_wide_complexes_agree_on_every_route(c, slope):
     assert rank == cone_rank_homological(c, slope)
     if hypothesis_holds(c):
         assert rank == rank_formula(c, slope)
+
+
+# The builtins and the 15 pairwise tensors of the five nontrivial ones.
+KNOT_NAMES = (*BUILTIN_NAMES, *(f"{a}#{b}" for a, b in combinations_with_replacement(BUILTIN_NAMES[1:], 2)))
+
+
+def knot(name: str) -> CfkComplex:
+    first, *rest = name.split("#")
+    c = builtin(first)
+    for part in rest:
+        c = tensor(c, builtin(part))
+    return c
+
+
+@pytest.mark.parametrize("name", KNOT_NAMES)
+def test_h_hat_reads_as_v_hat_of_the_mirror_class_on_knots(name):
+    # Phi_s = U^s o flip takes HatA(s) to HatA(-s) element by element, and
+    # h_hat(s) = v_hat(-s) o Phi_s; the ``cfk`` module docstring proves that
+    # the two maps then read alike on cycles and on homology.
+    models.assert_conjugation_symmetry(knot(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(complexes, spread_complexes))
+def test_h_hat_reads_as_v_hat_of_the_mirror_class(c):
+    models.assert_conjugation_symmetry(c)
+    models.assert_conjugation_symmetry(c.essential_summand)
+
+
+def farey_triples(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every triple of slopes p/q, r/s and (p+r)/(q+s) with |ps - qr| = 1
+    and every numerator and denominator at most n, as (p, q) pairs; 1/0 is
+    (1, 0)."""
+    fracs = [(p, q) for p in range(1, n + 1) for q in range(n + 1) if math.gcd(p, q) == 1]
+    return [
+        ((p, q), (r, s), (p + r, q + s))
+        for i, (p, q) in enumerate(fracs)
+        for r, s in fracs[i + 1:]
+        if abs(p * s - q * r) == 1 and p + r <= n and q + s <= n
+    ]
+
+
+def test_farey_triples():
+    triples = farey_triples(7)
+    assert len(triples) == 28 and ((1, 0), (1, 1), (2, 1)) in triples
+    for (p, q), (r, s), (m, n) in triples:
+        assert abs(p * s - q * r) == abs(p * n - q * m) == abs(r * n - s * m) == 1
+
+
+def assert_exact_triangle(c: CfkComplex, n: int) -> None:
+    """The surgery exact triangle (Ozsvath-Szabo, arXiv math/0105202): for
+    slopes at pairwise distance one, each of the three ranks is at most the
+    sum of the other two.  The 1/0 surgery is the ambient manifold, whose
+    rank is b.  Read by the chain route, the oracle, at every triple of
+    ``farey_triples(n)``."""
+
+    def rank(p: int, q: int) -> int:
+        return c.b_rank() if q == 0 else cone_rank_chain(c, Slope(p, q))
+
+    for triple in farey_triples(n):
+        ranks = [rank(*slope) for slope in triple]
+        assert all(2 * r <= sum(ranks) for r in ranks), (triple, ranks)
+
+
+@pytest.mark.parametrize("name", KNOT_NAMES)
+def test_surgery_exact_triangle_on_knots(name):
+    assert_exact_triangle(knot(name), 7)
+
+
+# Knot complexes beyond the builtins: staircases (L-space knots), their
+# mirrors, and either tensored with a builtin.  The triangle is a theorem
+# for complexes of knots; random dots-and-boxes complexes are not all known
+# to be, so they are left out.
+def staircase_knot(half: list[int], mirrored: bool, other: str) -> CfkComplex:
+    c = staircase(half + half[::-1])
+    return tensor(mirror(c) if mirrored else c, builtin(other))
+
+
+knot_complexes = st.builds(
+    staircase_knot,
+    st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    st.booleans(),
+    st.sampled_from(BUILTIN_NAMES),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(knot_complexes)
+def test_surgery_exact_triangle(c):
+    assert_exact_triangle(c, 6)
