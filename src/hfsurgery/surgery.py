@@ -112,9 +112,12 @@ bidiagonal within each class, and the same sweep ranks it.  Its carry
 is the row space so far cut down to HatA block j - p in homology
 coordinates, and its steps are memoized under ("hsweep", carry, key),
 apart from the chain route's ("sweep", carry, key).  Each memo miss is
-eliminated once by ``f2.rref``: the rank it adds is the pivot count less
-the carry's size, and the next carry the reduced rows with their pivot in
-the v block.  The chain route reads its increment from an ``f2.rank``
+eliminated once by ``f2.rref`` cut at the v block: the rank it adds is
+the pivot count less the carry's size, and the next carry the reduced
+rows with their pivot in the v block, the only rows the cut
+back-substitutes; the rows with a pivot left of it reach no later block.
+The tests and CI rebuild every step from the full form and compare.
+The chain route reads its increment from an ``f2.rank``
 call instead, the call the benchmark's tracer counts as the cone
 elimination.  Route two never builds the block matrix; the tests assemble
 it from the same per-key rows and check the routes and the kernel
@@ -370,10 +373,10 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
         block, width, v_start = rows(key)
         m = F2Matrix(width, carry + block)
-        reduced, pivots = f2.rref(m)
-        # The next carry: the reduced rows with no bit below the v block.
-        carry_out = tuple(row >> v_start for row, pivot in zip(reduced, pivots) if pivot >= v_start)
-        return rank(m, pivots) - len(carry), carry_out
+        # The next carry: the reduced rows with no bit below the v block,
+        # the only rows the cut form back-substitutes.
+        reduced, pivots = f2.rref(m, v_start)
+        return rank(m, pivots) - len(carry), tuple(row >> v_start for row in reduced)
 
     # One probe of the memo per HatB block: ``c.cached`` would add a call
     # and a closure to every block, hit or miss.

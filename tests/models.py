@@ -35,6 +35,10 @@ the tests compare the library's memoized meets and t against, and
 ``reference_kernel_basis`` and ``reference_solve`` read a kernel basis and
 a solution off the reduced row-echelon form, which the tests compare
 ``f2.kernel_basis`` and ``f2.solve`` against.
+The sweep eliminates each step by ``f2.rref`` cut at the v block, so
+``full_form_sweep_step`` reads a step off the full form instead, and
+``assert_sweep_steps_match_full_form`` checks every memoized step of the
+chain route's and the homological route's sweeps against it.
 """
 
 from dataclasses import dataclass
@@ -53,7 +57,7 @@ from hfsurgery.cfk import (
 from hfsurgery import f2, surgery
 from hfsurgery.f2 import DimensionError, F2Matrix
 from hfsurgery.knots import _box
-from hfsurgery.surgery import Slope, nu_surrogate
+from hfsurgery.surgery import MappingCone, Slope, nu_surrogate
 
 
 def dot_and_box(n: int) -> CfkComplex:
@@ -129,6 +133,38 @@ def assert_conjugation_symmetry(c: CfkComplex) -> int:
             independent = f2.rank(F2Matrix(region.dim, region.cycles))
             assert len(region.cycles) == region.dim - f2.rank(region.boundary) == independent, s
         checked += 1
+    return checked
+
+
+def full_form_sweep_step(rows: tuple[tuple[int, ...], int, int], carry: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """One sweep step read off the full reduced row-echelon form of
+    m = [carry; block]: the pivot count less the carry's size, and the
+    reduced rows whose pivot lies in the v block, shifted down to it.
+    ``rows`` is what ``MappingCone.total_boundary`` or ``induced_boundary``
+    gives for the step's key: the block, its width and where its v block
+    starts."""
+    block, width, v_start = rows
+    reduced, pivots = f2.rref(F2Matrix(width, carry + block))
+    carry_out = tuple(row >> v_start for row, p in zip(reduced, pivots) if p >= v_start)
+    return len(pivots) - len(carry), carry_out
+
+
+def assert_sweep_steps_match_full_form(c: CfkComplex) -> int:
+    """Every ("sweep", carry, key) entry in the memo of c or of its
+    essential summand equals :func:`full_form_sweep_step` of the key's
+    ``total_boundary`` rows, and every ("hsweep", carry, key) entry that of
+    its ``induced_boundary`` rows.  The rows depend on the key alone, so
+    a cone at any slope gives them.  Returns the number of entries
+    checked."""
+    checked = 0
+    for x in {id(x): x for x in (c, c.essential_summand)}.values():
+        cone = MappingCone(x, Slope(1, 1))
+        rows = {"sweep": cone.total_boundary, "hsweep": cone.induced_boundary}
+        for key, entry in list(x._memo.items()):
+            if isinstance(key, tuple) and key[0] in rows:
+                tag, carry, step = key
+                assert entry == full_form_sweep_step(rows[tag](step), carry), key
+                checked += 1
     return checked
 
 

@@ -333,6 +333,26 @@ def test_rref_is_reduced_echelon_form(data):
     assert y is not None and m.apply(y) == m.apply(x)
 
 
+def assert_rref_cuts_are_the_full_form_cut(m: F2Matrix, starts) -> None:
+    """``rref(m, start)`` gives every pivot of the full form and, of its
+    rows, exactly those whose pivot is at or above ``start``."""
+    full_rows, full_pivots = f2.rref(m)
+    assert f2.rref(m, 0) == (full_rows, full_pivots)
+    for start in starts:
+        rows, pivots = f2.rref(m, start)
+        assert pivots == full_pivots
+        assert rows == [row for row, p in zip(full_rows, full_pivots) if p >= start]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rref_cut_on_dense_matrices(data):
+    # Every start from 0 to the column count, on matrices up to 12 x 12.
+    rows, cols = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    m = data.draw(matrices(rows=rows, cols=cols))
+    assert_rref_cuts_are_the_full_form_cut(m, range(m.cols + 1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_solve_matches_the_rref_reference(data):
@@ -406,3 +426,15 @@ def test_rank_of_wide_sparse_rows(rows):
     expected = reference_rank(rows)
     assert f2.rank(m) == expected
     assert f2.rank(m.transpose()) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_sparse_rows(), st.integers(0, 8001))
+def test_rref_cut_on_wide_sparse_rows(rows, start):
+    # The cut's answer changes only where start passes a pivot, so each
+    # pivot and the column after it, both ends and one drawn start cover
+    # every start from 0 to the column count.
+    m = F2Matrix(8001, tuple(sum(1 << c for c in row) for row in rows))
+    pivots = f2.rref(m)[1]
+    starts = {0, m.cols, start, *pivots, *(p + 1 for p in pivots)}
+    assert_rref_cuts_are_the_full_form_cut(m, sorted(starts))

@@ -18,6 +18,7 @@ from hfsurgery.surgery import (
     MappingCone,
     Slope,
     cone_rank_chain,
+    coprime_slopes,
     cone_rank_homological,
     hypothesis_holds,
     kernel_basis_construction,
@@ -483,6 +484,30 @@ def test_h_hat_reads_as_v_hat_of_the_mirror_class_on_knots(name):
 def test_h_hat_reads_as_v_hat_of_the_mirror_class(c):
     models.assert_conjugation_symmetry(c)
     models.assert_conjugation_symmetry(c.essential_summand)
+
+
+def assert_sweep_steps_at_every_slope(c: CfkComplex) -> int:
+    """Run both rank routes at every coprime p, q <= 8, then check every
+    sweep step they memoized against the full-form step of ``models``."""
+    for slope in coprime_slopes(8, 8):
+        assert cone_rank_chain(c, slope) == cone_rank_homological(c, slope)
+    return models.assert_sweep_steps_match_full_form(c)
+
+
+@pytest.mark.parametrize("name", KNOT_NAMES)
+def test_sweep_steps_are_the_full_form_steps_on_knots(name):
+    # The sweep cuts f2.rref at the v block and keeps only the rows it
+    # carries, so its increments and carries must be those of the full
+    # reduced row-echelon form.  Only the unknot, of genus 0, has no HatB
+    # column at these slopes.
+    c = knot(name)
+    assert assert_sweep_steps_at_every_slope(c) or c.genus() == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(complexes, spread_complexes))
+def test_sweep_steps_are_the_full_form_steps(c):
+    assert_sweep_steps_at_every_slope(c)
 
 
 def farey_triples(n: int) -> list[tuple[tuple[int, int], ...]]:
