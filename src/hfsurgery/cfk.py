@@ -24,8 +24,9 @@ and the flip involution, built straight from that order.  Each sends an
 element to one element or to zero, so it is held as a generator index
 map, with no matrix: v_hat(s) keeps element i when alexander(x_i) <= s,
 and h_hat(s) sends it to the position of flip(x_i) when
-alexander(x_i) >= s.  The chain-map check and the maps' matrices on the
-cycle basis and on homology all read the index.
+alexander(x_i) >= s.  The chain-map check, the maps' rows between HatB's
+cocycles and the cycle basis, and their matrices on homology all read the
+index.
 
 HatA(s), v_hat(s) and h_hat(s) change with s only where s crosses an
 Alexander grading.  The cuts are a and a + 1 for every grading a, and the
@@ -68,7 +69,7 @@ the boundary space and the cycles picked before it, Phi_s maps boundary
 space onto boundary space, so both sides pick the same k, and ``coords``
 of Phi_s(z) on one side is ``coords`` of z on the other.  Hence every
 matrix a map out of HatA(-s) has on the cycle basis or on homology is the
-matrix of that map composed with Phi_s, and h_hat(s)'s ``on_cycles``,
+matrix of that map composed with Phi_s, and h_hat(s)'s ``on_cocycles``,
 ``induced`` and ``induced_rank`` are exactly those of v_hat of the mirror
 class.  :meth:`CfkComplex.h_read` returns that map; h_hat(s) itself is
 built, and chain-map checked, only where it is asked for, which the rank
@@ -228,8 +229,8 @@ class RegionComplex:
     class of s, whose members put different powers on it.
 
     What a region caches is read off its boundary on first use: its
-    cycles, their rows, and its homology.  One elimination of the
-    boundary's columns, :func:`f2.column_elimination`, gives both the
+    cycles, their rows, its cocycles and its homology.  One elimination of
+    the boundary's columns, :func:`f2.column_elimination`, gives both the
     cycles and the boundary space that the homology quotients them by, so
     whichever of the two is read first, the boundary is eliminated once.
     The boundary space is held from the read of the cycles until the
@@ -272,8 +273,17 @@ class RegionComplex:
     def cycle_rows(self) -> tuple[int, ...]:
         """The cycles as rows, built on first read: row i has bit k set
         when cycle k holds element i.  Every map out of the region reads
-        its rows on the cycle basis from these (``on_cycles``)."""
+        its cocycle rows from these (``on_cocycles``)."""
         return F2Matrix.from_columns(self.cycles, self.dim).data
+
+    @cached_property
+    def cocycles(self) -> tuple[int, ...]:
+        """A basis of the region's cocycles, the row vectors y with
+        y . boundary = 0, as masks over its elements, built on first read:
+        ``f2.kernel_basis`` of the transposed boundary, so there are
+        dim - rank(boundary) of them.  Only HatB's are read, by the maps
+        into it (``on_cocycles``)."""
+        return tuple(f2.kernel_basis(self.boundary.transpose()))
 
     @property
     def dim(self) -> int:
@@ -370,16 +380,27 @@ class FilteredChainMap:
         return f2.induced_map_on_homology(self, self.source.homology, self.target.homology)
 
     @cached_property
-    def on_cycles(self) -> F2Matrix:
-        """The map on the source's cycle basis, one column per vector of
-        ``source.cycles``, built on first read: row r is the source's cycle
-        row (``source.cycle_rows``) of r's preimage, or zero.  A row of it
-        is zero exactly when that row of the map lies in the row space of
-        the source's boundary.  Only the chain route reads it; the
-        homological route applies the map to each homology representative
-        instead."""
-        cycle_rows = self.source.cycle_rows
-        return F2Matrix(len(self.source.cycles), tuple(cycle_rows[i] if i >= 0 else 0 for i in self._preimage()))
+    def on_cocycles(self) -> F2Matrix:
+        """The map between the target's cocycles and the source's cycles,
+        y . f . N, one row per vector y of ``target.cocycles`` and one
+        column per vector of ``source.cycles``, built on first read: the
+        XOR of the source's cycle rows (``source.cycle_rows``) over the
+        preimages of y's bits.  A cocycle that is a coboundary, z . d, gives
+        zero, since d . f = f . d and d . N = 0.  Only the chain route
+        reads it; the homological route applies the map to each homology
+        representative instead."""
+        cycle_rows, preimage = self.source.cycle_rows, self._preimage()
+        rows = []
+        for y in self.target.cocycles:
+            acc = 0
+            while y:
+                low = y & -y
+                i = preimage[low.bit_length() - 1]
+                if i >= 0:
+                    acc ^= cycle_rows[i]
+                y ^= low
+            rows.append(acc)
+        return F2Matrix(len(self.source.cycles), tuple(rows))
 
     @cached_property
     def induced_rank(self) -> int:
@@ -743,7 +764,7 @@ class CfkComplex:
         return self.cached(("h", s), build)
 
     def h_read(self, s: int) -> FilteredChainMap:
-        """The map to read h_hat(s) off: its ``on_cycles``, ``induced`` and
+        """The map to read h_hat(s) off: its ``on_cocycles``, ``induced`` and
         ``induced_rank`` are h_hat(s)'s.  For every class but the middle one
         it is v_hat of the mirror class, h_hat(s) = v_hat(-s) o Phi_s, as the
         module docstring proves; only the middle class builds h_hat itself.

@@ -33,25 +33,35 @@ block-diagonal sum of the regions' own boundaries d.  Change the basis of
 each HatA block so that its last vectors are a basis N of its cycles, the
 kernel of d.  On the other basis vectors the block's rows have full
 column rank, so row operations with them clear every HatB entry there
-and change nothing else.  Hence, exactly over any field,
+and change nothing else.  That leaves, for each HatB block j, the rows
+[h_hat N(j-p) | d_B | v_hat N(j)], d_B being HatB's own boundary on the
+columns of HatB block j, which no other row meets.  So d_B splits off
+the same way from the other side.  Change the basis of the rows of block
+j so that its last vectors are a basis Y of HatB's cocycles, the row
+vectors y with y d_B = 0.  The other rows have full row rank on the
+columns of block j, so column operations with those columns clear the
+rest of them and change nothing else, and the rows of Y are zero there.
+Hence, exactly over any field,
 
     rank D = sum over the HatA columns j of rank d(HatA(floor(j/q)))
-             + rank of the HatB rows [h_hat N(j-p) | d(HatB) | v_hat N(j)].
+             + (number of HatB columns) * rank d_B
+             + rank of the rows y [h_hat N(j-p) | v_hat N(j)], y in Y.
 
-The first term is each block's dimension less its number of cycles,
-``MappingCone.a_boundary_rank``, and the second is what the sweep below
-adds up, so the rank of the cone's homology is its dimension less twice
-the sum of the two.  The cycle basis is taken once per region, and each
-map's rows on it once per map.  A map's row vanishes on the cycles
-exactly when it lies in the row space of d, so a HatB row is zero
-exactly when it lies in the span of the HatA rows, and only the nonzero
-ones are eliminated.  Their columns are laid out in chain order: for
-each residue class of j mod p, the columns j of that class in ascending
-order, each as its HatB block (when it exists) and then its HatA block,
-as wide as its cycles.  Column j maps only to HatB blocks j and j + p,
-both in the class of j, so the cone is block-diagonal over j mod p, and
-a HatB row j has entries only in the HatA blocks j - p and j on either
-side of it.
+The first two terms are ``MappingCone.boundary_rank``: each block's
+dimension less its number of cycles, and rank d_B, read once per complex
+by ``f2.rank`` and checked against HatB's dimension less its number of
+cocycles.  The third is what the sweep below adds up, so the rank of the
+cone's homology is its dimension less twice the sum.  The cycle basis is
+taken once per region, the cocycle basis once, on HatB, and each map's
+rows between the two once per map.  A cocycle that is a coboundary,
+y = z d_B, gives the zero row: d_B f = f d for f = v_hat or h_hat, so
+z d_B f N = z f d N = 0.  Only the nonzero rows are eliminated.  Their
+columns are laid out in chain order: for each residue class of j mod p,
+the HatA columns j of that class in ascending order, each as wide as its
+cycles.  Column j maps only to HatB blocks j and j + p, both in the class
+of j, so the cone is block-diagonal over j mod p, and the rows of HatB
+block j have entries only in the HatA blocks j - p and j on either side
+of it.
 
 So each class is ranked by a sweep over its HatB blocks in chain order,
 eliminating by lowest set bit.  A row is only ever reduced by pivots at
@@ -86,10 +96,11 @@ by column, gives its cycle basis, ``RegionComplex.cycles``, and the
 boundary space that its homology quotients that same basis by.  From
 there the routes part.  ``cfk`` holds each map as a generator index map,
 each element of HatA(s) going to one element of HatB or to zero, so
-neither route multiplies a map by a matrix.  Route one reads each map on
-the cycle basis (``on_cycles``): HatB row r is the row of the element
-that goes to r in the region's cycles, which are turned into rows once
-per region (``RegionComplex.cycle_rows``).  Route two moves the bits of
+neither route multiplies a map by a matrix.  Route one reads each map
+between HatB's cocycles and the source's cycle basis (``on_cocycles``):
+the row of cocycle y is the XOR of the cycle rows of the elements that go
+to y's elements, the cycles being turned into rows once per region
+(``RegionComplex.cycle_rows``).  Route two moves the bits of
 each homology representative through the index (``induced``).  A fault
 in either read shows as a disagreement, and the tests check both against
 the dense element-by-element matrices of a reference model.
@@ -117,11 +128,11 @@ the pivot count less the carry's size, and the next carry the reduced
 rows with their pivot in the v block, the only rows the cut
 back-substitutes; the rows with a pivot left of it reach no later block.
 The tests and CI rebuild every step from the full form and compare.
-The chain route reads its increment from an ``f2.rank``
-call instead, the call the benchmark's tracer counts as the cone
-elimination.  Route two never builds the block matrix; the tests assemble
-it from the same per-key rows and check the routes and the kernel
-construction against it.
+The chain route reads its increment from an ``f2.rank`` call instead,
+the call the benchmark's tracer counts as the cone elimination, and it
+reads rank d_B from one more such call per complex.  Route two never
+builds the block matrix; the tests assemble it from the same per-key rows
+and check the routes and the kernel construction against it.
 
 A cone is its distinct regions.  Column j copies HatA(j // q), which
 ``cfk`` builds once per Alexander class, so a cone keeps a list of
@@ -130,7 +141,7 @@ a class from lo // q to hi // q; the two top classes share the HatB region
 and one entry.  The runs are ``CfkComplex.class_runs(lo // q, hi // q)``,
 read from one memo entry that every cone from the same lo // q whose
 hi // q lies in the same class shares.  Dimensions and the HatA boundary
-rank are weighted sums over the list, and the sweep visits only the
+ranks are weighted sums over the list, and the sweep visits only the
 residue classes that own a HatB block, so however large p is and however
 far apart the Alexander gradings are, a cone reads at most one region per
 class run and sweeps at most (2g-1)q HatB blocks.  For p >= (2g-1)q the
@@ -290,36 +301,34 @@ class MappingCone:
         return self._per_column(lambda region: region.dim) + self._b_region.dim * len(self.b_columns)
 
     @property
-    def a_boundary_rank(self) -> int:
-        """Rank of the boundary's HatA rows: the boundary rank of each
-        column's region, its dimension less its cycles, summed over the
-        columns."""
-        return self._per_column(lambda region: region.dim - len(region.cycles))
+    def boundary_rank(self) -> int:
+        """Rank of the boundary's rows that the sweep does not read: the
+        boundary rank of each column's HatA region, its dimension less its
+        cycles, summed over the columns, and rank d_B once per HatB column,
+        as the module docstring proves."""
+        a_rank = self._per_column(lambda region: region.dim - len(region.cycles))
+        return a_rank + len(self.b_columns) * _hat_b_boundary_rank(self.complex)
 
     def total_boundary(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
-        """The nonzero HatB rows of one block of the cone's boundary, on the
-        HatA cycle bases: the rows, their width and the column where their
-        v block starts.
+        """The nonzero rows that one HatB block of the cone's boundary gives
+        the sweep, on HatB's cocycles and the HatA cycle bases: the rows,
+        their width and the column where their v block starts.
 
         A HatB row block j with key = ((j - p) // q, j // q), or the
-        Alexander classes of the two, which give the same maps, is
-        ``[h_hat(key[0]) | HatB boundary | v_hat(key[1])]``, each map on the
-        cycle basis of its source region: the HatA block j - p, the HatB
-        block j and the HatA block j, side by side in chain order.  Rows
-        that lie in the span of the HatA rows are zero here and dropped.
-        The rows depend on the key alone, and the chain route's sweep reads
-        them only on a memo miss, so they are built on every call, as bare
-        masks: the sweep validates the one matrix it eliminates."""
-        h_map = self.complex.h_read(key[0]).on_cycles
-        v_map = self.complex.v_hat(key[1]).on_cycles
-        b_shift = h_map.cols
-        v_start = b_shift + self._b_region.dim
-        rows = tuple(
-            row
-            for h, d, v in zip(h_map.data, self._b_region.boundary.data, v_map.data)
-            if (row := h | (d << b_shift) | (v << v_start))
-        )
-        return rows, v_start + v_map.cols, v_start
+        Alexander classes of the two, which give the same maps, gives
+        ``y [h_hat(key[0]) | v_hat(key[1])]`` for each HatB cocycle y,
+        each map on the cycle basis of its source region: the HatA block
+        j - p and the HatA block j, side by side in chain order.  HatB's own
+        boundary is ranked in :attr:`boundary_rank` instead, and the rows
+        of a coboundary are zero here and dropped.  The rows depend on the
+        key alone, and the chain route's sweep reads them only on a memo
+        miss, so they are built on every call, as bare masks: the sweep
+        validates the one matrix it eliminates."""
+        h_rows = self.complex.h_read(key[0]).on_cocycles
+        v_rows = self.complex.v_hat(key[1]).on_cocycles
+        v_start = h_rows.cols
+        rows = tuple(row for h, v in zip(h_rows.data, v_rows.data) if (row := h | (v << v_start)))
+        return rows, v_start + v_rows.cols, v_start
 
     # -- homology-level view --------------------------------------------------
 
@@ -395,6 +404,21 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     return added
 
 
+def _hat_b_boundary_rank(c: CfkComplex) -> int:
+    """rank d_B, the rank of HatB's boundary, memoized on the complex: one
+    ``f2.rank`` call, checked against HatB's dimension less its number of
+    cocycles, which ``f2.kernel_basis`` of the transpose counts."""
+
+    def compute() -> int:
+        region = c.region_complex(HatB())
+        rank = f2.rank(region.boundary)
+        if len(region.cocycles) != region.dim - rank:
+            raise f2.DimensionError(f"HatB has {len(region.cocycles)} cocycles, need {region.dim - rank}")
+        return rank
+
+    return c.cached("hat_b_boundary_rank", compute)
+
+
 def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
     """Total homology rank of the cone, from the chain-level boundary only.
 
@@ -409,9 +433,10 @@ def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
         # f2.rank call directly under the chain route as the cone
         # elimination (f2.elim_cone).
         added = _sweep(cone, "sweep", cone.total_boundary, lambda m, pivots: f2.rank(m))
-        # The dimension less twice the boundary rank: the HatA rows' rank
-        # plus what the sweep adds.
-        return cone.total_dim - 2 * (cone.a_boundary_rank + added)
+        # The dimension less twice the boundary rank: the rank of the HatA
+        # rows and of d_B, whose f2.rank call is made here on the first
+        # cone of the complex, plus what the sweep adds.
+        return cone.total_dim - 2 * (cone.boundary_rank + added)
 
     return c.cached(("cone_rank_chain", slope.p, slope.q), compute)
 

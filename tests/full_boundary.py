@@ -3,13 +3,14 @@ the symmetric windows of the truncation argument and the induced block
 matrix.
 
 The chain route never assembles the boundary.  It adds the HatA blocks'
-own boundary ranks to the ranks its sweep adds, block by block, from the
-HatB rows on the cycle bases of the HatA blocks
-(``MappingCone.total_boundary(key)``), each residue class of j mod p
-carrying one canonical block.  This module assembles every row in the
-original basis, reading each map's dense view from ``models.dense``, so
-tests can check that split against the full matrix, and replays the
-sweep's steps from the memo the chain route leaves.
+own boundary ranks and HatB's, once per HatB block, to the ranks its
+sweep adds, block by block, from the rows of HatB's cocycles on the cycle
+bases of the HatA blocks (``MappingCone.total_boundary(key)``), each
+residue class of j mod p carrying one canonical block.  This module
+assembles every row in the original basis, reading each map's dense view
+from ``models.dense``, so tests can check that split against the full
+matrix, and replays the sweep's steps from the memo the chain route
+leaves.
 On every complex tried, real cones leave every carry of either route's
 sweep empty, so ``random_induced_boundary`` gives the homological route
 rows whose carries matter.
@@ -136,7 +137,7 @@ def sweep_rank(cone) -> int:
     """The chain route's rank, swept on the cone's own window: what
     ``cone_rank_chain`` computes on the tight one."""
     added = _sweep(cone, "sweep", cone.total_boundary, lambda m, pivots: f2.rank(m))
-    return cone.total_dim - 2 * (cone.a_boundary_rank + added)
+    return cone.total_dim - 2 * (cone.boundary_rank + added)
 
 
 def _hom_offsets(cone) -> tuple[dict[int, int], int]:

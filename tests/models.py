@@ -11,8 +11,9 @@ HatB, Quadrant(t), v_hat and h_hat element by element, through an
 generator-indexed HatA(s), HatB and maps against them; the library builds
 no quadrant, so ``single_point_region_rank`` reads the reference one.
 The library holds a map as a generator index map, so ``dense`` builds its
-matrix, and ``assert_maps_match_dense`` checks the map's cycle and
-homology matrices against the reference matrix's.
+matrix, and ``assert_maps_match_dense`` checks the map's rows between
+HatB's cocycles and the cycles, and its homology matrix, against the
+reference matrix's.
 A library region keeps only its boundary, so its (id, upower) elements
 are ``reference_members`` of its tag, rebuilt from s itself.
 The library reads h_hat(s) off v_hat of the mirror class and takes the
@@ -30,6 +31,8 @@ The library scans s one Alexander class run at a time, so
 generators with gradings as far as n from 0, on which the tests and CI
 check that the cost follows the generator count, not the size of the
 gradings.
+``rank_os_b1`` is a fourth rank oracle for b = 1, Ozsvath-Szabo's formula
+in nu and the homology of each HatA(s), read off the reference model.
 ``image_intersection_rank`` is the plain meet of two column spaces, which
 the tests compare the library's memoized meets and t against, and
 ``reference_kernel_basis`` and ``reference_solve`` read a kernel basis and
@@ -41,6 +44,7 @@ The sweep eliminates each step by ``f2.rref`` cut at the v block, so
 chain route's and the homological route's sweeps against it.
 """
 
+import functools
 from dataclasses import dataclass
 
 from hfsurgery.cfk import (
@@ -125,7 +129,7 @@ def assert_conjugation_symmetry(c: CfkComplex) -> int:
             continue
         h, v = c.h_hat(s), c.v_hat(mirror)
         assert c.h_read(s) is v, s
-        assert (h.on_cycles, h.induced, h.induced_rank) == (v.on_cycles, v.induced, v.induced_rank), s
+        assert (h.on_cocycles, h.induced, h.induced_rank) == (v.on_cocycles, v.induced, v.induced_rank), s
         if isinstance(region, MirroredRegion):
             assert region.flip == region_flip_equivalence(c, s).index, s
             rows = F2Matrix.from_columns(region.cycles, region.dim)
@@ -299,14 +303,16 @@ def assert_matches_reference(c: CfkComplex) -> None:
 def assert_maps_match_dense(c: CfkComplex) -> None:
     """Every v_hat(s) and h_hat(s) with |s| <= genus + 1, applied by its
     index map, agrees with the dense element-by-element reference matrix:
-    ``on_cycles`` is that matrix times the source's cycle basis, and
-    ``induced`` is ``f2.induced_map_on_homology`` run on that matrix."""
+    ``on_cocycles`` is Y^T . matrix . N, Y being the target's cocycle
+    basis as columns and N the source's cycle basis, and ``induced`` is
+    ``f2.induced_map_on_homology`` run on that matrix."""
     g = c.genus()
     for s in range(-g - 1, g + 2):
         for kind, m in (("v", c.v_hat(s)), ("h", c.h_hat(s))):
             matrix = F2Matrix(m.source.dim, reference_map(c, kind, s))
             cycles = F2Matrix.from_columns(m.source.cycles, m.source.dim)
-            assert m.on_cycles == matrix @ cycles, (kind, s)
+            cocycles_t = F2Matrix(m.target.dim, m.target.cocycles)
+            assert m.on_cocycles == cocycles_t @ matrix @ cycles, (kind, s)
             induced = f2.induced_map_on_homology(matrix, m.source.homology, m.target.homology)
             assert m.induced == induced, (kind, s)
 
@@ -458,3 +464,39 @@ def t_closed_form(c: CfkComplex, slope: Slope) -> int:
     if nu == 0:
         return slope.p
     return max(0, slope.p - (2 * nu - 1) * slope.q)
+
+
+def rank_os_b1(c: CfkComplex, slope: Slope) -> int:
+    """The rank of p/q surgery on a complex with b = 1, by Ozsvath-Szabo's
+    formula (arXiv math/0504404, Prop. 9.6):
+
+        p + 2 max(0, (2 nu - 1) q - p) + q * sum over s of (dim H(HatA(s)) - 1).
+
+    A fourth oracle: it reads no cone, no block matrix and no t, and nu and
+    every dim H(HatA(s)) come from the reference regions and maps, built
+    element by element.  nu is the least s >= 0 with v_hat(s) nonzero on
+    homology; where nu is 0 or less the max term is 0 either way."""
+    nu, excess = _os_b1_terms(c)
+    p, q = slope.p, slope.q
+    return p + 2 * max(0, (2 * nu - 1) * q - p) + q * excess
+
+
+@functools.cache
+def _os_b1_terms(c: CfkComplex) -> tuple[int, int]:
+    """(nu, sum over s of dim H(HatA(s)) - 1) on the reference model, once
+    per complex.  Outside the Alexander gradings HatA(s) is HatB, or its
+    image under the flip, so the sum runs over the gradings alone, and
+    v_hat at the top grading is the identity of HatB, so nu is found by
+    then."""
+    grades = [g.alexander for g in c.generators]
+    b = reference_complex(c, HatB()).homology
+    assert b.dim == 1, "rank_os_b1 needs b = 1"
+
+    def v_rank(s: int) -> int:
+        a = reference_complex(c, HatA(s))
+        matrix = F2Matrix(a.dim, reference_map(c, "v", s))
+        return f2.rank(f2.induced_map_on_homology(matrix, a.homology, b))
+
+    nu = next(s for s in range(max(grades) + 1) if v_rank(s))
+    excess = sum(reference_complex(c, HatA(s)).homology.dim - 1 for s in range(min(grades), max(grades) + 1))
+    return nu, excess

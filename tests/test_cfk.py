@@ -182,12 +182,13 @@ class TestRegions:
     def test_hat_regions_keep_only_their_boundary(self):
         # After both rank routes, every memoized HatA and HatB region
         # holds its tag, its boundary with one column per generator and
-        # what it caches from the boundary, its cycles, their rows and its
-        # homology: no per-element data, which a region shared by a whole
-        # Alexander class could not have, and no boundary space apart from
-        # the homology's.  A region below its mirror class holds, besides,
-        # the mirror region it reads its cycles off and the complex's flip
-        # permutation, and no boundary space at all.
+        # what it caches from the boundary, its cycles, their rows, its
+        # cocycles (HatB's alone are read) and its homology: no per-element
+        # data, which a region shared by a whole Alexander class could not
+        # have, and no boundary space apart from the homology's.  A region
+        # below its mirror class holds, besides, the mirror region it reads
+        # its cycles off and the complex's flip permutation, and no boundary
+        # space at all.
         c = after_both_routes()
         regions = [
             value
@@ -199,7 +200,7 @@ class TestRegions:
         assert len(direct) > 2 and len(mirrored) > 2
         for region in direct:
             assert region.dim == len(c.generators)
-            assert set(vars(region)) <= {"tag", "boundary", "cycles", "cycle_rows", "homology"}
+            assert set(vars(region)) <= {"tag", "boundary", "cycles", "cycle_rows", "cocycles", "homology"}
         for region in mirrored:
             assert region.dim == len(c.generators)
             assert set(vars(region)) <= {"tag", "boundary", "cycles", "cycle_rows", "homology", "mirror", "flip"}
@@ -215,7 +216,7 @@ class TestRegions:
         maps = {key: value for key, value in c._memo.items() if isinstance(key, tuple) and key[0] in ("v", "h")}
         assert {kind for kind, _ in maps} == {"v", "h"} and len(maps) > 2
         for m in maps.values():
-            assert set(vars(m)) <= {"source", "target", "index", "induced", "on_cycles", "induced_rank"}
+            assert set(vars(m)) <= {"source", "target", "index", "induced", "on_cocycles", "induced_rank"}
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("t25#t27",))
     def test_hat_a_at_or_above_the_top_grading_is_hat_b(self, name):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hfsurgery import f2
 from hfsurgery.cfk import CfkComplex, HatA, HatB
+from hfsurgery.f2 import F2Matrix
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, staircase, tensor
 from hfsurgery.obstructions import hypothesis_check
 from hfsurgery.surgery import (
@@ -280,6 +281,39 @@ def test_chain_route_equals_rank_of_full_boundary(c, slope, extra):
         cone = build_cone(c, slope, truncation_bound(c, slope) + extra)
     expected = cone.total_dim - 2 * f2.rank(full_boundary(cone))
     assert cone_rank_chain(c, slope) == sweep_rank(cone) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(complexes, builtin_tensors))
+def test_hat_b_cocycles_and_the_coboundary_lemma(c):
+    """The chain route's split of d_B: every HatB cocycle y has y d_B = 0,
+    there are dim - rank(d_B) of them, independent, and a coboundary, a sum
+    of d_B rows, gives the zero row y f N under every v_hat(s) and h_hat(s),
+    f read densely and N the source's cycle basis.  Row r of d_B is the
+    coboundary e_r d_B and the rows span them all, so d_B f N = 0 is the
+    whole lemma, and a library cocycle in their span has a zero row in
+    ``on_cocycles``."""
+    region = c.region_complex(HatB())
+    d, cocycles = region.boundary, region.cocycles
+    cocycle_rows, d_rank = F2Matrix(region.dim, cocycles), f2.rank(d)
+    assert (cocycle_rows @ d).is_zero()
+    assert len(cocycles) == region.dim - d_rank == f2.rank(cocycle_rows)
+    in_span = [f2.rank(F2Matrix(region.dim, d.data + (y,))) == d_rank for y in cocycles]
+    g = c.genus()
+    for s in range(-g - 1, g + 2):
+        for m in (c.v_hat(s), c.h_hat(s)):
+            cycles = F2Matrix.from_columns(m.source.cycles, m.source.dim)
+            assert (d @ models.dense(m) @ cycles).is_zero(), s
+            assert all(row == 0 for row, inside in zip(m.on_cocycles.data, in_span) if inside), s
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(specs.filter(lambda s: s.dots == 1).map(random_complex), builtin_tensors), slopes_to_8)
+def test_fourth_oracle_for_b_one(c, slope):
+    """Ozsvath-Szabo's formula for b = 1 (``models.rank_os_b1``), read off
+    the reference model with no cone, equals both cone routes."""
+    assert c.b_rank() == 1
+    assert models.rank_os_b1(c, slope) == cone_rank_chain(c, slope) == cone_rank_homological(c, slope)
 
 
 @settings(max_examples=30, deadline=None)

@@ -162,10 +162,12 @@ class TestBuildCone:
             MappingCone(c, Slope(1, 1))
 
     def test_total_boundary_squares_to_zero(self):
-        # The full boundary is a differential, and the chain route's split
-        # on the HatA cycle bases, swept class by class, gives its rank, on
+        # The full boundary is a differential, and the chain route's split,
+        # the HatA and HatB boundary ranks plus the rows of HatB's cocycles
+        # on the HatA cycle bases swept class by class, gives its rank, on
         # the tight window and on the symmetric window of the safe bound.
-        # There it also gives the tight window's rank.
+        # There it also gives the tight window's rank.  The HatB term is
+        # rank d_B once per HatB column.
         complexes = [builtin(name) for name in ("unknot", "trefoil_rh", "figure_eight", "t25")]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
@@ -178,12 +180,17 @@ class TestBuildCone:
                     assert rank == full.cols - 2 * f2.rank(full), (c.name, slope)
                     sweep_rank(cone)
                     swept = sum(map(sum, sweep_increments(cone)))
-                    assert f2.rank(full) == cone.a_boundary_rank + swept, (c.name, slope)
+                    assert f2.rank(full) == cone.boundary_rank + swept, (c.name, slope)
+                    a_rank = sum(f2.rank(c.region_complex(HatA(j // slope.q)).boundary) for j in cone.a_columns)
+                    b_rank = f2.rank(c.region_complex(HatB()).boundary)
+                    assert cone.boundary_rank == a_rank + len(cone.b_columns) * b_rank, (c.name, slope)
 
     def test_total_boundary_rows_are_narrow(self):
-        # A key's rows sit on HatA j - p, HatB j and HatA j side by side,
-        # each HatA block as wide as its cycles, so no row reaches further
-        # than those three blocks, and zero rows are dropped.
+        # A key's rows are HatB cocycles read on HatA j - p and HatA j side
+        # by side, each HatA block as wide as its cycles, so the v block
+        # starts where the h block ends, no row reaches further than those
+        # two blocks, there is at most one row per cocycle, and zero rows
+        # are dropped.
         complexes = [builtin(name) for name in BUILTIN_NAMES]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
@@ -193,17 +200,16 @@ class TestBuildCone:
                 a_width = max(
                     len(c.region_complex(HatA(j // q)).cycles) for j in cone.a_columns
                 )
-                b_dim = c.region_complex(HatB()).dim
-                limit = 2 * a_width + b_dim
+                limit = 2 * a_width
+                cocycles = len(c.region_complex(HatB()).cocycles)
                 for key in {((j - p) // q, j // q) for j in cone.b_columns}:
                     rows, width, v_start = cone.total_boundary(key)
                     h_width, v_width = (len(c.region_complex(HatA(s)).cycles) for s in key)
-                    assert v_start == h_width + b_dim
+                    assert v_start == h_width
                     assert width == v_start + v_width <= limit
-                    assert len(rows) <= b_dim
+                    assert len(rows) <= cocycles
                     for r in rows:
                         assert r, (c.name, slope)
-                        assert r.bit_length() <= limit, (c.name, slope)
                         assert r.bit_length() <= width, (c.name, slope)
 
     def test_boundary_columns_drop_single_block(self):
@@ -365,13 +371,15 @@ class TestSweep:
     def test_carry_is_exact_on_arbitrary_blocks(self, monkeypatch, name):
         # On the builtins every carry happens to meet the next block's rows
         # trivially, so here each key gets random rows of the same shape,
-        # whose carries do matter.  The sweep must still give the rank of
-        # each class's rows laid out in chain order.
+        # whose carries do matter: at most one row per HatB cocycle, on
+        # the cycle coordinates of HatA(key[0]) and then HatA(key[1]).  The
+        # sweep must still give the rank of each class's rows laid out in
+        # chain order.
         def random_rows(cone, key):
             widths = [len(cone.complex.region_complex(HatA(s)).cycles) for s in key]
-            v_start = widths[0] + cone._b_region.dim
+            v_start = widths[0]
             rng = random.Random(f"{seed} {key}")
-            count = rng.randint(0, v_start + widths[1])
+            count = rng.randint(0, len(cone._b_region.cocycles))
             rows = [rng.getrandbits(v_start + widths[1]) for _ in range(count)]
             return tuple(r for r in rows if r), v_start + widths[1], v_start
 
@@ -385,7 +393,7 @@ class TestSweep:
                     f2.rank(_matrix([row for _, block in _shifted_blocks(cone, first) for row in block]))
                     for first in cone.a_columns[:slope.p]
                 )
-                expected = cone.total_dim - 2 * (cone.a_boundary_rank + ranked)
+                expected = cone.total_dim - 2 * (cone.boundary_rank + ranked)
                 assert cone_rank_chain(c, slope) == expected, (seed, slope)
             carried += sum(1 for _, carry, _ in _sweep_entries(c) if carry)
         assert carried
