@@ -25,8 +25,9 @@ element to one element or to zero, so it is held as a generator index
 map, with no matrix: v_hat(s) keeps element i when alexander(x_i) <= s,
 and h_hat(s) sends it to the position of flip(x_i) when
 alexander(x_i) >= s.  The chain-map check, the maps' rows between HatB's
-cocycles and the cycle basis, and their matrices on homology all read the
-index.
+cocycle classes, b of them, and the cycle basis, and their matrices on
+homology all read the index.  The rows are read off the cycles
+themselves, so no region keeps its cycles as rows.
 
 HatA(s), v_hat(s) and h_hat(s) change with s only where s crosses an
 Alexander grading.  The cuts are a and a + 1 for every grading a, and the
@@ -229,14 +230,14 @@ class RegionComplex:
     class of s, whose members put different powers on it.
 
     What a region caches is read off its boundary on first use: its
-    cycles, their rows, its cocycles and its homology.  One elimination of
-    the boundary's columns, :func:`f2.column_elimination`, gives both the
-    cycles and the boundary space that the homology quotients them by, so
-    whichever of the two is read first, the boundary is eliminated once.
-    The boundary space is held from the read of the cycles until the
-    homology takes it over.  A :class:`MirroredRegion` reads its cycles
-    and their rows off its mirror instead, and eliminates its boundary
-    only if its homology is read.
+    cycles, its cocycle classes and its homology; it keeps no cycle rows.
+    One elimination of the boundary's columns,
+    :func:`f2.column_elimination`, gives both the cycles and the boundary
+    space that the homology quotients them by, so whichever of the two is
+    read first, the boundary is eliminated once.  The boundary space is
+    held from the read of the cycles until the homology takes it over.  A
+    :class:`MirroredRegion` reads its cycles off its mirror instead, and
+    eliminates its boundary only if its homology is read.
     """
 
     def __init__(self, tag, boundary: F2Matrix):
@@ -270,20 +271,26 @@ class RegionComplex:
         return tuple(cycles)
 
     @cached_property
-    def cycle_rows(self) -> tuple[int, ...]:
-        """The cycles as rows, built on first read: row i has bit k set
-        when cycle k holds element i.  Every map out of the region reads
-        its cocycle rows from these (``on_cocycles``)."""
-        return F2Matrix.from_columns(self.cycles, self.dim).data
-
-    @cached_property
     def cocycles(self) -> tuple[int, ...]:
-        """A basis of the region's cocycles, the row vectors y with
-        y . boundary = 0, as masks over its elements, built on first read:
-        ``f2.kernel_basis`` of the transposed boundary, so there are
-        dim - rank(boundary) of them.  Only HatB's are read, by the maps
-        into it (``on_cocycles``)."""
-        return tuple(f2.kernel_basis(self.boundary.transpose()))
+        """Cocycles, the row vectors y with y . boundary = 0, as masks over
+        the region's elements, one for each class of its cohomology, built
+        on first read.  One elimination of the transposed boundary's
+        columns gives a basis of all the cocycles and the pivot table of
+        the coboundaries, the boundary's row space; each cocycle is reduced
+        against the table and kept when it survives, its reduction then
+        joining the table.  So the kept ones are independent modulo the
+        coboundaries, and there are dim - 2 rank(boundary) of them, b for
+        HatB.  No :class:`f2.HomologyBasis` is built, so the chain route,
+        which alone reads them (HatB's, through ``on_cocycles``), stays
+        apart from the homology the other route reads."""
+        cocycles, coboundaries = f2.column_elimination(self.boundary.transpose())
+        classes = []
+        for y in cocycles:
+            reduced = f2._reduce(coboundaries, y)
+            if reduced:
+                f2._insert(coboundaries, reduced)
+                classes.append(y)
+        return tuple(classes)
 
     @property
     def dim(self) -> int:
@@ -294,14 +301,13 @@ class RegionComplex:
 
 
 class MirroredRegion(RegionComplex):
-    """HatA(s) for a class s below its mirror class, whose cycles and their
-    rows are its mirror's moved through the flip permutation ``flip``.
+    """HatA(s) for a class s below its mirror class, whose cycles are its
+    mirror's moved through the flip permutation ``flip``.
 
     The ``cfk`` module docstring proves that element i of HatA(s) going to
     element flip[i] of HatA(-s) is a chain isomorphism, so the moved basis
     is a basis of this region's cycles, in the mirror's order.  Cycle k here
-    is the image of the mirror's cycle k, and row i of its cycle rows is the
-    mirror's row flip[i]; neither read eliminates or transposes anything.
+    is the image of the mirror's cycle k, read with no elimination.
     """
 
     def __init__(self, tag, boundary: F2Matrix, mirror: RegionComplex, flip: tuple[int, ...]):
@@ -312,11 +318,6 @@ class MirroredRegion(RegionComplex):
     @cached_property
     def cycles(self) -> tuple[int, ...]:
         return tuple(move_bits(self.mirror.cycles, self.flip))
-
-    @cached_property
-    def cycle_rows(self) -> tuple[int, ...]:
-        rows = self.mirror.cycle_rows
-        return tuple(rows[i] for i in self.flip)
 
 
 class FilteredChainMap:
@@ -381,26 +382,21 @@ class FilteredChainMap:
 
     @cached_property
     def on_cocycles(self) -> F2Matrix:
-        """The map between the target's cocycles and the source's cycles,
-        y . f . N, one row per vector y of ``target.cocycles`` and one
-        column per vector of ``source.cycles``, built on first read: the
-        XOR of the source's cycle rows (``source.cycle_rows``) over the
-        preimages of y's bits.  A cocycle that is a coboundary, z . d, gives
-        zero, since d . f = f . d and d . N = 0.  Only the chain route
-        reads it; the homological route applies the map to each homology
-        representative instead."""
-        cycle_rows, preimage = self.source.cycle_rows, self._preimage()
-        rows = []
-        for y in self.target.cocycles:
-            acc = 0
-            while y:
-                low = y & -y
-                i = preimage[low.bit_length() - 1]
-                if i >= 0:
-                    acc ^= cycle_rows[i]
-                y ^= low
-            rows.append(acc)
-        return F2Matrix(len(self.source.cycles), tuple(rows))
+        """The map between the target's cocycle classes and the source's
+        cycles, y . f . N, one row per vector y of ``target.cocycles``, b
+        of them for HatB, and one column per vector of ``source.cycles``,
+        built on first read.  Bit k of row y is the parity of f^T y & N_k,
+        f^T y being y's bits moved to their preimages.  Only the classes
+        are read because a coboundary, z . d, gives zero, since
+        d . f = f . d and d . N = 0.  Only the chain route reads it; the
+        homological route applies the map to each homology representative
+        instead."""
+        cycles = self.source.cycles
+        rows = tuple(
+            sum(((pulled & cycle).bit_count() & 1) << k for k, cycle in enumerate(cycles))
+            for pulled in move_bits(self.target.cocycles, self._preimage())
+        )
+        return F2Matrix(len(cycles), rows)
 
     @cached_property
     def induced_rank(self) -> int:

@@ -14,9 +14,11 @@ tracks which columns were added into each.  Rank is the table size, the
 row-echelon form is the table after back-substitution, the kernel is the
 tracked masks of the columns that vanish, a homology basis extends the
 tracked loop's table, and every other routine here reads its answer off
-one of these.  ``column_elimination`` thus gives kernels, boundary spaces
-and the solutions of ``solve``; ``rref`` serves only the rank routes'
-sweep.
+one of these.  ``column_elimination`` thus gives kernels, boundary
+spaces, the solutions of ``solve`` and, run on a transposed boundary, the
+cocycles with the pivot table of the coboundaries, against which ``cfk``
+reduces the cocycles to keep one per cohomology class; ``rref`` serves
+only the rank routes' sweep.
 
 ``rref`` takes a cut, ``start``.  It returns every pivot, but it
 back-substitutes and returns only the rows whose pivot is at or above

@@ -47,21 +47,25 @@ Hence, exactly over any field,
              + (number of HatB columns) * rank d_B
              + rank of the rows y [h_hat N(j-p) | v_hat N(j)], y in Y.
 
+A cocycle that is a coboundary, y = z d_B, gives the zero row:
+d_B f = f d for f = v_hat or h_hat, so z d_B f N = z f d N = 0.  Y is
+spanned by the coboundaries and any b cocycles independent modulo them,
+one per class of HatB's cohomology, so those b cocycles alone give the
+same row space, and each HatB block has at most b nonzero rows.
+
 The first two terms are ``MappingCone.boundary_rank``: each block's
 dimension less its number of cycles, and rank d_B, read once per complex
-by ``f2.rank`` and checked against HatB's dimension less its number of
-cocycles.  The third is what the sweep below adds up, so the rank of the
-cone's homology is its dimension less twice the sum.  The cycle basis is
-taken once per region, the cocycle basis once, on HatB, and each map's
-rows between the two once per map.  A cocycle that is a coboundary,
-y = z d_B, gives the zero row: d_B f = f d for f = v_hat or h_hat, so
-z d_B f N = z f d N = 0.  Only the nonzero rows are eliminated.  Their
-columns are laid out in chain order: for each residue class of j mod p,
-the HatA columns j of that class in ascending order, each as wide as its
-cycles.  Column j maps only to HatB blocks j and j + p, both in the class
-of j, so the cone is block-diagonal over j mod p, and the rows of HatB
-block j have entries only in the HatA blocks j - p and j on either side
-of it.
+by ``f2.rank`` and checked against HatB's number of cocycle classes,
+dim - 2 rank d_B.  The third is what the sweep below adds up, so the
+rank of the cone's homology is its dimension less twice the sum.  The
+cycle basis is taken once per region, the b cocycle classes once, on
+HatB, and each map's rows between the two once per map.  Only the
+nonzero rows are eliminated.  Their columns are laid out in chain order:
+for each residue class of j mod p, the HatA columns j of that class in
+ascending order, each as wide as its cycles.  Column j maps only to HatB
+blocks j and j + p, both in the class of j, so the cone is
+block-diagonal over j mod p, and the rows of HatB block j have entries
+only in the HatA blocks j - p and j on either side of it.
 
 So each class is ranked by a sweep over its HatB blocks in chain order,
 eliminating by lowest set bit.  A row is only ever reduced by pivots at
@@ -97,11 +101,11 @@ boundary space that its homology quotients that same basis by.  From
 there the routes part.  ``cfk`` holds each map as a generator index map,
 each element of HatA(s) going to one element of HatB or to zero, so
 neither route multiplies a map by a matrix.  Route one reads each map
-between HatB's cocycles and the source's cycle basis (``on_cocycles``):
-the row of cocycle y is the XOR of the cycle rows of the elements that go
-to y's elements, the cycles being turned into rows once per region
-(``RegionComplex.cycle_rows``).  Route two moves the bits of
-each homology representative through the index (``induced``).  A fault
+between HatB's b cocycle classes and the source's cycle basis
+(``on_cocycles``): y is moved through the index to its preimage, and
+bit k of its row is the parity of that preimage on cycle k, so no
+region keeps its cycles as rows.  Route two moves the bits of each
+homology representative through the index (``induced``).  A fault
 in either read shows as a disagreement, and the tests check both against
 the dense element-by-element matrices of a reference model.
 
@@ -311,19 +315,21 @@ class MappingCone:
 
     def total_boundary(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
         """The nonzero rows that one HatB block of the cone's boundary gives
-        the sweep, on HatB's cocycles and the HatA cycle bases: the rows,
-        their width and the column where their v block starts.
+        the sweep, at most b, on HatB's cocycle classes and the HatA cycle
+        bases: the rows, their width and the column where their v block
+        starts.
 
         A HatB row block j with key = ((j - p) // q, j // q), or the
         Alexander classes of the two, which give the same maps, gives
-        ``y [h_hat(key[0]) | v_hat(key[1])]`` for each HatB cocycle y,
-        each map on the cycle basis of its source region: the HatA block
-        j - p and the HatA block j, side by side in chain order.  HatB's own
-        boundary is ranked in :attr:`boundary_rank` instead, and the rows
-        of a coboundary are zero here and dropped.  The rows depend on the
-        key alone, and the chain route's sweep reads them only on a memo
-        miss, so they are built on every call, as bare masks: the sweep
-        validates the one matrix it eliminates."""
+        ``y [h_hat(key[0]) | v_hat(key[1])]`` for each of HatB's b cocycle
+        classes y, each map on the cycle basis of its source region: the
+        HatA block j - p and the HatA block j, side by side in chain order.
+        HatB's own boundary is ranked in :attr:`boundary_rank` instead, the
+        coboundaries, whose rows are zero, are never read, and a zero row
+        of a class is dropped.  The rows depend on the key alone, and the
+        chain route's sweep reads them only on a memo miss, so they are
+        built on every call, as bare masks: the sweep validates the one
+        matrix it eliminates."""
         h_rows = self.complex.h_read(key[0]).on_cocycles
         v_rows = self.complex.v_hat(key[1]).on_cocycles
         v_start = h_rows.cols
@@ -406,14 +412,15 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
 
 def _hat_b_boundary_rank(c: CfkComplex) -> int:
     """rank d_B, the rank of HatB's boundary, memoized on the complex: one
-    ``f2.rank`` call, checked against HatB's dimension less its number of
-    cocycles, which ``f2.kernel_basis`` of the transpose counts."""
+    ``f2.rank`` call, checked against HatB's cocycle classes, which number
+    dim - 2 rank d_B when they are independent modulo the coboundaries, as
+    the sweep needs."""
 
     def compute() -> int:
         region = c.region_complex(HatB())
         rank = f2.rank(region.boundary)
-        if len(region.cocycles) != region.dim - rank:
-            raise f2.DimensionError(f"HatB has {len(region.cocycles)} cocycles, need {region.dim - rank}")
+        if len(region.cocycles) != region.dim - 2 * rank:
+            raise f2.DimensionError(f"HatB has {len(region.cocycles)} cocycle classes, need {region.dim - 2 * rank}")
         return rank
 
     return c.cached("hat_b_boundary_rank", compute)

@@ -4,8 +4,8 @@ matrix.
 
 The chain route never assembles the boundary.  It adds the HatA blocks'
 own boundary ranks and HatB's, once per HatB block, to the ranks its
-sweep adds, block by block, from the rows of HatB's cocycles on the cycle
-bases of the HatA blocks (``MappingCone.total_boundary(key)``), each
+sweep adds, block by block, from the rows of HatB's b cocycle classes on
+the cycle bases of the HatA blocks (``MappingCone.total_boundary(key)``), each
 residue class of j mod p carrying one canonical block.  This module
 assembles every row in the original basis, reading each map's dense view
 from ``models.dense``, so tests can check that split against the full

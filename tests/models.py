@@ -117,8 +117,8 @@ def assert_conjugation_symmetry(c: CfkComplex) -> int:
     A region is a ``MirroredRegion`` exactly when its class lies below its
     mirror's, and then its flip is the reference isomorphism
     HatA(s) -> HatA(-s), its cycles are closed, independent and
-    dim - rank(boundary) in number, and its cycle rows are its cycles as
-    rows.  Returns the number of classes other than the middle one."""
+    dim - rank(boundary) in number.  Returns the number of classes other
+    than the middle one."""
     cuts = c.alexander_cuts
     checked = 0
     for s, _ in c.class_runs(cuts[0] - 1, cuts[-1]):
@@ -133,7 +133,7 @@ def assert_conjugation_symmetry(c: CfkComplex) -> int:
         if isinstance(region, MirroredRegion):
             assert region.flip == region_flip_equivalence(c, s).index, s
             rows = F2Matrix.from_columns(region.cycles, region.dim)
-            assert (region.boundary @ rows).is_zero() and rows.data == region.cycle_rows, s
+            assert (region.boundary @ rows).is_zero(), s
             independent = f2.rank(F2Matrix(region.dim, region.cycles))
             assert len(region.cycles) == region.dim - f2.rank(region.boundary) == independent, s
         checked += 1

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hfsurgery import f2
-from hfsurgery.cfk import CfkComplex, HatA, HatB
+from hfsurgery.cfk import CfkComplex, FilteredChainMap, HatA, HatB, RegionComplex
 from hfsurgery.f2 import F2Matrix
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, staircase, tensor
 from hfsurgery.obstructions import hypothesis_check
@@ -286,25 +286,45 @@ def test_chain_route_equals_rank_of_full_boundary(c, slope, extra):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(complexes, builtin_tensors))
 def test_hat_b_cocycles_and_the_coboundary_lemma(c):
-    """The chain route's split of d_B: every HatB cocycle y has y d_B = 0,
-    there are dim - rank(d_B) of them, independent, and a coboundary, a sum
-    of d_B rows, gives the zero row y f N under every v_hat(s) and h_hat(s),
-    f read densely and N the source's cycle basis.  Row r of d_B is the
-    coboundary e_r d_B and the rows span them all, so d_B f N = 0 is the
-    whole lemma, and a library cocycle in their span has a zero row in
-    ``on_cocycles``."""
+    """The chain route's split of d_B: HatB's cocycles y have y d_B = 0,
+    there are dim - 2 rank(d_B) of them, which is b, and they are
+    independent modulo the coboundaries, the span of d_B's rows, and pair
+    invertibly with route two's homology representatives, so they are one
+    basis of HatB's cohomology and every map's ``on_cocycles`` has b rows.
+    The coboundary lemma is what lets the route read b rows and no more:
+    a coboundary, a sum of d_B rows, gives the zero row y f N under every
+    v_hat(s) and h_hat(s), f read densely and N the source's cycle basis.
+    Row r of d_B is the coboundary e_r d_B and the rows span them all, so
+    d_B f N = 0 is the whole lemma, and every vector of the full cocycle
+    basis ``f2.kernel_basis`` of d_B's transpose that lies in their span
+    has a zero row.  The rows are read by the library on that full basis
+    too, whose vectors hold several elements, where the classes often
+    hold one, so that a row read with a wrong parity shows."""
     region = c.region_complex(HatB())
-    d, cocycles = region.boundary, region.cocycles
+    d, cocycles, b = region.boundary, region.cocycles, c.b_rank()
     cocycle_rows, d_rank = F2Matrix(region.dim, cocycles), f2.rank(d)
     assert (cocycle_rows @ d).is_zero()
-    assert len(cocycles) == region.dim - d_rank == f2.rank(cocycle_rows)
-    in_span = [f2.rank(F2Matrix(region.dim, d.data + (y,))) == d_rank for y in cocycles]
+    assert len(cocycles) == region.dim - 2 * d_rank == b == f2.rank(cocycle_rows)
+    assert f2.rank(F2Matrix(region.dim, d.data + cocycles)) == d_rank + b
+    reps = region.homology.reps
+    pairing = [sum(((y & z).bit_count() & 1) << k for k, z in enumerate(reps)) for y in cocycles]
+    assert len(reps) == b and f2.rank(F2Matrix(b, tuple(pairing))) == b
+    full = tuple(f2.kernel_basis(d.transpose()))
+    full_rows = F2Matrix(region.dim, full)
+    full_region = RegionComplex(HatB(), d)
+    full_region.cocycles = full
+    assert (full_rows @ d).is_zero() and len(full) == region.dim - d_rank == f2.rank(full_rows)
+    in_span = [f2.rank(F2Matrix(region.dim, d.data + (y,))) == d_rank for y in full]
     g = c.genus()
     for s in range(-g - 1, g + 2):
         for m in (c.v_hat(s), c.h_hat(s)):
+            matrix = models.dense(m)
             cycles = F2Matrix.from_columns(m.source.cycles, m.source.dim)
-            assert (d @ models.dense(m) @ cycles).is_zero(), s
-            assert all(row == 0 for row, inside in zip(m.on_cocycles.data, in_span) if inside), s
+            assert (d @ matrix @ cycles).is_zero(), s
+            rows = (full_rows @ matrix @ cycles).data
+            assert all(row == 0 for row, inside in zip(rows, in_span) if inside), s
+            assert FilteredChainMap(m.source, full_region, m.index).on_cocycles.data == rows, s
+            assert m.on_cocycles.rows == b, s
 
 
 @settings(max_examples=40, deadline=None)

@@ -163,11 +163,11 @@ class TestBuildCone:
 
     def test_total_boundary_squares_to_zero(self):
         # The full boundary is a differential, and the chain route's split,
-        # the HatA and HatB boundary ranks plus the rows of HatB's cocycles
-        # on the HatA cycle bases swept class by class, gives its rank, on
-        # the tight window and on the symmetric window of the safe bound.
-        # There it also gives the tight window's rank.  The HatB term is
-        # rank d_B once per HatB column.
+        # the HatA and HatB boundary ranks plus the rows of HatB's cocycle
+        # classes on the HatA cycle bases swept class by class, gives its
+        # rank, on the tight window and on the symmetric window of the safe
+        # bound.  There it also gives the tight window's rank.  The HatB
+        # term is rank d_B once per HatB column.
         complexes = [builtin(name) for name in ("unknot", "trefoil_rh", "figure_eight", "t25")]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
@@ -186,11 +186,11 @@ class TestBuildCone:
                     assert cone.boundary_rank == a_rank + len(cone.b_columns) * b_rank, (c.name, slope)
 
     def test_total_boundary_rows_are_narrow(self):
-        # A key's rows are HatB cocycles read on HatA j - p and HatA j side
-        # by side, each HatA block as wide as its cycles, so the v block
-        # starts where the h block ends, no row reaches further than those
-        # two blocks, there is at most one row per cocycle, and zero rows
-        # are dropped.
+        # A key's rows are HatB's cocycle classes read on HatA j - p and
+        # HatA j side by side, each HatA block as wide as its cycles, so the
+        # v block starts where the h block ends, no row reaches further than
+        # those two blocks, there is at most one row per class, b in all,
+        # and zero rows are dropped.
         complexes = [builtin(name) for name in BUILTIN_NAMES]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
@@ -202,6 +202,7 @@ class TestBuildCone:
                 )
                 limit = 2 * a_width
                 cocycles = len(c.region_complex(HatB()).cocycles)
+                assert cocycles == c.b_rank()
                 for key in {((j - p) // q, j // q) for j in cone.b_columns}:
                     rows, width, v_start = cone.total_boundary(key)
                     h_width, v_width = (len(c.region_complex(HatA(s)).cycles) for s in key)
@@ -371,15 +372,17 @@ class TestSweep:
     def test_carry_is_exact_on_arbitrary_blocks(self, monkeypatch, name):
         # On the builtins every carry happens to meet the next block's rows
         # trivially, so here each key gets random rows of the same shape,
-        # whose carries do matter: at most one row per HatB cocycle, on
-        # the cycle coordinates of HatA(key[0]) and then HatA(key[1]).  The
-        # sweep must still give the rank of each class's rows laid out in
-        # chain order.
+        # whose carries do matter: at most as many rows as the h block is
+        # wide, on the cycle coordinates of HatA(key[0]) and then
+        # HatA(key[1]).  A real block has at most b rows, one per HatB
+        # cocycle class, and b = 1 here, which leaves too few rows for a
+        # carry, so the count has a bound of its own.  The sweep must still
+        # give the rank of each class's rows laid out in chain order.
         def random_rows(cone, key):
             widths = [len(cone.complex.region_complex(HatA(s)).cycles) for s in key]
             v_start = widths[0]
             rng = random.Random(f"{seed} {key}")
-            count = rng.randint(0, len(cone._b_region.cocycles))
+            count = rng.randint(0, v_start)
             rows = [rng.getrandbits(v_start + widths[1]) for _ in range(count)]
             return tuple(r for r in rows if r), v_start + widths[1], v_start
 
