@@ -29,7 +29,6 @@ from .f2 import (
     HomologyBasis,
     InvalidComplexError,
     NotAChainMapError,
-    image_intersection_basis,
     induced_map_on_homology,
     kernel_basis,
     rank,
@@ -58,7 +57,6 @@ from .obstructions import (
 from .surgery import (
     FormulaNotApplicableError,
     HypothesisReport,
-    InternalInvariantError,
     MappingCone,
     NotApplicableError,
     RankReport,
@@ -69,7 +67,6 @@ from .surgery import (
     cone_rank_homological,
     coprime_slopes,
     hypothesis_holds,
-    kernel_basis_construction,
     kernel_rank,
     nu_surrogate,
     rank_formula,

@@ -256,7 +256,7 @@ class RegionComplex:
         # never holds one.
         image = vars(self).pop("_image", None)
         if image is None:
-            image = f2.column_elimination(self.boundary)[1]
+            image = f2.column_elimination(self.boundary.transpose().data)[1]
         return HomologyBasis(self.boundary, cycles, image)
 
     @cached_property
@@ -267,23 +267,24 @@ class RegionComplex:
         :attr:`homology`.  A :class:`MirroredRegion` moves its mirror's
         basis instead, which is a basis of the same kernel but not, in
         general, the one ``kernel_basis`` gives."""
-        cycles, self._image = f2.column_elimination(self.boundary)
+        cycles, self._image = f2.column_elimination(self.boundary.transpose().data)
         return tuple(cycles)
 
     @cached_property
     def cocycles(self) -> tuple[int, ...]:
         """Cocycles, the row vectors y with y . boundary = 0, as masks over
         the region's elements, one for each class of its cohomology, built
-        on first read.  One elimination of the transposed boundary's
-        columns gives a basis of all the cocycles and the pivot table of
-        the coboundaries, the boundary's row space; each cocycle is reduced
-        against the table and kept when it survives, its reduction then
-        joining the table.  So the kept ones are independent modulo the
-        coboundaries, and there are dim - 2 rank(boundary) of them, b for
-        HatB.  No :class:`f2.HomologyBasis` is built, so the chain route,
-        which alone reads them (HatB's, through ``on_cocycles``), stays
-        apart from the homology the other route reads."""
-        cocycles, coboundaries = f2.column_elimination(self.boundary.transpose())
+        on first read.  One elimination of the boundary's rows, which are
+        the columns of its transpose, so none is built, gives a basis of
+        all the cocycles and the pivot table of the coboundaries, the
+        boundary's row space; each cocycle is reduced against the table and
+        kept when it survives, its reduction then joining the table.  So
+        the kept ones are independent modulo the coboundaries, and there
+        are dim - 2 rank(boundary) of them, b for HatB.  No
+        :class:`f2.HomologyBasis` is built, so the chain route, which alone
+        reads them (HatB's, through ``on_cocycles``), stays apart from the
+        homology the other route reads."""
+        cocycles, coboundaries = f2.column_elimination(self.boundary.data)
         classes = []
         for y in cocycles:
             reduced = f2._reduce(coboundaries, y)

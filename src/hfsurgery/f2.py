@@ -9,16 +9,27 @@ anywhere in this package.
 There is one elimination loop, ``_eliminate``, which builds a pivot table
 keyed on the bit position of each entry's lowest set bit, and two forms
 of it: ``_reduce``, which reduces a row without adding it, and
-``column_elimination``, which runs the loop over a matrix's columns and
-tracks which columns were added into each.  Rank is the table size, the
-row-echelon form is the table after back-substitution, the kernel is the
-tracked masks of the columns that vanish, a homology basis extends the
-tracked loop's table, and every other routine here reads its answer off
-one of these.  ``column_elimination`` thus gives kernels, boundary
-spaces, the solutions of ``solve`` and, run on a transposed boundary, the
-cocycles with the pivot table of the coboundaries, against which ``cfk``
-reduces the cocycles to keep one per cohomology class; ``rref`` serves
-only the rank routes' sweep.
+``column_elimination``, which runs the loop over the column vectors it is
+given and tracks which columns were added into each.  Rank is the table
+size, the row-echelon form is the table after back-substitution, the
+kernel is the tracked masks of the columns that vanish, a homology basis
+extends the tracked loop's table, and every other routine here reads its
+answer off one of these.  ``column_elimination`` takes the columns
+themselves, not a matrix: ``kernel_basis``, ``solve`` and a region's
+cycles pass a matrix's columns, ``m.transpose().data``, the one transpose
+each makes, and ``solve`` appends its target as one more column.  ``cfk``
+passes HatB's boundary rows, ``boundary.data``, which are the columns of
+its transpose, and so reads with no transpose the cocycles and the pivot
+table of the coboundaries, against which it reduces the cocycles to keep
+one per cohomology class.  ``rref`` serves only the rank routes' sweep.
+
+``kernel_basis`` and ``solve`` have no reader in the library: the rank
+routes read kernels off ``column_elimination``.  They stay public because
+the benchmark's tracer binds both by name, and the tests' kernel
+construction of the induced block matrix reads them from this module at
+call time.  ``F2Matrix.apply`` stays because
+``induced_map_on_homology`` takes any map with ``apply``, and the dense
+reference maps the tests pass it are ``F2Matrix`` objects.
 
 ``rref`` takes a cut, ``start``.  It returns every pivot, but it
 back-substitutes and returns only the rows whose pivot is at or above
@@ -259,25 +270,26 @@ def rref(m: F2Matrix, start: int = 0) -> tuple[list[int], list[int]]:
     return [rows[p] for p in kept], pivots
 
 
-def column_elimination(m: F2Matrix) -> tuple[list[int], dict[int, int]]:
-    """The right kernel of ``m`` and the pivot table of its column space,
-    from one elimination of its columns.
+def column_elimination(columns: Sequence[int]) -> tuple[list[int], dict[int, int]]:
+    """The kernel and the pivot table of the column vectors ``columns``,
+    from one elimination of them.
 
-    The columns are eliminated in ascending order by the loop of
+    The columns are eliminated, in the order given, by the loop of
     :func:`_eliminate`, each carrying, in an int of its own, the mask of
     the columns added into it.  The table is therefore
-    ``_eliminate(m.transpose().data)``.  A column that vanishes gives its
-    mask as a kernel vector: its own bit plus earlier pivot columns, since
-    every stored mask holds only pivot columns.  That vector is unique, so
-    the kernel is the one basis that the reduced row-echelon form gives,
-    one vector per free column in ascending order, and there are
-    ``cols - rank(m)`` of them.
+    ``_eliminate(columns)``, the pivot table of their span.  A column that
+    vanishes gives its mask as a kernel vector: its own bit plus earlier
+    pivot columns, since every stored mask holds only pivot columns.  For
+    the columns of a matrix m, ``m.transpose().data``, that vector is
+    unique, so the kernel is the one basis of m's right kernel that the
+    reduced row-echelon form gives, one vector per free column in
+    ascending order, and there are ``cols - rank(m)`` of them.
     """
     table: dict[int, int] = {}
     combos: dict[int, int] = {}
     kernel: list[int] = []
     unit = 1
-    for col in m.transpose().data:
+    for col in columns:
         combo = unit
         unit <<= 1
         pos = 0
@@ -299,65 +311,38 @@ def column_elimination(m: F2Matrix) -> tuple[list[int], dict[int, int]]:
 
 def kernel_basis(m: F2Matrix) -> list[int]:
     """Deterministic basis of the right kernel, as masks over the columns:
-    the kernel of :func:`column_elimination`.  Each vector is a free
-    column's own bit plus earlier pivot columns, in ascending order of the
-    free column, and each is annihilated by ``m``."""
-    return column_elimination(m)[0]
+    the kernel of :func:`column_elimination` of m's columns.  Each vector
+    is a free column's own bit plus earlier pivot columns, in ascending
+    order of the free column, and each is annihilated by ``m``."""
+    return column_elimination(m.transpose().data)[0]
 
 
 def solve(m: F2Matrix, target: int) -> int | None:
     """One solution ``x`` of ``m x = target``, or None when there is none.
 
-    Read off :func:`column_elimination` of ``m`` with the target appended
-    as its last column: ``m x = target`` exactly when ``x`` plus the
-    target's own bit is in the kernel.  The target column vanishes exactly
-    when it lies in the column space, and its kernel vector, the last one,
-    then holds the target's bit and pivot columns only, so the solution is
-    that vector less the target's bit: the unique one supported on the
-    pivot columns, with the free coordinates zero.
+    Read off :func:`column_elimination` of the columns of ``m`` with the
+    target appended as one more: ``m x = target`` exactly when ``x`` plus
+    the target's own bit is in the kernel.  The target column vanishes
+    exactly when it lies in the column space, and its kernel vector, the
+    last one, then holds the target's bit and pivot columns only, so the
+    solution is that vector less the target's bit: the unique one
+    supported on the pivot columns, with the free coordinates zero.
     """
     if target < 0 or target >> m.rows:
         raise DimensionError("target vector has bits outside the row range")
     n = m.cols
-    augmented = F2Matrix(n + 1, tuple(row | (((target >> r) & 1) << n) for r, row in enumerate(m.data)))
-    kernel = column_elimination(augmented)[0]
+    kernel = column_elimination((*m.transpose().data, target))[0]
     if kernel and kernel[-1] >> n:
         return kernel[-1] ^ (1 << n)
     return None
-
-
-def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[tuple[int, int]]:
-    """Deterministic basis of the intersection of the two column spaces, as
-    matched pairs.
-
-    Every kernel vector (a | b) of [m1 | m2] satisfies m1 a = m2 b, an
-    element of the intersection.  The pairs (a, b) are kept, in kernel-basis
-    order, while their common images stay independent; those images form
-    the basis.
-    """
-    if m1.rows != m2.rows:
-        raise DimensionError(
-            f"image intersection needs equal row counts, got {m1.rows} and {m2.rows}"
-        )
-    stacked = m1.hstack(m2)
-    low_mask = (1 << m1.cols) - 1
-    table: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for pair in kernel_basis(stacked):
-        a = pair & low_mask
-        reduced = _reduce(table, m1.apply(a))
-        if reduced:
-            _insert(table, reduced)
-            pairs.append((a, pair >> m1.cols))
-    return pairs
 
 
 class HomologyBasis:
     """A deterministic basis of ker(d) / im(d) for one square differential.
 
     ``cycles`` and ``image`` are what :func:`column_elimination` gives for
-    d: a basis of ker(d) as column masks and the pivot table of im(d), the
-    span of d's columns.  The basis takes the table over and extends it,
+    d's columns: a basis of ker(d) as column masks and the pivot table of
+    im(d), the span of those columns.  The basis takes the table over and extends it,
     so d is eliminated only by that one call.  The chosen representatives
     are cycles that extend a basis of the boundary space, picked greedily
     in the order given.  ``coords`` expresses any cycle in the chosen

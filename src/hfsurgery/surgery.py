@@ -109,8 +109,8 @@ homology representative through the index (``induced``).  A fault
 in either read shows as a disagreement, and the tests check both against
 the dense element-by-element matrices of a reference model.
 
-Both routes, the containment verdicts, t and the kernel construction
-read h_hat(s) through ``CfkComplex.h_read``.  For every Alexander class
+Both routes, the containment verdicts, t and the kernel rank read
+h_hat(s) through ``CfkComplex.h_read``.  For every Alexander class
 but the middle one, the run that contains 0, that is v_hat of the mirror
 class: h_hat(s) = v_hat(-s) o Phi_s with Phi_s = U^s o flip a chain
 isomorphism HatA(s) -> HatA(-s), and a region below its mirror class takes
@@ -136,7 +136,8 @@ The chain route reads its increment from an ``f2.rank`` call instead,
 the call the benchmark's tracer counts as the cone elimination, and it
 reads rank d_B from one more such call per complex.  Route two never
 builds the block matrix; the tests assemble it from the same per-key rows
-and check the routes and the kernel construction against it.
+and check the routes, and the kernel construction in ``tests/models.py``,
+against it.
 
 A cone is its distinct regions.  Column j copies HatA(j // q), which
 ``cfk`` builds once per Alexander class, so a cone keeps a list of
@@ -174,8 +175,8 @@ whole complex when it splits.  Route one never reads the split: it ranks
 the whole complex's cone, whose window alone reads the genus, so every
 query checks the b = 0 rule against an independent computation.
 
-The closed form, the kernel construction and the monotonicity scan need
-the image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
+The closed form, the kernel rank and the monotonicity scan need the
+image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
 memoized verdict and :func:`require_hypothesis` its one error.  The verdict
 and t both read how the images of v_hat and h_hat meet in H(HatB), from the
 one memo of :func:`_meet`.
@@ -189,7 +190,6 @@ when the rows of a HatB block are built.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -209,11 +209,6 @@ class FormulaNotApplicableError(ValueError):
 
 class NotApplicableError(ValueError):
     """The invariant is only defined when the ambient homology has rank one."""
-
-
-class InternalInvariantError(RuntimeError):
-    """A cancellation the containment hypothesis promises is missing; the
-    hypothesis check lied."""
 
 
 @dataclass(frozen=True)
@@ -624,79 +619,6 @@ def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     require_hypothesis(c)
     kernel = _v_sum(c.essential_summand, slope, "kernel", lambda v: v.source.homology.dim - v.induced_rank)
     return kernel + t_invariant(c, slope) + slope.q * c.acyclic_sum()
-
-
-def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int]]:
-    """Explicit spanning set of the kernel of the induced block matrix.
-
-    Elements are column-indexed homology classes (coefficient masks with
-    respect to the HatA homology bases).  Kernel classes of v_hat on
-    nonnegative columns are completed by rightward cancellation tails,
-    kernel classes of h_hat on negative columns by leftward tails, and for
-    each residue column 0 <= j <= p-1 one element per dimension of
-    im v_hat(j/q) meet im h_hat((j-p)/q) is built from a matched pair and
-    cancelled in both directions.
-
-    Kernels are seeded on -(g-1)q <= j <= gq-1 only: beyond it v_hat and
-    h_hat are isomorphisms, so no region there is built for a seed.  A walk
-    reads no window: it runs until the outgoing induced image is zero.
-    Every walk ends, because on homology v_hat(s) vanishes for s <= -g-1
-    and h_hat(s) for s >= g+1, past the genus; so a walk reaches only the
-    columns -gq-p <= j < (g+1)q+p.
-
-    Column j reads its maps at s = j // q, which ``cfk`` memoizes under the
-    Alexander class of s, so however large p is the construction builds
-    one region and one map of each kind per class.  Its coefficients are
-    on the homology basis of HatA(j // q), which is what h_hat's induced
-    matrix read through ``CfkComplex.h_read`` is on as well, since a region
-    below its mirror class has the mirror's basis moved through the flip.
-    The columns of a class run read the same few induced maps, so
-    ``f2.kernel_basis``, ``f2.solve`` and ``f2.image_intersection_basis``
-    are cached for this call only: each distinct (matrix, target) is
-    eliminated once, and nothing is kept on the complex.
-    """
-    require_hypothesis(c)
-    q, p, g = slope.q, slope.p, c.genus()
-    # Read from f2 at each call, so a wrapper put on f2 is what is cached.
-    kernel_basis, solve, meet_basis = map(functools.cache, (f2.kernel_basis, f2.solve, f2.image_intersection_basis))
-
-    def ind(j: int, step: int) -> F2Matrix:
-        """The induced map column j solves against on a walk of this step:
-        v_hat for step > 0, h_hat for step < 0."""
-        return (c.v_hat(j // q) if step > 0 else c.h_read(j // q)).induced
-
-    def extend(element: dict[int, int], j: int, coeff: int, step: int) -> None:
-        """Cancel the image of ``coeff`` at column j, column by column:
-        rightward (step p) out along h_hat, solved against v_hat, or
-        leftward (step -p) out along v_hat, solved against h_hat, each
-        read by ``ind``.  Every column the walk reaches is new to its
-        element: a seed's walk moves away from its seed, and a matched
-        element's two walks leave j and j - p in opposite directions."""
-        while target := ind(j, -step).apply(coeff):
-            j += step
-            coeff = solve(ind(j, step), target)
-            if coeff is None:
-                way = "rightward" if step > 0 else "leftward"
-                raise InternalInvariantError(
-                    f"no {way} cancellation at column {j}; containment check was wrong"
-                )
-            element[j] = coeff
-
-    basis: list[dict[int, int]] = []
-    for j in range(-(g - 1) * q, g * q):
-        step = p if j >= 0 else -p
-        for vec in kernel_basis(ind(j, step)):
-            element = {j: vec}
-            extend(element, j, vec, step)
-            basis.append(element)
-    for j in range(p):
-        # A matched pair (y, z) has v_hat y = h_hat z, one class of the meet.
-        for y, z in meet_basis(ind(j, p), ind(j - p, -p)):
-            element = {j: y, j - p: z}
-            extend(element, j, y, p)
-            extend(element, j - p, z, -p)
-            basis.append(element)
-    return basis
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Test models of constructions the library does not need, built from its
-public API only.
+"""Test models of constructions the library does not need, built on its
+API, a few private helpers included.
 
 The tests read them to check the paper's lemmas: the reflection swaps the
 ranks of v_hat and h_hat, the flip is a chain isomorphism between HatA(s)
@@ -38,6 +38,12 @@ the tests compare the library's memoized meets and t against, and
 ``reference_kernel_basis`` and ``reference_solve`` read a kernel basis and
 a solution off the reduced row-echelon form, which the tests compare
 ``f2.kernel_basis`` and ``f2.solve`` against.
+The library counts the kernel of the induced block matrix in closed form,
+``surgery.kernel_rank``, and builds none of its elements, so
+``kernel_basis_construction`` builds them, with its one exception
+``InternalInvariantError`` and its one helper ``image_intersection_basis``,
+the meet of two column spaces as matched pairs; the tests and CI check its
+elements against ``kernel_rank`` and the block matrix.
 The sweep eliminates each step by ``f2.rref`` cut at the v block, so
 ``full_form_sweep_step`` reads a step off the full form instead, and
 ``assert_sweep_steps_match_full_form`` checks every memoized step of the
@@ -423,6 +429,32 @@ def image_intersection_rank(m1: F2Matrix, m2: F2Matrix) -> int:
     return f2.rank(m1) + f2.rank(m2) - f2.rank(m1.hstack(m2))
 
 
+def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[tuple[int, int]]:
+    """Deterministic basis of the intersection of the two column spaces, as
+    matched pairs.
+
+    Every kernel vector (a | b) of [m1 | m2] satisfies m1 a = m2 b, an
+    element of the intersection.  The pairs (a, b) are kept, in kernel-basis
+    order, while their common images stay independent; those images form
+    the basis.
+    """
+    if m1.rows != m2.rows:
+        raise DimensionError(
+            f"image intersection needs equal row counts, got {m1.rows} and {m2.rows}"
+        )
+    stacked = m1.hstack(m2)
+    low_mask = (1 << m1.cols) - 1
+    table: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for pair in f2.kernel_basis(stacked):
+        a = pair & low_mask
+        reduced = f2._reduce(table, m1.apply(a))
+        if reduced:
+            f2._insert(table, reduced)
+            pairs.append((a, pair >> m1.cols))
+    return pairs
+
+
 def reference_kernel_basis(m: F2Matrix) -> list[int]:
     """The right kernel read off the reduced row-echelon form of the rows.
 
@@ -456,6 +488,84 @@ def reference_solve(m: F2Matrix, target: int) -> int | None:
     for row, p in zip(rows, pivots):
         x |= ((row >> m.cols) & 1) << p
     return x
+
+
+class InternalInvariantError(RuntimeError):
+    """A cancellation the containment hypothesis promises is missing; the
+    hypothesis check lied."""
+
+
+def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int]]:
+    """Explicit spanning set of the kernel of the induced block matrix.
+
+    Elements are column-indexed homology classes (coefficient masks with
+    respect to the HatA homology bases).  Kernel classes of v_hat on
+    nonnegative columns are completed by rightward cancellation tails,
+    kernel classes of h_hat on negative columns by leftward tails, and for
+    each residue column 0 <= j <= p-1 one element per dimension of
+    im v_hat(j/q) meet im h_hat((j-p)/q) is built from a matched pair and
+    cancelled in both directions.
+
+    Kernels are seeded on -(g-1)q <= j <= gq-1 only: beyond it v_hat and
+    h_hat are isomorphisms, so no region there is built for a seed.  A walk
+    reads no window: it runs until the outgoing induced image is zero.
+    Every walk ends, because on homology v_hat(s) vanishes for s <= -g-1
+    and h_hat(s) for s >= g+1, past the genus; so a walk reaches only the
+    columns -gq-p <= j < (g+1)q+p.
+
+    Column j reads its maps at s = j // q, which ``cfk`` memoizes under the
+    Alexander class of s, so however large p is the construction builds
+    one region and one map of each kind per class.  Its coefficients are
+    on the homology basis of HatA(j // q), which is what h_hat's induced
+    matrix read through ``CfkComplex.h_read`` is on as well, since a region
+    below its mirror class has the mirror's basis moved through the flip.
+    The columns of a class run read the same few induced maps, so
+    ``f2.kernel_basis``, ``f2.solve`` and :func:`image_intersection_basis`
+    are cached for this call only: each distinct (matrix, target) is
+    eliminated once, and nothing is kept on the complex.
+    """
+    surgery.require_hypothesis(c)
+    q, p, g = slope.q, slope.p, c.genus()
+    # Read at each call, so a wrapper put on f2 or here is what is cached.
+    kernel_basis, solve, meet_basis = map(functools.cache, (f2.kernel_basis, f2.solve, image_intersection_basis))
+
+    def ind(j: int, step: int) -> F2Matrix:
+        """The induced map column j solves against on a walk of this step:
+        v_hat for step > 0, h_hat for step < 0."""
+        return (c.v_hat(j // q) if step > 0 else c.h_read(j // q)).induced
+
+    def extend(element: dict[int, int], j: int, coeff: int, step: int) -> None:
+        """Cancel the image of ``coeff`` at column j, column by column:
+        rightward (step p) out along h_hat, solved against v_hat, or
+        leftward (step -p) out along v_hat, solved against h_hat, each
+        read by ``ind``.  Every column the walk reaches is new to its
+        element: a seed's walk moves away from its seed, and a matched
+        element's two walks leave j and j - p in opposite directions."""
+        while target := ind(j, -step).apply(coeff):
+            j += step
+            coeff = solve(ind(j, step), target)
+            if coeff is None:
+                way = "rightward" if step > 0 else "leftward"
+                raise InternalInvariantError(
+                    f"no {way} cancellation at column {j}; containment check was wrong"
+                )
+            element[j] = coeff
+
+    basis: list[dict[int, int]] = []
+    for j in range(-(g - 1) * q, g * q):
+        step = p if j >= 0 else -p
+        for vec in kernel_basis(ind(j, step)):
+            element = {j: vec}
+            extend(element, j, vec, step)
+            basis.append(element)
+    for j in range(p):
+        # A matched pair (y, z) has v_hat y = h_hat z, one class of the meet.
+        for y, z in meet_basis(ind(j, p), ind(j - p, -p)):
+            element = {j: y, j - p: z}
+            extend(element, j, y, p)
+            extend(element, j - p, z, -p)
+            basis.append(element)
+    return basis
 
 
 def t_closed_form(c: CfkComplex, slope: Slope) -> int:

@@ -25,13 +25,13 @@ from hfsurgery.surgery import (
     cone_rank_chain,
     cone_rank_homological,
     coprime_slopes,
-    kernel_basis_construction,
     kernel_rank,
     rank_formula,
     t_invariant,
 )
 
 import models
+from models import kernel_basis_construction
 from full_boundary import block_matrix, build_cone, flatten, full_boundary, truncation_bound
 
 NONTRIVIAL = ("trefoil_rh", "trefoil_lh", "figure_eight", "t25", "t27")

@@ -252,9 +252,9 @@ class TestRegions:
         calls = []
         column_elimination = f2.column_elimination
 
-        def counting(m):
-            calls.append(m.rows)
-            return column_elimination(m)
+        def counting(columns):
+            calls.append(len(columns))
+            return column_elimination(columns)
 
         monkeypatch.setattr(f2, "column_elimination", counting)
         for tag, first in ((HatA(0), "cycles"), (HatB(), "homology")):
@@ -297,6 +297,35 @@ class TestRegions:
         assert list(region.homology.reps) == move_bits(mirror.homology.reps, region.flip)
         assert set(region.homology.reps) <= set(region.cycles)
         assert calls == [region.dim] and "_image" not in vars(region)
+
+    def test_cocycles_read_the_boundary_rows(self, monkeypatch):
+        # HatB's cocycles eliminate the boundary's rows as they stand, the
+        # columns of its transpose, so reading them builds no matrix.  The
+        # classes are those of eliminating the columns of the built
+        # transpose, the path through two transposes.
+        c = tensor(builtin("t25"), builtin("t27"))
+        region = c.region_complex(HatB())
+        assert "cocycles" not in vars(region)
+        calls = []
+        from_columns = F2Matrix.from_columns.__func__
+
+        def counting(cls, col_masks, rows):
+            calls.append(rows)
+            return from_columns(cls, col_masks, rows)
+
+        monkeypatch.setattr(F2Matrix, "from_columns", classmethod(counting))
+        classes = region.cocycles
+        assert calls == []
+        monkeypatch.undo()
+        cocycles, coboundaries = f2.column_elimination(region.boundary.transpose().transpose().data)
+        expected = []
+        for y in cocycles:
+            reduced = f2._reduce(coboundaries, y)
+            if reduced:
+                f2._insert(coboundaries, reduced)
+                expected.append(y)
+        assert classes == tuple(expected)
+        assert len(classes) == c.b_rank()
 
 
 class TestVhat:

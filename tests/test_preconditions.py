@@ -26,7 +26,6 @@ from hfsurgery.surgery import (
     cone_rank_chain,
     cone_rank_homological,
     hypothesis_verdicts,
-    kernel_basis_construction,
     kernel_rank,
     nu_surrogate,
     rank_formula,
@@ -34,6 +33,7 @@ from hfsurgery.surgery import (
 )
 
 import models
+from models import kernel_basis_construction
 from full_boundary import build_cone, truncation_bound
 
 SLOPE = Slope(1, 2)

@@ -22,13 +22,13 @@ from hfsurgery.surgery import (
     coprime_slopes,
     cone_rank_homological,
     hypothesis_holds,
-    kernel_basis_construction,
     kernel_rank,
     rank_formula,
     t_invariant,
 )
 
 import models
+from models import kernel_basis_construction
 from full_boundary import (
     block_matrix,
     build_cone,

@@ -22,7 +22,6 @@ from hfsurgery.surgery import (
     coprime_slopes,
     hypothesis_holds,
     hypothesis_verdicts,
-    kernel_basis_construction,
     kernel_rank,
     nu_surrogate,
     rank_formula,
@@ -30,6 +29,7 @@ from hfsurgery.surgery import (
 )
 
 import models
+from models import kernel_basis_construction
 from full_boundary import (
     block_matrix,
     build_cone,
@@ -727,14 +727,15 @@ class TestKernel:
         # of a few induced maps per Alexander class, so each distinct
         # (matrix, target) is eliminated once.
         c = _complex(name)
-        calls = {name: 0 for name in ("kernel_basis", "solve", "image_intersection_basis")}
-        for name in calls:
+        homes = {"kernel_basis": f2, "solve": f2, "image_intersection_basis": models}
+        calls = {name: 0 for name in homes}
+        for name, home in homes.items():
 
-            def counted(*args, _name=name, _fn=getattr(f2, name)):
+            def counted(*args, _name=name, _fn=getattr(home, name)):
                 calls[_name] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(f2, name, counted)
+            monkeypatch.setattr(home, name, counted)
         basis = kernel_basis_construction(c, slope)
         assert len(basis) == kernel_rank(c, slope) == rank
         assert all(n <= 20 for n in calls.values()), calls
@@ -751,7 +752,7 @@ class TestKernel:
         # and the column.
         c = tensor(*map(builtin, name.split("#"))) if "#" in name else builtin(name)
         monkeypatch.setattr(f2, "solve", lambda m, target: None)
-        with pytest.raises(surgery.InternalInvariantError, match=message):
+        with pytest.raises(models.InternalInvariantError, match=message):
             kernel_basis_construction(c, Slope(1, 1))
 
     def test_leftward_tails_on_a_tensor(self):
