@@ -12,12 +12,13 @@ alongside good and bad flips.
 """
 
 import copy
+import enum
 import json
 
 import pytest
 
 from hfsurgery import cli
-from hfsurgery.cfk import CfkComplex
+from hfsurgery.cfk import CfkComplex, DiffTerm, FlipPair, Generator
 from hfsurgery.knots import BUILTIN_NAMES, builtin
 
 
@@ -191,3 +192,162 @@ def test_cli_validate_output_is_pinned(name, tmp_path, capsys):
                "issues": [{"code": c, "message": m} for c, m in issues]}
     assert cli.main(["validate", str(path), "--format", "json"]) == code
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+# -- the shape of the JSON: from_json_dict's ValueError, pinned --------------
+
+_X = {"id": "x", "alexander": 0}
+_Y = {"id": "y", "alexander": -1}
+
+SHAPE_ERRORS = {
+    "top-level-list": ([], "a complex must be a JSON object, not list"),
+    "generators-not-list": ({"generators": _X}, "'generators' must be a list"),
+    "differential-not-list": ({"generators": [], "differential": 3}, "'differential' must be a list"),
+    "flip-not-list": ({"generators": [], "flip": "xx"}, "'flip' must be a list"),
+    "flip-null": ({"generators": [], "flip": None}, "'flip' must be a list"),
+    "generator-not-object": ({"generators": ["x"]}, "every 'generators' entry must be an object, got 'x'"),
+    "term-not-object": (
+        {"generators": [_X], "differential": [["x", "x", 1]]},
+        "every 'differential' entry must be an object, got ['x', 'x', 1]",
+    ),
+    "flip-entry-not-object": ({"generators": [_X], "flip": [None]}, "every 'flip' entry must be an object, got None"),
+    "id-missing": ({"generators": [{"alexander": 0}]}, "'generators' entry {'alexander': 0} needs str field 'id'"),
+    "id-not-string": (
+        {"generators": [{"id": 1, "alexander": 0}]},
+        "'generators' entry {'id': 1, 'alexander': 0} needs str field 'id'",
+    ),
+    "alexander-string": (
+        {"generators": [{"id": "x", "alexander": "0"}]},
+        "'generators' entry {'id': 'x', 'alexander': '0'} needs int field 'alexander'",
+    ),
+    "alexander-bool": (
+        {"generators": [{"id": "x", "alexander": True}]},
+        "'generators' entry {'id': 'x', 'alexander': True} needs int field 'alexander'",
+    ),
+    "alexander-float": (
+        {"generators": [{"id": "x", "alexander": 0.0}]},
+        "'generators' entry {'id': 'x', 'alexander': 0.0} needs int field 'alexander'",
+    ),
+    "upower-bool": (
+        {"generators": [_X, _Y], "differential": [{"from": "x", "to": "y", "upower": False}]},
+        "'differential' entry {'from': 'x', 'to': 'y', 'upower': False} needs int field 'upower'",
+    ),
+    "to-missing": (
+        {"generators": [_X, _Y], "differential": [{"from": "x", "upower": 0}]},
+        "'differential' entry {'from': 'x', 'upower': 0} needs str field 'to'",
+    ),
+    "flip-target-not-string": (
+        {"generators": [_X], "flip": [{"from": "x", "to": 0}]},
+        "'flip' entry {'from': 'x', 'to': 0} needs str field 'to'",
+    ),
+    "maslov-bool": (
+        {"generators": [{"id": "x", "alexander": 0, "maslov": False}]},
+        "'generators' entry {'id': 'x', 'alexander': 0, 'maslov': False} has a maslov field that is not an int",
+    ),
+    "maslov-string": (
+        {"generators": [{"id": "x", "alexander": 0, "maslov": "q"}]},
+        "'generators' entry {'id': 'x', 'alexander': 0, 'maslov': 'q'} has a maslov field that is not an int",
+    ),
+    # The first bad entry is named, whichever of its fields is bad.
+    "two-bad-entries": (
+        {"generators": [_X, {"id": "y", "alexander": "1"}, {"id": 2, "alexander": 0}]},
+        "'generators' entry {'id': 'y', 'alexander': '1'} needs int field 'alexander'",
+    ),
+    "two-bad-terms": (
+        {"generators": [_X, _Y], "differential": [
+            {"from": "x", "to": "y", "upower": 0}, {"from": "x", "to": "y"}, {"to": "y", "upower": 0},
+        ]},
+        "'differential' entry {'from': 'x', 'to': 'y'} needs int field 'upower'",
+    ),
+    # Every entry's shape is checked before any maslov, and the generators
+    # before the differential, the differential before the flip.
+    "maslov-then-shape": (
+        {"generators": [{"id": "x", "alexander": 0, "maslov": "q"}, {"id": 3, "alexander": 0}]},
+        "'generators' entry {'id': 3, 'alexander': 0} needs str field 'id'",
+    ),
+    "maslov-before-differential": (
+        {"generators": [{"id": "x", "alexander": 0, "maslov": 1.5}], "differential": 3},
+        "'generators' entry {'id': 'x', 'alexander': 0, 'maslov': 1.5} has a maslov field that is not an int",
+    ),
+    "differential-before-flip": (
+        {"generators": [_X], "differential": [{"from": "x"}], "flip": None},
+        "'differential' entry {'from': 'x'} needs str field 'to'",
+    ),
+    "flip-before-name": ({"name": 5, "generators": [_X], "flip": [{}]}, "'flip' entry {} needs str field 'from'"),
+    "name-not-string": ({"name": 5, "generators": [_X]}, "'name' must be a string, got 5"),
+    "name-with-tab": (
+        {"name": "a\tb", "generators": [_X]},
+        "'name' must not contain control characters or line separators, got 'a\\tb'",
+    ),
+    "name-with-line-separator": (
+        {"name": "x\u2028valid=yes", "generators": [_X]},
+        "'name' must not contain control characters or line separators, got 'x\\u2028valid=yes'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPE_ERRORS))
+def test_shape_errors_are_pinned(name):
+    data, message = SHAPE_ERRORS[name]
+    with pytest.raises(ValueError) as error:
+        CfkComplex.from_json_dict(copy.deepcopy(data))
+    assert str(error.value) == message
+
+
+def test_unprintable_names_without_control_characters_are_kept():
+    # A no-break space (Zs) and a zero-width space (Cf) are not printable,
+    # but neither is a control character nor a line separator.
+    for name in ("a\u00a0b", "a\u200bb", ""):
+        assert CfkComplex.from_json_dict({"name": name, "generators": [_X]}).name == name
+
+
+class _Grading(enum.IntEnum):
+    ZERO = 0
+    MINUS = -1
+
+
+class _Id(str):
+    pass
+
+
+class _Entry(dict):
+    pass
+
+
+class _Entries(list):
+    pass
+
+
+def test_int_and_str_subclasses_still_build():
+    data = {
+        "name": "subclassed",
+        "generators": _Entries([{"id": _Id("x"), "alexander": _Grading.ZERO, "maslov": _Grading.MINUS},
+                                _Entry(id="y", alexander=_Grading.MINUS)]),
+        "differential": [_Entry({"from": _Id("x"), "to": "y", "upower": _Grading.ZERO})],
+        "flip": _Entries([{"from": "x", "to": _Id("x")}, _Entry({"from": "y", "to": "y"})]),
+    }
+    c = CfkComplex.from_json_dict(data)
+    plain = json.loads(json.dumps(data))
+    assert c.to_json() == CfkComplex.from_json_dict(plain).to_json()
+    assert c.alexander == {"x": 0, "y": -1}
+    assert c.generators[0] == Generator("x", 0, -1)
+    assert c.validate() == CfkComplex.from_json_dict(plain).validate()
+    assert [i.code for i in c.validate().issues] == ["flip-alexander"]
+
+
+def _from_records(data: dict) -> CfkComplex:
+    gens = [Generator(g["id"], g["alexander"], g.get("maslov")) for g in data["generators"]]
+    terms = [DiffTerm(t["from"], t["to"], t["upower"]) for t in data.get("differential", [])]
+    flip = [FlipPair(p["from"], p["to"]) for p in data["flip"]] if "flip" in data else None
+    return CfkComplex(gens, terms, flip, data["name"])
+
+
+@pytest.mark.parametrize("name", list(EXPECTED))
+def test_json_and_record_constructors_agree(name):
+    parsed = CfkComplex.from_json_dict(copy.deepcopy(CORPUS[name]))
+    built = _from_records(CORPUS[name])
+    assert parsed.to_json() == built.to_json()
+    assert parsed.validate() == built.validate()
+    assert (parsed.generators, parsed.differential, parsed.flip_pairs) == (
+        built.generators, built.differential, built.flip_pairs)
+    assert (parsed.alexander, parsed.flip_map) == (built.alexander, built.flip_map)
