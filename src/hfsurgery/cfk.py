@@ -6,6 +6,15 @@ sits at (-k, alexander(x) - k), so j - i = alexander(x) along the whole
 U-tower.  Differentials are U-equivariant and every term strictly drops
 at least one filtration coordinate (the complex is reduced).
 
+A :class:`CfkComplex` holds its data as columns in generator order: the
+ids, Alexander gradings and Maslov gradings, the differential's term
+columns (source id, target id, upower) and the flip's pair columns.
+JSON, ``knots`` and the essential summand fill the columns directly, and
+validation reads them whole.  The :class:`Generator`, :class:`DiffTerm`
+and :class:`FlipPair` records that ``generators``, ``differential`` and
+``flip_pairs`` give are views built on first read; so are the positions
+and arcs the regions are indexed by.
+
 The finite hat-flavor regions that the surgery mapping cone reads are
 level sets of the (i, j) filtration:
 
@@ -116,7 +125,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import add, attrgetter, eq, neg, sub
 
 from . import f2
 from .f2 import F2Matrix, HomologyBasis, InvalidComplexError
@@ -191,6 +201,12 @@ class ValidationReport:
         if self.ok:
             return "valid"
         return "\n".join(str(issue) for issue in self.issues)
+
+
+def _columns(records, *fields) -> tuple[list, ...]:
+    """The records as one column per field, in their order."""
+    records = tuple(records)
+    return tuple(list(map(attrgetter(field), records)) for field in fields)
 
 
 def move_bits(masks, to) -> list[int]:
@@ -411,40 +427,80 @@ class FilteredChainMap:
 class CfkComplex:
     """A reduced bifiltered complex, immutable once built.
 
+    A complex holds its data as ``columns``, in generator order: the
+    generator columns (ids, Alexander gradings, Maslov gradings or None),
+    the term columns of the differential (source id, target id, upower) and
+    the flip columns (source id, target id), or None without a flip.  Ids
+    are kept as names, so an invalid complex holds them as given.  Beside
+    them it keeps ``alexander`` (each id's grading, the first one of a
+    repeated id) and ``flip_map`` (each id's partner), which validation
+    reads.  :meth:`from_json_dict` and :meth:`from_columns` fill the
+    columns directly; ``CfkComplex(generators, differential, flip, name)``
+    reads them off :class:`Generator`, :class:`DiffTerm` and
+    :class:`FlipPair` records.  Built on first read: the record views
+    ``generators``, ``differential`` and ``flip_pairs``, the positions the
+    regions are indexed by, and the essential summand.
+
     Derived regions, maps and homology data are memoized; every public
     operation is pure, so sharing one instance between threads is safe.
     """
 
     def __init__(self, generators, differential, flip=None, name: str = "complex"):
+        self._fill(
+            _columns(generators, "id", "alexander", "maslov"),
+            _columns(differential, "source", "target", "upower"),
+            None if flip is None else _columns(flip, "source", "target"),
+            name,
+        )
+
+    @classmethod
+    def from_columns(cls, generators, differential, flip=None, name: str = "complex") -> "CfkComplex":
+        """The complex of these columns, kept as given, not copied:
+        ``generators`` is (ids, alexander, maslov), ``differential`` is
+        (sources, targets, upowers) and ``flip`` is (sources, targets) or
+        None, each column a sequence in its own order."""
+        c = cls.__new__(cls)
+        c._fill(generators, differential, flip, name)
+        return c
+
+    def _fill(self, generators, differential, flip, name):
         # The name is printed on its own line and as a TSV cell, so it holds
         # no control character (Cc) and no line or paragraph separator
-        # (Zl, Zp), which str.splitlines() also splits on.
+        # (Zl, Zp), which str.splitlines() also splits on.  A printable
+        # string holds none of them.
         if not isinstance(name, str):
             raise ValueError(f"'name' must be a string, got {name!r}")
-        if any(unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in name):
+        if not name.isprintable() and any(unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in name):
             raise ValueError(
                 f"'name' must not contain control characters or line separators, got {name!r}"
             )
-        self.generators: tuple[Generator, ...] = tuple(generators)
-        self.differential: tuple[DiffTerm, ...] = tuple(differential)
-        self.flip_pairs: tuple[FlipPair, ...] | None = (
-            tuple(flip) if flip is not None else None
-        )
+        self.columns = (generators, differential, flip)
         self.name = name
-        self.alexander: dict[str, int] = {}
-        for g in self.generators:
-            self.alexander.setdefault(g.id, g.alexander)
-        self._terms_by_source: dict[str, list[tuple[str, int]]] = {
-            g.id: [] for g in self.generators
-        }
-        for t in self.differential:
-            if t.source in self._terms_by_source:
-                self._terms_by_source[t.source].append((t.target, t.upower))
+        ids, alexander, _ = generators
+        self.alexander: dict[str, int] = dict(zip(ids, alexander))
+        if len(self.alexander) < len(ids):  # a repeated id keeps its first grading
+            self.alexander.update(zip(reversed(ids), reversed(alexander)))
         self.flip_map: dict[str, str] | None = None
         self._flip_issues: list[ValidationIssue] = []
-        if self.flip_pairs is not None:
+        if flip is not None:
             self._build_flip_map()
         self._memo: dict = {}
+
+    @cached_property
+    def generators(self) -> tuple[Generator, ...]:
+        """The generator records, built on first read."""
+        return tuple(map(Generator, *self.columns[0]))
+
+    @cached_property
+    def differential(self) -> tuple[DiffTerm, ...]:
+        """The term records, built on first read."""
+        return tuple(map(DiffTerm, *self.columns[1]))
+
+    @cached_property
+    def flip_pairs(self) -> tuple[FlipPair, ...] | None:
+        """The flip pair records, or None without a flip, built on first read."""
+        flip = self.columns[2]
+        return None if flip is None else tuple(map(FlipPair, *flip))
 
     def cached(self, key, compute):
         """The value memoized under ``key``, computed by ``compute()`` on a miss.
@@ -461,26 +517,34 @@ class CfkComplex:
     # -- construction helpers -------------------------------------------
 
     def _build_flip_map(self):
-        mapping: dict[str, str] = {}
-        for pair in self.flip_pairs:
-            for a, b in ((pair.source, pair.target), (pair.target, pair.source)):
-                if a in mapping and mapping[a] != b:
-                    self._flip_issues.append(
-                        ValidationIssue(
-                            "flip-conflict",
-                            f"generator {a!r} paired with both {mapping[a]!r} and {b!r}",
-                        )
-                    )
-                mapping[a] = b
-        for g in self.generators:
-            if g.id not in mapping:
-                self._flip_issues.append(
-                    ValidationIssue("flip-missing", f"generator {g.id!r} has no flip partner")
-                )
+        """Each pair is read both ways in turn, so a generator's last partner
+        wins.  Only when some generator has two partners are the pairs
+        replayed one by one, to name each flip-conflict in that order."""
+        sources, targets = self.columns[2]
+        mapping = dict(zip(sources, targets))
+        mapping.update(zip(targets, sources))
+        if not all(map(eq, map(mapping.get, chain(sources, targets)), chain(targets, sources))):
+            mapping = {}
+            for pair in zip(sources, targets):
+                for a, b in (pair, pair[::-1]):
+                    if a in mapping and mapping[a] != b:
+                        message = f"generator {a!r} paired with both {mapping[a]!r} and {b!r}"
+                        self._flip_issues.append(ValidationIssue("flip-conflict", message))
+                    mapping[a] = b
         self.flip_map = mapping
 
+    @cached_property
+    def _terms_by_source(self) -> dict[str, list[tuple[str, int]]]:
+        """Each generator's terms as (target, upower), in term order.  Read
+        by the d^2 and flip checks, and only once every term names a
+        generator."""
+        terms: dict[str, list[tuple[str, int]]] = {gid: [] for gid in self.columns[0][0]}
+        for source, target, upower in zip(*self.columns[1]):
+            terms[source].append((target, upower))
+        return terms
+
     def renamed(self, name: str) -> "CfkComplex":
-        return CfkComplex(self.generators, self.differential, self.flip_pairs, name)
+        return CfkComplex.from_columns(*self.columns, name)
 
     # -- validation ------------------------------------------------------
 
@@ -490,101 +554,108 @@ class CfkComplex:
 
     def _collect_issues(self) -> ValidationReport:
         issues: list[ValidationIssue] = []
-        if not self.generators:
+        (ids, _, _), differential, flip = self.columns
+        if not ids:
             # HatB would be zero, and HF-hat of a closed 3-manifold never is.
             issues.append(ValidationIssue("empty", "complex has no generators"))
         seen_ids = set()
-        for g in self.generators:
-            if g.id in seen_ids:
-                issues.append(ValidationIssue("duplicate-id", f"generator {g.id!r} repeated"))
-            seen_ids.add(g.id)
+        for gid in ids:
+            if gid in seen_ids:
+                issues.append(ValidationIssue("duplicate-id", f"generator {gid!r} repeated"))
+            seen_ids.add(gid)
         seen_terms = set()
-        for t in self.differential:
-            key = (t.source, t.target, t.upower)
+        alexander = self.alexander
+        for key in zip(*differential):
+            source, target, upower = key
             if key in seen_terms:
                 issues.append(
-                    ValidationIssue("duplicate-term", f"term {t.source!r}->{t.target!r} U^{t.upower} repeated")
+                    ValidationIssue("duplicate-term", f"term {source!r}->{target!r} U^{upower} repeated")
                 )
             seen_terms.add(key)
-            if t.source not in self.alexander or t.target not in self.alexander:
+            if source not in alexander or target not in alexander:
                 issues.append(
-                    ValidationIssue("unknown-generator", f"term {t.source!r}->{t.target!r} names a missing generator")
+                    ValidationIssue("unknown-generator", f"term {source!r}->{target!r} names a missing generator")
                 )
                 continue
-            if t.upower < 0:
+            if upower < 0:
                 issues.append(
-                    ValidationIssue("negative-upower", f"term {t.source!r}->{t.target!r} has U^{t.upower}")
+                    ValidationIssue("negative-upower", f"term {source!r}->{target!r} has U^{upower}")
                 )
                 continue
-            a_from = self.alexander[t.source]
-            a_to = self.alexander[t.target]
-            if a_to - t.upower > a_from:
+            a_from, a_to = alexander[source], alexander[target]
+            if a_to - upower > a_from:
                 issues.append(
-                    ValidationIssue(
-                        "filtration",
-                        f"term {t.source!r}->{t.target!r} U^{t.upower} raises the j filtration",
-                    )
+                    ValidationIssue("filtration", f"term {source!r}->{target!r} U^{upower} raises the j filtration")
                 )
-            if t.upower == 0 and a_to == a_from:
+            if upower == 0 and a_to == a_from:
                 issues.append(
-                    ValidationIssue(
-                        "reduced",
-                        f"term {t.source!r}->{t.target!r} drops neither filtration coordinate",
-                    )
+                    ValidationIssue("reduced", f"term {source!r}->{target!r} drops neither filtration coordinate")
                 )
         terms_ok = not any(
             i.code in ("unknown-generator", "negative-upower") for i in issues
         )
         if terms_ok:
             issues.extend(self._check_d_squared())
-        if self.flip_pairs is not None:
+        if flip is not None:
             issues.extend(self._check_flip(terms_ok))
         return ValidationReport(tuple(issues))
 
     def _check_d_squared(self) -> list[ValidationIssue]:
-        # A plain dict per generator: a Counter costs a Python-level call
-        # per term.  Only the odd counts are sorted.
-        issues = []
+        # Every path x -> U^k1 y -> U^(k1 + k2) z is counted at once, by one
+        # Counter over a list of (x, z, k1 + k2).  Only the odd counts are
+        # sorted: by x in generator order, then by (z, k1 + k2).
         terms = self._terms_by_source
-        for x, out in terms.items():
-            acc: dict[tuple[str, int], int] = {}
-            for y, k1 in out:
-                for z, k2 in terms.get(y, ()):
-                    key = (z, k1 + k2)
-                    acc[key] = acc.get(key, 0) + 1
-            odd = [item for item in acc.items() if item[1] % 2]
-            for (z, k), count in sorted(odd):
-                issues.append(
-                    ValidationIssue(
-                        "d-squared",
-                        f"d^2({x!r}) contains U^{k} {z!r} with odd multiplicity {count}",
-                    )
-                )
-        return issues
+        paths = Counter([(x, z, k1 + k2) for x, out in terms.items() for y, k1 in out for z, k2 in terms[y]])
+        odd = [(x, z, k, count) for (x, z, k), count in paths.items() if count % 2]
+        order = {x: i for i, x in enumerate(terms)} if odd else {}
+        return [
+            ValidationIssue("d-squared", f"d^2({x!r}) contains U^{k} {z!r} with odd multiplicity {count}")
+            for x, z, k, count in sorted(odd, key=lambda item: (order[item[0]], item[1], item[2]))
+        ]
 
     def _check_flip(self, terms_ok: bool) -> list[ValidationIssue]:
-        issues = list(self._flip_issues)
-        mapping = self.flip_map or {}
-        for x, y in sorted(mapping.items()):
-            if y not in self.alexander:
+        mapping, alexander = self.flip_map, self.alexander
+        issues = self._flip_issues + [
+            ValidationIssue("flip-missing", f"generator {gid!r} has no flip partner")
+            for gid in self.columns[0][0]
+            if gid not in mapping
+        ]
+        # The checks below give no issue exactly when the flip is a complete
+        # involution that negates every grading, which is first read off
+        # whole columns; the pair and generator loops that name each issue
+        # run only when that fails.
+        get, values = alexander.__getitem__, list(mapping.values())
+        paired = (
+            not issues
+            and mapping.keys() == alexander.keys()
+            and list(map(mapping.get, values)) == list(mapping)
+            and list(map(get, values)) == list(map(neg, map(get, mapping)))
+        )
+        for x, y in () if paired else sorted(mapping.items()):
+            if y not in alexander:
                 issues.append(ValidationIssue("flip-unknown", f"flip maps {x!r} to missing {y!r}"))
             elif mapping.get(y) != x:
                 issues.append(ValidationIssue("flip-involution", f"flip is not an involution at {x!r}"))
-            elif x in self.alexander and self.alexander[y] != -self.alexander[x]:
-                issues.append(
-                    ValidationIssue(
-                        "flip-alexander",
-                        f"flip pairs {x!r} (A={self.alexander[x]}) with {y!r} (A={self.alexander[y]})",
-                    )
-                )
+            elif x in alexander and alexander[y] != -alexander[x]:
+                message = f"flip pairs {x!r} (A={alexander[x]}) with {y!r} (A={alexander[y]})"
+                issues.append(ValidationIssue("flip-alexander", message))
         if issues or not terms_ok:
             return issues
         # Commutation of the induced module map with the differential, at
         # generator level: compare U-exponents relative to the source tower.
         # Each term of either side toggles its key in one parity set, so the
         # sides agree mod 2 exactly when the set ends empty, and a duplicated
-        # term cancels itself.
-        terms, alexander = self._terms_by_source, self.alexander
+        # term cancels itself.  With no term repeated, each side is a set of
+        # (x, key) pairs, one per term, and they are compared whole first:
+        # a term s -> U^m w is on flip(s)'s side as (w, m + A(s)), since
+        # A(flip(s)) = -A(s).
+        sources, targets, upowers = self.columns[1]
+        left = set(zip(map(mapping.get, sources), targets, map(add, upowers, map(get, sources))))
+        if len(left) == len(upowers) and left == set(
+            zip(sources, map(mapping.get, targets), map(sub, upowers, map(get, targets)))
+        ):
+            return issues
+        terms = self._terms_by_source
         for x, out in terms.items():
             odd: set[tuple[str, int]] = set()
             a_x = alexander[x]
@@ -613,7 +684,7 @@ class CfkComplex:
 
     @property
     def has_flip(self) -> bool:
-        return self.flip_pairs is not None
+        return self.columns[2] is not None
 
     def require_flip(self) -> None:
         if not self.has_flip:
@@ -634,8 +705,8 @@ class CfkComplex:
     def hfk_profile(self) -> dict[int, int]:
         self.require_valid()
         profile: dict[int, int] = {}
-        for g in sorted(self.generators, key=lambda g: g.alexander):
-            profile[g.alexander] = profile.get(g.alexander, 0) + 1
+        for a in sorted(self.columns[0][1]):
+            profile[a] = profile.get(a, 0) + 1
         return profile
 
     # -- regions -----------------------------------------------------------
@@ -643,15 +714,15 @@ class CfkComplex:
     @cached_property
     def _order(self) -> tuple:
         """The generator order that HatA(s) and HatB are indexed by:
-        ``(ids, alexander, index, units, arcs)``, with ``index`` the position
-        of each id, ``units[i] = 1 << i`` and the differential as arcs
-        (source position, target position, upower).  Built on the first
-        region or map of a valid complex, not when the complex is made."""
+        ``(ids, alexander, index, units, arcs)``: the generator columns, the
+        position ``index`` of each id, ``units[i] = 1 << i`` and the
+        differential as arcs (source position, target position, upower),
+        read off the term columns.  Built on the first region or map of a
+        valid complex, not when the complex is made."""
         self.require_valid()
-        ids = tuple(g.id for g in self.generators)
-        index = {gid: i for i, gid in enumerate(ids)}
-        arcs = tuple((index[t.source], index[t.target], t.upower) for t in self.differential)
-        alexander = tuple(g.alexander for g in self.generators)
+        (ids, alexander, _), (sources, targets, upowers), _ = self.columns
+        index = dict(zip(ids, range(len(ids))))
+        arcs = tuple(zip(map(index.__getitem__, sources), map(index.__getitem__, targets), upowers))
         return ids, alexander, index, tuple(1 << i for i in range(len(ids))), arcs
 
     @cached_property
@@ -809,18 +880,25 @@ class CfkComplex:
         essential = {r for r, k in kernel.items() if 2 * k > size[r]}
         if not essential or len(essential) == len(size):
             return None, 0
-        kept = {i for i in range(n) if root[i] in essential}
-        summand = CfkComplex(
-            [g for i, g in enumerate(self.generators) if i in kept],
-            [t for t, (a, _, _) in zip(self.differential, arcs) if a in kept],
-            [pair for pair in self.flip_pairs if index[pair.source] in kept],
+        # P is cut out of the columns by position: a generator, a term by its
+        # source and a flip pair by its first generator.
+        kept = [r in essential for r in root]
+        generators, differential, flip = self.columns
+
+        def cut(columns, keep):
+            return [list(compress(column, keep)) for column in columns]
+
+        summand = CfkComplex.from_columns(
+            cut(generators, kept),
+            cut(differential, [kept[a] for a, _, _ in arcs]),
+            cut(flip, [kept[index[x]] for x in flip[0]]),
             self.name,
         )
         # A direct summand of a valid complex is valid, and has no smaller
         # summand with b = 0.
         summand._memo["validation"] = self.validate()
         vars(summand)["_split"] = (None, 0)
-        return summand, sum(units[i] for i in range(n) if i not in kept)
+        return summand, sum(unit for unit, keep in zip(units, kept) if not keep)
 
     @property
     def essential_summand(self) -> "CfkComplex":
@@ -887,23 +965,22 @@ class CfkComplex:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        generators, differential, _ = self.columns
         data: dict = {
             "name": self.name,
             "generators": [
-                {"id": g.id, "alexander": g.alexander}
-                | ({"maslov": g.maslov} if g.maslov is not None else {})
-                for g in self.generators
+                {"id": gid, "alexander": a} | ({"maslov": m} if m is not None else {})
+                for gid, a, m in zip(*generators)
             ],
             "differential": [
-                {"from": t.source, "to": t.target, "upower": t.upower}
-                for t in self.differential
+                {"from": x, "to": y, "upower": k} for x, y, k in zip(*differential)
             ],
         }
-        if self.flip_pairs is not None:
+        if self.flip_map is not None:
             data["flip"] = [
-                {"from": g.id, "to": self.flip_map[g.id]}
-                for g in self.generators
-                if g.id in self.flip_map
+                {"from": gid, "to": self.flip_map[gid]}
+                for gid in generators[0]
+                if gid in self.flip_map
             ]
         return data
 
@@ -912,13 +989,29 @@ class CfkComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CfkComplex":
-        """Build a complex from parsed JSON.  Data of the wrong shape raises
-        ValueError; the complex axioms are left to :meth:`validate`."""
+        """Build a complex from parsed JSON, its columns filled straight from
+        the entries.  Data of the wrong shape raises ValueError; the complex
+        axioms are left to :meth:`validate`.
+
+        Each list's shape is checked by the exact types of its entries and
+        of each of their fields, one pass over the list each, so a bool
+        never passes for an int, and no record is built.  Only a list that
+        fails this check is walked entry by entry, which raises on the first
+        bad entry, naming it, or accepts an int or str of a subclass."""
         if not isinstance(data, dict):
             raise ValueError(f"a complex must be a JSON object, not {type(data).__name__}")
 
-        def entries(key: str, fields: dict) -> list[dict]:
+        def columns(key: str, fields: dict, optional: str = "") -> list[list]:
+            # One column per field of data[key], and one for ``optional``, a
+            # field that may be missing or an int, checked after the shape
+            # of every entry.
             items = data.get(key, [])
+            names = [*fields, optional] if optional else [*fields]
+            if type(items) is list and set(map(type, items)) <= {dict}:
+                found = [list(map(dict.get, items, repeat(name))) for name in names]
+                kinds = [(kind,) for kind in fields.values()] + [(int, type(None))]
+                if all(set(map(type, column)).issubset(k) for column, k in zip(found, kinds)):
+                    return found
             if not isinstance(items, list):
                 raise ValueError(f"{key!r} must be a list")
             for item in items:
@@ -930,26 +1023,23 @@ class CfkComplex:
                         raise ValueError(
                             f"{key!r} entry {item!r} needs {kind.__name__} field {name!r}"
                         )
-            return items
+            for item in items if optional else ():
+                value = item.get(optional)
+                if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                    raise ValueError(f"{key!r} entry {item!r} has a {optional} field that is not an int")
+            # Every entry passed, some with an int or str of a subclass.
+            return [[item.get(name) for item in items] for name in names]
 
-        gens = []
-        for g in entries("generators", {"id": str, "alexander": int}):
-            maslov = g.get("maslov")
-            if maslov is not None and (not isinstance(maslov, int) or isinstance(maslov, bool)):
-                raise ValueError(f"'generators' entry {g!r} has a maslov field that is not an int")
-            gens.append(Generator(g["id"], g["alexander"], maslov))
-        terms = [
-            DiffTerm(t["from"], t["to"], t["upower"])
-            for t in entries("differential", {"from": str, "to": str, "upower": int})
-        ]
-        flip = None
-        if "flip" in data:
-            flip = [FlipPair(p["from"], p["to"]) for p in entries("flip", {"from": str, "to": str})]
-        return cls(gens, terms, flip, data.get("name", "complex"))
+        return cls.from_columns(
+            columns("generators", {"id": str, "alexander": int}, "maslov"),
+            columns("differential", {"from": str, "to": str, "upower": int}),
+            columns("flip", {"from": str, "to": str}) if "flip" in data else None,
+            data.get("name", "complex"),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "CfkComplex":
         return cls.from_json_dict(json.loads(text))
 
     def __repr__(self) -> str:
-        return f"CfkComplex({self.name!r}, {len(self.generators)} generators)"
+        return f"CfkComplex({self.name!r}, {len(self.columns[0][0])} generators)"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cfk import CfkComplex, DiffTerm, FlipPair, Generator
+from .cfk import CfkComplex
 
 
 class UnknownBuiltinError(ValueError):
@@ -60,18 +60,18 @@ def staircase(steps: list[int] | tuple[int, ...]) -> CfkComplex:
         h, v = steps[2 * i], steps[2 * i + 1]
         alex.append(alex[-1] - h)   # b_{i+1}, reached by a horizontal step
         alex.append(alex[-1] - v)   # a_{i+1}, reached by a vertical step
-    gens = []
-    for i in range(2 * n + 1):
-        gid = f"a{i // 2}" if i % 2 == 0 else f"b{(i + 1) // 2}"
-        gens.append(Generator(gid, alex[i]))
-    terms = []
-    for i in range(1, n + 1):
-        h = steps[2 * (i - 1)]
-        terms.append(DiffTerm(f"b{i}", f"a{i - 1}", h))
-        terms.append(DiffTerm(f"b{i}", f"a{i}", 0))
-    flip = [FlipPair(f"a{i}", f"a{n - i}") for i in range(n + 1)]
-    flip += [FlipPair(f"b{i}", f"b{n + 1 - i}") for i in range(1, n + 1)]
-    return CfkComplex(gens, terms, flip, name)
+    ids = [f"a{i // 2}" if i % 2 == 0 else f"b{(i + 1) // 2}" for i in range(2 * n + 1)]
+    # b_i -> U^h a_(i-1), h the i-th horizontal step, and b_i -> a_i.
+    terms = (
+        [f"b{i}" for i in range(1, n + 1) for _ in range(2)],
+        [f"a{j}" for i in range(1, n + 1) for j in (i - 1, i)],
+        [k for h in steps[0::2] for k in (h, 0)],
+    )
+    flip = (
+        [f"a{i}" for i in range(n + 1)] + [f"b{i}" for i in range(1, n + 1)],
+        [f"a{n - i}" for i in range(n + 1)] + [f"b{n + 1 - i}" for i in range(1, n + 1)],
+    )
+    return CfkComplex.from_columns((ids, alex, [None] * len(ids)), terms, flip, name)
 
 
 def mirror(c: CfkComplex) -> CfkComplex:
@@ -83,10 +83,13 @@ def mirror(c: CfkComplex) -> CfkComplex:
     flip; only the name gains ``mirror(...)`` twice.
     """
     c.require_valid()
-    gens = [Generator(g.id, -g.alexander, None if g.maslov is None else -g.maslov)
-            for g in c.generators]
-    terms = [DiffTerm(t.target, t.source, t.upower) for t in c.differential]
-    return CfkComplex(gens, terms, c.flip_pairs, f"mirror({c.name})")
+    (ids, alexander, maslov), (sources, targets, upowers), flip = c.columns
+    return CfkComplex.from_columns(
+        (ids, [-a for a in alexander], [None if m is None else -m for m in maslov]),
+        (targets, sources, upowers),
+        flip,
+        f"mirror({c.name})",
+    )
 
 
 def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
@@ -102,50 +105,57 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
     c1.require_flip()
     c2.require_flip()
 
-    def pid(x: str, y: str) -> str:
-        return f"{x}|{y}"
+    def pid(xs, ys) -> list[str]:
+        return [f"{x}|{y}" for x in xs for y in ys]
 
-    gens = [
-        Generator(pid(g1.id, g2.id), g1.alexander + g2.alexander,
-                  None if None in (g1.maslov, g2.maslov) else g1.maslov + g2.maslov)
-        for g1 in c1.generators
-        for g2 in c2.generators
-    ]
-    terms = []
-    for t in c1.differential:
-        for g2 in c2.generators:
-            terms.append(DiffTerm(pid(t.source, g2.id), pid(t.target, g2.id), t.upower))
-    for g1 in c1.generators:
-        for t in c2.differential:
-            terms.append(DiffTerm(pid(g1.id, t.source), pid(g1.id, t.target), t.upower))
-    flip = [
-        FlipPair(pid(g1.id, g2.id), pid(c1.flip_map[g1.id], c2.flip_map[g2.id]))
-        for g1 in c1.generators
-        for g2 in c2.generators
-    ]
-    return CfkComplex(gens, terms, flip, f"{c1.name}#{c2.name}")
+    (ids1, a1, m1), (s1, t1, k1), _ = c1.columns
+    (ids2, a2, m2), (s2, t2, k2), _ = c2.columns
+    ids = pid(ids1, ids2)
+    generators = (
+        ids,
+        [x + y for x in a1 for y in a2],
+        [None if None in (x, y) else x + y for x in m1 for y in m2],
+    )
+    terms = (
+        pid(s1, ids2) + pid(ids1, s2),
+        pid(t1, ids2) + pid(ids1, t2),
+        [k for k in k1 for _ in ids2] + [k for _ in ids1 for k in k2],
+    )
+    flip = pid([c1.flip_map[x] for x in ids1], [c2.flip_map[y] for y in ids2])
+    return CfkComplex.from_columns(generators, terms, (ids, flip), f"{c1.name}#{c2.name}")
 
 
 def _box(prefix: str, m: int, n: int, offset: int):
-    """One box: four generators spanning an m-by-n rectangle of arrows.
+    """One box: four generators spanning an m-by-n rectangle of arrows, as
+    (id, alexander, maslov) and (source, target, upower) rows.
 
     Corner 1 maps down to 2 (j drops by n) and across to 3 (i drops by m);
     2 and 3 both map to 4, closing the square.
     """
     a1 = offset
     gens = [
-        Generator(f"{prefix}1", a1),
-        Generator(f"{prefix}2", a1 - n),
-        Generator(f"{prefix}3", a1 + m),
-        Generator(f"{prefix}4", a1 + m - n),
+        (f"{prefix}1", a1, None),
+        (f"{prefix}2", a1 - n, None),
+        (f"{prefix}3", a1 + m, None),
+        (f"{prefix}4", a1 + m - n, None),
     ]
     terms = [
-        DiffTerm(f"{prefix}1", f"{prefix}2", 0),
-        DiffTerm(f"{prefix}1", f"{prefix}3", m),
-        DiffTerm(f"{prefix}2", f"{prefix}4", m),
-        DiffTerm(f"{prefix}3", f"{prefix}4", 0),
+        (f"{prefix}1", f"{prefix}2", 0),
+        (f"{prefix}1", f"{prefix}3", m),
+        (f"{prefix}2", f"{prefix}4", m),
+        (f"{prefix}3", f"{prefix}4", 0),
     ]
     return gens, terms
+
+
+def _from_rows(gens: list[tuple], terms: list[tuple], flip: list[tuple], name: str) -> CfkComplex:
+    """The complex of these (id, alexander, maslov), (source, target,
+    upower) and (source, target) rows, turned into columns."""
+    return CfkComplex.from_columns(
+        *(tuple(map(list, zip(*rows))) or tuple([] for _ in range(width))
+          for rows, width in ((gens, 3), (terms, 3), (flip, 2))),
+        name,
+    )
 
 
 def random_complex(spec: RandomSpec) -> CfkComplex:
@@ -155,13 +165,9 @@ def random_complex(spec: RandomSpec) -> CfkComplex:
     produce byte-identical JSON.
     """
     rng = random.Random(spec.seed)
-    gens: list[Generator] = []
-    terms: list[DiffTerm] = []
-    flip: list[FlipPair] = []
-    for i in range(spec.dots):
-        gid = f"e{i}"
-        gens.append(Generator(gid, 0))
-        flip.append(FlipPair(gid, gid))
+    gens = [(f"e{i}", 0, None) for i in range(spec.dots)]
+    terms: list[tuple] = []
+    flip = [(f"e{i}", f"e{i}") for i in range(spec.dots)]
     for i in range(spec.boxes):
         m = rng.randint(1, spec.max_side)
         n = rng.randint(1, spec.max_side)
@@ -170,34 +176,25 @@ def random_complex(spec: RandomSpec) -> CfkComplex:
         gens += g
         terms += t
         if m == n and offset == 0:
-            flip += [
-                FlipPair(f"b{i}1", f"b{i}1"),
-                FlipPair(f"b{i}2", f"b{i}3"),
-                FlipPair(f"b{i}4", f"b{i}4"),
-            ]
+            flip += [(f"b{i}1", f"b{i}1"), (f"b{i}2", f"b{i}3"), (f"b{i}4", f"b{i}4")]
         else:
             g, t = _box(f"c{i}", n, m, -offset)
             gens += g
             terms += t
-            flip += [
-                FlipPair(f"b{i}1", f"c{i}1"),
-                FlipPair(f"b{i}2", f"c{i}3"),
-                FlipPair(f"b{i}3", f"c{i}2"),
-                FlipPair(f"b{i}4", f"c{i}4"),
-            ]
+            flip += [(f"b{i}1", f"c{i}1"), (f"b{i}2", f"c{i}3"), (f"b{i}3", f"c{i}2"), (f"b{i}4", f"c{i}4")]
     name = f"random-s{spec.seed}-d{spec.dots}-x{spec.boxes}"
-    return CfkComplex(gens, terms, flip, name)
+    return _from_rows(gens, terms, flip, name)
 
 
 def _unknot() -> CfkComplex:
-    return CfkComplex([Generator("u", 0)], [], [FlipPair("u", "u")], "unknot")
+    return _from_rows([("u", 0, None)], [], [("u", "u")], "unknot")
 
 
 def _trefoil_rh() -> CfkComplex:
-    return CfkComplex(
-        [Generator("a", 1), Generator("b", 0), Generator("c", -1)],
-        [DiffTerm("b", "a", 1), DiffTerm("b", "c", 0)],
-        [FlipPair("a", "c"), FlipPair("b", "b")],
+    return _from_rows(
+        [("a", 1, None), ("b", 0, None), ("c", -1, None)],
+        [("b", "a", 1), ("b", "c", 0)],
+        [("a", "c"), ("b", "b")],
         "trefoil_rh",
     )
 
@@ -209,15 +206,10 @@ def _trefoil_lh() -> CfkComplex:
 def _figure_eight() -> CfkComplex:
     """A unit box centred at Alexander grading 0, plus the dot e."""
     gens, terms = _box("b", 1, 1, 0)
-    return CfkComplex(
-        gens + [Generator("e", 0)],
+    return _from_rows(
+        gens + [("e", 0, None)],
         terms,
-        [
-            FlipPair("b1", "b1"),
-            FlipPair("b2", "b3"),
-            FlipPair("b4", "b4"),
-            FlipPair("e", "e"),
-        ],
+        [("b1", "b1"), ("b2", "b3"), ("b4", "b4"), ("e", "e")],
         "figure_eight",
     )
 

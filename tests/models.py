@@ -4,8 +4,8 @@ API, a few private helpers included.
 The tests read them to check the paper's lemmas: the reflection swaps the
 ranks of v_hat and h_hat, the flip is a chain isomorphism between HatA(s)
 and HatA(-s), the j-level regions factor h_hat, the quadrant
-i < 0, j >= genus - 1 collapses to the top Alexander grading, and t has a
-case formula when b = 1.  The reference regions and maps build HatA(s),
+i < 0, j >= genus - 1 collapses to the top Alexander grading, and, when
+b = 1, the rank and t have case formulas in nu (``rank_os_b1``).  The reference regions and maps build HatA(s),
 HatB, Quadrant(t), v_hat and h_hat element by element, through an
 (id, upower) index, and ``assert_matches_reference`` checks the library's
 generator-indexed HatA(s), HatB and maps against them; the library builds
@@ -32,7 +32,8 @@ generators with gradings as far as n from 0, on which the tests and CI
 check that the cost follows the generator count, not the size of the
 gradings.
 ``rank_os_b1`` is a fourth rank oracle for b = 1, Ozsvath-Szabo's formula
-in nu and the homology of each HatA(s), read off the reference model.
+in nu and the homology of each HatA(s), read off the reference model, and
+gives the formula's t term beside the rank.
 ``image_intersection_rank`` is the plain meet of two column spaces, which
 the tests compare the library's memoized meets and t against, and
 ``reference_kernel_basis`` and ``reference_solve`` read a kernel basis and
@@ -52,12 +53,12 @@ chain route's and the homological route's sweeps against it.
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from hfsurgery.cfk import (
     CfkComplex,
     DiffTerm,
     FilteredChainMap,
-    FlipPair,
     Generator,
     HatA,
     HatB,
@@ -66,15 +67,15 @@ from hfsurgery.cfk import (
 )
 from hfsurgery import f2, surgery
 from hfsurgery.f2 import DimensionError, F2Matrix
-from hfsurgery.knots import _box
-from hfsurgery.surgery import MappingCone, Slope, nu_surrogate
+from hfsurgery.knots import _box, _from_rows
+from hfsurgery.surgery import MappingCone, Slope
 
 
 def dot_and_box(n: int) -> CfkComplex:
     """A dot and one symmetric box of side n: 5 generators, genus n."""
     gens, terms = _box("b", n, n, 0)
-    flip = [FlipPair("e0", "e0"), FlipPair("b1", "b1"), FlipPair("b2", "b3"), FlipPair("b4", "b4")]
-    return CfkComplex([Generator("e0", 0), *gens], terms, flip, "dot+box")
+    flip = [("e0", "e0"), ("b1", "b1"), ("b2", "b3"), ("b4", "b4")]
+    return _from_rows([("e0", 0, None), *gens], terms, flip, "dot+box")
 
 
 def dot_and_pair(n: int) -> CfkComplex:
@@ -82,8 +83,8 @@ def dot_and_pair(n: int) -> CfkComplex:
     9 generators, genus n + 1."""
     up, up_terms = _box("b0", 1, 1, n)
     down, down_terms = _box("c0", 1, 1, -n)
-    flip = [FlipPair(a, b) for a, b in [("e0", "e0"), ("b01", "c01"), ("b02", "c03"), ("b03", "c02"), ("b04", "c04")]]
-    return CfkComplex([Generator("e0", 0), *up, *down], up_terms + down_terms, flip, "dot+pair")
+    flip = [("e0", "e0"), ("b01", "c01"), ("b02", "c03"), ("b03", "c02"), ("b04", "c04")]
+    return _from_rows([("e0", 0, None), *up, *down], up_terms + down_terms, flip, "dot+pair")
 
 
 def reflected(c: CfkComplex) -> CfkComplex:
@@ -568,27 +569,34 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     return basis
 
 
-def t_closed_form(c: CfkComplex, slope: Slope) -> int:
-    """Case formula for t when b = 1: p when nu = 0, else max(0, p - (2 nu - 1) q)."""
-    nu = nu_surrogate(c)
-    if nu == 0:
-        return slope.p
-    return max(0, slope.p - (2 * nu - 1) * slope.q)
+class OsB1(NamedTuple):
+    """Ozsvath-Szabo's rank for b = 1 and the t term it is read through."""
+
+    rank: int
+    t: int
 
 
-def rank_os_b1(c: CfkComplex, slope: Slope) -> int:
-    """The rank of p/q surgery on a complex with b = 1, by Ozsvath-Szabo's
-    formula (arXiv math/0504404, Prop. 9.6):
+def rank_os_b1(c: CfkComplex, slope: Slope) -> OsB1:
+    """The rank of p/q surgery on a valid complex with b = 1, by
+    Ozsvath-Szabo's formula (arXiv math/0504404, Prop. 9.6), and its t term:
 
-        p + 2 max(0, (2 nu - 1) q - p) + q * sum over s of (dim H(HatA(s)) - 1).
+        p + 2 max(0, (2 nu - 1) q - p) + q * sum over s of (dim H(HatA(s)) - 1)
+      = 2 t - p + q * (2 max(0, 2 nu - 1) + sum over s of (dim H(HatA(s)) - 1)),
 
-    A fourth oracle: it reads no cone, no block matrix and no t, and nu and
-    every dim H(HatA(s)) come from the reference regions and maps, built
-    element by element.  nu is the least s >= 0 with v_hat(s) nonzero on
-    homology; where nu is 0 or less the max term is 0 either way."""
+    with t = p when nu = 0 and t = max(0, p - (2 nu - 1) q) otherwise, the
+    case formula of the library's ``t_invariant`` when b = 1.  The two lines
+    agree since p + 2 max(0, m - p) = 2 max(0, p - m) + 2m - p, and for
+    nu = 0 both read p + q * the sum.
+
+    A fourth oracle: it reads no cone, no block matrix and no meet of
+    images, and nu and every dim H(HatA(s)) come from the reference regions
+    and maps, built element by element.  nu is the least s >= 0 with
+    v_hat(s) nonzero on homology."""
+    c.require_valid()
     nu, excess = _os_b1_terms(c)
     p, q = slope.p, slope.q
-    return p + 2 * max(0, (2 * nu - 1) * q - p) + q * excess
+    t = p if nu == 0 else max(0, p - (2 * nu - 1) * q)
+    return OsB1(2 * t - p + q * (2 * max(0, 2 * nu - 1) + excess), t)
 
 
 @functools.cache

@@ -43,7 +43,7 @@ NEEDS_VALID = {
     "b_rank": lambda c: c.b_rank(),
     "v_hat": lambda c: c.v_hat(0),
     "nu_surrogate": nu_surrogate,
-    "t_closed_form": lambda c: models.t_closed_form(c, SLOPE),
+    "rank_os_b1": lambda c: models.rank_os_b1(c, SLOPE),
     "truncation_bound": lambda c: truncation_bound(c, SLOPE),
     "hfk_profile": lambda c: c.hfk_profile(),
     "mirror": mirror,

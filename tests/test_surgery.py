@@ -622,17 +622,17 @@ class TestNu:
 class TestTClosedForm:
     def test_trefoil(self):
         c = builtin("trefoil_rh")
-        assert models.t_closed_form(c, Slope(5, 1)) == 4
-        assert models.t_closed_form(c, Slope(1, 3)) == 0
+        assert models.rank_os_b1(c, Slope(5, 1)).t == 4
+        assert models.rank_os_b1(c, Slope(1, 3)).t == 0
 
     def test_figure_eight(self):
-        assert models.t_closed_form(builtin("figure_eight"), Slope(3, 2)) == 3
+        assert models.rank_os_b1(builtin("figure_eight"), Slope(3, 2)).t == 3
 
     def test_agrees_with_intersection_sum(self):
         for name in ("unknot", "trefoil_rh", "trefoil_lh", "figure_eight", "t25"):
             c = builtin(name)
             for slope in SMALL_SLOPES:
-                assert models.t_closed_form(c, slope) == t_invariant(c, slope), (name, slope)
+                assert models.rank_os_b1(c, slope).t == t_invariant(c, slope), (name, slope)
 
 
 class TestKernel:

@@ -8,7 +8,7 @@ its output is pinned from the same lists.  The corpus covers an odd
 multiplicity of 3 in d^2, duplicated terms on complexes with a flip (one
 whose duplicates cancel in the flip's commutation check and one whose do
 not), ``flip-commute`` at several generators, and unknown generators
-alongside good and bad flips.
+alongside good and bad flips, and repeated ids.
 """
 
 import copy
@@ -96,6 +96,13 @@ def _corpus() -> dict[str, dict]:
     data["differential"] += _terms(("ghost", "ghost", 0))
     data["flip"] = [{"from": "a", "to": "c"}, {"from": "c", "to": "a"}]
     corpus["unknown-with-flip-missing"] = data
+    # A repeated id keeps its first grading, so the flip negates every one.
+    corpus["duplicate-id"] = {
+        "name": "duplicate-id",
+        "generators": _generators(x=1, y=0) + _generators(x=-1, z=-1, y=2),
+        "differential": _terms(("y", "x", 1), ("y", "z", 0)),
+        "flip": _flip(("x", "z"), ("y", "y")),
+    }
     for name in BUILTIN_NAMES:
         corpus[name] = _builtin(name, name)
     return corpus
@@ -162,6 +169,10 @@ EXPECTED = {
     "unknown-with-flip-missing": [
         ("unknown-generator", "term 'ghost'->'ghost' names a missing generator"),
         ("flip-missing", "generator 'b' has no flip partner"),
+    ],
+    "duplicate-id": [
+        ("duplicate-id", "generator 'x' repeated"),
+        ("duplicate-id", "generator 'y' repeated"),
     ],
     **{name: [] for name in BUILTIN_NAMES},
 }
