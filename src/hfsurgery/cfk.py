@@ -631,14 +631,15 @@ class CfkComplex:
             and list(map(mapping.get, values)) == list(mapping)
             and list(map(get, values)) == list(map(neg, map(get, mapping)))
         )
-        for x, y in () if paired else sorted(mapping.items()):
-            if y not in alexander:
-                issues.append(ValidationIssue("flip-unknown", f"flip maps {x!r} to missing {y!r}"))
-            elif mapping.get(y) != x:
-                issues.append(ValidationIssue("flip-involution", f"flip is not an involution at {x!r}"))
-            elif x in alexander and alexander[y] != -alexander[x]:
-                message = f"flip pairs {x!r} (A={alexander[x]}) with {y!r} (A={alexander[y]})"
-                issues.append(ValidationIssue("flip-alexander", message))
+        if not paired:
+            for x, y in sorted(mapping.items()):
+                if y not in alexander:
+                    issues.append(ValidationIssue("flip-unknown", f"flip maps {x!r} to missing {y!r}"))
+                elif mapping.get(y) != x:
+                    issues.append(ValidationIssue("flip-involution", f"flip is not an involution at {x!r}"))
+                elif x in alexander and alexander[y] != -alexander[x]:
+                    message = f"flip pairs {x!r} (A={alexander[x]}) with {y!r} (A={alexander[y]})"
+                    issues.append(ValidationIssue("flip-alexander", message))
         if issues or not terms_ok:
             return issues
         # Commutation of the induced module map with the differential, at
@@ -1023,8 +1024,8 @@ class CfkComplex:
                         raise ValueError(
                             f"{key!r} entry {item!r} needs {kind.__name__} field {name!r}"
                         )
-            for item in items if optional else ():
-                value = item.get(optional)
+            for item in items:
+                value = item.get(optional) if optional else None
                 if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
                     raise ValueError(f"{key!r} entry {item!r} has a {optional} field that is not an int")
             # Every entry passed, some with an int or str of a subclass.
