@@ -10,10 +10,10 @@ A :class:`CfkComplex` holds its data as columns in generator order: the
 ids, Alexander gradings and Maslov gradings, the differential's term
 columns (source id, target id, upower) and the flip's pair columns.
 JSON, ``knots`` and the essential summand fill the columns directly, and
-validation reads them whole.  The :class:`Generator`, :class:`DiffTerm`
-and :class:`FlipPair` records that ``generators``, ``differential`` and
-``flip_pairs`` give are views built on first read; so are the positions
-and arcs the regions are indexed by.
+validation reads them, one loop per check naming each issue.  The
+:class:`Generator`, :class:`DiffTerm` and :class:`FlipPair` records that
+``generators``, ``differential`` and ``flip_pairs`` give are views built
+on first read; so are the positions and arcs the regions are indexed by.
 
 The finite hat-flavor regions that the surgery mapping cone reads are
 level sets of the (i, j) filtration:
@@ -126,7 +126,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, eq, neg, sub
+from operator import add, attrgetter, sub
 
 from . import f2
 from .f2 import F2Matrix, HomologyBasis, InvalidComplexError
@@ -425,7 +425,7 @@ class FilteredChainMap:
 
 
 class CfkComplex:
-    """A reduced bifiltered complex, immutable once built.
+    """A reduced bifiltered complex, never changed once built.
 
     A complex holds its data as ``columns``, in generator order: the
     generator columns (ids, Alexander gradings, Maslov gradings or None),
@@ -437,7 +437,11 @@ class CfkComplex:
     reads.  :meth:`from_json_dict` and :meth:`from_columns` fill the
     columns directly; ``CfkComplex(generators, differential, flip, name)``
     reads them off :class:`Generator`, :class:`DiffTerm` and
-    :class:`FlipPair` records.  Built on first read: the record views
+    :class:`FlipPair` records.  The columns are lists that a complex built
+    from another, by ``renamed``, ``mirror`` or :meth:`from_columns`, may
+    share, so no one changes a column once a complex holds it: ``alexander``,
+    ``flip_map`` and everything built on first read would stop agreeing
+    with it.  Built on first read: the record views
     ``generators``, ``differential`` and ``flip_pairs``, the positions the
     regions are indexed by, and the essential summand.
 
@@ -458,7 +462,8 @@ class CfkComplex:
         """The complex of these columns, kept as given, not copied:
         ``generators`` is (ids, alexander, maslov), ``differential`` is
         (sources, targets, upowers) and ``flip`` is (sources, targets) or
-        None, each column a sequence in its own order."""
+        None, each column a sequence in its own order.  The caller hands
+        the columns over and changes none of them afterwards."""
         c = cls.__new__(cls)
         c._fill(generators, differential, flip, name)
         return c
@@ -518,30 +523,15 @@ class CfkComplex:
 
     def _build_flip_map(self):
         """Each pair is read both ways in turn, so a generator's last partner
-        wins.  Only when some generator has two partners are the pairs
-        replayed one by one, to name each flip-conflict in that order."""
-        sources, targets = self.columns[2]
-        mapping = dict(zip(sources, targets))
-        mapping.update(zip(targets, sources))
-        if not all(map(eq, map(mapping.get, chain(sources, targets)), chain(targets, sources))):
-            mapping = {}
-            for pair in zip(sources, targets):
-                for a, b in (pair, pair[::-1]):
-                    if a in mapping and mapping[a] != b:
-                        message = f"generator {a!r} paired with both {mapping[a]!r} and {b!r}"
-                        self._flip_issues.append(ValidationIssue("flip-conflict", message))
-                    mapping[a] = b
+        wins, and each second partner is named as a flip-conflict."""
+        mapping: dict[str, str] = {}
+        for pair in zip(*self.columns[2]):
+            for a, b in (pair, pair[::-1]):
+                if a in mapping and mapping[a] != b:
+                    message = f"generator {a!r} paired with both {mapping[a]!r} and {b!r}"
+                    self._flip_issues.append(ValidationIssue("flip-conflict", message))
+                mapping[a] = b
         self.flip_map = mapping
-
-    @cached_property
-    def _terms_by_source(self) -> dict[str, list[tuple[str, int]]]:
-        """Each generator's terms as (target, upower), in term order.  Read
-        by the d^2 and flip checks, and only once every term names a
-        generator."""
-        terms: dict[str, list[tuple[str, int]]] = {gid: [] for gid in self.columns[0][0]}
-        for source, target, upower in zip(*self.columns[1]):
-            terms[source].append((target, upower))
-        return terms
 
     def renamed(self, name: str) -> "CfkComplex":
         return CfkComplex.from_columns(*self.columns, name)
@@ -604,7 +594,9 @@ class CfkComplex:
         # Every path x -> U^k1 y -> U^(k1 + k2) z is counted at once, by one
         # Counter over a list of (x, z, k1 + k2).  Only the odd counts are
         # sorted: by x in generator order, then by (z, k1 + k2).
-        terms = self._terms_by_source
+        terms: dict[str, list[tuple[str, int]]] = {gid: [] for gid in self.alexander}
+        for source, target, upower in zip(*self.columns[1]):
+            terms[source].append((target, upower))
         paths = Counter([(x, z, k1 + k2) for x, out in terms.items() for y, k1 in out for z, k2 in terms[y]])
         odd = [(x, z, k, count) for (x, z, k), count in paths.items() if count % 2]
         order = {x: i for i, x in enumerate(terms)} if odd else {}
@@ -620,63 +612,35 @@ class CfkComplex:
             for gid in self.columns[0][0]
             if gid not in mapping
         ]
-        # The checks below give no issue exactly when the flip is a complete
-        # involution that negates every grading, which is first read off
-        # whole columns; the pair and generator loops that name each issue
-        # run only when that fails.
-        get, values = alexander.__getitem__, list(mapping.values())
-        paired = (
-            not issues
-            and mapping.keys() == alexander.keys()
-            and list(map(mapping.get, values)) == list(mapping)
-            and list(map(get, values)) == list(map(neg, map(get, mapping)))
-        )
-        if not paired:
-            for x, y in sorted(mapping.items()):
-                if y not in alexander:
-                    issues.append(ValidationIssue("flip-unknown", f"flip maps {x!r} to missing {y!r}"))
-                elif mapping.get(y) != x:
-                    issues.append(ValidationIssue("flip-involution", f"flip is not an involution at {x!r}"))
-                elif x in alexander and alexander[y] != -alexander[x]:
-                    message = f"flip pairs {x!r} (A={alexander[x]}) with {y!r} (A={alexander[y]})"
-                    issues.append(ValidationIssue("flip-alexander", message))
+        # Named in the order of x; only what is found is sorted.
+        found = []
+        for x, y in mapping.items():
+            if y not in alexander:
+                found.append((x, "flip-unknown", f"flip maps {x!r} to missing {y!r}"))
+            elif mapping.get(y) != x:
+                found.append((x, "flip-involution", f"flip is not an involution at {x!r}"))
+            elif x in alexander and alexander[y] != -alexander[x]:
+                message = f"flip pairs {x!r} (A={alexander[x]}) with {y!r} (A={alexander[y]})"
+                found.append((x, "flip-alexander", message))
+        issues += [ValidationIssue(code, message) for _, code, message in sorted(found)]
         if issues or not terms_ok:
             return issues
         # Commutation of the induced module map with the differential, at
         # generator level: compare U-exponents relative to the source tower.
-        # Each term of either side toggles its key in one parity set, so the
-        # sides agree mod 2 exactly when the set ends empty, and a duplicated
-        # term cancels itself.  With no term repeated, each side is a set of
-        # (x, key) pairs, one per term, and they are compared whole first:
-        # a term s -> U^m w is on flip(s)'s side as (w, m + A(s)), since
-        # A(flip(s)) = -A(s).
+        # A term s -> U^m w gives (w, m + A(s)) to flip(s)'s side, since
+        # A(flip(s)) = -A(s), and (flip(w), m - A(w)) to s's side.  The sides
+        # agree mod 2 at x exactly when each of x's keys is counted an even
+        # number of times, so a duplicated term cancels itself.
         sources, targets, upowers = self.columns[1]
-        left = set(zip(map(mapping.get, sources), targets, map(add, upowers, map(get, sources))))
-        if len(left) == len(upowers) and left == set(
-            zip(sources, map(mapping.get, targets), map(sub, upowers, map(get, targets)))
-        ):
-            return issues
-        terms = self._terms_by_source
-        for x, out in terms.items():
-            odd: set[tuple[str, int]] = set()
-            a_x = alexander[x]
-            for w, m in terms.get(mapping[x], ()):
-                key = (w, m - a_x)
-                if key in odd:
-                    odd.remove(key)
-                else:
-                    odd.add(key)
-            for y, k in out:
-                key = (mapping[y], k - alexander[y])
-                if key in odd:
-                    odd.remove(key)
-                else:
-                    odd.add(key)
-            if odd:
-                issues.append(
-                    ValidationIssue("flip-commute", f"flip does not commute with the differential at {x!r}")
-                )
-        return issues
+        get = alexander.__getitem__
+        counts = Counter(zip(map(mapping.get, sources), targets, map(add, upowers, map(get, sources))))
+        counts.update(zip(sources, map(mapping.get, targets), map(sub, upowers, map(get, targets))))
+        odd = {x for (x, _, _), count in counts.items() if count % 2}
+        return [
+            ValidationIssue("flip-commute", f"flip does not commute with the differential at {x!r}")
+            for x in alexander
+            if x in odd
+        ]
 
     def require_valid(self) -> None:
         report = self.validate()

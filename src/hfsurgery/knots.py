@@ -127,35 +127,16 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
 
 def _box(prefix: str, m: int, n: int, offset: int):
     """One box: four generators spanning an m-by-n rectangle of arrows, as
-    (id, alexander, maslov) and (source, target, upower) rows.
+    their ids, their Alexander gradings and the (sources, targets, upowers)
+    columns of its terms.
 
     Corner 1 maps down to 2 (j drops by n) and across to 3 (i drops by m);
     2 and 3 both map to 4, closing the square.
     """
-    a1 = offset
-    gens = [
-        (f"{prefix}1", a1, None),
-        (f"{prefix}2", a1 - n, None),
-        (f"{prefix}3", a1 + m, None),
-        (f"{prefix}4", a1 + m - n, None),
-    ]
-    terms = [
-        (f"{prefix}1", f"{prefix}2", 0),
-        (f"{prefix}1", f"{prefix}3", m),
-        (f"{prefix}2", f"{prefix}4", m),
-        (f"{prefix}3", f"{prefix}4", 0),
-    ]
-    return gens, terms
-
-
-def _from_rows(gens: list[tuple], terms: list[tuple], flip: list[tuple], name: str) -> CfkComplex:
-    """The complex of these (id, alexander, maslov), (source, target,
-    upower) and (source, target) rows, turned into columns."""
-    return CfkComplex.from_columns(
-        *(tuple(map(list, zip(*rows))) or tuple([] for _ in range(width))
-          for rows, width in ((gens, 3), (terms, 3), (flip, 2))),
-        name,
-    )
+    p1, p2, p3, p4 = ids = [f"{prefix}{k}" for k in range(1, 5)]
+    alexander = [offset, offset - n, offset + m, offset + m - n]
+    terms = ([p1, p1, p2, p3], [p2, p3, p4, p4], [0, m, m, 0])
+    return ids, alexander, terms
 
 
 def random_complex(spec: RandomSpec) -> CfkComplex:
@@ -165,36 +146,40 @@ def random_complex(spec: RandomSpec) -> CfkComplex:
     produce byte-identical JSON.
     """
     rng = random.Random(spec.seed)
-    gens = [(f"e{i}", 0, None) for i in range(spec.dots)]
-    terms: list[tuple] = []
-    flip = [(f"e{i}", f"e{i}") for i in range(spec.dots)]
+    ids = [f"e{i}" for i in range(spec.dots)]
+    alex = [0] * spec.dots
+    terms: tuple[list, list, list] = ([], [], [])
+    flip = (ids[:], ids[:])
     for i in range(spec.boxes):
         m = rng.randint(1, spec.max_side)
         n = rng.randint(1, spec.max_side)
         offset = rng.randint(-spec.max_offset, spec.max_offset)
-        g, t = _box(f"b{i}", m, n, offset)
-        gens += g
-        terms += t
+        boxes = [_box(f"b{i}", m, n, offset)]
         if m == n and offset == 0:
-            flip += [(f"b{i}1", f"b{i}1"), (f"b{i}2", f"b{i}3"), (f"b{i}4", f"b{i}4")]
+            pairs = [(f"b{i}1", f"b{i}1"), (f"b{i}2", f"b{i}3"), (f"b{i}4", f"b{i}4")]
         else:
-            g, t = _box(f"c{i}", n, m, -offset)
-            gens += g
-            terms += t
-            flip += [(f"b{i}1", f"c{i}1"), (f"b{i}2", f"c{i}3"), (f"b{i}3", f"c{i}2"), (f"b{i}4", f"c{i}4")]
+            boxes.append(_box(f"c{i}", n, m, -offset))
+            pairs = [(f"b{i}1", f"c{i}1"), (f"b{i}2", f"c{i}3"), (f"b{i}3", f"c{i}2"), (f"b{i}4", f"c{i}4")]
+        for box_ids, box_alex, box_terms in boxes:
+            ids += box_ids
+            alex += box_alex
+            for column, new in zip(terms, box_terms):
+                column += new
+        for column, new in zip(flip, zip(*pairs)):
+            column += new
     name = f"random-s{spec.seed}-d{spec.dots}-x{spec.boxes}"
-    return _from_rows(gens, terms, flip, name)
+    return CfkComplex.from_columns((ids, alex, [None] * len(ids)), terms, flip, name)
 
 
 def _unknot() -> CfkComplex:
-    return _from_rows([("u", 0, None)], [], [("u", "u")], "unknot")
+    return CfkComplex.from_columns((["u"], [0], [None]), ([], [], []), (["u"], ["u"]), "unknot")
 
 
 def _trefoil_rh() -> CfkComplex:
-    return _from_rows(
-        [("a", 1, None), ("b", 0, None), ("c", -1, None)],
-        [("b", "a", 1), ("b", "c", 0)],
-        [("a", "c"), ("b", "b")],
+    return CfkComplex.from_columns(
+        (["a", "b", "c"], [1, 0, -1], [None] * 3),
+        (["b", "b"], ["a", "c"], [1, 0]),
+        (["a", "b"], ["c", "b"]),
         "trefoil_rh",
     )
 
@@ -205,11 +190,11 @@ def _trefoil_lh() -> CfkComplex:
 
 def _figure_eight() -> CfkComplex:
     """A unit box centred at Alexander grading 0, plus the dot e."""
-    gens, terms = _box("b", 1, 1, 0)
-    return _from_rows(
-        gens + [("e", 0, None)],
+    ids, alex, terms = _box("b", 1, 1, 0)
+    return CfkComplex.from_columns(
+        (ids + ["e"], alex + [0], [None] * 5),
         terms,
-        [("b1", "b1"), ("b2", "b3"), ("b4", "b4"), ("e", "e")],
+        (["b1", "b2", "b4", "e"], ["b1", "b3", "b4", "e"]),
         "figure_eight",
     )
 

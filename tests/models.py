@@ -67,24 +67,26 @@ from hfsurgery.cfk import (
 )
 from hfsurgery import f2, surgery
 from hfsurgery.f2 import DimensionError, F2Matrix
-from hfsurgery.knots import _box, _from_rows
+from hfsurgery.knots import _box
 from hfsurgery.surgery import MappingCone, Slope
 
 
 def dot_and_box(n: int) -> CfkComplex:
     """A dot and one symmetric box of side n: 5 generators, genus n."""
-    gens, terms = _box("b", n, n, 0)
-    flip = [("e0", "e0"), ("b1", "b1"), ("b2", "b3"), ("b4", "b4")]
-    return _from_rows([("e0", 0, None), *gens], terms, flip, "dot+box")
+    ids, alex, terms = _box("b", n, n, 0)
+    flip = (["e0", "b1", "b2", "b4"], ["e0", "b1", "b3", "b4"])
+    return CfkComplex.from_columns((["e0", *ids], [0, *alex], [None] * 5), terms, flip, "dot+box")
 
 
 def dot_and_pair(n: int) -> CfkComplex:
     """A dot and two unit boxes at offsets +-n, paired as in random_complex:
     9 generators, genus n + 1."""
-    up, up_terms = _box("b0", 1, 1, n)
-    down, down_terms = _box("c0", 1, 1, -n)
-    flip = [("e0", "e0"), ("b01", "c01"), ("b02", "c03"), ("b03", "c02"), ("b04", "c04")]
-    return _from_rows([("e0", 0, None), *up, *down], up_terms + down_terms, flip, "dot+pair")
+    up_ids, up_alex, up_terms = _box("b0", 1, 1, n)
+    down_ids, down_alex, down_terms = _box("c0", 1, 1, -n)
+    generators = (["e0", *up_ids, *down_ids], [0, *up_alex, *down_alex], [None] * 9)
+    terms = tuple(up + down for up, down in zip(up_terms, down_terms))
+    flip = (["e0", "b01", "b02", "b03", "b04"], ["e0", "c01", "c03", "c02", "c04"])
+    return CfkComplex.from_columns(generators, terms, flip, "dot+pair")
 
 
 def reflected(c: CfkComplex) -> CfkComplex:
