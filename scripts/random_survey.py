@@ -47,7 +47,7 @@ def main() -> int:
                 disagreements += 1
             ranks.append(str(oracle))
         print(
-            f"{c.name}\t{len(c.generators)}\t{c.b_rank()}\t{c.genus()}\t"
+            f"{c.name}\t{len(c.columns[0][0])}\t{c.b_rank()}\t{c.genus()}\t"
             + ("pass" if hyp else "fail")
             + "\t"
             + "\t".join(ranks)

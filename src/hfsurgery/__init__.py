@@ -11,11 +11,8 @@ original manifold.
 
 from .cfk import (
     CfkComplex,
-    DiffTerm,
     FilteredChainMap,
-    FlipPair,
     FlipRequiredError,
-    Generator,
     HatA,
     HatB,
     RegionComplex,

@@ -6,14 +6,13 @@ sits at (-k, alexander(x) - k), so j - i = alexander(x) along the whole
 U-tower.  Differentials are U-equivariant and every term strictly drops
 at least one filtration coordinate (the complex is reduced).
 
-A :class:`CfkComplex` holds its data as columns in generator order: the
-ids, Alexander gradings and Maslov gradings, the differential's term
-columns (source id, target id, upower) and the flip's pair columns.
-JSON, ``knots`` and the essential summand fill the columns directly, and
-validation reads them, one loop per check naming each issue.  The
-:class:`Generator`, :class:`DiffTerm` and :class:`FlipPair` records that
-``generators``, ``differential`` and ``flip_pairs`` give are views built
-on first read; so are the positions and arcs the regions are indexed by.
+A :class:`CfkComplex` is its columns, in generator order: the ids,
+Alexander gradings and Maslov gradings, the differential's term columns
+(source id, target id, upower) and the flip's pair columns.  It has one
+constructor, which takes the columns as given and does not copy them.
+JSON, ``knots`` and the essential summand hand their columns over to it,
+and validation reads them, one loop per check naming each issue.  The
+positions and arcs the regions are indexed by are built on first read.
 
 The finite hat-flavor regions that the surgery mapping cone reads are
 level sets of the (i, j) filtration:
@@ -26,17 +25,17 @@ inside the region.  HatA(s) and HatB hold one copy of each generator, in
 the complex's generator order: element i is U^k x_i with
 k = max(0, alexander(x_i) - s) in HatA(s) and k = 0 in HatB.  A region
 keeps only its boundary.  For s at or above the top Alexander grading
-every upower is 0, and HatA(s) is the HatB region itself, one object with one kernel and one
-homology basis.  The maps v_hat(s) and h_hat(s) from HatA(s) to HatB are
-the vertical projection and the horizontal projection composed with U^s
-and the flip involution, built straight from that order.  Each sends an
-element to one element or to zero, so it is held as a generator index
-map, with no matrix: v_hat(s) keeps element i when alexander(x_i) <= s,
-and h_hat(s) sends it to the position of flip(x_i) when
-alexander(x_i) >= s.  The chain-map check, the maps' rows between HatB's
-cocycle classes, b of them, and the cycle basis, and their matrices on
-homology all read the index.  The rows are read off the cycles
-themselves, so no region keeps its cycles as rows.
+every upower is 0, and HatA(s) is the HatB region itself, one object
+with one kernel and one homology basis.  The maps v_hat(s) and h_hat(s)
+from HatA(s) to HatB are the vertical projection and the horizontal
+projection composed with U^s and the flip involution, built straight
+from that order.  Each sends an element to one element or to zero, so
+it is held as a generator index map, with no matrix: v_hat(s) keeps
+element i when alexander(x_i) <= s, and h_hat(s) sends it to the
+position of flip(x_i) when alexander(x_i) >= s.  The chain-map check,
+the maps' rows between HatB's cocycle classes, b of them, and the cycle
+basis, and their matrices on homology all read the index.  The rows are
+read off the cycles themselves, so no region keeps its cycles as rows.
 
 HatA(s), v_hat(s) and h_hat(s) change with s only where s crosses an
 Alexander grading.  The cuts are a and a + 1 for every grading a, and the
@@ -126,7 +125,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, sub
+from operator import add, sub
 
 from . import f2
 from .f2 import F2Matrix, HomologyBasis, InvalidComplexError
@@ -138,36 +137,6 @@ class FlipRequiredError(ValueError):
 
 class UnknownRegionError(ValueError):
     """The region tag is not one of the supported kinds."""
-
-
-@dataclass(frozen=True)
-class Generator:
-    """One F2[U, U^-1] generator; maslov is metadata and never computed with."""
-
-    id: str
-    alexander: int
-    maslov: int | None = None
-
-
-@dataclass(frozen=True)
-class DiffTerm:
-    """The differential of ``source`` contains the term U^upower * target."""
-
-    source: str
-    target: str
-    upower: int
-
-
-@dataclass(frozen=True)
-class FlipPair:
-    """Generator pairing inducing the filtration-swapping involution.
-
-    The involution sends x to U^(-alexander(x)) * partner(x), extended
-    U-equivariantly; it must commute with the differential.
-    """
-
-    source: str
-    target: str
 
 
 @dataclass(frozen=True)
@@ -201,12 +170,6 @@ class ValidationReport:
         if self.ok:
             return "valid"
         return "\n".join(str(issue) for issue in self.issues)
-
-
-def _columns(records, *fields) -> tuple[list, ...]:
-    """The records as one column per field, in their order."""
-    records = tuple(records)
-    return tuple(list(map(attrgetter(field), records)) for field in fields)
 
 
 def move_bits(masks, to) -> list[int]:
@@ -427,48 +390,29 @@ class FilteredChainMap:
 class CfkComplex:
     """A reduced bifiltered complex, never changed once built.
 
-    A complex holds its data as ``columns``, in generator order: the
-    generator columns (ids, Alexander gradings, Maslov gradings or None),
-    the term columns of the differential (source id, target id, upower) and
-    the flip columns (source id, target id), or None without a flip.  Ids
-    are kept as names, so an invalid complex holds them as given.  Beside
-    them it keeps ``alexander`` (each id's grading, the first one of a
-    repeated id) and ``flip_map`` (each id's partner), which validation
-    reads.  :meth:`from_json_dict` and :meth:`from_columns` fill the
-    columns directly; ``CfkComplex(generators, differential, flip, name)``
-    reads them off :class:`Generator`, :class:`DiffTerm` and
-    :class:`FlipPair` records.  The columns are lists that a complex built
-    from another, by ``renamed``, ``mirror`` or :meth:`from_columns`, may
-    share, so no one changes a column once a complex holds it: ``alexander``,
-    ``flip_map`` and everything built on first read would stop agreeing
-    with it.  Built on first read: the record views
-    ``generators``, ``differential`` and ``flip_pairs``, the positions the
-    regions are indexed by, and the essential summand.
+    A complex is its ``columns``, in generator order: the generator columns
+    (ids, Alexander gradings, Maslov gradings or None), the term columns of
+    the differential (source id, target id, upower) and the flip columns
+    (source id, target id), or None without a flip.  Ids are kept as names,
+    so an invalid complex holds them as given.  Beside them it keeps
+    ``alexander`` (each id's grading, the first one of a repeated id) and
+    ``flip_map`` (each id's partner), which validation reads.  Built on
+    first read: the positions the regions are indexed by, and the essential
+    summand.
 
     Derived regions, maps and homology data are memoized; every public
     operation is pure, so sharing one instance between threads is safe.
     """
 
     def __init__(self, generators, differential, flip=None, name: str = "complex"):
-        self._fill(
-            _columns(generators, "id", "alexander", "maslov"),
-            _columns(differential, "source", "target", "upower"),
-            None if flip is None else _columns(flip, "source", "target"),
-            name,
-        )
-
-    @classmethod
-    def from_columns(cls, generators, differential, flip=None, name: str = "complex") -> "CfkComplex":
         """The complex of these columns, kept as given, not copied:
         ``generators`` is (ids, alexander, maslov), ``differential`` is
         (sources, targets, upowers) and ``flip`` is (sources, targets) or
-        None, each column a sequence in its own order.  The caller hands
-        the columns over and changes none of them afterwards."""
-        c = cls.__new__(cls)
-        c._fill(generators, differential, flip, name)
-        return c
-
-    def _fill(self, generators, differential, flip, name):
+        None, each column a sequence in its own order.  The caller hands the
+        columns over and changes none of them afterwards, and a complex
+        built from another, by ``renamed``, ``mirror`` or the essential
+        summand, may share them: ``alexander``, ``flip_map`` and everything
+        built on first read would stop agreeing with a changed column."""
         # The name is printed on its own line and as a TSV cell, so it holds
         # no control character (Cc) and no line or paragraph separator
         # (Zl, Zp), which str.splitlines() also splits on.  A printable
@@ -490,22 +434,6 @@ class CfkComplex:
         if flip is not None:
             self._build_flip_map()
         self._memo: dict = {}
-
-    @cached_property
-    def generators(self) -> tuple[Generator, ...]:
-        """The generator records, built on first read."""
-        return tuple(map(Generator, *self.columns[0]))
-
-    @cached_property
-    def differential(self) -> tuple[DiffTerm, ...]:
-        """The term records, built on first read."""
-        return tuple(map(DiffTerm, *self.columns[1]))
-
-    @cached_property
-    def flip_pairs(self) -> tuple[FlipPair, ...] | None:
-        """The flip pair records, or None without a flip, built on first read."""
-        flip = self.columns[2]
-        return None if flip is None else tuple(map(FlipPair, *flip))
 
     def cached(self, key, compute):
         """The value memoized under ``key``, computed by ``compute()`` on a miss.
@@ -534,7 +462,7 @@ class CfkComplex:
         self.flip_map = mapping
 
     def renamed(self, name: str) -> "CfkComplex":
-        return CfkComplex.from_columns(*self.columns, name)
+        return CfkComplex(*self.columns, name)
 
     # -- validation ------------------------------------------------------
 
@@ -853,7 +781,7 @@ class CfkComplex:
         def cut(columns, keep):
             return [list(compress(column, keep)) for column in columns]
 
-        summand = CfkComplex.from_columns(
+        summand = CfkComplex(
             cut(generators, kept),
             cut(differential, [kept[a] for a, _, _ in arcs]),
             cut(flip, [kept[index[x]] for x in flip[0]]),
@@ -960,9 +888,9 @@ class CfkComplex:
 
         Each list's shape is checked by the exact types of its entries and
         of each of their fields, one pass over the list each, so a bool
-        never passes for an int, and no record is built.  Only a list that
-        fails this check is walked entry by entry, which raises on the first
-        bad entry, naming it, or accepts an int or str of a subclass."""
+        never passes for an int.  Only a list that fails this check is
+        walked entry by entry, which raises on the first bad entry, naming
+        it, or accepts an int or str of a subclass."""
         if not isinstance(data, dict):
             raise ValueError(f"a complex must be a JSON object, not {type(data).__name__}")
 
@@ -995,7 +923,7 @@ class CfkComplex:
             # Every entry passed, some with an int or str of a subclass.
             return [[item.get(name) for item in items] for name in names]
 
-        return cls.from_columns(
+        return cls(
             columns("generators", {"id": str, "alexander": int}, "maslov"),
             columns("differential", {"from": str, "to": str, "upower": int}),
             columns("flip", {"from": str, "to": str}) if "flip" in data else None,

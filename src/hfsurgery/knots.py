@@ -71,7 +71,7 @@ def staircase(steps: list[int] | tuple[int, ...]) -> CfkComplex:
         [f"a{i}" for i in range(n + 1)] + [f"b{i}" for i in range(1, n + 1)],
         [f"a{n - i}" for i in range(n + 1)] + [f"b{n + 1 - i}" for i in range(1, n + 1)],
     )
-    return CfkComplex.from_columns((ids, alex, [None] * len(ids)), terms, flip, name)
+    return CfkComplex((ids, alex, [None] * len(ids)), terms, flip, name)
 
 
 def mirror(c: CfkComplex) -> CfkComplex:
@@ -84,7 +84,7 @@ def mirror(c: CfkComplex) -> CfkComplex:
     """
     c.require_valid()
     (ids, alexander, maslov), (sources, targets, upowers), flip = c.columns
-    return CfkComplex.from_columns(
+    return CfkComplex(
         (ids, [-a for a in alexander], [None if m is None else -m for m in maslov]),
         (targets, sources, upowers),
         flip,
@@ -122,7 +122,7 @@ def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
         [k for k in k1 for _ in ids2] + [k for _ in ids1 for k in k2],
     )
     flip = pid([c1.flip_map[x] for x in ids1], [c2.flip_map[y] for y in ids2])
-    return CfkComplex.from_columns(generators, terms, (ids, flip), f"{c1.name}#{c2.name}")
+    return CfkComplex(generators, terms, (ids, flip), f"{c1.name}#{c2.name}")
 
 
 def _box(prefix: str, m: int, n: int, offset: int):
@@ -168,15 +168,15 @@ def random_complex(spec: RandomSpec) -> CfkComplex:
         for column, new in zip(flip, zip(*pairs)):
             column += new
     name = f"random-s{spec.seed}-d{spec.dots}-x{spec.boxes}"
-    return CfkComplex.from_columns((ids, alex, [None] * len(ids)), terms, flip, name)
+    return CfkComplex((ids, alex, [None] * len(ids)), terms, flip, name)
 
 
 def _unknot() -> CfkComplex:
-    return CfkComplex.from_columns((["u"], [0], [None]), ([], [], []), (["u"], ["u"]), "unknot")
+    return CfkComplex((["u"], [0], [None]), ([], [], []), (["u"], ["u"]), "unknot")
 
 
 def _trefoil_rh() -> CfkComplex:
-    return CfkComplex.from_columns(
+    return CfkComplex(
         (["a", "b", "c"], [1, 0, -1], [None] * 3),
         (["b", "b"], ["a", "c"], [1, 0]),
         (["a", "b"], ["c", "b"]),
@@ -191,7 +191,7 @@ def _trefoil_lh() -> CfkComplex:
 def _figure_eight() -> CfkComplex:
     """A unit box centred at Alexander grading 0, plus the dot e."""
     ids, alex, terms = _box("b", 1, 1, 0)
-    return CfkComplex.from_columns(
+    return CfkComplex(
         (ids + ["e"], alex + [0], [None] * 5),
         terms,
         (["b1", "b2", "b4", "e"], ["b1", "b3", "b4", "e"]),

@@ -52,14 +52,13 @@ chain route's and the homological route's sweeps against it.
 """
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from hfsurgery.cfk import (
     CfkComplex,
-    DiffTerm,
     FilteredChainMap,
-    Generator,
     HatA,
     HatB,
     MirroredRegion,
@@ -75,7 +74,7 @@ def dot_and_box(n: int) -> CfkComplex:
     """A dot and one symmetric box of side n: 5 generators, genus n."""
     ids, alex, terms = _box("b", n, n, 0)
     flip = (["e0", "b1", "b2", "b4"], ["e0", "b1", "b3", "b4"])
-    return CfkComplex.from_columns((["e0", *ids], [0, *alex], [None] * 5), terms, flip, "dot+box")
+    return CfkComplex((["e0", *ids], [0, *alex], [None] * 5), terms, flip, "dot+box")
 
 
 def dot_and_pair(n: int) -> CfkComplex:
@@ -86,25 +85,24 @@ def dot_and_pair(n: int) -> CfkComplex:
     generators = (["e0", *up_ids, *down_ids], [0, *up_alex, *down_alex], [None] * 9)
     terms = tuple(up + down for up, down in zip(up_terms, down_terms))
     flip = (["e0", "b01", "b02", "b03", "b04"], ["e0", "c01", "c03", "c02", "c04"])
-    return CfkComplex.from_columns(generators, terms, flip, "dot+pair")
+    return CfkComplex(generators, terms, flip, "dot+pair")
 
 
 def reflected(c: CfkComplex) -> CfkComplex:
     """The complex with the two filtration roles exchanged.
 
-    Generator x keeps its id with alexander grading negated; a term with
-    drops (k, d_j) becomes a term with drops (d_j, k).  For every s the maps
-    v_hat(s) of the result and h_hat(-s) of the original have the same rank
-    and kernel dimension.
+    Each generator keeps its id with its alexander grading negated; a
+    term with drops (k, d_j) becomes a term with drops (d_j, k).  For every
+    s the maps v_hat(s) of the result and h_hat(-s) of the original have
+    the same rank and kernel dimension.
     """
     c.require_valid()
     c.require_flip()
-    gens = [Generator(g.id, -g.alexander) for g in c.generators]
-    terms = [
-        DiffTerm(t.source, t.target, t.upower + c.alexander[t.source] - c.alexander[t.target])
-        for t in c.differential
-    ]
-    return CfkComplex(gens, terms, c.flip_pairs, f"reflected({c.name})")
+    (ids, alexander, _), (sources, targets, upowers), flip = c.columns
+    a = c.alexander
+    upowers = [k + a[x] - a[y] for x, y, k in zip(sources, targets, upowers)]
+    generators = (ids, [-x for x in alexander], [None] * len(ids))
+    return CfkComplex(generators, (sources, targets, upowers), flip, f"reflected({c.name})")
 
 
 def region_flip_equivalence(c: CfkComplex, s: int) -> FilteredChainMap:
@@ -236,14 +234,15 @@ def reference_members(c: CfkComplex, tag) -> list[tuple[str, int]]:
     """The (id, upower) elements of HatA(s), HatB, JLevel(s) or
     Quadrant(t), one per lattice element, in generator order: the library's
     order for HatA(s) and HatB."""
+    generators = list(zip(*c.columns[0][:2]))
     if isinstance(tag, HatA):
-        return [(g.id, max(0, g.alexander - tag.s)) for g in c.generators]
+        return [(x, max(0, a - tag.s)) for x, a in generators]
     if isinstance(tag, HatB):
-        return [(g.id, 0) for g in c.generators]
+        return [(x, 0) for x, _ in generators]
     if isinstance(tag, JLevel):
-        return [(g.id, g.alexander - tag.s) for g in c.generators]
+        return [(x, a - tag.s) for x, a in generators]
     assert isinstance(tag, Quadrant)
-    return [(g.id, k) for g in c.generators for k in range(1, g.alexander - tag.min_j + 1)]
+    return [(x, k) for x, a in generators for k in range(1, a - tag.min_j + 1)]
 
 
 def reference_region(c: CfkComplex, tag) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
@@ -255,8 +254,8 @@ def reference_region(c: CfkComplex, tag) -> tuple[tuple[tuple[str, int], ...], t
     index = {elem: i for i, elem in enumerate(members)}
     masks = [0] * len(members)
     for (gid, k), col in index.items():
-        for t in c.differential:
-            row = index.get((t.target, k + t.upower)) if t.source == gid else None
+        for source, target, upower in zip(*c.columns[1]):
+            row = index.get((target, k + upower)) if source == gid else None
             if row is not None:
                 masks[row] ^= 1 << col
     return tuple(members), tuple(masks)
@@ -336,7 +335,7 @@ def assert_classes_hold(c: CfkComplex, margin: int = 3) -> None:
     boundary and matrices of s itself, so s and its class agree.  The genus
     is also the largest s >= 1 with v_hat(s - 1) not an isomorphism found
     by testing every s from the top grading + 1 down, not only the cuts."""
-    grades = [g.alexander for g in c.generators]
+    grades = c.columns[0][1]
     cuts = sorted({x for a in grades for x in (a, a + 1)})
     assert c.alexander_cuts == tuple(cuts)
     for s in range(min(grades) - margin, max(grades) + margin + 1):
@@ -366,7 +365,7 @@ def reference_class_runs(c: CfkComplex, lo: int, hi: int) -> list[tuple[int, int
 def reference_genus(c: CfkComplex) -> int:
     """The largest s >= 1 with v_hat(s - 1) not an isomorphism, or 0, found
     by testing every s from one past the top grading down."""
-    top = max(g.alexander for g in c.generators)
+    top = max(c.columns[0][1])
     return next((s for s in range(top + 1, 0, -1) if not is_iso(c.v_hat(s - 1))), 0)
 
 
@@ -397,7 +396,7 @@ def assert_runs_match_per_s(c: CfkComplex) -> None:
     the genus, both sides of the containment report expanded by
     ``to_json_dict`` in the same order, the ``_v_sum`` terms and, when
     b = 1, nu."""
-    g, grades = c.genus(), [x.alexander for x in c.generators]
+    g, grades = c.genus(), c.columns[0][1]
     bottom, top = min(grades), max(grades)
     ranges = [(0, g), (-g, 0), (1, g - 1), (1, 0), (bottom - 2, top + 2), (bottom + 1, top - 1)]
     for lo, hi in ranges:
@@ -595,20 +594,26 @@ def rank_os_b1(c: CfkComplex, slope: Slope) -> OsB1:
     and maps, built element by element.  nu is the least s >= 0 with
     v_hat(s) nonzero on homology."""
     c.require_valid()
-    nu, excess = _os_b1_terms(c)
+    if c not in _OS_B1_TERMS:
+        _OS_B1_TERMS[c] = _os_b1_terms(c)
+    nu, excess = _OS_B1_TERMS[c]
     p, q = slope.p, slope.q
     t = p if nu == 0 else max(0, p - (2 * nu - 1) * q)
     return OsB1(2 * t - p + q * (2 * max(0, 2 * nu - 1) + excess), t)
 
 
-@functools.cache
+# Held by weak keys, so a complex that ``rank_os_b1`` ranks is freed once
+# its caller drops it.
+_OS_B1_TERMS: "weakref.WeakKeyDictionary[CfkComplex, tuple[int, int]]" = weakref.WeakKeyDictionary()
+
+
 def _os_b1_terms(c: CfkComplex) -> tuple[int, int]:
-    """(nu, sum over s of dim H(HatA(s)) - 1) on the reference model, once
-    per complex.  Outside the Alexander gradings HatA(s) is HatB, or its
-    image under the flip, so the sum runs over the gradings alone, and
-    v_hat at the top grading is the identity of HatB, so nu is found by
-    then."""
-    grades = [g.alexander for g in c.generators]
+    """(nu, sum over s of dim H(HatA(s)) - 1) on the reference model, read
+    once per complex by ``rank_os_b1``.  Outside the Alexander gradings
+    HatA(s) is HatB, or its image under the flip, so the sum runs over the
+    gradings alone, and v_hat at the top grading is the identity of HatB,
+    so nu is found by then."""
+    grades = c.columns[0][1]
     b = reference_complex(c, HatB()).homology
     assert b.dim == 1, "rank_os_b1 needs b = 1"
 

@@ -7,10 +7,7 @@ import pytest
 from hfsurgery import f2
 from hfsurgery.cfk import (
     CfkComplex,
-    DiffTerm,
-    FlipPair,
     FlipRequiredError,
-    Generator,
     HatA,
     HatB,
     MirroredRegion,
@@ -18,7 +15,7 @@ from hfsurgery.cfk import (
     move_bits,
 )
 from hfsurgery.f2 import F2Matrix, InvalidComplexError
-from hfsurgery.knots import BUILTIN_NAMES, builtin, tensor
+from hfsurgery.knots import BUILTIN_NAMES, builtin, mirror, tensor
 from hfsurgery.surgery import Slope, compute_rank_report, cone_rank_homological
 
 import models
@@ -39,6 +36,31 @@ def fig8():
     return builtin("figure_eight")
 
 
+class TestConstructor:
+    """The constructor keeps the column lists it is given, and a complex
+    built from another shares them, so no column is copied."""
+
+    def test_keeps_the_lists_it_is_given(self):
+        ids, alexander, maslov = ["x", "y"], [0, 0], [None, None]
+        terms, flip = ([], [], []), (["x", "y"], ["x", "y"])
+        c = CfkComplex((ids, alexander, maslov), terms, flip, "given")
+        assert c.columns[0][0] is ids
+        given = ((ids, alexander, maslov), terms, flip)
+        assert all(a is b for mine, theirs in zip(c.columns, given) for a, b in zip(mine, theirs))
+
+    def test_renamed_shares_every_column(self, trefoil):
+        r = trefoil.renamed("other")
+        assert r.name == "other" and trefoil.name == "trefoil_rh"
+        assert all(a is b for mine, theirs in zip(r.columns, trefoil.columns) for a, b in zip(mine, theirs))
+
+    def test_mirror_shares_ids_terms_and_flip(self, trefoil):
+        (ids, _, _), (sources, targets, upowers), flip = trefoil.columns
+        (m_ids, _, _), (m_sources, m_targets, m_upowers), m_flip = mirror(trefoil).columns
+        assert m_ids is ids
+        assert m_sources is targets and m_targets is sources and m_upowers is upowers
+        assert all(a is b for a, b in zip(m_flip, flip))
+
+
 class TestValidate:
     def test_unknot_valid(self, unknot):
         assert unknot.validate().ok
@@ -49,20 +71,16 @@ class TestValidate:
         assert trefoil.validate().ok
 
     def test_reducedness_violation(self, trefoil):
-        bad = CfkComplex(
-            trefoil.generators,
-            list(trefoil.differential) + [DiffTerm("b", "b", 0)],
-            trefoil.flip_pairs,
-            "bad",
-        )
+        generators, terms, flip = trefoil.columns
+        bad = CfkComplex(generators, [column + [end] for column, end in zip(terms, ("b", "b", 0))], flip, "bad")
         report = bad.validate()
         assert not report.ok
         assert any(issue.code == "reduced" for issue in report.issues)
 
     def test_d_squared_violation(self):
         c = CfkComplex(
-            [Generator("x", 1), Generator("y", 0), Generator("z", -1)],
-            [DiffTerm("x", "y", 0), DiffTerm("y", "z", 0)],
+            (["x", "y", "z"], [1, 0, -1], [None] * 3),
+            (["x", "y"], ["y", "z"], [0, 0]),
             None,
             "not-a-complex",
         )
@@ -70,62 +88,47 @@ class TestValidate:
         assert any(issue.code == "d-squared" for issue in report.issues)
 
     def test_filtration_violation(self):
-        c = CfkComplex(
-            [Generator("x", 0), Generator("y", 3)],
-            [DiffTerm("x", "y", 1)],
-            None,
-            "raises-j",
-        )
+        c = CfkComplex((["x", "y"], [0, 3], [None] * 2), (["x"], ["y"], [1]), None, "raises-j")
         assert any(i.code == "filtration" for i in c.validate().issues)
 
     def test_duplicate_ids_flagged(self):
-        c = CfkComplex([Generator("x", 0), Generator("x", 0)], [], None, "dup")
+        c = CfkComplex((["x", "x"], [0, 0], [None] * 2), ([], [], []), None, "dup")
         assert any(i.code == "duplicate-id" for i in c.validate().issues)
 
     def test_flip_must_negate_alexander(self):
-        c = CfkComplex(
-            [Generator("x", 1), Generator("y", 0)],
-            [],
-            [FlipPair("x", "x"), FlipPair("y", "y")],
-            "bad-flip",
-        )
+        c = CfkComplex((["x", "y"], [1, 0], [None] * 2), ([], [], []), (["x", "y"], ["x", "y"]), "bad-flip")
         assert any(i.code == "flip-alexander" for i in c.validate().issues)
 
     def test_flip_must_commute(self):
         # x sits at A = 1 with partner y at A = -1, but the differential
         # only leaves x, so the induced involution cannot commute.
         c = CfkComplex(
-            [Generator("x", 1), Generator("y", -1), Generator("w", 0)],
-            [DiffTerm("x", "w", 0)],
-            [FlipPair("x", "y"), FlipPair("w", "w")],
+            (["x", "y", "w"], [1, -1, 0], [None] * 3),
+            (["x"], ["w"], [0]),
+            (["x", "w"], ["y", "w"]),
             "non-commuting",
         )
         assert any(i.code == "flip-commute" for i in c.validate().issues)
 
     def test_validate_never_raises(self):
-        c = CfkComplex([], [DiffTerm("ghost", "ghost", 0)], None, "broken")
+        c = CfkComplex(([], [], []), (["ghost"], ["ghost"], [0]), None, "broken")
         report = c.validate()
         assert not report.ok
 
     def test_validate_never_raises_with_flip_and_bad_term(self):
-        c = CfkComplex(
-            [Generator("x", 0)],
-            [DiffTerm("x", "ghost", 1)],
-            [FlipPair("x", "x")],
-            "broken-with-flip",
-        )
+        c = CfkComplex((["x"], [0], [None]), (["x"], ["ghost"], [1]), (["x"], ["x"]), "broken-with-flip")
         report = c.validate()
         assert any(i.code == "unknown-generator" for i in report.issues)
 
     def test_empty_complex_is_invalid(self):
         # HF-hat of a closed 3-manifold is never zero, so b_rank >= 1.
-        c = CfkComplex([], [], [], "empty")
+        c = CfkComplex(([], [], []), ([], [], []), ([], []), "empty")
         assert [i.code for i in c.validate().issues] == ["empty"]
         with pytest.raises(InvalidComplexError):
             c.require_valid()
 
     def test_require_valid_raises(self):
-        c = CfkComplex([Generator("x", 0), Generator("x", 0)], [], None, "dup")
+        c = CfkComplex((["x", "x"], [0, 0], [None] * 2), ([], [], []), None, "dup")
         with pytest.raises(InvalidComplexError):
             c.require_valid()
 
@@ -200,10 +203,10 @@ class TestRegions:
         mirrored = [region for region in regions if isinstance(region, MirroredRegion)]
         assert len(direct) > 2 and len(mirrored) > 2
         for region in direct:
-            assert region.dim == len(c.generators)
+            assert region.dim == len(c.columns[0][0])
             assert set(vars(region)) <= {"tag", "boundary", "cycles", "cocycles", "homology"}
         for region in mirrored:
-            assert region.dim == len(c.generators)
+            assert region.dim == len(c.columns[0][0])
             assert set(vars(region)) <= {"tag", "boundary", "cycles", "homology", "mirror", "flip"}
             assert region.mirror is c.region_complex(HatA(-region.tag.s))
             assert not isinstance(region.mirror, MirroredRegion)
@@ -227,7 +230,7 @@ class TestRegions:
         c = builtin(first)
         for part in rest:
             c = tensor(c, builtin(part))
-        top = max(g.alexander for g in c.generators)
+        top = max(c.columns[0][1])
         for s in range(top - 2, top + 3):
             assert (c.region_complex(HatA(s)) is c.region_complex(HatB())) == (s >= top), s
 
@@ -343,12 +346,7 @@ class TestVhat:
         assert models.is_iso(trefoil.v_hat(1))
 
     def test_works_without_flip(self):
-        c = CfkComplex(
-            [Generator("a", 1), Generator("b", 0), Generator("c", -1)],
-            [DiffTerm("b", "a", 1), DiffTerm("b", "c", 0)],
-            None,
-            "flipless",
-        )
+        c = CfkComplex((["a", "b", "c"], [1, 0, -1], [None] * 3), (["b", "b"], ["a", "c"], [1, 0]), None, "flipless")
         assert c.v_hat(0).induced.data == (0,)
         assert c.genus() == 1
 
@@ -366,7 +364,7 @@ class TestHhat:
         assert models.is_iso(trefoil.h_hat(-1))
 
     def test_missing_flip(self):
-        c = CfkComplex([Generator("x", 0)], [], None, "flipless")
+        c = CfkComplex((["x"], [0], [None]), ([], [], []), None, "flipless")
         with pytest.raises(FlipRequiredError):
             c.h_hat(0)
 
@@ -411,8 +409,8 @@ class TestInvariants:
         assert trefoil.b_rank() == 1
 
     def test_b_rank_dots(self):
-        gens = [Generator(f"e{i}", 0) for i in range(3)]
-        c = CfkComplex(gens, [], [FlipPair(g.id, g.id) for g in gens], "dots")
+        ids = ["e0", "e1", "e2"]
+        c = CfkComplex((ids, [0] * 3, [None] * 3), ([], [], []), (ids, ids), "dots")
         assert c.b_rank() == 3
 
     def test_genus(self, unknot, trefoil, fig8):
@@ -433,7 +431,7 @@ class TestEssentialSummand:
         # homology in a HatA region is H(HatA(0)), of dimension 2, so its
         # cone adds 2q: rank p + 2q at p/q.
         e = fig8.essential_summand
-        assert [g.id for g in e.generators] == ["e"]
+        assert e.columns[0][0] == ["e"]
         assert e.essential_summand is e and e.acyclic_sum() == 0
         assert fig8.acyclic_sum() == 2
         assert (fig8.genus(), fig8.b_rank(), e.genus(), e.b_rank()) == (1, 1, 0, 1)
@@ -443,10 +441,10 @@ class TestEssentialSummand:
         # Connected, flipless, or with no component of b = 0.
         if name == "no flip":
             t = builtin("trefoil_rh")
-            c = CfkComplex(t.generators, t.differential, None, name)
+            c = CfkComplex(*t.columns[:2], None, name)
         elif name == "three dots":
-            gens = [Generator(f"e{i}", 0) for i in range(3)]
-            c = CfkComplex(gens, [], [FlipPair(g.id, g.id) for g in gens], name)
+            ids = ["e0", "e1", "e2"]
+            c = CfkComplex((ids, [0] * 3, [None] * 3), ([], [], []), (ids, ids), name)
         elif name == "t25#t27":
             c = tensor(builtin("t25"), builtin("t27"))
         else:
@@ -456,14 +454,15 @@ class TestEssentialSummand:
     def test_summand_keeps_the_order_flip_and_validation(self):
         c = tensor(builtin("trefoil_rh"), builtin("figure_eight"))
         e = c.essential_summand
-        kept = [g.id for g in e.generators]
-        assert kept == [g.id for g in c.generators if g.id.endswith("|e")] and len(kept) == 3
+        kept = e.columns[0][0]
+        assert kept == [x for x in c.columns[0][0] if x.endswith("|e")] and len(kept) == 3
         assert e.flip_map == {x: c.flip_map[x] for x in kept}
         assert e.validate() is c.validate() and e.name == c.name
-        assert all(t.source in kept and t.target in kept for t in e.differential)
+        sources, targets, _ = e.columns[1]
+        assert set(sources) | set(targets) <= set(kept)
 
     def test_invalid_complex_raises_before_any_split(self):
-        c = CfkComplex([Generator("a", 1)], [], [FlipPair("a", "a")], "bad flip")
+        c = CfkComplex((["a"], [1], [None]), ([], [], []), (["a"], ["a"]), "bad flip")
         with pytest.raises(InvalidComplexError):
             c.essential_summand
 
@@ -472,7 +471,7 @@ class TestEssentialSummand:
         # |s| < n, and the genus is n; rank 1 + (4n - 2) at 1/1.
         n = 1000
         c = models.dot_and_box(n)
-        assert [g.id for g in c.essential_summand.generators] == ["e0"]
+        assert c.essential_summand.columns[0][0] == ["e0"]
         assert c.genus() == n and c.acyclic_sum() == 4 * n - 2
 
 
@@ -487,7 +486,7 @@ class TestReflected:
         assert r.validate().ok
         # the staircase is flip symmetric: swapping i and j relabels a and c
         assert r.alexander == {"a": -1, "b": 0, "c": 1}
-        assert set(r.differential) == {DiffTerm("b", "a", 0), DiffTerm("b", "c", 1)}
+        assert set(zip(*r.columns[1])) == {("b", "a", 0), ("b", "c", 1)}
 
     def test_rank_symmetry_with_h(self, trefoil, fig8):
         for c in (trefoil, fig8, builtin("t25")):
@@ -497,7 +496,7 @@ class TestReflected:
                 assert models.kernel_dim(r.v_hat(s)) == models.kernel_dim(c.h_hat(-s))
 
     def test_requires_flip(self):
-        c = CfkComplex([Generator("x", 0)], [], None, "flipless")
+        c = CfkComplex((["x"], [0], [None]), ([], [], []), None, "flipless")
         with pytest.raises(FlipRequiredError):
             models.reflected(c)
 
@@ -520,12 +519,12 @@ class TestJson:
             assert again.to_json() == text
 
     def test_maslov_survives(self):
-        c = CfkComplex([Generator("x", 0, maslov=-2)], [], None, "graded")
+        c = CfkComplex((["x"], [0], [-2]), ([], [], []), None, "graded")
         again = CfkComplex.from_json(c.to_json())
-        assert again.generators[0].maslov == -2
+        assert again.columns[0][2] == [-2]
 
     def test_flipless_has_no_flip_key(self):
-        c = CfkComplex([Generator("x", 0)], [], None, "flipless")
+        c = CfkComplex((["x"], [0], [None]), ([], [], []), None, "flipless")
         assert "flip" not in c.to_json_dict()
 
 

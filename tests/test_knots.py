@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from hfsurgery.cfk import CfkComplex, DiffTerm, HatA
+from hfsurgery.cfk import CfkComplex, HatA
 from hfsurgery.knots import (
     BUILTIN_NAMES,
     RandomSpec,
@@ -36,7 +36,7 @@ class TestBuiltin:
 
     def test_unknot(self):
         c = builtin("unknot")
-        assert len(c.generators) == 1
+        assert len(c.columns[0][0]) == 1
         assert c.genus() == 0 and c.b_rank() == 1
 
     def test_trefoil_profile(self):
@@ -48,10 +48,11 @@ class TestBuiltin:
         c = builtin("t25")
         assert c.genus() == 2
         assert all(c.hfk_hat(s) == 1 for s in range(-2, 3))
-        assert DiffTerm("b1", "a0", 1) in c.differential
-        assert DiffTerm("b1", "a1", 0) in c.differential
-        assert DiffTerm("b2", "a1", 1) in c.differential
-        assert DiffTerm("b2", "a2", 0) in c.differential
+        terms = set(zip(*c.columns[1]))
+        assert ("b1", "a0", 1) in terms
+        assert ("b1", "a1", 0) in terms
+        assert ("b2", "a1", 1) in terms
+        assert ("b2", "a2", 0) in terms
 
     def test_unknown_name(self):
         with pytest.raises(UnknownBuiltinError):
@@ -66,17 +67,17 @@ class TestBuiltin:
 class TestStaircase:
     def test_two_steps_is_trefoil(self):
         c = staircase([1, 1])
-        assert len(c.generators) == 3
+        assert len(c.columns[0][0]) == 3
         assert c.genus() == 1 and c.b_rank() == 1
 
     def test_four_steps_is_t25(self):
         c = staircase([1, 1, 1, 1])
-        assert len(c.generators) == 5
+        assert len(c.columns[0][0]) == 5
         assert c.genus() == 2
 
     def test_empty_is_unknot(self):
         c = staircase([])
-        assert len(c.generators) == 1 and c.genus() == 0
+        assert len(c.columns[0][0]) == 1 and c.genus() == 0
 
     def test_longer_steps(self):
         c = staircase([2, 1, 1, 2])
@@ -116,7 +117,7 @@ class TestMirror:
         assert m.validate().ok
         assert m.alexander == {"a": -1, "b": 0, "c": 1}
         # arrows reverse and keep their U powers
-        assert set(m.differential) == {DiffTerm("a", "b", 1), DiffTerm("c", "b", 0)}
+        assert set(zip(*m.columns[1])) == {("a", "b", 1), ("c", "b", 0)}
 
     def test_involution(self):
         # The builtins carry no maslov; a trefoil that does must keep it too.
@@ -125,7 +126,7 @@ class TestMirror:
             mm = mirror(mirror(c))
             assert mm.to_json_dict()["generators"] == c.to_json_dict()["generators"]
             assert mm.to_json_dict()["differential"] == c.to_json_dict()["differential"]
-        assert [g.maslov for g in mirror(graded).generators] == [-2, -1, 0]
+        assert mirror(graded).columns[0][2] == [-2, -1, 0]
 
     def test_fig8_amphichiral_profile(self):
         c = builtin("figure_eight")
@@ -160,9 +161,9 @@ class TestTensor:
         # A factor without maslov, as every builtin is, leaves it unset.
         graded = graded_trefoil()
         square = tensor(graded, graded)
-        assert [g.maslov for g in square.generators] == [4, 3, 2, 3, 2, 1, 2, 1, 0]
-        assert [g.maslov for g in mirror(square).generators] == [-4, -3, -2, -3, -2, -1, -2, -1, 0]
-        assert {g.maslov for g in tensor(graded, builtin("trefoil_rh")).generators} == {None}
+        assert square.columns[0][2] == [4, 3, 2, 3, 2, 1, 2, 1, 0]
+        assert mirror(square).columns[0][2] == [-4, -3, -2, -3, -2, -1, -2, -1, 0]
+        assert set(tensor(graded, builtin("trefoil_rh")).columns[0][2]) == {None}
 
     def test_genus_additive(self):
         pairs = [("trefoil_rh", "figure_eight"), ("t25", "trefoil_lh")]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hfsurgery.cfk import CfkComplex, FlipRequiredError, Generator
+from hfsurgery.cfk import CfkComplex, FlipRequiredError
 from hfsurgery.knots import builtin, random_complex, RandomSpec, tensor
 from hfsurgery.obstructions import (
     CONSISTENT,
@@ -61,7 +61,7 @@ class TestHypothesisCheck:
         assert not HypothesisReport(failing, passing).overall
 
     def test_requires_flip(self):
-        c = CfkComplex([Generator("x", 0)], [], None, "flipless")
+        c = CfkComplex((["x"], [0], [None]), ([], [], []), None, "flipless")
         with pytest.raises(FlipRequiredError):
             hypothesis_check(c)
 

@@ -16,7 +16,7 @@ are held to the same policy, so that none of them gets round a check.
 import pytest
 
 from hfsurgery import builtin, mirror
-from hfsurgery.cfk import CfkComplex, DiffTerm, FlipPair, FlipRequiredError
+from hfsurgery.cfk import CfkComplex, FlipRequiredError
 from hfsurgery.f2 import InvalidComplexError
 from hfsurgery.obstructions import complement_check, cosmetic_pair_check, monotonicity_scan
 from hfsurgery.surgery import (
@@ -74,17 +74,18 @@ def bad_complex(valid: bool, flip: bool) -> CfkComplex:
     """The right-handed trefoil, with a term that drops neither filtration
     coordinate when ``valid`` is false, and without its flip when ``flip``
     is false.  It has b_rank 1, so nu is defined."""
-    t = builtin("trefoil_rh")
-    terms = t.differential if valid else t.differential + (DiffTerm("a", "a", 0),)
-    return CfkComplex(t.generators, terms, t.flip_pairs if flip else None, "bad")
+    generators, terms, pairs = builtin("trefoil_rh").columns
+    if not valid:
+        terms = [column + [end] for column, end in zip(terms, ("a", "a", 0))]
+    return CfkComplex(generators, terms, pairs if flip else None, "bad")
 
 
 # Flips of the right-handed trefoil (a, b, c at A = 1, 0, -1) that fail
-# validation, by the issue code they raise.
+# validation, by the issue code they raise, as (sources, targets) columns.
 BAD_FLIPS = {
-    "flip-unknown": (FlipPair("a", "c"), FlipPair("b", "z")),
-    "flip-involution": (FlipPair("a", "c"), FlipPair("c", "b")),
-    "flip-missing": (FlipPair("a", "c"),),
+    "flip-unknown": (["a", "b"], ["c", "z"]),
+    "flip-involution": (["a", "c"], ["c", "b"]),
+    "flip-missing": (["a"], ["c"]),
 }
 
 
@@ -128,8 +129,7 @@ def test_flipless_complex_works_without_h(name):
 @pytest.mark.parametrize("defect", BAD_FLIPS)
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_bad_flip_raises_invalid_everywhere(name, defect, warmed):
-    t = builtin("trefoil_rh")
-    c = CfkComplex(t.generators, t.differential, BAD_FLIPS[defect], "bad")
+    c = CfkComplex(*builtin("trefoil_rh").columns[:2], BAD_FLIPS[defect], "bad")
     if warmed:
         warm(c)
     with pytest.raises(InvalidComplexError, match="complex 'bad' is invalid:\n") as info:

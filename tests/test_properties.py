@@ -5,7 +5,7 @@ fixed 100-seed corpus, but with hypothesis searching the RandomSpec space.
 """
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -208,7 +208,7 @@ def test_rank_parity_is_p_times_b(c, slope):
     mod 2.
     """
     cone = MappingCone(c, slope)
-    n, p = len(c.generators), slope.p
+    n, p = len(c.columns[0][0]), slope.p
     assert len(cone.a_columns) == len(cone.b_columns) + p
     assert cone.total_dim == n * (len(cone.a_columns) + len(cone.b_columns))
     assert n % 2 == c.b_rank() % 2
@@ -226,18 +226,23 @@ def test_essential_summand_and_acyclic_rest(c, slope):
     complex; and the homological route, read on P plus q * z, is the rank
     of the whole complex's induced block matrix."""
     e = c.essential_summand
-    kept = {g.id for g in e.generators}
-    assert [g.id for g in e.generators] == [g.id for g in c.generators if g.id in kept]
-    rest = [g for g in c.generators if g.id not in kept]
-    for side in (kept, {g.id for g in rest}):
+    generators, terms, flip = c.columns
+    kept = set(e.columns[0][0])
+    assert e.columns[0][0] == [x for x in generators[0] if x in kept]
+    rest = [x not in kept for x in generators[0]]
+    for side in (kept, set(compress(generators[0], rest))):
         assert all(c.flip_map[x] in side for x in side)
-    assert all((t.source in kept) == (t.target in kept) for t in c.differential)
+    assert all((x in kept) == (y in kept) for x, y in zip(*terms[:2]))
     assert e.b_rank() == c.b_rank()
-    if rest:
+    if any(rest):
+
+        def cut(columns, keep):
+            return [list(compress(column, keep)) for column in columns]
+
         z = CfkComplex(
-            rest,
-            [t for t in c.differential if t.source not in kept],
-            [pair for pair in c.flip_pairs if pair.source not in kept],
+            cut(generators, rest),
+            cut(terms, [x not in kept for x in terms[0]]),
+            cut(flip, [x not in kept for x in flip[0]]),
             "acyclic rest",
         )
         assert z.validate().ok and z.b_rank() == 0

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from hfsurgery import f2, surgery
-from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, Generator, HatA, HatB
+from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, HatA, HatB
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
@@ -157,7 +157,7 @@ class TestBuildCone:
         assert sum(count for _, count in cone._a_regions) == len(cone.a_columns)
 
     def test_missing_flip(self):
-        c = CfkComplex([Generator("x", 0)], [], None, "flipless")
+        c = CfkComplex((["x"], [0], [None]), ([], [], []), None, "flipless")
         with pytest.raises(FlipRequiredError):
             MappingCone(c, Slope(1, 1))
 
@@ -611,10 +611,8 @@ class TestNu:
         assert nu_surrogate(builtin("t25")) == 2
 
     def test_needs_b_one(self):
-        gens = [Generator("e0", 0), Generator("e1", 0)]
-        from hfsurgery.cfk import FlipPair
-
-        c = CfkComplex(gens, [], [FlipPair("e0", "e0"), FlipPair("e1", "e1")], "dots")
+        ids = ["e0", "e1"]
+        c = CfkComplex((ids, [0, 0], [None] * 2), ([], [], []), (ids, ids), "dots")
         with pytest.raises(NotApplicableError):
             nu_surrogate(c)
 
@@ -844,8 +842,8 @@ class TestRankReport:
             init(self, differential, cycles, image)
 
         monkeypatch.setattr(f2.HomologyBasis, "__init__", counting)
-        n = len(c.generators)
-        assert len(c.essential_summand.generators) < n
+        n = len(c.columns[0][0])
+        assert len(c.essential_summand.columns[0][0]) < n
         for slope in (Slope(1, 1), Slope(3, 2), Slope(5, 3), Slope(2, 7)):
             compute_rank_report(c, slope)
             cone_rank_homological(c, slope)
