@@ -415,14 +415,20 @@ class CfkComplex:
         built on first read would stop agreeing with a changed column."""
         # The name is printed on its own line and as a TSV cell, so it holds
         # no control character (Cc) and no line or paragraph separator
-        # (Zl, Zp), which str.splitlines() also splits on.  A printable
-        # string holds none of them.
+        # (Zl, Zp), which str.splitlines() also splits on, and no lone
+        # surrogate (Cs), which UTF-8 cannot encode.  A printable string
+        # holds none of them.
         if not isinstance(name, str):
             raise ValueError(f"'name' must be a string, got {name!r}")
-        if not name.isprintable() and any(unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in name):
-            raise ValueError(
-                f"'name' must not contain control characters or line separators, got {name!r}"
-            )
+        if not name.isprintable():
+            categories = set(map(unicodedata.category, name))
+            if categories & {"Cc", "Zl", "Zp"}:
+                raise ValueError(
+                    f"'name' must not contain control characters or line separators, got {name!r}"
+                )
+            if "Cs" in categories:
+                surrogate = next(ch for ch in name if unicodedata.category(ch) == "Cs")
+                raise ValueError(f"'name' must not contain the lone surrogate {surrogate!r}, got {name!r}")
         self.columns = (generators, differential, flip)
         self.name = name
         ids, alexander, _ = generators
@@ -888,9 +894,10 @@ class CfkComplex:
 
         Each list's shape is checked by the exact types of its entries and
         of each of their fields, one pass over the list each, so a bool
-        never passes for an int.  Only a list that fails this check is
-        walked entry by entry, which raises on the first bad entry, naming
-        it, or accepts an int or str of a subclass."""
+        never passes for an int, nor a subclass of int, str, list or dict
+        for its base; no JSON text gives one.  The columns come from that
+        pass alone.  A list that fails it is walked entry by entry by the
+        same types, which names the first bad entry and raises."""
         if not isinstance(data, dict):
             raise ValueError(f"a complex must be a JSON object, not {type(data).__name__}")
 
@@ -900,28 +907,24 @@ class CfkComplex:
             # of every entry.
             items = data.get(key, [])
             names = [*fields, optional] if optional else [*fields]
+            kinds = [(kind,) for kind in fields.values()] + [(int, type(None))]
             if type(items) is list and set(map(type, items)) <= {dict}:
                 found = [list(map(dict.get, items, repeat(name))) for name in names]
-                kinds = [(kind,) for kind in fields.values()] + [(int, type(None))]
                 if all(set(map(type, column)).issubset(k) for column, k in zip(found, kinds)):
                     return found
-            if not isinstance(items, list):
+            # The pass failed.  Walk the entries by the same exact types,
+            # name the first one it failed on and raise.
+            if type(items) is not list:
                 raise ValueError(f"{key!r} must be a list")
             for item in items:
-                if not isinstance(item, dict):
+                if type(item) is not dict:
                     raise ValueError(f"every {key!r} entry must be an object, got {item!r}")
                 for name, kind in fields.items():
-                    value = item.get(name)
-                    if not isinstance(value, kind) or isinstance(value, bool):
-                        raise ValueError(
-                            f"{key!r} entry {item!r} needs {kind.__name__} field {name!r}"
-                        )
-            for item in items:
-                value = item.get(optional) if optional else None
-                if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-                    raise ValueError(f"{key!r} entry {item!r} has a {optional} field that is not an int")
-            # Every entry passed, some with an int or str of a subclass.
-            return [[item.get(name) for item in items] for name in names]
+                    if type(item.get(name)) is not kind:
+                        raise ValueError(f"{key!r} entry {item!r} needs {kind.__name__} field {name!r}")
+            # Every entry has its fields, so the pass failed on ``optional``.
+            item = next(item for item in items if type(item.get(optional)) not in kinds[-1])
+            raise ValueError(f"{key!r} entry {item!r} has a {optional} field that is not an int")
 
         return cls(
             columns("generators", {"id": str, "alexander": int}, "maslov"),

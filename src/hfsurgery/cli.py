@@ -162,48 +162,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, choices=("plain", "json")):
-        p.add_argument("--format", choices=choices, default="plain")
+    def command(name, help, func, formats=("plain", "json"), **arguments):
+        # A command that reads a complex: the input, then its own arguments,
+        # each keyed by its dest and flagged -x for one letter or --name for
+        # more, then --format.
+        p = sub.add_parser(name, help=help)
+        p.add_argument("input")
+        for dest, options in arguments.items():
+            p.add_argument(("-" if len(dest) == 1 else "--") + dest, **options)
+        p.add_argument("--format", choices=formats, default="plain")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("validate", help="check the complex axioms")
-    p.add_argument("input")
-    add_format(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("info", help="genus, b, hfk profile, nu, hypothesis verdict")
-    p.add_argument("input")
-    add_format(p)
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("rank", help="surgery rank at one slope")
-    p.add_argument("input")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.add_argument("--method", choices=("oracle", "formula", "both"), default="both")
-    add_format(p, ("plain", "tsv", "json"))
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("scan", help="rank table over a coprime slope grid")
-    p.add_argument("input")
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="exit 1 unless formula and oracle agree everywhere")
-    add_format(p)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("cosmetic", help="rank obstruction for a slope pair")
-    p.add_argument("input")
-    p.add_argument("-r", required=True, metavar="P/Q")
-    p.add_argument("-s", required=True, metavar="P/Q")
-    add_format(p)
-    p.set_defaults(func=_cmd_cosmetic)
-
-    p = sub.add_parser("complement", help="compare 1/q surgery with the ambient rank")
-    p.add_argument("input")
-    p.add_argument("-q", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_complement)
+    number, slope = dict(type=int, required=True), dict(required=True, metavar="P/Q")
+    command("validate", "check the complex axioms", _cmd_validate)
+    command("info", "genus, b, hfk profile, nu, hypothesis verdict", _cmd_info)
+    command("rank", "surgery rank at one slope", _cmd_rank, ("plain", "tsv", "json"),
+            p=number, q=number, method=dict(choices=("oracle", "formula", "both"), default="both"))
+    command("scan", "rank table over a coprime slope grid", _cmd_scan, pmax=number, qmax=number,
+            check=dict(action="store_true", help="exit 1 unless formula and oracle agree everywhere"))
+    command("cosmetic", "rank obstruction for a slope pair", _cmd_cosmetic, r=slope, s=slope)
+    command("complement", "compare 1/q surgery with the ambient rank", _cmd_complement, q=number)
 
     p = sub.add_parser("gen", help="write a complex as JSON to stdout")
     group = p.add_mutually_exclusive_group(required=True)
@@ -239,6 +217,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

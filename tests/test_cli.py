@@ -420,6 +420,11 @@ MALFORMED = {
         r'{"name": "x\u2028valid=yes", "generators": [{"id": "x", "alexander": 0}],'
         ' "flip": [{"from": "x", "to": "x"}]}'
     ),
+    # Plain output could not encode it, so it is refused before any work.
+    "name-with-surrogate": (
+        r'{"name": "a\ud800b", "generators": [{"id": "x", "alexander": 0}],'
+        ' "flip": [{"from": "x", "to": "x"}]}'
+    ),
 }
 
 
@@ -481,6 +486,12 @@ class TestGen:
             code, out, err = run(["gen", "--builtin", "t25", "--name", f"a{ch}b"], capsys)
             assert code == 2 and out == "", repr(ch)
             assert err.startswith("error: 'name' must not contain control characters"), repr(ch)
+
+    def test_gen_name_with_a_lone_surrogate_is_a_usage_error(self, capsys):
+        # An undecodable byte in argv reaches Python as a lone surrogate.
+        code, out, err = run(["gen", "--builtin", "t25", "--name", "a\udcffb"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: 'name' must not contain the lone surrogate '\\udcff', got 'a\\udcffb'\n"
 
 
 def test_module_entry_point():

@@ -14,8 +14,10 @@ alongside good and bad flips, and repeated ids.
 import copy
 import enum
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfsurgery import cli
 from hfsurgery.cfk import CfkComplex
@@ -210,6 +212,26 @@ def test_cli_validate_output_is_pinned(name, tmp_path, capsys):
 _X = {"id": "x", "alexander": 0}
 _Y = {"id": "y", "alexander": -1}
 
+
+# No JSON text gives a subclass of int, str, list or dict, and the shape
+# check takes each field by its exact type, so each of these is refused.
+class _Grading(enum.IntEnum):
+    ZERO = 0
+    MINUS = -1
+
+
+class _Id(str):
+    pass
+
+
+class _Entry(dict):
+    pass
+
+
+class _Entries(list):
+    pass
+
+
 SHAPE_ERRORS = {
     "top-level-list": ([], "a complex must be a JSON object, not list"),
     "generators-not-list": ({"generators": _X}, "'generators' must be a list"),
@@ -294,6 +316,33 @@ SHAPE_ERRORS = {
         {"name": "x\u2028valid=yes", "generators": [_X]},
         "'name' must not contain control characters or line separators, got 'x\\u2028valid=yes'",
     ),
+    # A lone surrogate cannot be encoded as UTF-8, so the name could not be
+    # printed.  A control character is named first.
+    "name-with-surrogate": (
+        {"name": "a\ud800b", "generators": [_X]},
+        "'name' must not contain the lone surrogate '\\ud800', got 'a\\ud800b'",
+    ),
+    "name-with-tab-and-surrogate": (
+        {"name": "\ud800\t", "generators": [_X]},
+        "'name' must not contain control characters or line separators, got '\\ud800\\t'",
+    ),
+    "entries-list-subclass": ({"generators": _Entries([_X])}, "'generators' must be a list"),
+    "entry-dict-subclass": (
+        {"generators": [_X, _Entry(id="y", alexander=-1)]},
+        "every 'generators' entry must be an object, got {'id': 'y', 'alexander': -1}",
+    ),
+    "alexander-int-enum": (
+        {"generators": [{"id": "x", "alexander": _Grading.ZERO}]},
+        "'generators' entry {'id': 'x', 'alexander': <_Grading.ZERO: 0>} needs int field 'alexander'",
+    ),
+    "id-str-subclass": (
+        {"generators": [{"id": _Id("x"), "alexander": 0}]},
+        "'generators' entry {'id': 'x', 'alexander': 0} needs str field 'id'",
+    ),
+    "maslov-int-enum": (
+        {"generators": [{"id": "x", "alexander": 0, "maslov": _Grading.MINUS}]},
+        "'generators' entry {'id': 'x', 'alexander': 0, 'maslov': <_Grading.MINUS: -1>} has a maslov field that is not an int",
+    ),
 }
 
 
@@ -310,40 +359,6 @@ def test_unprintable_names_without_control_characters_are_kept():
     # but neither is a control character nor a line separator.
     for name in ("a\u00a0b", "a\u200bb", ""):
         assert CfkComplex.from_json_dict({"name": name, "generators": [_X]}).name == name
-
-
-class _Grading(enum.IntEnum):
-    ZERO = 0
-    MINUS = -1
-
-
-class _Id(str):
-    pass
-
-
-class _Entry(dict):
-    pass
-
-
-class _Entries(list):
-    pass
-
-
-def test_int_and_str_subclasses_still_build():
-    data = {
-        "name": "subclassed",
-        "generators": _Entries([{"id": _Id("x"), "alexander": _Grading.ZERO, "maslov": _Grading.MINUS},
-                                _Entry(id="y", alexander=_Grading.MINUS)]),
-        "differential": [_Entry({"from": _Id("x"), "to": "y", "upower": _Grading.ZERO})],
-        "flip": _Entries([{"from": "x", "to": _Id("x")}, _Entry({"from": "y", "to": "y"})]),
-    }
-    c = CfkComplex.from_json_dict(data)
-    plain = json.loads(json.dumps(data))
-    assert c.to_json() == CfkComplex.from_json_dict(plain).to_json()
-    assert c.alexander == {"x": 0, "y": -1}
-    assert [column[0] for column in c.columns[0]] == ["x", 0, -1]
-    assert c.validate() == CfkComplex.from_json_dict(plain).validate()
-    assert [i.code for i in c.validate().issues] == ["flip-alexander"]
 
 
 def _written_out(data: dict) -> CfkComplex:
@@ -367,3 +382,53 @@ def test_json_and_constructor_agree(name):
     assert parsed.to_json() == built.to_json()
     assert parsed.validate() == built.validate()
     assert (parsed.alexander, parsed.flip_map) == (built.alexander, built.flip_map)
+
+
+# -- one path: a complex from the shape check, or one of its messages --------
+
+FIELDS = {"generators": ("id", "alexander", "maslov"), "differential": ("from", "to", "upower"),
+          "flip": ("from", "to")}
+SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+KEYS = st.sampled_from(sorted({f for fields in FIELDS.values() for f in fields})) | st.text(max_size=3)
+# A scalar half the time, so that a bool or a str often meets an int
+# field, and objects keyed by field names, so that a replaced entry or
+# list sometimes has the right shape.
+JSON_VALUES = SCALARS | st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+# The message forms SHAPE_ERRORS pins for the three lists.
+_LIST = "'(generators|differential|flip)'"
+SHAPE_MESSAGE = re.compile(
+    rf"{_LIST} must be a list|every {_LIST} entry must be an object, got .*"
+    rf"|{_LIST} entry .* needs (str field '(id|from|to)'|int field '(alexander|upower)')"
+    r"|'generators' entry .* has a maslov field that is not an int",
+    re.DOTALL,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(list(CORPUS)), key=st.sampled_from(list(FIELDS)),
+       where=st.sampled_from(["field", "entry", "list"]), value=JSON_VALUES, pick=st.data())
+def test_one_replaced_value_builds_or_raises_a_pinned_message(name, key, where, value, pick):
+    # One field of one entry, one whole entry or one whole list of a corpus
+    # complex replaced by any JSON value: either the shape check passes and
+    # the columns are the ones written out field by field, or it raises a
+    # ValueError of a pinned form, and nothing else escapes.
+    data = copy.deepcopy(CORPUS[name])
+    entries = data.get(key)
+    if where == "list" or not entries:
+        data[key] = value
+    else:
+        i = pick.draw(st.integers(0, len(entries) - 1))
+        if where == "entry":
+            entries[i] = value
+        else:
+            entries[i][pick.draw(st.sampled_from(FIELDS[key]))] = value
+    try:
+        parsed = CfkComplex.from_json_dict(copy.deepcopy(data))
+    except ValueError as error:
+        assert SHAPE_MESSAGE.fullmatch(str(error)), str(error)
+    else:
+        assert parsed.columns == _written_out(data).columns
