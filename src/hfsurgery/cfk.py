@@ -13,6 +13,12 @@ constructor, which takes the columns as given and does not copy them.
 JSON, ``knots`` and the essential summand hand their columns over to it,
 and validation reads them, one loop per check naming each issue.  The
 positions and arcs the regions are indexed by are built on first read.
+The columns hold str ids and name, int gradings and upowers, and an int
+or None for each Maslov grading; every parse and builder gives only these
+types.  :meth:`CfkComplex.to_json`, the one serializer, writes its text
+from the columns, one call of json's C encoder per column, and for these
+types the text is byte for byte ``json.dumps(indent=2)`` of the reference
+mapping its docstring names; for others it is not guaranteed.
 
 The finite hat-flavor regions that the surgery mapping cone reads are
 level sets of the (i, j) filtration:
@@ -385,6 +391,29 @@ class FilteredChainMap:
         the kernel dimension or whether the map is an isomorphism reads them
         off it and the homology dimensions."""
         return f2.rank(self.induced)
+
+
+# json's C encoder, which json.dumps leaves unused once it indents: with
+# "\n" between items a list comes out one value per line, and no value
+# holds a raw newline, since the encoder escapes control characters.
+_encode = json.JSONEncoder(separators=("\n", ": ")).encode
+
+# One entry of each list of the JSON text, as indent=2 lays it out.
+_GENERATOR = '    {\n      "id": %s,\n      "alexander": %s,\n      "maslov": %s\n    }'
+_UNGRADED = '    {\n      "id": %s,\n      "alexander": %s\n    }'
+_TERM = '    {\n      "from": %s,\n      "to": %s,\n      "upower": %s\n    }'
+_PAIR = '    {\n      "from": %s,\n      "to": %s\n    }'
+
+
+def _cells(column) -> list[str]:
+    """Each value of a column as JSON text, by one call of the C encoder."""
+    text = _encode(column)
+    return text[1:-1].split("\n") if text != "[]" else []
+
+
+def _array(entries: list[str]) -> str:
+    """A list of the JSON text's top-level mapping, its entries filled in."""
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
 
 
 class CfkComplex:
@@ -863,28 +892,37 @@ class CfkComplex:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        generators, differential, _ = self.columns
-        data: dict = {
-            "name": self.name,
-            "generators": [
-                {"id": gid, "alexander": a} | ({"maslov": m} if m is not None else {})
-                for gid, a, m in zip(*generators)
-            ],
-            "differential": [
-                {"from": x, "to": y, "upower": k} for x, y, k in zip(*differential)
-            ],
-        }
-        if self.flip_map is not None:
-            data["flip"] = [
-                {"from": gid, "to": self.flip_map[gid]}
-                for gid in generators[0]
-                if gid in self.flip_map
-            ]
-        return data
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The complex as JSON text, byte for byte
+        ``json.dumps(data, indent=2) + "\\n"`` of the reference mapping
+        ``data``: ``name``, then ``generators`` (``id``, ``alexander``, and
+        ``maslov`` where it is not None), ``differential`` (``from``, ``to``,
+        ``upower``) and, for a complex with a flip, ``flip`` (``from``,
+        ``to``, one entry per generator with a partner, in generator order).
+
+        The text is written from the columns.  ``indent`` turns json's C
+        encoder off, so each column is encoded by one call of it instead,
+        one value per line, and one template per generator, term and flip
+        entry places the values.  The bytes are guaranteed for the types
+        every parse and builder gives: str ids and name, int gradings and
+        upowers, and an int or None for each Maslov grading.  An invalid
+        complex is written too, its columns as they are."""
+        (ids, alexander, maslov), differential, _ = self.columns
+        generators = [
+            _GENERATOR % cells if cells[2] != "null" else _UNGRADED % cells[:2]
+            for cells in zip(_cells(ids), _cells(alexander), _cells(maslov))
+        ]
+        terms = [_TERM % cells for cells in zip(*map(_cells, differential))]
+        text = '{\n  "name": %s,\n  "generators": %s,\n  "differential": %s' % (
+            _encode(self.name),
+            _array(generators),
+            _array(terms),
+        )
+        if (flip := self.flip_map) is not None:
+            paired = [gid for gid in ids if gid in flip]
+            pairs = zip(_cells(paired), _cells([flip[gid] for gid in paired]))
+            text += ',\n  "flip": ' + _array([_PAIR % cells for cells in pairs])
+        return text + "\n}\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CfkComplex":

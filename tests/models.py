@@ -27,6 +27,9 @@ The library scans s one Alexander class run at a time, so
 ``reference_class_runs``, ``reference_genus``, ``reference_verdicts``,
 ``reference_v_sum`` and ``reference_nu`` scan every s instead, and
 ``assert_runs_match_per_s`` checks the library's scans against them.
+The library writes a complex's JSON text straight from its columns, so
+``to_json_dict`` is the reference mapping that text is ``json.dumps`` of,
+with ``indent=2``, and the tests compare ``CfkComplex.to_json`` against it.
 ``dot_and_box`` and ``dot_and_pair`` are the wide complexes, 5 and 9
 generators with gradings as far as n from 0, on which the tests and CI
 check that the cost follows the generator count, not the size of the
@@ -68,6 +71,30 @@ from hfsurgery import f2, surgery
 from hfsurgery.f2 import DimensionError, F2Matrix
 from hfsurgery.knots import _box
 from hfsurgery.surgery import MappingCone, Slope
+
+
+def to_json_dict(c: CfkComplex) -> dict:
+    """The complex as the mapping its JSON text encodes: each entry built
+    from the columns, and a generator's ``maslov`` only where it is not
+    None."""
+    generators, differential, _ = c.columns
+    data: dict = {
+        "name": c.name,
+        "generators": [
+            {"id": gid, "alexander": a} | ({"maslov": m} if m is not None else {})
+            for gid, a, m in zip(*generators)
+        ],
+        "differential": [
+            {"from": x, "to": y, "upower": k} for x, y, k in zip(*differential)
+        ],
+    }
+    if c.flip_map is not None:
+        data["flip"] = [
+            {"from": gid, "to": c.flip_map[gid]}
+            for gid in generators[0]
+            if gid in c.flip_map
+        ]
+    return data
 
 
 def dot_and_box(n: int) -> CfkComplex:

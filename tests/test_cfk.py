@@ -1,5 +1,6 @@
 """Unit tests for the bifiltered complex data model and its regions."""
 
+import json
 from itertools import combinations
 
 import pytest
@@ -525,7 +526,7 @@ class TestJson:
 
     def test_flipless_has_no_flip_key(self):
         c = CfkComplex((["x"], [0], [None]), ([], [], []), None, "flipless")
-        assert "flip" not in c.to_json_dict()
+        assert "flip" not in json.loads(c.to_json())
 
 
 class TestReferenceModel:

@@ -9,7 +9,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hfsurgery import cli, obstructions, surgery
 from hfsurgery.knots import RandomSpec, random_complex
@@ -564,7 +564,11 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
-GEN_IDS = st.sampled_from("abcdef")
+# A lone surrogate (category Cs) is a str that UTF-8 cannot encode, and JSON
+# text can spell one (\ud800), so ids and names may hold it.
+SURROGATES = st.characters(categories=["Cs"])
+GEN_IDS = st.sampled_from("abcdef") | SURROGATES
+NAMES = st.text(st.characters() | SURROGATES, max_size=6)
 
 
 @st.composite
@@ -579,7 +583,7 @@ def small_complexes(draw):
     if draw(st.booleans()):
         spec = RandomSpec(seed=0, dots=draw(st.integers(1, 2)), boxes=draw(st.integers(0, 1)),
                           max_side=1, max_offset=0)
-        data = random_complex(spec).to_json_dict()
+        data = json.loads(random_complex(spec).to_json())
     else:
         ids = draw(st.lists(GEN_IDS, max_size=6))
         data = {
@@ -597,7 +601,7 @@ def small_complexes(draw):
     if edit():
         del data["flip"]
     if edit():
-        data["name"] = draw(st.text(max_size=6) | JSON_VALUES)
+        data["name"] = draw(NAMES | JSON_VALUES)
     return json.dumps(data)
 
 
@@ -605,11 +609,21 @@ SMALL = st.integers(0, 3)
 SLOPE_TEXT = st.builds("{}/{}".format, st.integers(-1, 3), SMALL)
 
 
+def _utf8_stream() -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     content=st.binary(max_size=24) | JSON_VALUES.map(json.dumps) | small_complexes(),
     p=SMALL, q=SMALL, r=SLOPE_TEXT, s=SLOPE_TEXT,
     fmt=st.sampled_from(["plain", "json"]),
+)
+# A lone surrogate in the name and in an id, which JSON text can spell and
+# no output may carry raw.
+@example(
+    content=json.dumps({"name": "k\ud800", "generators": [{"id": "\udfff", "alexander": 0}]}),
+    p=1, q=1, r="1/1", s="1/2", fmt="plain",
 )
 def test_any_input_exits_0_1_or_2_without_traceback(content, p, q, r, s, fmt):
     with tempfile.TemporaryDirectory() as tmp:
@@ -624,11 +638,17 @@ def test_any_input_exits_0_1_or_2_without_traceback(content, p, q, r, s, fmt):
             ["complement", path, "-q", str(q)],
             ["scan", path, "--pmax", str(p), "--qmax", str(q)],
         ):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main([*args, "--format", fmt])
-                except SystemExit as exc:  # argparse usage errors
-                    code = exc.code
-            assert code in (0, 1, 2), (args, err.getvalue())
-            assert "Traceback" not in err.getvalue(), args
+            # Strict UTF-8 streams, as a real stdout and stderr are: a str
+            # UTF-8 cannot encode raises UnicodeEncodeError on write, which
+            # main reports as a ValueError, so its message is looked for.
+            with _utf8_stream() as out, _utf8_stream() as err:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main([*args, "--format", fmt])
+                    except SystemExit as exc:  # argparse usage errors
+                        code = exc.code
+                err.flush()
+                message = err.buffer.getvalue().decode()
+            assert code in (0, 1, 2), (args, message)
+            assert "Traceback" not in message, args
+            assert "can't encode" not in message, (args, message)

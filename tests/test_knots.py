@@ -21,7 +21,7 @@ import models
 
 def graded_trefoil() -> CfkComplex:
     """The right-handed trefoil with maslov gradings 2, 1, 0 on a, b, c."""
-    data = builtin("trefoil_rh").to_json_dict()
+    data = models.to_json_dict(builtin("trefoil_rh"))
     for g, maslov in zip(data["generators"], (2, 1, 0)):
         g["maslov"] = maslov
     return CfkComplex.from_json_dict(data)
@@ -124,8 +124,9 @@ class TestMirror:
         graded = graded_trefoil()
         for c in [builtin(name) for name in ("trefoil_rh", "figure_eight", "t25")] + [graded]:
             mm = mirror(mirror(c))
-            assert mm.to_json_dict()["generators"] == c.to_json_dict()["generators"]
-            assert mm.to_json_dict()["differential"] == c.to_json_dict()["differential"]
+            again, data = models.to_json_dict(mm), models.to_json_dict(c)
+            assert again["generators"] == data["generators"]
+            assert again["differential"] == data["differential"]
         assert mirror(graded).columns[0][2] == [-2, -1, 0]
 
     def test_fig8_amphichiral_profile(self):

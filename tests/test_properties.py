@@ -4,6 +4,7 @@ The structural laws here mirror what the acceptance battery checks on a
 fixed 100-seed corpus, but with hypothesis searching the RandomSpec space.
 """
 
+import json
 import math
 from itertools import combinations_with_replacement, compress
 
@@ -467,6 +468,46 @@ def test_json_round_trip(c):
     assert CfkComplex.from_json(text).to_json() == text
 
 
+# Ids with quotes, backslashes, control characters, non-ASCII characters and
+# lone surrogates, all of which the writer escapes; names the same but for
+# the control characters, line separators and surrogates the constructor
+# refuses.
+QUOTED = st.sampled_from('"\\\u00e9\ufeff\U0001f600')
+CONTROL = st.sampled_from("\n\t\x00\x1f\x7f\u2028")
+json_ids = st.text(QUOTED | CONTROL | st.characters() | st.characters(categories=["Cs"]), max_size=4)
+json_names = st.text(QUOTED | st.characters(exclude_categories=["Cc", "Zl", "Zp", "Cs"]), max_size=6)
+
+
+@st.composite
+def column_complexes(draw) -> CfkComplex:
+    """A complex of any columns of the types the parse and the builders
+    give, valid or not: ids may repeat, terms and flip pairs may name any
+    id, a missing one too, and a generator may get two flip partners."""
+    ids = draw(st.lists(st.sampled_from("ab") | json_ids, max_size=5))
+    some_id = st.sampled_from(ids) | json_ids if ids else json_ids
+    generators = (
+        ids,
+        draw(st.lists(st.integers(), min_size=len(ids), max_size=len(ids))),
+        draw(st.lists(st.none() | st.integers(), min_size=len(ids), max_size=len(ids))),
+    )
+    terms = draw(st.lists(st.tuples(some_id, some_id, st.integers()), max_size=5))
+    pairs = draw(st.none() | st.lists(st.tuples(some_id, some_id), max_size=5))
+    flip = None if pairs is None else tuple(list(column) for column in zip(*pairs)) or ([], [])
+    differential = tuple(list(column) for column in zip(*terms)) or ([], [], [])
+    return CfkComplex(generators, differential, flip, draw(json_names))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(column_complexes(), complexes))
+@example(CfkComplex(([], [], []), ([], [], []), ([], []), "empty"))
+@example(CfkComplex((["x"], [0], [-2]), ([], [], []), None, "flipless"))
+@example(CfkComplex((["a", "a"], [0, 1], [None, 2]), (["a"], ["a"], [0]), (["a"], ["a"]), "duplicate-id"))
+@example(CfkComplex((["a", "b", "c"], [0, 0, 0], [None] * 3), ([], [], []), (["a", "a"], ["b", "c"]), "flip-conflict"))
+@example(CfkComplex((["a"], [0], [None]), ([], [], []), (["a"], ["z"]), "flip to a missing id"))
+def test_json_text_is_the_reference_mapping_indented(c):
+    assert c.to_json() == json.dumps(models.to_json_dict(c), indent=2) + "\n"
+
+
 @settings(max_examples=30, deadline=None)
 @given(complexes)
 def test_reflected_swaps_v_and_h(c):
@@ -567,6 +608,31 @@ def test_sweep_steps_are_the_full_form_steps_on_knots(name):
 @given(st.one_of(complexes, spread_complexes))
 def test_sweep_steps_are_the_full_form_steps(c):
     assert_sweep_steps_at_every_slope(c)
+
+
+def assert_connected_sum_law(c: CfkComplex) -> None:
+    """c tensored with k dots at A = 0, each its own flip partner, is K in
+    Y # Y' with rank HF(Y') = k: the cone of the product is c's cone k times
+    over, so both routes rank it k times c's at every slope, b scales by k
+    and the genus is c's.  For b >= 2 no other oracle checks the ranks."""
+    for k in (2, 3):
+        summed = tensor(c, random_complex(RandomSpec(seed=0, dots=k)))
+        assert summed.b_rank() == k * c.b_rank(), (c.name, k)
+        assert summed.genus() == c.genus(), (c.name, k)
+        for slope in coprime_slopes(3, 3):
+            for route in (cone_rank_chain, cone_rank_homological):
+                assert route(summed, slope) == k * route(c, slope), (c.name, k, slope, route.__name__)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_connected_sum_with_dots_on_knots(name):
+    assert_connected_sum_law(builtin(name))
+
+
+@settings(max_examples=20, deadline=None)
+@given(complexes)
+def test_connected_sum_with_dots(c):
+    assert_connected_sum_law(c)
 
 
 def farey_triples(n: int) -> list[tuple[tuple[int, int], ...]]:
