@@ -57,39 +57,36 @@ So a scan over a range of s reads one object per run of a class, and
 :meth:`CfkComplex.class_runs` is the one place that finds the runs.
 
 A complex with a flip has the conjugation symmetry of Ozsvath-Szabo (arXiv
-math/0504404), and ``cfk`` reads h_hat(s) and half of the regions' cycles
+math/0504404), and ``cfk`` builds only half of the regions and maps
 through it.  The flip sends U^k x to U^(k - A(x)) flip(x), which sits at
 (j, i) when U^k x sits at (i, j), so Phi_s = U^s o flip sends (i, j) to
 (j - s, i - s) and the level set max(i, j - s) = 0 onto
 max(i', j' + s) = 0.  Validation checks that the flip commutes with the
 differential, so Phi_s is a chain isomorphism HatA(s) -> HatA(-s), and it
 sends the one copy of x_i to the one copy of flip(x_i): element i goes to
-element flip[i], the flip permutation of the generator order.  It lands
-in i' = 0 exactly when j = s, so h_hat(s) = v_hat(-s) o Phi_s: v_hat(-s)
-keeps element flip[i] when A(flip(x_i)) = -A(x_i) <= -s, which is
-h_hat(s)'s rule.  Validation also checks A(flip(x)) = -A(x), so the
-gradings, and with them the cuts a and a + 1, are symmetric under
-s -> 1 - s: the run of a class from a cut c to the next cut c' - 1 goes
-to the run from 1 - c' to -c, and the classes mirror exactly.  The run
-that contains 0 goes to itself; it is the one self-conjugate class, the
-middle one.
-A region whose class lies below its mirror's (``alexander_class(-s) > s``)
-is a :class:`MirroredRegion`: it takes the mirror's cycles moved through
-the flip permutation, in the mirror's order, and their rows permuted,
-with no elimination.  Phi_s being a chain isomorphism, they are a basis
-of its cycles.  The two bases then correspond under Phi_s on every class
-but the middle one, and so do the homology bases built on them: a
-:class:`f2.HomologyBasis` picks cycle k exactly when it is independent of
-the boundary space and the cycles picked before it, Phi_s maps boundary
-space onto boundary space, so both sides pick the same k, and ``coords``
-of Phi_s(z) on one side is ``coords`` of z on the other.  Hence every
-matrix a map out of HatA(-s) has on the cycle basis or on homology is the
-matrix of that map composed with Phi_s, and h_hat(s)'s ``on_cocycles``,
-``induced`` and ``induced_rank`` are exactly those of v_hat of the mirror
-class.  :meth:`CfkComplex.h_read` returns that map; h_hat(s) itself is
-built, and chain-map checked, only where it is asked for, which the rank
-routes do for the middle class alone: there HatA(s) is its own mirror,
-and Phi_s is an automorphism of it that need not fix its one basis.
+element flip[i], the flip permutation of the generator order.  Validation
+also checks A(flip(x)) = -A(x), so the gradings, and with them the cuts a
+and a + 1, are symmetric under s -> 1 - s: the run of a class from a cut
+c to the next cut c' - 1 goes to the run from 1 - c' to -c, and the
+classes mirror exactly.  The run that contains 0 goes to itself; it is the
+one self-conjugate class, the middle one.
+
+A class s below its mirror class m = ``alexander_class(-s)`` is its
+mirror, with v and h swapped.  Read HatA(s) through Phi_s, as the region
+of HatA(m): the flip is an involution, so element i of HatA(m) is Phi_s of
+element flip[i] of HatA(s).  v_hat(s) keeps that element when
+A(flip(x_i)) = -A(x_i) <= s and sends it to element flip[i] of HatB, so
+v_hat(s) o Phi_s^-1 sends i to flip[i] exactly when A(x_i) >= -s, which,
+-s lying in the class m, is h_hat(m)'s index map.  h_hat(s) sends element
+flip[i] to flip[flip[i]] = i when A(flip(x_i)) >= s, so
+h_hat(s) o Phi_s^-1 sends i to i exactly when A(x_i) <= -s, v_hat(m)'s
+index map.  So HatA(s) is served as the region of HatA(m), v_hat(s) is
+h_hat(m) and h_hat(s) is v_hat(m), the same objects.  Composing with the
+isomorphism Phi_s^-1 changes no rank, no image in H(HatB) and no meet of
+images, and a cone column of class s read this way is the old column
+moved by Phi_s, so the cone changes only by an isomorphism.  The middle
+class and the classes at or above their mirrors build their regions and
+both maps themselves, as does every class of a complex without a flip.
 
 A complex with a flip splits along the connected components of the graph
 with one edge per differential arc and one per flip pair.  Each component
@@ -113,7 +110,7 @@ component, or every component, has b = 0.
 
 This module owns the precondition policy and checks it where data is
 built.  Regions, the genus and the hfk counts need a valid complex
-(:meth:`CfkComplex.require_valid`); h_hat and h_read also need a flip
+(:meth:`CfkComplex.require_valid`); h_hat also needs a flip
 (:meth:`CfkComplex.require_flip`).  A memoized value implies that its
 checks passed, so a memo hit repeats none of them.  A caller that reads
 a region, a chain map or the genus therefore raises InvalidComplexError
@@ -181,7 +178,7 @@ class ValidationReport:
 def move_bits(masks, to) -> list[int]:
     """Each mask with each bit b moved to bit ``to[b]``, or dropped where
     that is -1: a chain map for ``to = index`` and its transpose for the
-    preimage, and the flip permutation for a mirrored region's cycles.
+    preimage.
 
     There is one path for every map.  A projection branch for v_hat(s),
     one AND with a mask of the kept elements, cost more than it saved,
@@ -221,8 +218,9 @@ class RegionComplex:
     space that the homology quotients them by, so whichever of the two is
     read first, the boundary is eliminated once.  The boundary space is
     held from the read of the cycles until the homology takes it over.  A
-    :class:`MirroredRegion` reads its cycles off its mirror instead, and
-    eliminates its boundary only if its homology is read.
+    region also serves the classes below its mirror class, read through
+    the flip (the module docstring says how), so it is built only for a
+    class at or above its mirror's.
     """
 
     def __init__(self, tag, boundary: F2Matrix):
@@ -237,8 +235,7 @@ class RegionComplex:
         cycles = self.cycles
         # Taken, not shared: the basis extends the table in place.  Two
         # threads may build the basis at once, and the one that finds the
-        # table taken eliminates the boundary again.  A mirrored region
-        # never holds one.
+        # table taken eliminates the boundary again.
         image = vars(self).pop("_image", None)
         if image is None:
             image = f2.column_elimination(self.boundary.transpose().data)[1]
@@ -247,11 +244,8 @@ class RegionComplex:
     @cached_property
     def cycles(self) -> tuple[int, ...]:
         """The region's one basis of its boundary's kernel, as column masks,
-        built on first read: ``f2.kernel_basis(boundary)`` for a region
-        built directly, whose elimination leaves the boundary space for
-        :attr:`homology`.  A :class:`MirroredRegion` moves its mirror's
-        basis instead, which is a basis of the same kernel but not, in
-        general, the one ``kernel_basis`` gives."""
+        built on first read: ``f2.kernel_basis(boundary)``, whose
+        elimination leaves the boundary space for :attr:`homology`."""
         cycles, self._image = f2.column_elimination(self.boundary.transpose().data)
         return tuple(cycles)
 
@@ -284,26 +278,6 @@ class RegionComplex:
 
     def __repr__(self) -> str:
         return f"RegionComplex({self.tag}, dim={self.dim})"
-
-
-class MirroredRegion(RegionComplex):
-    """HatA(s) for a class s below its mirror class, whose cycles are its
-    mirror's moved through the flip permutation ``flip``.
-
-    The ``cfk`` module docstring proves that element i of HatA(s) going to
-    element flip[i] of HatA(-s) is a chain isomorphism, so the moved basis
-    is a basis of this region's cycles, in the mirror's order.  Cycle k here
-    is the image of the mirror's cycle k, read with no elimination.
-    """
-
-    def __init__(self, tag, boundary: F2Matrix, mirror: RegionComplex, flip: tuple[int, ...]):
-        super().__init__(tag, boundary)
-        self.mirror = mirror
-        self.flip = flip
-
-    @cached_property
-    def cycles(self) -> tuple[int, ...]:
-        return tuple(move_bits(self.mirror.cycles, self.flip))
 
 
 class FilteredChainMap:
@@ -686,11 +660,16 @@ class CfkComplex:
     def _build_region(self, tag) -> RegionComplex:
         _, alexander, _, units, arcs = self._order
         top = self.alexander_cuts[-1] - 1  # the top Alexander grading
-        if isinstance(tag, HatA) and tag.s >= top:
-            # Every upower is 0, so HatA(s) is HatB element for element:
-            # serve that one region, with its one kernel and homology.
-            return self.region_complex(HatB())
-        if not isinstance(tag, (HatA, HatB)):
+        if isinstance(tag, HatA):
+            if tag.s >= top:
+                # Every upower is 0, so HatA(s) is HatB element for element:
+                # serve that one region, with its one kernel and homology.
+                return self.region_complex(HatB())
+            if (mirror := self._mirror_class(tag.s)) > tag.s:
+                # A class below its mirror is read through the flip as its
+                # mirror's region, as the module docstring proves.
+                return self.region_complex(HatA(mirror))
+        elif not isinstance(tag, HatB):
             raise UnknownRegionError(f"unknown region tag {tag!r}")
         # HatB has every upower 0, as HatA(top) has.
         s = tag.s if isinstance(tag, HatA) else top
@@ -705,11 +684,12 @@ class CfkComplex:
                 # generator; 0 ^ unit would make a fresh int.
                 mask = masks[row]
                 masks[row] = mask ^ units[col] if mask else units[col]
-        boundary = F2Matrix(len(units), tuple(masks))
-        if self.flip_map is not None and (mirror := self.alexander_class(-s)) > s:
-            # A class below its mirror: its cycles are the mirror's, moved.
-            return MirroredRegion(tag, boundary, self.region_complex(HatA(mirror)), self._flip_index)
-        return RegionComplex(tag, boundary)
+        return RegionComplex(tag, F2Matrix(len(units), tuple(masks)))
+
+    def _mirror_class(self, s: int) -> int:
+        """The mirror of class s, the class of -s, for a complex with a flip;
+        s itself without one, since only the flip maps HatA(s) to HatA(-s)."""
+        return self.alexander_class(-s) if self.flip_map is not None else s
 
     @cached_property
     def _flip_index(self) -> tuple[int, ...]:
@@ -729,11 +709,15 @@ class CfkComplex:
     def v_hat(self, s: int) -> FilteredChainMap:
         """Vertical projection HatA(s) -> HatB: keep the i = 0 part.  Element
         i goes to element i when alexander(x_i) <= s, and to zero otherwise.
+        For a class below its mirror class m it is h_hat(m), as the module
+        docstring proves.
 
         Memoized under the class of s; finding it validates the complex."""
         s = self.alexander_class(s)
 
         def build() -> FilteredChainMap:
+            if (mirror := self._mirror_class(s)) > s:
+                return self.h_hat(mirror)
             _, alexander, index, _, _ = self._order
             # The positions are the ints of ``index``, shared by every map.
             return self._from_hat_a(s, [i if a <= s else -1 for i, a in zip(index.values(), alexander)])
@@ -747,28 +731,20 @@ class CfkComplex:
         apply the flip.  On the canonical bases the composite sends
         (x, k) to (flip(x), 0) exactly when alexander(x) >= s, so element
         i goes to element index(flip(x_i)) then, and to zero otherwise.
-        Memoized under the class of s, which validates the complex before
-        the flip check.  The rank routes read it through :meth:`h_read`.
+        For a class below its mirror class m it is v_hat(m), as the module
+        docstring proves.  Memoized under the class of s, which validates
+        the complex before the flip check.
         """
         s = self.alexander_class(s)
 
         def build() -> FilteredChainMap:
-            alexander = self._order[1]
             self.require_flip()
+            if (mirror := self._mirror_class(s)) > s:
+                return self.v_hat(mirror)
+            alexander = self._order[1]
             return self._from_hat_a(s, [f if a >= s else -1 for f, a in zip(self._flip_index, alexander)])
 
         return self.cached(("h", s), build)
-
-    def h_read(self, s: int) -> FilteredChainMap:
-        """The map to read h_hat(s) off: its ``on_cocycles``, ``induced`` and
-        ``induced_rank`` are h_hat(s)'s.  For every class but the middle one
-        it is v_hat of the mirror class, h_hat(s) = v_hat(-s) o Phi_s, as the
-        module docstring proves; only the middle class builds h_hat itself.
-        Finding the class validates the complex before the flip check."""
-        s = self.alexander_class(s)
-        self.require_flip()
-        mirror = self.alexander_class(-s)
-        return self.h_hat(s) if mirror == s else self.v_hat(mirror)
 
     # -- the essential summand --------------------------------------------------
 

@@ -82,12 +82,13 @@ dimension, and the next carry is the part of that row space with no bit
 below HatA block j: the reduced rows whose pivot lies in block j.  Both
 are functions of the carry and of the maps h_hat((j - p) // q) and
 v_hat(j // q) that fix block j's rows.  ``cfk`` builds those once per
-Alexander class of s (h_hat read as below), so the key is the pair of
-classes of the two floors, read from one table per range of floors, and
-each step is memoized on the complex under ("sweep", carry, key), shared
-across residue classes, slopes and windows.  Only the distinct steps are ever eliminated, so a
-run of blocks in the same two classes costs one elimination per distinct
-carry, and no step's matrix spans more than three blocks.
+Alexander class of s, or once per mirror pair (see below), so the key is
+the pair of classes of the two floors, read from one table per range of
+floors, and each step is memoized on the complex under ("sweep", carry,
+key), shared across residue classes, slopes and windows.  Only the
+distinct steps are ever eliminated, so a run of blocks in the same two
+classes costs one elimination per distinct carry, and no step's matrix
+spans more than three blocks.
 Route one reads homology only through the genus, which fixes the window
 and is read on the essential summand below, and never builds the cone's
 induced maps.
@@ -109,16 +110,15 @@ homology representative through the index (``induced``).  A fault
 in either read shows as a disagreement, and the tests check both against
 the dense element-by-element matrices of a reference model.
 
-Both routes, the containment verdicts, t and the kernel rank read
-h_hat(s) through ``CfkComplex.h_read``.  For every Alexander class
-but the middle one, the run that contains 0, that is v_hat of the mirror
-class: h_hat(s) = v_hat(-s) o Phi_s with Phi_s = U^s o flip a chain
-isomorphism HatA(s) -> HatA(-s), and a region below its mirror class takes
-its cycles from the mirror through Phi_s, so the two maps have one matrix
-on the cycle basis and one on homology (the ``cfk`` docstring has the
-proof).  A complex thus builds one map per class, v_hat, and h_hat for the
-middle class alone.  The mirror is looked up only where a map is built or
-a sweep step is a memo miss, never on a hit.
+A class s below its mirror class m, the class of -s, is read as m with v
+and h swapped: ``cfk`` serves HatA(s) as the region of HatA(m), v_hat(s) as
+h_hat(m) and h_hat(s) as v_hat(m), which are the maps of s composed with
+the inverse of the chain isomorphism Phi_s = U^s o flip (the ``cfk``
+docstring has the proof).  So a cone column of class s is the column the
+cone would have had, moved by Phi_s, and no rank changes.  A complex with
+a flip thus builds the regions and maps of the middle class, the run that
+contains 0, and of the classes above it alone.  The mirror is looked up
+only where a region or map is a memo miss, never on a hit.
 
 The block matrix has the cone's shape without the HatB blocks: its row
 block j is [h_hat((j - p) // q)_* | v_hat(j // q)_*] on the homology of
@@ -139,19 +139,20 @@ builds the block matrix; the tests assemble it from the same per-key rows
 and check the routes, and the kernel construction in ``tests/models.py``,
 against it.
 
-A cone is its distinct regions.  Column j copies HatA(j // q), which
-``cfk`` builds once per Alexander class, so a cone keeps a list of
-(region, number of window columns that copy it) with one entry per run of
-a class from lo // q to hi // q; the two top classes share the HatB region
-and one entry.  The runs are ``CfkComplex.class_runs(lo // q, hi // q)``,
-read from one memo entry that every cone from the same lo // q whose
-hi // q lies in the same class shares.  Dimensions and the HatA boundary
-ranks are weighted sums over the list, and the sweep visits only the
-residue classes that own a HatB block, so however large p is and however
-far apart the Alexander gradings are, a cone reads at most one region per
-class run and sweeps at most (2g-1)q HatB blocks.  For p >= (2g-1)q the
-window has no HatB column at all, and the rank is the large-surgery sum of
-dim H(HatA(j // q)) over the window.
+A cone is its class runs.  Column j copies HatA(j // q), which ``cfk``
+serves once per Alexander class, so a cone keeps a list of (region, number
+of window columns that copy it) with one entry per run of a class from
+lo // q to hi // q.  A region may appear in more than one entry: HatB in
+those of the two top classes, and a class's region in the entry of each
+class below its mirror that it serves.  The runs are
+``CfkComplex.class_runs(lo // q, hi // q)``, read from one memo entry that
+every cone from the same lo // q whose hi // q lies in the same class
+shares.  Dimensions and the HatA boundary ranks are weighted sums over the
+list, and the sweep visits only the residue classes that own a HatB block,
+so however large p is and however far apart the Alexander gradings are, a
+cone reads at most one region per class run and sweeps at most (2g-1)q
+HatB blocks.  For p >= (2g-1)q the window has no HatB column at all, and
+the rank is the large-surgery sum of dim H(HatA(j // q)) over the window.
 
 The cone is additive over flip-invariant direct summands.  If the complex
 is P + Z as a bifiltered complex and the flip maps each summand to itself,
@@ -267,20 +268,16 @@ class MappingCone:
         # Ranges: ``j in self.b_columns`` is an O(1) membership test.
         self.a_columns = range(lo, hi + 1)
         self.b_columns = range(lo + p, hi + 1)
-        # The distinct regions, read only, with their column counts.  Column
-        # j copies HatA(j // q), one region per class run of lo // q to
-        # hi // q, and the two top classes share the HatB region.  Each
-        # region and the s its run starts at are memoized for every cone
-        # from the same lo // q whose hi // q has the same class, so however
-        # large p is there is at most one entry per class.  lo is a multiple
-        # of q, so a run from s counts the columns from s * q up to the next
-        # run's.
+        # The regions, read only, with their column counts.  Column j
+        # copies HatA(j // q), one entry per class run of lo // q to
+        # hi // q, whose region another run may share.  Each region and the
+        # s its run starts at are memoized for every cone from the same
+        # lo // q whose hi // q has the same class, so however large p is
+        # there is at most one entry per class.  lo is a multiple of q, so a
+        # run from s counts the columns from s * q up to the next run's.
 
         def runs() -> tuple:
-            regions: dict = {}
-            for s, _ in complex_.class_runs(lo // q, hi // q):
-                regions.setdefault(complex_.region_complex(HatA(s)), s)
-            return tuple(regions.items())
+            return tuple((complex_.region_complex(HatA(s)), s) for s, _ in complex_.class_runs(lo // q, hi // q))
 
         regions = complex_.cached(("a_regions", lo // q, complex_.alexander_class(hi // q)), runs)
         bounds = [lo, *[s * q for _, s in regions[1:]], hi + 1]
@@ -290,7 +287,7 @@ class MappingCone:
     # -- chain-level view ---------------------------------------------------
 
     def _per_column(self, term) -> int:
-        """Sum of ``term(region)`` over the HatA columns: each distinct
+        """Sum of ``term(region)`` over the HatA columns: each class run's
         region weighted by the number of columns that copy it."""
         return sum(count * term(region) for region, count in self._a_regions)
 
@@ -325,7 +322,7 @@ class MappingCone:
         chain route's sweep reads them only on a memo miss, so they are
         built on every call, as bare masks: the sweep validates the one
         matrix it eliminates."""
-        h_rows = self.complex.h_read(key[0]).on_cocycles
+        h_rows = self.complex.h_hat(key[0]).on_cocycles
         v_rows = self.complex.v_hat(key[1]).on_cocycles
         v_start = h_rows.cols
         rows = tuple(row for h, v in zip(h_rows.data, v_rows.data) if (row := h | (v << v_start)))
@@ -342,7 +339,7 @@ class MappingCone:
         HatA block j - p, then the HatA block j.  Like
         :meth:`total_boundary` it depends on the key alone and is built on
         every call, as bare masks."""
-        h_ind = self.complex.h_read(key[0]).induced
+        h_ind = self.complex.h_hat(key[0]).induced
         v_ind = self.complex.v_hat(key[1]).induced
         v_start = h_ind.cols
         rows = tuple(h | (v << v_start) for h, v in zip(h_ind.data, v_ind.data))
@@ -471,13 +468,13 @@ def _meet(c: CfkComplex, a: int, b: int) -> int:
     clamped pair, so the meet is too: however far apart the gradings are,
     there is one entry per pair of classes.  The meet is
     rank v + rank h - rank [v | h], with the ``induced_rank`` each map
-    caches, h_hat(b) read through ``CfkComplex.h_read``.
+    caches.
     """
     g = c.genus()
     a, b = c.alexander_class(min(a, g)), c.alexander_class(max(b, -g))
 
     def compute() -> int:
-        v, h = c.v_hat(a), c.h_read(b)
+        v, h = c.v_hat(a), c.h_hat(b)
         return v.induced_rank + h.induced_rank - f2.rank(v.induced.hstack(h.induced))
 
     return c.cached(("meet", a, b), compute)
@@ -546,7 +543,7 @@ def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
 
     def compute() -> HypothesisReport:
         e, g = c.essential_summand, c.genus()
-        return HypothesisReport(per_run(e, 0, g, e.h_read), per_run(e, -g, 0, e.v_hat))
+        return HypothesisReport(per_run(e, 0, g, e.h_hat), per_run(e, -g, 0, e.v_hat))
 
     return c.cached("hypothesis", compute)
 

@@ -16,11 +16,14 @@ HatB's cocycles and the cycles, and its homology matrix, against the
 reference matrix's.
 A library region keeps only its boundary, so its (id, upower) elements
 are ``reference_members`` of its tag, rebuilt from s itself.
-The library reads h_hat(s) off v_hat of the mirror class and takes the
-cycles of a region below its mirror class from that mirror, so
-``assert_conjugation_symmetry`` checks both against h_hat(s) built
-directly, against the elimination-free laws of a cycle basis and against
-``region_flip_equivalence``.
+The library serves a class s below its mirror class m as m, with v and h
+swapped: HatA(s) is the region of HatA(m), v_hat(s) is h_hat(m) and
+h_hat(s) is v_hat(m).  So the reference builds the true HatA(s) itself,
+``region_flip_equivalence`` is the isomorphism Phi_s = U^s o flip from it
+onto HatA(-s), and ``as_read`` composes a reference map with the inverse
+of Phi_s, the map the library reads on the mirror's region;
+``assert_conjugation_symmetry`` checks that every lower class is its
+mirror and that its maps have the reference ranks on the true HatA(s).
 A map caches only its induced rank, so ``kernel_dim`` and ``is_iso`` read
 the kernel dimension and whether it is an isomorphism off it.
 The library scans s one Alexander class run at a time, so
@@ -64,7 +67,6 @@ from hfsurgery.cfk import (
     FilteredChainMap,
     HatA,
     HatB,
-    MirroredRegion,
     RegionComplex,
 )
 from hfsurgery import f2, surgery
@@ -133,8 +135,10 @@ def reflected(c: CfkComplex) -> CfkComplex:
 
 
 def region_flip_equivalence(c: CfkComplex, s: int) -> FilteredChainMap:
-    """The chain isomorphism HatA(s) -> HatA(-s) given by U^s then the flip."""
-    source, target = c.region_complex(HatA(s)), c.region_complex(HatA(-s))
+    """The chain isomorphism Phi_s: HatA(s) -> HatA(-s) given by U^s then
+    the flip, between the reference regions; building it checks that it
+    is a chain map."""
+    source, target = reference_complex(c, HatA(s)), reference_complex(c, HatA(-s))
     c.require_flip()
     index = [
         position(c, HatA(-s), c.flip_map[gid], max(0, s - c.alexander[gid]))
@@ -143,33 +147,61 @@ def region_flip_equivalence(c: CfkComplex, s: int) -> FilteredChainMap:
     return FilteredChainMap(source, target, index)
 
 
+def below_mirror(c: CfkComplex, s: int) -> bool:
+    """Whether the library serves s as its mirror class: a complex with a
+    flip, and the class of s below the class of -s."""
+    return c.has_flip and c.alexander_class(-s) > c.alexander_class(s)
+
+
+def as_read(c: CfkComplex, s: int, masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Row masks over the reference HatA(s) as the library reads them: as
+    they are for a class at or above its mirror, and for a class below it
+    composed with the inverse of Phi_s, so over HatA(-s), the mirror's
+    region, bit i moved to bit index[i] of ``region_flip_equivalence``."""
+    if not below_mirror(c, s):
+        return masks
+    index = region_flip_equivalence(c, s).index
+    return tuple(sum(1 << index[i] for i in f2.bits(mask)) for mask in masks)
+
+
+def boundary_as_read(c: CfkComplex, tag) -> tuple[int, ...]:
+    """The reference boundary of the region as the library reads it: as it
+    is, or for HatA(s) of a class below its mirror moved through Phi_s,
+    rows and columns, onto the mirror's region HatA(-s)."""
+    masks = reference_region(c, tag)[1]
+    if not (isinstance(tag, HatA) and below_mirror(c, tag.s)):
+        return masks
+    index = region_flip_equivalence(c, tag.s).index
+    moved = [0] * len(masks)
+    for row, mask in zip(index, masks):
+        moved[row] = sum(1 << index[i] for i in f2.bits(mask))
+    return tuple(moved)
+
+
 def assert_conjugation_symmetry(c: CfkComplex) -> int:
-    """For every Alexander class s but the self-conjugate middle one,
-    h_hat(s), built directly, has the cycle matrix, induced matrix and
-    induced rank of v_hat of the mirror class, which is what
-    ``CfkComplex.h_read(s)`` returns; the middle class reads h_hat itself.
-    A region is a ``MirroredRegion`` exactly when its class lies below its
-    mirror's, and then its flip is the reference isomorphism
-    HatA(s) -> HatA(-s), its cycles are closed, independent and
-    dim - rank(boundary) in number.  Returns the number of classes other
-    than the middle one."""
-    cuts = c.alexander_cuts
+    """Every Alexander class s below its mirror class m is read as m with v
+    and h swapped: HatA(s) is the region of HatA(m), v_hat(s) is h_hat(m)
+    and h_hat(s) is v_hat(m).  On the true HatA(s), built by the
+    reference, Phi_s is an isomorphism on homology onto HatA(-s), and the
+    reference v_hat(s) and h_hat(s) have the induced ranks of the maps the
+    library reads.  Every other class, the middle one among them, is
+    served its own region, or HatB at or above the top grading.  Returns
+    the number of classes below their mirrors."""
+    cuts, top = c.alexander_cuts, max(c.columns[0][1])
+    b = reference_complex(c, HatB()).homology
     checked = 0
     for s, _ in c.class_runs(cuts[0] - 1, cuts[-1]):
         mirror, region = c.alexander_class(-s), c.region_complex(HatA(s))
-        assert isinstance(region, MirroredRegion) == (mirror > s), s
-        if mirror == s:
-            assert c.h_read(s) is c.h_hat(s), s
+        if not below_mirror(c, s):
+            assert region.tag == (HatB() if s >= top else HatA(s)), s
             continue
-        h, v = c.h_hat(s), c.v_hat(mirror)
-        assert c.h_read(s) is v, s
-        assert (h.on_cocycles, h.induced, h.induced_rank) == (v.on_cocycles, v.induced, v.induced_rank), s
-        if isinstance(region, MirroredRegion):
-            assert region.flip == region_flip_equivalence(c, s).index, s
-            rows = F2Matrix.from_columns(region.cycles, region.dim)
-            assert (region.boundary @ rows).is_zero(), s
-            independent = f2.rank(F2Matrix(region.dim, region.cycles))
-            assert len(region.cycles) == region.dim - f2.rank(region.boundary) == independent, s
+        assert region is c.region_complex(HatA(mirror)), s
+        assert c.v_hat(s) is c.h_hat(mirror) and c.h_hat(s) is c.v_hat(mirror), s
+        assert is_iso(region_flip_equivalence(c, s)), s
+        source = reference_complex(c, HatA(s))
+        for kind, m in (("v", c.v_hat(s)), ("h", c.h_hat(s))):
+            matrix = F2Matrix(source.dim, reference_map(c, kind, s))
+            assert f2.rank(f2.induced_map_on_homology(matrix, source.homology, b)) == m.induced_rank, (kind, s)
         checked += 1
     return checked
 
@@ -322,29 +354,33 @@ def single_point_region_rank(c: CfkComplex) -> int:
 def assert_matches_reference(c: CfkComplex) -> None:
     """Every HatA(s) with |s| <= genus + 1 and HatB has the reference
     boundary, one element per reference element, and every v_hat(s) and
-    h_hat(s) the reference matrix."""
+    h_hat(s) the reference matrix, read by :func:`boundary_as_read` and
+    :func:`as_read`: a class below its mirror is served the mirror's
+    region."""
     g = c.genus()
     window = range(-g - 1, g + 2)
     for tag in [HatA(s) for s in window] + [HatB()]:
         region = c.region_complex(tag)
-        members, masks = reference_region(c, tag)
-        assert region.boundary.data == masks, tag
-        assert region.dim == len(members), tag
+        if isinstance(tag, HatA) and below_mirror(c, tag.s):
+            assert region is c.region_complex(HatA(-tag.s)), tag
+        assert region.boundary.data == boundary_as_read(c, tag), tag
+        assert region.dim == len(reference_members(c, tag)), tag
     for s in window:
-        assert dense(c.v_hat(s)).data == reference_map(c, "v", s), s
-        assert dense(c.h_hat(s)).data == reference_map(c, "h", s), s
+        assert dense(c.v_hat(s)).data == as_read(c, s, reference_map(c, "v", s)), s
+        assert dense(c.h_hat(s)).data == as_read(c, s, reference_map(c, "h", s)), s
 
 
 def assert_maps_match_dense(c: CfkComplex) -> None:
     """Every v_hat(s) and h_hat(s) with |s| <= genus + 1, applied by its
-    index map, agrees with the dense element-by-element reference matrix:
+    index map, agrees with the dense element-by-element reference matrix,
+    read by :func:`as_read` on the region the library serves:
     ``on_cocycles`` is Y^T . matrix . N, Y being the target's cocycle
     basis as columns and N the source's cycle basis, and ``induced`` is
     ``f2.induced_map_on_homology`` run on that matrix."""
     g = c.genus()
     for s in range(-g - 1, g + 2):
         for kind, m in (("v", c.v_hat(s)), ("h", c.h_hat(s))):
-            matrix = F2Matrix(m.source.dim, reference_map(c, kind, s))
+            matrix = F2Matrix(m.source.dim, as_read(c, s, reference_map(c, kind, s)))
             cycles = F2Matrix.from_columns(m.source.cycles, m.source.dim)
             cocycles_t = F2Matrix(m.target.dim, m.target.cocycles)
             assert m.on_cocycles == cocycles_t @ matrix @ cycles, (kind, s)
@@ -359,7 +395,8 @@ def assert_classes_hold(c: CfkComplex, margin: int = 3) -> None:
     largest cut at or below s, or the lowest cut less one.  For every s
     within ``margin`` of the gradings, HatA(s), v_hat(s) and h_hat(s) are
     the objects memoized at the class of s, and they have the reference
-    boundary and matrices of s itself, so s and its class agree.  The genus
+    boundary and matrices of s itself, read by :func:`boundary_as_read`
+    and :func:`as_read`, so s and its class agree.  The genus
     is also the largest s >= 1 with v_hat(s - 1) not an isomorphism found
     by testing every s from the top grading + 1 down, not only the cuts."""
     grades = c.columns[0][1]
@@ -370,10 +407,10 @@ def assert_classes_hold(c: CfkComplex, margin: int = 3) -> None:
         assert c.alexander_class(s) == rep, s
         region = c.region_complex(HatA(s))
         assert region is c.region_complex(HatA(rep)), s
-        assert region.boundary.data == reference_region(c, HatA(s))[1], s
+        assert region.boundary.data == boundary_as_read(c, HatA(s)), s
         assert c.v_hat(s) is c.v_hat(rep) and c.h_hat(s) is c.h_hat(rep), s
-        assert dense(c.v_hat(s)).data == reference_map(c, "v", s), s
-        assert dense(c.h_hat(s)).data == reference_map(c, "h", s), s
+        assert dense(c.v_hat(s)).data == as_read(c, s, reference_map(c, "v", s)), s
+        assert dense(c.h_hat(s)).data == as_read(c, s, reference_map(c, "h", s)), s
     assert c.genus() == reference_genus(c)
 
 
@@ -545,9 +582,9 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     Column j reads its maps at s = j // q, which ``cfk`` memoizes under the
     Alexander class of s, so however large p is the construction builds
     one region and one map of each kind per class.  Its coefficients are
-    on the homology basis of HatA(j // q), which is what h_hat's induced
-    matrix read through ``CfkComplex.h_read`` is on as well, since a region
-    below its mirror class has the mirror's basis moved through the flip.
+    on the homology basis of the region ``cfk`` serves as HatA(j // q),
+    the source of both of that class's maps, which for a class below its
+    mirror class is the mirror's region, read through the flip.
     The columns of a class run read the same few induced maps, so
     ``f2.kernel_basis``, ``f2.solve`` and :func:`image_intersection_basis`
     are cached for this call only: each distinct (matrix, target) is
@@ -561,7 +598,7 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     def ind(j: int, step: int) -> F2Matrix:
         """The induced map column j solves against on a walk of this step:
         v_hat for step > 0, h_hat for step < 0."""
-        return (c.v_hat(j // q) if step > 0 else c.h_read(j // q)).induced
+        return (c.v_hat(j // q) if step > 0 else c.h_hat(j // q)).induced
 
     def extend(element: dict[int, int], j: int, coeff: int, step: int) -> None:
         """Cancel the image of ``coeff`` at column j, column by column:

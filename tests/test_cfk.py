@@ -11,12 +11,12 @@ from hfsurgery.cfk import (
     FlipRequiredError,
     HatA,
     HatB,
-    MirroredRegion,
+    RegionComplex,
     UnknownRegionError,
-    move_bits,
 )
 from hfsurgery.f2 import F2Matrix, InvalidComplexError
-from hfsurgery.knots import BUILTIN_NAMES, builtin, mirror, tensor
+from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, tensor
+from hfsurgery.obstructions import complement_check
 from hfsurgery.surgery import Slope, compute_rank_report, cone_rank_homological
 
 import models
@@ -190,28 +190,24 @@ class TestRegions:
         # classes (HatB's alone are read) and its homology: no cycle rows,
         # no per-element data, which a region shared by a whole Alexander
         # class could not have, and no boundary space apart from the
-        # homology's.  A region
-        # below its mirror class holds, besides, the mirror region it reads
-        # its cycles off and the complex's flip permutation, and no boundary
-        # space at all.
+        # homology's.  A class below its mirror class is served the
+        # mirror's region, so every region built has a tag at or above its
+        # mirror's.
         c = after_both_routes()
-        regions = [
-            value
+        tags = {
+            key[1]: value
             for key, value in c._memo.items()
             if isinstance(key, tuple) and key[0] == "region" and isinstance(key[1], (HatA, HatB))
-        ]
-        direct = [region for region in regions if not isinstance(region, MirroredRegion)]
-        mirrored = [region for region in regions if isinstance(region, MirroredRegion)]
-        assert len(direct) > 2 and len(mirrored) > 2
-        for region in direct:
+        }
+        regions = {id(region): region for region in tags.values()}.values()
+        assert len(regions) > 2 and len(tags) > len(regions)
+        for region in regions:
             assert region.dim == len(c.columns[0][0])
             assert set(vars(region)) <= {"tag", "boundary", "cycles", "cocycles", "homology"}
-        for region in mirrored:
-            assert region.dim == len(c.columns[0][0])
-            assert set(vars(region)) <= {"tag", "boundary", "cycles", "homology", "mirror", "flip"}
-            assert region.mirror is c.region_complex(HatA(-region.tag.s))
-            assert not isinstance(region.mirror, MirroredRegion)
-            assert region.flip is c._flip_index
+            assert region.tag == HatB() or c.alexander_class(-region.tag.s) <= region.tag.s
+        for tag, region in tags.items():
+            if isinstance(tag, HatA) and c.alexander_class(-tag.s) > tag.s:
+                assert region is c.region_complex(HatA(-tag.s)), tag
 
     def test_hat_maps_keep_only_their_index(self):
         # After both rank routes, every memoized v_hat and h_hat holds its
@@ -226,14 +222,18 @@ class TestRegions:
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("t25#t27",))
     def test_hat_a_at_or_above_the_top_grading_is_hat_b(self, name):
         # Every upower of HatA(s) is 0 once s reaches the top grading, so it is
-        # served as the HatB region itself; below that it is its own region.
+        # served as the HatB region itself; below that it is its own region,
+        # or its mirror's, the HatB region again when the mirror class is at
+        # or above the top grading.
         first, *rest = name.split("#")
         c = builtin(first)
         for part in rest:
             c = tensor(c, builtin(part))
         top = max(c.columns[0][1])
-        for s in range(top - 2, top + 3):
-            assert (c.region_complex(HatA(s)) is c.region_complex(HatB())) == (s >= top), s
+        for s in range(-top - 3, top + 3):
+            served = max(s, c.alexander_class(-s))
+            assert (c.region_complex(HatA(s)) is c.region_complex(HatB())) == (served >= top), s
+            assert c.region_complex(HatA(s)).tag == (HatB() if served >= top else HatA(c.alexander_class(served)))
 
     def test_single_bit_boundary_rows_share_the_unit_masks(self):
         # A boundary row with one set bit is the complex's one unit mask for
@@ -271,11 +271,11 @@ class TestRegions:
             calls.clear()
         # A read that finds the boundary space taken, as a second thread
         # building the same homology can, eliminates the boundary again and
-        # builds the same basis.  HatA(-1) of the figure-eight is read off
-        # its mirror, so the region here is t25's HatA(1), built directly.
+        # builds the same basis.  HatA(-1) of the figure-eight is its
+        # mirror's region, HatB, so the region here is t25's HatA(1).
         t25 = builtin("t25")
         region = t25.region_complex(HatA(1))
-        assert not isinstance(region, MirroredRegion)
+        assert region.tag == HatA(1)
         region.cycles
         vars(region).pop("_image")
         fresh = models.reference_complex(t25, HatA(1))
@@ -286,21 +286,11 @@ class TestRegions:
         assert calls == [region.dim, region.dim, region.dim]
         calls.clear()
         # HatA(-1) of the figure-eight lies below its mirror class, whose
-        # region is HatB: its cycles are HatB's moved through the flip, read
-        # with no elimination and holding no boundary space.  They are a
-        # basis of its cycles, in HatB's order; its homology eliminates its
-        # own boundary once and picks the moved representatives.
-        region, mirror = fig8.region_complex(HatA(-1)), fig8.region_complex(HatB())
-        assert isinstance(region, MirroredRegion) and region.mirror is mirror
-        region.cycles
-        assert calls == [] and "_image" not in vars(region)
-        assert list(region.cycles) == move_bits(mirror.cycles, region.flip)
-        rows = F2Matrix.from_columns(region.cycles, region.dim)
-        assert (region.boundary @ rows).is_zero()
-        assert len(region.cycles) == region.dim - f2.rank(region.boundary) == f2.rank(F2Matrix(region.dim, region.cycles))
-        assert list(region.homology.reps) == move_bits(mirror.homology.reps, region.flip)
-        assert set(region.homology.reps) <= set(region.cycles)
-        assert calls == [region.dim] and "_image" not in vars(region)
+        # region is HatB: it is that region, with the cycles and homology
+        # already read, so reading them again eliminates nothing.
+        region = fig8.region_complex(HatA(-1))
+        assert region is fig8.region_complex(HatB())
+        assert (region.cycles, region.homology) and calls == []
 
     def test_cocycles_read_the_boundary_rows(self, monkeypatch):
         # HatB's cocycles eliminate the boundary's rows as they stand, the
@@ -371,9 +361,10 @@ class TestHhat:
 
     def test_matches_three_stage_composite(self, fig8):
         """h_hat agrees with projection, U^s shift, then flip, assembled
-        explicitly through the j-level regions of ``models``."""
+        explicitly through the j-level regions of ``models`` on the true
+        HatA(s), and read on the mirror's region below the mirror class."""
         for s in (-1, 0, 1):
-            source = fig8.region_complex(HatA(s))
+            source = models.reference_complex(fig8, HatA(s))
             j_s = models.j_level_region(fig8, s)
             j_0 = models.j_level_region(fig8, 0)
             target = fig8.region_complex(HatB())
@@ -392,7 +383,7 @@ class TestHhat:
                 @ f2.F2Matrix(j_s.dim, tuple(shift))
                 @ f2.F2Matrix(source.dim, tuple(proj))
             )
-            assert composite.data == models.dense(fig8.h_hat(s)).data
+            assert models.as_read(fig8, s, composite.data) == models.dense(fig8.h_hat(s)).data
 
 
 class TestInvariants:
@@ -510,6 +501,91 @@ class TestFlipEquivalence:
             for s in range(-2, 3):
                 eq = models.region_flip_equivalence(c, s)
                 assert models.is_iso(eq)
+
+
+# The complexes the mirror-class tests rank: the builtins, their pairwise
+# tensors, and random dots-and-boxes complexes of the acceptance corpus's
+# shapes and of the survey's wider ones.
+MIRROR_CORPORA = {
+    "builtins": lambda: [builtin(name) for name in BUILTIN_NAMES],
+    "tensors": lambda: [tensor(builtin(a), builtin(b)) for a, b in combinations(BUILTIN_NAMES, 2)],
+    "acceptance": lambda: [
+        random_complex(RandomSpec(seed=i, dots=1 + i % 3, boxes=i % 3, max_side=1 + i % 2, max_offset=i % 3))
+        for i in range(100)
+    ],
+    "survey": lambda: [
+        random_complex(RandomSpec(seed=20240119 + i, dots=1 + i % 3, boxes=2 + (i // 3) % 5, max_side=2, max_offset=3))
+        for i in range(120)
+    ],
+}
+
+
+def class_tags(c):
+    """HatA of every Alexander class of c, from below the lowest cut to the
+    top one."""
+    cuts = c.alexander_cuts
+    return [HatA(s) for s, _ in c.class_runs(cuts[0] - 1, cuts[-1])]
+
+
+class TestMirrorClasses:
+    """A class below its mirror class is its mirror, with v and h swapped:
+    no region of its own is built, and its maps are the mirror's."""
+
+    @pytest.mark.parametrize("corpus", MIRROR_CORPORA)
+    def test_no_region_below_its_mirror_class_is_built(self, corpus, monkeypatch):
+        built = []
+        init = RegionComplex.__init__
+
+        def counting(self, tag, boundary):
+            built.append(tag)
+            init(self, tag, boundary)
+
+        monkeypatch.setattr(RegionComplex, "__init__", counting)
+        lower = 0
+        for c in MIRROR_CORPORA[corpus]():
+            for slope in (Slope(1, 1), Slope(2, 3), Slope(5, 3)):
+                compute_rank_report(c, slope)
+                cone_rank_homological(c, slope)
+            complement_check(c, 2)
+            # Every region built is memoized, by the complex or its essential
+            # summand, and its tag is at or above its mirror's class.
+            regions = {
+                id(region): (x, region)
+                for x in (c, c.essential_summand)
+                for key, region in x._memo.items()
+                if isinstance(key, tuple) and key[0] == "region"
+            }
+            assert len(built) == len(regions), c.name
+            for x, region in regions.values():
+                assert region.tag == HatB() or x.alexander_class(-region.tag.s) <= region.tag.s, (c.name, region)
+            built.clear()
+            for x in {id(x): x for x in (c, c.essential_summand)}.values():
+                for tag in class_tags(x):
+                    if (m := x.alexander_class(-tag.s)) > tag.s:
+                        assert x.region_complex(tag) is x.region_complex(HatA(m)), (c.name, tag)
+                        assert x.v_hat(tag.s) is x.h_hat(m) and x.h_hat(tag.s) is x.v_hat(m), (c.name, tag)
+                        lower += 1
+            assert not built, c.name
+        assert lower > 0
+
+    @pytest.mark.parametrize("name", ["trefoil_rh", "figure_eight", "t25", "t25#t27"])
+    def test_a_flipless_complex_builds_every_region_itself(self, name, monkeypatch):
+        first, *rest = name.split("#")
+        c = builtin(first)
+        for part in rest:
+            c = tensor(c, builtin(part))
+        c = CfkComplex(*c.columns[:2], None, name)
+        built = []
+        init = RegionComplex.__init__
+        monkeypatch.setattr(RegionComplex, "__init__", lambda self, tag, boundary: built.append(tag) or init(self, tag, boundary))
+        top = max(c.columns[0][1])
+        c.genus()
+        for tag in class_tags(c):
+            v = c.v_hat(tag.s)
+            assert v.source is c.region_complex(tag), tag
+            assert v.source.tag == (HatB() if tag.s >= top else tag), tag
+        # One region per class below the top grading, and HatB.
+        assert len(built) == len(set(built)) == sum(tag.s < top for tag in class_tags(c)) + 1
 
 
 class TestJson:

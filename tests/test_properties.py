@@ -573,9 +573,10 @@ def knot(name: str) -> CfkComplex:
 
 @pytest.mark.parametrize("name", KNOT_NAMES)
 def test_h_hat_reads_as_v_hat_of_the_mirror_class_on_knots(name):
-    # Phi_s = U^s o flip takes HatA(s) to HatA(-s) element by element, and
-    # h_hat(s) = v_hat(-s) o Phi_s; the ``cfk`` module docstring proves that
-    # the two maps then read alike on cycles and on homology.
+    # Phi_s = U^s o flip takes HatA(s) to HatA(-s) element by element, so a
+    # class below its mirror is read as the mirror with v and h swapped; the
+    # ``cfk`` module docstring proves it, and the model checks the ranks on
+    # the true HatA(s).
     models.assert_conjugation_symmetry(knot(name))
 
 

@@ -117,10 +117,11 @@ class TestBuildCone:
         assert windows == [(-2, 4), (-2, 4)]
 
     def test_cones_on_one_range_of_s_share_their_regions(self, monkeypatch):
-        # The window's distinct HatA regions are one memo entry per lo // q
-        # and Alexander class of hi // q: a second cone on the same range of
-        # s looks up only HatB, though its window, and so the number of
-        # columns copying each region, differs.
+        # The window's HatA regions, one per class run, are one memo entry
+        # per lo // q and Alexander class of hi // q: a second cone on the
+        # same range of s looks up only HatB, though its window, and so the
+        # number of columns copying each region, differs.  The class -1 lies
+        # below its mirror class 1, so its run reads HatA(1)'s region.
         c = builtin("t25")
         first = MappingCone(c, Slope(1, 2))
         calls = []
@@ -132,28 +133,31 @@ class TestBuildCone:
         assert calls == [HatB()]
         regions = [region for region, _ in first._a_regions]
         assert all(a is b for a, (b, _) in zip(regions, second._a_regions, strict=True))
-        assert [region.tag for region in regions] == [HatA(-1), HatA(0), HatA(1)]
+        assert [region.tag for region in regions] == [HatA(1), HatA(0), HatA(1)]
+        assert regions[0] is regions[2]
         assert [count for _, count in first._a_regions] == [2, 2, 2]
         assert [count for _, count in second._a_regions] == [3, 3, 3]
         assert (first.a_columns, second.a_columns) == (range(-2, 4), range(-3, 6))
 
     def test_large_p_cones_keep_only_their_distinct_regions(self):
-        # A region is memoized under the Alexander class of s, and the two
-        # top classes, 6 and 7, share the HatB region, so however far p
-        # stretches the window a cone keeps one entry per distinct region:
-        # t25#t27#figure_eight (genus 6, gradings -6..6) reads the 11
-        # regions HatA(-5..5) and HatB, where 200001/1 used to leave one
-        # memo entry per s.
+        # A region is memoized under the Alexander class of s, so however far
+        # p stretches the window a cone keeps one entry per class run:
+        # t25#t27#figure_eight (genus 6, gradings -6..6) reads the classes
+        # -5..7, where 200001/1 used to leave one memo entry per s.  Each
+        # class -5..-1 is served its mirror's region and the two top
+        # classes, 6 and 7, the HatB region, so 7 regions are built:
+        # HatA(0..5) and HatB.
         c = _complex("t25#t27#figure_eight")
         for slope in (Slope(11, 1), Slope(23, 2), Slope(200001, 1)):
             cone_rank_chain(c, slope)
         regions = {key[1]: value for key, value in c._memo.items() if key[0] == "region"}
         assert all(tag == HatB() or c.alexander_class(tag.s) == tag.s for tag in regions)
         assert set(regions) == {HatB()} | {HatA(s) for s in range(-5, 8)}
-        assert len({id(region) for region in regions.values()}) == 12
+        assert len({id(region) for region in regions.values()}) == 7
         cone = MappingCone(c, Slope(200001, 1))
-        assert [count for _, count in cone._a_regions] == [1] * 11 + [200001 - 11]
-        assert cone._a_regions[-1][0] is c.region_complex(HatB())
+        assert [count for _, count in cone._a_regions] == [1] * 12 + [200001 - 12]
+        assert [region for region, _ in cone._a_regions[:5]] == [c.region_complex(HatA(s)) for s in range(5, 0, -1)]
+        assert cone._a_regions[-2][0] is cone._a_regions[-1][0] is c.region_complex(HatB())
         assert sum(count for _, count in cone._a_regions) == len(cone.a_columns)
 
     def test_missing_flip(self):
@@ -302,8 +306,9 @@ class TestConeRanks:
         assert len(built) == 2
         tags = [HatB()] + [HatA(s) for s in range(-4, 4)]
         with_homology = [t for t in tags if "homology" in vars(c.region_complex(t))]
-        # HatA(3), first read here, is the HatB region as well.
-        assert with_homology == [HatB(), HatA(1), HatA(2), HatA(3)]
+        # HatA(3), first read here, is the HatB region as well, and each of
+        # HatA(-4..-1) is the region of its mirror class, HatB or HatA(1).
+        assert with_homology == [HatB(), *[HatA(s) for s in range(-4, 0)], HatA(1), HatA(2), HatA(3)]
         assert c.region_complex(HatA(3)) is c.region_complex(HatA(2)) is c.region_complex(HatB())
 
         # The chain route's sweep on the symmetric window at level 6 builds
