@@ -140,19 +140,26 @@ and check the routes, and the kernel construction in ``tests/models.py``,
 against it.
 
 A cone is its class runs.  Column j copies HatA(j // q), which ``cfk``
-serves once per Alexander class, so a cone keeps a list of (region, number
-of window columns that copy it) with one entry per run of a class from
-lo // q to hi // q.  A region may appear in more than one entry: HatB in
-those of the two top classes, and a class's region in the entry of each
-class below its mirror that it serves.  The runs are
-``CfkComplex.class_runs(lo // q, hi // q)``, read from one memo entry that
-every cone from the same lo // q whose hi // q lies in the same class
-shares.  Dimensions and the HatA boundary ranks are weighted sums over the
-list, and the sweep visits only the residue classes that own a HatB block,
-so however large p is and however far apart the Alexander gradings are, a
-cone reads at most one region per class run and sweeps at most (2g-1)q
-HatB blocks.  For p >= (2g-1)q the window has no HatB column at all, and
-the rank is the large-surgery sum of dim H(HatA(j // q)) over the window.
+serves once per Alexander class, and the runs of a class from lo // q to
+hi // q, ``CfkComplex.class_runs``, start at the same floors for every
+hi // q of one class; only the last run's length differs.  So a cone keeps
+its ranges and its run-table key, (lo // q, the class of hi // q), and
+reads each sum over its HatA columns, the HatA boundary ranks of route one
+and the homology dimensions of route two, from one memo entry per key:
+(inner, last, s_last), inner being the sum over every run but the last of
+its length in floors times the term of its region, last the term of the
+last run's region and s_last that run's start.  lo = -(g-1)q is a
+multiple of q, so every floor before the last run holds q columns and the
+sum is q * inner + (hi + 1 - s_last * q) * last.  Only the first cone of
+a key reads regions, one per run, from the memo entry ("a_regions", key);
+a region may serve more than one run: HatB the two top classes, and a
+class's region each class below its mirror that it serves.  The dimension
+reads none: every region holds one element per generator.  The sweep
+visits only the residue classes that own a HatB block, so however large p
+is and however far apart the Alexander gradings are, a cone reads at most
+one region per class run and sweeps at most (2g-1)q HatB blocks.  For
+p >= (2g-1)q the window has no HatB column at all, and the rank is the
+large-surgery sum of dim H(HatA(j // q)) over the window.
 
 The cone is additive over flip-invariant direct summands.  If the complex
 is P + Z as a bifiltered complex and the flip maps each summand to itself,
@@ -260,41 +267,43 @@ class MappingCone:
         lo = -(g - 1) * q
         hi = max(g * q - 1, lo + p - 1)
         # The cone reads h-maps only when the rows of a HatB block are
-        # built, so the flip is checked here, before any window region is
-        # built.
+        # built, so the flip is checked here, when the cone is made.
         complex_.require_flip()
         self.complex = complex_
         self.slope = slope
         # Ranges: ``j in self.b_columns`` is an O(1) membership test.
         self.a_columns = range(lo, hi + 1)
         self.b_columns = range(lo + p, hi + 1)
-        # The regions, read only, with their column counts.  Column j
-        # copies HatA(j // q), one entry per class run of lo // q to
-        # hi // q, whose region another run may share.  Each region and the
-        # s its run starts at are memoized for every cone from the same
-        # lo // q whose hi // q has the same class, so however large p is
-        # there is at most one entry per class.  lo is a multiple of q, so a
-        # run from s counts the columns from s * q up to the next run's.
-
-        def runs() -> tuple:
-            return tuple((complex_.region_complex(HatA(s)), s) for s, _ in complex_.class_runs(lo // q, hi // q))
-
-        regions = complex_.cached(("a_regions", lo // q, complex_.alexander_class(hi // q)), runs)
-        bounds = [lo, *[s * q for _, s in regions[1:]], hi + 1]
-        self._a_regions = [(region, stop - start) for (region, _), start, stop in zip(regions, bounds, bounds[1:])]
-        self._b_region = complex_.region_complex(HatB())
+        # The run table's key: every cone with it has the same class runs,
+        # from the same starts, but for the last run's length.
+        self._runs = (lo // q, complex_.alexander_class(hi // q))
 
     # -- chain-level view ---------------------------------------------------
 
-    def _per_column(self, term) -> int:
-        """Sum of ``term(region)`` over the HatA columns: each class run's
-        region weighted by the number of columns that copy it."""
-        return sum(count * term(region) for region, count in self._a_regions)
+    def _per_column(self, name: str, term) -> int:
+        """Sum of ``term(HatA(j // q))`` over the HatA columns j, from the
+        memo entry ``(name, *key)`` of the run-table key, (inner, last,
+        s_last), as the module docstring explains.  On a hit no region is
+        read and no term evaluated."""
+        c, q, hi = self.complex, self.slope.q, self.a_columns[-1]
+
+        def sums() -> tuple[int, int, int]:
+            def runs() -> tuple:
+                return tuple((c.region_complex(HatA(s)), s) for s, _ in c.class_runs(self._runs[0], hi // q))
+
+            regions = c.cached(("a_regions", *self._runs), runs)
+            inner = sum((stop - start) * term(region) for (region, start), (_, stop) in zip(regions, regions[1:]))
+            region, s_last = regions[-1]
+            return inner, term(region), s_last
+
+        inner, last, s_last = c.cached((name, *self._runs), sums)
+        return q * inner + (hi + 1 - s_last * q) * last
 
     @property
     def total_dim(self) -> int:
-        """The cone's dimension, each HatA block at its full width."""
-        return self._per_column(lambda region: region.dim) + self._b_region.dim * len(self.b_columns)
+        """The cone's dimension: every region, each HatA block and HatB
+        alike, holds one element per generator, so no region is read."""
+        return len(self.complex.columns[0][0]) * (len(self.a_columns) + len(self.b_columns))
 
     @property
     def boundary_rank(self) -> int:
@@ -302,7 +311,7 @@ class MappingCone:
         boundary rank of each column's HatA region, its dimension less its
         cycles, summed over the columns, and rank d_B once per HatB column,
         as the module docstring proves."""
-        a_rank = self._per_column(lambda region: region.dim - len(region.cycles))
+        a_rank = self._per_column("a_rank", lambda region: region.dim - len(region.cycles))
         return a_rank + len(self.b_columns) * _hat_b_boundary_rank(self.complex)
 
     def total_boundary(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
@@ -347,11 +356,11 @@ class MappingCone:
 
     @property
     def a_homology_dim(self) -> int:
-        return self._per_column(lambda region: region.homology.dim)
+        return self._per_column("a_homology", lambda region: region.homology.dim)
 
     @property
     def b_homology_dim(self) -> int:
-        return self._b_region.homology.dim * len(self.b_columns)
+        return self.complex.region_complex(HatB()).homology.dim * len(self.b_columns)
 
 
 def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:

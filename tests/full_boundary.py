@@ -40,27 +40,34 @@ def truncation_bound(c, slope) -> int:
     return c.genus() + 1 + -(-slope.p // slope.q)
 
 
+class SymmetricCone(MappingCone):
+    """A cone whose window :func:`build_cone` widens.  Its lo is not a
+    multiple of q, so the first floor is cut as well as the last, and the
+    run memo's form, q columns per floor up to the last run, does not hold:
+    it sums its own floors instead, floor s counting the columns of
+    [sq, sq + q - 1] in the window, and leaves the memo alone."""
+
+    def _per_column(self, name, term):
+        c, q = self.complex, self.slope.q
+        lo, hi = self.a_columns[0], self.a_columns[-1]
+        return sum(
+            (min(hi, s * q + q - 1) + 1 - max(lo, s * q)) * term(c.region_complex(HatA(s)))
+            for s in range(lo // q, hi // q + 1)
+        )
+
+
 def build_cone(c, slope, level=None) -> MappingCone:
     """The cone on the symmetric window -q*level < j < q*level, the HatB
     columns being those p further right; ``level=None`` means
     :func:`truncation_bound`.  It is the tight cone with its window
     widened, so it reads the genus and checks the flip first, and every
     view of the cone works on it."""
-    cone = MappingCone(c, slope)
+    cone = SymmetricCone(c, slope)
     q = slope.q
     level = truncation_bound(c, slope) if level is None else level
     lo, hi = -q * level + 1, q * level - 1
     cone.a_columns = range(lo, hi + 1)
     cone.b_columns = range(lo + slope.p, hi + 1)
-    # lo is not a multiple of q, so the first floor is cut as well as the
-    # last: floor s counts the columns of [sq, sq + q - 1] in the window.
-    # Floors of one Alexander class share their region, so like the tight
-    # cone this one keeps each distinct region once, with all its columns.
-    counts: dict = {}
-    for s in range(lo // q, hi // q + 1):
-        region = c.region_complex(HatA(s))
-        counts[region] = counts.get(region, 0) + min(hi, s * q + q - 1) + 1 - max(lo, s * q)
-    cone._a_regions = list(counts.items())
     return cone
 
 

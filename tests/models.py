@@ -55,6 +55,8 @@ The sweep eliminates each step by ``f2.rref`` cut at the v block, so
 ``full_form_sweep_step`` reads a step off the full form instead, and
 ``assert_sweep_steps_match_full_form`` checks every memoized step of the
 chain route's and the homological route's sweeps against it.
+A cone reads its totals from one memo entry per class-run table, so
+``recount_totals`` counts them column by column instead.
 """
 
 import functools
@@ -236,6 +238,24 @@ def assert_sweep_steps_match_full_form(c: CfkComplex) -> int:
                 assert entry == full_form_sweep_step(rows[tag](step), carry), key
                 checked += 1
     return checked
+
+
+def recount_totals(cone: MappingCone) -> tuple[int, int, int, int]:
+    """The cone's ``total_dim``, ``boundary_rank``, ``a_homology_dim`` and
+    ``b_homology_dim``, counted column by column: every HatA column j reads
+    ``region_complex(HatA(j // q))`` and every HatB column HatB, each region
+    ranked by ``f2.rank`` of its boundary once.  Reading the homology builds
+    it for every region of the window."""
+    c, q = cone.complex, cone.slope.q
+    rank = functools.cache(lambda region: f2.rank(region.boundary))
+    dim = boundary = homology = 0
+    for j in cone.a_columns:
+        region = c.region_complex(HatA(j // q))
+        dim += region.dim
+        boundary += rank(region)
+        homology += region.homology.dim
+    b, n = c.region_complex(HatB()), len(cone.b_columns)
+    return dim + n * b.dim, boundary + n * rank(b), homology, n * b.homology.dim
 
 
 def kernel_dim(m: FilteredChainMap) -> int:
@@ -557,8 +577,9 @@ def reference_solve(m: F2Matrix, target: int) -> int | None:
 
 
 class InternalInvariantError(RuntimeError):
-    """A cancellation the containment hypothesis promises is missing; the
-    hypothesis check lied."""
+    """A cancellation the containment hypothesis promises is missing, or a
+    walk runs past the columns the genus allows: the hypothesis check or an
+    induced map is wrong."""
 
 
 def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int]]:
@@ -577,7 +598,9 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
     reads no window: it runs until the outgoing induced image is zero.
     Every walk ends, because on homology v_hat(s) vanishes for s <= -g-1
     and h_hat(s) for s >= g+1, past the genus; so a walk reaches only the
-    columns -gq-p <= j < (g+1)q+p.
+    columns -gq-p <= j < (g+1)q+p.  That holds only when the maps are
+    right, so a walk that leaves those columns raises
+    ``InternalInvariantError`` rather than run on.
 
     Column j reads its maps at s = j // q, which ``cfk`` memoizes under the
     Alexander class of s, so however large p is the construction builds
@@ -607,11 +630,15 @@ def kernel_basis_construction(c: CfkComplex, slope: Slope) -> list[dict[int, int
         read by ``ind``.  Every column the walk reaches is new to its
         element: a seed's walk moves away from its seed, and a matched
         element's two walks leave j and j - p in opposite directions."""
+        way = "rightward" if step > 0 else "leftward"
         while target := ind(j, -step).apply(coeff):
             j += step
+            if not -g * q - p <= j < (g + 1) * q + p:
+                raise InternalInvariantError(
+                    f"{way} walk reached column {j}, outside -gq-p <= j < (g+1)q+p; an induced map is wrong"
+                )
             coeff = solve(ind(j, step), target)
             if coeff is None:
-                way = "rightward" if step > 0 else "leftward"
                 raise InternalInvariantError(
                     f"no {way} cancellation at column {j}; containment check was wrong"
                 )

@@ -275,6 +275,41 @@ def test_truncation_stability(c, slope):
         assert full.cols - 2 * f2.rank(full) == base
 
 
+def assert_totals_recount(cone: MappingCone) -> None:
+    totals = (cone.total_dim, cone.boundary_rank, cone.a_homology_dim, cone.b_homology_dim)
+    assert totals == models.recount_totals(cone), (cone.complex.name, cone.slope, cone.a_columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(wide_complexes, spread_complexes), st.lists(slopes_to_8, min_size=2, max_size=4))
+def test_cone_totals_equal_the_column_recount(c, slopes):
+    """A cone's four totals, read from one memo entry per class-run table,
+    equal the column-by-column recount, on the tight window of each slope
+    in turn, so a later slope reads what an earlier one left, and on the
+    symmetric windows, which sum their own columns."""
+    for slope in slopes:
+        assert_totals_recount(MappingCone(c, slope))
+    for extra in (0, 2):
+        assert_totals_recount(build_cone(c, slopes[0], truncation_bound(c, slopes[0]) + extra))
+
+
+@pytest.mark.parametrize("names", [(name,) for name in BUILTIN_NAMES] + list(combinations_with_replacement(BUILTIN_NAMES, 2)))
+def test_cone_totals_equal_the_column_recount_on_knots(names):
+    c = builtin(names[0]) if len(names) == 1 else tensor(*map(builtin, names))
+    for slope in coprime_slopes(9, 9):
+        assert_totals_recount(MappingCone(c, slope))
+    assert_totals_recount(build_cone(c, Slope(2, 3)))
+
+
+def test_cone_totals_equal_the_column_recount_without_a_hat_b_column():
+    # At 200001/1 the tight window of t27 (genus 3) is 200,001 columns
+    # wide and has no HatB column; its last class run holds all but six.
+    c = builtin("t27")
+    cone = MappingCone(c, Slope(200001, 1))
+    assert not cone.b_columns and len(cone.a_columns) == 200001
+    assert_totals_recount(cone)
+
+
 @settings(max_examples=30, deadline=None)
 @given(complexes, slopes, st.sampled_from([None, 0, 1, 2]))
 def test_chain_route_equals_rank_of_full_boundary(c, slope, extra):

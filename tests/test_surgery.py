@@ -116,28 +116,61 @@ class TestBuildCone:
         cone_rank_homological(c, Slope(7, 2))
         assert windows == [(-2, 4), (-2, 4)]
 
-    def test_cones_on_one_range_of_s_share_their_regions(self, monkeypatch):
-        # The window's HatA regions, one per class run, are one memo entry
-        # per lo // q and Alexander class of hi // q: a second cone on the
-        # same range of s looks up only HatB, though its window, and so the
-        # number of columns copying each region, differs.  The class -1 lies
-        # below its mirror class 1, so its run reads HatA(1)'s region.
+    def test_cones_on_one_range_of_s_share_their_regions(self):
+        # The window's HatA regions, one per class run, and the sums read
+        # off them are memo entries per lo // q and Alexander class of hi // q:
+        # a second cone on the same range of s reads the same entries,
+        # though its window, and so the number of columns of each run,
+        # differs.  The class -1 lies below its mirror class 1, so its run
+        # reads HatA(1)'s region.
         c = builtin("t25")
-        first = MappingCone(c, Slope(1, 2))
-        calls = []
-        lookup = CfkComplex.region_complex
-        monkeypatch.setattr(
-            CfkComplex, "region_complex", lambda self, tag: calls.append(tag) or lookup(self, tag)
-        )
-        second = MappingCone(c, Slope(1, 3))
-        assert calls == [HatB()]
-        regions = [region for region, _ in first._a_regions]
-        assert all(a is b for a, (b, _) in zip(regions, second._a_regions, strict=True))
-        assert [region.tag for region in regions] == [HatA(1), HatA(0), HatA(1)]
-        assert regions[0] is regions[2]
-        assert [count for _, count in first._a_regions] == [2, 2, 2]
-        assert [count for _, count in second._a_regions] == [3, 3, 3]
+        first, second = MappingCone(c, Slope(1, 2)), MappingCone(c, Slope(1, 3))
         assert (first.a_columns, second.a_columns) == (range(-2, 4), range(-3, 6))
+        assert first._runs == second._runs == (-1, 1)
+        d_b = surgery._hat_b_boundary_rank(c)
+        first_rank, second_rank = first.boundary_rank, second.boundary_rank
+        regions = c._memo[("a_regions", -1, 1)]
+        assert [region.tag for region, _ in regions] == [HatA(1), HatA(0), HatA(1)]
+        assert [s for _, s in regions] == [-1, 0, 1]
+        assert regions[0][0] is regions[2][0]
+        terms = [region.dim - len(region.cycles) for region, _ in regions]
+        assert c._memo[("a_rank", -1, 1)] == (terms[0] + terms[1], terms[2], 1)
+        # Each floor holds q columns, and the last run the columns from
+        # s_last * q to hi: two and three per floor.
+        assert first_rank == 2 * sum(terms) + len(first.b_columns) * d_b
+        assert second_rank == 3 * sum(terms) + len(second.b_columns) * d_b
+        for cone in (first, second):
+            assert (cone.total_dim, cone.boundary_rank, cone.a_homology_dim, cone.b_homology_dim) == models.recount_totals(cone)
+
+    def test_a_second_cone_on_one_run_table_reads_no_region(self, monkeypatch):
+        # On a memo hit the constructor and all four totals read no HatA
+        # region and evaluate no term: total_dim reads no region at all,
+        # and boundary_rank and a_homology_dim one memo entry each.
+        evaluated = []
+
+        class Counting(MappingCone):
+            def _per_column(self, name, term):
+                return super()._per_column(name, lambda region: evaluated.append(name) or term(region))
+
+        def totals(cone):
+            return cone.total_dim, cone.boundary_rank, cone.a_homology_dim, cone.b_homology_dim
+
+        for name, slopes in (("t25", (Slope(1, 2), Slope(1, 3))), ("t25#t27#figure_eight", (Slope(5, 3), Slope(1, 2)))):
+            c = _complex(name)
+            first = Counting(c, slopes[0])
+            assert totals(first) == models.recount_totals(first)
+            assert {"a_rank", "a_homology"} <= set(evaluated)
+            evaluated.clear()
+            calls = []
+            lookup = CfkComplex.region_complex
+            monkeypatch.setattr(CfkComplex, "region_complex", lambda self, tag: calls.append(tag) or lookup(self, tag))
+            second = Counting(c, slopes[1])
+            got = totals(second)
+            assert not any(isinstance(tag, HatA) for tag in calls), calls
+            assert evaluated == []
+            monkeypatch.undo()
+            assert second._runs == first._runs and second.a_columns != first.a_columns
+            assert got == models.recount_totals(second)
 
     def test_large_p_cones_keep_only_their_distinct_regions(self):
         # A region is memoized under the Alexander class of s, so however far
@@ -155,10 +188,16 @@ class TestBuildCone:
         assert set(regions) == {HatB()} | {HatA(s) for s in range(-5, 8)}
         assert len({id(region) for region in regions.values()}) == 7
         cone = MappingCone(c, Slope(200001, 1))
-        assert [count for _, count in cone._a_regions] == [1] * 12 + [200001 - 12]
-        assert [region for region, _ in cone._a_regions[:5]] == [c.region_complex(HatA(s)) for s in range(5, 0, -1)]
-        assert cone._a_regions[-2][0] is cone._a_regions[-1][0] is c.region_complex(HatB())
-        assert sum(count for _, count in cone._a_regions) == len(cone.a_columns)
+        runs = c._memo[("a_regions", *cone._runs)]
+        assert [s for _, s in runs] == list(range(-5, 8))
+        assert [region for region, _ in runs[:5]] == [c.region_complex(HatA(s)) for s in range(5, 0, -1)]
+        assert runs[-2][0] is runs[-1][0] is c.region_complex(HatB())
+        # Twelve runs of one column each, and the last run the other
+        # 200001 - 12 columns, from 7 to hi.
+        terms = [region.dim - len(region.cycles) for region, _ in runs]
+        assert c._memo[("a_rank", *cone._runs)] == (sum(terms[:-1]), terms[-1], 7)
+        assert not cone.b_columns
+        assert cone.boundary_rank == sum(terms[:-1]) + (200001 - 12) * terms[-1]
 
     def test_missing_flip(self):
         c = CfkComplex((["x"], [0], [None]), ([], [], []), None, "flipless")
@@ -756,6 +795,24 @@ class TestKernel:
         c = tensor(*map(builtin, name.split("#"))) if "#" in name else builtin(name)
         monkeypatch.setattr(f2, "solve", lambda m, target: None)
         with pytest.raises(models.InternalInvariantError, match=message):
+            kernel_basis_construction(c, Slope(1, 1))
+
+    @pytest.mark.parametrize("name, column", [("unknot", -2), ("figure_eight", -3), ("trefoil_lh#trefoil_lh", -4)])
+    def test_a_walk_past_the_genus_raises(self, monkeypatch, name, column):
+        # With v_hat(s) of a class below its mirror class m served as
+        # v_hat(m) instead of h_hat(m), the hypothesis check still passes,
+        # but a leftward walk never meets a vanishing v_hat: it is stopped
+        # at the first column past -gq-p instead of running on.
+        c = _complex(name)
+        v_hat = CfkComplex.v_hat
+
+        def wrong(self, s):
+            s, m = self.alexander_class(s), self.alexander_class(-s)
+            return v_hat(self, m if m > s else s)
+
+        monkeypatch.setattr(CfkComplex, "v_hat", wrong)
+        assert hypothesis_holds(c)
+        with pytest.raises(models.InternalInvariantError, match=f"leftward walk reached column {column}, outside"):
             kernel_basis_construction(c, Slope(1, 1))
 
     def test_leftward_tails_on_a_tensor(self):
