@@ -101,10 +101,10 @@ built once as a complex of its own in this complex's generator order; the
 acyclic rest Z, whose HatB has no homology, is never built.  Z's v_hat(s)
 and h_hat(s) vanish on homology, so Z adds nothing to b, to the images
 the containment check and t compare, or to nu, and all of those read P.
-What Z does add is H(HatA(s)): its genus is one more than the largest
-s >= 0 with H(HatA(s)) of Z nonzero, and :meth:`CfkComplex.acyclic_sum`
-sums its dimensions over |s| < genus, both read off the cycles of this
-complex's own regions, which the chain route eliminates anyway.  P is the
+What Z does add is H(HatA(s)), and :meth:`CfkComplex.acyclic_sum` sums
+its dimensions over |s| < genus, read off the cycles of this complex's own
+regions, which the chain route eliminates anyway.  The genus reads no
+split: its one rule runs on the whole complex, Z included.  P is the
 complex itself when it has no flip, when it is connected, or when no
 component, or every component, has b = 0.
 
@@ -230,8 +230,8 @@ class RegionComplex:
     @cached_property
     def homology(self) -> HomologyBasis:
         """Homology basis, built on first read as the quotient of
-        :attr:`cycles`: the chain route never reads it beyond the regions
-        that :meth:`CfkComplex.genus` inspects."""
+        :attr:`cycles`.  The chain route, :meth:`CfkComplex.genus`
+        included, never reads it."""
         cycles = self.cycles
         # Taken, not shared: the basis extends the table in place.  Two
         # threads may build the basis at once, and the one that finds the
@@ -260,9 +260,9 @@ class RegionComplex:
         kept when it survives, its reduction then joining the table.  So
         the kept ones are independent modulo the coboundaries, and there
         are dim - 2 rank(boundary) of them, b for HatB.  No
-        :class:`f2.HomologyBasis` is built, so the chain route, which alone
-        reads them (HatB's, through ``on_cocycles``), stays apart from the
-        homology the other route reads."""
+        :class:`f2.HomologyBasis` is built, so the chain route and the
+        genus, which alone read them (HatB's, through ``on_cocycles``),
+        stay apart from the homology the other route reads."""
         cocycles, coboundaries = f2.column_elimination(self.boundary.data)
         classes = []
         for y in cocycles:
@@ -348,9 +348,9 @@ class FilteredChainMap:
         built on first read.  Bit k of row y is the parity of f^T y & N_k,
         f^T y being y's bits moved to their preimages.  Only the classes
         are read because a coboundary, z . d, gives zero, since
-        d . f = f . d and d . N = 0.  Only the chain route reads it; the
-        homological route applies the map to each homology representative
-        instead."""
+        d . f = f . d and d . N = 0.  Only the chain route and the genus
+        read it; the homological route applies the map to each homology
+        representative instead."""
         cycles = self.source.cycles
         rows = tuple(
             sum(((pulled & cycle).bit_count() & 1) << k for k, cycle in enumerate(cycles))
@@ -810,23 +810,23 @@ class CfkComplex:
         every homology-level read goes through.  Reading it validates."""
         return self._split[0] or self
 
-    def _acyclic_homology(self, s: int) -> int:
-        """dim H(HatA(s)) of the acyclic rest Z, from the cycles of this
-        complex's own HatA(s): 2 * (its cycles in Z) - (Z's size)."""
-        zmask = self._split[1]
-        return 2 * sum(1 for c in self.region_complex(HatA(s)).cycles if c & zmask) - zmask.bit_count()
-
     def acyclic_sum(self) -> int:
         """z: the sum of dim H(HatA(s)) of the acyclic rest Z over |s| <
         genus, read one class run at a time, or 0 when nothing splits off.
         Z's cone has rank q * z at every slope p/q (``surgery`` says why).
-        Memoized, and found only when read, not by :meth:`genus`."""
-        if self._split[0] is None:
+        H(HatA(s)) of Z is read off this complex's own HatA(s): its
+        dimension is 2 * (the cycles in Z) - (Z's size).  Memoized, and
+        found only when read, not by :meth:`genus`."""
+        zmask = self._split[1]
+        if not zmask:
             return 0
 
         def total() -> int:
             g = self.genus()
-            return sum(n * self._acyclic_homology(s) for s, n in self.class_runs(1 - g, g - 1))
+            return sum(
+                n * (2 * sum(1 for c in self.region_complex(HatA(s)).cycles if c & zmask) - zmask.bit_count())
+                for s, n in self.class_runs(1 - g, g - 1)
+            )
 
         return self.cached("acyclic_sum", total)
 
@@ -838,29 +838,31 @@ class CfkComplex:
         return self.cached("b_rank", lambda: self.essential_summand.region_complex(HatB()).homology.dim)
 
     def genus(self) -> int:
-        """Largest s with v_hat(s - 1) not a homology isomorphism, or 0.
+        """Largest s with v_hat(s - 1) not a homology isomorphism, or 0,
+        read off HatB's cocycle classes and the cycles of each HatA(t), on
+        the whole complex: no homology basis is built and no split read.
+
+        Let y range over HatB's b cocycle classes and N over the cycles of
+        HatA(t).  y . v_hat(t) . N, the map's ``on_cocycles``, pairs the
+        classes of H(HatB) with the cycles, and a boundary pairs to zero,
+        so its rank is the rank of v_hat(t) on homology; and
+        dim H(HatA(t)) = |N| - rank d = 2|N| - dim.  So v_hat(t) is a
+        homology isomorphism exactly when both equal b.  A direct sum's map
+        is one exactly when each summand's is, so a complex that splits
+        needs no rule of its own.
 
         Whether v_hat(t) is one is constant on each class run of t, so the
-        scan reads v_hat at the start of each run of 0..top grading, from the
-        top, and a run from t of length n whose map is not one gives
-        s = t + n.  v_hat(top grading) is already the identity of HatB, so
-        the scan stops there: going past it would build one more identity.
-
-        A direct sum's map is an isomorphism exactly when each summand's
-        is, so a complex that splits has the larger of the genus of its
-        essential summand P and that of its acyclic rest Z.  Z's v_hat(t)
-        is one exactly when H(HatA(t)) of Z is 0, so Z is scanned, on this
-        complex's own regions, only from the top down to P's genus.
+        scan reads v_hat at the start of each run of 0..top - 1, from the
+        top grading down, and a run from t of length n whose map is not one
+        gives s = t + n.  v_hat(top) is the identity of HatB, so the scan
+        stops below it and never builds it.
         """
 
         def scan() -> int:
-            essential, top = self.essential_summand, self.alexander_cuts[-1] - 1  # validates first
-            if essential is not self:
-                g = essential.genus()
-                runs = reversed(self.class_runs(g, top - 1))
-                return next((s + n for s, n in runs if self._acyclic_homology(s)), g)
-            for s, n in reversed(self.class_runs(0, top)):
-                if not (v := self.v_hat(s)).induced_rank == v.source.homology.dim == v.target.homology.dim:
+            top = self.alexander_cuts[-1] - 1  # validates first
+            b = len(self.region_complex(HatB()).cocycles)
+            for s, n in reversed(self.class_runs(0, top - 1)):
+                if not f2.rank((v := self.v_hat(s)).on_cocycles) == b == 2 * len(v.source.cycles) - v.source.dim:
                     return s + n
             return 0
 

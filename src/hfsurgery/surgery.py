@@ -89,9 +89,11 @@ key), shared across residue classes, slopes and windows.  Only the
 distinct steps are ever eliminated, so a run of blocks in the same two
 classes costs one elimination per distinct carry, and no step's matrix
 spans more than three blocks.
-Route one reads homology only through the genus, which fixes the window
-and is read on the essential summand below, and never builds the cone's
-induced maps.
+Route one reads no homology and no split.  The genus, which fixes the
+window, tests each v_hat(s) by its rows between HatB's cocycle classes and
+the cycles of HatA(s), the rows the sweep reads (``cfk`` has the rule),
+on the whole complex, and the route never builds a homology basis or the
+cone's induced maps.
 
 Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
@@ -166,22 +168,24 @@ is P + Z as a bifiltered complex and the flip maps each summand to itself,
 then HatA(s), HatB, v_hat(s) and h_hat(s) all split, and so do the cone on
 any window, its induced block matrix, t and the containment verdicts.
 ``cfk`` finds the essential summand P, the components with b > 0, and
-keeps of the rest Z only its genus g_Z and the sum
+keeps of the rest Z only the sum
 z = sum over |s| < g of dim H(HatA(s)) of Z, g being the whole genus.  The
 b = 0 rule: on Z, H(HatB) = 0, so v_hat(s) and h_hat(s) vanish on
 homology and Z's block matrix is zero.  Every HatA class of Z is then
 kernel and there is no cokernel, so Z's part of the cone's homology is the
 sum of H(HatA(j // q)) over the window's columns j.  H(HatA(s)) of Z is 0
-for |s| >= g_Z, since v_hat(s) is an isomorphism onto H(HatB) = 0 for
-s >= g_Z and h_hat(s) one for s <= -g_Z.  The tight window from
-lo = -(g-1)q, with g >= g_Z, holds exactly q columns of every floor
--(g-1)..g-1 and adds only floors at or above g for larger p, so Z adds
-q * z at every slope p/q.  Hence route two, the closed form and
+for |s| >= g_Z, Z's genus, since v_hat(s) is an isomorphism onto
+H(HatB) = 0 for s >= g_Z and h_hat(s) one for s <= -g_Z.  The tight
+window from lo = -(g-1)q, with g >= g_Z, holds exactly q columns of every
+floor -(g-1)..g-1 and adds only floors at or above g for larger p, so Z
+adds q * z at every slope p/q.  Hence route two, the closed form and
 :func:`kernel_rank` read P and add q * z, while b, t, nu and the verdicts
 read P alone; none of them builds a region's homology or a map of the
-whole complex when it splits.  Route one never reads the split: it ranks
-the whole complex's cone, whose window alone reads the genus, so every
-query checks the b = 0 rule against an independent computation.
+whole complex when it splits.  Route one reads neither the split nor
+any homology: it ranks the whole complex's cone, on a window whose genus
+is read off the whole complex's cocycle rows too, so every query checks
+the b = 0 rule, and route two's homology, against an independent
+computation.
 
 The closed form, the kernel rank and the monotonicity scan need the
 image-containment hypothesis: :func:`hypothesis_verdicts` owns its one

@@ -1,7 +1,7 @@
 """Unit tests for the bifiltered complex data model and its regions."""
 
 import json
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -410,6 +410,36 @@ class TestInvariants:
         assert trefoil.genus() == 1
         assert fig8.genus() == 1
         assert builtin("t25").genus() == 2
+
+    # The genus read off HatB's cocycle classes and each HatA(s)'s cycles
+    # against the genus read off homology bases and induced maps s by s.
+    # Each clause of the rule is needed: with no dimension clause,
+    # figure_eight and trefoil_lh read genus 0, and with no rank clause,
+    # trefoil_rh, t25 and t27 do.
+    @pytest.mark.parametrize(
+        "names",
+        [(name,) for name in BUILTIN_NAMES] + list(combinations_with_replacement(BUILTIN_NAMES, 2)),
+        ids="#".join,
+    )
+    def test_genus_is_the_homological_genus_on_knots(self, names):
+        c = builtin(names[0])
+        for name in names[1:]:
+            c = tensor(c, builtin(name))
+        assert c.genus() == models.reference_genus(c)
+
+    def test_genus_is_the_homological_genus_on_survey_complexes(self):
+        # The 120 shapes of the benchmark's survey-fresh workload: 1-3 dots
+        # and 2-6 boxes, so every one splits off an acyclic rest.
+        for i in range(120):
+            spec = RandomSpec(seed=20240119 + i, dots=1 + i % 3, boxes=2 + (i // 3) % 5, max_side=2, max_offset=3)
+            c = random_complex(spec)
+            assert c.genus() == models.reference_genus(c), spec
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+    @pytest.mark.parametrize("build", [models.dot_and_box, models.dot_and_pair], ids=["dot+box", "dot+pair"])
+    def test_genus_is_the_homological_genus_on_wide_complexes(self, build, n):
+        c = build(n)
+        assert c.genus() == models.reference_genus(c) == n + (build is models.dot_and_pair)
 
     def test_single_point_region(self, trefoil, fig8):
         assert models.single_point_region_rank(trefoil) == 1

@@ -223,9 +223,9 @@ def test_essential_summand_and_acyclic_rest(c, slope):
     """The essential summand P and the acyclic rest Z partition the
     generators, each closed under the differential and the flip; Z, built
     here as a complex of its own, has b = 0 and a chain rank of q * z; the
-    genus read off P and Z's cycles is the genus found s by s on the whole
-    complex; and the homological route, read on P plus q * z, is the rank
-    of the whole complex's induced block matrix."""
+    genus, read on the whole complex with no split, is the genus found s
+    by s off homology bases; and the homological route, read on P plus
+    q * z, is the rank of the whole complex's induced block matrix."""
     e = c.essential_summand
     generators, terms, flip = c.columns
     kept = set(e.columns[0][0])

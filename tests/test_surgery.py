@@ -327,38 +327,33 @@ class TestConeRanks:
                     full = full_boundary(build_cone(c, slope, bound + extra))
                     assert full.cols - 2 * f2.rank(full) == base, (name, slope, extra)
 
-    def test_chain_route_builds_only_the_homology_genus_reads(self, monkeypatch):
-        # The 1/2 cone on t25 has HatA(-1..1) columns and HatB; genus() reads
-        # v_hat(2) and v_hat(1), so only HatA(2), HatA(1) and HatB need homology.
-        # HatA(2) is the HatB region itself (2 is t25's top Alexander grading),
-        # so two homology bases are built.
+    @pytest.mark.parametrize("name", ["t25", "figure_eight", "random"])
+    def test_chain_route_builds_no_homology_basis(self, monkeypatch, name):
+        # t25 is connected; figure_eight and the random dots-and-boxes
+        # complex split off an acyclic rest.  On each, the genus and the
+        # chain route at 1/2, then the sweep on the symmetric window, which
+        # builds fresh regions and maps, build no homology basis, read no
+        # induced map and never find the split.
         built = []
         init = f2.HomologyBasis.__init__
 
-        def counting_init(self, differential, cycles, image):
-            built.append(differential.rows)
-            init(self, differential, cycles, image)
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
 
-        monkeypatch.setattr(f2.HomologyBasis, "__init__", counting_init)
-        c = builtin("t25")
-        assert cone_rank_chain(c, Slope(1, 2)) == 11
-        assert len(built) == 2
-        tags = [HatB()] + [HatA(s) for s in range(-4, 4)]
-        with_homology = [t for t in tags if "homology" in vars(c.region_complex(t))]
-        # HatA(3), first read here, is the HatB region as well, and each of
-        # HatA(-4..-1) is the region of its mirror class, HatB or HatA(1).
-        assert with_homology == [HatB(), *[HatA(s) for s in range(-4, 0)], HatA(1), HatA(2), HatA(3)]
-        assert c.region_complex(HatA(3)) is c.region_complex(HatA(2)) is c.region_complex(HatB())
-
-        # The chain route's sweep on the symmetric window at level 6 builds
-        # fresh regions and maps, yet reads no further homology and no
-        # induced map.
         def refuse(*args, **kwargs):
             raise AssertionError("the chain route read an induced map")
 
+        monkeypatch.setattr(f2.HomologyBasis, "__init__", counting_init)
         monkeypatch.setattr(f2, "induced_map_on_homology", refuse)
-        assert sweep_rank(build_cone(c, Slope(1, 2), 6)) == 11
-        assert len(built) == 2
+        c = random_complex(RandomSpec(seed=3, dots=3, boxes=3)) if name == "random" else builtin(name)
+        slope = Slope(1, 2)
+        rank = cone_rank_chain(c, slope)
+        assert sweep_rank(build_cone(c, slope)) == rank
+        assert built == [] and "_split" not in vars(c)
+        monkeypatch.undo()
+        assert (c.essential_summand is c) == (name == "t25")
+        assert cone_rank_homological(c, slope) == rank
 
 
 def _sweep_entries(c, tag="sweep"):
