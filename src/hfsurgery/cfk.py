@@ -95,18 +95,33 @@ direct summand: every region, v_hat(s) and h_hat(s) is the direct sum of
 its pieces on the components, and the cycles that one elimination of a
 region's columns gives each lie in one component.  A component's homology
 in a region of n of its elements with k of those cycles therefore has
-dimension 2k - n.  Read off the cycles of HatB, that is the component's b.
-The *essential summand* P is the union of the components with b > 0,
-built once as a complex of its own in this complex's generator order; the
-acyclic rest Z, whose HatB has no homology, is never built.  Z's v_hat(s)
-and h_hat(s) vanish on homology, so Z adds nothing to b, to the images
-the containment check and t compare, or to nu, and all of those read P.
-What Z does add is H(HatA(s)), and :meth:`CfkComplex.acyclic_sum` sums
-its dimensions over |s| < genus, read off the cycles of this complex's own
-regions, which the chain route eliminates anyway.  The genus reads no
-split: its one rule runs on the whole complex, Z included.  P is the
-complex itself when it has no flip, when it is connected, or when no
-component, or every component, has b = 0.
+dimension 2k - n.
+
+b, the dimension of H(HatB), has one reading, the count of HatB's cocycle
+classes on the whole complex (:meth:`CfkComplex.b_rank`), and the classes
+also tell which components have b > 0.  Proof: an arc joins two elements
+of one component, so the boundary's row at an element has its bits in that
+element's component.  :attr:`RegionComplex.cocycles` eliminates those
+rows, each carrying the mask of the rows added into it, and a vector is
+only ever reduced by the pivot stored at one of its own bits; so, by
+induction, every pivot and its mask, every cocycle and every coboundary
+the table holds, lies in one component.  Each cocycle is then reduced
+against the table the same way and kept unreduced, so each class lies in
+one component.  The coboundaries are the direct sum of each component's
+own, so the classes in a component C are independent modulo C's
+coboundaries, and there are at most b_C of them; as b of them make up
+b = sum of b_C, C holds exactly b_C.  The *essential summand* P is the
+union of the components that hold a class, built once as a complex of its
+own in this complex's generator order; the acyclic rest Z, whose HatB has
+no homology, is never built.  Z's v_hat(s) and h_hat(s) vanish on
+homology, so Z adds nothing to the images the containment check and t
+compare, or to nu, and those read P.  What Z does add is H(HatA(s)), and
+:meth:`CfkComplex.acyclic_sum` sums its dimensions over |s| < genus, read
+off the cycles of this complex's own regions, which the chain route
+eliminates anyway.  b and the genus read no split: each has one rule on
+the whole complex, Z included.  P is the complex itself when it has no
+flip, when it is connected, or when no component, or every component,
+holds a class.
 
 This module owns the precondition policy and checks it where data is
 built.  Regions, the genus and the hfk counts need a valid complex
@@ -230,8 +245,8 @@ class RegionComplex:
     @cached_property
     def homology(self) -> HomologyBasis:
         """Homology basis, built on first read as the quotient of
-        :attr:`cycles`.  The chain route, :meth:`CfkComplex.genus`
-        included, never reads it."""
+        :attr:`cycles`.  The chain route, :meth:`CfkComplex.genus` and
+        :meth:`CfkComplex.b_rank` included, never reads it."""
         cycles = self.cycles
         # Taken, not shared: the basis extends the table in place.  Two
         # threads may build the basis at once, and the one that finds the
@@ -260,9 +275,12 @@ class RegionComplex:
         kept when it survives, its reduction then joining the table.  So
         the kept ones are independent modulo the coboundaries, and there
         are dim - 2 rank(boundary) of them, b for HatB.  No
-        :class:`f2.HomologyBasis` is built, so the chain route and the
-        genus, which alone read them (HatB's, through ``on_cocycles``),
-        stay apart from the homology the other route reads."""
+        :class:`f2.HomologyBasis` is built.  Only HatB's are read: their
+        count is b, the genus and the chain route read them through
+        ``on_cocycles``, and the essential summand by the component each
+        lies in (the module docstring proves that each lies in one).  So
+        b, the genus and the chain route stay apart from the homology the
+        other route reads."""
         cocycles, coboundaries = f2.column_elimination(self.boundary.data)
         classes = []
         for y in cocycles:
@@ -779,10 +797,15 @@ class CfkComplex:
             return None, 0
         for i in range(n):
             root[i] = root[root[i]]
-        size = Counter(root)
-        kernel = Counter(root[c.bit_length() - 1] for c in self.region_complex(HatB()).cycles)
-        essential = {r for r, k in kernel.items() if 2 * k > size[r]}
-        if not essential or len(essential) == len(size):
+        # A component has b > 0 exactly when it holds one of HatB's cocycle
+        # classes.  Their elimination reduces a vector only by the pivot at
+        # one of its own bits, and a boundary row's bits lie in its
+        # element's component, so every pivot, cocycle and coboundary lies
+        # in one component, and so does each class.  The classes in a
+        # component C are independent modulo C's coboundaries, so there are
+        # at most b_C of them, and b of them in all: exactly b_C.
+        essential = {root[y.bit_length() - 1] for y in self.region_complex(HatB()).cocycles}
+        if not essential or len(essential) == parts:
             return None, 0
         # P is cut out of the columns by position: a generator, a term by its
         # source and a flip pair by its first generator.
@@ -833,9 +856,13 @@ class CfkComplex:
     # -- derived invariants ---------------------------------------------------
 
     def b_rank(self) -> int:
-        """Total rank of the homology of HatB, read on the essential summand
-        and memoized."""
-        return self.cached("b_rank", lambda: self.essential_summand.region_complex(HatB()).homology.dim)
+        """b, the total rank of the homology of HatB: the number of HatB's
+        cocycle classes on the whole complex, memoized.  The genus, the
+        chain route's check of rank d_B and the ambient rank of
+        ``complement`` read it, and no split or homology basis is built;
+        route two reads its own b off the essential summand's homology
+        basis."""
+        return self.cached("b_rank", lambda: len(self.region_complex(HatB()).cocycles))
 
     def genus(self) -> int:
         """Largest s with v_hat(s - 1) not a homology isomorphism, or 0,
@@ -860,7 +887,7 @@ class CfkComplex:
 
         def scan() -> int:
             top = self.alexander_cuts[-1] - 1  # validates first
-            b = len(self.region_complex(HatB()).cocycles)
+            b = self.b_rank()
             for s, n in reversed(self.class_runs(0, top - 1)):
                 if not f2.rank((v := self.v_hat(s)).on_cocycles) == b == 2 * len(v.source.cycles) - v.source.dim:
                     return s + n

@@ -55,7 +55,7 @@ same row space, and each HatB block has at most b nonzero rows.
 
 The first two terms are ``MappingCone.boundary_rank``: each block's
 dimension less its number of cycles, and rank d_B, read once per complex
-by ``f2.rank`` and checked against HatB's number of cocycle classes,
+by ``f2.rank`` and checked against b, HatB's number of cocycle classes,
 dim - 2 rank d_B.  The third is what the sweep below adds up, so the
 rank of the cone's homology is its dimension less twice the sum.  The
 cycle basis is taken once per region, the b cocycle classes once, on
@@ -179,12 +179,14 @@ H(HatB) = 0 for s >= g_Z and h_hat(s) one for s <= -g_Z.  The tight
 window from lo = -(g-1)q, with g >= g_Z, holds exactly q columns of every
 floor -(g-1)..g-1 and adds only floors at or above g for larger p, so Z
 adds q * z at every slope p/q.  Hence route two, the closed form and
-:func:`kernel_rank` read P and add q * z, while b, t, nu and the verdicts
+:func:`kernel_rank` read P and add q * z, while t, nu and the verdicts
 read P alone; none of them builds a region's homology or a map of the
-whole complex when it splits.  Route one reads neither the split nor
-any homology: it ranks the whole complex's cone, on a window whose genus
-is read off the whole complex's cocycle rows too, so every query checks
-the b = 0 rule, and route two's homology, against an independent
+whole complex when it splits.  b is the count of HatB's cocycle classes
+on the whole complex, which builds no split; only route two reads its
+own, off P's homology basis.  Route one reads neither the split nor any
+homology: it ranks the whole complex's cone, on a window whose genus is
+read off the whole complex's cocycle rows too, so every query checks the
+b = 0 rule, and route two's homology, against an independent
 computation.
 
 The closed form, the kernel rank and the monotonicity scan need the
@@ -212,7 +214,8 @@ from .f2 import F2Matrix
 
 
 class SlopeError(ValueError):
-    """Slopes must be coprime positive fractions p/q."""
+    """Slopes must be coprime positive fractions p/q, and a cone's sweep at
+    one must stay within :data:`MAX_HAT_B_BLOCKS` HatB blocks."""
 
 
 class FormulaNotApplicableError(ValueError):
@@ -261,12 +264,27 @@ def coprime_slopes(pmax: int, qmax: int):
     ]
 
 
+# The most HatB blocks a cone may sweep.  The sweep costs one memo lookup
+# per block, about 5 s for this many: t25 at 1/3333333, 9,999,998 blocks,
+# took 5.3 s in one ``hfsurgery rank`` process on a 2-core Xeon with
+# Python 3.11.7.
+MAX_HAT_B_BLOCKS = 10**7
+
+
 class MappingCone:
     """The truncated cone for one slope on the tight window, with chain and
-    homology views.  The module docstring says why the window is exact."""
+    homology views.  The module docstring says why the window is exact.
+
+    A slope whose window may hold more than :data:`MAX_HAT_B_BLOCKS` HatB
+    blocks is refused with :class:`SlopeError` before any region is built."""
 
     def __init__(self, complex_: CfkComplex, slope: Slope):
-        # The window reads the genus, which validates the complex first.
+        # The window holds (2g - 1)q - p HatB blocks, or none, and the genus
+        # g is at most the top grading, which the cuts give without building
+        # a region; reading them validates the complex.
+        top = complex_.alexander_cuts[-1] - 1
+        if (blocks := (2 * top - 1) * slope.q - slope.p) > MAX_HAT_B_BLOCKS:
+            raise SlopeError(f"slope {slope} may sweep {blocks} HatB blocks, over the limit {MAX_HAT_B_BLOCKS}")
         g, p, q = complex_.genus(), slope.p, slope.q
         lo = -(g - 1) * q
         hi = max(g * q - 1, lo + p - 1)
@@ -417,15 +435,17 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
 
 def _hat_b_boundary_rank(c: CfkComplex) -> int:
     """rank d_B, the rank of HatB's boundary, memoized on the complex: one
-    ``f2.rank`` call, checked against HatB's cocycle classes, which number
-    dim - 2 rank d_B when they are independent modulo the coboundaries, as
-    the sweep needs."""
+    ``f2.rank`` call, made here, under the chain route, where the
+    benchmark's tracer counts it as the cone elimination.  It is checked
+    against b, :meth:`CfkComplex.b_rank`, the count of HatB's cocycle
+    classes, which is dim - 2 rank d_B when they are independent modulo the
+    coboundaries, as the sweep needs."""
 
     def compute() -> int:
         region = c.region_complex(HatB())
         rank = f2.rank(region.boundary)
-        if len(region.cocycles) != region.dim - 2 * rank:
-            raise f2.DimensionError(f"HatB has {len(region.cocycles)} cocycle classes, need {region.dim - 2 * rank}")
+        if (b := c.b_rank()) != region.dim - 2 * rank:
+            raise f2.DimensionError(f"HatB has {b} cocycle classes, need {region.dim - 2 * rank}")
         return rank
 
     return c.cached("hat_b_boundary_rank", compute)

@@ -30,6 +30,9 @@ The library scans s one Alexander class run at a time, so
 ``reference_class_runs``, ``reference_genus``, ``reference_verdicts``,
 ``reference_v_sum`` and ``reference_nu`` scan every s instead, and
 ``assert_runs_match_per_s`` checks the library's scans against them.
+The library finds the essential summand's components by HatB's cocycle
+classes, so ``reference_essential`` finds them by the count of HatB's
+cycles in each component instead.
 The library writes a complex's JSON text straight from its columns, so
 ``to_json_dict`` is the reference mapping that text is ``json.dumps`` of,
 with ``indent=2``, and the tests compare ``CfkComplex.to_json`` against it.
@@ -61,7 +64,9 @@ A cone reads its totals from one memo entry per class-run table, so
 
 import functools
 import weakref
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from hfsurgery.cfk import (
@@ -451,6 +456,35 @@ def reference_genus(c: CfkComplex) -> int:
     by testing every s from one past the top grading down."""
     top = max(c.columns[0][1])
     return next((s for s in range(top + 1, 0, -1) if not is_iso(c.v_hat(s - 1))), 0)
+
+
+def reference_essential(c: CfkComplex) -> list[str]:
+    """The essential summand's generators by the count it used to be read
+    by: a flip-invariant component of n elements holding k of HatB's cycles
+    has b = 2k - n, and P is the components with b > 0, or the whole
+    complex when it has no flip, or when none or all of the components
+    have b > 0.  Each cycle lies in one component, found here by a
+    union-find of its own."""
+    ids = c.columns[0][0]
+    if not c.has_flip:
+        return list(ids)
+    index = {x: i for i, x in enumerate(ids)}
+    root = list(range(len(ids)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for x, y in chain(zip(*c.columns[1][:2]), zip(*c.columns[2])):
+        root[find(index[x])] = find(index[y])
+    component = [find(i) for i in range(len(ids))]
+    size = Counter(component)
+    cycles = Counter(component[z.bit_length() - 1] for z in c.region_complex(HatB()).cycles)
+    essential = {r for r, k in cycles.items() if 2 * k > size[r]}
+    if not essential or len(essential) == len(size):
+        return list(ids)
+    return [x for x, r in zip(ids, component) if r in essential]
 
 
 def reference_verdicts(c: CfkComplex) -> tuple[dict[int, bool], dict[int, bool]]:

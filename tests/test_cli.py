@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hfsurgery import cli, obstructions, surgery
+from hfsurgery.cfk import RegionComplex
 from hfsurgery.knots import RandomSpec, random_complex
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -169,6 +171,36 @@ class TestObstructionCommands:
         code, out, err = run(["complement", "t25", "-q", q], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+HUGE_Q = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rank", "t25", "-p", "1", "-q", HUGE_Q],
+        ["complement", "t25", "-q", HUGE_Q],
+        ["cosmetic", "t25", "-r", f"1/{HUGE_Q}", "-s", "1/1"],
+    ],
+    ids=["rank", "complement", "cosmetic"],
+)
+def test_a_sweep_too_long_to_finish_is_a_usage_error(args, capsys, monkeypatch):
+    # t25 at 1/q sweeps 3q - 1 HatB blocks, one memo lookup each, so this q
+    # would never return; the cone refuses it before building any region.
+    built = []
+    init = RegionComplex.__init__
+
+    def counting_init(self, *a):
+        built.append(self)
+        init(self, *a)
+
+    monkeypatch.setattr(RegionComplex, "__init__", counting_init)
+    start = time.perf_counter()
+    code, out, err = run(args, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and built == []
+    assert err.startswith("error: slope 1/") and "HatB blocks" in err and len(err.splitlines()) == 1
 
 
 class TestInfoValidate:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hfsurgery import f2
 from hfsurgery.cfk import CfkComplex, FlipRequiredError
 from hfsurgery.knots import builtin, random_complex, RandomSpec, tensor
 from hfsurgery.obstructions import (
@@ -166,6 +167,39 @@ class TestComplement:
     def test_q1_for_higher_genus(self):
         for name in ("t25", "t27"):
             assert complement_check(builtin(name), 1).verdict == OBSTRUCTED
+
+    @pytest.mark.parametrize(
+        "names, rank",
+        [(["figure_eight"], 5), (["trefoil_rh", "figure_eight"], 15)],
+        ids=["figure_eight", "trefoil_rh#figure_eight"],
+    )
+    def test_ambient_rank_builds_no_split_and_no_homology(self, monkeypatch, names, rank):
+        # Both complexes split off an acyclic box.  b is the count of HatB's
+        # cocycle classes on the whole complex, so neither b_rank() nor the
+        # check, whose chain route reads the classes too, finds the split or
+        # builds a homology basis, each on a fresh complex.
+        built = []
+        init = f2.HomologyBasis.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def fresh():
+            c = builtin(names[0])
+            for name in names[1:]:
+                c = tensor(c, builtin(name))
+            return c
+
+        monkeypatch.setattr(f2.HomologyBasis, "__init__", counting_init)
+        c = fresh()
+        assert c.b_rank() == 1
+        assert "_split" not in vars(c) and built == []
+        c = fresh()
+        assert complement_check(c, 2).ranks == (rank, 1)
+        assert "_split" not in vars(c) and built == []
+        monkeypatch.undo()
+        assert c.essential_summand is not c
 
 
 class TestMonotonicityScan:

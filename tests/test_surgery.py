@@ -7,7 +7,7 @@ import random
 import pytest
 
 from hfsurgery import f2, surgery
-from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, HatA, HatB
+from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, HatA, HatB, RegionComplex
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
@@ -354,6 +354,57 @@ class TestConeRanks:
         monkeypatch.undo()
         assert (c.essential_summand is c) == (name == "t25")
         assert cone_rank_homological(c, slope) == rank
+
+    @pytest.mark.parametrize("name", ["t25", "dots#trefoil_rh#trefoil_lh"])
+    def test_a_missing_cocycle_class_fails_the_d_b_check(self, name):
+        # The sweep needs one row per class of HatB's cohomology, so the
+        # chain route checks b, the count of the classes, against
+        # dim - 2 rank d_B.  With one class dropped before anything reads
+        # them, b is one short and the check raises.
+        if name == "t25":
+            c = builtin(name)
+        else:
+            dots = random_complex(RandomSpec(seed=1, dots=3))
+            c = tensor(tensor(dots, builtin("trefoil_rh")), builtin("trefoil_lh"))
+        region = c.region_complex(HatB())
+        vars(region)["cocycles"] = region.cocycles[1:]
+        with pytest.raises(f2.DimensionError, match="cocycle classes") as excinfo:
+            cone_rank_chain(c, Slope(3, 5))
+        assert "_hat_b_boundary_rank" in [entry.name for entry in excinfo.traceback]
+
+
+class TestRefusedSweep:
+    """A cone whose window may hold more HatB blocks than
+    ``surgery.MAX_HAT_B_BLOCKS`` is refused before any region is built: the
+    genus is at most the top grading, so (2 top - 1)q - p bounds the blocks."""
+
+    HUGE = Slope(1, 99999999999999999999)
+
+    @pytest.mark.parametrize("route", [cone_rank_chain, cone_rank_homological])
+    def test_refused_before_any_region(self, monkeypatch, route):
+        built = []
+        init = RegionComplex.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(RegionComplex, "__init__", counting_init)
+        c = builtin("t25")
+        with pytest.raises(SlopeError, match="HatB blocks"):
+            route(c, self.HUGE)
+        assert built == []
+
+    def test_the_limit_is_inclusive(self, monkeypatch):
+        # t25 has top grading 2: 1/2 sweeps 3 * 2 - 1 = 5 blocks, 1/3 eight.
+        monkeypatch.setattr(surgery, "MAX_HAT_B_BLOCKS", 5)
+        c = builtin("t25")
+        assert cone_rank_chain(c, Slope(1, 2)) == 1 + 2 * (3 * 2 - 1)
+        with pytest.raises(SlopeError):
+            cone_rank_chain(c, Slope(1, 3))
+
+    def test_a_long_sweep_below_the_limit_still_ranks(self):
+        assert cone_rank_chain(builtin("t25"), Slope(1, 10**5)) == 1 + 2 * (3 * 10**5 - 1)
 
 
 def _sweep_entries(c, tag="sweep"):
