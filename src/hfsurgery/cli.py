@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 check failure (rank mismatch, invalid complex,
 or a closed form asked of a complex that fails the containment
 hypothesis) or a stdout closed by its reader, 2 usage error: argparse's
-own, or any ValueError, such as a bad slope or one whose cone would sweep
-too many HatB blocks, an input that is neither a readable complex file
-nor a builtin, or an empty scan grid.  Output is line oriented for shell
-use; pass --format json for machine-readable output.
+own, or any ValueError, such as a bad slope, one whose cone would sweep
+too many HatB blocks or a scan grid whose cones would in all, an input
+that is neither a readable complex file nor a builtin, or an empty scan
+grid.  Output is line oriented for shell use; pass --format json for
+machine-readable output.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .surgery import (
     coprime_slopes,
     nu_surrogate,
     rank_formula,
+    require_grid_sweep,
 )
 
 
@@ -110,6 +112,7 @@ def _cmd_scan(args) -> int:
     if args.pmax < 1 or args.qmax < 1:
         raise ValueError(f"--pmax and --qmax must be at least 1, got {args.pmax} and {args.qmax}")
     c = _load_complex(args.input)
+    require_grid_sweep(c, args.pmax, args.qmax)
     reports = [compute_rank_report(c, slope) for slope in coprime_slopes(args.pmax, args.qmax)]
     table = [RankReport.TSV_HEADER, *(r.tsv_row() for r in reports)]
     _emit(args, [r.to_json_dict() for r in reports], "\n".join(table))

@@ -6,6 +6,11 @@ word-packed XOR row operations for free, which is all the Gaussian
 elimination here needs.  Everything is exact; there is no floating point
 anywhere in this package.
 
+An :class:`F2Matrix` is a frozen record of its column count and its row
+masks, a slotted class on ``records.Frozen``, not a dataclass: every
+sweep step builds one, and its constructor checks the masks and fills
+its two slots through their setters.
+
 There is one elimination loop, ``_eliminate``, which builds a pivot table
 keyed on the bit position of each entry's lowest set bit, and two forms
 of it: ``_reduce``, which reduces a row without adding it, and
@@ -88,8 +93,9 @@ and the denser forms measured worse, on the same machine:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+
+from .records import Frozen, setters
 
 
 class DimensionError(ValueError):
@@ -112,23 +118,24 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class F2Matrix:
-    """A matrix over GF(2) with bit-packed rows.
+class F2Matrix(Frozen):
+    """A matrix over GF(2) with bit-packed rows, a frozen record of
+    ``cols`` and ``data``.
 
     ``data[r]`` has bit ``c`` set exactly when entry ``(r, c)`` is 1, so a
     row mask doubles as the row vector and XOR is row addition.
     """
 
-    cols: int
-    data: tuple[int, ...]
+    __slots__ = __match_args__ = ("cols", "data")
 
-    def __post_init__(self):
-        if self.cols < 0:
+    def __init__(self, cols: int, data: tuple[int, ...]):
+        if cols < 0:
             raise DimensionError("column count must be nonnegative")
         # One C-level pass each for min and max, not one comparison per row.
-        if self.data and (min(self.data) < 0 or max(self.data) >> self.cols):
+        if data and (min(data) < 0 or max(data) >> cols):
             raise DimensionError("row mask has bits outside the column range")
+        _set_cols(self, cols)
+        _set_data(self, data)
 
     @property
     def rows(self) -> int:
@@ -186,6 +193,9 @@ class F2Matrix:
 
     def is_zero(self) -> bool:
         return all(mask == 0 for mask in self.data)
+
+
+_set_cols, _set_data = setters(F2Matrix)
 
 
 def _eliminate(rows: Iterable[int]) -> dict[int, int]:

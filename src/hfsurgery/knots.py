@@ -8,17 +8,16 @@ nu = 0 for trefoil_lh).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .cfk import CfkComplex
+from .records import Frozen, setters
 
 
 class UnknownBuiltinError(ValueError):
     """No built-in complex has the requested name."""
 
 
-@dataclass(frozen=True)
-class RandomSpec:
+class RandomSpec(Frozen):
     """Seeded recipe for a direct sum of dots and flip-symmetric boxes.
 
     ``dots`` generators sit at Alexander grading 0 with zero differential.
@@ -27,17 +26,21 @@ class RandomSpec:
     with their reflection so the whole complex always carries a flip.
     """
 
-    seed: int
-    dots: int = 1
-    boxes: int = 0
-    max_side: int = 2
-    max_offset: int = 2
+    __slots__ = __match_args__ = ("seed", "dots", "boxes", "max_side", "max_offset")
 
-    def __post_init__(self):
-        if self.dots < 1:
+    def __init__(self, seed: int, dots: int = 1, boxes: int = 0, max_side: int = 2, max_offset: int = 2):
+        if dots < 1:
             raise ValueError("need at least one dot generator")
-        if self.boxes < 0 or self.max_side < 1 or self.max_offset < 0:
+        if boxes < 0 or max_side < 1 or max_offset < 0:
             raise ValueError("box parameters out of range")
+        _set_seed(self, seed)
+        _set_dots(self, dots)
+        _set_boxes(self, boxes)
+        _set_max_side(self, max_side)
+        _set_max_offset(self, max_offset)
+
+
+_set_seed, _set_dots, _set_boxes, _set_max_side, _set_max_offset = setters(RandomSpec)
 
 
 def staircase(steps: list[int] | tuple[int, ...]) -> CfkComplex:

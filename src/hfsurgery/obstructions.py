@@ -13,10 +13,10 @@ the module at call time so that every caller reads the one verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import surgery
 from .cfk import CfkComplex
+from .records import Frozen, setters
 from .surgery import HypothesisReport, Slope, cone_rank_chain
 
 OBSTRUCTED = "obstructed"
@@ -24,13 +24,15 @@ CONSISTENT = "consistent"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    kind: str
-    slopes: tuple[str, ...]
-    ranks: tuple[int, ...] | None
-    verdict: str
-    reason: str
+class ObstructionVerdict(Frozen):
+    __slots__ = __match_args__ = ("kind", "slopes", "ranks", "verdict", "reason")
+
+    def __init__(self, kind: str, slopes: tuple[str, ...], ranks: tuple[int, ...] | None, verdict: str, reason: str):
+        _set_kind(self, kind)
+        _set_slopes(self, slopes)
+        _set_ranks(self, ranks)
+        _set_verdict(self, verdict)
+        _set_reason(self, reason)
 
     def to_json_dict(self) -> dict:
         return {
@@ -44,6 +46,9 @@ class ObstructionVerdict:
     def __str__(self) -> str:
         ranks = "" if self.ranks is None else f" ranks={','.join(map(str, self.ranks))}"
         return f"verdict={self.verdict}{ranks} reason={self.reason}"
+
+
+_set_kind, _set_slopes, _set_ranks, _set_verdict, _set_reason = setters(ObstructionVerdict)
 
 
 def hypothesis_check(c: CfkComplex) -> HypothesisReport:

@@ -205,17 +205,17 @@ when the rows of a HatB block are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 from . import f2
-from .cfk import CfkComplex, HatA, HatB
+from .cfk import CfkComplex, HatA, HatB, memoized
 from .f2 import F2Matrix
+from .records import Frozen, Record, setters
 
 
 class SlopeError(ValueError):
-    """Slopes must be coprime positive fractions p/q, and a cone's sweep at
-    one must stay within :data:`MAX_HAT_B_BLOCKS` HatB blocks."""
+    """Slopes must be coprime positive fractions p/q, and the sweeps of a
+    cone, or of a grid's cones, must stay within :data:`MAX_HAT_B_BLOCKS`
+    HatB blocks."""
 
 
 class FormulaNotApplicableError(ValueError):
@@ -226,16 +226,16 @@ class NotApplicableError(ValueError):
     """The invariant is only defined when the ambient homology has rank one."""
 
 
-@dataclass(frozen=True)
-class Slope:
-    p: int
-    q: int
+class Slope(Frozen):
+    __slots__ = __match_args__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise SlopeError(f"slope {self.p}/{self.q} must have positive p and q")
-        if math.gcd(self.p, self.q) != 1:
-            raise SlopeError(f"slope {self.p}/{self.q} is not in lowest terms")
+    def __init__(self, p: int, q: int):
+        if p < 1 or q < 1:
+            raise SlopeError(f"slope {p}/{q} must have positive p and q")
+        if math.gcd(p, q) != 1:
+            raise SlopeError(f"slope {p}/{q} is not in lowest terms")
+        _set_p(self, p)
+        _set_q(self, q)
 
     @classmethod
     def parse(cls, text: str) -> "Slope":
@@ -254,6 +254,9 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
+_set_p, _set_q = setters(Slope)
+
+
 def coprime_slopes(pmax: int, qmax: int):
     """All slopes with 1 <= p <= pmax, 1 <= q <= qmax, sorted by (p, q)."""
     return [
@@ -269,6 +272,30 @@ def coprime_slopes(pmax: int, qmax: int):
 # took 5.3 s in one ``hfsurgery rank`` process on a 2-core Xeon with
 # Python 3.11.7.
 MAX_HAT_B_BLOCKS = 10**7
+
+
+def require_grid_sweep(c: CfkComplex, pmax: int, qmax: int) -> None:
+    """Refuse with :class:`SlopeError`, before any region is built, a grid
+    of slopes p/q, p <= pmax and q <= qmax, whose cones may sweep more
+    than :data:`MAX_HAT_B_BLOCKS` HatB blocks in all.
+
+    A cone sweeps at most max(0, aq - p) blocks, a = 2 top - 1, as
+    :class:`MappingCone` says, so the grid at most their sum over every p
+    and q, coprime or not, found with no loop.  For one q, with m = aq and
+    k = min(pmax, m), the sum over p is km - k(k + 1)/2: (m^2 - m)/2 for
+    the q <= n = pmax // a, where k = m, and pmax m - pmax(pmax + 1)/2
+    above them, and each form sums over q by the sums of q and q^2."""
+    a = 2 * (c.alexander_cuts[-1] - 1) - 1  # reading the cuts validates
+    blocks = 0
+    if a > 0:
+        n = min(qmax, pmax // a)
+        blocks = (a * a * n * (n + 1) * (2 * n + 1) // 6 - a * n * (n + 1) // 2) // 2
+        blocks += pmax * a * (qmax * (qmax + 1) - n * (n + 1)) // 2 - (qmax - n) * (pmax * (pmax + 1) // 2)
+    if blocks > MAX_HAT_B_BLOCKS:
+        raise SlopeError(
+            f"slopes p/q with p <= {pmax}, q <= {qmax} may sweep {blocks} HatB blocks, "
+            f"over the limit {MAX_HAT_B_BLOCKS}"
+        )
 
 
 class MappingCone:
@@ -308,17 +335,15 @@ class MappingCone:
         s_last), as the module docstring explains.  On a hit no region is
         read and no term evaluated."""
         c, q, hi = self.complex, self.slope.q, self.a_columns[-1]
-
-        def sums() -> tuple[int, int, int]:
-            def runs() -> tuple:
-                return tuple((c.region_complex(HatA(s)), s) for s, _ in c.class_runs(self._runs[0], hi // q))
-
-            regions = c.cached(("a_regions", *self._runs), runs)
+        if (sums := c._memo.get(key := (name, *self._runs))) is None:
+            if (regions := c._memo.get(runs := ("a_regions", *self._runs))) is None:
+                regions = c._memo[runs] = tuple(
+                    (c.region_complex(HatA(s)), s) for s, _ in c.class_runs(self._runs[0], hi // q)
+                )
             inner = sum((stop - start) * term(region) for (region, start), (_, stop) in zip(regions, regions[1:]))
             region, s_last = regions[-1]
-            return inner, term(region), s_last
-
-        inner, last, s_last = c.cached((name, *self._runs), sums)
+            sums = c._memo[key] = inner, term(region), s_last
+        inner, last, s_last = sums
         return q * inner + (hi + 1 - s_last * q) * last
 
     @property
@@ -401,12 +426,11 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     # table memoized per range of floors rather than a lookup per block,
     # filled one class run at a time.  With a HatB column the tight
     # window's floors are -(g-1)..g-1, so every such cone shares one table.
+    if not b:
+        return 0
     first, last = (b.start - p) // q, (b.stop - 1) // q
-
-    def table() -> list[int]:
-        return [k for s, n in c.class_runs(first, last) for k in [c.alexander_class(s)] * n]
-
-    classes = c.cached(("classes", first, last), table) if b else []
+    if (classes := c._memo.get(table := ("classes", first, last))) is None:
+        classes = c._memo[table] = [k for s, n in c.class_runs(first, last) for k in [c.alexander_class(s)] * n]
 
     def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
         block, width, v_start = rows(key)
@@ -416,8 +440,7 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
         reduced, pivots = f2.rref(m, v_start)
         return rank(m, pivots) - len(carry), tuple(row >> v_start for row in reduced)
 
-    # One probe of the memo per HatB block: ``c.cached`` would add a call
-    # and a closure to every block, hit or miss.
+    # One probe of the memo per HatB block.
     memo = c._memo
     added = 0
     for start in b[:p]:
@@ -433,6 +456,7 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     return added
 
 
+@memoized("hat_b_boundary_rank")
 def _hat_b_boundary_rank(c: CfkComplex) -> int:
     """rank d_B, the rank of HatB's boundary, memoized on the complex: one
     ``f2.rank`` call, made here, under the chain route, where the
@@ -440,15 +464,11 @@ def _hat_b_boundary_rank(c: CfkComplex) -> int:
     against b, :meth:`CfkComplex.b_rank`, the count of HatB's cocycle
     classes, which is dim - 2 rank d_B when they are independent modulo the
     coboundaries, as the sweep needs."""
-
-    def compute() -> int:
-        region = c.region_complex(HatB())
-        rank = f2.rank(region.boundary)
-        if (b := c.b_rank()) != region.dim - 2 * rank:
-            raise f2.DimensionError(f"HatB has {b} cocycle classes, need {region.dim - 2 * rank}")
-        return rank
-
-    return c.cached("hat_b_boundary_rank", compute)
+    region = c.region_complex(HatB())
+    rank = f2.rank(region.boundary)
+    if (b := c.b_rank()) != region.dim - 2 * rank:
+        raise f2.DimensionError(f"HatB has {b} cocycle classes, need {region.dim - 2 * rank}")
+    return rank
 
 
 def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
@@ -457,20 +477,19 @@ def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
     The cone is on the tight window.  Each residue class of j mod p is swept
     in chain order, one memoized ("sweep", carry, key) step per HatB block,
     as the module docstring explains."""
-
-    def compute() -> int:
-        cone = MappingCone(c, slope)
-        # The increment is read from an f2.rank call, made while this route
-        # runs, not off the pivots: perfbench's tracer counts exactly an
-        # f2.rank call directly under the chain route as the cone
-        # elimination (f2.elim_cone).
-        added = _sweep(cone, "sweep", cone.total_boundary, lambda m, pivots: f2.rank(m))
-        # The dimension less twice the boundary rank: the rank of the HatA
-        # rows and of d_B, whose f2.rank call is made here on the first
-        # cone of the complex, plus what the sweep adds.
-        return cone.total_dim - 2 * (cone.boundary_rank + added)
-
-    return c.cached(("cone_rank_chain", slope.p, slope.q), compute)
+    if (rank := c._memo.get(key := ("cone_rank_chain", slope.p, slope.q))) is not None:
+        return rank
+    cone = MappingCone(c, slope)
+    # The increment is read from an f2.rank call, made while this route
+    # runs, not off the pivots: perfbench's tracer counts exactly an
+    # f2.rank call directly under the chain route as the cone
+    # elimination (f2.elim_cone).
+    added = _sweep(cone, "sweep", cone.total_boundary, lambda m, pivots: f2.rank(m))
+    # The dimension less twice the boundary rank: the rank of the HatA
+    # rows and of d_B, whose f2.rank call is made here on the first
+    # cone of the complex, plus what the sweep adds.
+    rank = c._memo[key] = cone.total_dim - 2 * (cone.boundary_rank + added)
+    return rank
 
 
 def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
@@ -481,13 +500,12 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
     ("hsweep", carry, key) step per HatB block, from the rows of
     :meth:`MappingCone.induced_boundary`; the block matrix itself is never
     built."""
-
-    def compute() -> int:
-        cone = MappingCone(c.essential_summand, slope)
-        r = _sweep(cone, "hsweep", cone.induced_boundary, lambda m, pivots: len(pivots))
-        return (cone.a_homology_dim - r) + (cone.b_homology_dim - r) + slope.q * c.acyclic_sum()
-
-    return c.cached(("cone_rank_homological", slope.p, slope.q), compute)
+    if (rank := c._memo.get(key := ("cone_rank_homological", slope.p, slope.q))) is not None:
+        return rank
+    cone = MappingCone(c.essential_summand, slope)
+    r = _sweep(cone, "hsweep", cone.induced_boundary, lambda m, pivots: len(pivots))
+    rank = c._memo[key] = (cone.a_homology_dim - r) + (cone.b_homology_dim - r) + slope.q * c.acyclic_sum()
+    return rank
 
 
 def _meet(c: CfkComplex, a: int, b: int) -> int:
@@ -505,12 +523,11 @@ def _meet(c: CfkComplex, a: int, b: int) -> int:
     """
     g = c.genus()
     a, b = c.alexander_class(min(a, g)), c.alexander_class(max(b, -g))
-
-    def compute() -> int:
-        v, h = c.v_hat(a), c.h_hat(b)
-        return v.induced_rank + h.induced_rank - f2.rank(v.induced.hstack(h.induced))
-
-    return c.cached(("meet", a, b), compute)
+    if (meet := c._memo.get(key := ("meet", a, b))) is not None:
+        return meet
+    v, h = c.v_hat(a), c.h_hat(b)
+    meet = c._memo[key] = v.induced_rank + h.induced_rank - f2.rank(v.induced.hstack(h.induced))
+    return meet
 
 
 def t_invariant(c: CfkComplex, slope: Slope) -> int:
@@ -522,34 +539,35 @@ def t_invariant(c: CfkComplex, slope: Slope) -> int:
     not looped: t sums the meets at the two ends, at most (2g-1)q of them,
     and reads no meet that a loop over every j would not.  Every meet lies
     in the essential summand, so t is read there, with its genus."""
+    p, q = slope.p, slope.q
+    if (t := c._memo.get(key := ("t", p, q))) is not None:
+        return t
+    e = c.essential_summand
+    g = e.genus()
+    start = min(g * q, p)
+    middle = max(0, p - max(g - 1, 0) * q - start)
+    t = sum(_meet(e, j // q, (j - p) // q) for j in [*range(start), *range(start + middle, p)])
+    t = c._memo[key] = t + middle * _meet(e, g, -g) if middle else t
+    return t
 
-    def compute() -> int:
-        e = c.essential_summand
-        p, q, g = slope.p, slope.q, e.genus()
-        start = min(g * q, p)
-        middle = max(0, p - max(g - 1, 0) * q - start)
-        t = sum(_meet(e, j // q, (j - p) // q) for j in [*range(start), *range(start + middle, p)])
-        return t + middle * _meet(e, g, -g) if middle else t
 
-    return c.cached(("t", slope.p, slope.q), compute)
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Frozen):
     """Image-containment verdicts, and overall; shared, so read only.
 
     Each side holds one (start, length, ok) per Alexander class run of its
     window, in ascending s: the verdict of every s from start to
     start + length - 1.  Runs are expanded per s only where they are
     printed, by :meth:`to_json_dict` and by ``hfsurgery info`` for the
-    failing s, so a report's size follows the class runs, not the genus."""
+    failing s, so a report's size follows the class runs, not the genus.
+    ``overall`` is read off the runs once, when the report is made."""
 
-    h_in_v: tuple[tuple[int, int, bool], ...]
-    v_in_h: tuple[tuple[int, int, bool], ...]
+    __match_args__ = ("h_in_v", "v_in_h")
+    __slots__ = (*__match_args__, "overall")
 
-    @property
-    def overall(self) -> bool:
-        return all(ok for _, _, ok in self.h_in_v + self.v_in_h)
+    def __init__(self, h_in_v: tuple[tuple[int, int, bool], ...], v_in_h: tuple[tuple[int, int, bool], ...]):
+        _set_h_in_v(self, h_in_v)
+        _set_v_in_h(self, v_in_h)
+        _set_overall(self, all(ok for _, _, ok in h_in_v + v_in_h))
 
     def to_json_dict(self) -> dict:
         sides = {"h_image_in_v_image": self.h_in_v, "v_image_in_h_image": self.v_in_h}
@@ -557,6 +575,10 @@ class HypothesisReport:
         return {**data, "overall": self.overall}
 
 
+_set_h_in_v, _set_v_in_h, _set_overall = setters(HypothesisReport)
+
+
+@memoized("hypothesis")
 def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
     """Per-s image containments: im h_hat(s) inside im v_hat(s) for
     0 <= s <= genus, and im v_hat(s) inside im h_hat(s) for -genus <= s <= 0.
@@ -574,11 +596,8 @@ def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
     def per_run(e: CfkComplex, lo: int, hi: int, m) -> tuple[tuple[int, int, bool], ...]:
         return tuple((s, n, _meet(e, s, s) == m(s).induced_rank) for s, n in e.class_runs(lo, hi))
 
-    def compute() -> HypothesisReport:
-        e, g = c.essential_summand, c.genus()
-        return HypothesisReport(per_run(e, 0, g, e.h_hat), per_run(e, -g, 0, e.v_hat))
-
-    return c.cached("hypothesis", compute)
+    e, g = c.essential_summand, c.genus()
+    return HypothesisReport(per_run(e, 0, g, e.h_hat), per_run(e, -g, 0, e.v_hat))
 
 
 def hypothesis_holds(c: CfkComplex) -> bool:
@@ -599,11 +618,11 @@ def _v_sum(c: CfkComplex, slope: Slope, name: str, term) -> int:
     complex under ("v_sum", name), and only the first slope reads maps.
     v_hat(s) is one map across a class run, so the sum reads it once per
     run of 1..g-1, weighted by the run's length."""
-
-    def per_q() -> int:
-        return term(c.v_hat(0)) + 2 * sum(n * term(c.v_hat(s)) for s, n in c.class_runs(1, c.genus() - 1))
-
-    return slope.q * c.cached(("v_sum", name), per_q)
+    if (per_q := c._memo.get(key := ("v_sum", name))) is None:
+        per_q = c._memo[key] = term(c.v_hat(0)) + 2 * sum(
+            n * term(c.v_hat(s)) for s, n in c.class_runs(1, c.genus() - 1)
+        )
+    return slope.q * per_q
 
 
 def rank_formula(c: CfkComplex, slope: Slope) -> int:
@@ -625,21 +644,19 @@ def rank_formula(c: CfkComplex, slope: Slope) -> int:
     return total + 2 * t_invariant(c, slope) - slope.p * b + slope.q * c.acyclic_sum()
 
 
+@memoized("nu")
 def nu_surrogate(c: CfkComplex) -> int:
     """Least s >= 0 with v_hat(s) surjective on homology (b_rank 1 only).
 
     v_hat(s) is one map across a class run, so the least such s is the
     start of the first run of 0..genus whose map has nonzero rank, read on
-    the essential summand, where v_hat has all its rank."""
+    the essential summand, where v_hat has all its rank.  Memoized, so
+    only a complex with b_rank 1 has a value to hit."""
     if c.b_rank() != 1:
         raise NotApplicableError(f"nu needs a complex with b_rank 1, got {c.b_rank()}")
-
-    def scan() -> int:
-        e = c.essential_summand
-        # v_hat(genus) is an isomorphism, so the scan stops by then.
-        return next(s for s, _ in e.class_runs(0, e.genus()) if e.v_hat(s).induced_rank)
-
-    return c.cached("nu", scan)
+    e = c.essential_summand
+    # v_hat(genus) is an isomorphism, so the scan stops by then.
+    return next(s for s, _ in e.class_runs(0, e.genus()) if e.v_hat(s).induced_rank)
 
 
 def kernel_rank(c: CfkComplex, slope: Slope) -> int:
@@ -651,21 +668,28 @@ def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     return kernel + t_invariant(c, slope) + slope.q * c.acyclic_sum()
 
 
-@dataclass
-class RankReport:
+class RankReport(Record):
     """Everything one surgery computation produced, ready to serialize."""
 
-    name: str
-    slope: Slope
-    oracle_rank: int
-    formula_rank: int | None
-    t_value: int
-    nu: int | None
-    hypothesis_ok: bool
-    b: int
-    genus: int
+    __slots__ = __match_args__ = (
+        "name", "slope", "oracle_rank", "formula_rank", "t_value", "nu", "hypothesis_ok", "b", "genus",
+    )
     # The same caveat for every report, serialized as the JSON "note" key.
-    note: ClassVar[str] = "t computed from the supplied flip involution"
+    note = "t computed from the supplied flip involution"
+
+    def __init__(
+        self, name: str, slope: Slope, oracle_rank: int, formula_rank: int | None, t_value: int,
+        nu: int | None, hypothesis_ok: bool, b: int, genus: int,
+    ):
+        self.name = name
+        self.slope = slope
+        self.oracle_rank = oracle_rank
+        self.formula_rank = formula_rank
+        self.t_value = t_value
+        self.nu = nu
+        self.hypothesis_ok = hypothesis_ok
+        self.b = b
+        self.genus = genus
 
     # The TSV columns are the JSON keys of the same names, in the same order.
     TSV_COLUMNS = ("name", "p", "q", "oracle", "formula", "t", "nu", "hypothesis", "b", "genus")

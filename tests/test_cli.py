@@ -397,6 +397,21 @@ def test_tsv_format_is_for_rank_only(capsys, command):
     assert code == 2 and out == "" and "invalid choice: 'tsv'" in err
 
 
+def test_a_scan_whose_grid_may_sweep_too_many_blocks_is_refused_at_once(monkeypatch, capsys):
+    # Each cone at 1/q is accepted, but the grid sweeps about 3q blocks per
+    # q, some 6 * 10**10 in all; the scan is refused before any region.
+    built = []
+    init = RegionComplex.__init__
+    monkeypatch.setattr(RegionComplex, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    start = time.perf_counter()
+    code, out, err = run(["scan", "t25", "--pmax", "1", "--qmax", "200000"], capsys)
+    assert time.perf_counter() - start < 1 and built == []
+    assert code == 2 and out == ""
+    assert err == (
+        "error: slopes p/q with p <= 1, q <= 200000 may sweep 60000100000 HatB blocks, over the limit 10000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command",
     [["rank", "-p", "3", "-q", "1"], ["scan", "--pmax", "2", "--qmax", "2"], ["info"]],

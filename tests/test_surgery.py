@@ -406,6 +406,31 @@ class TestRefusedSweep:
     def test_a_long_sweep_below_the_limit_still_ranks(self):
         assert cone_rank_chain(builtin("t25"), Slope(1, 10**5)) == 1 + 2 * (3 * 10**5 - 1)
 
+    @pytest.mark.parametrize("name", ["unknot", "trefoil_rh", "figure_eight", "t25", "t27", "t27#t27"])
+    def test_a_grid_is_refused_exactly_past_the_limit_on_its_summed_blocks(self, monkeypatch, name):
+        # The closed form against the sum it stands for, over every p and q,
+        # coprime or not, of each cone's bound max(0, (2 top - 1)q - p).
+        c = tensor(builtin("t27"), builtin("t27")) if name == "t27#t27" else builtin(name)
+        a = 2 * (c.alexander_cuts[-1] - 1) - 1
+        for pmax, qmax in itertools.product([1, 2, 3, 5, 8, 13, 40], [1, 2, 3, 7, 8, 21]):
+            blocks = sum(max(0, a * q - p) for p in range(1, pmax + 1) for q in range(1, qmax + 1))
+            monkeypatch.setattr(surgery, "MAX_HAT_B_BLOCKS", blocks)
+            surgery.require_grid_sweep(c, pmax, qmax)
+            if blocks:
+                monkeypatch.setattr(surgery, "MAX_HAT_B_BLOCKS", blocks - 1)
+                with pytest.raises(SlopeError, match=f"may sweep {blocks} HatB blocks"):
+                    surgery.require_grid_sweep(c, pmax, qmax)
+
+    def test_every_scan_of_the_tests_and_benchmark_is_far_below_the_limit(self):
+        # t27 at 8x8 sums to 1,158 blocks; a grid of 2 * 10**5 q at t25 to
+        # about 6 * 10**10, refused before any region is built.
+        c = builtin("t27")
+        surgery.require_grid_sweep(c, 8, 8)
+        c = builtin("t25")
+        with pytest.raises(SlopeError, match="60000100000 HatB blocks"):
+            surgery.require_grid_sweep(c, 1, 200000)
+        assert not [key for key in c._memo if key[0] == "region"]
+
 
 def _sweep_entries(c, tag="sweep"):
     return [key for key in c._memo if key[0] == tag]
@@ -956,6 +981,33 @@ class TestRankReport:
             compute_rank_report(c, slope)
             cone_rank_homological(c, slope)
         assert widths and n not in widths
+
+    @pytest.mark.parametrize(
+        "c",
+        [tensor(builtin("t25"), builtin("t27")), random_complex(RandomSpec(seed=2301, dots=2, boxes=5, max_offset=3))],
+        ids=["t25#t27", "2 dots 5 boxes"],
+    )
+    @pytest.mark.parametrize("slope", [Slope(1, 1), Slope(5, 3)], ids=str)
+    def test_a_repeated_query_is_a_pure_memo_read(self, monkeypatch, c, slope):
+        # The first query fills the memos; the repeat reads them and builds
+        # nothing, so no key is added to the complex or its summand.
+        compute_rank_report(c, slope)
+        cone_rank_homological(c, slope)
+        e = c.essential_summand
+        keys = [list(c._memo), list(e._memo)]
+        built = []
+        for cls in (RegionComplex, FilteredChainMap, MappingCone, f2.HomologyBasis, f2.F2Matrix):
+            init = cls.__init__
+
+            def counting(self, *args, init=init, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        again = compute_rank_report(c, slope), cone_rank_homological(c, slope)
+        monkeypatch.undo()
+        assert built == [] and [list(c._memo), list(e._memo)] == keys
+        assert again == (compute_rank_report(c, slope), cone_rank_homological(c, slope))
 
     def test_trefoil_report(self):
         report = compute_rank_report(builtin("trefoil_rh"), Slope(1, 1))
