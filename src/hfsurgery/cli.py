@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 check failure (rank mismatch, invalid complex,
 or a closed form asked of a complex that fails the containment
 hypothesis) or a stdout closed by its reader, 2 usage error: argparse's
 own, or any ValueError, such as a bad slope, one whose cone would sweep
-too many HatB blocks or a scan grid whose cones would in all, an input
-that is neither a readable complex file nor a builtin, or an empty scan
-grid.  Output is line oriented for shell use; pass --format json for
-machine-readable output.
+too many HatB blocks, a scan grid whose cones would in all or that holds
+too many slopes, an input that is neither a readable complex file nor a
+builtin, or an empty scan grid.  Output is line oriented for shell use;
+pass --format json for machine-readable output.
 """
 
 from __future__ import annotations

@@ -35,13 +35,9 @@ class ObstructionVerdict(Frozen):
         _set_reason(self, reason)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "slopes": list(self.slopes),
-            "ranks": list(self.ranks) if self.ranks is not None else None,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
+        # The keys are the fields; a replaced value keeps its key's place.
+        data = dict(zip(self.__match_args__, self._values(self)))
+        return {**data, "slopes": list(self.slopes), "ranks": None if self.ranks is None else list(self.ranks)}
 
     def __str__(self) -> str:
         ranks = "" if self.ranks is None else f" ranks={','.join(map(str, self.ranks))}"

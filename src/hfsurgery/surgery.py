@@ -153,15 +153,16 @@ its length in floors times the term of its region, last the term of the
 last run's region and s_last that run's start.  lo = -(g-1)q is a
 multiple of q, so every floor before the last run holds q columns and the
 sum is q * inner + (hi + 1 - s_last * q) * last.  Only the first cone of
-a key reads regions, one per run, from the memo entry ("a_regions", key);
-a region may serve more than one run: HatB the two top classes, and a
-class's region each class below its mirror that it serves.  The dimension
-reads none: every region holds one element per generator.  The sweep
-visits only the residue classes that own a HatB block, so however large p
-is and however far apart the Alexander gradings are, a cone reads at most
-one region per class run and sweeps at most (2g-1)q HatB blocks.  For
-p >= (2g-1)q the window has no HatB column at all, and the rank is the
-large-surgery sum of dim H(HatA(j // q)) over the window.
+a key reads regions, one per run, each through ``region_complex``, which
+memoizes it once per class; a region may serve more than one run: HatB
+the two top classes, and a class's region each class below its mirror
+that it serves.  The dimension reads none: every region holds one element
+per generator.  The sweep visits only the residue classes that own a HatB
+block, so however large p is and however far apart the Alexander
+gradings are, a cone reads at most one region per class run and sweeps
+at most (2g-1)q HatB blocks.  For p >= (2g-1)q the window has no HatB
+column at all, and the rank is the large-surgery sum of dim H(HatA(j // q))
+over the window.
 
 The cone is additive over flip-invariant direct summands.  If the complex
 is P + Z as a bifiltered complex and the flip maps each summand to itself,
@@ -213,9 +214,9 @@ from .records import Frozen, Record, setters
 
 
 class SlopeError(ValueError):
-    """Slopes must be coprime positive fractions p/q, and the sweeps of a
-    cone, or of a grid's cones, must stay within :data:`MAX_HAT_B_BLOCKS`
-    HatB blocks."""
+    """Slopes must be coprime positive fractions p/q, the sweeps of a cone,
+    or of a grid's cones, must stay within :data:`MAX_HAT_B_BLOCKS` HatB
+    blocks, and a grid within :data:`MAX_GRID_CELLS` cells."""
 
 
 class FormulaNotApplicableError(ValueError):
@@ -273,11 +274,18 @@ def coprime_slopes(pmax: int, qmax: int):
 # Python 3.11.7.
 MAX_HAT_B_BLOCKS = 10**7
 
+# The most cells, pmax * qmax, coprime or not, a scan's grid may hold.  A
+# scan builds one report per slope whether or not its cones sweep any HatB
+# block: ``hfsurgery scan unknot`` took 1.3 s for 10**5 cells and 13.6 s
+# for 10**6 in one process on a 2-core Xeon with Python 3.11.7.
+MAX_GRID_CELLS = 10**5
+
 
 def require_grid_sweep(c: CfkComplex, pmax: int, qmax: int) -> None:
     """Refuse with :class:`SlopeError`, before any region is built, a grid
     of slopes p/q, p <= pmax and q <= qmax, whose cones may sweep more
-    than :data:`MAX_HAT_B_BLOCKS` HatB blocks in all.
+    than :data:`MAX_HAT_B_BLOCKS` HatB blocks in all, or whose grid holds
+    more than :data:`MAX_GRID_CELLS` cells.
 
     A cone sweeps at most max(0, aq - p) blocks, a = 2 top - 1, as
     :class:`MappingCone` says, so the grid at most their sum over every p
@@ -295,6 +303,10 @@ def require_grid_sweep(c: CfkComplex, pmax: int, qmax: int) -> None:
         raise SlopeError(
             f"slopes p/q with p <= {pmax}, q <= {qmax} may sweep {blocks} HatB blocks, "
             f"over the limit {MAX_HAT_B_BLOCKS}"
+        )
+    if (cells := pmax * qmax) > MAX_GRID_CELLS:
+        raise SlopeError(
+            f"slopes p/q with p <= {pmax}, q <= {qmax} fill {cells} grid cells, over the limit {MAX_GRID_CELLS}"
         )
 
 
@@ -332,17 +344,14 @@ class MappingCone:
     def _per_column(self, name: str, term) -> int:
         """Sum of ``term(HatA(j // q))`` over the HatA columns j, from the
         memo entry ``(name, *key)`` of the run-table key, (inner, last,
-        s_last), as the module docstring explains.  On a hit no region is
-        read and no term evaluated."""
+        s_last), as the module docstring explains.  On a miss each class
+        run's region is read through ``region_complex``, which memoizes it
+        once per class; on a hit no region is read and no term evaluated."""
         c, q, hi = self.complex, self.slope.q, self.a_columns[-1]
         if (sums := c._memo.get(key := (name, *self._runs))) is None:
-            if (regions := c._memo.get(runs := ("a_regions", *self._runs))) is None:
-                regions = c._memo[runs] = tuple(
-                    (c.region_complex(HatA(s)), s) for s, _ in c.class_runs(self._runs[0], hi // q)
-                )
-            inner = sum((stop - start) * term(region) for (region, start), (_, stop) in zip(regions, regions[1:]))
-            region, s_last = regions[-1]
-            sums = c._memo[key] = inner, term(region), s_last
+            *runs, (s_last, _) = c.class_runs(self._runs[0], hi // q)
+            inner = sum(n * term(c.region_complex(HatA(s))) for s, n in runs)
+            sums = c._memo[key] = inner, term(c.region_complex(HatA(s_last))), s_last
         inner, last, s_last = sums
         return q * inner + (hi + 1 - s_last * q) * last
 
@@ -691,7 +700,8 @@ class RankReport(Record):
         self.b = b
         self.genus = genus
 
-    # The TSV columns are the JSON keys of the same names, in the same order.
+    # The TSV columns are the JSON keys of the same names, in the same order:
+    # the fields zipped onto them, the slope split into p and q.
     TSV_COLUMNS = ("name", "p", "q", "oracle", "formula", "t", "nu", "hypothesis", "b", "genus")
     TSV_HEADER = "\t".join(TSV_COLUMNS)
 
@@ -709,19 +719,8 @@ class RankReport(Record):
         return "\t".join("-" if data[k] is None else str(data[k]) for k in self.TSV_COLUMNS)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "p": self.slope.p,
-            "q": self.slope.q,
-            "oracle": self.oracle_rank,
-            "formula": self.formula_rank,
-            "t": self.t_value,
-            "nu": self.nu,
-            "hypothesis": self.hypothesis_ok,
-            "b": self.b,
-            "genus": self.genus,
-            "note": self.note,
-        }
+        name, slope, *values = self._values(self)
+        return dict(zip(self.TSV_COLUMNS, (name, slope.p, slope.q, *values)), note=self.note)
 
 
 def compute_rank_report(c: CfkComplex, slope: Slope) -> RankReport:

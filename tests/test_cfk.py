@@ -8,6 +8,7 @@ import pytest
 from hfsurgery import f2
 from hfsurgery.cfk import (
     CfkComplex,
+    FilteredChainMap,
     FlipRequiredError,
     HatA,
     HatB,
@@ -384,6 +385,95 @@ class TestHhat:
                 @ f2.F2Matrix(source.dim, tuple(proj))
             )
             assert models.as_read(fig8, s, composite.data) == models.dense(fig8.h_hat(s)).data
+
+
+def _h_index(c, s, flip_index):
+    """ĥ(s)'s index map as ``CfkComplex.h_hat`` builds it, from the flip
+    permutation given: element i goes to flip_index[i] when its Alexander
+    grading is at least s, and to zero otherwise."""
+    return [f if a >= s else -1 for f, a in zip(flip_index, c._order[1])]
+
+
+class TestChainMapMutations:
+    """``FilteredChainMap`` refuses a map that does not commute with the
+    boundaries.  Each case mutates one piece of a true v̂(s) or ĥ(s) and
+    must raise.  Some mutations leave a chain map, so each is picked to
+    break one: on t25 at s = 0, clearing the lowest bit of HatA(0)'s first
+    nonzero boundary row leaves v̂(0) a chain map, dropping element 2 from
+    v̂(0)'s index does too, and so does swapping the flip entries 2 and 4
+    or 3 and 4 for ĥ(0)."""
+
+    CASES = [("t25", 0), ("t25", 1), ("t27", 0), ("t27", 1)]
+
+    @staticmethod
+    def _maps(c, s):
+        source, target = c.region_complex(HatA(s)), c.region_complex(HatB())
+        assert source.tag == HatA(s)  # s at or above its mirror, below the top
+        return source, target, {"v": c.v_hat(s).index, "h": c.h_hat(s).index}
+
+    @pytest.mark.parametrize("kind", ["v", "h"])
+    @pytest.mark.parametrize("name, s", CASES)
+    def test_a_source_boundary_bit_cleared_or_set(self, name, s, kind):
+        # Row i of the source boundary is compared exactly when the map
+        # keeps element i, so one bit flipped in such a row shows: cleared
+        # as the lowest bit of the first nonzero kept row, set as the
+        # lowest unset bit of the first kept row.
+        c = builtin(name)
+        source, target, indices = self._maps(c, s)
+        index = indices[kind]
+        rows = source.boundary.data
+        kept = [i for i, r in enumerate(index) if r >= 0]
+        cleared = next(i for i in kept if rows[i])
+        first = kept[0]
+        for i, bit in ((cleared, rows[cleared] & -rows[cleared]), (first, ~rows[first] & (rows[first] + 1))):
+            assert bit < 1 << source.dim
+            mutated = list(rows)
+            mutated[i] ^= bit
+            region = RegionComplex(source.tag, F2Matrix(source.dim, tuple(mutated)))
+            with pytest.raises(f2.NotAChainMapError):
+                FilteredChainMap(region, target, index)
+        FilteredChainMap(source, target, index)
+
+    @pytest.mark.parametrize("name, s", CASES)
+    def test_a_kept_element_of_v_hat_sent_to_zero(self, name, s):
+        # The first kept element that lies in some element's boundary: its
+        # boundary row, which the map carried, is no longer carried.
+        c = builtin(name)
+        source, target, indices = self._maps(c, s)
+        index = list(indices["v"])
+        i = next(i for i, r in enumerate(index) if r >= 0 and source.boundary.data[i])
+        index[i] = -1
+        with pytest.raises(f2.NotAChainMapError):
+            FilteredChainMap(source, target, index)
+
+    @pytest.mark.parametrize("name, s", CASES)
+    def test_two_flip_entries_of_h_hat_swapped(self, name, s):
+        # The flip images of the first two elements ĥ(s) keeps, swapped.
+        c = builtin(name)
+        source, target, indices = self._maps(c, s)
+        assert list(indices["h"]) == _h_index(c, s, c._flip_index)
+        i, j = [i for i, r in enumerate(indices["h"]) if r >= 0][:2]
+        flip = list(c._flip_index)
+        flip[i], flip[j] = flip[j], flip[i]
+        with pytest.raises(f2.NotAChainMapError):
+            FilteredChainMap(source, target, _h_index(c, s, flip))
+
+    def test_the_maps_that_stay_chain_maps_on_t25_at_0(self):
+        # The mutations the cases above avoid, for the record.
+        c = builtin("t25")
+        source, target, indices = self._maps(c, 0)
+        rows = list(source.boundary.data)
+        first = next(i for i, row in enumerate(rows) if row)
+        rows[first] &= rows[first] - 1
+        region = RegionComplex(source.tag, F2Matrix(source.dim, tuple(rows)))
+        FilteredChainMap(region, target, indices["v"])
+        with pytest.raises(f2.NotAChainMapError):
+            FilteredChainMap(region, target, indices["h"])
+        FilteredChainMap(source, target, [-1 if i == 2 else r for i, r in enumerate(indices["v"])])
+        for i, j in ((2, 4), (3, 4)):
+            flip = list(c._flip_index)
+            flip[i], flip[j] = flip[j], flip[i]
+            FilteredChainMap(source, target, _h_index(c, 0, flip))
 
 
 class TestInvariants:

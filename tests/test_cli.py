@@ -412,6 +412,19 @@ def test_a_scan_whose_grid_may_sweep_too_many_blocks_is_refused_at_once(monkeypa
     )
 
 
+def test_a_scan_whose_grid_holds_too_many_slopes_is_refused_at_once(monkeypatch, capsys):
+    # The unknot's cones sweep no HatB block, so only the grid's size,
+    # 10**6 cells, refuses it, before any region is built.
+    built = []
+    init = RegionComplex.__init__
+    monkeypatch.setattr(RegionComplex, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    start = time.perf_counter()
+    code, out, err = run(["scan", "unknot", "--pmax", "1000000", "--qmax", "1"], capsys)
+    assert time.perf_counter() - start < 1 and built == []
+    assert code == 2 and out == ""
+    assert err == "error: slopes p/q with p <= 1000000, q <= 1 fill 1000000 grid cells, over the limit 100000\n"
+
+
 @pytest.mark.parametrize(
     "command",
     [["rank", "-p", "3", "-q", "1"], ["scan", "--pmax", "2", "--qmax", "2"], ["info"]],

@@ -9,6 +9,7 @@ import pytest
 from hfsurgery import f2, surgery
 from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, HatA, HatB, RegionComplex
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
+from hfsurgery.obstructions import complement_check, cosmetic_pair_check
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
     MappingCone,
@@ -117,11 +118,12 @@ class TestBuildCone:
         assert windows == [(-2, 4), (-2, 4)]
 
     def test_cones_on_one_range_of_s_share_their_regions(self):
-        # The window's HatA regions, one per class run, and the sums read
-        # off them are memo entries per lo // q and Alexander class of hi // q:
-        # a second cone on the same range of s reads the same entries,
-        # though its window, and so the number of columns of each run,
-        # differs.  The class -1 lies below its mirror class 1, so its run
+        # The sums read off the window's HatA regions, one per class run, are
+        # memo entries per lo // q and Alexander class of hi // q: a second
+        # cone on the same range of s reads the same entries, though its
+        # window, and so the number of columns of each run, differs.  Each
+        # run's region is the one ``region_complex`` memoizes for its
+        # class; the class -1 lies below its mirror class 1, so its run
         # reads HatA(1)'s region.
         c = builtin("t25")
         first, second = MappingCone(c, Slope(1, 2)), MappingCone(c, Slope(1, 3))
@@ -129,11 +131,12 @@ class TestBuildCone:
         assert first._runs == second._runs == (-1, 1)
         d_b = surgery._hat_b_boundary_rank(c)
         first_rank, second_rank = first.boundary_rank, second.boundary_rank
-        regions = c._memo[("a_regions", -1, 1)]
-        assert [region.tag for region, _ in regions] == [HatA(1), HatA(0), HatA(1)]
-        assert [s for _, s in regions] == [-1, 0, 1]
-        assert regions[0][0] is regions[2][0]
-        terms = [region.dim - len(region.cycles) for region, _ in regions]
+        runs = c.class_runs(-1, 1)
+        regions = [c.region_complex(HatA(s)) for s, _ in runs]
+        assert [region.tag for region in regions] == [HatA(1), HatA(0), HatA(1)]
+        assert [s for s, _ in runs] == [-1, 0, 1]
+        assert regions[0] is regions[2]
+        terms = [region.dim - len(region.cycles) for region in regions]
         assert c._memo[("a_rank", -1, 1)] == (terms[0] + terms[1], terms[2], 1)
         # Each floor holds q columns, and the last run the columns from
         # s_last * q to hi: two and three per floor.
@@ -188,16 +191,33 @@ class TestBuildCone:
         assert set(regions) == {HatB()} | {HatA(s) for s in range(-5, 8)}
         assert len({id(region) for region in regions.values()}) == 7
         cone = MappingCone(c, Slope(200001, 1))
-        runs = c._memo[("a_regions", *cone._runs)]
-        assert [s for _, s in runs] == list(range(-5, 8))
-        assert [region for region, _ in runs[:5]] == [c.region_complex(HatA(s)) for s in range(5, 0, -1)]
-        assert runs[-2][0] is runs[-1][0] is c.region_complex(HatB())
+        runs = c.class_runs(cone._runs[0], cone.a_columns[-1])
+        assert [s for s, _ in runs] == list(range(-5, 8))
+        regions = [c.region_complex(HatA(s)) for s, _ in runs]
+        assert regions[:5] == [c.region_complex(HatA(s)) for s in range(5, 0, -1)]
+        assert regions[-2] is regions[-1] is c.region_complex(HatB())
         # Twelve runs of one column each, and the last run the other
         # 200001 - 12 columns, from 7 to hi.
-        terms = [region.dim - len(region.cycles) for region, _ in runs]
+        terms = [region.dim - len(region.cycles) for region in regions]
         assert c._memo[("a_rank", *cone._runs)] == (sum(terms[:-1]), terms[-1], 7)
         assert not cone.b_columns
         assert cone.boundary_rank == sum(terms[:-1]) + (200001 - 12) * terms[-1]
+
+    def test_a_cone_keeps_no_second_cache_of_its_regions(self):
+        # A cone reads each run's region through region_complex, whose
+        # ("region", tag) entry is the one cache of it, so rank and
+        # obstruction queries leave no ("a_regions", ...) entry.
+        c = _complex("t25#t27#figure_eight")
+        slopes = coprime_slopes(4, 4)
+        for slope in slopes:
+            compute_rank_report(c, slope)
+            cone_rank_homological(c, slope)
+            complement_check(c, slope.q)
+        for r, s in itertools.combinations(slopes, 2):
+            cosmetic_pair_check(c, r, s)
+        keys = [key for x in (c, c.essential_summand) for key in x._memo]
+        kinds = {key[0] if isinstance(key, tuple) else key for key in keys}
+        assert {"region", "a_rank", "a_homology"} <= kinds and "a_regions" not in kinds
 
     def test_missing_flip(self):
         c = CfkComplex((["x"], [0], [None]), ([], [], []), None, "flipless")
@@ -430,6 +450,28 @@ class TestRefusedSweep:
         with pytest.raises(SlopeError, match="60000100000 HatB blocks"):
             surgery.require_grid_sweep(c, 1, 200000)
         assert not [key for key in c._memo if key[0] == "region"]
+
+    @pytest.mark.parametrize("name", ["unknot", "t25"])
+    def test_a_grid_is_refused_exactly_past_the_limit_on_its_cells(self, monkeypatch, name):
+        # pmax * qmax cells, coprime or not, checked after the blocks, and
+        # refused before any region is built.
+        c = builtin(name)
+        for pmax, qmax in ((6, 1), (2, 3), (1, 6)):
+            monkeypatch.setattr(surgery, "MAX_GRID_CELLS", 6)
+            surgery.require_grid_sweep(c, pmax, qmax)
+            monkeypatch.setattr(surgery, "MAX_GRID_CELLS", 5)
+            with pytest.raises(SlopeError, match=f"p <= {pmax}, q <= {qmax} fill 6 grid cells, over the limit 5"):
+                surgery.require_grid_sweep(c, pmax, qmax)
+        assert not [key for key in c._memo if key[0] == "region"]
+
+    def test_the_blocks_are_checked_before_the_cells(self):
+        # t25 at 1 x 200000 passes both limits, and the error names the
+        # blocks; the unknot sweeps none, so its grid stops at 10**5 cells.
+        with pytest.raises(SlopeError, match="60000100000 HatB blocks"):
+            surgery.require_grid_sweep(builtin("t25"), 1, 200000)
+        surgery.require_grid_sweep(builtin("unknot"), 1000, 100)
+        with pytest.raises(SlopeError, match="100001 grid cells"):
+            surgery.require_grid_sweep(builtin("unknot"), 100001, 1)
 
 
 def _sweep_entries(c, tag="sweep"):
