@@ -5,9 +5,15 @@ or a closed form asked of a complex that fails the containment
 hypothesis) or a stdout closed by its reader, 2 usage error: argparse's
 own, or any ValueError, such as a bad slope, one whose cone would sweep
 too many HatB blocks, a scan grid whose cones would in all or that holds
-too many slopes, an input that is neither a readable complex file nor a
-builtin, or an empty scan grid.  Output is line oriented for shell use;
-pass --format json for machine-readable output.
+too many slopes, a random spec that may make too many generators, an input
+that is neither a readable complex file nor a builtin, or an empty scan
+grid.  Output is line oriented for shell use; pass --format json for
+machine-readable output.
+
+Each call builds its parser afresh, and builds only what its argv needs:
+`_build_parser` adds the subparser of the command that argv's first word
+names, or of every command when that word is no command name (no
+arguments, -h or --help, an unknown command, a leading option).
 """
 
 from __future__ import annotations
@@ -155,7 +161,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=()) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hfsurgery",
         description=(
@@ -164,17 +170,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def command(name, help, func, formats=("plain", "json"), **arguments):
-        # A command that reads a complex: the input, then its own arguments,
-        # each keyed by its dest and flagged -x for one letter or --name for
-        # more, then --format.
-        p = sub.add_parser(name, help=help)
-        p.add_argument("input")
-        for dest, options in arguments.items():
-            p.add_argument(("-" if len(dest) == 1 else "--") + dest, **options)
-        p.add_argument("--format", choices=formats, default="plain")
-        p.set_defaults(func=func)
+    def command(name, help, func, /, formats=("plain", "json"), one_of=None, **arguments):
+        # A command: the input of one that reads a complex, or else the
+        # required choice of one_of's flags; then its own arguments, each
+        # keyed by its dest and flagged -x for one letter or --name for
+        # more; then --format, unless it has no formats.
+        commands[name] = help, func, formats, one_of, arguments
 
     number, slope = dict(type=int, required=True), dict(required=True, metavar="P/Q")
     command("validate", "check the complex axioms", _cmd_validate)
@@ -185,25 +188,37 @@ def _build_parser() -> argparse.ArgumentParser:
             check=dict(action="store_true", help="exit 1 unless formula and oracle agree everywhere"))
     command("cosmetic", "rank obstruction for a slope pair", _cmd_cosmetic, r=slope, s=slope)
     command("complement", "compare 1/q surgery with the ambient rank", _cmd_complement, q=number)
+    count = dict(type=int, default=1)
+    command("gen", "write a complex as JSON to stdout", _cmd_gen, (),
+            dict(builtin=dict(choices=BUILTIN_NAMES), random=dict(action="store_true")),
+            seed=dict(type=int, default=0), dots=count, boxes=count,
+            max_side=dict(type=int, default=2), max_offset=dict(type=int, default=2), name={})
 
-    p = sub.add_parser("gen", help="write a complex as JSON to stdout")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", choices=BUILTIN_NAMES)
-    group.add_argument("--random", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dots", type=int, default=1)
-    p.add_argument("--boxes", type=int, default=1)
-    p.add_argument("--max-side", type=int, default=2)
-    p.add_argument("--max-offset", type=int, default=2)
-    p.add_argument("--name", default=None)
-    p.set_defaults(func=_cmd_gen)
-
+    if argv and argv[0] in commands:
+        # Only the named command's subparser is built.  The usage line still
+        # names every command: the top parser prints it for an argument
+        # that the subparser leaves over.
+        sub.metavar = "{" + ",".join(commands) + "}"
+        commands = {argv[0]: commands[argv[0]]}
+    for name, (help, func, formats, one_of, arguments) in commands.items():
+        p = sub.add_parser(name, help=help)
+        if one_of is None:
+            p.add_argument("input")
+        else:
+            group = p.add_mutually_exclusive_group(required=True)
+            for dest, options in one_of.items():
+                group.add_argument("--" + dest, **options)
+        for dest, options in arguments.items():
+            p.add_argument(("-" if len(dest) == 1 else "--") + dest.replace("_", "-"), **options)
+        if formats:
+            p.add_argument("--format", choices=formats, default="plain")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()

@@ -17,6 +17,12 @@ class UnknownBuiltinError(ValueError):
     """No built-in complex has the requested name."""
 
 
+# The most generators a RandomSpec may make: a dot is one generator and a
+# box with its reflection at most eight.  10**5 generators build in about
+# half a second at under 100 MB; 10**6 took 4.3 s at a 693 MB peak.
+MAX_RANDOM_GENERATORS = 10**5
+
+
 class RandomSpec(Frozen):
     """Seeded recipe for a direct sum of dots and flip-symmetric boxes.
 
@@ -33,6 +39,11 @@ class RandomSpec(Frozen):
             raise ValueError("need at least one dot generator")
         if boxes < 0 or max_side < 1 or max_offset < 0:
             raise ValueError("box parameters out of range")
+        if (most := dots + 8 * boxes) > MAX_RANDOM_GENERATORS:
+            raise ValueError(
+                f"dots={dots} and boxes={boxes} may make {most} generators, "
+                f"over the limit {MAX_RANDOM_GENERATORS}"
+            )
         _set_seed(self, seed)
         _set_dots(self, dots)
         _set_boxes(self, boxes)

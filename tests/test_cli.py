@@ -1,5 +1,6 @@
 """CLI contract tests: output formats, exit codes, round trips."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -527,6 +528,14 @@ class TestGen:
         code, _, _ = run(["validate", str(path)], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("size", [["--dots", "100001", "--boxes", "0"], ["--boxes", "12500"]])
+    def test_gen_random_past_the_generator_limit_is_a_usage_error(self, size, capsys):
+        # dots + 8 * boxes: 100001 either way, one past the limit.
+        code, out, err = run(["gen", "--random", *size], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: dots=") and err.endswith("over the limit 100000\n")
+        assert err.count("\n") == 1
+
     def test_gen_name_override(self, capsys):
         _, out, _ = run(["gen", "--builtin", "t25", "--name", "cinquefoil"], capsys)
         assert json.loads(out)["name"] == "cinquefoil"
@@ -552,6 +561,66 @@ class TestGen:
         code, out, err = run(["gen", "--builtin", "t25", "--name", "a\udcffb"], capsys)
         assert code == 2 and out == ""
         assert err == "error: 'name' must not contain the lone surrogate '\\udcff', got 'a\\udcffb'\n"
+
+
+# -- the parser: each call builds the subparser its command needs -----------
+
+COMMANDS = ["validate", "info", "rank", "scan", "cosmetic", "complement", "gen"]
+COMMAND_ARGS = {
+    "validate": ["validate", "t25"],
+    "info": ["info", "t25"],
+    "rank": ["rank", "t25", "-p", "5", "-q", "3"],
+    "scan": ["scan", "trefoil_rh", "--pmax", "2", "--qmax", "2"],
+    "cosmetic": ["cosmetic", "trefoil_rh", "-r", "1/1", "-s", "1/2"],
+    "complement": ["complement", "figure_eight", "-q", "2"],
+    "gen": ["gen", "--builtin", "t25"],
+}
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], *([c, "--help"] for c in COMMANDS),
+    ["bogus"], ["--format", "json"], ["--", "rank"],
+    *(COMMAND_ARGS[c] + ["extra"] for c in COMMANDS),
+    *COMMAND_ARGS.values(),
+    ["rank", "t25", "-p", "5"], ["cosmetic", "t25", "-r", "1/1"], ["gen"],
+    ["rank", "t25", "-p", "5", "-q", "3", "--format", "xml"],
+    ["info", "t25", "--format", "tsv"],
+    ["rank", "t25", "-p", "5", "-q", "3", "--method", "magic"],
+    ["gen", "--builtin", "t25", "--random"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=map(" ".join, PARSER_ARGVS))
+def test_main_matches_the_parser_of_every_command(argv, capsys, monkeypatch):
+    # Help text wraps to the terminal width, which argparse reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    built = run(argv, capsys)
+    full = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: full)
+    assert run(argv, capsys) == built
+
+
+def count_subparsers(monkeypatch):
+    added, add_parser = [], argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return added
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_builds_its_own_subparser_alone(command, capsys, monkeypatch):
+    added = count_subparsers(monkeypatch)
+    assert run(COMMAND_ARGS[command], capsys)[0] == 0
+    assert added == [command]
+
+
+def test_help_builds_every_subparser(capsys, monkeypatch):
+    added = count_subparsers(monkeypatch)
+    code, out, _ = run(["--help"], capsys)
+    assert code == 0 and added == COMMANDS
+    assert "{validate,info,rank,scan,cosmetic,complement,gen}" in out
 
 
 def test_module_entry_point():

@@ -7,6 +7,7 @@ import pytest
 from hfsurgery.cfk import CfkComplex, HatA
 from hfsurgery.knots import (
     BUILTIN_NAMES,
+    MAX_RANDOM_GENERATORS,
     RandomSpec,
     UnknownBuiltinError,
     builtin,
@@ -203,6 +204,12 @@ class TestRandomComplex:
     def test_needs_a_dot(self):
         with pytest.raises(ValueError):
             RandomSpec(seed=0, dots=0)
+
+    def test_at_the_generator_limit(self):
+        c = random_complex(RandomSpec(seed=0, dots=MAX_RANDOM_GENERATORS))
+        assert len(c.columns[0][0]) == MAX_RANDOM_GENERATORS
+        # dots + 8 * boxes at the limit too: 8 dots and 12,499 boxes.
+        assert RandomSpec(seed=0, dots=MAX_RANDOM_GENERATORS - 8 * 12499, boxes=12499).dots == 8
 
     def test_needs_nonnegative_boxes(self):
         with pytest.raises(ValueError, match="box parameters out of range"):

@@ -149,6 +149,16 @@ def test_hat_a_is_a_key_of_its_own():
         (lambda: RandomSpec(1, boxes=-1), ValueError, "box parameters out of range"),
         (lambda: RandomSpec(1, max_side=0), ValueError, "box parameters out of range"),
         (lambda: RandomSpec(1, max_offset=-1), ValueError, "box parameters out of range"),
+        (
+            lambda: RandomSpec(1, dots=100001),
+            ValueError,
+            "dots=100001 and boxes=0 may make 100001 generators, over the limit 100000",
+        ),
+        (
+            lambda: RandomSpec(1, boxes=12500),
+            ValueError,
+            "dots=1 and boxes=12500 may make 100001 generators, over the limit 100000",
+        ),
     ],
 )
 def test_validation_errors(build, error, message):
