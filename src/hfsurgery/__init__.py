@@ -11,6 +11,7 @@ original manifold.
 
 from .cfk import (
     CfkComplex,
+    ComplexTooWideError,
     FilteredChainMap,
     FlipRequiredError,
     HatA,

@@ -165,6 +165,23 @@ class UnknownRegionError(ValueError):
     """The region tag is not one of the supported kinds."""
 
 
+class ComplexTooWideError(ValueError):
+    """The complex is too wide to rank: its regions would weigh more than
+    :data:`MAX_REGION_WEIGHT`."""
+
+
+# The most a complex's regions may weigh, n**2 * k for n generators and k
+# Alexander classes meeting [0, top].  Every query on the acceptance
+# corpora built at most k regions of the complex and k of its essential
+# summand, and a region holds up to n cycles, each an int as wide as its
+# position.  At this limit ``hfsurgery rank`` at 1/1 peaked at 109 MB on
+# the 1,259-generator staircase and at 813 MB on 31,622 dots, whose b = n
+# homology the closed form also reads; 3 * 10**9 let 54,772 dots through
+# at 2.4 GB (2-core Xeon, Python 3.11.7).  The 6,125-generator rung
+# weighs 4.1 * 10**8.
+MAX_REGION_WEIGHT = 10**9
+
+
 class HatA(tuple):
     """The tag of the region HatA(s), a memo key: the tuple (HatA, s),
     hashed and compared in C, so it equals no int, no (s,) and no HatB."""
@@ -681,8 +698,10 @@ class CfkComplex:
         position ``index`` of each id, ``units[i] = 1 << i`` and the
         differential as arcs (source position, target position, upower),
         read off the term columns.  Built on the first region or map of a
-        valid complex, not when the complex is made."""
-        self.require_valid()
+        valid complex, not when the complex is made, and only after the
+        cuts, which refuse a complex too wide to rank: ``units`` alone holds
+        about n**2 / 15 bytes for n generators."""
+        self.alexander_cuts  # validates, and refuses a complex too wide
         (ids, alexander, _), (sources, targets, upowers), _ = self.columns
         index = dict(zip(ids, range(len(ids))))
         arcs = tuple(zip(map(index.__getitem__, sources), map(index.__getitem__, targets), upowers))
@@ -691,9 +710,22 @@ class CfkComplex:
     @cached_property
     def alexander_cuts(self) -> tuple[int, ...]:
         """The sorted cuts, a and a + 1 for every Alexander grading a, where
-        the class of s can change.  Read off the generator order, so
-        reading them validates the complex."""
-        return tuple(sorted({cut for a in self._order[1] for cut in (a, a + 1)}))
+        the class of s can change.  Every region, map, cone and genus reads
+        them first, so reading them validates the complex and refuses with
+        :class:`ComplexTooWideError` one whose regions would weigh more than
+        :data:`MAX_REGION_WEIGHT`, before any region is built."""
+        self.require_valid()
+        n = len(alexander := self.columns[0][1])
+        cuts = tuple(sorted({cut for a in alexander for cut in (a, a + 1)}))
+        # The classes meeting [0, top]: one from 0, and one at each cut in
+        # (0, top], top = cuts[-1] - 1.
+        k = 1 + sum(0 < cut < cuts[-1] for cut in cuts)
+        if (weight := n * n * k) > MAX_REGION_WEIGHT:
+            raise ComplexTooWideError(
+                f"a complex of n = {n} generators and k = {k} Alexander classes in [0, {cuts[-1] - 1}] "
+                f"weighs n**2 * k = {weight}, over the limit {MAX_REGION_WEIGHT}"
+            )
+        return cuts
 
     def class_runs(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """The runs of one Alexander class in lo..hi, as (start, length): one

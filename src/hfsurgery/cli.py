@@ -5,15 +5,17 @@ or a closed form asked of a complex that fails the containment
 hypothesis) or a stdout closed by its reader, 2 usage error: argparse's
 own, or any ValueError, such as a bad slope, one whose cone would sweep
 too many HatB blocks, a scan grid whose cones would in all or that holds
-too many slopes, a random spec that may make too many generators, an input
-that is neither a readable complex file nor a builtin, or an empty scan
-grid.  Output is line oriented for shell use; pass --format json for
-machine-readable output.
+too many slopes, a random spec that may make too many generators, a
+complex too wide to rank, an input that is neither a readable complex file
+nor a builtin, or an empty scan grid.  Output is line oriented for shell
+use; pass --format json for machine-readable output.
 
 Each call builds its parser afresh, and builds only what its argv needs:
 `_build_parser` adds the subparser of the command that argv's first word
 names, or of every command when that word is no command name (no
-arguments, -h or --help, an unknown command, a leading option).
+arguments, -h or --help, an unknown command, a leading option).  `main`
+loads the input of every command that reads a complex, the commands whose
+parser has an ``input`` positional, and hands the complex to the command.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ def _emit(args, payload, plain) -> None:
     print(json.dumps(payload, indent=2) if args.format == "json" else plain)
 
 
-def _cmd_validate(args) -> int:
-    c = _load_complex(args.input)
+def _cmd_validate(args, c) -> int:
     report = c.validate()
     payload = {"name": c.name, "valid": report.ok,
                "issues": [{"code": i.code, "message": i.message} for i in report.issues]}
@@ -74,8 +75,7 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_info(args) -> int:
-    c = _load_complex(args.input)
+def _cmd_info(args, c) -> int:
     profile = c.hfk_profile()
     genus = c.genus()
     b = c.b_rank()
@@ -97,8 +97,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_rank(args) -> int:
-    c = _load_complex(args.input)
+def _cmd_rank(args, c) -> int:
     slope = Slope(args.p, args.q)
     if args.method == "both":
         report = compute_rank_report(c, slope)
@@ -114,10 +113,9 @@ def _cmd_rank(args) -> int:
     return status
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args, c) -> int:
     if args.pmax < 1 or args.qmax < 1:
         raise ValueError(f"--pmax and --qmax must be at least 1, got {args.pmax} and {args.qmax}")
-    c = _load_complex(args.input)
     require_grid_sweep(c, args.pmax, args.qmax)
     reports = [compute_rank_report(c, slope) for slope in coprime_slopes(args.pmax, args.qmax)]
     table = [RankReport.TSV_HEADER, *(r.tsv_row() for r in reports)]
@@ -129,15 +127,13 @@ def _cmd_scan(args) -> int:
     return 1 if bad else 0
 
 
-def _cmd_cosmetic(args) -> int:
-    c = _load_complex(args.input)
+def _cmd_cosmetic(args, c) -> int:
     verdict = cosmetic_pair_check(c, Slope.parse(args.r), Slope.parse(args.s))
     _emit(args, verdict.to_json_dict(), verdict)
     return 0
 
 
-def _cmd_complement(args) -> int:
-    c = _load_complex(args.input)
+def _cmd_complement(args, c) -> int:
     verdict = complement_check(c, args.q)
     _emit(args, verdict.to_json_dict(), verdict)
     return 0
@@ -147,14 +143,7 @@ def _cmd_gen(args) -> int:
     if args.builtin is not None:
         c = builtin(args.builtin)
     else:
-        spec = RandomSpec(
-            seed=args.seed,
-            dots=args.dots,
-            boxes=args.boxes,
-            max_side=args.max_side,
-            max_offset=args.max_offset,
-        )
-        c = random_complex(spec)
+        c = random_complex(RandomSpec(**{name: getattr(args, name) for name in RandomSpec.__match_args__}))
     if args.name is not None:
         c = c.renamed(args.name)
     sys.stdout.write(c.to_json())
@@ -220,7 +209,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv).parse_args(argv)
     try:
-        status = args.func(args)
+        status = args.func(args, _load_complex(args.input)) if "input" in args else args.func(args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -10,7 +10,7 @@ no tolerances because every quantity is an integer rank.
 import time
 
 from hfsurgery import f2
-from hfsurgery.cfk import HatA
+from hfsurgery.cfk import HatA, RegionComplex
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
 from hfsurgery.obstructions import (
     CONSISTENT,
@@ -238,3 +238,33 @@ def test_criterion_9_genus_detection():
     squared = tensor(builtin("trefoil_rh"), builtin("trefoil_rh"))
     assert squared.genus() == 2
     print("ACCEPTANCE 9 genus detection: PASS")
+
+
+def test_regions_built_stay_within_the_width_estimate(monkeypatch):
+    """The width refusal of ``cfk`` weighs a complex as n**2 * k, k the
+    Alexander classes meeting [0, top]: every route at every coprime
+    p, q <= 8 and the containment check build at most k(c) + k(P) regions,
+    P the essential summand, over the built-ins, their pairwise tensors
+    and the fuzz corpus, and exactly that many on some of them."""
+    built = []
+    init = RegionComplex.__init__
+    monkeypatch.setattr(RegionComplex, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+
+    def classes(c):
+        gradings = c.columns[0][1]
+        top = max(gradings)
+        return 1 + len({cut for a in gradings for cut in (a, a + 1) if 0 < cut <= top})
+
+    builtins = [builtin(name) for name in BUILTIN_NAMES]
+    tensors = [tensor(a, b) for i, a in enumerate(builtins) for b in builtins[i + 1:]]
+    tight = 0
+    for c in builtins + tensors + corpus():
+        del built[:]
+        for slope in coprime_slopes(8, 8):
+            for route in (cone_rank_chain, cone_rank_homological, rank_formula):
+                route(c, slope)
+        hypothesis_check(c)
+        bound = classes(c) + classes(c.essential_summand)
+        assert 0 < len(built) <= bound, (c.name, len(built), bound)
+        tight += len(built) == bound
+    assert tight > 0

@@ -5,9 +5,10 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from hfsurgery import f2
+from hfsurgery import cfk, f2
 from hfsurgery.cfk import (
     CfkComplex,
+    ComplexTooWideError,
     FilteredChainMap,
     FlipRequiredError,
     HatA,
@@ -16,9 +17,16 @@ from hfsurgery.cfk import (
     UnknownRegionError,
 )
 from hfsurgery.f2 import F2Matrix, InvalidComplexError
-from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, tensor
-from hfsurgery.obstructions import complement_check
-from hfsurgery.surgery import Slope, compute_rank_report, cone_rank_homological
+from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, staircase, tensor
+from hfsurgery.obstructions import complement_check, hypothesis_check
+from hfsurgery.surgery import (
+    Slope,
+    SlopeError,
+    compute_rank_report,
+    cone_rank_chain,
+    cone_rank_homological,
+    rank_formula,
+)
 
 import models
 
@@ -746,3 +754,61 @@ class TestReferenceModel:
         for part in parts[1:]:
             c = tensor(c, builtin(part))
         models.assert_classes_hold(c)
+
+
+WIDTH_QUERIES = {
+    "genus": lambda c: c.genus(),
+    "b_rank": lambda c: c.b_rank(),
+    "HatB": lambda c: c.region_complex(HatB()).dim,
+    "v_hat": lambda c: c.v_hat(0).induced_rank,
+    "essential_summand": lambda c: c.essential_summand.name,
+    "chain": lambda c: cone_rank_chain(c, Slope(1, 1)),
+    "homological": lambda c: cone_rank_homological(c, Slope(2, 3)),
+    "formula": lambda c: rank_formula(c, Slope(3, 2)),
+    "report": lambda c: compute_rank_report(c, Slope(1, 2)).oracle_rank,
+    "complement": lambda c: complement_check(c, 2).verdict,
+    "hypothesis": lambda c: hypothesis_check(c).overall,
+}
+
+
+class TestWidthRefusal:
+    """A complex whose regions would weigh n**2 * k past
+    ``cfk.MAX_REGION_WEIGHT`` is refused where its Alexander cuts are
+    first read, before any region or the generator order is built."""
+
+    # Gradings -2..2, so the classes from 0, 1 and 2 meet [0, 2].
+    WEIGHT = 5**2 * 3
+
+    @pytest.mark.parametrize("query", WIDTH_QUERIES.values(), ids=WIDTH_QUERIES)
+    def test_at_the_limit_accepted_and_one_past_it_refused(self, query, monkeypatch):
+        expected = query(staircase([1] * 4))
+        monkeypatch.setattr(cfk, "MAX_REGION_WEIGHT", self.WEIGHT)
+        assert query(staircase([1] * 4)) == expected
+        monkeypatch.setattr(cfk, "MAX_REGION_WEIGHT", self.WEIGHT - 1)
+        c, built = staircase([1] * 4), []
+        init = RegionComplex.__init__
+        monkeypatch.setattr(RegionComplex, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+        with pytest.raises(ComplexTooWideError) as refusal:
+            query(c)
+        assert str(refusal.value) == (
+            "a complex of n = 5 generators and k = 3 Alexander classes in [0, 2] weighs n**2 * k = 75, over the limit 74"
+        )
+        assert built == [] and "_order" not in vars(c)
+
+    def test_the_refusal_is_a_usage_error_of_its_own(self):
+        assert issubclass(ComplexTooWideError, ValueError)
+        assert not issubclass(ComplexTooWideError, (InvalidComplexError, SlopeError))
+
+    def test_validation_profile_and_json_read_no_cuts(self, monkeypatch):
+        monkeypatch.setattr(cfk, "MAX_REGION_WEIGHT", 0)
+        c = staircase([1] * 4)
+        assert c.validate().ok and c.hfk_profile() == {-2: 1, -1: 1, 0: 1, 1: 1, 2: 1}
+        assert CfkComplex.from_json(c.to_json()).to_json() == c.to_json()
+        with pytest.raises(ComplexTooWideError):
+            c.alexander_cuts
+
+    def test_an_invalid_complex_is_named_invalid_first(self, monkeypatch):
+        monkeypatch.setattr(cfk, "MAX_REGION_WEIGHT", 0)
+        c = CfkComplex((["x", "x"], [0, 0], [None, None]), ([], [], []), None, "repeated")
+        with pytest.raises(InvalidComplexError):
+            c.genus()

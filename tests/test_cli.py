@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hfsurgery import cli, obstructions, surgery
 from hfsurgery.cfk import RegionComplex
-from hfsurgery.knots import RandomSpec, random_complex
+from hfsurgery.knots import RandomSpec, random_complex, staircase
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -132,6 +132,13 @@ class TestScan:
         code, out, err = run(["scan", "t25", *bounds, "--check", "--format", fmt], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "at least 1" in err
+
+    def test_an_input_that_fails_to_load_is_named_before_empty_bounds(self, capsys):
+        # main loads the input before the command runs, so the load error
+        # comes first.
+        code, out, err = run(["scan", "nosuch", "--pmax", "0", "--qmax", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: 'nosuch' is neither a file nor a builtin") and len(err.splitlines()) == 1
 
     def test_check_says_why_formula_is_missing(self, capsys, monkeypatch):
         monkeypatch.setattr(surgery, "hypothesis_holds", lambda c: False)
@@ -424,6 +431,64 @@ def test_a_scan_whose_grid_holds_too_many_slopes_is_refused_at_once(monkeypatch,
     assert time.perf_counter() - start < 1 and built == []
     assert code == 2 and out == ""
     assert err == "error: slopes p/q with p <= 1000000, q <= 1 fill 1000000 grid cells, over the limit 100000\n"
+
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """The 4,001-generator staircase, 0.75 MB of JSON, and 100,000 dots, as
+    files.  The staircase weighs n**2 * k = 4001**2 * 2001 by its 2,001
+    Alexander classes in [0, 2000], the dots 100000**2 * 1 by their width
+    alone; each is far past cfk.MAX_REGION_WEIGHT."""
+    out = tmp_path_factory.mktemp("wide")
+    files = {}
+    for name, c in (
+        ("staircase", staircase([1] * 4000)),
+        ("dots", random_complex(RandomSpec(seed=0, dots=100000, boxes=0))),
+    ):
+        files[name] = str(out / f"{name}.json")
+        with open(files[name], "w") as handle:
+            handle.write(c.to_json())
+    return files
+
+
+WIDE_ERRORS = {
+    "staircase": "error: a complex of n = 4001 generators and k = 2001 Alexander classes in [0, 2000] "
+    "weighs n**2 * k = 32032010001, over the limit 1000000000\n",
+    "dots": "error: a complex of n = 100000 generators and k = 1 Alexander classes in [0, 0] "
+    "weighs n**2 * k = 10000000000, over the limit 1000000000\n",
+}
+WIDE_REFUSED = [
+    ["rank", "-p", "1", "-q", "1"],
+    ["info"],
+    ["scan", "--pmax", "1", "--qmax", "1"],
+    ["cosmetic", "-r", "1/1", "-s", "1/2"],
+    ["complement", "-q", "1"],
+]
+
+
+@pytest.mark.parametrize("command", WIDE_REFUSED, ids=[c[0] for c in WIDE_REFUSED])
+@pytest.mark.parametrize("wide", ["staircase", "dots"])
+def test_a_complex_too_wide_to_rank_is_refused_before_any_region(wide, command, wide_files, monkeypatch, capsys):
+    built = []
+    init = RegionComplex.__init__
+    monkeypatch.setattr(RegionComplex, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    start = time.perf_counter()
+    code, out, err = run([command[0], wide_files[wide], *command[1:]], capsys)
+    seconds = time.perf_counter() - start
+    assert code == 2 and out == "" and built == []
+    assert err == WIDE_ERRORS[wide]
+    # Loading 100,000 dots alone takes about half a second, so only the
+    # staircase is timed here.
+    assert wide == "dots" or seconds < 1
+
+
+@pytest.mark.parametrize("wide", ["staircase", "dots"])
+def test_a_complex_too_wide_to_rank_still_validates_and_gets_verdicts_that_build_nothing(wide, wide_files, capsys):
+    code, out, err = run(["validate", wide_files[wide]], capsys)
+    assert code == 0 and out.splitlines()[1] == "valid=yes" and err == ""
+    # Slopes with different p are told apart by H_1, with no rank read.
+    code, out, err = run(["cosmetic", wide_files[wide], "-r", "1/1", "-s", "2/1"], capsys)
+    assert code == 0 and out.startswith("verdict=not-applicable ") and err == ""
 
 
 @pytest.mark.parametrize(
