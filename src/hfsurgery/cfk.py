@@ -111,7 +111,9 @@ one component.  The coboundaries are the direct sum of each component's
 own, so the classes in a component C are independent modulo C's
 coboundaries, and there are at most b_C of them; as b of them make up
 b = sum of b_C, C holds exactly b_C.  The *essential summand* P is the
-union of the components that hold a class, built once as a complex of its
+union of the components that hold a class, so it is what one search over
+the arcs and flip pairs reaches from the lowest bit of each class, with
+no other record of the components; it is built once as a complex of its
 own in this complex's generator order; the acyclic rest Z, whose HatB has
 no homology, is never built.  Z's v_hat(s) and h_hat(s) vanish on
 homology, so Z adds nothing to the images the containment check and t
@@ -120,8 +122,9 @@ compare, or to nu, and those read P.  What Z does add is H(HatA(s)), and
 off the cycles of this complex's own regions, which the chain route
 eliminates anyway.  b and the genus read no split: each has one rule on
 the whole complex, Z included.  P is the complex itself when it has no
-flip, when it is connected, or when no component, or every component,
-holds a class.
+flip, or when the search reaches no element or every element: when no
+component, or every component, holds a class, a connected complex among
+them.
 
 This module owns the precondition policy and checks it where data is
 built.  Regions, the genus and the hfk counts need a valid complex
@@ -149,7 +152,7 @@ import unicodedata
 from bisect import bisect_right
 from collections import Counter
 from functools import cached_property, wraps
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, itemgetter, sub
 
 from . import f2
@@ -850,45 +853,29 @@ class CfkComplex:
         """``(P, zmask)``: the essential summand P and the mask of the
         generator positions of the acyclic rest Z, as the module docstring
         defines them.  Found on first read, which validates the complex, by
-        one union-find over the arcs and the flip pairs.  When P is the
-        complex itself the pair is (None, 0): holding the complex here would
-        put it in a reference cycle, freed only by the garbage collector,
-        with every region and map it holds."""
+        one search over the arcs and the flip pairs from the lowest bit of
+        each of HatB's cocycle classes: each class lies in one component,
+        and P is what the search reaches.  When it reaches every element or
+        none, P is the complex itself and the pair is (None, 0): holding the
+        complex here would put it in a reference cycle, freed only by the
+        garbage collector, with every region and map it holds."""
         ids, _, index, units, arcs = self._order
         if self.flip_map is None:
             return None, 0
-        n = parts = len(ids)
-        # Each root is the least position of its component, so one pass in
-        # ascending order then points every position at its root.  Most
-        # knot complexes are connected, so the edges stop at one component.
-        root = list(range(n))
-        for a, b in chain(((a, b) for a, b, _ in arcs), enumerate(self._flip_index)):
-            if parts == 1:
-                break
-            while root[a] != a:
-                root[a] = a = root[root[a]]
-            while root[b] != b:
-                root[b] = b = root[root[b]]
-            if a != b:
-                root[max(a, b)] = min(a, b)
-                parts -= 1
-        if parts == 1:
-            return None, 0
-        for i in range(n):
-            root[i] = root[root[i]]
-        # A component has b > 0 exactly when it holds one of HatB's cocycle
-        # classes.  Their elimination reduces a vector only by the pivot at
-        # one of its own bits, and a boundary row's bits lie in its
-        # element's component, so every pivot, cocycle and coboundary lies
-        # in one component, and so does each class.  The classes in a
-        # component C are independent modulo C's coboundaries, so there are
-        # at most b_C of them, and b of them in all: exactly b_C.
-        essential = {root[y.bit_length() - 1] for y in self.region_complex(HatB()).cocycles}
-        if not essential or len(essential) == parts:
+        neighbours = [[f] for f in self._flip_index]
+        for a, b, _ in arcs:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        kept = [False] * len(ids)
+        stack = [y.bit_length() - 1 for y in self.region_complex(HatB()).cocycles]
+        while stack:
+            if not kept[i := stack.pop()]:
+                kept[i] = True
+                stack += neighbours[i]
+        if all(kept) or not any(kept):
             return None, 0
         # P is cut out of the columns by position: a generator, a term by its
         # source and a flip pair by its first generator.
-        kept = [r in essential for r in root]
         generators, differential, flip = self.columns
 
         def cut(columns, keep):

@@ -200,7 +200,12 @@ Preconditions follow the policy stated in ``cfk``: every function here
 reads a region, a chain map or the genus before it returns, so ``cfk``
 raises for an invalid complex or a missing flip.  The one guard kept here
 is the flip check in ``MappingCone``, because a cone reads its h-maps only
-when the rows of a HatB block are built.
+when the rows of a HatB block are built.  The slope limits are checked
+where no region is built yet: :func:`require_sweep` for one cone and
+:func:`require_grid_sweep` for a scan's grid.  ``MappingCone`` makes the
+first check, and route two makes it on the whole complex before it reads
+the essential summand, whose search reads HatB, so both routes refuse the
+same slopes.
 """
 
 from __future__ import annotations
@@ -281,6 +286,18 @@ MAX_HAT_B_BLOCKS = 10**7
 MAX_GRID_CELLS = 10**5
 
 
+def require_sweep(c: CfkComplex, slope: Slope) -> None:
+    """Refuse with :class:`SlopeError`, before any region is built, a slope
+    whose cone on c may sweep more than :data:`MAX_HAT_B_BLOCKS` HatB blocks.
+
+    The window holds (2g - 1)q - p HatB blocks, or none, and the genus g is
+    at most the top grading, which the cuts give without building a region;
+    reading them validates the complex."""
+    top = c.alexander_cuts[-1] - 1
+    if (blocks := (2 * top - 1) * slope.q - slope.p) > MAX_HAT_B_BLOCKS:
+        raise SlopeError(f"slope {slope} may sweep {blocks} HatB blocks, over the limit {MAX_HAT_B_BLOCKS}")
+
+
 def require_grid_sweep(c: CfkComplex, pmax: int, qmax: int) -> None:
     """Refuse with :class:`SlopeError`, before any region is built, a grid
     of slopes p/q, p <= pmax and q <= qmax, whose cones may sweep more
@@ -288,7 +305,7 @@ def require_grid_sweep(c: CfkComplex, pmax: int, qmax: int) -> None:
     more than :data:`MAX_GRID_CELLS` cells.
 
     A cone sweeps at most max(0, aq - p) blocks, a = 2 top - 1, as
-    :class:`MappingCone` says, so the grid at most their sum over every p
+    :func:`require_sweep` says, so the grid at most their sum over every p
     and q, coprime or not, found with no loop.  For one q, with m = aq and
     k = min(pmax, m), the sum over p is km - k(k + 1)/2: (m^2 - m)/2 for
     the q <= n = pmax // a, where k = m, and pmax m - pmax(pmax + 1)/2
@@ -314,16 +331,11 @@ class MappingCone:
     """The truncated cone for one slope on the tight window, with chain and
     homology views.  The module docstring says why the window is exact.
 
-    A slope whose window may hold more than :data:`MAX_HAT_B_BLOCKS` HatB
-    blocks is refused with :class:`SlopeError` before any region is built."""
+    The slope is checked by :func:`require_sweep` before any region is
+    built."""
 
     def __init__(self, complex_: CfkComplex, slope: Slope):
-        # The window holds (2g - 1)q - p HatB blocks, or none, and the genus
-        # g is at most the top grading, which the cuts give without building
-        # a region; reading them validates the complex.
-        top = complex_.alexander_cuts[-1] - 1
-        if (blocks := (2 * top - 1) * slope.q - slope.p) > MAX_HAT_B_BLOCKS:
-            raise SlopeError(f"slope {slope} may sweep {blocks} HatB blocks, over the limit {MAX_HAT_B_BLOCKS}")
+        require_sweep(complex_, slope)
         g, p, q = complex_.genus(), slope.p, slope.q
         lo = -(g - 1) * q
         hi = max(g * q - 1, lo + p - 1)
@@ -508,9 +520,11 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
     swept class by class like the chain route's, one memoized
     ("hsweep", carry, key) step per HatB block, from the rows of
     :meth:`MappingCone.induced_boundary`; the block matrix itself is never
-    built."""
+    built.  The slope is checked on the whole complex first, as the chain
+    route checks it, since finding the summand reads HatB."""
     if (rank := c._memo.get(key := ("cone_rank_homological", slope.p, slope.q))) is not None:
         return rank
+    require_sweep(c, slope)
     cone = MappingCone(c.essential_summand, slope)
     r = _sweep(cone, "hsweep", cone.induced_boundary, lambda m, pivots: len(pivots))
     rank = c._memo[key] = (cone.a_homology_dim - r) + (cone.b_homology_dim - r) + slope.q * c.acyclic_sum()
@@ -543,20 +557,20 @@ def t_invariant(c: CfkComplex, slope: Slope) -> int:
     """Sum over j = 0..p-1 of dim(im v_hat(j/q) meet im h_hat((j-p)/q)) in
     the homology of HatB, memoized per slope.
 
-    For gq <= j < p - max(g-1, 0)q both pairs clamp to (g, -g) in
-    :func:`_meet`, at genus 0 for every j, so that middle run is counted,
-    not looped: t sums the meets at the two ends, at most (2g-1)q of them,
-    and reads no meet that a loop over every j would not.  Every meet lies
-    in the essential summand, so t is read there, with its genus."""
+    :func:`_meet` clamps the pair of floors to j // q <= g and
+    (j - p) // q >= -g, so the clamped pair changes only at the cuts j = kq
+    and j = p - kq, 1 <= k <= g, that lie in (0, p).  t is the sum over the
+    segments between those cuts, 0 and p of each segment's length times the
+    meet at its start: at most 2g + 1 meets at any slope, each one a meet
+    that a loop over every j would read.  Every meet lies in the essential
+    summand, so t is read there, with its genus."""
     p, q = slope.p, slope.q
     if (t := c._memo.get(key := ("t", p, q))) is not None:
         return t
     e = c.essential_summand
-    g = e.genus()
-    start = min(g * q, p)
-    middle = max(0, p - max(g - 1, 0) * q - start)
-    t = sum(_meet(e, j // q, (j - p) // q) for j in [*range(start), *range(start + middle, p)])
-    t = c._memo[key] = t + middle * _meet(e, g, -g) if middle else t
+    k = min(e.genus(), (p - 1) // q)  # the cuts kq and p - kq in (0, p)
+    cuts = sorted({0, p, *range(q, k * q + 1, q), *range(p - k * q, p, q)})
+    t = c._memo[key] = sum((end - u) * _meet(e, u // q, (u - p) // q) for u, end in zip(cuts, cuts[1:]))
     return t
 
 

@@ -464,7 +464,9 @@ def reference_essential(c: CfkComplex) -> list[str]:
     has b = 2k - n, and P is the components with b > 0, or the whole
     complex when it has no flip, or when none or all of the components
     have b > 0.  Each cycle lies in one component, found here by a
-    union-find of its own."""
+    union-find of its own, kept as a reference independent of the library,
+    which searches out from the lowest bit of each of HatB's cocycle
+    classes."""
     ids = c.columns[0][0]
     if not c.has_flip:
         return list(ids)

@@ -94,6 +94,14 @@ class TestRank:
         code, _, err = run(["rank", "granny", "-p", "1", "-q", "1"], capsys)
         assert code == 2 and "builtin" in err
 
+    def test_a_slope_past_the_last_hat_b_block_ranks_at_once(self, capsys):
+        # The window sweeps no HatB block, and t sums at most 2g + 1 meets,
+        # one per segment between its cuts, however large p is.
+        start = time.perf_counter()
+        code, out, _ = run(["rank", "t25", "-p", "30000001", "-q", "10000001"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == "oracle=30000005 formula=30000005\n"
+
 
 class TestScan:
     def test_unknot_grid(self, capsys):

@@ -217,8 +217,21 @@ def test_rank_parity_is_p_times_b(c, slope):
         assert route(c, slope) % 2 == p * c.b_rank() % 2, route.__name__
 
 
+# A dot and two components that the flip swaps: x -> U y across (i drops)
+# and its image x' -> y' down (j drops).  HatB keeps x and y but kills
+# x' -> y', so only the first holds cocycle classes, and P reaches the
+# second through the flip pairs alone.
+SWAPPED_PAIR = CfkComplex(
+    (["d", "x", "y", "x'", "y'"], [0, 0, 1, 0, -1], [None] * 5),
+    (["x", "x'"], ["y", "y'"], [1, 0]),
+    (["d", "x", "y"], ["d", "x'", "y'"]),
+    "swapped pair",
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(complexes, spread_complexes, builtin_tensors), slopes_to_8)
+@example(SWAPPED_PAIR, Slope(3, 2))
 def test_essential_summand_and_acyclic_rest(c, slope):
     """The essential summand P and the acyclic rest Z partition the
     generators, each closed under the differential and the flip; P's
@@ -475,8 +488,9 @@ def test_t_closed_form_for_b_one(c, slope):
     assert t_invariant(c, slope) == models.rank_os_b1(c, slope).t
 
 
-# p up to 60 passes (2g - 1)q, so t's counted middle run of clamped meets
-# is checked; at genus 0 (dots only: boxes=0, or the unknot) every j is in it.
+# p up to 60 passes (2g - 1)q, so t's segment between its last two cuts,
+# where both floors are clamped, is checked, as is q > p, where no cut lies
+# in (0, p); at genus 0 (dots only: boxes=0, or the unknot) t is one segment.
 wide_slopes = (
     st.tuples(st.integers(1, 60), st.integers(1, 8))
     .filter(lambda pq: math.gcd(*pq) == 1)
@@ -489,6 +503,8 @@ wide_slopes = (
 @example(builtin("unknot"), Slope(59, 7))
 @example(random_complex(RandomSpec(seed=5, dots=3, boxes=0)), Slope(60, 1))
 @example(builtin("t27"), Slope(47, 4))
+@example(builtin("t27"), Slope(5, 9))
+@example(tensor(builtin("t25"), builtin("figure_eight")), Slope(61, 4))
 def test_t_is_the_unclamped_sum_of_image_meets(c, slope):
     p, q = slope.p, slope.q
     unclamped = sum(

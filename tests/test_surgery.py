@@ -401,7 +401,14 @@ class TestRefusedSweep:
     HUGE = Slope(1, 99999999999999999999)
 
     @pytest.mark.parametrize("route", [cone_rank_chain, cone_rank_homological])
-    def test_refused_before_any_region(self, monkeypatch, route):
+    @pytest.mark.parametrize("name", ["t25", "figure_eight", "figure_eight#t25"])
+    def test_refused_before_any_region(self, monkeypatch, route, name):
+        # figure_eight and figure_eight#t25 split, so route two would read
+        # the essential summand, off HatB's cocycle classes, if the slope
+        # were not refused on the whole complex first; figure_eight's
+        # summand, one dot of genus 0, sweeps no HatB block at any slope,
+        # so both routes refuse the same slopes only by that check.
+        c = tensor(builtin("figure_eight"), builtin("t25")) if name == "figure_eight#t25" else builtin(name)
         built = []
         init = RegionComplex.__init__
 
@@ -410,7 +417,6 @@ class TestRefusedSweep:
             init(self, *args)
 
         monkeypatch.setattr(RegionComplex, "__init__", counting_init)
-        c = builtin("t25")
         with pytest.raises(SlopeError, match="HatB blocks"):
             route(c, self.HUGE)
         assert built == []
@@ -640,6 +646,28 @@ class TestTInvariant:
         c = builtin("trefoil_rh")
         for slope in SMALL_SLOPES:
             assert t_invariant(c, slope) == max(0, slope.p - slope.q)
+
+    @pytest.mark.parametrize(
+        ("build", "slope", "most"),
+        [
+            (lambda: builtin("t27"), Slope(47, 4), 7),
+            (lambda: random_complex(RandomSpec(seed=5, dots=3, boxes=0)), Slope(60, 1), 1),
+        ],
+        ids=["t27", "genus 0"],
+    )
+    def test_a_miss_reads_one_meet_per_segment(self, monkeypatch, build, slope, most):
+        # The clamped pair of floors changes only at the cuts kq and p - kq,
+        # 1 <= k <= g, so a memo miss reads at most 2g + 1 meets, and
+        # exactly one at genus 0.
+        c = build()
+        meets = []
+        meet = surgery._meet
+        monkeypatch.setattr(surgery, "_meet", lambda *args: meets.append(args) or meet(*args))
+        t_invariant(c, slope)
+        assert 0 < len(meets) <= most == 2 * c.essential_summand.genus() + 1
+        meets.clear()
+        t_invariant(c, slope)
+        assert meets == []
 
 
 class TestMeets:
