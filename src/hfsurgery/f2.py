@@ -39,16 +39,17 @@ reference maps the tests pass it are ``F2Matrix`` objects.
 ``rref`` takes a cut, ``start``.  It returns every pivot, but it
 back-substitutes and returns only the rows whose pivot is at or above
 ``start``: the reduced basis of the row space cut down to the vectors
-with no bit below ``start``.  The sweep cuts at the v block, whose rows
-are its next carry, and reads the rank as the pivot count.  Replaying
-the 2,578 step matrices of one ``survey-fresh`` pass (seed 2301, 47,796
-pivots, on a shared 2-core Intel Xeon with Python 3.11.7), the full form
-plus keeping its rows past the cut took 38-46 ms, the cut form 18-22 ms
-and bare ``_eliminate`` 11-14 ms, minima over three replays.  The cut
-keeps the per-bit back-substitution, one XOR per pivot bit of the row as
-it was before any XOR: the rows above hold no pivot bit but their own,
-so recomputing ``row & pivot_mask`` after each XOR finds no new bit, and
-it measured no faster on the same replay.
+with no bit below ``start``.  The sweep of both rank routes cuts at the
+v block, whose rows are its next carry, and reads the rank as the pivot
+count: no sweep step calls ``rank``.  Replaying the 2,578 step matrices
+of one ``survey-fresh`` pass (seed 2301, 47,796 pivots, on a shared
+2-core Intel Xeon with Python 3.11.7), the full form plus keeping its
+rows past the cut took 38-46 ms, the cut form 18-22 ms and bare
+``_eliminate`` 11-14 ms, minima over three replays.  The cut keeps the
+per-bit back-substitution, one XOR per pivot bit of the row as it was
+before any XOR: the rows above hold no pivot bit but their own, so
+recomputing ``row & pivot_mask`` after each XOR finds no new bit, and it
+measured no faster on the same replay.
 
 The table stores each entry shifted down by its key, so that bit 0 is
 set, and the loop strips a row's trailing zeros after every XOR.  A step

@@ -128,18 +128,17 @@ HatA blocks j - p and j, so it too is block-diagonal over j mod p and
 bidiagonal within each class, and the same sweep ranks it.  Its carry
 is the row space so far cut down to HatA block j - p in homology
 coordinates, and its steps are memoized under ("hsweep", carry, key),
-apart from the chain route's ("sweep", carry, key).  Each memo miss is
-eliminated once by ``f2.rref`` cut at the v block: the rank it adds is
-the pivot count less the carry's size, and the next carry the reduced
-rows with their pivot in the v block, the only rows the cut
+apart from the chain route's ("sweep", carry, key).  In both routes each
+memo miss is eliminated once, by ``f2.rref`` cut at the v block: the rank
+it adds is the pivot count less the carry's size, and the next carry the
+reduced rows with their pivot in the v block, the only rows the cut
 back-substitutes; the rows with a pivot left of it reach no later block.
-The tests and CI rebuild every step from the full form and compare.
-The chain route reads its increment from an ``f2.rank`` call instead,
-the call the benchmark's tracer counts as the cone elimination, and it
-reads rank d_B from one more such call per complex.  Route two never
-builds the block matrix; the tests assemble it from the same per-key rows
-and check the routes, and the kernel construction in ``tests/models.py``,
-against it.
+The tests and CI rebuild every step from the full form and compare.  No
+step calls ``f2.rank``: past the genus, the chain route's one such call
+is rank d_B, once per complex, checked against b.  Route two never
+builds the block matrix; the tests assemble it from the same per-key
+rows and check the routes, and the kernel construction in
+``tests/models.py``, against it.
 
 A cone is its class runs.  Column j copies HatA(j // q), which ``cfk``
 serves once per Alexander class, and the runs of a class from lo // q to
@@ -431,17 +430,17 @@ class MappingCone:
         return self.complex.region_complex(HatB()).homology.dim * len(self.b_columns)
 
 
-def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
+def _sweep(cone: MappingCone, tag: str, rows) -> int:
     """The rank of a route's HatB rows: the sum of what each HatB block
     adds, each residue class of j mod p that owns one swept in chain order
     from its first HatB block, as the module docstring explains.
 
     ``rows(key)`` gives one block's rows, their width and the column where
-    their v block starts, and ``rank(m, pivots)`` the rank of
-    m = [carry; rows] with the pivots of its rref.  m is the one matrix a
-    step builds, so its rows are validated once.  Each (carry, key) step
-    is memoized on the complex under ``(tag, carry, key)``, so only the
-    distinct steps are eliminated."""
+    their v block starts.  A step builds one matrix, m = [carry; rows], so
+    its rows are validated once, and eliminates it once, by ``f2.rref``
+    cut at the v block: the block adds the pivot count less the carry's
+    size.  Each (carry, key) step is memoized on the complex under
+    ``(tag, carry, key)``, so only the distinct steps are eliminated."""
     c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
     # The Alexander class of every floor the HatB blocks read, from one
     # table memoized per range of floors rather than a lookup per block,
@@ -456,10 +455,11 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
     def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
         block, width, v_start = rows(key)
         m = F2Matrix(width, carry + block)
-        # The next carry: the reduced rows with no bit below the v block,
+        # The block adds the pivot count less the carry's size, and the
+        # next carry is the reduced rows with no bit below the v block,
         # the only rows the cut form back-substitutes.
         reduced, pivots = f2.rref(m, v_start)
-        return rank(m, pivots) - len(carry), tuple(row >> v_start for row in reduced)
+        return len(pivots) - len(carry), tuple(row >> v_start for row in reduced)
 
     # One probe of the memo per HatB block.
     memo = c._memo
@@ -480,11 +480,12 @@ def _sweep(cone: MappingCone, tag: str, rows, rank) -> int:
 @memoized("hat_b_boundary_rank")
 def _hat_b_boundary_rank(c: CfkComplex) -> int:
     """rank d_B, the rank of HatB's boundary, memoized on the complex: one
-    ``f2.rank`` call, made here, under the chain route, where the
-    benchmark's tracer counts it as the cone elimination.  It is checked
-    against b, :meth:`CfkComplex.b_rank`, the count of HatB's cocycle
-    classes, which is dim - 2 rank d_B when they are independent modulo the
-    coboundaries, as the sweep needs."""
+    ``f2.rank`` call per complex, the only one the chain route makes once
+    the genus is read.  The call stays because it is a real check: it
+    eliminates d_B apart from the tracked elimination that found HatB's
+    cocycle classes, and compares their count b, :meth:`CfkComplex.b_rank`,
+    with dim - 2 rank d_B, which it equals exactly when the classes are
+    independent modulo the coboundaries, as the sweep needs."""
     region = c.region_complex(HatB())
     rank = f2.rank(region.boundary)
     if (b := c.b_rank()) != region.dim - 2 * rank:
@@ -501,11 +502,7 @@ def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
     if (rank := c._memo.get(key := ("cone_rank_chain", slope.p, slope.q))) is not None:
         return rank
     cone = MappingCone(c, slope)
-    # The increment is read from an f2.rank call, made while this route
-    # runs, not off the pivots: perfbench's tracer counts exactly an
-    # f2.rank call directly under the chain route as the cone
-    # elimination (f2.elim_cone).
-    added = _sweep(cone, "sweep", cone.total_boundary, lambda m, pivots: f2.rank(m))
+    added = _sweep(cone, "sweep", cone.total_boundary)
     # The dimension less twice the boundary rank: the rank of the HatA
     # rows and of d_B, whose f2.rank call is made here on the first
     # cone of the complex, plus what the sweep adds.
@@ -526,7 +523,7 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
         return rank
     require_sweep(c, slope)
     cone = MappingCone(c.essential_summand, slope)
-    r = _sweep(cone, "hsweep", cone.induced_boundary, lambda m, pivots: len(pivots))
+    r = _sweep(cone, "hsweep", cone.induced_boundary)
     rank = c._memo[key] = (cone.a_homology_dim - r) + (cone.b_homology_dim - r) + slope.q * c.acyclic_sum()
     return rank
 

@@ -27,7 +27,6 @@ into its columns.
 
 import random
 
-from hfsurgery import f2
 from hfsurgery.cfk import HatA, HatB
 from hfsurgery.f2 import F2Matrix
 from hfsurgery.surgery import MappingCone, _sweep
@@ -143,7 +142,7 @@ def random_induced_boundary(seed):
 def sweep_rank(cone) -> int:
     """The chain route's rank, swept on the cone's own window: what
     ``cone_rank_chain`` computes on the tight one."""
-    added = _sweep(cone, "sweep", cone.total_boundary, lambda m, pivots: f2.rank(m))
+    added = _sweep(cone, "sweep", cone.total_boundary)
     return cone.total_dim - 2 * (cone.boundary_rank + added)
 
 

@@ -585,6 +585,20 @@ class TestSweep:
         assert len(_sweep_entries(c)) == entries
         assert cone_rank_chain(c, Slope(1, 300)) == 1 + 2 * (5 * 300 - 1)
 
+    def test_one_rank_call_per_complex(self, monkeypatch):
+        # Each sweep step reads its increment off the pivots of the one
+        # rref that gives its next carry, so with the genus and b read
+        # first, the only f2.rank call of the chain route is rank d_B.
+        c = tensor(builtin("t25"), builtin("t27"))
+        c.genus()
+        c.b_rank()
+        calls = []
+        rank = f2.rank
+        monkeypatch.setattr(f2, "rank", lambda m: calls.append(m) or rank(m))
+        assert cone_rank_chain(c, Slope(5, 3)) == 85
+        assert calls == [c.region_complex(HatB()).boundary]
+        assert _sweep_entries(c)
+
     def test_no_hatb_column_means_no_step(self):
         # On trefoil_rh at 7/1 the tight window is 0..6, shorter than 2p,
         # so no column keeps a HatB block: the rank is the cone dimension.
