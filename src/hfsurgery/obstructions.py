@@ -78,7 +78,7 @@ def cosmetic_pair_check(c: CfkComplex, r: Slope, s: Slope) -> ObstructionVerdict
         else:
             if detect_unknot(c):
                 caveat = "the complex is trivial, so equal ranks are expected at every slope"
-            elif min(r.p / r.q, s.p / s.q) <= 1:
+            elif r.p <= r.q or s.p <= s.q:
                 caveat = (
                     "equal ranks at a slope <= 1 on a nontrivial complex would "
                     "contradict the cosmetic bound when the containment hypothesis holds"

@@ -36,6 +36,7 @@ cycles in each component instead.
 The library writes a complex's JSON text straight from its columns, so
 ``to_json_dict`` is the reference mapping that text is ``json.dumps`` of,
 with ``indent=2``, and the tests compare ``CfkComplex.to_json`` against it.
+``tensor_of`` builds the tensor product of builtins named in order.
 ``dot_and_box`` and ``dot_and_pair`` are the wide complexes, 5 and 9
 generators with gradings as far as n from 0, on which the tests and CI
 check that the cost follows the generator count, not the size of the
@@ -78,7 +79,7 @@ from hfsurgery.cfk import (
 )
 from hfsurgery import f2, surgery
 from hfsurgery.f2 import DimensionError, F2Matrix
-from hfsurgery.knots import _box
+from hfsurgery.knots import _box, builtin, tensor
 from hfsurgery.surgery import MappingCone, Slope
 
 
@@ -104,6 +105,11 @@ def to_json_dict(c: CfkComplex) -> dict:
             if gid in c.flip_map
         ]
     return data
+
+
+def tensor_of(*names: str) -> CfkComplex:
+    """The tensor product of the named builtins, left to right."""
+    return functools.reduce(tensor, map(builtin, names))
 
 
 def dot_and_box(n: int) -> CfkComplex:

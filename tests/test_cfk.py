@@ -234,10 +234,7 @@ class TestRegions:
         # served as the HatB region itself; below that it is its own region,
         # or its mirror's, the HatB region again when the mirror class is at
         # or above the top grading.
-        first, *rest = name.split("#")
-        c = builtin(first)
-        for part in rest:
-            c = tensor(c, builtin(part))
+        c = models.tensor_of(*name.split("#"))
         top = max(c.columns[0][1])
         for s in range(-top - 3, top + 3):
             served = max(s, c.alexander_class(-s))
@@ -520,9 +517,7 @@ class TestInvariants:
         ids="#".join,
     )
     def test_genus_is_the_homological_genus_on_knots(self, names):
-        c = builtin(names[0])
-        for name in names[1:]:
-            c = tensor(c, builtin(name))
+        c = models.tensor_of(*names)
         assert c.genus() == models.reference_genus(c)
 
     def test_genus_is_the_homological_genus_on_survey_complexes(self):
@@ -698,10 +693,7 @@ class TestMirrorClasses:
 
     @pytest.mark.parametrize("name", ["trefoil_rh", "figure_eight", "t25", "t25#t27"])
     def test_a_flipless_complex_builds_every_region_itself(self, name, monkeypatch):
-        first, *rest = name.split("#")
-        c = builtin(first)
-        for part in rest:
-            c = tensor(c, builtin(part))
+        c = models.tensor_of(*name.split("#"))
         c = CfkComplex(*c.columns[:2], None, name)
         built = []
         init = RegionComplex.__init__
@@ -742,18 +734,22 @@ class TestReferenceModel:
     def test_builtin_tensors(self, pair):
         models.assert_matches_reference(tensor(builtin(pair[0]), builtin(pair[1])))
 
-    @pytest.mark.parametrize("pair", list(combinations(BUILTIN_NAMES, 2)), ids="#".join)
+    # The last pair, t27 and 50 dots, has 350 generators and b = 50, so
+    # HatB's maps have 50 cocycle rows.
+    @pytest.mark.parametrize(
+        "pair",
+        [*combinations(BUILTIN_NAMES, 2), ("t27", RandomSpec(seed=1, dots=50))],
+        ids=lambda pair: "#".join(part if isinstance(part, str) else f"{part.dots}_dots" for part in pair),
+    )
     def test_builtin_tensor_index_maps_match_the_dense_reference(self, pair):
-        models.assert_maps_match_dense(tensor(builtin(pair[0]), builtin(pair[1])))
+        left, right = (builtin(part) if isinstance(part, str) else random_complex(part) for part in pair)
+        models.assert_maps_match_dense(tensor(left, right))
 
     @pytest.mark.parametrize(
         "parts", [(name,) for name in BUILTIN_NAMES] + list(combinations(BUILTIN_NAMES, 2)), ids="#".join
     )
     def test_regions_and_maps_repeat_within_each_alexander_class(self, parts):
-        c = builtin(parts[0])
-        for part in parts[1:]:
-            c = tensor(c, builtin(part))
-        models.assert_classes_hold(c)
+        models.assert_classes_hold(models.tensor_of(*parts))
 
 
 WIDTH_QUERIES = {

@@ -23,6 +23,8 @@ from hfsurgery.surgery import (
     hypothesis_verdicts,
 )
 
+import models
+
 NONTRIVIAL = ("trefoil_rh", "trefoil_lh", "figure_eight", "t25", "t27")
 
 
@@ -107,10 +109,13 @@ class TestCosmetic:
         v = cosmetic_pair_check(builtin("figure_eight"), Slope(2, 1), Slope(2, 3))
         assert v.verdict == OBSTRUCTED and v.ranks == (4, 8)
 
-    def test_trefoil_consistent_above_slope_one(self):
-        v = cosmetic_pair_check(builtin("trefoil_rh"), Slope(5, 1), Slope(5, 2))
-        assert v.verdict == CONSISTENT and v.ranks == (5, 5)
-        assert v.reason == "total ranks agree (5); both slopes exceed 1, where the rank obstruction is silent"
+    # (10**17 + 1) / 10**17 exceeds 1 but rounds to 1.0 as a float, so the
+    # caveat compares p with q in integers.
+    @pytest.mark.parametrize("p, q1, q2", [(5, 1, 2), (10**17 + 1, 10**17, 10**17 - 1)], ids=["5", "1e17+1"])
+    def test_trefoil_consistent_above_slope_one(self, p, q1, q2):
+        v = cosmetic_pair_check(builtin("trefoil_rh"), Slope(p, q1), Slope(p, q2))
+        assert v.verdict == CONSISTENT and v.ranks == (p, p)
+        assert v.reason == f"total ranks agree ({p}); both slopes exceed 1, where the rank obstruction is silent"
 
     def test_equal_ranks_at_slope_one_contradict_the_bound(self, monkeypatch):
         # The trefoil's ranks at 1/1 and 1/2 differ (1 vs 3); patched equal,
@@ -185,17 +190,11 @@ class TestComplement:
             built.append(self)
             init(self, *args)
 
-        def fresh():
-            c = builtin(names[0])
-            for name in names[1:]:
-                c = tensor(c, builtin(name))
-            return c
-
         monkeypatch.setattr(f2.HomologyBasis, "__init__", counting_init)
-        c = fresh()
+        c = models.tensor_of(*names)
         assert c.b_rank() == 1
         assert "_split" not in vars(c) and built == []
-        c = fresh()
+        c = models.tensor_of(*names)
         assert complement_check(c, 2).ranks == (rank, 1)
         assert "_split" not in vars(c) and built == []
         monkeypatch.undo()

@@ -617,11 +617,7 @@ KNOT_NAMES = (*BUILTIN_NAMES, *(f"{a}#{b}" for a, b in combinations_with_replace
 
 
 def knot(name: str) -> CfkComplex:
-    first, *rest = name.split("#")
-    c = builtin(first)
-    for part in rest:
-        c = tensor(c, builtin(part))
-    return c
+    return models.tensor_of(*name.split("#"))
 
 
 @pytest.mark.parametrize("name", KNOT_NAMES)

@@ -503,11 +503,7 @@ def _matrix(rows):
 
 def _complex(name):
     """A fresh builtin, or a fresh tensor of builtins joined by '#'."""
-    first, *rest = name.split("#")
-    c = builtin(first)
-    for part in rest:
-        c = tensor(c, builtin(part))
-    return c
+    return models.tensor_of(*name.split("#"))
 
 
 class TestSweep:
@@ -742,10 +738,7 @@ class TestMeets:
     "parts", [(name,) for name in BUILTIN_NAMES] + list(itertools.combinations(BUILTIN_NAMES, 2)), ids="#".join
 )
 def test_scans_by_class_run_equal_the_scans_over_every_s(parts):
-    c = builtin(parts[0])
-    for part in parts[1:]:
-        c = tensor(c, builtin(part))
-    models.assert_runs_match_per_s(c)
+    models.assert_runs_match_per_s(models.tensor_of(*parts))
 
 
 class TestRankFormula:
