@@ -38,7 +38,7 @@ The library writes a complex's JSON text straight from its columns, so
 with ``indent=2``, and the tests compare ``CfkComplex.to_json`` against it.
 ``tensor_of`` builds the tensor product of builtins named in order.
 ``dot_and_box`` and ``dot_and_pair`` are the wide complexes, 5 and 9
-generators with gradings as far as n from 0, on which the tests and CI
+generators with gradings as far as n from 0, on which the tests
 check that the cost follows the generator count, not the size of the
 gradings.
 ``rank_os_b1`` is a fourth rank oracle for b = 1, Ozsvath-Szabo's formula
@@ -53,7 +53,7 @@ The library counts the kernel of the induced block matrix in closed form,
 ``surgery.kernel_rank``, and builds none of its elements, so
 ``kernel_basis_construction`` builds them, with its one exception
 ``InternalInvariantError`` and its one helper ``image_intersection_basis``,
-the meet of two column spaces as matched pairs; the tests and CI check its
+the meet of two column spaces as matched pairs; the tests check its
 elements against ``kernel_rank`` and the block matrix.
 The sweep eliminates each step by ``f2.rref`` cut at the v block, so
 ``full_form_sweep_step`` reads a step off the full form instead, and

@@ -572,13 +572,6 @@ def test_reflected_swaps_v_and_h(c):
         assert models.kernel_dim(r.v_hat(s)) == models.kernel_dim(c.h_hat(-s))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["unknot", "trefoil_rh", "trefoil_lh", "figure_eight", "t25"]), slopes)
-def test_builtin_oracle_agreement(name, slope):
-    c = builtin(name)
-    assert cone_rank_chain(c, slope) == cone_rank_homological(c, slope) == rank_formula(c, slope)
-
-
 @settings(max_examples=40, deadline=None)
 @given(complexes)
 def test_regions_and_maps_match_the_reference_model(c):

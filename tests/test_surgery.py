@@ -760,12 +760,15 @@ class TestRankFormula:
             assert rank_formula(c, slope) == 2 * slope.q + slope.p
         assert rank_formula(c, Slope(1, 1)) == 3
 
-    def test_matches_oracles_everywhere(self):
-        for name in ("unknot", "trefoil_rh", "trefoil_lh", "figure_eight", "t25", "t27"):
-            c = builtin(name)
-            assert hypothesis_holds(c)
-            for slope in SMALL_SLOPES:
-                assert rank_formula(c, slope) == cone_rank_chain(c, slope), (name, slope)
+    def test_matches_oracles_on_a_fuzz_survey(self):
+        # The builtins are criterion 1's; these 50 complexes, up to three
+        # boxes each, are in no other fixed corpus.
+        for seed in range(50):
+            spec = RandomSpec(seed, dots=1 + seed % 3, boxes=seed % 4, max_side=1 + seed % 2, max_offset=seed % 3)
+            c = random_complex(spec)
+            assert c.validate().ok and hypothesis_holds(c), spec
+            for slope in (Slope(1, 1), Slope(1, 2), Slope(2, 1), Slope(3, 2)):
+                assert rank_formula(c, slope) == cone_rank_chain(c, slope), (spec, slope)
 
     def test_matches_oracles_on_connected_sums(self):
         from hfsurgery.knots import tensor
