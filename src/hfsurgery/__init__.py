@@ -14,10 +14,7 @@ from .cfk import (
     ComplexTooWideError,
     FilteredChainMap,
     FlipRequiredError,
-    HatA,
-    HatB,
     RegionComplex,
-    UnknownRegionError,
     ValidationIssue,
     ValidationReport,
 )

@@ -31,8 +31,10 @@ inside the region.  HatA(s) and HatB hold one copy of each generator, in
 the complex's generator order: element i is U^k x_i with
 k = max(0, alexander(x_i) - s) in HatA(s) and k = 0 in HatB.  A region
 keeps only its boundary.  For s at or above the top Alexander grading
-every upower is 0, and HatA(s) is the HatB region itself, one object
-with one kernel and one homology basis.  The maps v_hat(s) and h_hat(s)
+every upower is 0, and HatA(s) is HatB element for element, so HatB is
+the region at the top grading, ``region_complex(top)``, one object with
+one kernel and one homology basis.  A region is named by its grading s
+alone: there are no region tag types.  The maps v_hat(s) and h_hat(s)
 from HatA(s) to HatB are the vertical projection and the horizontal
 projection composed with U^s and the flip involution, built straight
 from that order.  Each sends an element to one element or to zero, so
@@ -153,7 +155,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cached_property, wraps
 from itertools import compress, repeat
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 from . import f2
 from .f2 import F2Matrix, HomologyBasis, InvalidComplexError
@@ -162,10 +164,6 @@ from .records import Frozen, setters
 
 class FlipRequiredError(ValueError):
     """The operation needs a flip involution and none was supplied."""
-
-
-class UnknownRegionError(ValueError):
-    """The region tag is not one of the supported kinds."""
 
 
 class ComplexTooWideError(ValueError):
@@ -183,38 +181,6 @@ class ComplexTooWideError(ValueError):
 # at 2.4 GB (2-core Xeon, Python 3.11.7).  The 6,125-generator rung
 # weighs 4.1 * 10**8.
 MAX_REGION_WEIGHT = 10**9
-
-
-class HatA(tuple):
-    """The tag of the region HatA(s), a memo key: the tuple (HatA, s),
-    hashed and compared in C, so it equals no int, no (s,) and no HatB."""
-
-    __slots__ = ()
-    s = property(itemgetter(1))
-
-    def __new__(cls, s: int):
-        return tuple.__new__(cls, (cls, s))
-
-    def __getnewargs__(self):
-        return (self[1],)
-
-    def __repr__(self) -> str:
-        return f"HatA(s={self[1]!r})"
-
-
-class HatB(tuple):
-    """The tag of the region HatB, the tuple (HatB,)."""
-
-    __slots__ = ()
-
-    def __new__(cls):
-        return tuple.__new__(cls, (cls,))
-
-    def __getnewargs__(self):
-        return ()
-
-    def __repr__(self) -> str:
-        return "HatB()"
 
 
 class ValidationIssue(Frozen):
@@ -313,6 +279,9 @@ class RegionComplex:
     region also serves the classes below its mirror class, read through
     the flip (the module docstring says how), so it is built only for a
     class at or above its mirror's.
+
+    ``tag`` is a free label, printed by ``repr`` and in the chain-map
+    error: ``cfk`` passes the grading s of the class it built.
     """
 
     def __init__(self, tag, boundary: F2Matrix):
@@ -746,31 +715,35 @@ class CfkComplex:
         i = bisect_right(self.alexander_cuts, s)
         return self.alexander_cuts[i - 1] if i else self.alexander_cuts[0] - 1
 
-    def region_complex(self, tag) -> RegionComplex:
-        """The region of this tag, HatA(s) memoized under the class of s."""
-        if isinstance(tag, HatA):
-            s = self.alexander_class(tag.s)
-            tag = tag if s == tag.s else HatA(s)
-        if (region := self._memo.get(key := ("region", tag))) is None:
-            region = self._memo[key] = self._build_region(tag)
+    @cached_property
+    def top(self) -> int:
+        """The top Alexander grading, the last cut less one.  HatB is the
+        region at it, ``region_complex(top)``.  Reading it reads the cuts,
+        so it validates the complex and refuses one too wide to rank."""
+        return self.alexander_cuts[-1] - 1
+
+    def region_complex(self, s: int) -> RegionComplex:
+        """The region HatA(s), memoized under the class of s.  HatB is
+        ``region_complex(top)``: at and above the top grading every upower
+        is 0, so HatA(s) is HatB element for element.  A region is named by
+        its grading alone; there is no other kind of region."""
+        if (region := self._memo.get(key := ("region", self.alexander_class(s)))) is None:
+            region = self._memo[key] = self._build_region(key[1])
         return region
 
-    def _build_region(self, tag) -> RegionComplex:
+    def _build_region(self, s: int) -> RegionComplex:
+        """The region of class s: the class above the top grading is served
+        as the region at top, a class below its mirror as its mirror's
+        region, and every other class builds its own."""
+        if s > (top := self.top):
+            # Every upower is 0 above top as at it: serve that one region,
+            # with its one kernel and homology.
+            return self.region_complex(top)
+        if (mirror := self._mirror_class(s)) > s:
+            # A class below its mirror is read through the flip as its
+            # mirror's region, as the module docstring proves.
+            return self.region_complex(mirror)
         _, alexander, _, units, arcs = self._order
-        top = self.alexander_cuts[-1] - 1  # the top Alexander grading
-        if isinstance(tag, HatA):
-            if tag.s >= top:
-                # Every upower is 0, so HatA(s) is HatB element for element:
-                # serve that one region, with its one kernel and homology.
-                return self.region_complex(HatB())
-            if (mirror := self._mirror_class(tag.s)) > tag.s:
-                # A class below its mirror is read through the flip as its
-                # mirror's region, as the module docstring proves.
-                return self.region_complex(HatA(mirror))
-        elif not isinstance(tag, HatB):
-            raise UnknownRegionError(f"unknown region tag {tag!r}")
-        # HatB has every upower 0, as HatA(top) has.
-        s = tag.s if isinstance(tag, HatA) else top
         upowers = [a - s if a > s else 0 for a in alexander]
         # One element per generator, so a term stays inside exactly when it
         # lands on its target's one upower.
@@ -782,7 +755,7 @@ class CfkComplex:
                 # generator; 0 ^ unit would make a fresh int.
                 mask = masks[row]
                 masks[row] = mask ^ units[col] if mask else units[col]
-        return RegionComplex(tag, F2Matrix(len(units), tuple(masks)))
+        return RegionComplex(s, F2Matrix(len(units), tuple(masks)))
 
     def _mirror_class(self, s: int) -> int:
         """The mirror of class s, the class of -s, for a complex with a flip;
@@ -802,7 +775,7 @@ class CfkComplex:
 
     def _from_hat_a(self, s: int, index: list[int]) -> FilteredChainMap:
         """The chain map HatA(s) -> HatB with this index map."""
-        return FilteredChainMap(self.region_complex(HatA(s)), self.region_complex(HatB()), index)
+        return FilteredChainMap(self.region_complex(s), self.region_complex(self.top), index)
 
     def v_hat(self, s: int) -> FilteredChainMap:
         """Vertical projection HatA(s) -> HatB: keep the i = 0 part.  Element
@@ -867,7 +840,7 @@ class CfkComplex:
             neighbours[a].append(b)
             neighbours[b].append(a)
         kept = [False] * len(ids)
-        stack = [y.bit_length() - 1 for y in self.region_complex(HatB()).cocycles]
+        stack = [y.bit_length() - 1 for y in self.region_complex(self.top).cocycles]
         while stack:
             if not kept[i := stack.pop()]:
                 kept[i] = True
@@ -912,7 +885,7 @@ class CfkComplex:
             return 0
         g = self.genus()
         return sum(
-            n * (2 * sum(1 for c in self.region_complex(HatA(s)).cycles if c & zmask) - zmask.bit_count())
+            n * (2 * sum(1 for c in self.region_complex(s).cycles if c & zmask) - zmask.bit_count())
             for s, n in self.class_runs(1 - g, g - 1)
         )
 
@@ -926,7 +899,7 @@ class CfkComplex:
         ``complement`` read it, and no split or homology basis is built;
         route two reads its own b off the essential summand's homology
         basis."""
-        return len(self.region_complex(HatB()).cocycles)
+        return len(self.region_complex(self.top).cocycles)
 
     @memoized("genus")
     def genus(self) -> int:
@@ -949,7 +922,7 @@ class CfkComplex:
         gives s = t + n.  v_hat(top) is the identity of HatB, so the scan
         stops below it and never builds it.
         """
-        top = self.alexander_cuts[-1] - 1  # validates first
+        top = self.top  # validates first
         b = self.b_rank()
         for s, n in reversed(self.class_runs(0, top - 1)):
             if not f2.rank((v := self.v_hat(s)).on_cocycles) == b == 2 * len(v.source.cycles) - v.source.dim:

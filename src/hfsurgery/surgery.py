@@ -193,7 +193,8 @@ The closed form, the kernel rank and the monotonicity scan need the
 image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
 memoized verdict and :func:`require_hypothesis` its one error.  The verdict
 and t both read how the images of v_hat and h_hat meet in H(HatB), from the
-one memo of :func:`_meet`.
+one memo of :func:`_meet`, and t cuts its sum over j only where a floor
+crosses an Alexander cut.
 
 Preconditions follow the policy stated in ``cfk``: every function here
 reads a region, a chain map or the genus before it returns, so ``cfk``
@@ -210,9 +211,10 @@ same slopes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 from . import f2
-from .cfk import CfkComplex, HatA, HatB, memoized
+from .cfk import CfkComplex, memoized
 from .f2 import F2Matrix
 from .records import Frozen, Record, setters
 
@@ -292,8 +294,7 @@ def require_sweep(c: CfkComplex, slope: Slope) -> None:
     The window holds (2g - 1)q - p HatB blocks, or none, and the genus g is
     at most the top grading, which the cuts give without building a region;
     reading them validates the complex."""
-    top = c.alexander_cuts[-1] - 1
-    if (blocks := (2 * top - 1) * slope.q - slope.p) > MAX_HAT_B_BLOCKS:
+    if (blocks := (2 * c.top - 1) * slope.q - slope.p) > MAX_HAT_B_BLOCKS:
         raise SlopeError(f"slope {slope} may sweep {blocks} HatB blocks, over the limit {MAX_HAT_B_BLOCKS}")
 
 
@@ -309,7 +310,7 @@ def require_grid_sweep(c: CfkComplex, pmax: int, qmax: int) -> None:
     k = min(pmax, m), the sum over p is km - k(k + 1)/2: (m^2 - m)/2 for
     the q <= n = pmax // a, where k = m, and pmax m - pmax(pmax + 1)/2
     above them, and each form sums over q by the sums of q and q^2."""
-    a = 2 * (c.alexander_cuts[-1] - 1) - 1  # reading the cuts validates
+    a = 2 * c.top - 1  # reading the top grading validates
     blocks = 0
     if a > 0:
         n = min(qmax, pmax // a)
@@ -361,8 +362,8 @@ class MappingCone:
         c, q, hi = self.complex, self.slope.q, self.a_columns[-1]
         if (sums := c._memo.get(key := (name, *self._runs))) is None:
             *runs, (s_last, _) = c.class_runs(self._runs[0], hi // q)
-            inner = sum(n * term(c.region_complex(HatA(s))) for s, n in runs)
-            sums = c._memo[key] = inner, term(c.region_complex(HatA(s_last))), s_last
+            inner = sum(n * term(c.region_complex(s)) for s, n in runs)
+            sums = c._memo[key] = inner, term(c.region_complex(s_last)), s_last
         inner, last, s_last = sums
         return q * inner + (hi + 1 - s_last * q) * last
 
@@ -427,7 +428,7 @@ class MappingCone:
 
     @property
     def b_homology_dim(self) -> int:
-        return self.complex.region_complex(HatB()).homology.dim * len(self.b_columns)
+        return self.complex.region_complex(self.complex.top).homology.dim * len(self.b_columns)
 
 
 def _sweep(cone: MappingCone, tag: str, rows) -> int:
@@ -486,7 +487,7 @@ def _hat_b_boundary_rank(c: CfkComplex) -> int:
     cocycle classes, and compares their count b, :meth:`CfkComplex.b_rank`,
     with dim - 2 rank d_B, which it equals exactly when the classes are
     independent modulo the coboundaries, as the sweep needs."""
-    region = c.region_complex(HatB())
+    region = c.region_complex(c.top)
     rank = f2.rank(region.boundary)
     if (b := c.b_rank()) != region.dim - 2 * rank:
         raise f2.DimensionError(f"HatB has {b} cocycle classes, need {region.dim - 2 * rank}")
@@ -554,19 +555,25 @@ def t_invariant(c: CfkComplex, slope: Slope) -> int:
     """Sum over j = 0..p-1 of dim(im v_hat(j/q) meet im h_hat((j-p)/q)) in
     the homology of HatB, memoized per slope.
 
-    :func:`_meet` clamps the pair of floors to j // q <= g and
-    (j - p) // q >= -g, so the clamped pair changes only at the cuts j = kq
-    and j = p - kq, 1 <= k <= g, that lie in (0, p).  t is the sum over the
-    segments between those cuts, 0 and p of each segment's length times the
-    meet at its start: at most 2g + 1 meets at any slope, each one a meet
-    that a loop over every j would read.  Every meet lies in the essential
-    summand, so t is read there, with its genus."""
+    :func:`_meet` reads the floors j // q <= g and (j - p) // q >= -g,
+    clamped, by their Alexander classes, so the meet changes only where a
+    floor crosses an Alexander cut x: at j = xq for the cuts x in [1, k]
+    and at j = p + xq for those in [-k, -1], k = min(g, (p - 1) // q), all
+    in (0, p).  Each range is one bisected slice of ``alexander_cuts``.  t
+    is the sum over the segments between those points, 0 and p of each
+    segment's length times the meet at its start: at most one meet per cut
+    in [-k, k], plus one, however large the genus, each one a meet that a
+    loop over every j would read.  Every meet lies in the essential
+    summand, so t is read there, with its cuts and genus."""
     p, q = slope.p, slope.q
     if (t := c._memo.get(key := ("t", p, q))) is not None:
         return t
     e = c.essential_summand
-    k = min(e.genus(), (p - 1) // q)  # the cuts kq and p - kq in (0, p)
-    cuts = sorted({0, p, *range(q, k * q + 1, q), *range(p - k * q, p, q)})
+    k = min(e.genus(), (p - 1) // q)  # the floors x in [1, k] and [-k, -1]
+    a = e.alexander_cuts
+    up = a[bisect_right(a, 0):bisect_right(a, k)]
+    down = a[bisect_left(a, -k):bisect_left(a, 0)]
+    cuts = sorted({0, p, *[x * q for x in up], *[p + x * q for x in down]})
     t = c._memo[key] = sum((end - u) * _meet(e, u // q, (u - p) // q) for u, end in zip(cuts, cuts[1:]))
     return t
 

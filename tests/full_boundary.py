@@ -27,7 +27,6 @@ into its columns.
 
 import random
 
-from hfsurgery.cfk import HatA, HatB
 from hfsurgery.f2 import F2Matrix
 from hfsurgery.surgery import MappingCone, _sweep
 from models import dense
@@ -50,7 +49,7 @@ class SymmetricCone(MappingCone):
         c, q = self.complex, self.slope.q
         lo, hi = self.a_columns[0], self.a_columns[-1]
         return sum(
-            (min(hi, s * q + q - 1) + 1 - max(lo, s * q)) * term(c.region_complex(HatA(s)))
+            (min(hi, s * q + q - 1) + 1 - max(lo, s * q)) * term(c.region_complex(s))
             for s in range(lo // q, hi // q + 1)
         )
 
@@ -76,10 +75,10 @@ def full_boundary(cone) -> F2Matrix:
     h_hat((j - p) // q) on HatA block j - p, the HatB boundary on its own
     block and v_hat(j // q) on HatA block j."""
     c, p, q = cone.complex, cone.slope.p, cone.slope.q
-    b_region = c.region_complex(HatB())
+    b_region = c.region_complex(c.top)
 
     def a_region(j):
-        return c.region_complex(HatA(j // q))
+        return c.region_complex(j // q)
 
     a_off, b_off = {}, {}
     pos = 0
@@ -130,7 +129,7 @@ def random_induced_boundary(seed):
     second block starts."""
 
     def rows(cone, key):
-        h_width, v_width = (cone.complex.region_complex(HatA(s)).homology.dim for s in key)
+        h_width, v_width = (cone.complex.region_complex(s).homology.dim for s in key)
         rng = random.Random(f"{seed} {key}")
         count = rng.randint(0, h_width + v_width)
         data = tuple(rng.getrandbits(h_width + v_width) for _ in range(count))
@@ -153,7 +152,7 @@ def _hom_offsets(cone) -> tuple[dict[int, int], int]:
     a_off, pos = {}, 0
     for j in cone.a_columns:
         a_off[j] = pos
-        pos += cone.complex.region_complex(HatA(j // q)).homology.dim
+        pos += cone.complex.region_complex(j // q).homology.dim
     return a_off, pos
 
 

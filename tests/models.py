@@ -70,13 +70,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from hfsurgery.cfk import (
-    CfkComplex,
-    FilteredChainMap,
-    HatA,
-    HatB,
-    RegionComplex,
-)
+from hfsurgery.cfk import CfkComplex, FilteredChainMap, RegionComplex
 from hfsurgery import f2, surgery
 from hfsurgery.f2 import DimensionError, F2Matrix
 from hfsurgery.knots import _box, builtin, tensor
@@ -204,11 +198,11 @@ def assert_conjugation_symmetry(c: CfkComplex) -> int:
     b = reference_complex(c, HatB()).homology
     checked = 0
     for s, _ in c.class_runs(cuts[0] - 1, cuts[-1]):
-        mirror, region = c.alexander_class(-s), c.region_complex(HatA(s))
+        mirror, region = c.alexander_class(-s), c.region_complex(s)
         if not below_mirror(c, s):
-            assert region.tag == (HatB() if s >= top else HatA(s)), s
+            assert region.tag == min(s, top), s
             continue
-        assert region is c.region_complex(HatA(mirror)), s
+        assert region is c.region_complex(mirror), s
         assert c.v_hat(s) is c.h_hat(mirror) and c.h_hat(s) is c.v_hat(mirror), s
         assert is_iso(region_flip_equivalence(c, s)), s
         source = reference_complex(c, HatA(s))
@@ -254,18 +248,18 @@ def assert_sweep_steps_match_full_form(c: CfkComplex) -> int:
 def recount_totals(cone: MappingCone) -> tuple[int, int, int, int]:
     """The cone's ``total_dim``, ``boundary_rank``, ``a_homology_dim`` and
     ``b_homology_dim``, counted column by column: every HatA column j reads
-    ``region_complex(HatA(j // q))`` and every HatB column HatB, each region
+    ``region_complex(j // q)`` and every HatB column HatB, each region
     ranked by ``f2.rank`` of its boundary once.  Reading the homology builds
     it for every region of the window."""
     c, q = cone.complex, cone.slope.q
     rank = functools.cache(lambda region: f2.rank(region.boundary))
     dim = boundary = homology = 0
     for j in cone.a_columns:
-        region = c.region_complex(HatA(j // q))
+        region = c.region_complex(j // q)
         dim += region.dim
         boundary += rank(region)
         homology += region.homology.dim
-    b, n = c.region_complex(HatB()), len(cone.b_columns)
+    b, n = c.region_complex(c.top), len(cone.b_columns)
     return dim + n * b.dim, boundary + n * rank(b), homology, n * b.homology.dim
 
 
@@ -292,16 +286,30 @@ def dense(m: FilteredChainMap) -> F2Matrix:
 
 
 @dataclass(frozen=True)
+class HatA:
+    """The reference tag of the region HatA(s), max(i, j - s) = 0; the
+    library names it by s alone, ``region_complex(s)``."""
+
+    s: int
+
+
+@dataclass(frozen=True)
+class HatB:
+    """The reference tag of the region HatB, i = 0; the library serves it
+    as the region at the top grading, ``region_complex(top)``."""
+
+
+@dataclass(frozen=True)
 class JLevel:
-    """The region j = s; ``CfkComplex.region_complex`` does not own this tag."""
+    """The reference tag of the region j = s, which the library never builds."""
 
     s: int
 
 
 @dataclass(frozen=True)
 class Quadrant:
-    """The region i < 0, j >= min_j; ``CfkComplex.region_complex`` does not
-    own this tag."""
+    """The reference tag of the region i < 0, j >= min_j, which the library
+    never builds."""
 
     min_j: int
 
@@ -391,9 +399,9 @@ def assert_matches_reference(c: CfkComplex) -> None:
     g = c.genus()
     window = range(-g - 1, g + 2)
     for tag in [HatA(s) for s in window] + [HatB()]:
-        region = c.region_complex(tag)
+        region = c.region_complex(c.top if isinstance(tag, HatB) else tag.s)
         if isinstance(tag, HatA) and below_mirror(c, tag.s):
-            assert region is c.region_complex(HatA(-tag.s)), tag
+            assert region is c.region_complex(-tag.s), tag
         assert region.boundary.data == boundary_as_read(c, tag), tag
         assert region.dim == len(reference_members(c, tag)), tag
     for s in window:
@@ -436,8 +444,8 @@ def assert_classes_hold(c: CfkComplex, margin: int = 3) -> None:
     for s in range(min(grades) - margin, max(grades) + margin + 1):
         rep = max([cut for cut in cuts if cut <= s], default=cuts[0] - 1)
         assert c.alexander_class(s) == rep, s
-        region = c.region_complex(HatA(s))
-        assert region is c.region_complex(HatA(rep)), s
+        region = c.region_complex(s)
+        assert region is c.region_complex(rep), s
         assert region.boundary.data == boundary_as_read(c, HatA(s)), s
         assert c.v_hat(s) is c.v_hat(rep) and c.h_hat(s) is c.h_hat(rep), s
         assert dense(c.v_hat(s)).data == as_read(c, s, reference_map(c, "v", s)), s
@@ -488,7 +496,7 @@ def reference_essential(c: CfkComplex) -> list[str]:
         root[find(index[x])] = find(index[y])
     component = [find(i) for i in range(len(ids))]
     size = Counter(component)
-    cycles = Counter(component[z.bit_length() - 1] for z in c.region_complex(HatB()).cycles)
+    cycles = Counter(component[z.bit_length() - 1] for z in c.region_complex(c.top).cycles)
     essential = {r for r, k in cycles.items() if 2 * k > size[r]}
     if not essential or len(essential) == len(size):
         return list(ids)

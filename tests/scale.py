@@ -16,7 +16,6 @@ import subprocess
 import sys
 
 from hfsurgery import f2
-from hfsurgery.cfk import HatB
 from hfsurgery.f2 import F2Matrix
 from hfsurgery.knots import RandomSpec, builtin, random_complex, tensor
 from hfsurgery.surgery import (
@@ -176,7 +175,7 @@ def rung() -> None:
             if isinstance(key, tuple) and key[0] == "region"
         }
         for x, r in regions.values():
-            assert r.tag == HatB() or x.alexander_class(-r.tag.s) <= r.tag.s, (x.name, r.tag)
+            assert r.tag == x.top or x.alexander_class(-r.tag) <= r.tag, (x.name, r.tag)
             assert len(r.cycles) == r.dim - f2.rank(r.boundary), (x.name, r.tag)
             assert (r.boundary @ F2Matrix.from_columns(r.cycles, r.dim)).is_zero(), (x.name, r.tag)
         # The chain route ranks HatB's boundary once and sweeps only the
@@ -185,7 +184,7 @@ def rung() -> None:
         # boundary^T . y = 0, read as the row y . boundary = 0, and their
         # count to be dim - 2 rank(boundary), the rank found by f2.rank
         # again, and b, which the homological route reads.
-        b = c.region_complex(HatB())
+        b = c.region_complex(c.top)
         assert len(b.cocycles) == b.dim - 2 * f2.rank(b.boundary) == c.b_rank(), c.name
         assert (F2Matrix(b.dim, b.cocycles) @ b.boundary).is_zero(), c.name
         # The sweep cuts f2.rref at the v block and back-substitutes only

@@ -10,7 +10,7 @@ no tolerances because every quantity is an integer rank.
 import time
 
 from hfsurgery import f2
-from hfsurgery.cfk import HatA, RegionComplex
+from hfsurgery.cfk import RegionComplex
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
 from hfsurgery.obstructions import (
     CONSISTENT,
@@ -190,7 +190,7 @@ def test_criterion_8_structural_invariants():
         assert c.v_hat(-g - 1).induced.is_zero(), c.name
         # A-region homology stabilizes at b
         for s in (g, g + 1, -g, -g - 1):
-            assert c.region_complex(HatA(s)).homology.dim == b, (c.name, s)
+            assert c.region_complex(s).homology.dim == b, (c.name, s)
         # top of the filtration support
         if g >= 1:
             assert models.single_point_region_rank(c) == c.hfk_hat(g) > 0, c.name

@@ -11,10 +11,7 @@ from hfsurgery.cfk import (
     ComplexTooWideError,
     FilteredChainMap,
     FlipRequiredError,
-    HatA,
-    HatB,
     RegionComplex,
-    UnknownRegionError,
 )
 from hfsurgery.f2 import F2Matrix, InvalidComplexError
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, staircase, tensor
@@ -154,20 +151,20 @@ def after_both_routes():
 
 class TestRegions:
     def test_trefoil_hat_a0(self, trefoil):
-        region = trefoil.region_complex(HatA(0))
-        members = models.reference_members(trefoil, HatA(0))
+        region = trefoil.region_complex(0)
+        members = models.reference_members(trefoil, models.HatA(0))
         assert set(members) == {("a", 1), ("b", 0), ("c", 0)} and region.dim == 3
-        col = models.position(trefoil, HatA(0), "b", 0)
+        col = models.position(trefoil, models.HatA(0), "b", 0)
         image = [row for row in range(region.dim) if region.boundary.data[row] >> col & 1]
         assert {members[r] for r in image} == {("a", 1), ("c", 0)}
         assert region.homology.dim == 1
 
     def test_trefoil_hat_b(self, trefoil):
-        region = trefoil.region_complex(HatB())
-        members = models.reference_members(trefoil, HatB())
+        region = trefoil.region_complex(trefoil.top)
+        members = models.reference_members(trefoil, models.HatB())
         assert set(members) == {("a", 0), ("b", 0), ("c", 0)} and region.dim == 3
         # the U a component has i = -1 and is dropped
-        col = models.position(trefoil, HatB(), "b", 0)
+        col = models.position(trefoil, models.HatB(), "b", 0)
         image = [row for row in range(region.dim) if region.boundary.data[row] >> col & 1]
         assert {members[r] for r in image} == {("c", 0)}
         assert region.homology.dim == 1
@@ -182,19 +179,53 @@ class TestRegions:
 
     @pytest.mark.parametrize(
         "tag",
-        ["nonsense", models.JLevel(0), models.Quadrant(0)],
-        ids=["nonsense", "j-level", "quadrant"],
+        ["nonsense", models.JLevel(0), models.Quadrant(0), models.HatA(0), models.HatB()],
+        ids=["nonsense", "j-level", "quadrant", "hat-a", "hat-b"],
     )
     def test_unknown_tag(self, trefoil, tag):
-        with pytest.raises(UnknownRegionError):
+        # A region is named by its grading alone: any other label, the
+        # reference tags of tests/models.py among them, is refused before a
+        # region is built or memoized.
+        with pytest.raises(TypeError):
             trefoil.region_complex(tag)
+        assert not [key for key in trefoil._memo if isinstance(key, tuple) and key[0] == "region"]
 
     def test_region_memoized(self, trefoil):
-        assert trefoil.region_complex(HatA(0)) is trefoil.region_complex(HatA(0))
+        assert trefoil.region_complex(0) is trefoil.region_complex(0)
+
+    def test_a_region_key_is_a_key_of_its_own(self):
+        # The memo is one dict for every kind of value: a "region" key holds
+        # a region and no other kind of key does, after both rank routes.
+        c = after_both_routes()
+        for key, value in c._memo.items():
+            is_region_key = isinstance(key, tuple) and key[:1] == ("region",)
+            assert is_region_key == isinstance(value, RegionComplex), key
+            if is_region_key:
+                assert len(key) == 2 and type(key[1]) is int and key[1] == c.alexander_class(key[1]), key
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("t25#t27#figure_eight", "flipless"))
+    def test_a_region_is_named_by_its_grading_alone(self, name):
+        # HatB is the region at the top grading: every s at or above it is
+        # served that one region.  The memo keeps one "region" entry per
+        # Alexander class read, keyed by the class alone, the classes a
+        # region is served to through a redirect included.
+        if name == "flipless":
+            c = CfkComplex(*models.tensor_of("t25", "t27").columns[:2], None, name)
+        else:
+            c = models.tensor_of(*name.split("#"))
+        top = c.top
+        assert top == max(c.columns[0][1]) and c.region_complex(top).tag == top
+        for s in range(top, top + 4):
+            assert c.region_complex(s) is c.region_complex(top), s
+        grades = range(c.alexander_cuts[0] - 2, top + 4)
+        for s in grades:
+            c.region_complex(s)
+        classes = [key[1] for key in c._memo if isinstance(key, tuple) and key[0] == "region"]
+        assert sorted(classes) == sorted({c.alexander_class(s) for s in grades})
 
     def test_hat_regions_keep_only_their_boundary(self):
-        # After both rank routes, every memoized HatA and HatB region
-        # holds its tag, its boundary with one column per generator and
+        # After both rank routes, every memoized region holds its grading
+        # as its tag, its boundary with one column per generator and
         # what it caches from the boundary, its cycles, its cocycle
         # classes (HatB's alone are read) and its homology: no cycle rows,
         # no per-element data, which a region shared by a whole Alexander
@@ -203,20 +234,18 @@ class TestRegions:
         # mirror's region, so every region built has a tag at or above its
         # mirror's.
         c = after_both_routes()
-        tags = {
-            key[1]: value
-            for key, value in c._memo.items()
-            if isinstance(key, tuple) and key[0] == "region" and isinstance(key[1], (HatA, HatB))
+        classes = {
+            key[1]: value for key, value in c._memo.items() if isinstance(key, tuple) and key[0] == "region"
         }
-        regions = {id(region): region for region in tags.values()}.values()
-        assert len(regions) > 2 and len(tags) > len(regions)
+        regions = {id(region): region for region in classes.values()}.values()
+        assert len(regions) > 2 and len(classes) > len(regions)
         for region in regions:
             assert region.dim == len(c.columns[0][0])
             assert set(vars(region)) <= {"tag", "boundary", "cycles", "cocycles", "homology"}
-            assert region.tag == HatB() or c.alexander_class(-region.tag.s) <= region.tag.s
-        for tag, region in tags.items():
-            if isinstance(tag, HatA) and c.alexander_class(-tag.s) > tag.s:
-                assert region is c.region_complex(HatA(-tag.s)), tag
+            assert region.tag == c.top or c.alexander_class(-region.tag) <= region.tag
+        for s, region in classes.items():
+            if c.alexander_class(-s) > s:
+                assert region is c.region_complex(-s), s
 
     def test_hat_maps_keep_only_their_index(self):
         # After both rank routes, every memoized v_hat and h_hat holds its
@@ -238,8 +267,8 @@ class TestRegions:
         top = max(c.columns[0][1])
         for s in range(-top - 3, top + 3):
             served = max(s, c.alexander_class(-s))
-            assert (c.region_complex(HatA(s)) is c.region_complex(HatB())) == (served >= top), s
-            assert c.region_complex(HatA(s)).tag == (HatB() if served >= top else HatA(c.alexander_class(served)))
+            assert (c.region_complex(s) is c.region_complex(c.top)) == (served >= top), s
+            assert c.region_complex(s).tag == (top if served >= top else c.alexander_class(served))
 
     def test_single_bit_boundary_rows_share_the_unit_masks(self):
         # A boundary row with one set bit is the complex's one unit mask for
@@ -247,10 +276,10 @@ class TestRegions:
         c = tensor(builtin("t25"), builtin("t27"))
         units = {}
         single = 0
-        for tag in (HatB(), HatA(0), HatA(1)):
-            for row in c.region_complex(tag).boundary.data:
+        for s in (c.top, 0, 1):
+            for row in c.region_complex(s).boundary.data:
                 if row.bit_count() == 1:
-                    assert units.setdefault(row, row) is row, (tag, row)
+                    assert units.setdefault(row, row) is row, (s, row)
                     single += 1
         # Some unit masks are read in more than one region.
         assert single > len(units)
@@ -267,24 +296,24 @@ class TestRegions:
             return column_elimination(columns)
 
         monkeypatch.setattr(f2, "column_elimination", counting)
-        for tag, first in ((HatA(0), "cycles"), (HatB(), "homology")):
-            region = fig8.region_complex(tag)
+        for s, first in ((0, "cycles"), (fig8.top, "homology")):
+            region = fig8.region_complex(s)
             getattr(region, first)
             assert set(region.homology.reps) <= set(region.cycles)
             assert list(region.cycles) == models.reference_kernel_basis(region.boundary)
-            assert calls == [region.dim], tag
-            assert "_image" not in vars(region), tag
+            assert calls == [region.dim], s
+            assert "_image" not in vars(region), s
             calls.clear()
         # A read that finds the boundary space taken, as a second thread
         # building the same homology can, eliminates the boundary again and
         # builds the same basis.  HatA(-1) of the figure-eight is its
         # mirror's region, HatB, so the region here is t25's HatA(1).
         t25 = builtin("t25")
-        region = t25.region_complex(HatA(1))
-        assert region.tag == HatA(1)
+        region = t25.region_complex(1)
+        assert region.tag == 1
         region.cycles
         vars(region).pop("_image")
-        fresh = models.reference_complex(t25, HatA(1))
+        fresh = models.reference_complex(t25, models.HatA(1))
         assert region.homology.reps == fresh.homology.reps
         assert [region.homology.coords(v) for v in region.cycles] == [
             fresh.homology.coords(v) for v in fresh.cycles
@@ -294,8 +323,8 @@ class TestRegions:
         # HatA(-1) of the figure-eight lies below its mirror class, whose
         # region is HatB: it is that region, with the cycles and homology
         # already read, so reading them again eliminates nothing.
-        region = fig8.region_complex(HatA(-1))
-        assert region is fig8.region_complex(HatB())
+        region = fig8.region_complex(-1)
+        assert region is fig8.region_complex(fig8.top)
         assert (region.cycles, region.homology) and calls == []
 
     def test_cocycles_read_the_boundary_rows(self, monkeypatch):
@@ -304,7 +333,7 @@ class TestRegions:
         # classes are those of eliminating the columns of the built
         # transpose, the path through two transposes.
         c = tensor(builtin("t25"), builtin("t27"))
-        region = c.region_complex(HatB())
+        region = c.region_complex(c.top)
         assert "cocycles" not in vars(region)
         calls = []
         from_columns = F2Matrix.from_columns.__func__
@@ -370,12 +399,12 @@ class TestHhat:
         explicitly through the j-level regions of ``models`` on the true
         HatA(s), and read on the mirror's region below the mirror class."""
         for s in (-1, 0, 1):
-            source = models.reference_complex(fig8, HatA(s))
+            source = models.reference_complex(fig8, models.HatA(s))
             j_s = models.j_level_region(fig8, s)
             j_0 = models.j_level_region(fig8, 0)
-            target = fig8.region_complex(HatB())
+            target = fig8.region_complex(fig8.top)
             proj = [0] * j_s.dim
-            for col, (gid, k) in enumerate(models.reference_members(fig8, HatA(s))):
+            for col, (gid, k) in enumerate(models.reference_members(fig8, models.HatA(s))):
                 if fig8.alexander[gid] - k == s:
                     proj[models.position(fig8, j_s.tag, gid, fig8.alexander[gid] - s)] |= 1 << col
             shift = [0] * j_0.dim
@@ -383,7 +412,7 @@ class TestHhat:
                 shift[models.position(fig8, j_0.tag, gid, fig8.alexander[gid])] |= 1 << col
             flip = [0] * target.dim
             for col, (gid, k) in enumerate(models.reference_members(fig8, j_0.tag)):
-                flip[models.position(fig8, HatB(), fig8.flip_map[gid], 0)] |= 1 << col
+                flip[models.position(fig8, models.HatB(), fig8.flip_map[gid], 0)] |= 1 << col
             composite = (
                 f2.F2Matrix(j_0.dim, tuple(flip))
                 @ f2.F2Matrix(j_s.dim, tuple(shift))
@@ -412,8 +441,8 @@ class TestChainMapMutations:
 
     @staticmethod
     def _maps(c, s):
-        source, target = c.region_complex(HatA(s)), c.region_complex(HatB())
-        assert source.tag == HatA(s)  # s at or above its mirror, below the top
+        source, target = c.region_complex(s), c.region_complex(c.top)
+        assert source.tag == s  # s at or above its mirror, below the top
         return source, target, {"v": c.v_hat(s).index, "h": c.h_hat(s).index}
 
     @pytest.mark.parametrize("kind", ["v", "h"])
@@ -643,11 +672,11 @@ MIRROR_CORPORA = {
 }
 
 
-def class_tags(c):
-    """HatA of every Alexander class of c, from below the lowest cut to the
-    top one."""
+def class_starts(c):
+    """Every Alexander class of c, from below the lowest cut to the top
+    one."""
     cuts = c.alexander_cuts
-    return [HatA(s) for s, _ in c.class_runs(cuts[0] - 1, cuts[-1])]
+    return [s for s, _ in c.class_runs(cuts[0] - 1, cuts[-1])]
 
 
 class TestMirrorClasses:
@@ -680,13 +709,13 @@ class TestMirrorClasses:
             }
             assert len(built) == len(regions), c.name
             for x, region in regions.values():
-                assert region.tag == HatB() or x.alexander_class(-region.tag.s) <= region.tag.s, (c.name, region)
+                assert region.tag == x.top or x.alexander_class(-region.tag) <= region.tag, (c.name, region)
             built.clear()
             for x in {id(x): x for x in (c, c.essential_summand)}.values():
-                for tag in class_tags(x):
-                    if (m := x.alexander_class(-tag.s)) > tag.s:
-                        assert x.region_complex(tag) is x.region_complex(HatA(m)), (c.name, tag)
-                        assert x.v_hat(tag.s) is x.h_hat(m) and x.h_hat(tag.s) is x.v_hat(m), (c.name, tag)
+                for s in class_starts(x):
+                    if (m := x.alexander_class(-s)) > s:
+                        assert x.region_complex(s) is x.region_complex(m), (c.name, s)
+                        assert x.v_hat(s) is x.h_hat(m) and x.h_hat(s) is x.v_hat(m), (c.name, s)
                         lower += 1
             assert not built, c.name
         assert lower > 0
@@ -700,12 +729,12 @@ class TestMirrorClasses:
         monkeypatch.setattr(RegionComplex, "__init__", lambda self, tag, boundary: built.append(tag) or init(self, tag, boundary))
         top = max(c.columns[0][1])
         c.genus()
-        for tag in class_tags(c):
-            v = c.v_hat(tag.s)
-            assert v.source is c.region_complex(tag), tag
-            assert v.source.tag == (HatB() if tag.s >= top else tag), tag
+        for s in class_starts(c):
+            v = c.v_hat(s)
+            assert v.source is c.region_complex(s), s
+            assert v.source.tag == min(s, top), s
         # One region per class below the top grading, and HatB.
-        assert len(built) == len(set(built)) == sum(tag.s < top for tag in class_tags(c)) + 1
+        assert len(built) == len(set(built)) == sum(s < top for s in class_starts(c)) + 1
 
 
 class TestJson:
@@ -755,7 +784,7 @@ class TestReferenceModel:
 WIDTH_QUERIES = {
     "genus": lambda c: c.genus(),
     "b_rank": lambda c: c.b_rank(),
-    "HatB": lambda c: c.region_complex(HatB()).dim,
+    "HatB": lambda c: c.region_complex(c.top).dim,
     "v_hat": lambda c: c.v_hat(0).induced_rank,
     "essential_summand": lambda c: c.essential_summand.name,
     "chain": lambda c: cone_rank_chain(c, Slope(1, 1)),

@@ -95,12 +95,23 @@ class TestRank:
         assert code == 2 and "builtin" in err
 
     def test_a_slope_past_the_last_hat_b_block_ranks_at_once(self, capsys):
-        # The window sweeps no HatB block, and t sums at most 2g + 1 meets,
-        # one per segment between its cuts, however large p is.
+        # The window sweeps no HatB block, and t sums one meet per segment
+        # between its cuts, at most one per Alexander cut, however large p is.
         start = time.perf_counter()
         code, out, _ = run(["rank", "t25", "-p", "30000001", "-q", "10000001"], capsys)
         assert time.perf_counter() - start < 1
         assert code == 0 and out == "oracle=30000005 formula=30000005\n"
+
+    def test_t_of_a_genus_far_past_its_generators_ranks_at_once(self, tmp_path, capsys):
+        # Three generators of genus 10**7: t cuts only at the complex's four
+        # Alexander cuts in [-g, g], not at every multiple of q up to the
+        # genus, so 40000001/1 reads five meets.
+        path = tmp_path / "staircase.json"
+        path.write_text(staircase([10**7, 10**7]).to_json())
+        start = time.perf_counter()
+        code, out, err = run(["rank", str(path), "-p", "40000001", "-q", "1"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == "oracle=40000001 formula=40000001\n" and err == ""
 
 
 class TestScan:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hfsurgery import f2
-from hfsurgery.cfk import CfkComplex, FilteredChainMap, HatA, HatB, RegionComplex
+from hfsurgery.cfk import CfkComplex, FilteredChainMap, RegionComplex
 from hfsurgery.f2 import F2Matrix
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, staircase, tensor
 from hfsurgery.obstructions import hypothesis_check
@@ -125,7 +125,7 @@ def test_genus_thresholds(c):
 def test_a_region_stabilizes_at_b(c):
     g, b = c.genus(), c.b_rank()
     for s in (g, g + 1, -g, -g - 1):
-        assert c.region_complex(HatA(s)).homology.dim == b
+        assert c.region_complex(s).homology.dim == b
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,10 +134,10 @@ def test_homology_quotients_the_region_cycles(c):
     # Both rank routes start from one cycle basis per region: the homology
     # picks its representatives among those cycles.
     g = c.genus()
-    for tag in [HatB()] + [HatA(s) for s in range(-g - 1, g + 2)]:
-        region = c.region_complex(tag)
-        assert set(region.homology.reps) <= set(region.cycles), tag
-        assert region.homology.dim == len(region.cycles) - f2.rank(region.boundary), tag
+    for s in [c.top, *range(-g - 1, g + 2)]:
+        region = c.region_complex(s)
+        assert set(region.homology.reps) <= set(region.cycles), s
+        assert region.homology.dim == len(region.cycles) - f2.rank(region.boundary), s
 
 
 @settings(max_examples=40, deadline=None)
@@ -356,7 +356,7 @@ def test_hat_b_cocycles_and_the_coboundary_lemma(c):
     has a zero row.  The rows are read by the library on that full basis
     too, whose vectors hold several elements, where the classes often
     hold one, so that a row read with a wrong parity shows."""
-    region = c.region_complex(HatB())
+    region = c.region_complex(c.top)
     d, cocycles, b = region.boundary, region.cocycles, c.b_rank()
     cocycle_rows, d_rank = F2Matrix(region.dim, cocycles), f2.rank(d)
     assert (cocycle_rows @ d).is_zero()
@@ -367,7 +367,7 @@ def test_hat_b_cocycles_and_the_coboundary_lemma(c):
     assert len(reps) == b and f2.rank(F2Matrix(b, tuple(pairing))) == b
     full = tuple(f2.kernel_basis(d.transpose()))
     full_rows = F2Matrix(region.dim, full)
-    full_region = RegionComplex(HatB(), d)
+    full_region = RegionComplex(region.tag, d)
     full_region.cocycles = full
     assert (full_rows @ d).is_zero() and len(full) == region.dim - d_rank == f2.rank(full_rows)
     in_span = [f2.rank(F2Matrix(region.dim, d.data + (y,))) == d_rank for y in full]
@@ -403,7 +403,7 @@ def test_sweep_carries_are_canonical(c, slope, extra):
         sweep_rank(build_cone(c, slope, truncation_bound(c, slope) + extra))
     steps = [(k, v) for k, v in c._memo.items() if k[0] == "sweep"]
     for (_, carry_in, key), (increment, carry) in steps:
-        widths = [len(c.region_complex(HatA(s)).cycles) for s in key]
+        widths = [len(c.region_complex(s).cycles) for s in key]
         for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
             assert all(0 < row < 1 << width for row in rows)
             assert tuple(f2.rref(f2.F2Matrix(width, rows))[0]) == rows
@@ -431,7 +431,7 @@ def test_homological_sweep_carries_are_canonical(c, slope, seed):
     assert rank == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
     steps = [(k, v) for k, v in e._memo.items() if k[0] == "hsweep"]
     for (_, carry_in, key), (increment, carry) in steps:
-        widths = [e.region_complex(HatA(s)).homology.dim for s in key]
+        widths = [e.region_complex(s).homology.dim for s in key]
         for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
             assert all(0 < row < 1 << width for row in rows)
             assert tuple(f2.rref(f2.F2Matrix(width, rows))[0]) == rows

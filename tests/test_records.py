@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from hfsurgery.cfk import HatA, HatB, ValidationIssue, ValidationReport
+from hfsurgery.cfk import ValidationIssue, ValidationReport
 from hfsurgery.f2 import DimensionError, F2Matrix
 from hfsurgery.knots import RandomSpec
 from hfsurgery.obstructions import ObstructionVerdict
@@ -22,9 +22,6 @@ REPORT = dict(
 
 # (value, an equal value built anew, a different value of the same type, repr)
 CASES = {
-    "HatA": (HatA(0), HatA(s=0), HatA(1), "HatA(s=0)"),
-    "HatA-negative": (HatA(-3), HatA(-3), HatA(3), "HatA(s=-3)"),
-    "HatB": (HatB(), HatB(), HatA(0), "HatB()"),
     "ValidationIssue": (
         ISSUE,
         ValidationIssue(code="empty", message="complex has no generators"),
@@ -73,9 +70,8 @@ CASES = {
 
 # A field of each frozen type, by case.
 FROZEN = {
-    "HatA": "s", "HatB": "s", "ValidationIssue": "code", "ValidationReport": "issues",
-    "F2Matrix": "data", "RandomSpec": "dots", "Slope": "p", "HypothesisReport": "h_in_v",
-    "ObstructionVerdict": "verdict",
+    "ValidationIssue": "code", "ValidationReport": "issues", "F2Matrix": "data", "RandomSpec": "dots",
+    "Slope": "p", "HypothesisReport": "h_in_v", "ObstructionVerdict": "verdict",
 }
 
 
@@ -124,16 +120,6 @@ def test_hypothesis_overall_is_a_frozen_field_read_off_the_runs():
     assert HypothesisReport((), ()).overall is True
     with pytest.raises(AttributeError):
         report.overall = True
-
-
-def test_hat_a_is_a_key_of_its_own():
-    key = HatA(0)
-    for other in [(0,), 0, (), HatB(), HatA(1), ("region", 0), [0]]:
-        assert key != other and other != key
-    assert HatB() != () and HatB() != (0,) and HatB() != 0
-    memo = {("region", HatA(0)): "a", ("region", HatB()): "b", ("region", (0,)): "tuple"}
-    assert memo[("region", HatA(0))] == "a" and memo[("region", HatB())] == "b"
-    assert {HatA(0): 1}[HatA(0)] == 1 and HatA(5).s == 5
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from hfsurgery import f2, surgery
-from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, HatA, HatB, RegionComplex
-from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, random_complex, tensor
+from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, RegionComplex
+from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, staircase, tensor
 from hfsurgery.obstructions import complement_check, cosmetic_pair_check
 from hfsurgery.surgery import (
     FormulaNotApplicableError,
@@ -132,8 +132,8 @@ class TestBuildCone:
         d_b = surgery._hat_b_boundary_rank(c)
         first_rank, second_rank = first.boundary_rank, second.boundary_rank
         runs = c.class_runs(-1, 1)
-        regions = [c.region_complex(HatA(s)) for s, _ in runs]
-        assert [region.tag for region in regions] == [HatA(1), HatA(0), HatA(1)]
+        regions = [c.region_complex(s) for s, _ in runs]
+        assert [region.tag for region in regions] == [1, 0, 1]
         assert [s for s, _ in runs] == [-1, 0, 1]
         assert regions[0] is regions[2]
         terms = [region.dim - len(region.cycles) for region in regions]
@@ -166,10 +166,10 @@ class TestBuildCone:
             evaluated.clear()
             calls = []
             lookup = CfkComplex.region_complex
-            monkeypatch.setattr(CfkComplex, "region_complex", lambda self, tag: calls.append(tag) or lookup(self, tag))
+            monkeypatch.setattr(CfkComplex, "region_complex", lambda self, s: calls.append(s) or lookup(self, s))
             second = Counting(c, slopes[1])
             got = totals(second)
-            assert not any(isinstance(tag, HatA) for tag in calls), calls
+            assert set(calls) <= {c.top}, calls
             assert evaluated == []
             monkeypatch.undo()
             assert second._runs == first._runs and second.a_columns != first.a_columns
@@ -181,21 +181,21 @@ class TestBuildCone:
         # t25#t27#figure_eight (genus 6, gradings -6..6) reads the classes
         # -5..7, where 200001/1 used to leave one memo entry per s.  Each
         # class -5..-1 is served its mirror's region and the two top
-        # classes, 6 and 7, the HatB region, so 7 regions are built:
-        # HatA(0..5) and HatB.
+        # classes, 6 and 7, the HatB region, the region at the top grading
+        # 6, so 7 regions are built: those of the classes 0..6.
         c = _complex("t25#t27#figure_eight")
         for slope in (Slope(11, 1), Slope(23, 2), Slope(200001, 1)):
             cone_rank_chain(c, slope)
         regions = {key[1]: value for key, value in c._memo.items() if key[0] == "region"}
-        assert all(tag == HatB() or c.alexander_class(tag.s) == tag.s for tag in regions)
-        assert set(regions) == {HatB()} | {HatA(s) for s in range(-5, 8)}
+        assert all(c.alexander_class(s) == s for s in regions)
+        assert set(regions) == set(range(-5, 8))
         assert len({id(region) for region in regions.values()}) == 7
         cone = MappingCone(c, Slope(200001, 1))
         runs = c.class_runs(cone._runs[0], cone.a_columns[-1])
         assert [s for s, _ in runs] == list(range(-5, 8))
-        regions = [c.region_complex(HatA(s)) for s, _ in runs]
-        assert regions[:5] == [c.region_complex(HatA(s)) for s in range(5, 0, -1)]
-        assert regions[-2] is regions[-1] is c.region_complex(HatB())
+        regions = [c.region_complex(s) for s, _ in runs]
+        assert regions[:5] == [c.region_complex(s) for s in range(5, 0, -1)]
+        assert regions[-2] is regions[-1] is c.region_complex(c.top)
         # Twelve runs of one column each, and the last run the other
         # 200001 - 12 columns, from 7 to hi.
         terms = [region.dim - len(region.cycles) for region in regions]
@@ -244,8 +244,8 @@ class TestBuildCone:
                     sweep_rank(cone)
                     swept = sum(map(sum, sweep_increments(cone)))
                     assert f2.rank(full) == cone.boundary_rank + swept, (c.name, slope)
-                    a_rank = sum(f2.rank(c.region_complex(HatA(j // slope.q)).boundary) for j in cone.a_columns)
-                    b_rank = f2.rank(c.region_complex(HatB()).boundary)
+                    a_rank = sum(f2.rank(c.region_complex(j // slope.q).boundary) for j in cone.a_columns)
+                    b_rank = f2.rank(c.region_complex(c.top).boundary)
                     assert cone.boundary_rank == a_rank + len(cone.b_columns) * b_rank, (c.name, slope)
 
     def test_total_boundary_rows_are_narrow(self):
@@ -261,14 +261,14 @@ class TestBuildCone:
                 cone = build_cone(c, slope)
                 p, q = slope.p, slope.q
                 a_width = max(
-                    len(c.region_complex(HatA(j // q)).cycles) for j in cone.a_columns
+                    len(c.region_complex(j // q).cycles) for j in cone.a_columns
                 )
                 limit = 2 * a_width
-                cocycles = len(c.region_complex(HatB()).cocycles)
+                cocycles = len(c.region_complex(c.top).cocycles)
                 assert cocycles == c.b_rank()
                 for key in {((j - p) // q, j // q) for j in cone.b_columns}:
                     rows, width, v_start = cone.total_boundary(key)
-                    h_width, v_width = (len(c.region_complex(HatA(s)).cycles) for s in key)
+                    h_width, v_width = (len(c.region_complex(s).cycles) for s in key)
                     assert v_start == h_width
                     assert width == v_start + v_width <= limit
                     assert len(rows) <= cocycles
@@ -386,7 +386,7 @@ class TestConeRanks:
         else:
             dots = random_complex(RandomSpec(seed=1, dots=3))
             c = tensor(tensor(dots, builtin("trefoil_rh")), builtin("trefoil_lh"))
-        region = c.region_complex(HatB())
+        region = c.region_complex(c.top)
         vars(region)["cocycles"] = region.cocycles[1:]
         with pytest.raises(f2.DimensionError, match="cocycle classes") as excinfo:
             cone_rank_chain(c, Slope(3, 5))
@@ -538,7 +538,7 @@ class TestSweep:
         # carry, so the count has a bound of its own.  The sweep must still
         # give the rank of each class's rows laid out in chain order.
         def random_rows(cone, key):
-            widths = [len(cone.complex.region_complex(HatA(s)).cycles) for s in key]
+            widths = [len(cone.complex.region_complex(s).cycles) for s in key]
             v_start = widths[0]
             rng = random.Random(f"{seed} {key}")
             count = rng.randint(0, v_start)
@@ -592,7 +592,7 @@ class TestSweep:
         rank = f2.rank
         monkeypatch.setattr(f2, "rank", lambda m: calls.append(m) or rank(m))
         assert cone_rank_chain(c, Slope(5, 3)) == 85
-        assert calls == [c.region_complex(HatB()).boundary]
+        assert calls == [c.region_complex(c.top).boundary]
         assert _sweep_entries(c)
 
     def test_no_hatb_column_means_no_step(self):
@@ -666,9 +666,9 @@ class TestTInvariant:
         ids=["t27", "genus 0"],
     )
     def test_a_miss_reads_one_meet_per_segment(self, monkeypatch, build, slope, most):
-        # The clamped pair of floors changes only at the cuts kq and p - kq,
-        # 1 <= k <= g, so a memo miss reads at most 2g + 1 meets, and
-        # exactly one at genus 0.
+        # The clamped pair of floors changes class only at the cuts xq and
+        # p + xq, x an Alexander cut in [-g, g], so a memo miss reads at
+        # most 2g + 1 meets, and exactly one at genus 0.
         c = build()
         meets = []
         meet = surgery._meet
@@ -678,6 +678,49 @@ class TestTInvariant:
         meets.clear()
         t_invariant(c, slope)
         assert meets == []
+
+    def test_a_miss_reads_one_meet_per_alexander_cut(self, monkeypatch):
+        # Genus 100000 on three generators: the cuts in [-k, k] are
+        # -100000, -99999, 1 and 100000, so t reads five meets at
+        # 400001/1, not one per multiple of q up to the genus.
+        c = staircase([100000, 100000])
+        meets = []
+        meet = surgery._meet
+        monkeypatch.setattr(surgery, "_meet", lambda *args: meets.append(args) or meet(*args))
+        assert t_invariant(c, Slope(400001, 1)) == 200002
+        assert c.genus() == 100000 and len(meets) <= 5
+
+    @pytest.mark.parametrize(
+        ("build", "slope"),
+        [
+            (lambda: staircase([20, 20]), Slope(101, 2)),
+            (lambda: staircase([3, 17, 17, 3]), Slope(127, 3)),
+            (lambda: staircase([1, 1, 25, 25, 1, 1]), Slope(121, 2)),
+            (lambda: tensor(staircase([20, 20]), mirror(staircase([12, 12]))), Slope(39, 2)),
+            (lambda: tensor(staircase([20, 20]), mirror(staircase([12, 12]))), Slope(121, 2)),
+            (lambda: tensor(staircase([20, 20]), mirror(staircase([3, 3]))), Slope(127, 3)),
+        ],
+        ids=["20-20", "3-17-17-3", "1-1-25-25-1-1", "20-20#-12-12-k-below-g", "20-20#-12-12", "20-20#-3-3"],
+    )
+    def test_sparse_cuts_sum_to_the_meet_of_every_j(self, monkeypatch, build, slope):
+        # Complexes whose cuts lie far apart, at slopes where t > 0, with
+        # k = genus and, at 39/2, k < genus: t summed over the segments
+        # between the cuts is the meet summed over every j, read with at
+        # most one meet per cut in [-k, k], plus one.  Each case reads a
+        # different t without the cuts xq or without the cuts p + xq.
+        c = build()
+        p, q = slope.p, slope.q
+        every_j = sum(
+            models.image_intersection_rank(c.v_hat(j // q).induced, c.h_hat((j - p) // q).induced)
+            for j in range(p)
+        )
+        meets = []
+        meet = surgery._meet
+        monkeypatch.setattr(surgery, "_meet", lambda *args: meets.append(args) or meet(*args))
+        assert t_invariant(c, slope) == every_j
+        e = c.essential_summand
+        k = min(e.genus(), (p - 1) // q)
+        assert len(meets) <= 1 + sum(1 for x in e.alexander_cuts if x and -k <= x <= k)
 
 
 class TestMeets:
@@ -889,7 +932,7 @@ class TestKernel:
         above = {c.alexander_class(s) for s in range(3, 8)}
         below = {c.alexander_class(s) for s in range(-8, -2)}
         assert (above, below) == ({3}, {-3})
-        beyond = {("region", HatA(s)) for s in above | below}
+        beyond = {("region", s) for s in above | below}
         beyond |= {("v", s) for s in above} | {("h", s) for s in below}
         assert not (set(c._memo) - before) & beyond
 
@@ -907,8 +950,7 @@ class TestKernel:
         kernel_basis_construction(c, Slope(2001, 1))
         assert reads() == before
         classes = set(range(-4, 5))
-        assert {s for kind, s in before if kind != "region"} <= classes
-        assert all(tag.s in classes for kind, tag in before if kind == "region" and isinstance(tag, HatA))
+        assert {s for _, s in before} <= classes
 
     @pytest.mark.parametrize(
         ("name", "slope", "rank"),
@@ -989,7 +1031,7 @@ class TestLargeSurgeryWindow:
         for name in ("trefoil_rh", "trefoil_lh", "figure_eight", "t25", "t27"):
             c = builtin(name)
             g, b = c.genus(), c.b_rank()
-            window = sum(c.region_complex(HatA(s)).homology.dim for s in range(-g, g + 1))
+            window = sum(c.region_complex(s).homology.dim for s in range(-g, g + 1))
             for n in (2 * g + 2, 2 * g + 4) + ((200001,) if name == "t27" else ()):
                 expected = window + (n - (2 * g + 1)) * b
                 for route in (rank_formula, cone_rank_chain, cone_rank_homological):
