@@ -10,12 +10,16 @@ complex too wide to rank, an input that is neither a readable complex file
 nor a builtin, or an empty scan grid.  Output is line oriented for shell
 use; pass --format json for machine-readable output.
 
-Each call builds its parser afresh, and builds only what its argv needs:
-`_build_parser` adds the subparser of the command that argv's first word
-names, or of every command when that word is no command name (no
-arguments, -h or --help, an unknown command, a leading option).  `main`
-loads the input of every command that reads a complex, the commands whose
-parser has an ``input`` positional, and hands the complex to the command.
+Each call builds its parser afresh, and builds only what its argv needs.
+When argv's first word names a command, `_build_parser` returns that
+command's own parser, the one the full parser would add as its subparser,
+and `_parse` reads the words after the name with it; a word it leaves over
+sends the whole argv to the full parser, which exits 2 naming it under its
+own usage line.  Every other argv (no arguments, -h or --help, an unknown
+command, a leading option) is read by the full parser, which has a
+subparser for every command.  `main` loads the input of every command
+that reads a complex, the commands whose parser has an ``input``
+positional, and hands the complex to the command.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .surgery import (
     rank_formula,
     require_grid_sweep,
 )
+
+PROG = "hfsurgery"
 
 
 def _load_complex(source: str) -> CfkComplex:
@@ -150,22 +156,29 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _fill(parser, func, formats, one_of, arguments) -> argparse.ArgumentParser:
+    # A command's parser: the input of one that reads a complex, or else the
+    # required choice of one_of's flags; then its own arguments, each keyed
+    # by its dest and flagged -x for one letter or --name for more; then
+    # --format, unless it has no formats.
+    if one_of is None:
+        parser.add_argument("input")
+    else:
+        group = parser.add_mutually_exclusive_group(required=True)
+        for dest, options in one_of.items():
+            group.add_argument("--" + dest, **options)
+    for dest, options in arguments.items():
+        parser.add_argument(("-" if len(dest) == 1 else "--") + dest.replace("_", "-"), **options)
+    if formats:
+        parser.add_argument("--format", choices=formats, default="plain")
+    parser.set_defaults(func=func)
+    return parser
+
+
 def _build_parser(argv=()) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hfsurgery",
-        description=(
-            "Surgery ranks, rank formulas and cosmetic-surgery obstructions "
-            "for bifiltered knot Floer complexes over GF(2)."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
     def command(name, help, func, /, formats=("plain", "json"), one_of=None, **arguments):
-        # A command: the input of one that reads a complex, or else the
-        # required choice of one_of's flags; then its own arguments, each
-        # keyed by its dest and flagged -x for one letter or --name for
-        # more; then --format, unless it has no formats.
         commands[name] = help, func, formats, one_of, arguments
 
     number, slope = dict(type=int, required=True), dict(required=True, metavar="P/Q")
@@ -184,30 +197,32 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
             max_side=dict(type=int, default=2), max_offset=dict(type=int, default=2), name={})
 
     if argv and argv[0] in commands:
-        # Only the named command's subparser is built.  The usage line still
-        # names every command: the top parser prints it for an argument
-        # that the subparser leaves over.
-        sub.metavar = "{" + ",".join(commands) + "}"
-        commands = {argv[0]: commands[argv[0]]}
-    for name, (help, func, formats, one_of, arguments) in commands.items():
-        p = sub.add_parser(name, help=help)
-        if one_of is None:
-            p.add_argument("input")
-        else:
-            group = p.add_mutually_exclusive_group(required=True)
-            for dest, options in one_of.items():
-                group.add_argument("--" + dest, **options)
-        for dest, options in arguments.items():
-            p.add_argument(("-" if len(dest) == 1 else "--") + dest.replace("_", "-"), **options)
-        if formats:
-            p.add_argument("--format", choices=formats, default="plain")
-        p.set_defaults(func=func)
+        # The parser that the full one's subparser for this command would be.
+        _, *spec = commands[argv[0]]
+        return _fill(argparse.ArgumentParser(prog=f"{PROG} {argv[0]}"), *spec)
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description=(
+            "Surgery ranks, rank formulas and cosmetic-surgery obstructions "
+            "for bifiltered knot Floer complexes over GF(2)."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, *spec) in commands.items():
+        _fill(sub.add_parser(name, help=help), *spec)
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """argv read as the full parser's ``parse_args`` reads it, by the named
+    command's own parser where it can be (the module docstring says how)."""
+    parser = _build_parser(argv)
+    args, extra = parser.parse_known_args(argv if parser.prog == PROG else argv[1:])
+    return _build_parser(()).parse_args(argv) if extra else args
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         status = args.func(args, _load_complex(args.input)) if "input" in args else args.func(args)
         sys.stdout.flush()

@@ -563,16 +563,21 @@ def t_invariant(c: CfkComplex, slope: Slope) -> int:
     is the sum over the segments between those points, 0 and p of each
     segment's length times the meet at its start: at most one meet per cut
     in [-k, k], plus one, however large the genus, each one a meet that a
-    loop over every j would read.  Every meet lies in the essential
-    summand, so t is read there, with its cuts and genus."""
+    loop over every j would read.  When k = g the cut -g is left out: the
+    clamped floor max((j - p) // q, -g) is -g on both sides of it.  When
+    k < g the cut -k stays, since the floor's class can change there,
+    though no known complex reads a different t without it.  Every meet
+    lies in the essential summand, so t is read there, with its cuts and
+    genus."""
     p, q = slope.p, slope.q
     if (t := c._memo.get(key := ("t", p, q))) is not None:
         return t
     e = c.essential_summand
-    k = min(e.genus(), (p - 1) // q)  # the floors x in [1, k] and [-k, -1]
+    g = e.genus()
+    k = min(g, (p - 1) // q)  # the floors x in [1, k] and [-k, -1]
     a = e.alexander_cuts
     up = a[bisect_right(a, 0):bisect_right(a, k)]
-    down = a[bisect_left(a, -k):bisect_left(a, 0)]
+    down = a[bisect_left(a, -k if k < g else 1 - g):bisect_left(a, 0)]
     cuts = sorted({0, p, *[x * q for x in up], *[p + x * q for x in down]})
     t = c._memo[key] = sum((end - u) * _meet(e, u // q, (u - p) // q) for u, end in zip(cuts, cuts[1:]))
     return t

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +19,7 @@ from hfsurgery import cli, obstructions, surgery
 from hfsurgery.cfk import RegionComplex
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, random_complex, staircase
 
+import models
 import scale
 
 
@@ -103,9 +106,9 @@ class TestRank:
         assert code == 0 and out == "oracle=30000005 formula=30000005\n"
 
     def test_t_of_a_genus_far_past_its_generators_ranks_at_once(self, tmp_path, capsys):
-        # Three generators of genus 10**7: t cuts only at the complex's four
-        # Alexander cuts in [-g, g], not at every multiple of q up to the
-        # genus, so 40000001/1 reads five meets.
+        # Three generators of genus 10**7: t cuts only at the complex's
+        # Alexander cuts in (-g, g], not at every multiple of q up to the
+        # genus, so 40000001/1 reads four meets.
         path = tmp_path / "staircase.json"
         path.write_text(staircase([10**7, 10**7]).to_json())
         start = time.perf_counter()
@@ -655,7 +658,7 @@ class TestGen:
         assert err == "error: 'name' must not contain the lone surrogate '\\udcff', got 'a\\udcffb'\n"
 
 
-# -- the parser: each call builds the subparser its command needs -----------
+# -- the parser: each call builds the parser its command needs --------------
 
 COMMANDS = ["validate", "info", "rank", "scan", "cosmetic", "complement", "gen"]
 COMMAND_ARGS = {
@@ -677,6 +680,14 @@ PARSER_ARGVS = [
     ["info", "t25", "--format", "tsv"],
     ["rank", "t25", "-p", "5", "-q", "3", "--method", "magic"],
     ["gen", "--builtin", "t25", "--random"],
+    # Forms that a command's own parser reads as the full parser's subparser does.
+    ["rank", "t25", "-p", "5", "-q", "3", "--form", "json"],
+    ["cosmetic", "trefoil_rh", "-r=1/1", "-s", "1/2"],
+    ["rank", "-p", "5", "-q", "3", "t25"],
+    ["rank", "t25", "-p", "5", "-q", "3", "--bogus"],
+    ["validate", "--", "t25"], ["rank", "--", "t25", "-p", "5", "-q", "3"],
+    ["rank", "t25", "-p", "5", "-q", "-3"],
+    ["gen", "--random", "--dots", "2"],
 ]
 
 
@@ -685,9 +696,51 @@ def test_main_matches_the_parser_of_every_command(argv, capsys, monkeypatch):
     # Help text wraps to the terminal width, which argparse reads from COLUMNS.
     monkeypatch.setenv("COLUMNS", "80")
     built = run(argv, capsys)
-    full = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: full)
+    monkeypatch.setattr(cli, "_parse", cli._build_parser().parse_args)
     assert run(argv, capsys) == built
+
+
+PARSER_WORDS = [
+    *COMMANDS, "bogus", "t25", "trefoil_rh", "-p", "-q", "1", "2", "-3", "-r", "-s", "1/2", "-r=1/1",
+    "--pmax", "--qmax", "--check", "--method", "oracle", "--format", "--form", "json", "tsv",
+    "--builtin", "--random", "--dots", "--name", "--", "-h", "--help", "--bogus", "extra",
+]
+
+
+@st.composite
+def parser_argvs(draw):
+    """A command's argv, or none, with up to three words of PARSER_WORDS put
+    in at drawn places: most name a command, and many leave words over."""
+    argv = list(draw(st.sampled_from([[], *COMMAND_ARGS.values()])))
+    for word in draw(st.lists(st.sampled_from(PARSER_WORDS), max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=parser_argvs())
+def test_main_matches_the_full_parser_on_drawn_argvs(argv):
+    def outcome(parse):
+        with mock.patch.object(cli, "_parse", parse), \
+                contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    assert outcome(cli._parse) == outcome(cli._build_parser().parse_args)
+
+
+def count_parsers(monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
 
 
 def count_subparsers(monkeypatch):
@@ -702,11 +755,11 @@ def count_subparsers(monkeypatch):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_a_command_builds_its_own_subparser_alone(command, capsys, monkeypatch):
-    added = count_subparsers(monkeypatch)
+def test_a_command_builds_its_own_parser_alone(command, capsys, monkeypatch):
+    built = count_parsers(monkeypatch)
     for argv in (COMMAND_ARGS[command], [command, "--help"]):
-        del added[:]
-        assert run(argv, capsys)[0] == 0 and added == [command], argv
+        del built[:]
+        assert run(argv, capsys)[0] == 0 and built == [f"hfsurgery {command}"], argv
 
 
 def test_help_builds_every_subparser(capsys, monkeypatch):
@@ -771,6 +824,33 @@ def test_json_output_is_deterministic(args, capsys):
     data = json.loads(first[1])
     for record in data if isinstance(data, list) else [data]:
         assert "timings" not in record
+
+
+# sha256 over the label, exit code and stdout of every command below, pinned
+# so that a change to the CLI or the library keeps every command's output
+# byte for byte.  stderr and --help are left out: their argparse text
+# changes between Python versions.
+CLI_STDOUT_SHA256 = "9ddf0831171406223568f4be4313e7040cd82734e536faad37f1008cd1a40c99"
+
+
+def test_every_commands_stdout_is_pinned(tmp_path, capsys):
+    path = tmp_path / "tensor.json"
+    path.write_text(models.tensor_of("trefoil_rh", "figure_eight").to_json())
+    digest = hashlib.sha256()
+    for label, source in [*zip(BUILTIN_NAMES, BUILTIN_NAMES), ("FILE", str(path))]:
+        for command, *words in (
+            ["validate"], ["info"], ["rank", "-p", "5", "-q", "3"],
+            ["rank", "-p", "5", "-q", "3", "--format", "tsv"],
+            ["rank", "-p", "5", "-q", "3", "--format", "json"],
+            ["scan", "--pmax", "3", "--qmax", "3", "--check"],
+            ["cosmetic", "-r", "5/1", "-s", "5/3"], ["complement", "-q", "2"],
+        ):
+            code, out, _ = run([command, source, *words], capsys)
+            digest.update(json.dumps([" ".join([command, label, *words]), code, out]).encode())
+    for name in BUILTIN_NAMES:
+        code, out, _ = run(argv := ["gen", "--builtin", name], capsys)
+        digest.update(json.dumps([" ".join(argv), code, out]).encode())
+    assert digest.hexdigest() == CLI_STDOUT_SHA256
 
 
 # -- fuzz: any file content, any small slope, no traceback --------------------

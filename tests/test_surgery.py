@@ -680,15 +680,16 @@ class TestTInvariant:
         assert meets == []
 
     def test_a_miss_reads_one_meet_per_alexander_cut(self, monkeypatch):
-        # Genus 100000 on three generators: the cuts in [-k, k] are
-        # -100000, -99999, 1 and 100000, so t reads five meets at
-        # 400001/1, not one per multiple of q up to the genus.
+        # Genus 100000 on three generators, k = g: the cuts in [-k, k] are
+        # -100000, -99999, 1 and 100000, and at -g the clamped floor does
+        # not change, so t reads four meets at 400001/1, not one per
+        # multiple of q up to the genus.
         c = staircase([100000, 100000])
         meets = []
         meet = surgery._meet
         monkeypatch.setattr(surgery, "_meet", lambda *args: meets.append(args) or meet(*args))
         assert t_invariant(c, Slope(400001, 1)) == 200002
-        assert c.genus() == 100000 and len(meets) <= 5
+        assert c.genus() == 100000 and len(meets) == 4
 
     @pytest.mark.parametrize(
         ("build", "slope"),
