@@ -10,9 +10,8 @@ two staircases and ``t25#t27#figure_eight``.  Each line holds the
 complex's genus, b, z (``acyclic_sum``), nu where b = 1, the sha256 of the
 essential summand's JSON and the containment report; at every slope of
 :data:`SLOPES` one list of the chain, homological, closed-form and kernel
-ranks and t (:data:`SLOPE_KEYS`), the two closed-form ranks null where the
-containment hypothesis fails; and the ``complement`` verdicts and ranks at
-q = 1..3.
+ranks and t (:data:`SLOPE_KEYS`); and the ``complement`` verdicts and
+ranks at q = 1..3.
 
 ``tests/test_value_record.py`` rebuilds the record and compares it line by
 line, so a change that moves any value fails there.  Rewriting the record
@@ -58,13 +57,13 @@ def corpus():
     yield tensor(tensor(builtin("t25"), builtin("t27")), builtin("figure_eight"))
 
 
-def slope_values(c, slope: Slope, hypothesis: bool) -> list:
+def slope_values(c, slope: Slope) -> list:
     """The values of :data:`SLOPE_KEYS` at one slope, in that order."""
-    closed_form = [surgery.rank_formula(c, slope), surgery.kernel_rank(c, slope)] if hypothesis else [None, None]
     return [
         surgery.cone_rank_chain(c, slope),
         surgery.cone_rank_homological(c, slope),
-        *closed_form,
+        surgery.rank_formula(c, slope),
+        surgery.kernel_rank(c, slope),
         surgery.t_invariant(c, slope),
     ]
 
@@ -76,7 +75,6 @@ def _verdict(check) -> dict:
 def values(c) -> dict:
     """Everything the record holds for one complex."""
     b = c.b_rank()
-    report = surgery.hypothesis_verdicts(c)
     return {
         "name": c.name,
         "genus": c.genus(),
@@ -84,8 +82,8 @@ def values(c) -> dict:
         "acyclic_sum": c.acyclic_sum(),
         "nu": surgery.nu_surrogate(c) if b == 1 else None,
         "summand_sha256": hashlib.sha256(c.essential_summand.to_json().encode()).hexdigest(),
-        "containment": report.to_json_dict(),
-        "slopes": {str(slope): slope_values(c, slope, report.overall) for slope in SLOPES},
+        "containment": surgery.hypothesis_verdicts(c).to_json_dict(),
+        "slopes": {str(slope): slope_values(c, slope) for slope in SLOPES},
         "complement": {str(q): _verdict(complement_check(c, q)) for q in COMPLEMENT_QS},
     }
 

@@ -50,7 +50,6 @@ from .obstructions import (
     monotonicity_scan,
 )
 from .surgery import (
-    FormulaNotApplicableError,
     HypothesisReport,
     MappingCone,
     NotApplicableError,
@@ -61,7 +60,6 @@ from .surgery import (
     cone_rank_chain,
     cone_rank_homological,
     coprime_slopes,
-    hypothesis_holds,
     kernel_rank,
     nu_surrogate,
     rank_formula,

@@ -84,11 +84,15 @@ flip[i] to flip[flip[i]] = i when A(flip(x_i)) >= s, so
 h_hat(s) o Phi_s^-1 sends i to i exactly when A(x_i) <= -s, v_hat(m)'s
 index map.  So HatA(s) is served as the region of HatA(m), v_hat(s) is
 h_hat(m) and h_hat(s) is v_hat(m), the same objects.  Composing with the
-isomorphism Phi_s^-1 changes no rank, no image in H(HatB) and no meet of
-images, and a cone column of class s read this way is the old column
-moved by Phi_s, so the cone changes only by an isomorphism.  The middle
-class and the classes at or above their mirrors build their regions and
-both maps themselves, as does every class of a complex without a flip.
+isomorphism Phi_s^-1 changes no rank and no image in H(HatB), and a cone
+column of class s read this way is the old column moved by Phi_s, so the
+cone changes only by an isomorphism.  The same index reading, for every
+s, gives h_hat(-s) o Phi_s = v_hat(s) exactly, so im h_hat(-s)_* is
+im v_hat(s)_*: one half of the proof in ``surgery`` that the
+image-containment hypothesis holds for every complex with a flip.  The
+middle class and the classes at or above their mirrors build their
+regions and both maps themselves, as does every class of a complex
+without a flip.
 
 A complex with a flip splits along the connected components of the graph
 with one edge per differential arc and one per flip pair.  Each component
@@ -118,8 +122,8 @@ the arcs and flip pairs reaches from the lowest bit of each class, with
 no other record of the components; it is built once as a complex of its
 own in this complex's generator order; the acyclic rest Z, whose HatB has
 no homology, is never built.  Z's v_hat(s) and h_hat(s) vanish on
-homology, so Z adds nothing to the images the containment check and t
-compare, or to nu, and those read P.  What Z does add is H(HatA(s)), and
+homology, so Z adds nothing to the ranks of v_hat that t sums, or to
+nu, and those read P.  What Z does add is H(HatA(s)), and
 :meth:`CfkComplex.acyclic_sum` sums its dimensions over |s| < genus, read
 off the cycles of this complex's own regions, which the chain route
 eliminates anyway.  b and the genus read no split: each has one rule on

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 check failure (rank mismatch, invalid complex,
-or a closed form asked of a complex that fails the containment
-hypothesis) or a stdout closed by its reader, 2 usage error: argparse's
+or a flip missing where an h-map is read) or a stdout closed by its
+reader, 2 usage error: argparse's
 own, or any ValueError, such as a bad slope, one whose cone would sweep
 too many HatB blocks, a scan grid whose cones would in all or that holds
 too many slopes, a random spec that may make too many generators, a
@@ -34,7 +34,6 @@ from .f2 import InvalidComplexError
 from .knots import BUILTIN_NAMES, RandomSpec, UnknownBuiltinError, builtin, random_complex
 from .obstructions import complement_check, cosmetic_pair_check, hypothesis_check
 from .surgery import (
-    FormulaNotApplicableError,
     RankReport,
     Slope,
     compute_rank_report,
@@ -86,19 +85,13 @@ def _cmd_info(args, c) -> int:
     genus = c.genus()
     b = c.b_rank()
     nu = nu_surrogate(c) if b == 1 else None
-    report = hypothesis_check(c) if c.has_flip else None
-    hyp = None if report is None else report.overall
+    hyp = hypothesis_check(c).overall if c.has_flip else None
     payload = {"name": c.name, "genus": genus, "b": b,
                "hfk": {str(s): n for s, n in profile.items()}, "nu": nu, "hypothesis": hyp}
     lines = [f"name={c.name}", f"genus={genus}", f"b={b}",
              "hfk=" + ",".join(f"{s}:{n}" for s, n in profile.items()),
              f"nu={nu if nu is not None else '-'}",
              "hypothesis=" + ("no-flip" if hyp is None else "pass" if hyp else "fail")]
-    if hyp is False:
-        payload["containment"] = report.to_json_dict()
-        for key, runs in (("h_not_in_v", report.h_in_v), ("v_not_in_h", report.v_in_h)):
-            failing = [s for start, n, ok in runs if not ok for s in range(start, start + n)]
-            lines.append(f"{key}=" + (",".join(map(str, failing)) or "-"))
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -126,10 +119,9 @@ def _cmd_scan(args, c) -> int:
     reports = [compute_rank_report(c, slope) for slope in coprime_slopes(args.pmax, args.qmax)]
     table = [RankReport.TSV_HEADER, *(r.tsv_row() for r in reports)]
     _emit(args, [r.to_json_dict() for r in reports], "\n".join(table))
-    bad = [r for r in reports if r.formula_rank is None or not r.consistent] if args.check else []
+    bad = [r for r in reports if not r.consistent] if args.check else []
     for r in bad:
-        why = "" if r.hypothesis_ok else " (containment hypothesis fails)"
-        print(f"check failed at {r.slope}: {r}{why}", file=sys.stderr)
+        print(f"check failed at {r.slope}: {r}", file=sys.stderr)
     return 1 if bad else 0
 
 
@@ -232,7 +224,7 @@ def main(argv=None) -> int:
         # interpreter exit stays quiet too (the recipe in Python's signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (InvalidComplexError, FlipRequiredError, FormulaNotApplicableError) as exc:
+    except (InvalidComplexError, FlipRequiredError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

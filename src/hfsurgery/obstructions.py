@@ -6,8 +6,8 @@ are three-valued and "consistent" only means the obstruction failed to
 fire.  Slope pairs with different p are settled by first homology alone
 and never reach a rank computation.
 
-The containment verdict and its error belong to ``surgery``, looked up on
-the module at call time so that every caller reads the one verdict.
+The containment verdict belongs to ``surgery``, looked up on the module
+at call time so that every caller reads the one verdict.
 """
 
 from __future__ import annotations
@@ -111,12 +111,11 @@ def monotonicity_scan(c: CfkComplex, p: int, qmax: int) -> list[tuple[int, int]]
     """Ranks at p/q for coprime q up to qmax.
 
     On the q >= p tail the list is nondecreasing, strictly increasing
-    unless the complex is trivial; this requires the containment
-    hypothesis, so it is checked up front.
+    unless the complex is trivial; this rests on the containment
+    hypothesis, a theorem of the model (``surgery`` has the proof).
     """
     if p < 1 or qmax < 1:
         raise ValueError("monotonicity scan needs positive p and qmax")
-    surgery.require_hypothesis(c)
     return [
         (q, cone_rank_chain(c, Slope(p, q)))
         for q in range(1, qmax + 1)

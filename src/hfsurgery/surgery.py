@@ -166,7 +166,7 @@ over the window.
 The cone is additive over flip-invariant direct summands.  If the complex
 is P + Z as a bifiltered complex and the flip maps each summand to itself,
 then HatA(s), HatB, v_hat(s) and h_hat(s) all split, and so do the cone on
-any window, its induced block matrix, t and the containment verdicts.
+any window, its induced block matrix and t.
 ``cfk`` finds the essential summand P, the components with b > 0, and
 keeps of the rest Z only the sum
 z = sum over |s| < g of dim H(HatA(s)) of Z, g being the whole genus.  The
@@ -179,8 +179,8 @@ H(HatB) = 0 for s >= g_Z and h_hat(s) one for s <= -g_Z.  The tight
 window from lo = -(g-1)q, with g >= g_Z, holds exactly q columns of every
 floor -(g-1)..g-1 and adds only floors at or above g for larger p, so Z
 adds q * z at every slope p/q.  Hence route two, the closed form and
-:func:`kernel_rank` read P and add q * z, while t, nu and the verdicts
-read P alone; none of them builds a region's homology or a map of the
+:func:`kernel_rank` read P and add q * z, while t and nu read P
+alone; none of them builds a region's homology or a map of the
 whole complex when it splits.  b is the count of HatB's cocycle classes
 on the whole complex, which builds no split; only route two reads its
 own, off P's homology basis.  Route one reads neither the split nor any
@@ -189,18 +189,37 @@ read off the whole complex's cocycle rows too, so every query checks the
 b = 0 rule, and route two's homology, against an independent
 computation.
 
-The closed form, the kernel rank and the monotonicity scan need the
-image-containment hypothesis: :func:`hypothesis_verdicts` owns its one
-memoized verdict and :func:`require_hypothesis` its one error.  The verdict
-and t both read how the images of v_hat and h_hat meet in H(HatB), from the
-one memo of :func:`_meet`, and t cuts its sum over j only where a floor
-crosses an Alexander cut.
+The closed form, the kernel rank and t rest on the image-containment
+hypothesis of the paper (arXiv 2401.10395): im h_hat(s)_* inside
+im v_hat(s)_* for s >= 0, and im v_hat(s)_* inside im h_hat(s)_* for
+s <= 0.  Here it is a theorem, because the flip inside h_hat is the
+conjugation symmetry that ``cfk`` validates.  Proof, in two lemmas.
+First, iota_s: HatA(s) -> HatA(s+1), which keeps the element of x when
+A(x) <= s and sends the rest to 0, is a chain map.  A kept x is the
+element x in both regions.  A term x -> U^k y stays in HatA(s+1) only
+with k = 0, since A(y) - k <= A(x) <= s, and then A(y) <= s, so it stays
+in HatA(s) too, to a kept element; in HatA(s) it may also stay with
+k >= 1, but only to the element of a y with A(y) = s + k > s, which
+iota_s drops.  A term from the element of x, A(x) > s, stays in HatA(s)
+only to the element of a y with A(y) > s, dropped too.  And
+v_hat(s) = v_hat(s+1) o iota_s, as both keep x exactly when A(x) <= s, so
+im v_hat(s)_* grows with s.  Second, h_hat(-s) o Phi_s = v_hat(s)
+exactly, Phi_s = U^s o flip being the chain isomorphism
+HatA(s) -> HatA(-s) of the ``cfk`` mirror paragraph: element i goes to
+flip[i] and on to flip[flip[i]] = i when A(flip(x_i)) = -A(x_i) >= -s.
+So im h_hat(s)_* = im v_hat(-s)_*, which lies in im v_hat(s)_* for
+s >= 0; the mirror containment holds for s <= 0; and, the images being
+nested, dim(im v_hat(a)_* meet im h_hat(b)_*) is rank v_hat(min(a, -b))_*
+for every a and b.  So :func:`t_invariant` sums ranks of v_hat, and
+:func:`hypothesis_verdicts` reports every s as passing.  A flip map apart
+from the conjugation would make the containment a real condition again.
 
 Preconditions follow the policy stated in ``cfk``: every function here
 reads a region, a chain map or the genus before it returns, so ``cfk``
-raises for an invalid complex or a missing flip.  The one guard kept here
-is the flip check in ``MappingCone``, because a cone reads its h-maps only
-when the rows of a HatB block are built.  The slope limits are checked
+raises for an invalid complex or a missing flip.  The guards kept here
+are the flip checks of ``MappingCone``, which reads its h-maps only when
+the rows of a HatB block are built, and of :func:`t_invariant` and
+:func:`hypothesis_verdicts`, which read none.  The slope limits are checked
 where no region is built yet: :func:`require_sweep` for one cone and
 :func:`require_grid_sweep` for a scan's grid.  ``MappingCone`` makes the
 first check, and route two makes it on the whole complex before it reads
@@ -223,10 +242,6 @@ class SlopeError(ValueError):
     """Slopes must be coprime positive fractions p/q, the sweeps of a cone,
     or of a grid's cones, must stay within :data:`MAX_HAT_B_BLOCKS` HatB
     blocks, and a grid within :data:`MAX_GRID_CELLS` cells."""
-
-
-class FormulaNotApplicableError(ValueError):
-    """The image-containment hypothesis fails, so the closed form is not asserted."""
 
 
 class NotApplicableError(ValueError):
@@ -529,69 +544,53 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
     return rank
 
 
-def _meet(c: CfkComplex, a: int, b: int) -> int:
-    """dim(im v_hat(a) meet im h_hat(b)) on homology, memoized per pair of
-    Alexander classes.  Both images lie in the essential summand, so its
-    callers pass that summand.
-
-    v_hat(a) is onto for a >= genus and h_hat(b) for b <= -genus, so the
-    clamped pair a <= genus, b >= -genus has the same meet and reads no map
-    beyond the genus.  The maps are memoized under the classes of the
-    clamped pair, so the meet is too: however far apart the gradings are,
-    there is one entry per pair of classes.  The meet is
-    rank v + rank h - rank [v | h], with the ``induced_rank`` each map
-    caches.
-    """
-    g = c.genus()
-    a, b = c.alexander_class(min(a, g)), c.alexander_class(max(b, -g))
-    if (meet := c._memo.get(key := ("meet", a, b))) is not None:
-        return meet
-    v, h = c.v_hat(a), c.h_hat(b)
-    meet = c._memo[key] = v.induced_rank + h.induced_rank - f2.rank(v.induced.hstack(h.induced))
-    return meet
-
-
 def t_invariant(c: CfkComplex, slope: Slope) -> int:
     """Sum over j = 0..p-1 of dim(im v_hat(j/q) meet im h_hat((j-p)/q)) in
     the homology of HatB, memoized per slope.
 
-    :func:`_meet` reads the floors j // q <= g and (j - p) // q >= -g,
-    clamped, by their Alexander classes, so the meet changes only where a
-    floor crosses an Alexander cut x: at j = xq for the cuts x in [1, k]
-    and at j = p + xq for those in [-k, -1], k = min(g, (p - 1) // q), all
-    in (0, p).  Each range is one bisected slice of ``alexander_cuts``.  t
-    is the sum over the segments between those points, 0 and p of each
-    segment's length times the meet at its start: at most one meet per cut
-    in [-k, k], plus one, however large the genus, each one a meet that a
-    loop over every j would read.  When k = g the cut -g is left out: the
-    clamped floor max((j - p) // q, -g) is -g on both sides of it.  When
-    k < g the cut -k stays, since the floor's class can change there,
-    though no known complex reads a different t without it.  Every meet
-    lies in the essential summand, so t is read there, with its cuts and
-    genus."""
+    The images are nested, so the meet at j is
+    rank v_hat(min(j // q, -((j - p) // q)))_*, as the module docstring
+    proves, read with the floor clamped to g, where v_hat is onto.  So it
+    changes only where a floor crosses an Alexander cut x: at j = xq for
+    the cuts x in [1, k] and at j = p + xq for those in [-k, -1],
+    k = min(g, (p - 1) // q), all in (0, p).  Each range is one bisected
+    slice of ``alexander_cuts``.  t is the sum over the segments between
+    those points, 0 and p of each segment's length times the rank at its
+    start: at most one map per cut in [-k, k], plus one, however large the
+    genus.  When k = g the cut -g is left out: the clamped floor
+    min(-((j - p) // q), g) is g on both sides of it.  When k < g the cut
+    -k stays, since the floor's class can change there, though no known
+    complex reads a different t without it.  The ranks are read on the
+    essential summand, which holds all of v_hat's rank, with its cuts and
+    genus.  t reads no h-map, so it checks the flip itself, once reading
+    the summand has validated the complex."""
     p, q = slope.p, slope.q
     if (t := c._memo.get(key := ("t", p, q))) is not None:
         return t
     e = c.essential_summand
+    c.require_flip()
     g = e.genus()
     k = min(g, (p - 1) // q)  # the floors x in [1, k] and [-k, -1]
     a = e.alexander_cuts
     up = a[bisect_right(a, 0):bisect_right(a, k)]
     down = a[bisect_left(a, -k if k < g else 1 - g):bisect_left(a, 0)]
     cuts = sorted({0, p, *[x * q for x in up], *[p + x * q for x in down]})
-    t = c._memo[key] = sum((end - u) * _meet(e, u // q, (u - p) // q) for u, end in zip(cuts, cuts[1:]))
+    t = c._memo[key] = sum(
+        (end - u) * e.v_hat(min(u // q, -((u - p) // q), g)).induced_rank for u, end in zip(cuts, cuts[1:])
+    )
     return t
 
 
 class HypothesisReport(Frozen):
     """Image-containment verdicts, and overall; shared, so read only.
 
-    Each side holds one (start, length, ok) per Alexander class run of its
-    window, in ascending s: the verdict of every s from start to
-    start + length - 1.  Runs are expanded per s only where they are
-    printed, by :meth:`to_json_dict` and by ``hfsurgery info`` for the
-    failing s, so a report's size follows the class runs, not the genus.
-    ``overall`` is read off the runs once, when the report is made."""
+    Each side holds (start, length, ok) runs in ascending s: the verdict of
+    every s from start to start + length - 1.  The containment is a theorem
+    of the model (the module docstring has the proof), so
+    :func:`hypothesis_verdicts` gives one passing run per side.  Runs are
+    expanded per s only by :meth:`to_json_dict`, so a report's size does
+    not follow the genus.  ``overall`` is read off the runs once, when the
+    report is made."""
 
     __match_args__ = ("h_in_v", "v_in_h")
     __slots__ = (*__match_args__, "overall")
@@ -615,33 +614,12 @@ def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
     """Per-s image containments: im h_hat(s) inside im v_hat(s) for
     0 <= s <= genus, and im v_hat(s) inside im h_hat(s) for -genus <= s <= 0.
 
-    Outside this window the containments are forced by the genus
-    finiteness of the maps.  im h lies in im v exactly when the meet of the
-    two images has the rank of h, and im v in im h exactly when it has the
-    rank of v.  The maps and their meet are one object across a class run,
-    so each run of the window is checked once, at its start, and the report
-    keeps that one verdict for the whole run.  The images lie in the
-    essential summand, so the maps and runs are read there, over this
-    complex's window [-genus, genus].
-    """
-
-    def per_run(e: CfkComplex, lo: int, hi: int, m) -> tuple[tuple[int, int, bool], ...]:
-        return tuple((s, n, _meet(e, s, s) == m(s).induced_rank) for s, n in e.class_runs(lo, hi))
-
-    e, g = c.essential_summand, c.genus()
-    return HypothesisReport(per_run(e, 0, g, e.h_hat), per_run(e, -g, 0, e.v_hat))
-
-
-def hypothesis_holds(c: CfkComplex) -> bool:
-    return hypothesis_verdicts(c).overall
-
-
-def require_hypothesis(c: CfkComplex) -> None:
-    if not hypothesis_holds(c):
-        raise FormulaNotApplicableError(
-            f"complex {c.name!r} fails the image-containment hypothesis; "
-            "the closed-form rank is not asserted (the cone oracles still apply)"
-        )
+    Every one holds, as the module docstring proves, so the report is one
+    passing run per side.  The verdict still needs a valid complex with a
+    flip: reading the genus validates, and the flip is checked after it."""
+    g = c.genus()
+    c.require_flip()
+    return HypothesisReport(((0, g + 1, True),), ((-g, g + 1, True),))
 
 
 def _v_sum(c: CfkComplex, slope: Slope, name: str, term) -> int:
@@ -667,10 +645,8 @@ def rank_formula(c: CfkComplex, slope: Slope) -> int:
     where ker/rk are kernel dimension and rank of the induced v_hat(s),
     b is the homology rank of HatB, and t is t_invariant.  Each term is
     read as dim H(HatA(s)) + b - 2 rk vs, one rank per class run of s, on
-    the essential summand, and the acyclic rest adds q * z.  Only asserted
-    when the image-containment hypothesis holds.
+    the essential summand, and the acyclic rest adds q * z.
     """
-    require_hypothesis(c)
     b = c.b_rank()
     total = _v_sum(c.essential_summand, slope, "formula", lambda v: v.source.homology.dim + b - 2 * v.induced_rank)
     return total + 2 * t_invariant(c, slope) - slope.p * b + slope.q * c.acyclic_sum()
@@ -695,7 +671,6 @@ def kernel_rank(c: CfkComplex, slope: Slope) -> int:
     """Dimension of the kernel of the induced block matrix, in closed form:
     q*ker(v0) + 2q*sum(s=1..g-1) ker(vs) + t on the essential summand, plus
     q * z for the acyclic rest, whose whole homology is kernel."""
-    require_hypothesis(c)
     kernel = _v_sum(c.essential_summand, slope, "kernel", lambda v: v.source.homology.dim - v.induced_rank)
     return kernel + t_invariant(c, slope) + slope.q * c.acyclic_sum()
 
@@ -710,7 +685,7 @@ class RankReport(Record):
     note = "t computed from the supplied flip involution"
 
     def __init__(
-        self, name: str, slope: Slope, oracle_rank: int, formula_rank: int | None, t_value: int,
+        self, name: str, slope: Slope, oracle_rank: int, formula_rank: int, t_value: int,
         nu: int | None, hypothesis_ok: bool, b: int, genus: int,
     ):
         self.name = name
@@ -730,11 +705,10 @@ class RankReport(Record):
 
     @property
     def consistent(self) -> bool:
-        return self.formula_rank is None or self.formula_rank == self.oracle_rank
+        return self.formula_rank == self.oracle_rank
 
     def __str__(self) -> str:
-        formula = "-" if self.formula_rank is None else self.formula_rank
-        return f"oracle={self.oracle_rank} formula={formula}"
+        return f"oracle={self.oracle_rank} formula={self.formula_rank}"
 
     def tsv_row(self) -> str:
         data = self.to_json_dict()
@@ -749,14 +723,13 @@ class RankReport(Record):
 def compute_rank_report(c: CfkComplex, slope: Slope) -> RankReport:
     """Run both routes plus the auxiliary invariants for one slope."""
     oracle = cone_rank_chain(c, slope)
-    hyp = hypothesis_holds(c)
-    formula = rank_formula(c, slope) if hyp else None
+    hyp = hypothesis_verdicts(c).overall
     b = c.b_rank()
     return RankReport(
         name=c.name,
         slope=slope,
         oracle_rank=oracle,
-        formula_rank=formula,
+        formula_rank=rank_formula(c, slope),
         t_value=t_invariant(c, slope),
         nu=nu_surrogate(c) if b == 1 else None,
         hypothesis_ok=hyp,

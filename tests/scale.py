@@ -113,9 +113,9 @@ def wide_complexes() -> None:
     rank 5 and 11)."""
     # Gradings 100000 apart: regions, maps and sweep steps are memoized
     # per Alexander class, so the cost follows the generator count, not
-    # the size of the gradings.  The containment check, t, nu and the
-    # closed form scan s one Alexander class run at a time, so they too
-    # cost what 5 or 9 generators cost.
+    # the size of the gradings.  t, nu and the closed form scan s one
+    # Alexander class run at a time, so they too cost what 5 or 9
+    # generators cost.
     n = 100000
     for c, wants in ((dot_and_box(n), (4 * n - 1, 8 * n - 1)), (dot_and_pair(n), (5, 11))):
         for route in (cone_rank_chain, cone_rank_homological):

@@ -79,16 +79,6 @@ class TestRank:
         for column in ("oracle", "formula", "t", "b", "genus"):
             assert cells[column] == str(data[column])
 
-    def test_formula_on_failing_hypothesis_is_a_check_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(surgery, "hypothesis_holds", lambda c: False)
-        code, out, err = run(["rank", "t25", "-p", "3", "-q", "2", "--method", "formula"], capsys)
-        assert code == 1 and out == ""
-        assert err.splitlines() == [
-            "error: complex 't25' fails the image-containment hypothesis; "
-            "the closed-form rank is not asserted (the cone oracles still apply)"
-        ]
-        assert "Traceback" not in err
-
     def test_noncoprime_usage_error(self, capsys):
         code, _, err = run(["rank", "trefoil_rh", "-p", "2", "-q", "4"], capsys)
         assert code == 2 and "lowest terms" in err
@@ -108,7 +98,7 @@ class TestRank:
     def test_t_of_a_genus_far_past_its_generators_ranks_at_once(self, tmp_path, capsys):
         # Three generators of genus 10**7: t cuts only at the complex's
         # Alexander cuts in (-g, g], not at every multiple of q up to the
-        # genus, so 40000001/1 reads four meets.
+        # genus, so 40000001/1 reads four ranks of v_hat.
         path = tmp_path / "staircase.json"
         path.write_text(staircase([10**7, 10**7]).to_json())
         start = time.perf_counter()
@@ -161,17 +151,6 @@ class TestScan:
         code, out, err = run(["scan", "nosuch", "--pmax", "0", "--qmax", "3"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: 'nosuch' is neither a file nor a builtin") and len(err.splitlines()) == 1
-
-    def test_check_says_why_formula_is_missing(self, capsys, monkeypatch):
-        monkeypatch.setattr(surgery, "hypothesis_holds", lambda c: False)
-        code, out, err = run(["scan", "trefoil_rh", "--pmax", "2", "--qmax", "1", "--check"], capsys)
-        assert code == 1
-        assert "\tfail\t" in out
-        lines = err.splitlines()
-        assert len(lines) == 2
-        assert lines[0] == (
-            "check failed at 1/1: oracle=1 formula=- (containment hypothesis fails)"
-        )
 
 
 class TestObstructionCommands:
@@ -246,22 +225,6 @@ class TestInfoValidate:
         data = json.loads(out)
         assert data["genus"] == 3 and data["b"] == 1 and data["nu"] == 3
         assert "containment" not in data
-
-    def test_info_names_the_failing_s(self, capsys, monkeypatch):
-        # (start, length, ok) runs: h in v fails for s = 1..2, v in h at -1.
-        verdicts = (((0, 1, True), (1, 2, False)), ((-2, 1, True), (-1, 1, False), (0, 1, True)))
-        monkeypatch.setattr(surgery, "hypothesis_verdicts", lambda c: surgery.HypothesisReport(*verdicts))
-        code, out, _ = run(["info", "t25"], capsys)
-        assert code == 0
-        assert out.splitlines()[-3:] == ["hypothesis=fail", "h_not_in_v=1,2", "v_not_in_h=-1"]
-        code, out, _ = run(["info", "t25", "--format", "json"], capsys)
-        data = json.loads(out)
-        assert data["hypothesis"] is False
-        assert data["containment"] == {
-            "h_image_in_v_image": {"0": True, "1": False, "2": False},
-            "v_image_in_h_image": {"-1": False, "-2": True, "0": True},
-            "overall": False,
-        }
 
     def test_validate_builtin(self, capsys):
         code, out, _ = run(["validate", "figure_eight"], capsys)

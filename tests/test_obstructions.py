@@ -15,13 +15,7 @@ from hfsurgery.obstructions import (
     hypothesis_check,
     monotonicity_scan,
 )
-from hfsurgery.surgery import (
-    FormulaNotApplicableError,
-    HypothesisReport,
-    Slope,
-    hypothesis_holds,
-    hypothesis_verdicts,
-)
+from hfsurgery.surgery import HypothesisReport, Slope, hypothesis_verdicts
 
 import models
 
@@ -36,20 +30,22 @@ class TestHypothesisCheck:
             assert all(ok for _, _, ok in report.h_in_v + report.v_in_h), name
 
     def test_builtin_tensors_pass(self):
-        # A tensor of two builtins has b = 1, where rk v_s = rk h_-s and the
-        # images growing with s force both containments.
+        # The images grow with s and im h_hat(s) is im v_hat(-s), so both
+        # containments hold, here at every s by the reference meet too.
         names = ("unknot",) + NONTRIVIAL
         for a in names:
             for b in names:
-                assert hypothesis_holds(tensor(builtin(a), builtin(b))), (a, b)
+                c = tensor(builtin(a), builtin(b))
+                assert hypothesis_check(c).overall, (a, b)
+                assert all(ok for side in models.reference_verdicts(c) for ok in side.values()), (a, b)
 
     def test_verdict_range_covers_genus_window(self):
-        # t25 has a cut at every s in -2..3, so each s of the window is a
-        # class run of its own, and the JSON has one key per s.
+        # Every containment holds, so each side of t25's genus-2 window is
+        # one passing run, and the JSON has one key per s.
         c = builtin("t25")
         report = hypothesis_check(c)
-        assert [(s, n) for s, n, _ in report.h_in_v] == [(0, 1), (1, 1), (2, 1)]
-        assert [(s, n) for s, n, _ in report.v_in_h] == [(-2, 1), (-1, 1), (0, 1)]
+        assert report.h_in_v == ((0, 3, True),)
+        assert report.v_in_h == ((-2, 3, True),)
         data = report.to_json_dict()
         assert list(data["h_image_in_v_image"]) == ["0", "1", "2"]
         assert list(data["v_image_in_h_image"]) == ["-2", "-1", "0"]
@@ -72,7 +68,6 @@ class TestHypothesisCheck:
         for c in (builtin("t25"), random_complex(RandomSpec(seed=3, dots=2))):
             report = hypothesis_check(c)
             assert report is hypothesis_verdicts(c)
-            assert hypothesis_holds(c) == report.overall
 
     def test_json_dict(self):
         data = hypothesis_check(builtin("trefoil_rh")).to_json_dict()
@@ -228,13 +223,6 @@ class TestMonotonicityScan:
             for p in (1, 2):
                 values = [r for q, r in monotonicity_scan(c, p, 6) if q >= p]
                 assert all(a < b for a, b in zip(values, values[1:])), (name, p)
-
-    def test_gated_on_hypothesis(self, monkeypatch):
-        import hfsurgery.obstructions as obstructions
-
-        monkeypatch.setattr("hfsurgery.surgery.hypothesis_holds", lambda c: False)
-        with pytest.raises(FormulaNotApplicableError):
-            obstructions.monotonicity_scan(builtin("trefoil_rh"), 1, 3)
 
 
 class TestTheoremOneBranches:

@@ -111,6 +111,8 @@ def test_assignment_raises(case):
         setattr(value, FROZEN[case], 5)
     with pytest.raises(AttributeError):
         value.unknown = 5
+    with pytest.raises(AttributeError, match=f"cannot delete field '{FROZEN[case]}'"):
+        delattr(value, FROZEN[case])
     assert value == same
 
 

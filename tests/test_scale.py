@@ -21,8 +21,8 @@ def test_check_passes_in_a_fresh_process_under_its_bound(check, bound_mb):
 
 @pytest.mark.parametrize("build, rank", [(dot_and_box, 399999), (dot_and_pair, 5)])
 def test_rank_and_info_on_wide_json_stay_under_28_mb_per_process(build, rank, tmp_path):
-    # The containment verdicts are held as class runs and expanded only
-    # where they are printed, so neither command holds anything per s in
+    # The containment verdicts are held as one run per side and neither
+    # command prints them per s, so neither holds anything per s in
     # [-g, g].
     path = tmp_path / "wide.json"
     path.write_text(build(100000).to_json())

@@ -1,5 +1,6 @@
 """Unit tests for the mapping cone, the two rank routes and the closed forms."""
 
+import functools
 import itertools
 import math
 import random
@@ -11,7 +12,6 @@ from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, Regio
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, staircase, tensor
 from hfsurgery.obstructions import complement_check, cosmetic_pair_check
 from hfsurgery.surgery import (
-    FormulaNotApplicableError,
     MappingCone,
     NotApplicableError,
     RankReport,
@@ -21,7 +21,6 @@ from hfsurgery.surgery import (
     cone_rank_chain,
     cone_rank_homological,
     coprime_slopes,
-    hypothesis_holds,
     hypothesis_verdicts,
     kernel_rank,
     nu_surrogate,
@@ -501,6 +500,14 @@ def _matrix(rows):
     return f2.F2Matrix(max(map(int.bit_length, rows), default=0), tuple(rows))
 
 
+def _v_hat_reads(monkeypatch) -> list:
+    """The gradings of every ``CfkComplex.v_hat`` read from here on, on any
+    complex, logged as they are read."""
+    reads, v_hat = [], CfkComplex.v_hat
+    monkeypatch.setattr(CfkComplex, "v_hat", lambda self, s: reads.append(s) or v_hat(self, s))
+    return reads
+
+
 def _complex(name):
     """A fresh builtin, or a fresh tensor of builtins joined by '#'."""
     return models.tensor_of(*name.split("#"))
@@ -666,30 +673,28 @@ class TestTInvariant:
         ids=["t27", "genus 0"],
     )
     def test_a_miss_reads_one_meet_per_segment(self, monkeypatch, build, slope, most):
-        # The clamped pair of floors changes class only at the cuts xq and
-        # p + xq, x an Alexander cut in [-g, g], so a memo miss reads at
-        # most 2g + 1 meets, and exactly one at genus 0.
+        # The clamped floors change class only at the cuts xq and p + xq, x
+        # an Alexander cut in [-g, g], so a memo miss reads at most 2g + 1
+        # meets, each one rank of v_hat, and exactly one at genus 0.
         c = build()
-        meets = []
-        meet = surgery._meet
-        monkeypatch.setattr(surgery, "_meet", lambda *args: meets.append(args) or meet(*args))
+        c.essential_summand.genus()
+        reads = _v_hat_reads(monkeypatch)
         t_invariant(c, slope)
-        assert 0 < len(meets) <= most == 2 * c.essential_summand.genus() + 1
-        meets.clear()
+        assert 0 < len(reads) <= most == 2 * c.essential_summand.genus() + 1
+        reads.clear()
         t_invariant(c, slope)
-        assert meets == []
+        assert reads == []
 
     def test_a_miss_reads_one_meet_per_alexander_cut(self, monkeypatch):
         # Genus 100000 on three generators, k = g: the cuts in [-k, k] are
         # -100000, -99999, 1 and 100000, and at -g the clamped floor does
-        # not change, so t reads four meets at 400001/1, not one per
-        # multiple of q up to the genus.
+        # not change, so t reads four ranks of v_hat at 400001/1, not one
+        # per multiple of q up to the genus.
         c = staircase([100000, 100000])
-        meets = []
-        meet = surgery._meet
-        monkeypatch.setattr(surgery, "_meet", lambda *args: meets.append(args) or meet(*args))
+        c.genus()
+        reads = _v_hat_reads(monkeypatch)
         assert t_invariant(c, Slope(400001, 1)) == 200002
-        assert c.genus() == 100000 and len(meets) == 4
+        assert c.genus() == 100000 and len(reads) == 4
 
     @pytest.mark.parametrize(
         ("build", "slope"),
@@ -707,44 +712,96 @@ class TestTInvariant:
         # Complexes whose cuts lie far apart, at slopes where t > 0, with
         # k = genus and, at 39/2, k < genus: t summed over the segments
         # between the cuts is the meet summed over every j, read with at
-        # most one meet per cut in [-k, k], plus one.  Each case reads a
-        # different t without the cuts xq or without the cuts p + xq.
+        # most one rank of v_hat per cut in [-k, k], plus one.  Each case
+        # reads a different t without the cuts xq or without the cuts p + xq.
         c = build()
         p, q = slope.p, slope.q
         every_j = sum(
             models.image_intersection_rank(c.v_hat(j // q).induced, c.h_hat((j - p) // q).induced)
             for j in range(p)
         )
-        meets = []
-        meet = surgery._meet
-        monkeypatch.setattr(surgery, "_meet", lambda *args: meets.append(args) or meet(*args))
-        assert t_invariant(c, slope) == every_j
         e = c.essential_summand
         k = min(e.genus(), (p - 1) // q)
-        assert len(meets) <= 1 + sum(1 for x in e.alexander_cuts if x and -k <= x <= k)
+        reads = _v_hat_reads(monkeypatch)
+        assert t_invariant(c, slope) == every_j
+        assert len(reads) <= 1 + sum(1 for x in e.alexander_cuts if x and -k <= x <= k)
+
+
+# The corpus of the containment lemmas: the builtins, their pairwise
+# tensors, random complexes and B_1's tensors, whose components reach b = 2.
+BORROMEAN = models.borromean_corpus()
+LEMMA_CORPUS = {
+    **{name: functools.partial(builtin, name) for name in BUILTIN_NAMES},
+    **{"#".join(pair): functools.partial(models.tensor_of, *pair) for pair in itertools.combinations(BUILTIN_NAMES, 2)},
+    **{
+        f"random-{seed}": functools.partial(random_complex, RandomSpec(seed, dots=1 + seed % 3, boxes=1 + seed % 3))
+        for seed in range(6)
+    },
+    **BORROMEAN,
+}
+
+
+class TestContainmentLemmas:
+    @pytest.mark.parametrize("build", LEMMA_CORPUS.values(), ids=LEMMA_CORPUS)
+    def test_iota_and_phi_are_chain_maps_that_factor_v_hat(self, build):
+        # iota_s and Phi_s are chain maps with v_hat(s) = v_hat(s+1) o iota_s
+        # = h_hat(-s) o Phi_s, the two lemmas of the containment proof.
+        c = build()
+        assert models.assert_containment_lemmas(c) == 2 * c.genus() + 5
+
+    @pytest.mark.parametrize("build", LEMMA_CORPUS.values(), ids=LEMMA_CORPUS)
+    def test_every_meet_is_one_rank_of_v_hat(self, build):
+        # The images of v_hat grow with s and im h_hat(b)_* is
+        # im v_hat(-b)_*, so the meet of im v_hat(a)_* and im h_hat(b)_* is
+        # rank v_hat(min(a, -b))_*, and both containments hold at every s.
+        c = build()
+        g = c.genus()
+        for a in range(-g - 2, g + 3):
+            for b in range(-g - 2, g + 3):
+                meet = models.image_intersection_rank(c.v_hat(a).induced, c.h_hat(b).induced)
+                assert meet == c.v_hat(min(a, -b)).induced_rank, (a, b)
+        assert all(ok for side in models.reference_verdicts(c) for ok in side.values())
+
+    @pytest.mark.parametrize("build", BORROMEAN.values(), ids=BORROMEAN)
+    def test_routes_agree_on_borromean_tensors(self, build):
+        c = build()
+        for slope in coprime_slopes(4, 4):
+            chain = cone_rank_chain(c, slope)
+            assert chain == cone_rank_homological(c, slope) == rank_formula(c, slope), slope
+
+    def test_borromean_values(self):
+        # B_1 is valid, with b = 4, genus 1 and itself as its essential
+        # summand, and has these ranks by all three routes.
+        c = models.borromean()
+        assert c.validate().ok and c.b_rank() == 4 and c.genus() == 1 and c.essential_summand is c
+        for slope, rank in {Slope(1, 1): 4, Slope(2, 1): 8, Slope(5, 3): 20, Slope(1, 2): 6}.items():
+            assert cone_rank_chain(c, slope) == cone_rank_homological(c, slope) == rank_formula(c, slope) == rank
+        assert complement_check(c, 2).ranks == (6, 4)
 
 
 class TestMeets:
-    def test_meets_memoized_per_class_pair_on_a_wide_box(self):
-        # A dot and one symmetric box of side 100000 (genus 100000): the
-        # meets and maps are memoized per Alexander class, so the memo
-        # stays small.
+    def test_memo_stays_small_on_a_wide_box(self):
+        # A dot and one symmetric box of side 100000 (genus 100000): t reads
+        # its ranks of v_hat per Alexander class, and the verdict reads only
+        # the genus, so the memo stays small.
         n = 100000
         c = models.dot_and_box(n)
         report = hypothesis_verdicts(c)
+        for slope in (Slope(1, 1), Slope(3, 2), Slope(2 * n + 1, 1)):
+            t_invariant(c, slope)
         assert c.genus() == n and len(c._memo) <= 50
         assert report.overall
 
     @pytest.mark.parametrize("build", [models.dot_and_box, models.dot_and_pair], ids=["dot+box", "dot+pair"])
     def test_verdicts_held_as_class_runs_on_wide_complexes(self, build):
-        # Gradings 100000 apart: each side of the report holds one run per
-        # Alexander class run of its window, not one entry per s, and only
-        # the JSON expands them, to one key for every s of the window.
+        # Gradings 100000 apart: each side of the report holds one passing
+        # run, not one entry per s, and only the JSON expands it, to one key
+        # for every s of the window.
         c = build(100000)
         g = c.genus()
         report = hypothesis_verdicts(c)
         data = report.to_json_dict()
-        assert len(report.h_in_v) <= 10 and len(report.v_in_h) <= 10, (report.h_in_v, report.v_in_h)
+        assert report.h_in_v == ((0, g + 1, True),) and report.v_in_h == ((-g, g + 1, True),)
         assert list(data["h_image_in_v_image"]) == [str(s) for s in range(g + 1)]
         assert list(data["v_image_in_h_image"]) == [str(s) for s in range(-g, 1)]
         # Each verdict is the plain meet of the two induced maps at s itself.
@@ -763,19 +820,18 @@ class TestMeets:
         ids=["dot+box", "dot+pair"],
     )
     def test_closed_form_work_follows_the_class_runs_on_wide_complexes(self, build, ranks, monkeypatch):
-        # The containment check, the closed form, t and nu scan s one class
-        # run at a time, so their work follows the generator count, not the
-        # gradings 100000 apart: a per-s scan made over 200,000 meets and
-        # 800,000 class lookups here.
+        # The closed form, t and nu scan s one class run at a time, so their
+        # work follows the generator count, not the gradings 100000 apart:
+        # a per-s scan read over 200,000 meets and made 800,000 class
+        # lookups here.
         c = build(100000)
-        meets, lookups = [], []
-        meet, alexander_class = surgery._meet, CfkComplex.alexander_class
-        monkeypatch.setattr(surgery, "_meet", lambda *args: meets.append(args) or meet(*args))
+        lookups, alexander_class = [], CfkComplex.alexander_class
+        reads = _v_hat_reads(monkeypatch)
         monkeypatch.setattr(CfkComplex, "alexander_class", lambda self, s: lookups.append(s) or alexander_class(self, s))
         reports = [compute_rank_report(c, slope) for slope in (Slope(1, 1), Slope(3, 2))]
         kernel_rank(c, Slope(1, 1))
         assert [(r.oracle_rank, r.formula_rank) for r in reports] == [(rank, rank) for rank in ranks]
-        assert len(meets) <= 50 and len(lookups) <= 200, (len(meets), len(lookups))
+        assert len(reads) <= 50 and len(lookups) <= 200, (len(reads), len(lookups))
 
 
 @pytest.mark.parametrize(
@@ -810,7 +866,7 @@ class TestRankFormula:
         for seed in range(50):
             spec = RandomSpec(seed, dots=1 + seed % 3, boxes=seed % 4, max_side=1 + seed % 2, max_offset=seed % 3)
             c = random_complex(spec)
-            assert c.validate().ok and hypothesis_holds(c), spec
+            assert c.validate().ok and hypothesis_verdicts(c).overall, spec
             for slope in (Slope(1, 1), Slope(1, 2), Slope(2, 1), Slope(3, 2)):
                 assert rank_formula(c, slope) == cone_rank_chain(c, slope), (spec, slope)
 
@@ -823,22 +879,11 @@ class TestRankFormula:
             tensor(builtin("trefoil_rh"), builtin("figure_eight")),
         ]
         for c in sums:
-            assert hypothesis_holds(c), c.name
+            assert hypothesis_verdicts(c).overall, c.name
             for slope in (Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(1, 3)):
                 chain = cone_rank_chain(c, slope)
                 assert chain == cone_rank_homological(c, slope), (c.name, slope)
                 assert chain == rank_formula(c, slope), (c.name, slope)
-
-    def test_gated_on_hypothesis(self, monkeypatch):
-        import hfsurgery.surgery as surgery
-
-        monkeypatch.setattr(surgery, "hypothesis_holds", lambda c: False)
-        with pytest.raises(FormulaNotApplicableError):
-            surgery.rank_formula(builtin("trefoil_rh"), Slope(1, 1))
-        with pytest.raises(FormulaNotApplicableError):
-            surgery.kernel_rank(builtin("trefoil_rh"), Slope(1, 1))
-        # the oracle stays available
-        assert surgery.cone_rank_chain(builtin("trefoil_rh"), Slope(1, 1)) == 1
 
 
 class TestNu:
@@ -994,9 +1039,9 @@ class TestKernel:
     @pytest.mark.parametrize("name, column", [("unknot", -2), ("figure_eight", -3), ("trefoil_lh#trefoil_lh", -4)])
     def test_a_walk_past_the_genus_raises(self, monkeypatch, name, column):
         # With v_hat(s) of a class below its mirror class m served as
-        # v_hat(m) instead of h_hat(m), the hypothesis check still passes,
-        # but a leftward walk never meets a vanishing v_hat: it is stopped
-        # at the first column past -gq-p instead of running on.
+        # v_hat(m) instead of h_hat(m), a leftward walk never meets a
+        # vanishing v_hat: it is stopped at the first column past -gq-p
+        # instead of running on.
         c = _complex(name)
         v_hat = CfkComplex.v_hat
 
@@ -1005,7 +1050,6 @@ class TestKernel:
             return v_hat(self, m if m > s else s)
 
         monkeypatch.setattr(CfkComplex, "v_hat", wrong)
-        assert hypothesis_holds(c)
         with pytest.raises(models.InternalInvariantError, match=f"leftward walk reached column {column}, outside"):
             kernel_basis_construction(c, Slope(1, 1))
 
@@ -1041,23 +1085,20 @@ class TestLargeSurgeryWindow:
 
 class TestRankReport:
     def test_t_computed_once_per_slope(self, monkeypatch):
-        # A meet ranks one stacked matrix [v | h]; the pairs are clamped to
-        # the genus, so t25 (genus 2) at 3/2 takes 3 meets for t and 5 for
-        # the verdict, and t at 3/4 reads (0, -1) again.
-        stacks = []
-        hstack = f2.F2Matrix.hstack
-
-        def counting(m1, m2):
-            stacks.append(1)
-            return hstack(m1, m2)
-
-        monkeypatch.setattr(f2.F2Matrix, "hstack", counting)
+        # Each segment of t reads one rank of v_hat: t25 (genus 2) at 3/2
+        # has the segments from 0, 1 and 2, and at 3/4 the one from 0.  A
+        # report at a slope it has seen reads no map at all.
         c = builtin("t25")
+        c.genus()
+        reads = _v_hat_reads(monkeypatch)
+        t_invariant(c, Slope(3, 2))
+        assert reads == [0, 0, 1]
         report = compute_rank_report(c, Slope(3, 2))
         assert report.formula_rank == report.oracle_rank
-        assert len(stacks) == 8
-        compute_rank_report(c, Slope(3, 4))
-        assert len(stacks) == 8
+        reads.clear()
+        assert compute_rank_report(c, Slope(3, 2)) == report and reads == []
+        t_invariant(c, Slope(3, 4))
+        assert reads == [0]
 
     def test_each_induced_matrix_ranked_once(self, monkeypatch):
         # Ranked matrices are kept alive, so that no id is reused.
@@ -1145,14 +1186,12 @@ class TestRankReport:
         assert len(header) == len(row)
         assert row[header.index("oracle")] == "4"
 
-    def test_json_content_matches_tsv(self, monkeypatch):
+    def test_json_content_matches_tsv(self):
         reports = [
             compute_rank_report(builtin("t25"), Slope(3, 2)),
             compute_rank_report(random_complex(RandomSpec(seed=3, dots=2)), Slope(2, 1)),
         ]
-        monkeypatch.setattr(surgery, "hypothesis_holds", lambda c: False)
-        reports.append(compute_rank_report(builtin("t25"), Slope(3, 2)))
-        assert reports[1].nu is None and reports[2].formula_rank is None
+        assert reports[1].nu is None
         for report in reports:
             data = report.to_json_dict()
             row = report.tsv_row().split("\t")
