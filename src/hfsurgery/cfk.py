@@ -56,7 +56,11 @@ an arc x -> U^k y, which stays in HatA(s) exactly when
 max(0, A(y) - s) = max(0, A(x) - s) + k, could switch only at
 A(x) < s = A(y) - k, which the filtration rule A(y) - k <= A(x) forbids.
 So a scan over a range of s reads one object per run of a class, and
-:meth:`CfkComplex.class_runs` is the one place that finds the runs.
+:meth:`CfkComplex.class_runs` is the one place that finds the runs.  The
+classes are numbered in ascending order from 0, the class of s by the
+count of cuts at or below s (:meth:`CfkComplex.class_number`),
+:attr:`CfkComplex.numbered_classes` lists them by number, and the sweep
+of ``surgery`` keys its steps on the numbers.
 
 A complex with a flip has the conjugation symmetry of Ozsvath-Szabo (arXiv
 math/0504404), and ``cfk`` builds only half of the regions and maps
@@ -712,12 +716,26 @@ class CfkComplex:
         starts = [lo, *cuts[bisect_right(cuts, lo):bisect_right(cuts, hi)], hi + 1]
         return [(s, stop - s) for s, stop in zip(starts, starts[1:]) if lo <= hi]
 
+    def class_number(self, s: int) -> int:
+        """The number of the class of s, its place among the classes in
+        ascending order: the count of cuts at or below s, from 0 below every
+        cut to ``len(alexander_cuts)`` at and above the top cut.
+        :meth:`alexander_class` reads the same index inline, as a call more
+        would cost every region and map probe."""
+        return bisect_right(self.alexander_cuts, s)
+
+    @cached_property
+    def numbered_classes(self) -> tuple[int, ...]:
+        """The classes by number: the lowest cut less one, then every cut."""
+        cuts = self.alexander_cuts
+        return (cuts[0] - 1, *cuts)
+
     def alexander_class(self, s: int) -> int:
         """The class of s: the largest cut at or below s, or the lowest cut
-        less one below them all.  The module docstring says why s and its
+        less one below them all, the entry of its :meth:`class_number` in
+        :attr:`numbered_classes`.  The module docstring says why s and its
         class give the same region and maps."""
-        i = bisect_right(self.alexander_cuts, s)
-        return self.alexander_cuts[i - 1] if i else self.alexander_cuts[0] - 1
+        return self.numbered_classes[bisect_right(self.alexander_cuts, s)]
 
     @cached_property
     def top(self) -> int:

@@ -82,11 +82,19 @@ dimension, and the next carry is the part of that row space with no bit
 below HatA block j: the reduced rows whose pivot lies in block j.  Both
 are functions of the carry and of the maps h_hat((j - p) // q) and
 v_hat(j // q) that fix block j's rows.  ``cfk`` builds those once per
-Alexander class of s, or once per mirror pair (see below), so the key is
-the pair of classes of the two floors, read from one table per range of
-floors, and each step is memoized on the complex under ("sweep", carry,
-key), shared across residue classes, slopes and windows.  Only the
-distinct steps are ever eliminated, so a run of blocks in the same two
+Alexander class of s, or once per mirror pair (see below), so a step is
+fixed by the carry and the classes of the two floors, and the sweep is an
+automaton with one transition table per complex and route, shared across
+residue classes, slopes and windows.  Its states are the carries,
+numbered as they are first met, the empty carry being 0.  Each class has
+a number, ``CfkComplex.class_number``, the count of cuts at or below it,
+read from one table per range of floors; there are k classes, one more
+than the cuts.  The transition from state n on the classes numbered h and
+v is keyed by the one int n k^2 + h k + v and holds the rank the block
+adds and the next state.  Block j's h floor is the v floor of the block
+before it in its residue class, so a block costs one floor division and
+one probe of the table, and builds no tuple.  Only the distinct
+transitions are ever eliminated, so a run of blocks in the same two
 classes costs one elimination per distinct carry, and no step's matrix
 spans more than three blocks.
 Route one reads no homology and no split.  The genus, which fixes the
@@ -127,13 +135,14 @@ block j is [h_hat((j - p) // q)_* | v_hat(j // q)_*] on the homology of
 HatA blocks j - p and j, so it too is block-diagonal over j mod p and
 bidiagonal within each class, and the same sweep ranks it.  Its carry
 is the row space so far cut down to HatA block j - p in homology
-coordinates, and its steps are memoized under ("hsweep", carry, key),
-apart from the chain route's ("sweep", carry, key).  In both routes each
-memo miss is eliminated once, by ``f2.rref`` cut at the v block: the rank
-it adds is the pivot count less the carry's size, and the next carry the
-reduced rows with their pivot in the v block, the only rows the cut
-back-substitutes; the rows with a pivot left of it reach no later block.
-The tests and CI rebuild every step from the full form and compare.  No
+coordinates, and its transitions have a table of their own, under
+"hsweep", apart from the chain route's, under "sweep".  In both routes a
+transition missing from the table is eliminated once, by ``f2.rref`` cut
+at the v block: the rank it adds is the pivot count less the carry's
+size, and the next carry the reduced rows with their pivot in the v
+block, the only rows the cut back-substitutes, numbered if it is new; the
+rows with a pivot left of it reach no later block.  The tier-1 tests
+decode every transition and rebuild it from the full form.  No
 step calls ``f2.rank``: past the genus, the chain route's one such call
 is rank d_B, once per complex, checked against b.  Route two never
 builds the block matrix; the tests assemble it from the same per-key
@@ -289,10 +298,11 @@ def coprime_slopes(pmax: int, qmax: int):
     ]
 
 
-# The most HatB blocks a cone may sweep.  The sweep costs one memo lookup
-# per block, about 5 s for this many: t25 at 1/3333333, 9,999,998 blocks,
-# took 5.3 s in one ``hfsurgery rank`` process on a 2-core Xeon with
-# Python 3.11.7.
+# The most HatB blocks a cone may sweep.  The sweep costs one probe of its
+# transition table per block, under 2 s for this many: ``hfsurgery rank``
+# on t25 at 1/3333333, 9,999,998 blocks, took 1.2-1.3 s through
+# ``cli.main`` in one process on a shared 2-core Xeon with Python 3.11.7
+# (2.4 s when each block built a tuple key).
 MAX_HAT_B_BLOCKS = 10**7
 
 # The most cells, pmax * qmax, coprime or not, a scan's grid may hold.  A
@@ -385,8 +395,13 @@ class MappingCone:
     @property
     def total_dim(self) -> int:
         """The cone's dimension: every region, each HatA block and HatB
-        alike, holds one element per generator, so no region is read."""
-        return len(self.complex.columns[0][0]) * (len(self.a_columns) + len(self.b_columns))
+        alike, holds one element per generator, so no region is read.  The
+        HatA columns are counted from the window's bounds, since ``len`` of
+        a range fails past ``sys.maxsize``, and for p that large the window
+        has p HatA columns; the HatB columns are at most
+        :data:`MAX_HAT_B_BLOCKS`."""
+        a, b = self.a_columns, self.b_columns
+        return len(self.complex.columns[0][0]) * (a.stop - a.start + len(b))
 
     @property
     def boundary_rank(self) -> int:
@@ -411,9 +426,9 @@ class MappingCone:
         HatB's own boundary is ranked in :attr:`boundary_rank` instead, the
         coboundaries, whose rows are zero, are never read, and a zero row
         of a class is dropped.  The rows depend on the key alone, and the
-        chain route's sweep reads them only on a memo miss, so they are
-        built on every call, as bare masks: the sweep validates the one
-        matrix it eliminates."""
+        chain route's sweep reads them only for a missing transition, so
+        they are built on every call, as bare masks: the sweep validates the
+        one matrix it eliminates."""
         h_rows = self.complex.h_hat(key[0]).on_cocycles
         v_rows = self.complex.v_hat(key[1]).on_cocycles
         v_start = h_rows.cols
@@ -451,46 +466,64 @@ def _sweep(cone: MappingCone, tag: str, rows) -> int:
     adds, each residue class of j mod p that owns one swept in chain order
     from its first HatB block, as the module docstring explains.
 
-    ``rows(key)`` gives one block's rows, their width and the column where
-    their v block starts.  A step builds one matrix, m = [carry; rows], so
-    its rows are validated once, and eliminates it once, by ``f2.rref``
-    cut at the v block: the block adds the pivot count less the carry's
-    size.  Each (carry, key) step is memoized on the complex under
-    ``(tag, carry, key)``, so only the distinct steps are eliminated."""
+    ``rows(key)`` gives the rows of a block whose floors have the classes
+    key, their width and the column where their v block starts.  The
+    complex keeps the route's transition table under ``tag``:
+    ``(carry_numbers, carries, transitions)``, the number of each carry
+    met, the carries by number, and each transition, keyed by
+    state * k**2 + h * k + v, as (increment, next state), k being
+    ``len(alexander_cuts) + 1``.  Only a missing transition is
+    eliminated, by :func:`_transition`."""
     c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
-    # The Alexander class of every floor the HatB blocks read, from one
-    # table memoized per range of floors rather than a lookup per block,
-    # filled one class run at a time.  With a HatB column the tight
-    # window's floors are -(g-1)..g-1, so every such cone shares one table.
+    # The class number of every floor the HatB blocks read, from one table
+    # memoized per range of floors rather than a lookup per block, filled
+    # one class run at a time.  With a HatB column the tight window's
+    # floors are -(g-1)..g-1, so every such cone shares one table.
     if not b:
         return 0
     first, last = (b.start - p) // q, (b.stop - 1) // q
-    if (classes := c._memo.get(table := ("classes", first, last))) is None:
-        classes = c._memo[table] = [k for s, n in c.class_runs(first, last) for k in [c.alexander_class(s)] * n]
-
-    def step(carry: tuple[int, ...], key: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
-        block, width, v_start = rows(key)
-        m = F2Matrix(width, carry + block)
-        # The block adds the pivot count less the carry's size, and the
-        # next carry is the reduced rows with no bit below the v block,
-        # the only rows the cut form back-substitutes.
-        reduced, pivots = f2.rref(m, v_start)
-        return len(pivots) - len(carry), tuple(row >> v_start for row in reduced)
-
-    # One probe of the memo per HatB block.
-    memo = c._memo
+    if (numbers := c._memo.get(table := ("class_numbers", first, last))) is None:
+        numbers = c._memo[table] = [i for s, n in c.class_runs(first, last) for i in [c.class_number(s)] * n]
+    if (automaton := c._memo.get(tag)) is None:
+        automaton = c._memo[tag] = {(): 0}, [()], {}
+    transitions, k = automaton[2], len(c.alexander_cuts) + 1
+    kk = k * k
+    # One probe of the table per HatB block.  j runs shifted by first * q,
+    # so that floor s is entry s - first, and h is held times k: it is the
+    # v number of the block before in the class.
+    get, shift = transitions.get, first * q
     added = 0
     for start in b[:p]:
-        carry = ()
-        # j runs shifted by first * q, so that floor s is entry s - first.
-        for j in range(start - first * q, b.stop - first * q, p):
-            key = (classes[(j - p) // q], classes[j // q])
-            entry = memo.get(memo_key := (tag, carry, key))
-            if entry is None:
-                entry = memo[memo_key] = step(carry, key)
-            increment, carry = entry
+        state, h = 0, numbers[(start - shift - p) // q] * k
+        for j in range(start - shift, b.stop - shift, p):
+            v = numbers[j // q]
+            if (entry := get(key := state * kk + h + v)) is None:
+                entry = transitions[key] = _transition(c, automaton, rows, key, k)
+            increment, state = entry
             added += increment
+            h = v * k
     return added
+
+
+def _transition(c: CfkComplex, automaton, rows, key: int, k: int) -> tuple[int, int]:
+    """Transition ``key`` of a route's table, (increment, next state).  It
+    builds one matrix, m = [carry; rows], so its rows are validated once,
+    and eliminates it once, by ``f2.rref`` cut at the v block: the block
+    adds the pivot count less the carry's size.  The next carry is
+    numbered if it is new."""
+    carry_numbers, carries, _ = automaton
+    state, hv = divmod(key, k * k)
+    carry, classes = carries[state], c.numbered_classes
+    block, width, v_start = rows((classes[hv // k], classes[hv % k]))
+    m = F2Matrix(width, carry + block)
+    # The next carry is the reduced rows with no bit below the v block, the
+    # only rows the cut form back-substitutes.
+    reduced, pivots = f2.rref(m, v_start)
+    carry_out = tuple(row >> v_start for row in reduced)
+    if (number := carry_numbers.get(carry_out)) is None:
+        number = carry_numbers[carry_out] = len(carries)
+        carries.append(carry_out)
+    return len(pivots) - len(carry), number
 
 
 @memoized("hat_b_boundary_rank")
@@ -513,8 +546,8 @@ def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
     """Total homology rank of the cone, from the chain-level boundary only.
 
     The cone is on the tight window.  Each residue class of j mod p is swept
-    in chain order, one memoized ("sweep", carry, key) step per HatB block,
-    as the module docstring explains."""
+    in chain order, one transition of the complex's "sweep" table per HatB
+    block, as the module docstring explains."""
     if (rank := c._memo.get(key := ("cone_rank_chain", slope.p, slope.q))) is not None:
         return rank
     cone = MappingCone(c, slope)
@@ -530,8 +563,8 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
     """Kernel plus cokernel of the induced block matrix on homology: that of
     the essential summand on its own tight window, plus q * z for the
     acyclic rest, as the module docstring explains.  The summand's rank is
-    swept class by class like the chain route's, one memoized
-    ("hsweep", carry, key) step per HatB block, from the rows of
+    swept class by class like the chain route's, one transition of the
+    summand's "hsweep" table per HatB block, from the rows of
     :meth:`MappingCone.induced_boundary`; the block matrix itself is never
     built.  The slope is checked on the whole complex first, as the chain
     route checks it, since finding the summand reads HatB."""

@@ -29,7 +29,7 @@ import random
 
 from hfsurgery.f2 import F2Matrix
 from hfsurgery.surgery import MappingCone, _sweep
-from models import dense
+from models import dense, sweep_table
 
 
 def truncation_bound(c, slope) -> int:
@@ -107,16 +107,18 @@ def sweep_increments(cone) -> list[list[int]]:
     """The rank each HatB block adds in the chain route's sweep, block by
     block for each residue class of j mod p that owns one, in the order of
     the classes' first HatB blocks, replayed from the memo that
-    ``cone_rank_chain`` left on the complex for this cone's window.  The
-    sweep keys block j on the Alexander classes of (j - p) // q and j // q,
-    so the replay looks each one up.  A missing step raises ``KeyError``."""
+    ``cone_rank_chain`` left on the complex for this cone's window, decoded
+    by ``models.sweep_table``.  The sweep keys block j on the Alexander
+    classes of (j - p) // q and j // q, so the replay looks each one up.  A
+    missing step raises ``KeyError``."""
     c, p, q = cone.complex, cone.slope.p, cone.slope.q
+    table = sweep_table(c, "sweep")
     classes = []
     for first in cone.b_columns[:p]:
         carry, steps = (), []
         for j in range(first, cone.b_columns.stop, p):
             key = (c.alexander_class((j - p) // q), c.alexander_class(j // q))
-            increment, carry = c._memo[("sweep", carry, key)]
+            increment, carry = table[carry, key]
             steps.append(increment)
         classes.append(steps)
     return classes

@@ -65,7 +65,12 @@ elements against ``kernel_rank`` and the block matrix.
 The sweep eliminates each step by ``f2.rref`` cut at the v block, so
 ``full_form_sweep_step`` reads a step off the full form instead, and
 ``assert_sweep_steps_match_full_form`` checks every memoized step of the
-chain route's and the homological route's sweeps against it.
+chain route's and the homological route's sweeps against it.  The sweep
+keeps its steps as a numbered transition table, so ``sweep_table``
+decodes a route's table into (carry, key) -> (increment, next carry),
+and ``reference_sweep`` is the sweep keyed by those tuples, each block's
+key looked up by ``alexander_class``, which the tests compare the table
+against.
 A cone reads its totals from one memo entry per class-run table, so
 ``recount_totals`` counts them column by column instead.
 """
@@ -258,21 +263,59 @@ def full_form_sweep_step(rows: tuple[tuple[int, ...], int, int], carry: tuple[in
     return len(pivots) - len(carry), carry_out
 
 
+def sweep_table(x: CfkComplex, tag: str) -> dict:
+    """The transition table of route ``tag``, ``"sweep"`` or ``"hsweep"``,
+    on x, decoded: (carry, key) -> (increment, next carry), key being the
+    pair of Alexander classes of the block's h and v floors.  Transition
+    ``state * k**2 + h * k + v``, k = ``len(alexander_cuts) + 1``, goes
+    from carry number ``state`` on the classes numbered h and v.  Empty
+    when the route has swept no HatB block of x."""
+    if (automaton := x._memo.get(tag)) is None:
+        return {}
+    _, carries, transitions = automaton
+    k, classes = len(x.alexander_cuts) + 1, x.numbered_classes
+    return {
+        (carries[key // (k * k)], (classes[key // k % k], classes[key % k])): (increment, carries[state])
+        for key, (increment, state) in transitions.items()
+    }
+
+
+def reference_sweep(cone: MappingCone, rows) -> tuple[int, dict]:
+    """The sweep with every step keyed by the tuple (carry, key), key being
+    the pair of Alexander classes of block j's floors (j - p) // q and
+    j // q, each looked up by ``alexander_class``: the sum of what each
+    HatB block adds, and the steps, (carry, key) -> (increment, next carry),
+    kept in a dict of its own rather than in the complex's memo.  Each step
+    is eliminated as the library's is, by ``f2.rref`` cut at the v block of
+    ``rows(key)``."""
+    c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
+    steps, added = {}, 0
+    for start in b[:p]:
+        carry = ()
+        for j in range(start, b.stop, p):
+            key = (c.alexander_class((j - p) // q), c.alexander_class(j // q))
+            if (entry := steps.get((carry, key))) is None:
+                block, width, v_start = rows(key)
+                reduced, pivots = f2.rref(F2Matrix(width, carry + block), v_start)
+                entry = steps[carry, key] = len(pivots) - len(carry), tuple(row >> v_start for row in reduced)
+            increment, carry = entry
+            added += increment
+    return added, steps
+
+
 def assert_sweep_steps_match_full_form(c: CfkComplex) -> int:
-    """Every ("sweep", carry, key) entry in the memo of c or of its
-    essential summand equals :func:`full_form_sweep_step` of the key's
-    ``total_boundary`` rows, and every ("hsweep", carry, key) entry that of
-    its ``induced_boundary`` rows.  The rows depend on the key alone, so
-    a cone at any slope gives them.  Returns the number of entries
-    checked."""
+    """Every transition of the chain route's table on c or on its essential
+    summand, decoded by :func:`sweep_table`, equals
+    :func:`full_form_sweep_step` of the key's ``total_boundary`` rows, and
+    every transition of the homological route's table that of its
+    ``induced_boundary`` rows.  The rows depend on the key alone, so a cone
+    at any slope gives them.  Returns the number of transitions checked."""
     checked = 0
     for x in {id(x): x for x in (c, c.essential_summand)}.values():
         cone = MappingCone(x, Slope(1, 1))
-        rows = {"sweep": cone.total_boundary, "hsweep": cone.induced_boundary}
-        for key, entry in list(x._memo.items()):
-            if isinstance(key, tuple) and key[0] in rows:
-                tag, carry, step = key
-                assert entry == full_form_sweep_step(rows[tag](step), carry), key
+        for tag, rows in (("sweep", cone.total_boundary), ("hsweep", cone.induced_boundary)):
+            for (carry, key), entry in sweep_table(x, tag).items():
+                assert entry == full_form_sweep_step(rows(key), carry), (tag, carry, key)
                 checked += 1
     return checked
 

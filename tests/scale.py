@@ -28,7 +28,15 @@ from hfsurgery.surgery import (
     rank_formula,
 )
 
-from models import dot_and_box, dot_and_pair, full_form_sweep_step, kernel_basis_construction, recount_totals, tensor_of
+from models import (
+    dot_and_box,
+    dot_and_pair,
+    full_form_sweep_step,
+    kernel_basis_construction,
+    recount_totals,
+    sweep_table,
+    tensor_of,
+)
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join((os.path.join(os.path.dirname(TESTS), "src"), TESTS)))
@@ -68,8 +76,9 @@ def big_cones() -> None:
     column-by-column recount."""
     c = tensor_of("t25", "t27", "figure_eight")
     # 1/2000 is a cone of 7.7 million dimensions; the chain route's sweep
-    # eliminates 21 steps, and the homological route sweeps its induced
-    # block matrix the same way.  200001/1 has no HatB column: a cone
+    # eliminates 21 transitions, and the homological route sweeps its
+    # induced block matrix the same way, in 17 (``TestSweep`` in
+    # test_surgery.py pins both counts).  200001/1 has no HatB column: a cone
     # reads one HatA region per Alexander class, HatA(0..5) serving
     # the classes -5..5 with their mirrors and the HatB region its two
     # top classes share, and t sums one meet per segment between its
@@ -188,13 +197,13 @@ def rung() -> None:
         assert len(b.cocycles) == b.dim - 2 * f2.rank(b.boundary) == c.b_rank(), c.name
         assert (F2Matrix(b.dim, b.cocycles) @ b.boundary).is_zero(), c.name
         # The sweep cuts f2.rref at the v block and back-substitutes only
-        # the rows it carries, so every ("sweep", carry, key) step is
-        # rebuilt from its key's rows and the full form: the pivot count
-        # less the carry's, and the reduced rows whose pivot lies in the v
-        # block, shifted down to it.
+        # the rows it carries, so every transition of the chain route's
+        # table is rebuilt from its key's rows and the full form: the pivot
+        # count less the carry's, and the reduced rows whose pivot lies in
+        # the v block, shifted down to it.
         cone = MappingCone(c, slope)
-        steps = [(key, entry) for key, entry in c._memo.items() if isinstance(key, tuple) and key[0] == "sweep"]
+        steps = list(sweep_table(c, "sweep").items())
         assert steps, c.name
-        for (_, carry, key), entry in steps:
+        for (carry, key), entry in steps:
             assert entry == full_form_sweep_step(cone.total_boundary(key), carry), (c.name, carry, key)
         assert c.b_rank() < 2 or max(len(entry[1]) for _, entry in steps) >= 2, c.name

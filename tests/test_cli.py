@@ -79,6 +79,13 @@ class TestRank:
         for column in ("oracle", "formula", "t", "b", "genus"):
             assert cells[column] == str(data[column])
 
+    def test_p_past_the_word_size(self, capsys):
+        # 2**63 + 1 is past sys.maxsize: the chain route counts the
+        # window's columns from its bounds, with no len() of its range.
+        code, out, err = run(["rank", "t25", "-p", "9223372036854775809", "-q", "2"], capsys)
+        assert code == 0 and "Traceback" not in err
+        assert out.strip() == "oracle=9223372036854775809 formula=9223372036854775809"
+
     def test_noncoprime_usage_error(self, capsys):
         code, _, err = run(["rank", "trefoil_rh", "-p", "2", "-q", "4"], capsys)
         assert code == 2 and "lowest terms" in err

@@ -4,6 +4,7 @@ The structural laws here mirror what the acceptance battery checks on a
 fixed 100-seed corpus, but with hypothesis searching the RandomSpec space.
 """
 
+import functools
 import json
 import math
 from itertools import combinations_with_replacement, compress
@@ -18,6 +19,7 @@ from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_c
 from hfsurgery.surgery import (
     MappingCone,
     Slope,
+    _sweep,
     cone_rank_chain,
     coprime_slopes,
     cone_rank_homological,
@@ -398,8 +400,7 @@ def test_sweep_carries_are_canonical(c, slope, extra):
     cone_rank_chain(c, slope)
     if extra is not None:
         sweep_rank(build_cone(c, slope, truncation_bound(c, slope) + extra))
-    steps = [(k, v) for k, v in c._memo.items() if k[0] == "sweep"]
-    for (_, carry_in, key), (increment, carry) in steps:
+    for (carry_in, key), (increment, carry) in models.sweep_table(c, "sweep").items():
         widths = [len(c.region_complex(s).cycles) for s in key]
         for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
             assert all(0 < row < 1 << width for row in rows)
@@ -426,13 +427,32 @@ def test_homological_sweep_carries_are_canonical(c, slope, seed):
         cone = MappingCone(e, slope)
         r = f2.rank(block_matrix(cone))
     assert rank == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
-    steps = [(k, v) for k, v in e._memo.items() if k[0] == "hsweep"]
-    for (_, carry_in, key), (increment, carry) in steps:
+    for (carry_in, key), (increment, carry) in models.sweep_table(e, "hsweep").items():
         widths = [e.region_complex(s).homology.dim for s in key]
         for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
             assert all(0 < row < 1 << width for row in rows)
             assert tuple(f2.rref(f2.F2Matrix(width, rows))[0]) == rows
         assert increment >= 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(complexes, spread_complexes), slopes, st.one_of(st.none(), st.integers(0, 10**6)))
+def test_numbered_table_equals_the_tuple_keyed_sweep(c, slope, seed):
+    # Each route's numbered transition table gives the rank of the sweep
+    # keyed by (carry, key) tuples, and decodes to the same steps, on the
+    # tight window and then on the symmetric one, which meets the steps
+    # the first made.  A seed swaps in random rows of the same shape, where
+    # the carries matter.  The complex is fresh, so each table holds the
+    # steps of these two cones alone.
+    e = c.essential_summand
+    for x, tag, name in ((c, "sweep", "total_boundary"), (e, "hsweep", "induced_boundary")):
+        steps = {}
+        for cone in (MappingCone(x, slope), build_cone(x, slope)):
+            rows = getattr(cone, name) if seed is None else functools.partial(random_induced_boundary(seed), cone)
+            added, made = models.reference_sweep(cone, rows)
+            assert _sweep(cone, tag, rows) == added, (tag, cone.a_columns)
+            steps |= made
+        assert models.sweep_table(x, tag) == steps, tag
 
 
 @settings(max_examples=20, deadline=None)

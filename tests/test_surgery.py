@@ -29,7 +29,7 @@ from hfsurgery.surgery import (
 )
 
 import models
-from models import kernel_basis_construction
+from models import kernel_basis_construction, sweep_table
 from full_boundary import (
     block_matrix,
     build_cone,
@@ -479,10 +479,6 @@ class TestRefusedSweep:
             surgery.require_grid_sweep(builtin("unknot"), 100001, 1)
 
 
-def _sweep_entries(c, tag="sweep"):
-    return [key for key in c._memo if key[0] == tag]
-
-
 def _shifted_blocks(cone, first, rows="total_boundary"):
     """The HatB blocks j of the residue class of column ``first``, in chain
     order: each block's rows, read from the cone method named ``rows``,
@@ -564,7 +560,7 @@ class TestSweep:
                 )
                 expected = cone.total_dim - 2 * (cone.boundary_rank + ranked)
                 assert cone_rank_chain(c, slope) == expected, (seed, slope)
-            carried += sum(1 for _, carry, _ in _sweep_entries(c) if carry)
+            carried += sum(1 for carry, _ in sweep_table(c, "sweep") if carry)
         assert carried
 
     def test_rows_depend_on_the_key_alone(self):
@@ -576,17 +572,29 @@ class TestSweep:
             assert all(other == first for other in others), key
 
     def test_memo_stays_bounded_as_q_grows(self):
-        # Only the distinct (carry, key) steps are eliminated, and on t27
-        # the slopes 1/q for q up to 20 already meet every one of them.
+        # Only the distinct transitions of the table are eliminated, and on
+        # t27 the slopes 1/q for q up to 20 already make every one of them.
         c = builtin("t27")
         for q in range(1, 21):
             cone_rank_chain(c, Slope(1, q))
-        entries = len(_sweep_entries(c))
+        entries = len(sweep_table(c, "sweep"))
         assert entries > 0
         for q in range(21, 301):
             cone_rank_chain(c, Slope(1, q))
-        assert len(_sweep_entries(c)) == entries
+        assert len(sweep_table(c, "sweep")) == entries
         assert cone_rank_chain(c, Slope(1, 300)) == 1 + 2 * (5 * 300 - 1)
+
+    def test_readme_step_counts(self):
+        # The README's figures: on t25#t27#figure_eight the chain route's
+        # table holds 21 transitions after 1/20, and the same 21 serve 1/400
+        # and 1/2000; the homological route's, on the essential summand,
+        # holds 17 throughout.
+        c = _complex("t25#t27#figure_eight")
+        for q in (20, 400, 2000):
+            cone_rank_chain(c, Slope(1, q))
+            cone_rank_homological(c, Slope(1, q))
+            assert len(sweep_table(c, "sweep")) == 21, q
+            assert len(sweep_table(c.essential_summand, "hsweep")) == 17, q
 
     def test_one_rank_call_per_complex(self, monkeypatch):
         # Each sweep step reads its increment off the pivots of the one
@@ -600,14 +608,14 @@ class TestSweep:
         monkeypatch.setattr(f2, "rank", lambda m: calls.append(m) or rank(m))
         assert cone_rank_chain(c, Slope(5, 3)) == 85
         assert calls == [c.region_complex(c.top).boundary]
-        assert _sweep_entries(c)
+        assert sweep_table(c, "sweep")
 
     def test_no_hatb_column_means_no_step(self):
         # On trefoil_rh at 7/1 the tight window is 0..6, shorter than 2p,
         # so no column keeps a HatB block: the rank is the cone dimension.
         c = builtin("trefoil_rh")
         assert cone_rank_chain(c, Slope(7, 1)) == 7
-        assert _sweep_entries(c) == []
+        assert sweep_table(c, "sweep") == {}
 
 
 class TestHomologicalSweep:
@@ -631,20 +639,20 @@ class TestHomologicalSweep:
                 assert f2.rank(block_matrix(cone)) == ranked, (seed, slope)
                 expected = cone.a_homology_dim + cone.b_homology_dim - 2 * ranked
                 assert cone_rank_homological(c, slope) == expected + slope.q * c.acyclic_sum(), (seed, slope)
-            carried += sum(1 for _, carry, _ in _sweep_entries(e, "hsweep") if carry)
+            carried += sum(1 for carry, _ in sweep_table(e, "hsweep") if carry)
         assert carried
 
     def test_memo_stays_bounded_as_q_grows(self):
         # On t27 the slopes 1/q for q up to 20 already make every
-        # (carry, key) step that q up to 300 reads.
+        # transition that q up to 300 reads.
         c = builtin("t27")
         for q in range(1, 21):
             cone_rank_homological(c, Slope(1, q))
-        entries = set(_sweep_entries(c, "hsweep"))
+        entries = sweep_table(c, "hsweep")
         assert entries
         for q in range(21, 301):
             cone_rank_homological(c, Slope(1, q))
-        assert set(_sweep_entries(c, "hsweep")) == entries
+        assert sweep_table(c, "hsweep") == entries
         assert cone_rank_homological(c, Slope(1, 300)) == 1 + 2 * (5 * 300 - 1)
 
 
@@ -1081,6 +1089,16 @@ class TestLargeSurgeryWindow:
                 expected = window + (n - (2 * g + 1)) * b
                 for route in (rank_formula, cone_rank_chain, cone_rank_homological):
                     assert route(c, Slope(n, 1)) == expected, (name, n, route.__name__)
+
+    @pytest.mark.parametrize("slope", [Slope(2**63, 1), Slope(2**63 + 1, 2)])
+    def test_p_past_the_word_size(self, slope):
+        # The window holds p HatA columns, more than sys.maxsize, so its
+        # range has no len(); every route still gives p, the rank of a
+        # slope this large on t25, whose b is 1 and whose HatA(s) have
+        # homology of rank 1.
+        c = builtin("t25")
+        for route in (cone_rank_chain, cone_rank_homological, rank_formula):
+            assert route(c, slope) == slope.p, route.__name__
 
 
 class TestRankReport:
