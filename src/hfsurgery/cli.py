@@ -91,7 +91,7 @@ def _cmd_info(args, c) -> int:
     lines = [f"name={c.name}", f"genus={genus}", f"b={b}",
              "hfk=" + ",".join(f"{s}:{n}" for s, n in profile.items()),
              f"nu={nu if nu is not None else '-'}",
-             "hypothesis=" + ("no-flip" if hyp is None else "pass" if hyp else "fail")]
+             "hypothesis=" + ("no-flip" if hyp is None else "pass")]
     _emit(args, payload, "\n".join(lines))
     return 0
 

@@ -71,6 +71,10 @@ def cosmetic_pair_check(c: CfkComplex, r: Slope, s: Slope) -> ObstructionVerdict
             f"(orders differ by Z/{r.p} vs Z/{s.p}); no rank comparison needed"
         )
     else:
+        # Both slopes are checked before either is ranked, so a slope whose
+        # sweep is too long is refused before the other one builds a region.
+        surgery.require_sweep(c, r)
+        surgery.require_sweep(c, s)
         rank_r, rank_s = ranks = (cone_rank_chain(c, r), cone_rank_chain(c, s))
         if rank_r != rank_s:
             verdict = OBSTRUCTED

@@ -219,9 +219,11 @@ flip[i] and on to flip[flip[i]] = i when A(flip(x_i)) = -A(x_i) >= -s.
 So im h_hat(s)_* = im v_hat(-s)_*, which lies in im v_hat(s)_* for
 s >= 0; the mirror containment holds for s <= 0; and, the images being
 nested, dim(im v_hat(a)_* meet im h_hat(b)_*) is rank v_hat(min(a, -b))_*
-for every a and b.  So :func:`t_invariant` sums ranks of v_hat, and
-:func:`hypothesis_verdicts` reports every s as passing.  A flip map apart
-from the conjugation would make the containment a real condition again.
+for every a and b.  So :func:`t_invariant` is a sum by parts of ranks of
+v_hat, one per Alexander cut below its bound, and the report of
+:func:`hypothesis_verdicts` passes every s and holds only the genus.  A
+flip map apart from the conjugation would make the containment a real
+condition again.
 
 Preconditions follow the policy stated in ``cfk``: every function here
 reads a region, a chain map or the genus before it returns, so ``cfk``
@@ -239,7 +241,6 @@ same slopes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 
 from . import f2
 from .cfk import CfkComplex, memoized
@@ -581,19 +582,22 @@ def t_invariant(c: CfkComplex, slope: Slope) -> int:
     """Sum over j = 0..p-1 of dim(im v_hat(j/q) meet im h_hat((j-p)/q)) in
     the homology of HatB, memoized per slope.
 
-    The images are nested, so the meet at j is
-    rank v_hat(min(j // q, -((j - p) // q)))_*, as the module docstring
-    proves, read with the floor clamped to g, where v_hat is onto.  So it
-    changes only where a floor crosses an Alexander cut x: at j = xq for
-    the cuts x in [1, k] and at j = p + xq for those in [-k, -1],
-    k = min(g, (p - 1) // q), all in (0, p).  Each range is one bisected
-    slice of ``alexander_cuts``.  t is the sum over the segments between
-    those points, 0 and p of each segment's length times the rank at its
-    start: at most one map per cut in [-k, k], plus one, however large the
-    genus.  When k = g the cut -g is left out: the clamped floor
-    min(-((j - p) // q), g) is g on both sides of it.  When k < g the cut
-    -k stays, since the floor's class can change there, though no known
-    complex reads a different t without it.  The ranks are read on the
+    The images are nested, so the meet at j is R(m(j)), with
+    R(x) = rank v_hat(x)_* and m(j) = min(j // q, ceil((p - j) / q)), as the
+    module docstring proves.  Sum by parts over x: with N(x) the number of
+    j in [0, p) with m(j) >= x,
+
+        t = sum over x >= 0 of R(x) (N(x) - N(x + 1))
+          = p R(0) + sum over x >= 1 of (R(x) - R(x - 1)) N(x).
+
+    N(0) = p, as m(j) >= 0.  For x >= 1, m(j) >= x holds exactly when
+    xq <= j < p - (x - 1)q, so N(x) = max(0, p - (2x - 1)q), positive
+    exactly when x <= (p + q - 1) // (2q).  R changes only at an Alexander
+    cut, so R(x - 1) is R at the cut before x, or at 0 when no cut lies in
+    (0, x); and R = b from the genus g up, where v_hat is onto.  So only
+    the cuts x in (0, min(g, (p + q - 1) // (2q))] add a term: t reads
+    v_hat(0) and at most one v_hat per cut, however large the genus, and
+    for q >= p the sum is empty and t = p R(0).  The ranks are read on the
     essential summand, which holds all of v_hat's rank, with its cuts and
     genus.  t reads no h-map, so it checks the flip itself, once reading
     the summand has validated the complex."""
@@ -602,44 +606,39 @@ def t_invariant(c: CfkComplex, slope: Slope) -> int:
         return t
     e = c.essential_summand
     c.require_flip()
-    g = e.genus()
-    k = min(g, (p - 1) // q)  # the floors x in [1, k] and [-k, -1]
-    a = e.alexander_cuts
-    up = a[bisect_right(a, 0):bisect_right(a, k)]
-    down = a[bisect_left(a, -k if k < g else 1 - g):bisect_left(a, 0)]
-    cuts = sorted({0, p, *[x * q for x in up], *[p + x * q for x in down]})
-    t = c._memo[key] = sum(
-        (end - u) * e.v_hat(min(u // q, -((u - p) // q), g)).induced_rank for u, end in zip(cuts, cuts[1:])
-    )
+    top = min(e.genus(), (p + q - 1) // (2 * q))
+    t = p * (last := e.v_hat(0).induced_rank)
+    for x in e.alexander_cuts:
+        if 0 < x <= top:
+            t += ((rank := e.v_hat(x).induced_rank) - last) * (p - (2 * x - 1) * q)
+            last = rank
+    c._memo[key] = t
     return t
 
 
 class HypothesisReport(Frozen):
-    """Image-containment verdicts, and overall; shared, so read only.
+    """The image-containment verdicts of a complex of genus g; shared, so
+    read only.
 
-    Each side holds (start, length, ok) runs in ascending s: the verdict of
-    every s from start to start + length - 1.  The containment is a theorem
-    of the model (the module docstring has the proof), so
-    :func:`hypothesis_verdicts` gives one passing run per side.  Runs are
-    expanded per s only by :meth:`to_json_dict`, so a report's size does
-    not follow the genus.  ``overall`` is read off the runs once, when the
-    report is made."""
+    The containment is a theorem of the model (the module docstring has the
+    proof), so every verdict passes, and the report holds only the genus,
+    which fixes the s it covers: 0..g for im h_hat(s) inside im v_hat(s)
+    and -g..0 for the mirror containment.  ``overall`` is True for every
+    report, and :meth:`to_json_dict` writes one passing key per s, so only
+    the JSON follows the genus."""
 
-    __match_args__ = ("h_in_v", "v_in_h")
-    __slots__ = (*__match_args__, "overall")
+    __slots__ = __match_args__ = ("genus",)
+    overall = True
 
-    def __init__(self, h_in_v: tuple[tuple[int, int, bool], ...], v_in_h: tuple[tuple[int, int, bool], ...]):
-        _set_h_in_v(self, h_in_v)
-        _set_v_in_h(self, v_in_h)
-        _set_overall(self, all(ok for _, _, ok in h_in_v + v_in_h))
+    def __init__(self, genus: int):
+        _set_genus(self, genus)
 
     def to_json_dict(self) -> dict:
-        sides = {"h_image_in_v_image": self.h_in_v, "v_image_in_h_image": self.v_in_h}
-        data = {key: {str(s): ok for s0, n, ok in runs for s in range(s0, s0 + n)} for key, runs in sides.items()}
-        return {**data, "overall": self.overall}
+        sides = {"h_image_in_v_image": range(self.genus + 1), "v_image_in_h_image": range(-self.genus, 1)}
+        return {**{key: dict.fromkeys(map(str, side), True) for key, side in sides.items()}, "overall": True}
 
 
-_set_h_in_v, _set_v_in_h, _set_overall = setters(HypothesisReport)
+(_set_genus,) = setters(HypothesisReport)
 
 
 @memoized("hypothesis")
@@ -647,12 +646,12 @@ def hypothesis_verdicts(c: CfkComplex) -> HypothesisReport:
     """Per-s image containments: im h_hat(s) inside im v_hat(s) for
     0 <= s <= genus, and im v_hat(s) inside im h_hat(s) for -genus <= s <= 0.
 
-    Every one holds, as the module docstring proves, so the report is one
-    passing run per side.  The verdict still needs a valid complex with a
-    flip: reading the genus validates, and the flip is checked after it."""
+    Every one holds, as the module docstring proves, so the report is the
+    genus.  The verdict still needs a valid complex with a flip: reading
+    the genus validates, and the flip is checked after it."""
     g = c.genus()
     c.require_flip()
-    return HypothesisReport(((0, g + 1, True),), ((-g, g + 1, True),))
+    return HypothesisReport(g)
 
 
 def _v_sum(c: CfkComplex, slope: Slope, name: str, term) -> int:

@@ -198,8 +198,9 @@ HUGE_Q = "99999999999999999999"
         ["rank", "t25", "-p", "1", "-q", HUGE_Q],
         ["complement", "t25", "-q", HUGE_Q],
         ["cosmetic", "t25", "-r", f"1/{HUGE_Q}", "-s", "1/1"],
+        ["cosmetic", "t25", "-r", "1/1", "-s", f"1/{HUGE_Q}"],
     ],
-    ids=["rank", "complement", "cosmetic"],
+    ids=["rank", "complement", "cosmetic", "cosmetic-s"],
 )
 def test_a_sweep_too_long_to_finish_is_a_usage_error(args, capsys, monkeypatch):
     # t25 at 1/q sweeps 3q - 1 HatB blocks, one memo lookup each, so this q

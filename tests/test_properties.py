@@ -501,9 +501,9 @@ def test_t_closed_form_for_b_one(c, slope):
     assert t_invariant(c, slope) == models.rank_os_b1(c, slope).t
 
 
-# p up to 60 passes (2g - 1)q, so t's segment between its last two cuts,
-# where both floors are clamped, is checked, as is q > p, where no cut lies
-# in (0, p); at genus 0 (dots only: boxes=0, or the unknot) t is one segment.
+# p up to 60 passes (2g - 1)q, so t's term at the genus is checked, as is
+# q >= p, where t is p R(0) with no term from a cut; at genus 0 (dots only:
+# boxes=0, or the unknot) t is p R(0) too.
 wide_slopes = (
     st.tuples(st.integers(1, 60), st.integers(1, 8))
     .filter(lambda pq: math.gcd(*pq) == 1)
@@ -518,6 +518,13 @@ wide_slopes = (
 @example(builtin("t27"), Slope(47, 4))
 @example(builtin("t27"), Slope(5, 9))
 @example(tensor(builtin("t25"), builtin("figure_eight")), Slope(61, 4))
+# p = (2x - 1)q -+ 1 at a cut x, where N(x) = max(0, p - (2x - 1)q) is 0 or
+# 1: t27 at its genus 3, the one cut where its rank of v_hat changes, and
+# B_1 # t25 at its cut 2, one of three cuts where its rank changes.
+@example(builtin("t27"), Slope(19, 4))
+@example(builtin("t27"), Slope(21, 4))
+@example(tensor(models.borromean(), builtin("t25")), Slope(8, 3))
+@example(tensor(models.borromean(), builtin("t25")), Slope(10, 3))
 def test_t_is_the_unclamped_sum_of_image_meets(c, slope):
     p, q = slope.p, slope.q
     unclamped = sum(

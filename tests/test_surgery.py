@@ -12,6 +12,7 @@ from hfsurgery.cfk import CfkComplex, FilteredChainMap, FlipRequiredError, Regio
 from hfsurgery.knots import BUILTIN_NAMES, RandomSpec, builtin, mirror, random_complex, staircase, tensor
 from hfsurgery.obstructions import complement_check, cosmetic_pair_check
 from hfsurgery.surgery import (
+    HypothesisReport,
     MappingCone,
     NotApplicableError,
     RankReport,
@@ -675,34 +676,33 @@ class TestTInvariant:
     @pytest.mark.parametrize(
         ("build", "slope", "most"),
         [
-            (lambda: builtin("t27"), Slope(47, 4), 7),
+            (lambda: builtin("t27"), Slope(47, 4), 4),
             (lambda: random_complex(RandomSpec(seed=5, dots=3, boxes=0)), Slope(60, 1), 1),
         ],
         ids=["t27", "genus 0"],
     )
     def test_a_miss_reads_one_meet_per_segment(self, monkeypatch, build, slope, most):
-        # The clamped floors change class only at the cuts xq and p + xq, x
-        # an Alexander cut in [-g, g], so a memo miss reads at most 2g + 1
-        # meets, each one rank of v_hat, and exactly one at genus 0.
+        # t adds a term only at the Alexander cuts in (0, g], so a memo miss
+        # reads at most g + 1 meets, each one rank of v_hat: v_hat(0) and
+        # one per cut, and exactly one at genus 0.
         c = build()
         c.essential_summand.genus()
         reads = _v_hat_reads(monkeypatch)
         t_invariant(c, slope)
-        assert 0 < len(reads) <= most == 2 * c.essential_summand.genus() + 1
+        assert 0 < len(reads) <= most == c.essential_summand.genus() + 1
         reads.clear()
         t_invariant(c, slope)
         assert reads == []
 
     def test_a_miss_reads_one_meet_per_alexander_cut(self, monkeypatch):
-        # Genus 100000 on three generators, k = g: the cuts in [-k, k] are
-        # -100000, -99999, 1 and 100000, and at -g the clamped floor does
-        # not change, so t reads four ranks of v_hat at 400001/1, not one
-        # per multiple of q up to the genus.
+        # Genus 100000 on three generators: the cuts in (0, g] are 1 and
+        # 100000, so t reads three ranks of v_hat at 400001/1, at 0, 1 and
+        # 100000, not one per multiple of q up to the genus.
         c = staircase([100000, 100000])
         c.genus()
         reads = _v_hat_reads(monkeypatch)
         assert t_invariant(c, Slope(400001, 1)) == 200002
-        assert c.genus() == 100000 and len(reads) == 4
+        assert c.genus() == 100000 and reads == [0, 1, 100000]
 
     @pytest.mark.parametrize(
         ("build", "slope"),
@@ -714,14 +714,14 @@ class TestTInvariant:
             (lambda: tensor(staircase([20, 20]), mirror(staircase([12, 12]))), Slope(121, 2)),
             (lambda: tensor(staircase([20, 20]), mirror(staircase([3, 3]))), Slope(127, 3)),
         ],
-        ids=["20-20", "3-17-17-3", "1-1-25-25-1-1", "20-20#-12-12-k-below-g", "20-20#-12-12", "20-20#-3-3"],
+        ids=["20-20", "3-17-17-3", "1-1-25-25-1-1", "20-20#-12-12-top-below-g", "20-20#-12-12", "20-20#-3-3"],
     )
     def test_sparse_cuts_sum_to_the_meet_of_every_j(self, monkeypatch, build, slope):
         # Complexes whose cuts lie far apart, at slopes where t > 0, with
-        # k = genus and, at 39/2, k < genus: t summed over the segments
-        # between the cuts is the meet summed over every j, read with at
-        # most one rank of v_hat per cut in [-k, k], plus one.  Each case
-        # reads a different t without the cuts xq or without the cuts p + xq.
+        # the last cut read at the genus and, at 39/2, below it: t summed by
+        # parts over the cuts is the meet summed over every j, read with
+        # v_hat(0) and at most one rank of v_hat per cut x in (0, top],
+        # top = min(g, (p + q - 1) // (2q)), the last x whose N(x) > 0.
         c = build()
         p, q = slope.p, slope.q
         every_j = sum(
@@ -729,10 +729,10 @@ class TestTInvariant:
             for j in range(p)
         )
         e = c.essential_summand
-        k = min(e.genus(), (p - 1) // q)
+        top = min(e.genus(), (p + q - 1) // (2 * q))
         reads = _v_hat_reads(monkeypatch)
         assert t_invariant(c, slope) == every_j
-        assert len(reads) <= 1 + sum(1 for x in e.alexander_cuts if x and -k <= x <= k)
+        assert len(reads) <= 1 + sum(1 for x in e.alexander_cuts if 0 < x <= top)
 
 
 # The corpus of the containment lemmas: the builtins, their pairwise
@@ -802,14 +802,14 @@ class TestMeets:
 
     @pytest.mark.parametrize("build", [models.dot_and_box, models.dot_and_pair], ids=["dot+box", "dot+pair"])
     def test_verdicts_held_as_class_runs_on_wide_complexes(self, build):
-        # Gradings 100000 apart: each side of the report holds one passing
-        # run, not one entry per s, and only the JSON expands it, to one key
-        # for every s of the window.
+        # Gradings 100000 apart: the report holds only the genus, not one
+        # entry per s, and only the JSON expands it, to one key for every s
+        # of the window.
         c = build(100000)
         g = c.genus()
         report = hypothesis_verdicts(c)
         data = report.to_json_dict()
-        assert report.h_in_v == ((0, g + 1, True),) and report.v_in_h == ((-g, g + 1, True),)
+        assert report == HypothesisReport(g)
         assert list(data["h_image_in_v_image"]) == [str(s) for s in range(g + 1)]
         assert list(data["v_image_in_h_image"]) == [str(s) for s in range(-g, 1)]
         # Each verdict is the plain meet of the two induced maps at s itself.
@@ -1103,14 +1103,15 @@ class TestLargeSurgeryWindow:
 
 class TestRankReport:
     def test_t_computed_once_per_slope(self, monkeypatch):
-        # Each segment of t reads one rank of v_hat: t25 (genus 2) at 3/2
-        # has the segments from 0, 1 and 2, and at 3/4 the one from 0.  A
-        # report at a slope it has seen reads no map at all.
+        # t reads v_hat(0) and one rank of v_hat per cut in
+        # (0, min(g, (p + q - 1) // (2q))]: t25 (genus 2) at 3/2 reads the
+        # cut 1, and at 3/4 no cut.  A report at a slope it has seen reads
+        # no map at all.
         c = builtin("t25")
         c.genus()
         reads = _v_hat_reads(monkeypatch)
         t_invariant(c, Slope(3, 2))
-        assert reads == [0, 0, 1]
+        assert reads == [0, 1]
         report = compute_rank_report(c, Slope(3, 2))
         assert report.formula_rank == report.oracle_rank
         reads.clear()
