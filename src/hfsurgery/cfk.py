@@ -30,8 +30,10 @@ with the induced differential keeping exactly the components that stay
 inside the region.  HatA(s) and HatB hold one copy of each generator, in
 the complex's generator order: element i is U^k x_i with
 k = max(0, alexander(x_i) - s) in HatA(s) and k = 0 in HatB.  A region
-keeps only its boundary.  For s at or above the top Alexander grading
-every upower is 0, and HatA(s) is HatB element for element, so HatB is
+keeps only its boundary; one loop over the arcs writes its rows and its
+columns, and the columns are held only until its cycles are eliminated
+from them.  For s at or above the top Alexander grading every upower is
+0, and HatA(s) is HatB element for element, so HatB is
 the region at the top grading, ``region_complex(top)``, one object with
 one kernel and one homology basis.  A region is named by its grading s
 alone: there are no region tag types.  The maps v_hat(s) and h_hat(s)
@@ -42,8 +44,10 @@ it is held as a generator index map, with no matrix: v_hat(s) keeps
 element i when alexander(x_i) <= s, and h_hat(s) sends it to the
 position of flip(x_i) when alexander(x_i) >= s.  The chain-map check,
 the maps' rows between HatB's cocycle classes, b of them, and the cycle
-basis, and their matrices on homology all read the index.  The rows are
-read off the cycles themselves, so no region keeps its cycles as rows.
+basis, and their matrices on homology all read the index; the one
+preimage a map builds, for its check, also pulls the classes for those
+rows.  The rows are read off the cycles themselves, so no region keeps
+its cycles as rows.
 
 HatA(s), v_hat(s) and h_hat(s) change with s only where s crosses an
 Alexander grading.  The cuts are a and a + 1 for every grading a, and the
@@ -161,7 +165,7 @@ import json
 import unicodedata
 from bisect import bisect_right
 from collections import Counter
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import compress, repeat
 from operator import add, sub
 
@@ -241,6 +245,33 @@ def memoized(key):
     return decorate
 
 
+class lazy:
+    """An attribute computed on its first read and then stored in the
+    instance's ``__dict__``, where every later read finds it as a plain
+    attribute: a non-data descriptor, so the stored value wins.  Read on the
+    class, it is the descriptor itself, with the function's docstring.
+
+    It takes no lock.  ``functools.cached_property`` takes one ``RLock``
+    per attribute, shared by every instance, on each first read on Python
+    3.8-3.11, and a fresh ``survey-fresh`` complex makes about 29 such
+    reads.  Two threads that read one attribute at once may both compute
+    it; each computation gives the same value, and the one stored last is
+    kept.  A table that one computation hands to another, such as a
+    region's ``_image`` or ``_columns`` or a map's ``_pulled``, is taken
+    with ``pop``, and a reader that finds it gone builds it again."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 def move_bits(masks, to) -> list[int]:
     """Each mask with each bit b moved to bit ``to[b]``, or dropped where
     that is -1: a chain map for ``to = index`` and its transpose for the
@@ -288,15 +319,23 @@ class RegionComplex:
     the flip (the module docstring says how), so it is built only for a
     class at or above its mirror's.
 
+    ``columns``, when given, are the boundary's column masks, which the
+    arc loop of ``cfk`` writes beside the rows.  They are held, as
+    ``_columns``, until :attr:`cycles` takes them to eliminate, so the
+    region never transposes its boundary; a region built without them,
+    or one whose columns another thread took, transposes it there.
+
     ``tag`` is a free label, printed by ``repr`` and in the chain-map
     error: ``cfk`` passes the grading s of the class it built.
     """
 
-    def __init__(self, tag, boundary: F2Matrix):
+    def __init__(self, tag, boundary: F2Matrix, columns=None):
         self.tag = tag
         self.boundary = boundary
+        self.dim = boundary.cols
+        self._columns = columns
 
-    @cached_property
+    @lazy
     def homology(self) -> HomologyBasis:
         """Homology basis, built on first read as the quotient of
         :attr:`cycles`.  The chain route, :meth:`CfkComplex.genus` and
@@ -310,15 +349,20 @@ class RegionComplex:
             image = f2.column_elimination(self.boundary.transpose().data)[1]
         return HomologyBasis(self.boundary, cycles, image)
 
-    @cached_property
+    @lazy
     def cycles(self) -> tuple[int, ...]:
         """The region's one basis of its boundary's kernel, as column masks,
         built on first read: ``f2.kernel_basis(boundary)``, whose
-        elimination leaves the boundary space for :attr:`homology`."""
-        cycles, self._image = f2.column_elimination(self.boundary.transpose().data)
+        elimination leaves the boundary space for :attr:`homology`.  It
+        eliminates the columns the region was built with, taken, not
+        shared, and transposes the boundary only when there are none."""
+        columns = vars(self).pop("_columns", None)
+        if columns is None:
+            columns = self.boundary.transpose().data
+        cycles, self._image = f2.column_elimination(columns)
         return tuple(cycles)
 
-    @cached_property
+    @lazy
     def cocycles(self) -> tuple[int, ...]:
         """Cocycles, the row vectors y with y . boundary = 0, as masks over
         the region's elements, one for each class of its cohomology, built
@@ -344,10 +388,6 @@ class RegionComplex:
                 classes.append(y)
         return tuple(classes)
 
-    @property
-    def dim(self) -> int:
-        return self.boundary.cols
-
     def __repr__(self) -> str:
         return f"RegionComplex({self.tag}, dim={self.dim})"
 
@@ -367,6 +407,13 @@ class FilteredChainMap:
     f∘∂ is the source boundary row of that preimage, and row r of ∂∘f is
     the target boundary row r with each bit moved to its own preimage, or
     dropped.  The check compares the two masks row by row.
+
+    A map builds its preimage once, for the check, and the same preimage
+    pulls the target's cocycle classes, b of them for HatB, that
+    :attr:`on_cocycles` reads.  The map holds those b pulled classes, as
+    ``_pulled``, not the preimage, and only until :attr:`on_cocycles`
+    takes them; a read that finds them gone, taken by another thread,
+    builds the preimage again.
     """
 
     def __init__(self, source: RegionComplex, target: RegionComplex, index):
@@ -382,10 +429,12 @@ class FilteredChainMap:
             raise f2.NotAChainMapError(
                 f"map {source.tag} -> {target.tag} does not commute with boundaries"
             )
+        self._pulled = move_bits(target.cocycles, preimage)
 
     def _preimage(self) -> list[int]:
         """``preimage[r]``: the source element that goes to target element
-        r, or -1.  Rebuilt on each read, not kept."""
+        r, or -1.  Built for the check and not kept; rebuilt only by
+        :attr:`on_cocycles` when the pulled classes are gone."""
         preimage = [-1] * self.target.dim
         for i, r in enumerate(self.index):
             if r >= 0:
@@ -406,31 +455,35 @@ class FilteredChainMap:
     def cols(self) -> int:
         return self.source.dim
 
-    @cached_property
+    @lazy
     def induced(self) -> F2Matrix:
         """Matrix on homology, built on first read; the map is applied to
         each homology representative by index."""
         return f2.induced_map_on_homology(self, self.source.homology, self.target.homology)
 
-    @cached_property
+    @lazy
     def on_cocycles(self) -> F2Matrix:
         """The map between the target's cocycle classes and the source's
         cycles, y . f . N, one row per vector y of ``target.cocycles``, b
         of them for HatB, and one column per vector of ``source.cycles``,
         built on first read.  Bit k of row y is the parity of f^T y & N_k,
-        f^T y being y's bits moved to their preimages.  Only the classes
-        are read because a coboundary, z . d, gives zero, since
-        d . f = f . d and d . N = 0.  Only the chain route and the genus
-        read it; the homological route applies the map to each homology
-        representative instead."""
+        f^T y being y's bits moved to their preimages, the classes the
+        constructor pulled, taken here.  Only the classes are read because
+        a coboundary, z . d, gives zero, since d . f = f . d and
+        d . N = 0.  Only the chain route and the genus read it; the
+        homological route applies the map to each homology representative
+        instead."""
         cycles = self.source.cycles
+        pulled = vars(self).pop("_pulled", None)
+        if pulled is None:
+            pulled = move_bits(self.target.cocycles, self._preimage())
         rows = tuple(
-            sum(((pulled & cycle).bit_count() & 1) << k for k, cycle in enumerate(cycles))
-            for pulled in move_bits(self.target.cocycles, self._preimage())
+            sum(((y & cycle).bit_count() & 1) << k for k, cycle in enumerate(cycles))
+            for y in pulled
         )
         return F2Matrix(len(cycles), rows)
 
-    @cached_property
+    @lazy
     def induced_rank(self) -> int:
         """Rank of the induced map, the one elimination of that matrix, built
         on first read.  It is the one rank a map answers: a caller that needs
@@ -477,6 +530,10 @@ class CfkComplex:
 
     Derived regions, maps and homology data are memoized; every public
     operation is pure, so sharing one instance between threads is safe.
+    No lock is taken: two threads may compute one memo entry or
+    :class:`lazy` attribute at once, each gets the same value, and a table
+    handed from one computation to the next is rebuilt by a reader that
+    finds it taken.
     """
 
     def __init__(self, generators, differential, flip=None, name: str = "complex"):
@@ -671,7 +728,7 @@ class CfkComplex:
 
     # -- regions -----------------------------------------------------------
 
-    @cached_property
+    @lazy
     def _order(self) -> tuple:
         """The generator order that HatA(s) and HatB are indexed by:
         ``(ids, alexander, index, units, arcs)``: the generator columns, the
@@ -687,7 +744,7 @@ class CfkComplex:
         arcs = tuple(zip(map(index.__getitem__, sources), map(index.__getitem__, targets), upowers))
         return ids, alexander, index, tuple(1 << i for i in range(len(ids))), arcs
 
-    @cached_property
+    @lazy
     def alexander_cuts(self) -> tuple[int, ...]:
         """The sorted cuts, a and a + 1 for every Alexander grading a, where
         the class of s can change.  Every region, map, cone and genus reads
@@ -724,7 +781,7 @@ class CfkComplex:
         would cost every region and map probe."""
         return bisect_right(self.alexander_cuts, s)
 
-    @cached_property
+    @lazy
     def numbered_classes(self) -> tuple[int, ...]:
         """The classes by number: the lowest cut less one, then every cut."""
         cuts = self.alexander_cuts
@@ -737,7 +794,7 @@ class CfkComplex:
         class give the same region and maps."""
         return self.numbered_classes[bisect_right(self.alexander_cuts, s)]
 
-    @cached_property
+    @lazy
     def top(self) -> int:
         """The top Alexander grading, the last cut less one.  HatB is the
         region at it, ``region_complex(top)``.  Reading it reads the cuts,
@@ -756,7 +813,8 @@ class CfkComplex:
     def _build_region(self, s: int) -> RegionComplex:
         """The region of class s: the class above the top grading is served
         as the region at top, a class below its mirror as its mirror's
-        region, and every other class builds its own."""
+        region, and every other class builds its own, its boundary's rows
+        and columns written by one loop over the arcs."""
         if s > (top := self.top):
             # Every upower is 0 above top as at it: serve that one region,
             # with its one kernel and homology.
@@ -770,21 +828,24 @@ class CfkComplex:
         # One element per generator, so a term stays inside exactly when it
         # lands on its target's one upower.
         masks = [0] * len(units)
+        columns = [0] * len(units)
         for col, row, m in arcs:
             if upowers[row] == upowers[col] + m:
-                # A row's first bit keeps the shared unit mask, so the
-                # single-bit rows of every region share one int per
-                # generator; 0 ^ unit would make a fresh int.
+                # A row's or column's first bit keeps the shared unit mask,
+                # so the single-bit rows and columns of every region share
+                # one int per generator; 0 ^ unit would make a fresh int.
                 mask = masks[row]
                 masks[row] = mask ^ units[col] if mask else units[col]
-        return RegionComplex(s, F2Matrix(len(units), tuple(masks)))
+                mask = columns[col]
+                columns[col] = mask ^ units[row] if mask else units[row]
+        return RegionComplex(s, F2Matrix(len(units), tuple(masks)), columns)
 
     def _mirror_class(self, s: int) -> int:
         """The mirror of class s, the class of -s, for a complex with a flip;
         s itself without one, since only the flip maps HatA(s) to HatA(-s)."""
         return self.alexander_class(-s) if self.flip_map is not None else s
 
-    @cached_property
+    @lazy
     def _flip_index(self) -> tuple[int, ...]:
         """The flip as a permutation of the generator order: entry i is the
         position of flip(x_i), one of the ints of ``index``.  Read only on a
@@ -843,7 +904,7 @@ class CfkComplex:
 
     # -- the essential summand --------------------------------------------------
 
-    @cached_property
+    @lazy
     def _split(self) -> tuple:
         """``(P, zmask)``: the essential summand P and the mask of the
         generator positions of the acyclic rest Z, as the module docstring

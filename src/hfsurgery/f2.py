@@ -20,13 +20,14 @@ size, the row-echelon form is the table after back-substitution, the
 kernel is the tracked masks of the columns that vanish, a homology basis
 extends the tracked loop's table, and every other routine here reads its
 answer off one of these.  ``column_elimination`` takes the columns
-themselves, not a matrix: ``kernel_basis``, ``solve`` and a region's
-cycles pass a matrix's columns, ``m.transpose().data``, the one transpose
-each makes, and ``solve`` appends its target as one more column.  ``cfk``
-passes HatB's boundary rows, ``boundary.data``, which are the columns of
-its transpose, and so reads with no transpose the cocycles and the pivot
-table of the coboundaries, against which it reduces the cocycles to keep
-one per cohomology class.  ``rref`` serves only the rank routes' sweep.
+themselves, not a matrix: ``kernel_basis`` and ``solve`` pass a matrix's
+columns, ``m.transpose().data``, the one transpose each makes, and
+``solve`` appends its target as one more column.  A region's cycles pass
+the columns that ``cfk``'s region build wrote beside the rows, with no
+transpose.  ``cfk`` passes HatB's boundary rows, ``boundary.data``, which
+are the columns of its transpose, and so reads with no transpose the
+cocycles and the pivot table of the coboundaries, against which it
+reduces the cocycles to keep one per cohomology class.  ``rref`` serves only the rank routes' sweep.
 
 ``kernel_basis`` and ``solve`` have no reader in the library: the rank
 routes read kernels off ``column_elimination``.  They stay public because
@@ -185,12 +186,6 @@ class F2Matrix(Frozen):
                 row ^= low
             masks.append(acc)
         return F2Matrix(other.cols, tuple(masks))
-
-    def hstack(self, other: "F2Matrix") -> "F2Matrix":
-        if self.rows != other.rows:
-            raise DimensionError("hstack needs equal row counts")
-        masks = tuple(a | (b << self.cols) for a, b in zip(self.data, other.data))
-        return F2Matrix(self.cols + other.cols, masks)
 
     def is_zero(self) -> bool:
         return all(mask == 0 for mask in self.data)

@@ -523,20 +523,31 @@ def assert_matches_reference(c: CfkComplex) -> None:
         assert dense(c.h_hat(s)).data == as_read(c, s, reference_map(c, "h", s)), s
 
 
+def dense_map(c: CfkComplex, kind: str, s: int) -> F2Matrix:
+    """The dense element-by-element reference matrix of v_hat(s) (``kind``
+    "v") or h_hat(s) ("h"), read by :func:`as_read` on the region the
+    library serves."""
+    return F2Matrix(c.region_complex(s).dim, as_read(c, s, reference_map(c, kind, s)))
+
+
+def dense_on_cocycles(m: FilteredChainMap, matrix: F2Matrix) -> F2Matrix:
+    """Y^T . matrix . N, Y being the target's cocycle basis as columns and
+    N the source's cycle basis: what ``m.on_cocycles`` must be when
+    ``matrix`` is m's dense matrix."""
+    cycles = F2Matrix.from_columns(m.source.cycles, m.source.dim)
+    return F2Matrix(m.target.dim, m.target.cocycles) @ matrix @ cycles
+
+
 def assert_maps_match_dense(c: CfkComplex) -> None:
     """Every v_hat(s) and h_hat(s) with |s| <= genus + 1, applied by its
-    index map, agrees with the dense element-by-element reference matrix,
-    read by :func:`as_read` on the region the library serves:
-    ``on_cocycles`` is Y^T . matrix . N, Y being the target's cocycle
-    basis as columns and N the source's cycle basis, and ``induced`` is
-    ``f2.induced_map_on_homology`` run on that matrix."""
+    index map, agrees with its :func:`dense_map`: ``on_cocycles`` is
+    :func:`dense_on_cocycles` of it, and ``induced`` is
+    ``f2.induced_map_on_homology`` run on it."""
     g = c.genus()
     for s in range(-g - 1, g + 2):
         for kind, m in (("v", c.v_hat(s)), ("h", c.h_hat(s))):
-            matrix = F2Matrix(m.source.dim, as_read(c, s, reference_map(c, kind, s)))
-            cycles = F2Matrix.from_columns(m.source.cycles, m.source.dim)
-            cocycles_t = F2Matrix(m.target.dim, m.target.cocycles)
-            assert m.on_cocycles == cocycles_t @ matrix @ cycles, (kind, s)
+            matrix = dense_map(c, kind, s)
+            assert m.on_cocycles == dense_on_cocycles(m, matrix), (kind, s)
             induced = f2.induced_map_on_homology(matrix, m.source.homology, m.target.homology)
             assert m.induced == induced, (kind, s)
 
@@ -671,6 +682,14 @@ def assert_runs_match_per_s(c: CfkComplex) -> None:
         assert surgery.nu_surrogate(c) == reference_nu(c)
 
 
+def hstack(m1: F2Matrix, m2: F2Matrix) -> F2Matrix:
+    """The matrix [m1 | m2]: m1's columns, then m2's."""
+    if m1.rows != m2.rows:
+        raise DimensionError("hstack needs equal row counts")
+    masks = tuple(a | (b << m1.cols) for a, b in zip(m1.data, m2.data))
+    return F2Matrix(m1.cols + m2.cols, masks)
+
+
 def image_intersection_rank(m1: F2Matrix, m2: F2Matrix) -> int:
     """Dimension of the intersection of the two column spaces.
 
@@ -681,7 +700,7 @@ def image_intersection_rank(m1: F2Matrix, m2: F2Matrix) -> int:
         raise DimensionError(
             f"image intersection needs equal row counts, got {m1.rows} and {m2.rows}"
         )
-    return f2.rank(m1) + f2.rank(m2) - f2.rank(m1.hstack(m2))
+    return f2.rank(m1) + f2.rank(m2) - f2.rank(hstack(m1, m2))
 
 
 def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[tuple[int, int]]:
@@ -697,7 +716,7 @@ def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[tuple[int, int]
         raise DimensionError(
             f"image intersection needs equal row counts, got {m1.rows} and {m2.rows}"
         )
-    stacked = m1.hstack(m2)
+    stacked = hstack(m1, m2)
     low_mask = (1 << m1.cols) - 1
     table: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
@@ -736,7 +755,7 @@ def reference_solve(m: F2Matrix, target: int) -> int | None:
     coordinates of ``x`` are the target bits of their rows and the free
     coordinates are zero.
     """
-    rows, pivots = f2.rref(m.hstack(F2Matrix.from_columns([target], m.rows)))
+    rows, pivots = f2.rref(hstack(m, F2Matrix.from_columns([target], m.rows)))
     if pivots and pivots[-1] == m.cols:
         return None
     x = 0

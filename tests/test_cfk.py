@@ -1,6 +1,9 @@
 """Unit tests for the bifiltered complex data model and its regions."""
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -149,6 +152,13 @@ def after_both_routes():
     return c
 
 
+# Complexes whose maps pull b >= 3 cocycle classes: b = 16 and b = 3.
+B_HEAVY = {
+    "B_1#B_1": models.borromean_corpus()["B_1#B_1"],
+    "dots#trefoil_rh": lambda: tensor(random_complex(RandomSpec(seed=1, dots=3)), builtin("trefoil_rh")),
+}
+
+
 class TestRegions:
     def test_trefoil_hat_a0(self, trefoil):
         region = trefoil.region_complex(0)
@@ -232,16 +242,20 @@ class TestRegions:
         # class could not have, and no boundary space apart from the
         # homology's.  A class below its mirror class is served the
         # mirror's region, so every region built has a tag at or above its
-        # mirror's.
+        # mirror's.  It also holds its dim, set once, and the boundary's
+        # columns that its build wrote, only until its cycles take them.
         c = after_both_routes()
         classes = {
             key[1]: value for key, value in c._memo.items() if isinstance(key, tuple) and key[0] == "region"
         }
         regions = {id(region): region for region in classes.values()}.values()
         assert len(regions) > 2 and len(classes) > len(regions)
+        kept = {"tag", "boundary", "dim", "_columns", "cycles", "cocycles", "homology"}
         for region in regions:
             assert region.dim == len(c.columns[0][0])
-            assert set(vars(region)) <= {"tag", "boundary", "cycles", "cocycles", "homology"}
+            held = set(vars(region))
+            assert {"tag", "boundary", "dim"} <= held <= kept
+            assert "_columns" not in held or "cycles" not in held, region
             assert region.tag == c.top or c.alexander_class(-region.tag) <= region.tag
         for s, region in classes.items():
             if c.alexander_class(-s) > s:
@@ -250,12 +264,16 @@ class TestRegions:
     def test_hat_maps_keep_only_their_index(self):
         # After both rank routes, every memoized v_hat and h_hat holds its
         # two regions, its index map and what it caches from them: no
-        # mask or other per-kind data beside the index.
+        # mask or other per-kind data beside the index, and no preimage.
+        # The cocycle classes its check's preimage pulled are held only
+        # until on_cocycles takes them.
         c = after_both_routes()
         maps = {key: value for key, value in c._memo.items() if isinstance(key, tuple) and key[0] in ("v", "h")}
         assert {kind for kind, _ in maps} == {"v", "h"} and len(maps) > 2
         for m in maps.values():
-            assert set(vars(m)) <= {"source", "target", "index", "induced", "on_cocycles", "induced_rank"}
+            held = set(vars(m))
+            assert held <= {"source", "target", "index", "_pulled", "induced", "on_cocycles", "induced_rank"}
+            assert "_pulled" not in held or "on_cocycles" not in held, m
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("t25#t27",))
     def test_hat_a_at_or_above_the_top_grading_is_hat_b(self, name):
@@ -327,6 +345,65 @@ class TestRegions:
         assert region is fig8.region_complex(fig8.top)
         assert (region.cycles, region.homology) and calls == []
 
+    def test_cycles_eliminate_the_built_columns_or_the_transpose(self, monkeypatch):
+        # A fresh region holds the columns its build wrote, the boundary's
+        # transpose, and its cycles eliminate them with no transpose.  One
+        # whose columns are gone, as when another thread took them, or one
+        # built without them, transposes the boundary and finds the same
+        # cycles.
+        transposes = []
+        from_columns = F2Matrix.from_columns.__func__
+
+        def counting(cls, col_masks, rows):
+            transposes.append(rows)
+            return from_columns(cls, col_masks, rows)
+
+        for s in (0, 1, 2, "top"):
+            built, taken = (tensor(builtin("t25"), builtin("t27")) for _ in range(2))
+            region = built.region_complex(built.top if s == "top" else s)
+            boundary = region.boundary
+            reference = models.reference_kernel_basis(boundary)
+            assert vars(region)["_columns"] == list(boundary.transpose().data), s
+            bare = RegionComplex(region.tag, boundary)
+            monkeypatch.setattr(F2Matrix, "from_columns", classmethod(counting))
+            assert list(region.cycles) == reference and transposes == [], s
+            assert "_columns" not in vars(region), s
+            fallback = taken.region_complex(region.tag)
+            vars(fallback).pop("_columns")
+            assert list(fallback.cycles) == reference and transposes == [region.dim], s
+            assert list(bare.cycles) == reference and transposes == [region.dim] * 2, s
+            monkeypatch.undo()
+            transposes.clear()
+
+    @pytest.mark.parametrize("name", B_HEAVY)
+    def test_on_cocycles_with_the_pulled_classes_or_a_fresh_preimage(self, name, monkeypatch):
+        # A fresh map holds the b cocycle classes its check's preimage
+        # pulled, and on_cocycles takes them with no preimage of its own.
+        # A map whose classes are gone, as when another thread took them,
+        # builds the preimage again.  Both give the dense Y^T . f . N.
+        preimages = []
+        preimage = FilteredChainMap._preimage
+
+        def counting(m):
+            preimages.append(m)
+            return preimage(m)
+
+        reference = B_HEAVY[name]()
+        b = reference.b_rank()
+        assert b >= 3
+        for kind in ("v", "h"):
+            for s in class_starts(reference):
+                kept, taken = B_HEAVY[name](), B_HEAVY[name]()
+                maps = [x.v_hat(s) if kind == "v" else x.h_hat(s) for x in (kept, taken)]
+                expected = models.dense_on_cocycles(maps[0], models.dense_map(reference, kind, s))
+                assert [len(m._pulled) for m in maps] == [b, b], (kind, s)
+                vars(maps[1]).pop("_pulled")
+                monkeypatch.setattr(FilteredChainMap, "_preimage", counting)
+                assert [m.on_cocycles for m in maps] == [expected, expected], (kind, s)
+                assert preimages == [maps[1]] and all("_pulled" not in vars(m) for m in maps), (kind, s)
+                monkeypatch.undo()
+                preimages.clear()
+
     def test_cocycles_read_the_boundary_rows(self, monkeypatch):
         # HatB's cocycles eliminate the boundary's rows as they stand, the
         # columns of its transpose, so reading them builds no matrix.  The
@@ -355,6 +432,55 @@ class TestRegions:
                 expected.append(y)
         assert classes == tuple(expected)
         assert len(classes) == c.b_rank()
+
+
+class TestLazyReads:
+    """Regions, maps and complexes compute their lazy attributes on first
+    read with ``cfk.lazy``, which takes no lock."""
+
+    def test_the_descriptor_computes_once_and_is_itself_on_the_class(self):
+        calls = []
+
+        class Probe:
+            @cfk.lazy
+            def value(self):
+                """The value, computed on first read."""
+                calls.append(self)
+                return len(calls)
+
+        probe = Probe()
+        assert (probe.value, probe.value) == (1, 1) and calls == [probe]
+        assert vars(probe) == {"value": 1}
+        assert Probe().value == 2 and len(calls) == 2
+        assert isinstance(Probe.value, cfk.lazy) and Probe.value.__doc__ == "The value, computed on first read."
+        assert RegionComplex.cycles.__doc__.startswith("The region's one basis of its boundary's kernel")
+
+    def test_four_threads_on_one_fresh_complex_rank_as_one_thread(self):
+        # Four threads read one fresh complex's lazy attributes, taken
+        # tables and memos at once, with the interpreter switching threads
+        # as often as it can; each ranks as a single thread on a complex
+        # of its own does.
+        slopes = (Slope(1, 1), Slope(5, 3), Slope(8, 5))
+
+        def ranks(c):
+            return [(cone_rank_chain(c, p), cone_rank_homological(c, p), rank_formula(c, p)) for p in slopes]
+
+        expected = ranks(models.tensor_of("t25", "t27"))
+        c = models.tensor_of("t25", "t27")
+        start = threading.Barrier(4)
+
+        def run(_):
+            start.wait(timeout=60)
+            return ranks(c)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, range(4), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
 
 
 class TestVhat:
@@ -688,9 +814,9 @@ class TestMirrorClasses:
         built = []
         init = RegionComplex.__init__
 
-        def counting(self, tag, boundary):
+        def counting(self, tag, boundary, columns=None):
             built.append(tag)
-            init(self, tag, boundary)
+            init(self, tag, boundary, columns)
 
         monkeypatch.setattr(RegionComplex, "__init__", counting)
         lower = 0
@@ -726,7 +852,11 @@ class TestMirrorClasses:
         c = CfkComplex(*c.columns[:2], None, name)
         built = []
         init = RegionComplex.__init__
-        monkeypatch.setattr(RegionComplex, "__init__", lambda self, tag, boundary: built.append(tag) or init(self, tag, boundary))
+        monkeypatch.setattr(
+            RegionComplex,
+            "__init__",
+            lambda self, tag, boundary, columns=None: built.append(tag) or init(self, tag, boundary, columns),
+        )
         top = max(c.columns[0][1])
         c.genus()
         for s in class_starts(c):
@@ -773,6 +903,16 @@ class TestReferenceModel:
     def test_builtin_tensor_index_maps_match_the_dense_reference(self, pair):
         left, right = (builtin(part) if isinstance(part, str) else random_complex(part) for part in pair)
         models.assert_maps_match_dense(tensor(left, right))
+
+    @pytest.mark.parametrize("name", B_HEAVY)
+    def test_maps_that_pull_three_or_more_classes_match_the_dense_reference(self, name):
+        # Each map holds the b classes its check's preimage pulled until
+        # on_cocycles takes them, and the rows read off them are the dense
+        # reference's.
+        c = B_HEAVY[name]()
+        b = c.b_rank()
+        assert b >= 3 and len(c.h_hat(0)._pulled) == b
+        models.assert_maps_match_dense(c)
 
     @pytest.mark.parametrize(
         "parts", [(name,) for name in BUILTIN_NAMES] + list(combinations(BUILTIN_NAMES, 2)), ids="#".join
