@@ -30,9 +30,8 @@ with the induced differential keeping exactly the components that stay
 inside the region.  HatA(s) and HatB hold one copy of each generator, in
 the complex's generator order: element i is U^k x_i with
 k = max(0, alexander(x_i) - s) in HatA(s) and k = 0 in HatB.  A region
-keeps only its boundary; one loop over the arcs writes its rows and its
-columns, and the columns are held only until its cycles are eliminated
-from them.  For s at or above the top Alexander grading every upower is
+keeps only its boundary, its rows written by one loop over the arcs.  For
+s at or above the top Alexander grading every upower is
 0, and HatA(s) is HatB element for element, so HatB is
 the region at the top grading, ``region_complex(top)``, one object with
 one kernel and one homology basis.  A region is named by its grading s
@@ -43,11 +42,13 @@ from that order.  Each sends an element to one element or to zero, so
 it is held as a generator index map, with no matrix: v_hat(s) keeps
 element i when alexander(x_i) <= s, and h_hat(s) sends it to the
 position of flip(x_i) when alexander(x_i) >= s.  The chain-map check,
-the maps' rows between HatB's cocycle classes, b of them, and the cycle
-basis, and their matrices on homology all read the index; the one
-preimage a map builds, for its check, also pulls the classes for those
-rows.  The rows are read off the cycles themselves, so no region keeps
-its cycles as rows.
+the maps' rows on HatB's cocycle classes, b of them, and their matrices
+on homology all read the index; the one preimage a map builds, for its
+check, also pulls the classes for those rows.  Each row is a pulled
+class in its canonical form modulo the source's coboundaries, which
+stands for its pairing with the source's cycles
+(``FilteredChainMap.on_cocycles`` proves it), so the chain route and the
+genus build no cycle basis, and no region keeps its cycles as rows.
 
 HatA(s), v_hat(s) and h_hat(s) change with s only where s crosses an
 Alexander grading.  The cuts are a and a + 1 for every grading a, and the
@@ -106,10 +107,16 @@ A complex with a flip splits along the connected components of the graph
 with one edge per differential arc and one per flip pair.  Each component
 is closed under the differential and the flip, so it is a flip-invariant
 direct summand: every region, v_hat(s) and h_hat(s) is the direct sum of
-its pieces on the components, and the cycles that one elimination of a
-region's columns gives each lie in one component.  A component's homology
-in a region of n of its elements with k of those cycles therefore has
-dimension 2k - n.
+its pieces on the components.  Each entry of a region's coboundary table
+lies in one component, by the induction the next paragraph makes for the
+cocycles: a boundary row has its bits in its element's component, and a
+row is only ever reduced by the entry stored at one of its own bits.  The
+entries are independent and span the coboundaries, the direct sum of
+each component's own, so the entries in a component C are independent in
+C's coboundaries, and as their counts add up to rank d = sum of rank d_C,
+C holds exactly rank d_C of them, each keyed at one of C's elements.  A
+component's homology in a region of n of its elements holding k keys of
+the table therefore has dimension n - 2k.
 
 b, the dimension of H(HatB), has one reading, the count of HatB's cocycle
 classes on the whole complex (:meth:`CfkComplex.b_rank`), and the classes
@@ -133,8 +140,8 @@ no homology, is never built.  Z's v_hat(s) and h_hat(s) vanish on
 homology, so Z adds nothing to the ranks of v_hat that t sums, or to
 nu, and those read P.  What Z does add is H(HatA(s)), and
 :meth:`CfkComplex.acyclic_sum` sums its dimensions over |s| < genus, read
-off the cycles of this complex's own regions, which the chain route
-eliminates anyway.  b and the genus read no split: each has one rule on
+off the coboundary tables of this complex's own regions, which the chain
+route builds anyway.  b and the genus read no split: each has one rule on
 the whole complex, Z included.  P is the complex itself when it has no
 flip, or when the search reaches no element or every element: when no
 component, or every component, holds a class, a connected complex among
@@ -257,8 +264,8 @@ class lazy:
     reads.  Two threads that read one attribute at once may both compute
     it; each computation gives the same value, and the one stored last is
     kept.  A table that one computation hands to another, such as a
-    region's ``_image`` or ``_columns`` or a map's ``_pulled``, is taken
-    with ``pop``, and a reader that finds it gone builds it again."""
+    region's ``_image`` or a map's ``_pulled``, is taken with ``pop``, and
+    a reader that finds it gone builds it again."""
 
     def __init__(self, compute):
         self.compute = compute
@@ -308,32 +315,41 @@ class RegionComplex:
     U-power is not kept, because one HatA region serves a whole Alexander
     class of s, whose members put different powers on it.
 
-    What a region caches is read off its boundary on first use: its
-    cycles, its cocycle classes and its homology; it keeps no cycle rows.
-    One elimination of the boundary's columns,
+    What a region caches is read off its boundary on first use: the pivot
+    table of its coboundaries, its cycles, its cocycle classes and its
+    homology; it keeps no cycle rows.  The chain route and the genus read
+    the coboundary table alone, one untracked elimination of the
+    boundary's rows, and build no cycle basis.  The homological route reads
+    the homology, and one elimination of the boundary's columns,
     :func:`f2.column_elimination`, gives both the cycles and the boundary
     space that the homology quotients them by, so whichever of the two is
-    read first, the boundary is eliminated once.  The boundary space is
+    read first, the columns are eliminated once.  The boundary space is
     held from the read of the cycles until the homology takes it over.  A
     region also serves the classes below its mirror class, read through
     the flip (the module docstring says how), so it is built only for a
-    class at or above its mirror's.
-
-    ``columns``, when given, are the boundary's column masks, which the
-    arc loop of ``cfk`` writes beside the rows.  They are held, as
-    ``_columns``, until :attr:`cycles` takes them to eliminate, so the
-    region never transposes its boundary; a region built without them,
-    or one whose columns another thread took, transposes it there.
+    class at or above its mirror's.  The boundary's columns are its
+    transpose's rows, built only when :attr:`cycles` eliminates them, since
+    the chain route never reads them.
 
     ``tag`` is a free label, printed by ``repr`` and in the chain-map
     error: ``cfk`` passes the grading s of the class it built.
     """
 
-    def __init__(self, tag, boundary: F2Matrix, columns=None):
+    def __init__(self, tag, boundary: F2Matrix):
         self.tag = tag
         self.boundary = boundary
         self.dim = boundary.cols
-        self._columns = columns
+
+    @lazy
+    def coboundaries(self) -> dict[int, int]:
+        """The pivot table of the coboundaries y . boundary, the boundary's
+        row space, keyed on lowest set bits: ``f2._eliminate`` of the rows,
+        with no mask tracked, built on first read.  Its size is
+        rank(boundary), so the region has dim - size cycles and
+        dim - 2 size homology.  ``on_cocycles`` reduces each pulled class
+        against it; the chain route, the genus and
+        :meth:`CfkComplex.acyclic_sum` read it in place of the cycles."""
+        return f2._eliminate(self.boundary.data)
 
     @lazy
     def homology(self) -> HomologyBasis:
@@ -353,13 +369,10 @@ class RegionComplex:
     def cycles(self) -> tuple[int, ...]:
         """The region's one basis of its boundary's kernel, as column masks,
         built on first read: ``f2.kernel_basis(boundary)``, whose
-        elimination leaves the boundary space for :attr:`homology`.  It
-        eliminates the columns the region was built with, taken, not
-        shared, and transposes the boundary only when there are none."""
-        columns = vars(self).pop("_columns", None)
-        if columns is None:
-            columns = self.boundary.transpose().data
-        cycles, self._image = f2.column_elimination(columns)
+        elimination of the boundary's columns, the rows of its one
+        transpose, leaves the boundary space for :attr:`homology`, the
+        only reader."""
+        cycles, self._image = f2.column_elimination(self.boundary.transpose().data)
         return tuple(cycles)
 
     @lazy
@@ -373,9 +386,10 @@ class RegionComplex:
         kept when it survives, its reduction then joining the table.  So
         the kept ones are independent modulo the coboundaries, and there
         are dim - 2 rank(boundary) of them, b for HatB.  No
-        :class:`f2.HomologyBasis` is built.  Only HatB's are read: their
-        count is b, the genus and the chain route read them through
-        ``on_cocycles``, and the essential summand by the component each
+        :class:`f2.HomologyBasis` is built, and the table is not
+        :attr:`coboundaries`, which no kept class joins.  Only HatB's are
+        read: their count is b, the genus and the chain route read them
+        through ``on_cocycles``, and the essential summand by the component each
         lies in (the module docstring proves that each lies in one).  So
         b, the genus and the chain route stay apart from the homology the
         other route reads."""
@@ -463,25 +477,44 @@ class FilteredChainMap:
 
     @lazy
     def on_cocycles(self) -> F2Matrix:
-        """The map between the target's cocycle classes and the source's
-        cycles, y . f . N, one row per vector y of ``target.cocycles``, b
-        of them for HatB, and one column per vector of ``source.cycles``,
-        built on first read.  Bit k of row y is the parity of f^T y & N_k,
-        f^T y being y's bits moved to their preimages, the classes the
-        constructor pulled, taken here.  Only the classes are read because
-        a coboundary, z . d, gives zero, since d . f = f . d and
-        d . N = 0.  Only the chain route and the genus read it; the
+        """The map from the target's cocycle classes to the source's
+        cocycles modulo coboundaries, one row per vector y of
+        ``target.cocycles``, b of them for HatB, as wide as the source,
+        built on first read.  Row y is y . f, y's bits moved to their
+        preimages (the classes the constructor pulled, taken here), in its
+        canonical form modulo the source's coboundaries: ``f2._canonical``
+        against :attr:`RegionComplex.coboundaries`, zero at every lowest
+        bit of a nonzero coboundary.  Only the classes are read because a
+        target coboundary, z . d, gives z . d . f = z . f . d, a source
+        coboundary, whose canonical form is zero.
+
+        These rows stand for y . f . N, N a basis of the source's cycles,
+        with no N built.  Proof.  A cochain x vanishes on every cycle
+        exactly when it is a coboundary, as row(d) lies in (ker d)^perp and
+        both have dimension rank d; so x -> x . N maps the cochains modulo
+        row(d) isomorphically onto the rows over N.  The canonical form is
+        unique: the keys, the lowest bits of row(d)'s nonzero vectors,
+        belong to the space, and two forms of one coset differ by a vector
+        of row(d) whose lowest bit would be a key where both are zero, so
+        they differ by zero.  The vectors zero at every key form a subspace
+        that meets row(d) in zero and has its complementary dimension, so a
+        sum of canonical forms is canonical, and x -> x . N is injective on
+        it.  Hence every set of these rows, and every set of rows built
+        block by block from them, side by side with other blocks, has the
+        rank of the same set over N, and so has every subspace cut down
+        to some blocks: each sweep transition adds the increment it would
+        add over the cycles.  A carry, the part of a step's row space with
+        no bit below the v block, is a sum of rows, so it is canonical in
+        each block too.  A class served through its mirror reads the
+        mirror's map, reduced against the mirror's region, the same
+        object.  Only the chain route and the genus read it; the
         homological route applies the map to each homology representative
         instead."""
-        cycles = self.source.cycles
         pulled = vars(self).pop("_pulled", None)
         if pulled is None:
             pulled = move_bits(self.target.cocycles, self._preimage())
-        rows = tuple(
-            sum(((y & cycle).bit_count() & 1) << k for k, cycle in enumerate(cycles))
-            for y in pulled
-        )
-        return F2Matrix(len(cycles), rows)
+        table, canonical = self.source.coboundaries, f2._canonical
+        return F2Matrix(self.source.dim, tuple(canonical(table, y) for y in pulled))
 
     @lazy
     def induced_rank(self) -> int:
@@ -814,7 +847,7 @@ class CfkComplex:
         """The region of class s: the class above the top grading is served
         as the region at top, a class below its mirror as its mirror's
         region, and every other class builds its own, its boundary's rows
-        and columns written by one loop over the arcs."""
+        written by one loop over the arcs."""
         if s > (top := self.top):
             # Every upower is 0 above top as at it: serve that one region,
             # with its one kernel and homology.
@@ -828,17 +861,14 @@ class CfkComplex:
         # One element per generator, so a term stays inside exactly when it
         # lands on its target's one upower.
         masks = [0] * len(units)
-        columns = [0] * len(units)
         for col, row, m in arcs:
             if upowers[row] == upowers[col] + m:
-                # A row's or column's first bit keeps the shared unit mask,
-                # so the single-bit rows and columns of every region share
-                # one int per generator; 0 ^ unit would make a fresh int.
+                # A row's first bit keeps the shared unit mask, so the
+                # single-bit rows of every region share one int per
+                # generator; 0 ^ unit would make a fresh int.
                 mask = masks[row]
                 masks[row] = mask ^ units[col] if mask else units[col]
-                mask = columns[col]
-                columns[col] = mask ^ units[row] if mask else units[row]
-        return RegionComplex(s, F2Matrix(len(units), tuple(masks)), columns)
+        return RegionComplex(s, F2Matrix(len(units), tuple(masks)))
 
     def _mirror_class(self, s: int) -> int:
         """The mirror of class s, the class of -s, for a complex with a flip;
@@ -960,15 +990,16 @@ class CfkComplex:
         """z: the sum of dim H(HatA(s)) of the acyclic rest Z over |s| <
         genus, read one class run at a time, or 0 when nothing splits off.
         Z's cone has rank q * z at every slope p/q (``surgery`` says why).
-        H(HatA(s)) of Z is read off this complex's own HatA(s): its
-        dimension is 2 * (the cycles in Z) - (Z's size).  Memoized, and
-        found only when read, not by :meth:`genus`."""
+        H(HatA(s)) of Z is read off this complex's own HatA(s): Z has
+        |Z| - (the coboundary table's keys in Z) cycles, so its dimension
+        is |Z| - 2 * (those keys), as the module docstring proves.
+        Memoized, and found only when read, not by :meth:`genus`."""
         zmask = self._split[1]
         if not zmask:
             return 0
-        g = self.genus()
+        g, size = self.genus(), zmask.bit_count()
         return sum(
-            n * (2 * sum(1 for c in self.region_complex(s).cycles if c & zmask) - zmask.bit_count())
+            n * (size - 2 * sum(zmask >> key & 1 for key in self.region_complex(s).coboundaries))
             for s, n in self.class_runs(1 - g, g - 1)
         )
 
@@ -987,14 +1018,17 @@ class CfkComplex:
     @memoized("genus")
     def genus(self) -> int:
         """Largest s with v_hat(s - 1) not a homology isomorphism, or 0,
-        read off HatB's cocycle classes and the cycles of each HatA(t), on
-        the whole complex: no homology basis is built and no split read.
+        read off HatB's cocycle classes and the coboundary table of each
+        HatA(t), on the whole complex: no cycle basis or homology basis is
+        built and no split read.
 
-        Let y range over HatB's b cocycle classes and N over the cycles of
-        HatA(t).  y . v_hat(t) . N, the map's ``on_cocycles``, pairs the
-        classes of H(HatB) with the cycles, and a boundary pairs to zero,
-        so its rank is the rank of v_hat(t) on homology; and
-        dim H(HatA(t)) = |N| - rank d = 2|N| - dim.  So v_hat(t) is a
+        Let y range over HatB's b cocycle classes and N over a basis of
+        the cycles of HatA(t).  y . v_hat(t) . N pairs the classes of
+        H(HatB) with the cycles, and a boundary pairs to zero, so its rank
+        is the rank of v_hat(t) on homology, and the map's
+        ``on_cocycles`` has that rank (its docstring proves it).  And
+        dim H(HatA(t)) = dim - 2 rank d, rank d being the size of the
+        region's coboundary table.  So v_hat(t) is a
         homology isomorphism exactly when both equal b.  A direct sum's map
         is one exactly when each summand's is, so a complex that splits
         needs no rule of its own.
@@ -1008,7 +1042,7 @@ class CfkComplex:
         top = self.top  # validates first
         b = self.b_rank()
         for s, n in reversed(self.class_runs(0, top - 1)):
-            if not f2.rank((v := self.v_hat(s)).on_cocycles) == b == 2 * len(v.source.cycles) - v.source.dim:
+            if not f2.rank((v := self.v_hat(s)).on_cocycles) == b == v.source.dim - 2 * len(v.source.coboundaries):
                 return s + n
         return 0
 

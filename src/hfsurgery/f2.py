@@ -12,10 +12,12 @@ sweep step builds one, and its constructor checks the masks and fills
 its two slots through their setters.
 
 There is one elimination loop, ``_eliminate``, which builds a pivot table
-keyed on the bit position of each entry's lowest set bit, and two forms
-of it: ``_reduce``, which reduces a row without adding it, and
-``column_elimination``, which runs the loop over the column vectors it is
-given and tracks which columns were added into each.  Rank is the table
+keyed on the bit position of each entry's lowest set bit, and three forms
+of it: ``_reduce``, which reduces a row without adding it and stops at
+its first free bit, ``_canonical``, which carries on past free bits until
+the row is zero at every key, and ``column_elimination``, which runs the
+loop over the column vectors it is given and tracks which columns were
+added into each.  Rank is the table
 size, the row-echelon form is the table after back-substitution, the
 kernel is the tracked masks of the columns that vanish, a homology basis
 extends the tracked loop's table, and every other routine here reads its
@@ -23,11 +25,14 @@ answer off one of these.  ``column_elimination`` takes the columns
 themselves, not a matrix: ``kernel_basis`` and ``solve`` pass a matrix's
 columns, ``m.transpose().data``, the one transpose each makes, and
 ``solve`` appends its target as one more column.  A region's cycles pass
-the columns that ``cfk``'s region build wrote beside the rows, with no
-transpose.  ``cfk`` passes HatB's boundary rows, ``boundary.data``, which
+its boundary's columns the same way, from one transpose, read only by the
+homological route.  ``cfk`` passes HatB's boundary rows, ``boundary.data``, which
 are the columns of its transpose, and so reads with no transpose the
 cocycles and the pivot table of the coboundaries, against which it
-reduces the cocycles to keep one per cohomology class.  ``rref`` serves only the rank routes' sweep.
+reduces the cocycles to keep one per cohomology class.  A region's
+coboundary table, ``_eliminate`` of its boundary's rows, is what
+``_canonical`` reduces each map's pulled cocycle classes against, for the
+chain route and the genus.  ``rref`` serves only the rank routes' sweep.
 
 ``kernel_basis`` and ``solve`` have no reader in the library: the rank
 routes read kernels off ``column_elimination``.  They stay public because
@@ -235,6 +240,30 @@ def _reduce(table: dict[int, int], row: int) -> int:
             break
         row ^= pivot
     return row << pos
+
+
+def _canonical(table: dict[int, int], row: int) -> int:
+    """The elimination loop of :func:`_eliminate`, carried on past free
+    bits: ``row`` reduced until it is zero at every key of the table.
+
+    A free bit is kept in the result and stepped over, and the loop goes on
+    to the next set bit.  The keys are the lowest bits of the nonzero
+    vectors of the table's span, a set fixed by the span alone, and two
+    results for rows congruent modulo the span differ by a vector of it
+    that is zero at every key, so by zero: the result is the one
+    representative of the row's coset that is zero at every key, whichever
+    table spans it."""
+    out = pos = 0
+    while row:
+        low = (row & -row).bit_length() - 1
+        row >>= low
+        pos += low
+        pivot = table.get(pos)
+        if pivot is None:
+            out |= 1 << pos
+            pivot = 1
+        row ^= pivot
+    return out
 
 
 def _insert(table: dict[int, int], row: int) -> None:

@@ -53,16 +53,28 @@ spanned by the coboundaries and any b cocycles independent modulo them,
 one per class of HatB's cohomology, so those b cocycles alone give the
 same row space, and each HatB block has at most b nonzero rows.
 
-The first two terms are ``MappingCone.boundary_rank``: each block's
-dimension less its number of cycles, and rank d_B, read once per complex
-by ``f2.rank`` and checked against b, HatB's number of cocycle classes,
-dim - 2 rank d_B.  The third is what the sweep below adds up, so the
-rank of the cone's homology is its dimension less twice the sum.  The
-cycle basis is taken once per region, the b cocycle classes once, on
-HatB, and each map's rows between the two once per map.  Only the
+No N is built.  The row y f N is read as y f, a cochain of the HatA
+block, in its canonical form modulo the block's coboundaries, the rows
+of its d: zero at every lowest bit of a nonzero coboundary.  A cochain
+vanishes on ker d exactly when it lies in row(d), so x -> x N is an
+isomorphism from the cochains modulo row(d) onto the rows over N, and
+the canonical forms, one per coset, make a subspace that it maps
+isomorphically; ``FilteredChainMap.on_cocycles`` in ``cfk`` has the
+proof.  Block by block, then, every set of these rows has the rank of
+the same rows over N, every subspace cut down to some blocks has the
+dimension it has over N, and the sums that make the carries below stay
+canonical, so the sweep adds the same ranks.
+
+The first two terms are ``MappingCone.boundary_rank``: rank d of each
+block, the size of its region's coboundary table, and rank d_B, read
+once per complex by ``f2.rank`` and checked against b, HatB's number of
+cocycle classes, dim - 2 rank d_B.  The third is what the sweep below
+adds up, so the rank of the cone's homology is its dimension less twice
+the sum.  The coboundary table is built once per region, the b cocycle
+classes once, on HatB, and each map's rows once per map.  Only the
 nonzero rows are eliminated.  Their columns are laid out in chain order:
 for each residue class of j mod p, the HatA columns j of that class in
-ascending order, each as wide as its cycles.  Column j maps only to HatB
+ascending order, each as wide as its region.  Column j maps only to HatB
 blocks j and j + p, both in the class of j, so the cone is
 block-diagonal over j mod p, and the rows of HatB block j have entries
 only in the HatA blocks j - p and j on either side of it.
@@ -97,25 +109,26 @@ one probe of the table, and builds no tuple.  Only the distinct
 transitions are ever eliminated, so a run of blocks in the same two
 classes costs one elimination per distinct carry, and no step's matrix
 spans more than three blocks.
-Route one reads no homology and no split.  The genus, which fixes the
-window, tests each v_hat(s) by its rows between HatB's cocycle classes and
-the cycles of HatA(s), the rows the sweep reads (``cfk`` has the rule),
-on the whole complex, and the route never builds a homology basis or the
-cone's induced maps.
+Route one reads no homology, no cycle basis and no split.  The genus,
+which fixes the window, tests each v_hat(s) by its rows on HatB's cocycle
+classes, the rows the sweep reads, and by the size of HatA(s)'s
+coboundary table (``cfk`` has the rule), on the whole complex, and the
+route never builds a homology basis or the cone's induced maps.
 
 Route two counts kernel plus cokernel of the induced block matrix on
 homology.  Over a field the two always agree, so route one continuously
-validates the homology-level bookkeeping route two relies on.  Both start
-from the same object: one elimination of each region's boundary, column
-by column, gives its cycle basis, ``RegionComplex.cycles``, and the
-boundary space that its homology quotients that same basis by.  From
-there the routes part.  ``cfk`` holds each map as a generator index map,
-each element of HatA(s) going to one element of HatB or to zero, so
-neither route multiplies a map by a matrix.  Route one reads each map
-between HatB's b cocycle classes and the source's cycle basis
-(``on_cocycles``): y is moved through the index to its preimage, and
-bit k of its row is the parity of that preimage on cycle k, so no
-region keeps its cycles as rows.  Route two moves the bits of each
+validates the homology-level bookkeeping route two relies on.  The two
+share no elimination of a region.  Route one eliminates each region's
+boundary row by row, untracked, into its coboundary table,
+``RegionComplex.coboundaries``.  Route two alone eliminates it column by
+column, ``RegionComplex.cycles``, which gives the cycle basis and the
+boundary space that its homology quotients that basis by.  ``cfk``
+holds each map as a generator index map, each element of HatA(s) going
+to one element of HatB or to zero, so neither route multiplies a map by
+a matrix.  Route one reads each map on HatB's b cocycle classes
+(``on_cocycles``): y is moved through the index to its preimage, which
+is reduced to its canonical form against the source's coboundary table,
+so no region keeps its cycles as rows.  Route two moves the bits of each
 homology representative through the index (``induced``).  A fault
 in either read shows as a disagreement, and the tests check both against
 the dense element-by-element matrices of a reference model.
@@ -407,22 +420,22 @@ class MappingCone:
     @property
     def boundary_rank(self) -> int:
         """Rank of the boundary's rows that the sweep does not read: the
-        boundary rank of each column's HatA region, its dimension less its
-        cycles, summed over the columns, and rank d_B once per HatB column,
-        as the module docstring proves."""
-        a_rank = self._per_column("a_rank", lambda region: region.dim - len(region.cycles))
+        boundary rank of each column's HatA region, the size of its
+        coboundary table, summed over the columns, and rank d_B once per
+        HatB column, as the module docstring proves."""
+        a_rank = self._per_column("a_rank", lambda region: len(region.coboundaries))
         return a_rank + len(self.b_columns) * _hat_b_boundary_rank(self.complex)
 
     def total_boundary(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
         """The nonzero rows that one HatB block of the cone's boundary gives
-        the sweep, at most b, on HatB's cocycle classes and the HatA cycle
-        bases: the rows, their width and the column where their v block
-        starts.
+        the sweep, at most b, on HatB's cocycle classes: the rows, their
+        width and the column where their v block starts.
 
         A HatB row block j with key = ((j - p) // q, j // q), or the
         Alexander classes of the two, which give the same maps, gives
         ``y [h_hat(key[0]) | v_hat(key[1])]`` for each of HatB's b cocycle
-        classes y, each map on the cycle basis of its source region: the
+        classes y, each map's row in its canonical form modulo the
+        coboundaries of its source region, as wide as the region: the
         HatA block j - p and the HatA block j, side by side in chain order.
         HatB's own boundary is ranked in :attr:`boundary_rank` instead, the
         coboundaries, whose rows are zero, are never read, and a zero row

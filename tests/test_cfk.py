@@ -1,5 +1,6 @@
 """Unit tests for the bifiltered complex data model and its regions."""
 
+import functools
 import json
 import sys
 import threading
@@ -236,26 +237,26 @@ class TestRegions:
     def test_hat_regions_keep_only_their_boundary(self):
         # After both rank routes, every memoized region holds its grading
         # as its tag, its boundary with one column per generator and
-        # what it caches from the boundary, its cycles, its cocycle
-        # classes (HatB's alone are read) and its homology: no cycle rows,
+        # what it caches from the boundary, its coboundary table, its
+        # cycles, its cocycle classes (HatB's alone are read) and its
+        # homology: no cycle rows,
         # no per-element data, which a region shared by a whole Alexander
         # class could not have, and no boundary space apart from the
         # homology's.  A class below its mirror class is served the
         # mirror's region, so every region built has a tag at or above its
-        # mirror's.  It also holds its dim, set once, and the boundary's
-        # columns that its build wrote, only until its cycles take them.
+        # mirror's.  It also holds its dim, set once, and no columns of its
+        # boundary: only its cycles read them, from one transpose.
         c = after_both_routes()
         classes = {
             key[1]: value for key, value in c._memo.items() if isinstance(key, tuple) and key[0] == "region"
         }
         regions = {id(region): region for region in classes.values()}.values()
         assert len(regions) > 2 and len(classes) > len(regions)
-        kept = {"tag", "boundary", "dim", "_columns", "cycles", "cocycles", "homology"}
+        kept = {"tag", "boundary", "dim", "coboundaries", "cycles", "cocycles", "homology"}
         for region in regions:
             assert region.dim == len(c.columns[0][0])
             held = set(vars(region))
             assert {"tag", "boundary", "dim"} <= held <= kept
-            assert "_columns" not in held or "cycles" not in held, region
             assert region.tag == c.top or c.alexander_class(-region.tag) <= region.tag
         for s, region in classes.items():
             if c.alexander_class(-s) > s:
@@ -345,12 +346,11 @@ class TestRegions:
         assert region is fig8.region_complex(fig8.top)
         assert (region.cycles, region.homology) and calls == []
 
-    def test_cycles_eliminate_the_built_columns_or_the_transpose(self, monkeypatch):
-        # A fresh region holds the columns its build wrote, the boundary's
-        # transpose, and its cycles eliminate them with no transpose.  One
-        # whose columns are gone, as when another thread took them, or one
-        # built without them, transposes the boundary and finds the same
-        # cycles.
+    def test_only_the_cycles_transpose_the_boundary(self, monkeypatch):
+        # A region keeps no columns.  Its cycles eliminate the boundary's
+        # columns from one transpose, the only one a region makes: the
+        # genus and the chain route read its coboundary table, off the
+        # rows, and transpose nothing.
         transposes = []
         from_columns = F2Matrix.from_columns.__func__
 
@@ -358,21 +358,16 @@ class TestRegions:
             transposes.append(rows)
             return from_columns(cls, col_masks, rows)
 
-        for s in (0, 1, 2, "top"):
-            built, taken = (tensor(builtin("t25"), builtin("t27")) for _ in range(2))
-            region = built.region_complex(built.top if s == "top" else s)
-            boundary = region.boundary
-            reference = models.reference_kernel_basis(boundary)
-            assert vars(region)["_columns"] == list(boundary.transpose().data), s
-            bare = RegionComplex(region.tag, boundary)
-            monkeypatch.setattr(F2Matrix, "from_columns", classmethod(counting))
-            assert list(region.cycles) == reference and transposes == [], s
-            assert "_columns" not in vars(region), s
-            fallback = taken.region_complex(region.tag)
-            vars(fallback).pop("_columns")
-            assert list(fallback.cycles) == reference and transposes == [region.dim], s
-            assert list(bare.cycles) == reference and transposes == [region.dim] * 2, s
-            monkeypatch.undo()
+        monkeypatch.setattr(F2Matrix, "from_columns", classmethod(counting))
+        c = tensor(builtin("t25"), builtin("t27"))
+        c.genus()
+        cone_rank_chain(c, Slope(5, 3))
+        assert transposes == []
+        for s in (0, 1, 2, c.top):
+            region = c.region_complex(s)
+            assert "_columns" not in vars(region) and "cycles" not in vars(region), s
+            reference = models.reference_kernel_basis(region.boundary)
+            assert list(region.cycles) == reference and transposes == [region.dim], s
             transposes.clear()
 
     @pytest.mark.parametrize("name", B_HEAVY)
@@ -380,7 +375,8 @@ class TestRegions:
         # A fresh map holds the b cocycle classes its check's preimage
         # pulled, and on_cocycles takes them with no preimage of its own.
         # A map whose classes are gone, as when another thread took them,
-        # builds the preimage again.  Both give the dense Y^T . f . N.
+        # builds the preimage again.  Both give the dense Y^T . f, each row
+        # in its canonical form modulo the source's coboundaries.
         preimages = []
         preimage = FilteredChainMap._preimage
 
@@ -403,6 +399,21 @@ class TestRegions:
                 assert preimages == [maps[1]] and all("_pulled" not in vars(m) for m in maps), (kind, s)
                 monkeypatch.undo()
                 preimages.clear()
+
+    @pytest.mark.parametrize("build", [models.borromean_corpus()["B_1#B_1"], lambda: models.tensor_of("t25", "t27")])
+    def test_the_genus_and_the_chain_route_build_no_cycle_basis(self, build):
+        # Both read each region's coboundary table and eliminate no column:
+        # no region holds its cycles, or the boundary space their
+        # elimination leaves, and every region read holds its table.
+        c = build()
+        c.genus()
+        cone_rank_chain(c, Slope(5, 3))
+        regions = [value for key, value in c._memo.items() if isinstance(key, tuple) and key[0] == "region"]
+        assert regions
+        for region in regions:
+            held = vars(region)
+            assert "cycles" not in held and "_image" not in held, region
+            assert region.tag == c.top or "coboundaries" in held, region
 
     def test_cocycles_read_the_boundary_rows(self, monkeypatch):
         # HatB's cocycles eliminate the boundary's rows as they stand, the
@@ -814,9 +825,9 @@ class TestMirrorClasses:
         built = []
         init = RegionComplex.__init__
 
-        def counting(self, tag, boundary, columns=None):
+        def counting(self, tag, boundary):
             built.append(tag)
-            init(self, tag, boundary, columns)
+            init(self, tag, boundary)
 
         monkeypatch.setattr(RegionComplex, "__init__", counting)
         lower = 0
@@ -855,7 +866,7 @@ class TestMirrorClasses:
         monkeypatch.setattr(
             RegionComplex,
             "__init__",
-            lambda self, tag, boundary, columns=None: built.append(tag) or init(self, tag, boundary, columns),
+            lambda self, tag, boundary: built.append(tag) or init(self, tag, boundary),
         )
         top = max(c.columns[0][1])
         c.genus()
@@ -919,6 +930,39 @@ class TestReferenceModel:
     )
     def test_regions_and_maps_repeat_within_each_alexander_class(self, parts):
         models.assert_classes_hold(models.tensor_of(*parts))
+
+
+# The pairing corpus: the builtins, their pairwise tensors, B_1's tensors
+# and three dots tensored with the right-handed trefoil.
+PAIRING_CORPUS = {
+    **{name: functools.partial(builtin, name) for name in BUILTIN_NAMES},
+    **{"#".join(pair): functools.partial(models.tensor_of, *pair) for pair in combinations(BUILTIN_NAMES, 2)},
+    **models.borromean_corpus(),
+    "dots#trefoil_rh": B_HEAVY["dots#trefoil_rh"],
+}
+
+
+class TestPairing:
+    """``on_cocycles`` reads each map's rows modulo its source's
+    coboundaries, so its rows stand for the rows over a cycle basis N that
+    no route builds.  Checked against the dense reference: R . N is
+    Y^T . f . N for the reference cycle basis N, and every prefix of R has
+    the rank of the same prefix of Y^T . f . N, so that the sweep, which
+    eliminates the rows in order, adds the same ranks."""
+
+    @pytest.mark.parametrize("name", PAIRING_CORPUS)
+    def test_rows_pair_with_the_reference_cycles_as_the_dense_rows_do(self, name):
+        c = PAIRING_CORPUS[name]()
+        for s in class_starts(c):
+            for kind, m in (("v", c.v_hat(s)), ("h", c.h_hat(s))):
+                source = m.source.dim
+                cycles = F2Matrix.from_columns(models.reference_kernel_basis(m.source.boundary), source)
+                paired = F2Matrix(m.target.dim, m.target.cocycles) @ models.dense_map(c, kind, s) @ cycles
+                rows = m.on_cocycles
+                assert rows.cols == source and (rows @ cycles) == paired, (kind, s)
+                for k in range(1, rows.rows + 1):
+                    ranks = [len(models.lowest_bit_basis(x.data[:k])) for x in (rows, paired)]
+                    assert ranks[0] == ranks[1], (kind, s, k)
 
 
 WIDTH_QUERIES = {

@@ -354,7 +354,10 @@ def test_hat_b_cocycles_and_the_coboundary_lemma(c):
     basis ``f2.kernel_basis`` of d_B's transpose that lies in their span
     has a zero row.  The rows are read by the library on that full basis
     too, whose vectors hold several elements, where the classes often
-    hold one, so that a row read with a wrong parity shows."""
+    hold one, so that a row read with a wrong parity shows: each is y f
+    in its canonical form modulo the source's coboundaries, which is zero
+    for a vector in the span, pairs with N as y f N does, and is the
+    dense reference's canonical form."""
     region = c.region_complex(c.top)
     d, cocycles, b = region.boundary, region.cocycles, c.b_rank()
     cocycle_rows, d_rank = F2Matrix(region.dim, cocycles), f2.rank(d)
@@ -378,7 +381,11 @@ def test_hat_b_cocycles_and_the_coboundary_lemma(c):
             assert (d @ matrix @ cycles).is_zero(), s
             rows = (full_rows @ matrix @ cycles).data
             assert all(row == 0 for row, inside in zip(rows, in_span) if inside), s
-            assert FilteredChainMap(m.source, full_region, m.index).on_cocycles.data == rows, s
+            full_map = FilteredChainMap(m.source, full_region, m.index)
+            read = full_map.on_cocycles
+            assert all(row == 0 for row, inside in zip(read.data, in_span) if inside), s
+            assert (read @ cycles).data == rows, s
+            assert read == models.dense_on_cocycles(full_map, matrix), s
             assert m.on_cocycles.rows == b, s
 
 
@@ -395,16 +402,21 @@ def test_fourth_oracle_for_b_one(c, slope):
 @given(complexes, slopes, st.sampled_from([None, 1]))
 def test_sweep_carries_are_canonical(c, slope, extra):
     # Every carry the sweep returns is its own reduced row-echelon form on
-    # the cycle coordinates of HatA(key[1]), and every carry it reads is
-    # on those of HatA(key[0]).
+    # the elements of HatA(key[1]), and every carry it reads is on those of
+    # HatA(key[0]).  Each carry row is a sum of the rows' v blocks, so it
+    # is in its canonical form modulo that region's coboundaries too, zero
+    # at every lowest bit of one, which the reference reads off its own
+    # elimination of the region's boundary rows.
     cone_rank_chain(c, slope)
     if extra is not None:
         sweep_rank(build_cone(c, slope, truncation_bound(c, slope) + extra))
     for (carry_in, key), (increment, carry) in models.sweep_table(c, "sweep").items():
-        widths = [len(c.region_complex(s).cycles) for s in key]
-        for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
-            assert all(0 < row < 1 << width for row in rows)
-            assert tuple(f2.rref(f2.F2Matrix(width, rows))[0]) == rows
+        regions = [c.region_complex(s) for s in key]
+        for rows, region in ((carry_in, regions[0]), (carry, regions[1])):
+            assert all(0 < row < 1 << region.dim for row in rows)
+            assert tuple(f2.rref(f2.F2Matrix(region.dim, rows))[0]) == rows
+            basis = models.lowest_bit_basis(region.boundary.data)
+            assert all(models.canonical_form(basis, row) == row for row in rows)
         assert increment >= 0
 
 

@@ -250,27 +250,24 @@ class TestBuildCone:
 
     def test_total_boundary_rows_are_narrow(self):
         # A key's rows are HatB's cocycle classes read on HatA j - p and
-        # HatA j side by side, each HatA block as wide as its cycles, so the
-        # v block starts where the h block ends, no row reaches further than
-        # those two blocks, there is at most one row per class, b in all,
-        # and zero rows are dropped.
+        # HatA j side by side, each HatA block as wide as its region, so
+        # the v block starts at the h source's dim, where the h block ends,
+        # no row reaches further than those two blocks, there is at most
+        # one row per class, b in all, and zero rows are dropped.
         complexes = [builtin(name) for name in BUILTIN_NAMES]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
             for slope in SMALL_SLOPES:
                 cone = build_cone(c, slope)
                 p, q = slope.p, slope.q
-                a_width = max(
-                    len(c.region_complex(j // q).cycles) for j in cone.a_columns
-                )
-                limit = 2 * a_width
+                limit = 2 * len(c.columns[0][0])
                 cocycles = len(c.region_complex(c.top).cocycles)
                 assert cocycles == c.b_rank()
                 for key in {((j - p) // q, j // q) for j in cone.b_columns}:
                     rows, width, v_start = cone.total_boundary(key)
-                    h_width, v_width = (len(c.region_complex(s).cycles) for s in key)
-                    assert v_start == h_width
-                    assert width == v_start + v_width <= limit
+                    h_width, v_width = (c.region_complex(s).dim for s in key)
+                    assert v_start == h_width == c.h_hat(key[0]).source.dim
+                    assert width == v_start + v_width == limit
                     assert len(rows) <= cocycles
                     for r in rows:
                         assert r, (c.name, slope)
@@ -536,13 +533,12 @@ class TestSweep:
         # On the builtins every carry happens to meet the next block's rows
         # trivially, so here each key gets random rows of the same shape,
         # whose carries do matter: at most as many rows as the h block is
-        # wide, on the cycle coordinates of HatA(key[0]) and then
-        # HatA(key[1]).  A real block has at most b rows, one per HatB
+        # wide, on the elements of HatA(key[0]) and then HatA(key[1]).  A real block has at most b rows, one per HatB
         # cocycle class, and b = 1 here, which leaves too few rows for a
         # carry, so the count has a bound of its own.  The sweep must still
         # give the rank of each class's rows laid out in chain order.
         def random_rows(cone, key):
-            widths = [len(cone.complex.region_complex(s).cycles) for s in key]
+            widths = [cone.complex.region_complex(s).dim for s in key]
             v_start = widths[0]
             rng = random.Random(f"{seed} {key}")
             count = rng.randint(0, v_start)
