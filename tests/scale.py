@@ -137,9 +137,10 @@ def wide_complexes() -> None:
 def rung() -> None:
     """The rung ranks at 5/3, and a complex with b = 3 at 3/5, by all
     three routes, the genus and the chain route building no homology
-    basis; every region built, the essential summand's too, lies at or
-    above its mirror class and has dim - rank(boundary) cycles, each one
-    closed; HatB has dim - 2 rank(boundary) = b cocycle classes, each one
+    basis and no cycle basis; every region built, the essential summand's
+    too, lies at or above its mirror class and has dim - rank(boundary)
+    cycles, each one closed, and a coboundary table of rank(boundary)
+    entries; HatB has dim - 2 rank(boundary) = b cocycle classes, each one
     closed under the transpose; and every sweep step equals the full
     form's, one of the b = 3 complex's carrying two or more rows."""
     # On a 2-core Xeon with Python 3.11.7 the chain route on 6,125
@@ -155,8 +156,9 @@ def rung() -> None:
     dots = random_complex(RandomSpec(seed=1, dots=3))
     cases.append((tensor(tensor(dots, builtin("trefoil_rh")), builtin("trefoil_lh")), Slope(3, 5), 69))
     # The genus and the chain route read HatB's cocycle classes and each
-    # region's cycles, never a homology basis, so every basis built is
-    # counted, and one built before the homological route fails.
+    # region's coboundary table, never a homology basis or a cycle basis,
+    # so every basis built is counted, and one built before the
+    # homological route fails, as does a region holding its cycles.
     init, bases = f2.HomologyBasis.__init__, []
 
     def counting_init(self, *args):
@@ -169,6 +171,8 @@ def rung() -> None:
         c.genus()
         assert cone_rank_chain(c, slope) == want, c.name
         assert not bases, f"{c.name}: genus() and cone_rank_chain built {len(bases)} homology bases"
+        regions = [r for key, r in c._memo.items() if isinstance(key, tuple) and key[0] == "region"]
+        assert not any("cycles" in vars(r) for r in regions), c.name
         assert cone_rank_homological(c, slope) == rank_formula(c, slope) == want, c.name
         # The homological route and the closed form read the essential
         # summand, the flip-invariant components with b > 0: 245 of the
@@ -187,6 +191,7 @@ def rung() -> None:
             assert r.tag == x.top or x.alexander_class(-r.tag) <= r.tag, (x.name, r.tag)
             assert len(r.cycles) == r.dim - f2.rank(r.boundary), (x.name, r.tag)
             assert (r.boundary @ F2Matrix.from_columns(r.cycles, r.dim)).is_zero(), (x.name, r.tag)
+            assert len(r.coboundaries) == r.dim - len(r.cycles), (x.name, r.tag)
         # The chain route ranks HatB's boundary once and sweeps only the
         # rows of one cocycle per class of HatB's cohomology, so each
         # cocycle y is checked to be closed under the transpose,

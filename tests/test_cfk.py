@@ -932,13 +932,18 @@ class TestReferenceModel:
         models.assert_classes_hold(models.tensor_of(*parts))
 
 
-# The pairing corpus: the builtins, their pairwise tensors, B_1's tensors
-# and three dots tensored with the right-handed trefoil.
+# The pairing corpus: the builtins, their pairwise tensors, B_1's tensors,
+# three dots tensored with the right-handed trefoil, and one triple tensor,
+# trefoil_rh # trefoil_rh # trefoil_lh, where two of the pulled classes
+# reduce to a free bit with a coboundary's lowest bit above it, so a
+# reduction that stops at the first free bit leaves a row that is not
+# canonical; on the rest it never does.
 PAIRING_CORPUS = {
     **{name: functools.partial(builtin, name) for name in BUILTIN_NAMES},
     **{"#".join(pair): functools.partial(models.tensor_of, *pair) for pair in combinations(BUILTIN_NAMES, 2)},
     **models.borromean_corpus(),
     "dots#trefoil_rh": B_HEAVY["dots#trefoil_rh"],
+    "trefoil_rh#trefoil_rh#trefoil_lh": functools.partial(models.tensor_of, "trefoil_rh", "trefoil_rh", "trefoil_lh"),
 }
 
 
@@ -946,9 +951,11 @@ class TestPairing:
     """``on_cocycles`` reads each map's rows modulo its source's
     coboundaries, so its rows stand for the rows over a cycle basis N that
     no route builds.  Checked against the dense reference: R . N is
-    Y^T . f . N for the reference cycle basis N, and every prefix of R has
-    the rank of the same prefix of Y^T . f . N, so that the sweep, which
-    eliminates the rows in order, adds the same ranks."""
+    Y^T . f . N for the reference cycle basis N, every prefix of R has the
+    rank of the same prefix of Y^T . f . N, so that the sweep, which
+    eliminates the rows in order, adds the same ranks, and each row is
+    canonical, zero at every lowest bit of a coboundary, read off the
+    reference's own elimination of the source's boundary rows."""
 
     @pytest.mark.parametrize("name", PAIRING_CORPUS)
     def test_rows_pair_with_the_reference_cycles_as_the_dense_rows_do(self, name):
@@ -960,6 +967,8 @@ class TestPairing:
                 paired = F2Matrix(m.target.dim, m.target.cocycles) @ models.dense_map(c, kind, s) @ cycles
                 rows = m.on_cocycles
                 assert rows.cols == source and (rows @ cycles) == paired, (kind, s)
+                basis = models.lowest_bit_basis(m.source.boundary.data)
+                assert all(models.canonical_form(basis, row) == row for row in rows.data), (kind, s)
                 for k in range(1, rows.rows + 1):
                     ranks = [len(models.lowest_bit_basis(x.data[:k])) for x in (rows, paired)]
                     assert ranks[0] == ranks[1], (kind, s, k)

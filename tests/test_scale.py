@@ -3,10 +3,12 @@ memory bound is read from a fresh child's ``ru_maxrss``, never from this
 process."""
 
 import json
+import time
 
 import pytest
 
 from hfsurgery.cfk import CfkComplex
+from hfsurgery.knots import RandomSpec, builtin, random_complex, tensor
 
 import scale
 from models import dot_and_box, dot_and_pair
@@ -30,6 +32,27 @@ def test_rank_and_info_on_wide_json_stay_under_28_mb_per_process(build, rank, tm
     assert code == 0 and out == f"oracle={rank} formula={rank}\n" and peak_mb <= 28
     code, _, peak_mb = scale.run("-m", "hfsurgery", "info", str(path))
     assert code == 0 and peak_mb <= 28
+
+
+def test_rank_and_info_on_t27_with_2000_dots_stay_fast_with_b_2000(tmp_path):
+    # tensor(t27, 2,000 dots) has 14,000 generators and b = 2,000.  The
+    # chain route and the genus read each map's 2,000 pulled classes
+    # modulo its source's coboundaries.  Paired with a cycle basis instead,
+    # one parity per class and cycle, rank took 8.5-10.6 s and info
+    # 1.6-1.9 s; now they take about 0.4 s at 95 MB and 0.2 s at 53 MB
+    # (2-core Xeon, Python 3.11.7).  Each time counts the child's start.
+    path = tmp_path / "dots.json"
+    path.write_text(tensor(builtin("t27"), random_complex(RandomSpec(seed=1, dots=2000))).to_json())
+    start = time.perf_counter()
+    code, out, peak_mb = scale.run("-m", "hfsurgery", "rank", str(path), "-p", "5", "-q", "3")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out == "oracle=50000 formula=50000\n"
+    assert elapsed <= 3 and peak_mb <= 130
+    start = time.perf_counter()
+    code, out, peak_mb = scale.run("-m", "hfsurgery", "info", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 0 and "b=2000" in out.split()
+    assert elapsed <= 1 and peak_mb <= 80
 
 
 def test_the_6125_generator_rungs_json_is_indented_json_and_round_trips():
