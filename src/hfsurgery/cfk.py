@@ -194,11 +194,13 @@ class ComplexTooWideError(ValueError):
 # Alexander classes meeting [0, top].  Every query on the acceptance
 # corpora built at most k regions of the complex and k of its essential
 # summand, and a region holds up to n cycles, each an int as wide as its
-# position.  At this limit ``hfsurgery rank`` at 1/1 peaked at 109 MB on
-# the 1,259-generator staircase and at 813 MB on 31,622 dots, whose b = n
-# homology the closed form also reads; 3 * 10**9 let 54,772 dots through
-# at 2.4 GB (2-core Xeon, Python 3.11.7).  The 6,125-generator rung
-# weighs 4.1 * 10**8.
+# position, and up to n entries of its coboundary table.  At this limit
+# ``hfsurgery rank`` at 1/1 peaked at 129 MB on the 1,259-generator
+# staircase, each of whose 630 regions holds its coboundary table beside
+# its homology, and at 553 MB on 31,622 dots, whose b = n homology the
+# closed form also reads; 3 * 10**9 let 54,772 dots through at 2.4 GB
+# (2-core Xeon, Python 3.11.7).  The 6,125-generator rung weighs
+# 4.1 * 10**8.
 MAX_REGION_WEIGHT = 10**9
 
 
@@ -386,8 +388,8 @@ class RegionComplex:
         kept when it survives, its reduction then joining the table.  So
         the kept ones are independent modulo the coboundaries, and there
         are dim - 2 rank(boundary) of them, b for HatB.  No
-        :class:`f2.HomologyBasis` is built, and the table is not
-        :attr:`coboundaries`, which no kept class joins.  Only HatB's are
+        :class:`f2.HomologyBasis` is built, and the table the kept classes
+        join is this read's own, not :attr:`coboundaries`.  Only HatB's are
         read: their count is b, the genus and the chain route read them
         through ``on_cocycles``, and the essential summand by the component each
         lies in (the module docstring proves that each lies in one).  So
