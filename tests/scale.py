@@ -144,10 +144,10 @@ def rung() -> None:
     closed under the transpose; and every sweep step equals the full
     form's, one of the b = 3 complex's carrying two or more rows."""
     # On a 2-core Xeon with Python 3.11.7 the chain route on 6,125
-    # generators peaks at 76 MB; the homological route then reads the
+    # generators peaks at 56 MB; the homological route then reads the
     # 245-generator essential summand, and the checks below, the sweep
     # steps rebuilt from the full form among them, lift the peak to
-    # 81 MB.  The rungs' sweep steps at 5/3 carry at most one row each,
+    # 86 MB.  The rungs' sweep steps at 5/3 carry at most one row each,
     # so they cannot show an f2.rref cut misplaced by one column.  Three
     # dots tensored with both trefoils, 27 generators with b = 3, carries
     # up to three rows at 3/5, and there f2.rref(m, v_start + 1) and
