@@ -51,7 +51,9 @@ count: no sweep step calls ``rank``.  Replaying the 2,578 step matrices
 of one ``survey-fresh`` pass (seed 2301, 47,796 pivots, on a shared
 2-core Intel Xeon with Python 3.11.7), the full form plus keeping its
 rows past the cut took 38-46 ms, the cut form 18-22 ms and bare
-``_eliminate`` 11-14 ms, minima over three replays.  The cut keeps the
+``_eliminate`` 11-14 ms, minima over three replays.  Those were the
+pass's class-keyed steps; the sweep now eliminates a step once per
+distinct carry and pair of side matrices, 480 per pass (seed 1).  The cut keeps the
 per-bit back-substitution, one XOR per pivot bit of the row as it was
 before any XOR: the rows above hold no pivot bit but their own, so
 recomputing ``row & pivot_mask`` after each XOR finds no new bit, and it

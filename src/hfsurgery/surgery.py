@@ -105,10 +105,21 @@ than the cuts.  The transition from state n on the classes numbered h and
 v is keyed by the one int n k^2 + h k + v and holds the rank the block
 adds and the next state.  Block j's h floor is the v floor of the block
 before it in its residue class, so a block costs one floor division and
-one probe of the table, and builds no tuple.  Only the distinct
-transitions are ever eliminated, so a run of blocks in the same two
-classes costs one elimination per distinct carry, and no step's matrix
-spans more than three blocks.
+one probe of the table, and builds no tuple.
+A step depends on the classes only through the values of the two side
+matrices that build block j's rows, h_hat((j - p) // q) and v_hat(j // q)
+read as the route reads them: the block is their rows side by side, as
+wide as both, its v block starting where the h block ends.  Distinct
+classes often give equal sides, so a transition missing from the table
+is served from a second table of steps, keyed by the int made of the
+carry's number and the numbers of the two side matrices, each distinct
+matrix numbered by value, per complex and route, as it is first read,
+and each class's two sides read once.  Only a step missing there is
+eliminated, so a run of blocks with the same two sides costs one
+elimination per distinct carry, and no step's matrix spans more than
+three blocks: on t25#t27#figure_eight at 1/20, 1/400 and 1/2000 the
+chain route's 21 transitions take 4 eliminations, and the homological
+route's 17 take 7.
 Route one reads no homology, no cycle basis and no split.  The genus,
 which fixes the window, tests each v_hat(s) by its rows on HatB's cocycle
 classes, the rows the sweep reads, and by the size of HatA(s)'s
@@ -149,13 +160,14 @@ HatA blocks j - p and j, so it too is block-diagonal over j mod p and
 bidiagonal within each class, and the same sweep ranks it.  Its carry
 is the row space so far cut down to HatA block j - p in homology
 coordinates, and its transitions have a table of their own, under
-"hsweep", apart from the chain route's, under "sweep".  In both routes a
-transition missing from the table is eliminated once, by ``f2.rref`` cut
-at the v block: the rank it adds is the pivot count less the carry's
-size, and the next carry the reduced rows with their pivot in the v
-block, the only rows the cut back-substitutes, numbered if it is new; the
-rows with a pivot left of it reach no later block.  The tier-1 tests
-decode every transition and rebuild it from the full form.  No
+"hsweep", apart from the chain route's, under "sweep", and so do its
+side matrices and steps.  In both routes a step missing from the table
+is eliminated once, by ``f2.rref`` cut at the v block: the rank it adds
+is the pivot count less the carry's size, and the next carry the
+reduced rows with their pivot in the v block, the only rows the cut
+back-substitutes, numbered if it is new; the rows with a pivot left of
+it reach no later block.  The tier-1 tests decode every transition and
+every step and rebuild each from the full form.  No
 step calls ``f2.rank``: past the genus, the chain route's one such call
 is rank d_B, once per complex, checked against b.  Route two never
 builds the block matrix; the tests assemble it from the same per-key
@@ -434,37 +446,40 @@ class MappingCone:
         A HatB row block j with key = ((j - p) // q, j // q), or the
         Alexander classes of the two, which give the same maps, gives
         ``y [h_hat(key[0]) | v_hat(key[1])]`` for each of HatB's b cocycle
-        classes y, each map's row in its canonical form modulo the
-        coboundaries of its source region, as wide as the region: the
-        HatA block j - p and the HatA block j, side by side in chain order.
-        HatB's own boundary is ranked in :attr:`boundary_rank` instead, the
+        classes y, the two :meth:`cocycle_side` matrices side by side: the
+        HatA block j - p and the HatA block j in chain order.  HatB's own
+        boundary is ranked in :attr:`boundary_rank` instead, the
         coboundaries, whose rows are zero, are never read, and a zero row
         of a class is dropped.  The rows depend on the key alone, and the
-        chain route's sweep reads them only for a missing transition, so
-        they are built on every call, as bare masks: the sweep validates the
-        one matrix it eliminates."""
-        h_rows = self.complex.h_hat(key[0]).on_cocycles
-        v_rows = self.complex.v_hat(key[1]).on_cocycles
-        v_start = h_rows.cols
-        rows = tuple(row for h, v in zip(h_rows.data, v_rows.data) if (row := h | (v << v_start)))
-        return rows, v_start + v_rows.cols, v_start
+        chain route's sweep reads them only for a step it has not
+        eliminated yet, so they are built on every call, as bare masks:
+        the sweep validates the one matrix it eliminates."""
+        return _block(self.cocycle_side("h", key[0]), self.cocycle_side("v", key[1]))
+
+    def cocycle_side(self, kind: str, s: int) -> F2Matrix:
+        """The chain route's side matrix of ``kind``, "h" or "v", at s:
+        h_hat(s) or v_hat(s) on HatB's b cocycle classes, ``on_cocycles``,
+        each row in its canonical form modulo the coboundaries of the
+        source region, as wide as the region."""
+        return (self.complex.h_hat if kind == "h" else self.complex.v_hat)(s).on_cocycles
 
     # -- homology-level view --------------------------------------------------
 
     def induced_boundary(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
-        """One HatB row block of the induced block matrix: its rows, their
-        width and the column where their v block starts.
+        """One HatB row block of the induced block matrix: its nonzero rows,
+        their width and the column where their v block starts.
 
         Block j with key = ((j - p) // q, j // q), or their classes, is
-        ``[h_hat(key[0])_* | v_hat(key[1])_*]`` on the homology bases: the
-        HatA block j - p, then the HatA block j.  Like
-        :meth:`total_boundary` it depends on the key alone and is built on
-        every call, as bare masks."""
-        h_ind = self.complex.h_hat(key[0]).induced
-        v_ind = self.complex.v_hat(key[1]).induced
-        v_start = h_ind.cols
-        rows = tuple(h | (v << v_start) for h, v in zip(h_ind.data, v_ind.data))
-        return rows, v_start + v_ind.cols, v_start
+        ``[h_hat(key[0])_* | v_hat(key[1])_*]`` on the homology bases, the
+        two :meth:`induced_side` matrices side by side: the HatA block
+        j - p, then the HatA block j.  Like :meth:`total_boundary` it
+        depends on the key alone."""
+        return _block(self.induced_side("h", key[0]), self.induced_side("v", key[1]))
+
+    def induced_side(self, kind: str, s: int) -> F2Matrix:
+        """The homological route's side matrix of ``kind``, "h" or "v", at
+        s: h_hat(s)_* or v_hat(s)_* on the homology bases, ``induced``."""
+        return (self.complex.h_hat if kind == "h" else self.complex.v_hat)(s).induced
 
     @property
     def a_homology_dim(self) -> int:
@@ -475,19 +490,24 @@ class MappingCone:
         return self.complex.region_complex(self.complex.top).homology.dim * len(self.b_columns)
 
 
-def _sweep(cone: MappingCone, tag: str, rows) -> int:
+def _sweep(cone: MappingCone, tag: str, side, rows) -> int:
     """The rank of a route's HatB rows: the sum of what each HatB block
     adds, each residue class of j mod p that owns one swept in chain order
     from its first HatB block, as the module docstring explains.
 
-    ``rows(key)`` gives the rows of a block whose floors have the classes
-    key, their width and the column where their v block starts.  The
-    complex keeps the route's transition table under ``tag``:
-    ``(carry_numbers, carries, transitions)``, the number of each carry
-    met, the carries by number, and each transition, keyed by
-    state * k**2 + h * k + v, as (increment, next state), k being
-    ``len(alexander_cuts) + 1``.  Only a missing transition is
-    eliminated, by :func:`_transition`."""
+    ``side(kind, s)`` gives the route's "h" or "v" side matrix at s, and
+    ``rows(key)`` the rows of a block whose floors have the classes key,
+    built from the two sides, their width and the column where their v
+    block starts.  The complex keeps the route's tables under ``tag``:
+    ``(carry_numbers, carries, transitions, matrices, sides, steps)``.  The
+    number of each carry met, the carries by number, and each transition,
+    keyed by state * k**2 + h * k + v, as (increment, next state), k being
+    ``len(alexander_cuts) + 1``; then the number of each distinct side
+    matrix, the number of each class's side, keyed by (kind, class
+    number), and each step, keyed by the numbers of its carry and of its
+    two side matrices, as (increment, next state).  Only a missing
+    transition reaches :func:`_transition`, and only a missing step is
+    eliminated."""
     c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
     # The class number of every floor the HatB blocks read, from one table
     # memoized per range of floors rather than a lookup per block, filled
@@ -499,7 +519,7 @@ def _sweep(cone: MappingCone, tag: str, rows) -> int:
     if (numbers := c._memo.get(table := ("class_numbers", first, last))) is None:
         numbers = c._memo[table] = [i for s, n in c.class_runs(first, last) for i in [c.class_number(s)] * n]
     if (automaton := c._memo.get(tag)) is None:
-        automaton = c._memo[tag] = {(): 0}, [()], {}
+        automaton = c._memo[tag] = {(): 0}, [()], {}, {}, {}, {}
     transitions, k = automaton[2], len(c.alexander_cuts) + 1
     kk = k * k
     # One probe of the table per HatB block.  j runs shifted by first * q,
@@ -512,32 +532,59 @@ def _sweep(cone: MappingCone, tag: str, rows) -> int:
         for j in range(start - shift, b.stop - shift, p):
             v = numbers[j // q]
             if (entry := get(key := state * kk + h + v)) is None:
-                entry = transitions[key] = _transition(c, automaton, rows, key, k)
+                entry = transitions[key] = _transition(c, automaton, side, rows, key, k)
             increment, state = entry
             added += increment
             h = v * k
     return added
 
 
-def _transition(c: CfkComplex, automaton, rows, key: int, k: int) -> tuple[int, int]:
-    """Transition ``key`` of a route's table, (increment, next state).  It
-    builds one matrix, m = [carry; rows], so its rows are validated once,
-    and eliminates it once, by ``f2.rref`` cut at the v block: the block
-    adds the pivot count less the carry's size.  The next carry is
-    numbered if it is new."""
-    carry_numbers, carries, _ = automaton
+def _transition(c: CfkComplex, automaton, side, rows, key: int, k: int) -> tuple[int, int]:
+    """Transition ``key`` of a route's table, (increment, next state).
+
+    Its step depends only on the carry and on the values of its two side
+    matrices, h and v: the block is the nonzero rows of [h | v], as wide as
+    both, its v block starting at h.cols.  Distinct classes often have
+    equal sides, so the step is served from the table of steps keyed by
+    the int (state * n + h) * n + v of the numbers of the carry and of the
+    two matrices, n = 2k bounding the matrix numbers, as k classes have at
+    most 2k sides.  A missing step builds one matrix, m = [carry; block],
+    so its rows are validated once, and eliminates it once, by ``f2.rref``
+    cut at the v block: the block adds the pivot count less the carry's
+    size.  The next carry is numbered if it is new."""
+    carry_numbers, carries, _, _, _, steps = automaton
     state, hv = divmod(key, k * k)
-    carry, classes = carries[state], c.numbered_classes
-    block, width, v_start = rows((classes[hv // k], classes[hv % k]))
-    m = F2Matrix(width, carry + block)
-    # The next carry is the reduced rows with no bit below the v block, the
-    # only rows the cut form back-substitutes.
-    reduced, pivots = f2.rref(m, v_start)
-    carry_out = tuple(row >> v_start for row in reduced)
-    if (number := carry_numbers.get(carry_out)) is None:
-        number = carry_numbers[carry_out] = len(carries)
-        carries.append(carry_out)
-    return len(pivots) - len(carry), number
+    h, v = _side_number(c, automaton, side, "h", hv // k), _side_number(c, automaton, side, "v", hv % k)
+    if (step := steps.get(number := (state * 2 * k + h) * 2 * k + v)) is None:
+        carry, classes = carries[state], c.numbered_classes
+        block, width, v_start = rows((classes[hv // k], classes[hv % k]))
+        # The next carry is the reduced rows with no bit below the v block,
+        # the only rows the cut form back-substitutes.
+        reduced, pivots = f2.rref(F2Matrix(width, carry + block), v_start)
+        carry_out = tuple(row >> v_start for row in reduced)
+        if (state_out := carry_numbers.get(carry_out)) is None:
+            state_out = carry_numbers[carry_out] = len(carries)
+            carries.append(carry_out)
+        step = steps[number] = len(pivots) - len(carry), state_out
+    return step
+
+
+def _side_number(c: CfkComplex, automaton, side, kind: str, i: int) -> int:
+    """The number of the side matrix of ``kind`` at the class numbered i,
+    read by ``side`` once per class: matrices of equal value, which hash
+    alike, share one number on the complex's route."""
+    matrices, sides = automaton[3], automaton[4]
+    if (number := sides.get(key := (kind, i))) is None:
+        number = sides[key] = matrices.setdefault(side(kind, c.numbered_classes[i]), len(matrices))
+    return number
+
+
+def _block(h: F2Matrix, v: F2Matrix) -> tuple[tuple[int, ...], int, int]:
+    """The nonzero rows of [h | v], h's row r beside v's row r: the rows,
+    their width and the column where the v block starts."""
+    v_start = h.cols
+    rows = tuple(row for a, b in zip(h.data, v.data) if (row := a | (b << v_start)))
+    return rows, v_start + v.cols, v_start
 
 
 @memoized("hat_b_boundary_rank")
@@ -565,7 +612,7 @@ def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
     if (rank := c._memo.get(key := ("cone_rank_chain", slope.p, slope.q))) is not None:
         return rank
     cone = MappingCone(c, slope)
-    added = _sweep(cone, "sweep", cone.total_boundary)
+    added = _sweep(cone, "sweep", cone.cocycle_side, cone.total_boundary)
     # The dimension less twice the boundary rank: the rank of the HatA
     # rows and of d_B, whose f2.rank call is made here on the first
     # cone of the complex, plus what the sweep adds.
@@ -578,15 +625,15 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
     the essential summand on its own tight window, plus q * z for the
     acyclic rest, as the module docstring explains.  The summand's rank is
     swept class by class like the chain route's, one transition of the
-    summand's "hsweep" table per HatB block, from the rows of
-    :meth:`MappingCone.induced_boundary`; the block matrix itself is never
+    summand's "hsweep" table per HatB block, from the sides of
+    :meth:`MappingCone.induced_side`; the block matrix itself is never
     built.  The slope is checked on the whole complex first, as the chain
     route checks it, since finding the summand reads HatB."""
     if (rank := c._memo.get(key := ("cone_rank_homological", slope.p, slope.q))) is not None:
         return rank
     require_sweep(c, slope)
     cone = MappingCone(c.essential_summand, slope)
-    r = _sweep(cone, "hsweep", cone.induced_boundary)
+    r = _sweep(cone, "hsweep", cone.induced_side, cone.induced_boundary)
     rank = c._memo[key] = (cone.a_homology_dim - r) + (cone.b_homology_dim - r) + slope.q * c.acyclic_sum()
     return rank
 

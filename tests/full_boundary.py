@@ -5,15 +5,17 @@ matrix.
 The chain route never assembles the boundary.  It adds the HatA blocks'
 own boundary ranks and HatB's, once per HatB block, to the ranks its
 sweep adds, block by block, from the rows of HatB's b cocycle classes on
-the cycle bases of the HatA blocks (``MappingCone.total_boundary(key)``), each
-residue class of j mod p carrying one canonical block.  This module
-assembles every row in the original basis, reading each map's dense view
-from ``models.dense``, so tests can check that split against the full
-matrix, and replays the sweep's steps from the memo the chain route
-leaves.
+the HatA blocks (``MappingCone.total_boundary(key)``, built from two
+``cocycle_side`` matrices), each residue class of j mod p carrying one
+canonical block.  This module assembles every row in the original basis,
+reading each map's dense view from ``models.dense``, so tests can check
+that split against the full matrix, and replays the sweep's steps from
+the memo the chain route leaves.
 On every complex tried, real cones leave every carry of either route's
-sweep empty, so ``random_induced_boundary`` gives the homological route
-rows whose carries matter.
+sweep empty, so ``random_side`` gives either route random side matrices,
+patched in for ``cocycle_side`` or ``induced_side``, whose carries
+matter; the blocks, and so ``total_boundary`` and ``induced_boundary``,
+follow the patched sides.
 
 The rank routes use only the tight window.  ``build_cone`` gives the same
 cone on the symmetric window -q*level < j < q*level of the truncation
@@ -21,8 +23,8 @@ argument, exact for every level from ``truncation_bound`` up, and the
 tests check the tight window's rank against the full boundary there,
 which runs no sweep.  ``block_matrix`` assembles the induced block matrix
 from the rows of ``MappingCone.induced_boundary``, so a test that patches
-those rows patches the matrix too, and ``flatten`` packs a kernel element
-into its columns.
+``induced_side`` patches the matrix too, and ``flatten`` packs a kernel
+element into its columns.
 """
 
 import random
@@ -124,26 +126,30 @@ def sweep_increments(cone) -> list[list[int]]:
     return classes
 
 
-def random_induced_boundary(seed):
-    """A stand-in for ``MappingCone.induced_boundary``: random rows of one
-    HatB block on the homology coordinates [HatA(key[0]) | HatA(key[1])],
-    fixed by the seed and the key, their width and the column where the
-    second block starts."""
+def random_side(seed, homology=False):
+    """A stand-in for ``MappingCone.cocycle_side``, or with ``homology``
+    for ``induced_side``: a random side matrix for each kind and Alexander
+    class, fixed by the seed, the kind and the class, as wide as the
+    class's region, or its homology.  Every side of a complex has the same
+    number of rows, as every real one has b, but that number is drawn from
+    the seed, from 1 to twice the generator count, so that the carries
+    matter."""
 
-    def rows(cone, key):
-        h_width, v_width = (cone.complex.region_complex(s).homology.dim for s in key)
-        rng = random.Random(f"{seed} {key}")
-        count = rng.randint(0, h_width + v_width)
-        data = tuple(rng.getrandbits(h_width + v_width) for _ in range(count))
-        return data, h_width + v_width, h_width
+    def side(cone, kind, s):
+        c = cone.complex
+        region = c.region_complex(s)
+        width = region.homology.dim if homology else region.dim
+        count = random.Random(seed).randint(1, 2 * len(c.columns[0][0]))
+        rng = random.Random(f"{seed} {kind} {c.alexander_class(s)}")
+        return F2Matrix(width, tuple(rng.getrandbits(width) for _ in range(count)))
 
-    return rows
+    return side
 
 
 def sweep_rank(cone) -> int:
     """The chain route's rank, swept on the cone's own window: what
     ``cone_rank_chain`` computes on the tight one."""
-    added = _sweep(cone, "sweep", cone.total_boundary)
+    added = _sweep(cone, "sweep", cone.cocycle_side, cone.total_boundary)
     return cone.total_dim - 2 * (cone.boundary_rank + added)
 
 

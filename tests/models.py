@@ -70,7 +70,9 @@ keeps its steps as a numbered transition table, so ``sweep_table``
 decodes a route's table into (carry, key) -> (increment, next carry),
 and ``reference_sweep`` is the sweep keyed by those tuples, each block's
 key looked up by ``alexander_class``, which the tests compare the table
-against.
+against.  The sweep eliminates a step once per distinct value of its
+carry and its two side matrices, so ``step_table`` decodes that table
+into (carry, h side, v side) -> (increment, next carry).
 A cone reads its totals from one memo entry per class-run table, so
 ``recount_totals`` counts them column by column instead.
 """
@@ -272,11 +274,28 @@ def sweep_table(x: CfkComplex, tag: str) -> dict:
     when the route has swept no HatB block of x."""
     if (automaton := x._memo.get(tag)) is None:
         return {}
-    _, carries, transitions = automaton
+    _, carries, transitions, *_ = automaton
     k, classes = len(x.alexander_cuts) + 1, x.numbered_classes
     return {
         (carries[key // (k * k)], (classes[key // k % k], classes[key % k])): (increment, carries[state])
         for key, (increment, state) in transitions.items()
+    }
+
+
+def step_table(x: CfkComplex, tag: str) -> dict:
+    """The value-keyed step table of route ``tag`` on x, decoded:
+    (carry, h side, v side) -> (increment, next carry), the sides being the
+    route's side matrices.  Step ``(state * n + h) * n + v``,
+    n = 2 * (``len(alexander_cuts)`` + 1), goes from carry number ``state``
+    on the side matrices numbered h and v.  Empty when the route has swept
+    no HatB block of x."""
+    if (automaton := x._memo.get(tag)) is None:
+        return {}
+    _, carries, _, matrices, _, steps = automaton
+    n, by_number = 2 * (len(x.alexander_cuts) + 1), {number: m for m, number in matrices.items()}
+    return {
+        (carries[key // (n * n)], by_number[key // n % n], by_number[key % n]): (increment, carries[state])
+        for key, (increment, state) in steps.items()
     }
 
 

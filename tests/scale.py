@@ -76,9 +76,10 @@ def big_cones() -> None:
     column-by-column recount."""
     c = tensor_of("t25", "t27", "figure_eight")
     # 1/2000 is a cone of 7.7 million dimensions; the chain route's sweep
-    # eliminates 21 transitions, and the homological route sweeps its
-    # induced block matrix the same way, in 17 (``TestSweep`` in
-    # test_surgery.py pins both counts).  200001/1 has no HatB column: a cone
+    # makes 21 transitions and eliminates 4 distinct steps, and the
+    # homological route sweeps its induced block matrix the same way, 17
+    # transitions in 7 steps (``TestSweep`` in test_surgery.py pins the
+    # counts).  200001/1 has no HatB column: a cone
     # reads one HatA region per Alexander class, HatA(0..5) serving
     # the classes -5..5 with their mirrors and the HatB region its two
     # top classes share, and t sums one meet per segment between its
@@ -151,7 +152,7 @@ def rung() -> None:
     # so they cannot show an f2.rref cut misplaced by one column.  Three
     # dots tensored with both trefoils, 27 generators with b = 3, carries
     # up to three rows at 3/5, and there f2.rref(m, v_start + 1) and
-    # f2.rref(m, v_start - 1) in _sweep each change a step.
+    # f2.rref(m, v_start - 1) in _transition each change a step.
     cases = [(tensor_of(*names), Slope(5, 3), want) for names, want in zip(RUNG, (1363, 9247))]
     dots = random_complex(RandomSpec(seed=1, dots=3))
     cases.append((tensor(tensor(dots, builtin("trefoil_rh")), builtin("trefoil_lh")), Slope(3, 5), 69))

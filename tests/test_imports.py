@@ -3,9 +3,13 @@
 A name is read when it appears as a loaded ``ast.Name`` anywhere in the
 module, annotations included.  The package's ``__init__.py`` imports only
 to re-export, and ``from __future__ import annotations`` binds no name
-that is read, so both are exempt."""
+that is read, so both are exempt.
+
+Every name the benchmark's tracer binds, in ``perfbench/spans.py``,
+resolves in the package too."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -42,3 +46,26 @@ def test_every_imported_name_is_read(module):
 def test_an_unread_import_is_found():
     tree = ast.parse("from bisect import bisect_left, bisect_right\nimport os.path\nx: os.PathLike = bisect_right")
     assert {name for name in imported_names(tree) if name not in read_names(tree)} == {"bisect_left"}
+
+
+def _perfbench_spans():
+    """The benchmark's tracer module, ``perfbench/spans.py``, loaded from
+    its file without running anything but its imports and tables."""
+    path = PACKAGE.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_tracer_binds_resolves():
+    # The benchmark's tracer patches the library's functions and methods by
+    # name, so renaming or dropping one breaks the traced run; each of its
+    # (module, attribute) and (module, class, method) bindings must name a
+    # callable of the package.
+    spans = _perfbench_spans()
+    for module, attribute, _ in spans._FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"hfsurgery.{module}"), attribute, None)), (module, attribute)
+    for module, cls, method, _ in spans._METHODS:
+        owner = getattr(importlib.import_module(f"hfsurgery.{module}"), cls, None)
+        assert callable(getattr(owner, method, None)), (module, cls, method)

@@ -4,7 +4,7 @@ The structural laws here mirror what the acceptance battery checks on a
 fixed 100-seed corpus, but with hypothesis searching the RandomSpec space.
 """
 
-import functools
+import contextlib
 import json
 import math
 from itertools import combinations_with_replacement, compress
@@ -35,7 +35,7 @@ from full_boundary import (
     build_cone,
     flatten,
     full_boundary,
-    random_induced_boundary,
+    random_side,
     sweep_rank,
     truncation_bound,
 )
@@ -185,6 +185,12 @@ builtin_tensors = st.tuples(st.sampled_from(BUILTIN_NAMES), st.sampled_from(BUIL
 
 slopes_to_8 = (
     st.tuples(st.integers(1, 8), st.integers(1, 8))
+    .filter(lambda pq: math.gcd(*pq) == 1)
+    .map(lambda pq: Slope(*pq))
+)
+
+slopes_to_12 = (
+    st.tuples(st.integers(1, 12), st.integers(1, 12))
     .filter(lambda pq: math.gcd(*pq) == 1)
     .map(lambda pq: Slope(*pq))
 )
@@ -420,20 +426,36 @@ def test_sweep_carries_are_canonical(c, slope, extra):
         assert increment >= 0
 
 
+# Each route's table tag, block method and side method, route one on the
+# complex and route two on its essential summand.
+SWEEP_ROUTES = (("sweep", "total_boundary", "cocycle_side"), ("hsweep", "induced_boundary", "induced_side"))
+
+
+@contextlib.contextmanager
+def random_sides(seed):
+    """Both routes' side matrices replaced by ``random_side(seed)`` within
+    the block, or left real when seed is None."""
+    with pytest.MonkeyPatch.context() as patch:
+        if seed is not None:
+            patch.setattr(MappingCone, "cocycle_side", random_side(seed))
+            patch.setattr(MappingCone, "induced_side", random_side(seed, homology=True))
+        yield
+
+
 @settings(max_examples=30, deadline=None)
-@given(complexes, slopes, st.one_of(st.none(), st.integers(0, 10**6)))
+@given(st.one_of(complexes, builtin_tensors), slopes, st.one_of(st.none(), st.integers(0, 10**6)))
 def test_homological_sweep_carries_are_canonical(c, slope, seed):
     # Every carry the homological sweep returns is its own reduced
     # row-echelon form on the homology coordinates of HatA(key[1]), and
     # every carry it reads is on those of HatA(key[0]).  Real rows have
-    # left every carry empty, so a seed swaps in random rows on the same
-    # coordinates; either way the sweep gives the block matrix's rank.
-    # The sweep runs on the essential summand, whose memo holds its steps;
-    # the acyclic rest adds q * z to the complex's rank.
+    # left every carry empty, so a seed swaps in random side matrices on
+    # the same coordinates; either way the sweep gives the block matrix's
+    # rank.  The sweep runs on the essential summand, whose memo holds its
+    # steps; the acyclic rest adds q * z to the complex's rank.  A random
+    # complex's summand is its dots, of genus 0, which sweep no block, so
+    # tensors of builtins are drawn too.
     e = c.essential_summand
-    with pytest.MonkeyPatch.context() as patch:
-        if seed is not None:
-            patch.setattr(MappingCone, "induced_boundary", random_induced_boundary(seed))
+    with random_sides(seed):
         rank = cone_rank_homological(e, slope)
         assert cone_rank_homological(c, slope) == rank + slope.q * c.acyclic_sum()
         cone = MappingCone(e, slope)
@@ -453,18 +475,47 @@ def test_numbered_table_equals_the_tuple_keyed_sweep(c, slope, seed):
     # Each route's numbered transition table gives the rank of the sweep
     # keyed by (carry, key) tuples, and decodes to the same steps, on the
     # tight window and then on the symmetric one, which meets the steps
-    # the first made.  A seed swaps in random rows of the same shape, where
-    # the carries matter.  The complex is fresh, so each table holds the
-    # steps of these two cones alone.
+    # the first made.  A seed swaps in random side matrices of the same
+    # shape, where the carries matter.  The complex is fresh, so each
+    # table holds the steps of these two cones alone.
     e = c.essential_summand
-    for x, tag, name in ((c, "sweep", "total_boundary"), (e, "hsweep", "induced_boundary")):
-        steps = {}
-        for cone in (MappingCone(x, slope), build_cone(x, slope)):
-            rows = getattr(cone, name) if seed is None else functools.partial(random_induced_boundary(seed), cone)
-            added, made = models.reference_sweep(cone, rows)
-            assert _sweep(cone, tag, rows) == added, (tag, cone.a_columns)
-            steps |= made
-        assert models.sweep_table(x, tag) == steps, tag
+    with random_sides(seed):
+        for x, (tag, rows, side) in zip((c, e), SWEEP_ROUTES):
+            steps = {}
+            for cone in (MappingCone(x, slope), build_cone(x, slope)):
+                added, made = models.reference_sweep(cone, getattr(cone, rows))
+                assert _sweep(cone, tag, getattr(cone, side), getattr(cone, rows)) == added, (tag, cone.a_columns)
+                steps |= made
+            assert models.sweep_table(x, tag) == steps, tag
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(complexes, spread_complexes, builtin_tensors), slopes_to_12, st.one_of(st.none(), st.integers(0, 10**6))
+)
+def test_value_keyed_steps_equal_the_class_keyed_sweep(c, slope, seed):
+    # The sweep eliminates a step once per distinct value of its carry and
+    # its two side matrices, not once per pair of classes.  On both routes
+    # its rank is that of the reference sweep, which eliminates every
+    # class-keyed step in a dict of its own; every step of the value-keyed
+    # table is the full form's step of its carry and the block [h | v]
+    # assembled here, and the table holds no more steps than the
+    # class-keyed one holds transitions.  A seed swaps in random side
+    # matrices, where the carries matter.  A random complex's essential
+    # summand sweeps no block, so tensors of builtins are drawn for route
+    # two.
+    e = c.essential_summand
+    with random_sides(seed):
+        for x, (tag, rows, side) in zip((c, e), SWEEP_ROUTES):
+            cone = MappingCone(x, slope)
+            added, made = models.reference_sweep(cone, getattr(cone, rows))
+            assert _sweep(cone, tag, getattr(cone, side), getattr(cone, rows)) == added, tag
+            steps = models.step_table(x, tag)
+            for (carry, h, v), entry in steps.items():
+                assert h.rows == v.rows, tag
+                block = tuple(row for a, b in zip(h.data, v.data) if (row := a | b << h.cols))
+                assert entry == models.full_form_sweep_step((block, h.cols + v.cols, h.cols), carry), tag
+            assert len(steps) <= len(models.sweep_table(x, tag)) == len(made), tag
 
 
 @settings(max_examples=20, deadline=None)

@@ -36,7 +36,7 @@ from full_boundary import (
     build_cone,
     flatten,
     full_boundary,
-    random_induced_boundary,
+    random_side,
     sweep_increments,
     sweep_rank,
     truncation_bound,
@@ -531,23 +531,16 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["t25", "trefoil_rh#figure_eight"])
     def test_carry_is_exact_on_arbitrary_blocks(self, monkeypatch, name):
         # On the builtins every carry happens to meet the next block's rows
-        # trivially, so here each key gets random rows of the same shape,
-        # whose carries do matter: at most as many rows as the h block is
-        # wide, on the elements of HatA(key[0]) and then HatA(key[1]).  A real block has at most b rows, one per HatB
-        # cocycle class, and b = 1 here, which leaves too few rows for a
-        # carry, so the count has a bound of its own.  The sweep must still
-        # give the rank of each class's rows laid out in chain order.
-        def random_rows(cone, key):
-            widths = [cone.complex.region_complex(s).dim for s in key]
-            v_start = widths[0]
-            rng = random.Random(f"{seed} {key}")
-            count = rng.randint(0, v_start)
-            rows = [rng.getrandbits(v_start + widths[1]) for _ in range(count)]
-            return tuple(r for r in rows if r), v_start + widths[1], v_start
-
-        monkeypatch.setattr(MappingCone, "total_boundary", random_rows)
+        # trivially, so here each class gets random side matrices of the
+        # same widths, whose carries do matter: on the elements of
+        # HatA(key[0]) and then HatA(key[1]).  A real side has b rows, one
+        # per HatB cocycle class, and b = 1 here, which leaves too few rows
+        # for a carry, so the count is drawn from the seed instead.  The
+        # sweep must still give the rank of each class's rows laid out in
+        # chain order.
         carried = 0
         for seed in range(8):
+            monkeypatch.setattr(MappingCone, "cocycle_side", random_side(seed))
             c = _complex(name)  # a fresh memo for each seed's rows
             for slope in (Slope(1, 1), Slope(1, 3), Slope(2, 3), Slope(3, 2), Slope(5, 4)):
                 cone = MappingCone(c, slope)
@@ -581,17 +574,36 @@ class TestSweep:
         assert len(sweep_table(c, "sweep")) == entries
         assert cone_rank_chain(c, Slope(1, 300)) == 1 + 2 * (5 * 300 - 1)
 
-    def test_readme_step_counts(self):
+    def test_readme_step_counts(self, monkeypatch):
         # The README's figures: on t25#t27#figure_eight the chain route's
         # table holds 21 transitions after 1/20, and the same 21 serve 1/400
         # and 1/2000; the homological route's, on the essential summand,
-        # holds 17 throughout.
+        # holds 17 throughout.  A step is eliminated once per distinct
+        # value of its carry and its two side matrices, so f2.rref runs 4
+        # times for the chain route's 21 and 7 for the homological route's
+        # 17, all at 1/20.
         c = _complex("t25#t27#figure_eight")
+        rref, calls = f2.rref, {"sweep": [], "hsweep": []}
         for q in (20, 400, 2000):
-            cone_rank_chain(c, Slope(1, q))
-            cone_rank_homological(c, Slope(1, q))
+            for tag, route in (("sweep", cone_rank_chain), ("hsweep", cone_rank_homological)):
+                monkeypatch.setattr(f2, "rref", lambda *args, made=calls[tag]: made.append(args) or rref(*args))
+                route(c, Slope(1, q))
             assert len(sweep_table(c, "sweep")) == 21, q
             assert len(sweep_table(c.essential_summand, "hsweep")) == 17, q
+            assert {tag: len(made) for tag, made in calls.items()} == {"sweep": 4, "hsweep": 7}, q
+
+    def test_a_survey_complex_eliminates_fewer_steps_than_transitions(self, monkeypatch):
+        # A complex the shape of one survey-fresh query, at its three
+        # slopes: its 35 transitions read 18 sides of its 13 classes, and
+        # those take 2 distinct values, so f2.rref runs for 4 steps alone.
+        c = random_complex(RandomSpec(seed=20240212, dots=1, boxes=3, max_side=2, max_offset=3))
+        calls = []
+        rref = f2.rref
+        monkeypatch.setattr(f2, "rref", lambda *args: calls.append(args) or rref(*args))
+        for slope in (Slope(4, 7), Slope(5, 1), Slope(5, 2)):
+            cone_rank_chain(c, slope)
+        assert len(calls) == len(models.step_table(c, "sweep")) <= len(sweep_table(c, "sweep"))
+        assert (len(calls), len(sweep_table(c, "sweep"))) == (4, 35)
 
     def test_one_rank_call_per_complex(self, monkeypatch):
         # Each sweep step reads its increment off the pivots of the one
@@ -618,15 +630,15 @@ class TestSweep:
 class TestHomologicalSweep:
     @pytest.mark.parametrize("name", ["t25", "trefoil_rh#figure_eight"])
     def test_carry_is_exact_on_arbitrary_blocks(self, monkeypatch, name):
-        # Real cones have left every carry empty, so each key gets random
-        # rows on its two HatA homology blocks.  The sweep must still give the
+        # Real cones have left every carry empty, so each class gets random
+        # side matrices on its HatA homology block.  The sweep must still give the
         # rank of each class's rows laid out in chain order, and so must the
         # block matrix built from the same rows.  The sweep runs on the
         # essential summand (all of t25, the dot of the figure-eight times
         # the trefoil), and the acyclic rest adds q * z.
         carried = 0
         for seed in range(8):
-            monkeypatch.setattr(MappingCone, "induced_boundary", random_induced_boundary(seed))
+            monkeypatch.setattr(MappingCone, "induced_side", random_side(seed, homology=True))
             c = _complex(name)  # a fresh memo for each seed's rows
             e = c.essential_summand
             for slope in (Slope(1, 1), Slope(1, 3), Slope(2, 3), Slope(3, 2), Slope(5, 4)):
