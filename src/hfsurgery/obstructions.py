@@ -83,10 +83,7 @@ def cosmetic_pair_check(c: CfkComplex, r: Slope, s: Slope) -> ObstructionVerdict
             if detect_unknot(c):
                 caveat = "the complex is trivial, so equal ranks are expected at every slope"
             elif r.p <= r.q or s.p <= s.q:
-                caveat = (
-                    "equal ranks at a slope <= 1 on a nontrivial complex would "
-                    "contradict the cosmetic bound when the containment hypothesis holds"
-                )
+                caveat = "equal ranks at a slope <= 1 on a nontrivial complex would contradict the cosmetic bound"
             else:
                 caveat = "both slopes exceed 1, where the rank obstruction is silent"
             verdict, reason = CONSISTENT, f"total ranks agree ({rank_r}); {caveat}"

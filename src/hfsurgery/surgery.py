@@ -92,34 +92,29 @@ the carry depends only on that subspace, not on the rows that led to it.
 The rank block j adds is rank [carry; rows of block j] less the carry's
 dimension, and the next carry is the part of that row space with no bit
 below HatA block j: the reduced rows whose pivot lies in block j.  Both
-are functions of the carry and of the maps h_hat((j - p) // q) and
-v_hat(j // q) that fix block j's rows.  ``cfk`` builds those once per
-Alexander class of s, or once per mirror pair (see below), so a step is
-fixed by the carry and the classes of the two floors, and the sweep is an
-automaton with one transition table per complex and route, shared across
-residue classes, slopes and windows.  Its states are the carries,
-numbered as they are first met, the empty carry being 0.  Each class has
-a number, ``CfkComplex.class_number``, the count of cuts at or below it,
-read from one table per range of floors; there are k classes, one more
-than the cuts.  The transition from state n on the classes numbered h and
-v is keyed by the one int n k^2 + h k + v and holds the rank the block
-adds and the next state.  Block j's h floor is the v floor of the block
-before it in its residue class, so a block costs one floor division and
-one probe of the table, and builds no tuple.
-A step depends on the classes only through the values of the two side
-matrices that build block j's rows, h_hat((j - p) // q) and v_hat(j // q)
-read as the route reads them: the block is their rows side by side, as
-wide as both, its v block starting where the h block ends.  Distinct
-classes often give equal sides, so a transition missing from the table
-is served from a second table of steps, keyed by the int made of the
-carry's number and the numbers of the two side matrices, each distinct
-matrix numbered by value, per complex and route, as it is first read,
-and each class's two sides read once.  Only a step missing there is
-eliminated, so a run of blocks with the same two sides costs one
-elimination per distinct carry, and no step's matrix spans more than
-three blocks: on t25#t27#figure_eight at 1/20, 1/400 and 1/2000 the
-chain route's 21 transitions take 4 eliminations, and the homological
-route's 17 take 7.
+are functions of the carry and of the values of the two side matrices
+that build block j's rows, h_hat((j - p) // q) and v_hat(j // q) read as
+the route reads them: the block is their rows side by side, as wide as
+both, its v block starting where the h block ends.  ``cfk`` builds each
+map once per Alexander class of s, or once per mirror pair (see below),
+and distinct classes often give equal sides, so each distinct side
+matrix has a number, per complex and route, given by value as it is
+first read, and the sweep is an automaton with one transition table per
+complex and route, shared across residue classes, slopes and windows.
+Its states are the carries, numbered as they are first met, the empty
+carry being 0.  With k classes, one more than the cuts, there are at most
+n = 2k sides, and the transition from state m on the sides numbered h and
+v is keyed by the one int (m n + h) n + v and holds the rank the block
+adds and the next state.  A route reads each class's two sides once, when
+it first sweeps a range of floors, into one table per range: for each
+floor, its h side's number times n and its v side's number.  Block j's h
+floor is the v floor of the block before it in its residue class, so a
+block costs one floor division and one probe of the table, and builds no
+tuple.  Each transition is eliminated once, so a run of blocks with the
+same two sides costs one elimination per distinct carry, and no step's
+matrix spans more than three blocks: on t25#t27#figure_eight at 1/20,
+1/400 and 1/2000 the chain route's table holds 4 transitions and the
+homological route's 7, each eliminated once.
 Route one reads no homology, no cycle basis and no split.  The genus,
 which fixes the window, tests each v_hat(s) by its rows on HatB's cocycle
 classes, the rows the sweep reads, and by the size of HatA(s)'s
@@ -159,15 +154,15 @@ block j is [h_hat((j - p) // q)_* | v_hat(j // q)_*] on the homology of
 HatA blocks j - p and j, so it too is block-diagonal over j mod p and
 bidiagonal within each class, and the same sweep ranks it.  Its carry
 is the row space so far cut down to HatA block j - p in homology
-coordinates, and its transitions have a table of their own, under
-"hsweep", apart from the chain route's, under "sweep", and so do its
-side matrices and steps.  In both routes a step missing from the table
-is eliminated once, by ``f2.rref`` cut at the v block: the rank it adds
-is the pivot count less the carry's size, and the next carry the
-reduced rows with their pivot in the v block, the only rows the cut
-back-substitutes, numbered if it is new; the rows with a pivot left of
-it reach no later block.  The tier-1 tests decode every transition and
-every step and rebuild each from the full form.  No
+coordinates, and its transitions and side matrices have a table of their
+own, under "hsweep", apart from the chain route's, under "sweep".  In
+both routes a transition missing from the table is eliminated once, by
+``f2.rref`` cut at the v block: the rank it adds is the pivot count less
+the carry's size, and the next carry the reduced rows with their pivot
+in the v block, the only rows the cut back-substitutes, numbered if it
+is new; the rows with a pivot left of it reach no later block.  The
+tier-1 tests decode every transition and rebuild each from the full
+form.  No
 step calls ``f2.rank``: past the genus, the chain route's one such call
 is rank d_B, once per complex, checked against b.  Route two never
 builds the block matrix; the tests assemble it from the same per-key
@@ -326,9 +321,10 @@ def coprime_slopes(pmax: int, qmax: int):
 
 # The most HatB blocks a cone may sweep.  The sweep costs one probe of its
 # transition table per block, under 2 s for this many: ``hfsurgery rank``
-# on t25 at 1/3333333, 9,999,998 blocks, took 1.2-1.3 s through
-# ``cli.main`` in one process on a shared 2-core Xeon with Python 3.11.7
-# (2.4 s when each block built a tuple key).
+# on t25 at 1/3333333, 9,999,998 blocks, took 1.06-1.37 s through
+# ``cli.main`` in one process on a shared 2-core Xeon with Python 3.11.7,
+# and t25 at 1/10**6 took 0.31-0.50 s per route, over five runs (2.4 s
+# and 0.63 s when each block built a tuple key).
 MAX_HAT_B_BLOCKS = 10**7
 
 # The most cells, pmax * qmax, coprime or not, a scan's grid may hold.  A
@@ -450,10 +446,11 @@ class MappingCone:
         HatA block j - p and the HatA block j in chain order.  HatB's own
         boundary is ranked in :attr:`boundary_rank` instead, the
         coboundaries, whose rows are zero, are never read, and a zero row
-        of a class is dropped.  The rows depend on the key alone, and the
-        chain route's sweep reads them only for a step it has not
-        eliminated yet, so they are built on every call, as bare masks:
-        the sweep validates the one matrix it eliminates."""
+        of a class is dropped.  The rows depend on the key alone.  The
+        sweep builds the same rows by :func:`_block` from the side
+        matrices it has numbered, so this one block, read by its floors,
+        serves the tests and the benchmark's tracer; the rows are built on
+        every call, as bare masks."""
         return _block(self.cocycle_side("h", key[0]), self.cocycle_side("v", key[1]))
 
     def cocycle_side(self, kind: str, s: int) -> F2Matrix:
@@ -464,17 +461,6 @@ class MappingCone:
         return (self.complex.h_hat if kind == "h" else self.complex.v_hat)(s).on_cocycles
 
     # -- homology-level view --------------------------------------------------
-
-    def induced_boundary(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
-        """One HatB row block of the induced block matrix: its nonzero rows,
-        their width and the column where their v block starts.
-
-        Block j with key = ((j - p) // q, j // q), or their classes, is
-        ``[h_hat(key[0])_* | v_hat(key[1])_*]`` on the homology bases, the
-        two :meth:`induced_side` matrices side by side: the HatA block
-        j - p, then the HatA block j.  Like :meth:`total_boundary` it
-        depends on the key alone."""
-        return _block(self.induced_side("h", key[0]), self.induced_side("v", key[1]))
 
     def induced_side(self, kind: str, s: int) -> F2Matrix:
         """The homological route's side matrix of ``kind``, "h" or "v", at
@@ -490,92 +476,81 @@ class MappingCone:
         return self.complex.region_complex(self.complex.top).homology.dim * len(self.b_columns)
 
 
-def _sweep(cone: MappingCone, tag: str, side, rows) -> int:
+def _sweep(cone: MappingCone, tag: str, side) -> int:
     """The rank of a route's HatB rows: the sum of what each HatB block
     adds, each residue class of j mod p that owns one swept in chain order
     from its first HatB block, as the module docstring explains.
 
-    ``side(kind, s)`` gives the route's "h" or "v" side matrix at s, and
-    ``rows(key)`` the rows of a block whose floors have the classes key,
-    built from the two sides, their width and the column where their v
-    block starts.  The complex keeps the route's tables under ``tag``:
-    ``(carry_numbers, carries, transitions, matrices, sides, steps)``.  The
-    number of each carry met, the carries by number, and each transition,
-    keyed by state * k**2 + h * k + v, as (increment, next state), k being
-    ``len(alexander_cuts) + 1``; then the number of each distinct side
-    matrix, the number of each class's side, keyed by (kind, class
-    number), and each step, keyed by the numbers of its carry and of its
-    two side matrices, as (increment, next state).  Only a missing
-    transition reaches :func:`_transition`, and only a missing step is
-    eliminated."""
+    ``side(kind, s)`` gives the route's "h" or "v" side matrix at s.  The
+    complex keeps the route's automaton under ``tag``:
+    ``(carry_numbers, carries, transitions, side_numbers, sides)``, the
+    number of each carry met and the carries by number, each transition,
+    keyed by (state * n + h) * n + v, as (increment, next state), and the
+    number of each distinct side matrix and the matrices by number, n = 2k
+    bounding the matrix numbers, as the k classes of ``alexander_cuts``
+    have at most 2k sides.  It keeps each range of floors' table under
+    ``(tag, first, last)``: for each floor, the number of its h side times
+    n and the number of its v side, each class's two sides read once, when
+    the route first sweeps the range.  Only a missing transition reaches
+    :func:`_transition`."""
     c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
-    # The class number of every floor the HatB blocks read, from one table
-    # memoized per range of floors rather than a lookup per block, filled
-    # one class run at a time.  With a HatB column the tight window's
-    # floors are -(g-1)..g-1, so every such cone shares one table.
     if not b:
         return 0
-    first, last = (b.start - p) // q, (b.stop - 1) // q
-    if (numbers := c._memo.get(table := ("class_numbers", first, last))) is None:
-        numbers = c._memo[table] = [i for s, n in c.class_runs(first, last) for i in [c.class_number(s)] * n]
     if (automaton := c._memo.get(tag)) is None:
-        automaton = c._memo[tag] = {(): 0}, [()], {}, {}, {}, {}
-    transitions, k = automaton[2], len(c.alexander_cuts) + 1
-    kk = k * k
+        automaton = c._memo[tag] = {(): 0}, [()], {}, {}, []
+    _, _, transitions, side_numbers, sides = automaton
+    n = 2 * (len(c.alexander_cuts) + 1)
+    # With a HatB column the tight window's floors are -(g-1)..g-1, so
+    # every such cone of a route shares one floor table.
+    first, last = (b.start - p) // q, (b.stop - 1) // q
+    if (floors := c._memo.get(table := (tag, first, last))) is None:
+        hs, vs = [], []
+        for s, length in c.class_runs(first, last):
+            hs += [_number(side_numbers, sides, side("h", s)) * n] * length
+            vs += [_number(side_numbers, sides, side("v", s))] * length
+        floors = c._memo[table] = hs, vs
+    hs, vs = floors
     # One probe of the table per HatB block.  j runs shifted by first * q,
-    # so that floor s is entry s - first, and h is held times k: it is the
-    # v number of the block before in the class.
-    get, shift = transitions.get, first * q
+    # so that floor f is entry f - first, and h is the h number of the
+    # block's h floor, the v floor of the block before it in the class.
+    get, shift, nn = transitions.get, first * q, n * n
     added = 0
     for start in b[:p]:
-        state, h = 0, numbers[(start - shift - p) // q] * k
+        state, h = 0, hs[(start - shift - p) // q]
         for j in range(start - shift, b.stop - shift, p):
-            v = numbers[j // q]
-            if (entry := get(key := state * kk + h + v)) is None:
-                entry = transitions[key] = _transition(c, automaton, side, rows, key, k)
+            if (entry := get(key := state * nn + h + vs[f := j // q])) is None:
+                entry = transitions[key] = _transition(automaton, key, n)
             increment, state = entry
             added += increment
-            h = v * k
+            h = hs[f]
     return added
 
 
-def _transition(c: CfkComplex, automaton, side, rows, key: int, k: int) -> tuple[int, int]:
+def _transition(automaton, key: int, n: int) -> tuple[int, int]:
     """Transition ``key`` of a route's table, (increment, next state).
 
-    Its step depends only on the carry and on the values of its two side
-    matrices, h and v: the block is the nonzero rows of [h | v], as wide as
-    both, its v block starting at h.cols.  Distinct classes often have
-    equal sides, so the step is served from the table of steps keyed by
-    the int (state * n + h) * n + v of the numbers of the carry and of the
-    two matrices, n = 2k bounding the matrix numbers, as k classes have at
-    most 2k sides.  A missing step builds one matrix, m = [carry; block],
-    so its rows are validated once, and eliminates it once, by ``f2.rref``
-    cut at the v block: the block adds the pivot count less the carry's
-    size.  The next carry is numbered if it is new."""
-    carry_numbers, carries, _, _, _, steps = automaton
-    state, hv = divmod(key, k * k)
-    h, v = _side_number(c, automaton, side, "h", hv // k), _side_number(c, automaton, side, "v", hv % k)
-    if (step := steps.get(number := (state * 2 * k + h) * 2 * k + v)) is None:
-        carry, classes = carries[state], c.numbered_classes
-        block, width, v_start = rows((classes[hv // k], classes[hv % k]))
-        # The next carry is the reduced rows with no bit below the v block,
-        # the only rows the cut form back-substitutes.
-        reduced, pivots = f2.rref(F2Matrix(width, carry + block), v_start)
-        carry_out = tuple(row >> v_start for row in reduced)
-        if (state_out := carry_numbers.get(carry_out)) is None:
-            state_out = carry_numbers[carry_out] = len(carries)
-            carries.append(carry_out)
-        step = steps[number] = len(pivots) - len(carry), state_out
-    return step
+    A step depends only on the carry and on the values of its two side
+    matrices, h and v, numbered in ``key``: the block is the nonzero rows
+    of [h | v], as wide as both, its v block starting at h.cols.  So the
+    step builds one matrix, m = [carry; block], whose rows are validated
+    once, and eliminates it once, by ``f2.rref`` cut at the v block: the
+    block adds the pivot count less the carry's size.  The next carry is
+    the reduced rows with no bit below the v block, the only rows the cut
+    form back-substitutes, numbered if it is new."""
+    carry_numbers, carries, _, _, sides = automaton
+    state, hv = divmod(key, n * n)
+    carry, (block, width, v_start) = carries[state], _block(sides[hv // n], sides[hv % n])
+    reduced, pivots = f2.rref(F2Matrix(width, carry + block), v_start)
+    return len(pivots) - len(carry), _number(carry_numbers, carries, tuple(row >> v_start for row in reduced))
 
 
-def _side_number(c: CfkComplex, automaton, side, kind: str, i: int) -> int:
-    """The number of the side matrix of ``kind`` at the class numbered i,
-    read by ``side`` once per class: matrices of equal value, which hash
-    alike, share one number on the complex's route."""
-    matrices, sides = automaton[3], automaton[4]
-    if (number := sides.get(key := (kind, i))) is None:
-        number = sides[key] = matrices.setdefault(side(kind, c.numbered_classes[i]), len(matrices))
+def _number(numbers: dict, values: list, value) -> int:
+    """The number of ``value``, numbered as first met: its place in
+    ``values``, found by ``numbers``, so values that are equal, and hash
+    alike, share one number."""
+    if (number := numbers.get(value)) is None:
+        number = numbers[value] = len(values)
+        values.append(value)
     return number
 
 
@@ -612,7 +587,7 @@ def cone_rank_chain(c: CfkComplex, slope: Slope) -> int:
     if (rank := c._memo.get(key := ("cone_rank_chain", slope.p, slope.q))) is not None:
         return rank
     cone = MappingCone(c, slope)
-    added = _sweep(cone, "sweep", cone.cocycle_side, cone.total_boundary)
+    added = _sweep(cone, "sweep", cone.cocycle_side)
     # The dimension less twice the boundary rank: the rank of the HatA
     # rows and of d_B, whose f2.rank call is made here on the first
     # cone of the complex, plus what the sweep adds.
@@ -633,7 +608,7 @@ def cone_rank_homological(c: CfkComplex, slope: Slope) -> int:
         return rank
     require_sweep(c, slope)
     cone = MappingCone(c.essential_summand, slope)
-    r = _sweep(cone, "hsweep", cone.induced_side, cone.induced_boundary)
+    r = _sweep(cone, "hsweep", cone.induced_side)
     rank = c._memo[key] = (cone.a_homology_dim - r) + (cone.b_homology_dim - r) + slope.q * c.acyclic_sum()
     return rank
 

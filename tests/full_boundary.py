@@ -5,24 +5,24 @@ matrix.
 The chain route never assembles the boundary.  It adds the HatA blocks'
 own boundary ranks and HatB's, once per HatB block, to the ranks its
 sweep adds, block by block, from the rows of HatB's b cocycle classes on
-the HatA blocks (``MappingCone.total_boundary(key)``, built from two
-``cocycle_side`` matrices), each residue class of j mod p carrying one
-canonical block.  This module assembles every row in the original basis,
+the HatA blocks (the rows of two ``cocycle_side`` matrices side by side,
+which ``MappingCone.total_boundary(key)`` gives too), each residue class
+of j mod p carrying one canonical block.  This module assembles every row in the original basis,
 reading each map's dense view from ``models.dense``, so tests can check
 that split against the full matrix, and replays the sweep's steps from
 the memo the chain route leaves.
 On every complex tried, real cones leave every carry of either route's
 sweep empty, so ``random_side`` gives either route random side matrices,
 patched in for ``cocycle_side`` or ``induced_side``, whose carries
-matter; the blocks, and so ``total_boundary`` and ``induced_boundary``,
-follow the patched sides.
+matter; the blocks, and so ``total_boundary`` and
+``models.induced_boundary``, follow the patched sides.
 
 The rank routes use only the tight window.  ``build_cone`` gives the same
 cone on the symmetric window -q*level < j < q*level of the truncation
 argument, exact for every level from ``truncation_bound`` up, and the
 tests check the tight window's rank against the full boundary there,
 which runs no sweep.  ``block_matrix`` assembles the induced block matrix
-from the rows of ``MappingCone.induced_boundary``, so a test that patches
+from the rows of ``models.induced_boundary``, so a test that patches
 ``induced_side`` patches the matrix too, and ``flatten`` packs a kernel
 element into its columns.
 """
@@ -31,7 +31,7 @@ import random
 
 from hfsurgery.f2 import F2Matrix
 from hfsurgery.surgery import MappingCone, _sweep
-from models import dense, sweep_table
+from models import dense, induced_boundary, sweep_table
 
 
 def truncation_bound(c, slope) -> int:
@@ -105,23 +105,25 @@ def full_boundary(cone) -> F2Matrix:
     return F2Matrix(pos, tuple(masks))
 
 
-def sweep_increments(cone) -> list[list[int]]:
-    """The rank each HatB block adds in the chain route's sweep, block by
-    block for each residue class of j mod p that owns one, in the order of
-    the classes' first HatB blocks, replayed from the memo that
-    ``cone_rank_chain`` left on the complex for this cone's window, decoded
-    by ``models.sweep_table``.  The sweep keys block j on the Alexander
-    classes of (j - p) // q and j // q, so the replay looks each one up.  A
-    missing step raises ``KeyError``."""
-    c, p, q = cone.complex, cone.slope.p, cone.slope.q
-    table = sweep_table(c, "sweep")
+def replayed_steps(cone, tag="sweep", side=None) -> list[list[tuple]]:
+    """Each HatB block's step in route ``tag``'s sweep of the cone,
+    replayed from the memo that the route left on the cone's complex,
+    decoded by ``models.sweep_table``: for each residue class of j mod p
+    that owns a HatB block, in the order of the classes' first HatB
+    blocks, the blocks in chain order as (j, key, increment, next carry),
+    key being the step's (carry, h side, v side).  The sweep keys block j
+    on the values of its side matrices at (j - p) // q and j // q, so the
+    replay reads each one by ``side``, ``cone.cocycle_side`` unless given.
+    A missing step raises ``KeyError``."""
+    p, q, side = cone.slope.p, cone.slope.q, side or cone.cocycle_side
+    table = sweep_table(cone.complex, tag)
     classes = []
     for first in cone.b_columns[:p]:
         carry, steps = (), []
         for j in range(first, cone.b_columns.stop, p):
-            key = (c.alexander_class((j - p) // q), c.alexander_class(j // q))
-            increment, carry = table[carry, key]
-            steps.append(increment)
+            key = carry, side("h", (j - p) // q), side("v", j // q)
+            increment, carry = table[key]
+            steps.append((j, key, increment, carry))
         classes.append(steps)
     return classes
 
@@ -149,7 +151,7 @@ def random_side(seed, homology=False):
 def sweep_rank(cone) -> int:
     """The chain route's rank, swept on the cone's own window: what
     ``cone_rank_chain`` computes on the tight one."""
-    added = _sweep(cone, "sweep", cone.cocycle_side, cone.total_boundary)
+    added = _sweep(cone, "sweep", cone.cocycle_side)
     return cone.total_dim - 2 * (cone.boundary_rank + added)
 
 
@@ -166,7 +168,7 @@ def _hom_offsets(cone) -> tuple[dict[int, int], int]:
 
 def block_matrix(cone) -> F2Matrix:
     """The induced block matrix on homology.  HatB row block j holds the
-    rows ``cone.induced_boundary`` gives for its key, the h part on HatA
+    rows ``models.induced_boundary`` gives for its key, the h part on HatA
     column j - p and the v part on HatA column j; both always lie in the
     window.  Column order changes neither its rank nor its kernel's
     dimension."""
@@ -174,7 +176,7 @@ def block_matrix(cone) -> F2Matrix:
     p, q = cone.slope.p, cone.slope.q
     masks = []
     for j in cone.b_columns:
-        rows, _, v_start = cone.induced_boundary(((j - p) // q, j // q))
+        rows, _, v_start = induced_boundary(cone, ((j - p) // q, j // q))
         h_mask = (1 << v_start) - 1
         masks += [
             ((row & h_mask) << a_off[j - p]) | ((row >> v_start) << a_off[j])

@@ -63,16 +63,17 @@ The library counts the kernel of the induced block matrix in closed form,
 the meet of two column spaces as matched pairs; the tests check its
 elements against ``kernel_rank`` and the block matrix.
 The sweep eliminates each step by ``f2.rref`` cut at the v block, so
-``full_form_sweep_step`` reads a step off the full form instead, and
+``full_form_sweep_step`` reads a step off the full form instead, of the
+block that ``side_block`` assembles from the two side matrices, and
 ``assert_sweep_steps_match_full_form`` checks every memoized step of the
 chain route's and the homological route's sweeps against it.  The sweep
-keeps its steps as a numbered transition table, so ``sweep_table``
-decodes a route's table into (carry, key) -> (increment, next carry),
-and ``reference_sweep`` is the sweep keyed by those tuples, each block's
-key looked up by ``alexander_class``, which the tests compare the table
-against.  The sweep eliminates a step once per distinct value of its
-carry and its two side matrices, so ``step_table`` decodes that table
-into (carry, h side, v side) -> (increment, next carry).
+keeps its steps as one numbered transition table per route, keyed by the
+numbers of the carry and of the two side matrices, so ``sweep_table``
+decodes a route's table into (carry, h side, v side) ->
+(increment, next carry), and ``reference_sweep`` is the sweep keyed by
+those tuples, each block's sides read at its floors, which the tests
+compare the table against.  ``induced_boundary`` is one block of the
+induced block matrix, assembled from the homological route's sides.
 A cone reads its totals from one memo entry per class-run table, so
 ``recount_totals`` counts them column by column instead.
 """
@@ -252,13 +253,32 @@ def assert_conjugation_symmetry(c: CfkComplex) -> int:
     return checked
 
 
+def side_block(h: F2Matrix, v: F2Matrix) -> tuple[tuple[int, ...], int, int]:
+    """The nonzero rows of [h | v], assembled here apart from the
+    library's: h's row r beside v's row r, the v block starting at h.cols.
+    Returns the rows, their width and where the v block starts."""
+    assert h.rows == v.rows, (h.rows, v.rows)
+    block = tuple(row for a, b in zip(h.data, v.data) if (row := a | b << h.cols))
+    return block, h.cols + v.cols, h.cols
+
+
+def induced_boundary(cone: MappingCone, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
+    """One HatB row block of the induced block matrix: block j with
+    key = ((j - p) // q, j // q), or their classes, is
+    ``[h_hat(key[0])_* | v_hat(key[1])_*]`` on the homology bases, the two
+    ``MappingCone.induced_side`` matrices side by side, by
+    :func:`side_block`: its nonzero rows, their width and the column where
+    the v block starts.  It depends on the key alone."""
+    return side_block(cone.induced_side("h", key[0]), cone.induced_side("v", key[1]))
+
+
 def full_form_sweep_step(rows: tuple[tuple[int, ...], int, int], carry: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """One sweep step read off the full reduced row-echelon form of
     m = [carry; block]: the pivot count less the carry's size, and the
     reduced rows whose pivot lies in the v block, shifted down to it.
-    ``rows`` is what ``MappingCone.total_boundary`` or ``induced_boundary``
-    gives for the step's key: the block, its width and where its v block
-    starts."""
+    ``rows`` is what :func:`side_block` gives for the step's two side
+    matrices, or ``MappingCone.total_boundary`` for its key: the block,
+    its width and where its v block starts."""
     block, width, v_start = rows
     reduced, pivots = f2.rref(F2Matrix(width, carry + block))
     carry_out = tuple(row >> v_start for row, p in zip(reduced, pivots) if p >= v_start)
@@ -267,56 +287,39 @@ def full_form_sweep_step(rows: tuple[tuple[int, ...], int, int], carry: tuple[in
 
 def sweep_table(x: CfkComplex, tag: str) -> dict:
     """The transition table of route ``tag``, ``"sweep"`` or ``"hsweep"``,
-    on x, decoded: (carry, key) -> (increment, next carry), key being the
-    pair of Alexander classes of the block's h and v floors.  Transition
-    ``state * k**2 + h * k + v``, k = ``len(alexander_cuts) + 1``, goes
-    from carry number ``state`` on the classes numbered h and v.  Empty
-    when the route has swept no HatB block of x."""
+    on x, decoded: (carry, h side, v side) -> (increment, next carry), the
+    sides being the route's side matrices.  Transition
+    ``(state * n + h) * n + v``, n = 2 * (``len(alexander_cuts)`` + 1),
+    goes from carry number ``state`` on the side matrices numbered h and
+    v.  Empty when the route has swept no HatB block of x."""
     if (automaton := x._memo.get(tag)) is None:
         return {}
-    _, carries, transitions, *_ = automaton
-    k, classes = len(x.alexander_cuts) + 1, x.numbered_classes
+    _, carries, transitions, _, sides = automaton
+    n = 2 * (len(x.alexander_cuts) + 1)
     return {
-        (carries[key // (k * k)], (classes[key // k % k], classes[key % k])): (increment, carries[state])
+        (carries[key // (n * n)], sides[key // n % n], sides[key % n]): (increment, carries[state])
         for key, (increment, state) in transitions.items()
     }
 
 
-def step_table(x: CfkComplex, tag: str) -> dict:
-    """The value-keyed step table of route ``tag`` on x, decoded:
-    (carry, h side, v side) -> (increment, next carry), the sides being the
-    route's side matrices.  Step ``(state * n + h) * n + v``,
-    n = 2 * (``len(alexander_cuts)`` + 1), goes from carry number ``state``
-    on the side matrices numbered h and v.  Empty when the route has swept
-    no HatB block of x."""
-    if (automaton := x._memo.get(tag)) is None:
-        return {}
-    _, carries, _, matrices, _, steps = automaton
-    n, by_number = 2 * (len(x.alexander_cuts) + 1), {number: m for m, number in matrices.items()}
-    return {
-        (carries[key // (n * n)], by_number[key // n % n], by_number[key % n]): (increment, carries[state])
-        for key, (increment, state) in steps.items()
-    }
-
-
-def reference_sweep(cone: MappingCone, rows) -> tuple[int, dict]:
-    """The sweep with every step keyed by the tuple (carry, key), key being
-    the pair of Alexander classes of block j's floors (j - p) // q and
-    j // q, each looked up by ``alexander_class``: the sum of what each
-    HatB block adds, and the steps, (carry, key) -> (increment, next carry),
-    kept in a dict of its own rather than in the complex's memo.  Each step
-    is eliminated as the library's is, by ``f2.rref`` cut at the v block of
-    ``rows(key)``."""
-    c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
+def reference_sweep(cone: MappingCone, side) -> tuple[int, dict]:
+    """The sweep with every step keyed by the tuple (carry, h side, v side),
+    the sides being ``side("h", (j - p) // q)`` and ``side("v", j // q)``
+    read at block j's floors: the sum of what each HatB block adds, and the
+    steps, (carry, h side, v side) -> (increment, next carry), kept in a
+    dict of its own rather than in the complex's memo.  Each step is
+    eliminated as the library's is, by ``f2.rref`` cut at the v block of
+    the rows :func:`side_block` assembles."""
+    p, q, b = cone.slope.p, cone.slope.q, cone.b_columns
     steps, added = {}, 0
     for start in b[:p]:
         carry = ()
         for j in range(start, b.stop, p):
-            key = (c.alexander_class((j - p) // q), c.alexander_class(j // q))
-            if (entry := steps.get((carry, key))) is None:
-                block, width, v_start = rows(key)
+            key = (carry, side("h", (j - p) // q), side("v", j // q))
+            if (entry := steps.get(key)) is None:
+                block, width, v_start = side_block(*key[1:])
                 reduced, pivots = f2.rref(F2Matrix(width, carry + block), v_start)
-                entry = steps[carry, key] = len(pivots) - len(carry), tuple(row >> v_start for row in reduced)
+                entry = steps[key] = len(pivots) - len(carry), tuple(row >> v_start for row in reduced)
             increment, carry = entry
             added += increment
     return added, steps
@@ -325,17 +328,16 @@ def reference_sweep(cone: MappingCone, rows) -> tuple[int, dict]:
 def assert_sweep_steps_match_full_form(c: CfkComplex) -> int:
     """Every transition of the chain route's table on c or on its essential
     summand, decoded by :func:`sweep_table`, equals
-    :func:`full_form_sweep_step` of the key's ``total_boundary`` rows, and
-    every transition of the homological route's table that of its
-    ``induced_boundary`` rows.  The rows depend on the key alone, so a cone
-    at any slope gives them.  Returns the number of transitions checked."""
-    checked = 0
+    :func:`full_form_sweep_step` of its carry and of the block
+    :func:`side_block` assembles from its two side matrices, and so does
+    every transition of the homological route's table.  Returns the number
+    of transitions checked per route."""
+    checked = {"sweep": 0, "hsweep": 0}
     for x in {id(x): x for x in (c, c.essential_summand)}.values():
-        cone = MappingCone(x, Slope(1, 1))
-        for tag, rows in (("sweep", cone.total_boundary), ("hsweep", cone.induced_boundary)):
-            for (carry, key), entry in sweep_table(x, tag).items():
-                assert entry == full_form_sweep_step(rows(key), carry), (tag, carry, key)
-                checked += 1
+        for tag in checked:
+            for (carry, h, v), entry in sweep_table(x, tag).items():
+                assert entry == full_form_sweep_step(side_block(h, v), carry), (tag, carry)
+                checked[tag] += 1
     return checked
 
 

@@ -34,6 +34,7 @@ from models import (
     full_form_sweep_step,
     kernel_basis_construction,
     recount_totals,
+    side_block,
     sweep_table,
     tensor_of,
 )
@@ -76,10 +77,9 @@ def big_cones() -> None:
     column-by-column recount."""
     c = tensor_of("t25", "t27", "figure_eight")
     # 1/2000 is a cone of 7.7 million dimensions; the chain route's sweep
-    # makes 21 transitions and eliminates 4 distinct steps, and the
-    # homological route sweeps its induced block matrix the same way, 17
-    # transitions in 7 steps (``TestSweep`` in test_surgery.py pins the
-    # counts).  200001/1 has no HatB column: a cone
+    # makes 4 transitions, each eliminated once, and the homological route
+    # sweeps its induced block matrix the same way, in 7 (``TestSweep`` in
+    # test_surgery.py pins the counts).  200001/1 has no HatB column: a cone
     # reads one HatA region per Alexander class, HatA(0..5) serving
     # the classes -5..5 with their mirrors and the HatB region its two
     # top classes share, and t sums one meet per segment between its
@@ -204,12 +204,11 @@ def rung() -> None:
         assert (F2Matrix(b.dim, b.cocycles) @ b.boundary).is_zero(), c.name
         # The sweep cuts f2.rref at the v block and back-substitutes only
         # the rows it carries, so every transition of the chain route's
-        # table is rebuilt from its key's rows and the full form: the pivot
-        # count less the carry's, and the reduced rows whose pivot lies in
-        # the v block, shifted down to it.
-        cone = MappingCone(c, slope)
+        # table is rebuilt from its two side matrices' rows and the full
+        # form: the pivot count less the carry's, and the reduced rows
+        # whose pivot lies in the v block, shifted down to it.
         steps = list(sweep_table(c, "sweep").items())
         assert steps, c.name
-        for (carry, key), entry in steps:
-            assert entry == full_form_sweep_step(cone.total_boundary(key), carry), (c.name, carry, key)
+        for (carry, h, v), entry in steps:
+            assert entry == full_form_sweep_step(side_block(h, v), carry), (c.name, carry)
         assert c.b_rank() < 2 or max(len(entry[1]) for _, entry in steps) >= 2, c.name

@@ -104,13 +104,15 @@ class TestCosmetic:
 
     def test_equal_ranks_at_slope_one_contradict_the_bound(self, monkeypatch):
         # The trefoil's ranks at 1/1 and 1/2 differ (1 vs 3); patched equal,
-        # they reach the caveat for a slope <= 1.
+        # they reach the caveat for a slope <= 1.  The containment
+        # hypothesis is a theorem of the model, so the caveat names no
+        # condition.
         monkeypatch.setattr("hfsurgery.obstructions.cone_rank_chain", lambda c, slope: 3)
         v = cosmetic_pair_check(builtin("trefoil_rh"), Slope(1, 1), Slope(1, 2))
         assert v.verdict == CONSISTENT and v.ranks == (3, 3)
         assert v.reason == (
             "total ranks agree (3); equal ranks at a slope <= 1 on a nontrivial complex "
-            "would contradict the cosmetic bound when the containment hypothesis holds"
+            "would contradict the cosmetic bound"
         )
 
     def test_different_p_short_circuits(self):

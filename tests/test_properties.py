@@ -36,6 +36,7 @@ from full_boundary import (
     flatten,
     full_boundary,
     random_side,
+    replayed_steps,
     sweep_rank,
     truncation_bound,
 )
@@ -407,28 +408,34 @@ def test_fourth_oracle_for_b_one(c, slope):
 @settings(max_examples=30, deadline=None)
 @given(complexes, slopes, st.sampled_from([None, 1]))
 def test_sweep_carries_are_canonical(c, slope, extra):
-    # Every carry the sweep returns is its own reduced row-echelon form on
-    # the elements of HatA(key[1]), and every carry it reads is on those of
-    # HatA(key[0]).  Each carry row is a sum of the rows' v blocks, so it
-    # is in its canonical form modulo that region's coboundaries too, zero
-    # at every lowest bit of one, which the reference reads off its own
-    # elimination of the region's boundary rows.
+    # Every carry the sweep returns at block j is its own reduced row-echelon
+    # form on the elements of HatA(j // q), and every carry it reads is on
+    # those of HatA((j - p) // q).  Each carry row is a sum of the rows' v
+    # blocks, so it is in its canonical form modulo that region's
+    # coboundaries too, zero at every lowest bit of one, which the
+    # reference reads off its own elimination of the region's boundary
+    # rows.  The replay of the cones swept meets every transition.
+    cones = [MappingCone(c, slope)]
     cone_rank_chain(c, slope)
     if extra is not None:
-        sweep_rank(build_cone(c, slope, truncation_bound(c, slope) + extra))
-    for (carry_in, key), (increment, carry) in models.sweep_table(c, "sweep").items():
-        regions = [c.region_complex(s) for s in key]
-        for rows, region in ((carry_in, regions[0]), (carry, regions[1])):
-            assert all(0 < row < 1 << region.dim for row in rows)
-            assert tuple(f2.rref(f2.F2Matrix(region.dim, rows))[0]) == rows
-            basis = models.lowest_bit_basis(region.boundary.data)
-            assert all(models.canonical_form(basis, row) == row for row in rows)
-        assert increment >= 0
+        cones.append(build_cone(c, slope, truncation_bound(c, slope) + extra))
+        sweep_rank(cones[-1])
+    met, p, q = set(), slope.p, slope.q
+    for cone in cones:
+        for j, key, increment, carry in (step for blocks in replayed_steps(cone) for step in blocks):
+            met.add(key)
+            for rows, region in ((key[0], c.region_complex((j - p) // q)), (carry, c.region_complex(j // q))):
+                assert all(0 < row < 1 << region.dim for row in rows)
+                assert tuple(f2.rref(f2.F2Matrix(region.dim, rows))[0]) == rows
+                basis = models.lowest_bit_basis(region.boundary.data)
+                assert all(models.canonical_form(basis, row) == row for row in rows)
+            assert increment >= 0
+    assert met == set(models.sweep_table(c, "sweep"))
 
 
-# Each route's table tag, block method and side method, route one on the
-# complex and route two on its essential summand.
-SWEEP_ROUTES = (("sweep", "total_boundary", "cocycle_side"), ("hsweep", "induced_boundary", "induced_side"))
+# Each route's table tag and side method, route one on the complex and
+# route two on its essential summand.
+SWEEP_ROUTES = (("sweep", "cocycle_side"), ("hsweep", "induced_side"))
 
 
 @contextlib.contextmanager
@@ -445,77 +452,97 @@ def random_sides(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(complexes, builtin_tensors), slopes, st.one_of(st.none(), st.integers(0, 10**6)))
 def test_homological_sweep_carries_are_canonical(c, slope, seed):
-    # Every carry the homological sweep returns is its own reduced
-    # row-echelon form on the homology coordinates of HatA(key[1]), and
-    # every carry it reads is on those of HatA(key[0]).  Real rows have
-    # left every carry empty, so a seed swaps in random side matrices on
-    # the same coordinates; either way the sweep gives the block matrix's
-    # rank.  The sweep runs on the essential summand, whose memo holds its
-    # steps; the acyclic rest adds q * z to the complex's rank.  A random
-    # complex's summand is its dots, of genus 0, which sweep no block, so
-    # tensors of builtins are drawn too.
+    # Every carry the homological sweep returns at block j is its own
+    # reduced row-echelon form on the homology coordinates of HatA(j // q),
+    # and every carry it reads is on those of HatA((j - p) // q).  Real
+    # rows have left every carry empty, so a seed swaps in random side
+    # matrices on the same coordinates; either way the sweep gives the
+    # block matrix's rank.  The sweep runs on the essential summand, whose
+    # memo holds its steps; the acyclic rest adds q * z to the complex's
+    # rank.  A random complex's summand is its dots, of genus 0, which
+    # sweep no block, so tensors of builtins are drawn too.
     e = c.essential_summand
     with random_sides(seed):
         rank = cone_rank_homological(e, slope)
         assert cone_rank_homological(c, slope) == rank + slope.q * c.acyclic_sum()
         cone = MappingCone(e, slope)
         r = f2.rank(block_matrix(cone))
+        steps = [step for blocks in replayed_steps(cone, "hsweep", cone.induced_side) for step in blocks]
+        assert {key for _, key, _, _ in steps} == set(models.sweep_table(e, "hsweep"))
     assert rank == (cone.a_homology_dim - r) + (cone.b_homology_dim - r)
-    for (carry_in, key), (increment, carry) in models.sweep_table(e, "hsweep").items():
-        widths = [e.region_complex(s).homology.dim for s in key]
-        for rows, width in ((carry_in, widths[0]), (carry, widths[1])):
+    p, q = slope.p, slope.q
+    for j, key, increment, carry in steps:
+        widths = [e.region_complex(s).homology.dim for s in ((j - p) // q, j // q)]
+        for rows, width in ((key[0], widths[0]), (carry, widths[1])):
             assert all(0 < row < 1 << width for row in rows)
             assert tuple(f2.rref(f2.F2Matrix(width, rows))[0]) == rows
         assert increment >= 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(complexes, spread_complexes), slopes, st.one_of(st.none(), st.integers(0, 10**6)))
-def test_numbered_table_equals_the_tuple_keyed_sweep(c, slope, seed):
-    # Each route's numbered transition table gives the rank of the sweep
-    # keyed by (carry, key) tuples, and decodes to the same steps, on the
-    # tight window and then on the symmetric one, which meets the steps
-    # the first made.  A seed swaps in random side matrices of the same
-    # shape, where the carries matter.  The complex is fresh, so each
-    # table holds the steps of these two cones alone.
-    e = c.essential_summand
+def assert_table_is_the_tuple_keyed_sweep(c: CfkComplex, slope: Slope, seed) -> dict:
+    """Each route's numbered transition table gives the rank of the sweep
+    keyed by (carry, h side, v side) tuples, ``models.reference_sweep``,
+    and decodes to the same steps, on the tight window and then on the
+    symmetric one, which meets the steps the first made.  A seed swaps in
+    random side matrices of the same shape, where the carries matter.  The
+    complex is fresh, so each table holds the steps of these two cones
+    alone.  Returns each route's decoded table."""
+    e, tables = c.essential_summand, {}
     with random_sides(seed):
-        for x, (tag, rows, side) in zip((c, e), SWEEP_ROUTES):
+        for x, (tag, side) in zip((c, e), SWEEP_ROUTES):
             steps = {}
             for cone in (MappingCone(x, slope), build_cone(x, slope)):
-                added, made = models.reference_sweep(cone, getattr(cone, rows))
-                assert _sweep(cone, tag, getattr(cone, side), getattr(cone, rows)) == added, (tag, cone.a_columns)
+                added, made = models.reference_sweep(cone, getattr(cone, side))
+                assert _sweep(cone, tag, getattr(cone, side)) == added, (tag, cone.a_columns)
                 steps |= made
-            assert models.sweep_table(x, tag) == steps, tag
+            tables[tag] = models.sweep_table(x, tag)
+            assert tables[tag] == steps, tag
+    return tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(complexes, spread_complexes, builtin_tensors), slopes, st.one_of(st.none(), st.integers(0, 10**6)))
+def test_numbered_table_equals_the_tuple_keyed_sweep(c, slope, seed):
+    # A random complex's essential summand is its dots, of genus 0, which
+    # sweep no block, so tensors of builtins are drawn for route two.
+    assert_table_is_the_tuple_keyed_sweep(c, slope, seed)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_numbered_table_equals_the_tuple_keyed_sweep_on_a_tensor(seed):
+    # A pinned example on which route two sweeps: t25#t27's summand has
+    # genus 5, so both tables fill, real or random.
+    tables = assert_table_is_the_tuple_keyed_sweep(models.tensor_of("t25", "t27"), Slope(2, 3), seed)
+    assert tables["sweep"] and tables["hsweep"]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.one_of(complexes, spread_complexes, builtin_tensors), slopes_to_12, st.one_of(st.none(), st.integers(0, 10**6))
 )
-def test_value_keyed_steps_equal_the_class_keyed_sweep(c, slope, seed):
+def test_each_transition_is_one_full_form_step(c, slope, seed):
     # The sweep eliminates a step once per distinct value of its carry and
     # its two side matrices, not once per pair of classes.  On both routes
-    # its rank is that of the reference sweep, which eliminates every
-    # class-keyed step in a dict of its own; every step of the value-keyed
-    # table is the full form's step of its carry and the block [h | v]
-    # assembled here, and the table holds no more steps than the
-    # class-keyed one holds transitions.  A seed swaps in random side
+    # its rank is that of the reference sweep, which eliminates every step
+    # in a dict of its own; every transition of the table is the full
+    # form's step of its carry and the block [h | v] assembled here; and
+    # f2.rref runs once for each transition.  A seed swaps in random side
     # matrices, where the carries matter.  A random complex's essential
     # summand sweeps no block, so tensors of builtins are drawn for route
     # two.
     e = c.essential_summand
-    with random_sides(seed):
-        for x, (tag, rows, side) in zip((c, e), SWEEP_ROUTES):
+    with random_sides(seed), pytest.MonkeyPatch.context() as patch:
+        for x, (tag, side) in zip((c, e), SWEEP_ROUTES):
             cone = MappingCone(x, slope)
-            added, made = models.reference_sweep(cone, getattr(cone, rows))
-            assert _sweep(cone, tag, getattr(cone, side), getattr(cone, rows)) == added, tag
-            steps = models.step_table(x, tag)
+            added, _ = models.reference_sweep(cone, getattr(cone, side))
+            calls, rref = [], f2.rref
+            patch.setattr(f2, "rref", lambda *args: calls.append(args) or rref(*args))
+            assert _sweep(cone, tag, getattr(cone, side)) == added, tag
+            patch.setattr(f2, "rref", rref)
+            steps = models.sweep_table(x, tag)
             for (carry, h, v), entry in steps.items():
-                assert h.rows == v.rows, tag
-                block = tuple(row for a, b in zip(h.data, v.data) if (row := a | b << h.cols))
-                assert entry == models.full_form_sweep_step((block, h.cols + v.cols, h.cols), carry), tag
-            assert len(steps) <= len(models.sweep_table(x, tag)) == len(made), tag
+                assert entry == models.full_form_sweep_step(models.side_block(h, v), carry), tag
+            assert len(steps) == len(calls), tag
 
 
 @settings(max_examples=20, deadline=None)
@@ -710,9 +737,10 @@ def test_h_hat_reads_as_v_hat_of_the_mirror_class(c):
     models.assert_conjugation_symmetry(c.essential_summand)
 
 
-def assert_sweep_steps_at_every_slope(c: CfkComplex) -> int:
+def assert_sweep_steps_at_every_slope(c: CfkComplex) -> dict:
     """Run both rank routes at every coprime p, q <= 8, then check every
-    sweep step they memoized against the full-form step of ``models``."""
+    sweep step they memoized against the full-form step of ``models``.
+    Returns the count checked per route."""
     for slope in coprime_slopes(8, 8):
         assert cone_rank_chain(c, slope) == cone_rank_homological(c, slope)
     return models.assert_sweep_steps_match_full_form(c)
@@ -723,14 +751,20 @@ def test_sweep_steps_are_the_full_form_steps_on_knots(name):
     # The sweep cuts f2.rref at the v block and keeps only the rows it
     # carries, so its increments and carries must be those of the full
     # reduced row-echelon form.  Only the unknot, of genus 0, has no HatB
-    # column at these slopes.
+    # column at these slopes, and route two sweeps every knot whose
+    # essential summand has a positive genus: all but the unknot, the
+    # figure-eight and its square.
     c = knot(name)
-    assert assert_sweep_steps_at_every_slope(c) or c.genus() == 0
+    checked = assert_sweep_steps_at_every_slope(c)
+    assert checked["sweep"] or c.genus() == 0
+    assert checked["hsweep"] or c.essential_summand.genus() == 0
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.one_of(complexes, spread_complexes))
+@given(st.one_of(complexes, spread_complexes, builtin_tensors))
 def test_sweep_steps_are_the_full_form_steps(c):
+    # A random complex's essential summand is its dots, of genus 0, which
+    # sweep no block, so tensors of builtins are drawn for route two.
     assert_sweep_steps_at_every_slope(c)
 
 

@@ -37,7 +37,7 @@ from full_boundary import (
     flatten,
     full_boundary,
     random_side,
-    sweep_increments,
+    replayed_steps,
     sweep_rank,
     truncation_bound,
 )
@@ -242,7 +242,7 @@ class TestBuildCone:
                     assert (full @ full).is_zero(), (c.name, slope)
                     assert rank == full.cols - 2 * f2.rank(full), (c.name, slope)
                     sweep_rank(cone)
-                    swept = sum(map(sum, sweep_increments(cone)))
+                    swept = sum(increment for steps in replayed_steps(cone) for _, _, increment, _ in steps)
                     assert f2.rank(full) == cone.boundary_rank + swept, (c.name, slope)
                     a_rank = sum(f2.rank(c.region_complex(j // slope.q).boundary) for j in cone.a_columns)
                     b_rank = f2.rank(c.region_complex(c.top).boundary)
@@ -477,15 +477,15 @@ class TestRefusedSweep:
             surgery.require_grid_sweep(builtin("unknot"), 100001, 1)
 
 
-def _shifted_blocks(cone, first, rows="total_boundary"):
+def _shifted_blocks(cone, first, rows=MappingCone.total_boundary):
     """The HatB blocks j of the residue class of column ``first``, in chain
-    order: each block's rows, read from the cone method named ``rows``,
-    shifted to the start of HatA block j - p in the class's own layout,
-    with j."""
+    order: each block's rows, read by ``rows(cone, key)``, the chain
+    route's block or ``models.induced_boundary``, shifted to the start of
+    HatA block j - p in the class's own layout, with j."""
     p, q = cone.slope.p, cone.slope.q
     base = 0
     for j in range(first + p, cone.a_columns[-1] + 1, p):
-        narrow, _, v_start = getattr(cone, rows)(((j - p) // q, j // q))
+        narrow, _, v_start = rows(cone, ((j - p) // q, j // q))
         yield j, [row << base for row in narrow]
         base += v_start
 
@@ -520,9 +520,9 @@ class TestSweep:
         for slope in (Slope(1, 1), Slope(2, 3), Slope(3, 2), Slope(1, 4), Slope(5, 2)):
             cone = MappingCone(c, slope)
             cone_rank_chain(c, slope)
-            for first, steps in zip(cone.a_columns[:slope.p], sweep_increments(cone)):
+            for first, steps in zip(cone.a_columns[:slope.p], replayed_steps(cone)):
                 rows, before = [], 0
-                for (j, block), increment in zip(_shifted_blocks(cone, first), steps, strict=True):
+                for (j, block), (_, _, increment, _) in zip(_shifted_blocks(cone, first), steps, strict=True):
                     rows += block
                     rank = f2.rank(_matrix(rows))
                     assert rank - before == increment, (name, slope, j)
@@ -550,7 +550,7 @@ class TestSweep:
                 )
                 expected = cone.total_dim - 2 * (cone.boundary_rank + ranked)
                 assert cone_rank_chain(c, slope) == expected, (seed, slope)
-            carried += sum(1 for carry, _ in sweep_table(c, "sweep") if carry)
+            carried += sum(1 for carry, *_ in sweep_table(c, "sweep") if carry)
         assert carried
 
     def test_rows_depend_on_the_key_alone(self):
@@ -576,34 +576,63 @@ class TestSweep:
 
     def test_readme_step_counts(self, monkeypatch):
         # The README's figures: on t25#t27#figure_eight the chain route's
-        # table holds 21 transitions after 1/20, and the same 21 serve 1/400
+        # table holds 4 transitions after 1/20, and the same 4 serve 1/400
         # and 1/2000; the homological route's, on the essential summand,
-        # holds 17 throughout.  A step is eliminated once per distinct
-        # value of its carry and its two side matrices, so f2.rref runs 4
-        # times for the chain route's 21 and 7 for the homological route's
-        # 17, all at 1/20.
+        # holds 7 throughout.  A transition is keyed by the values of its
+        # carry and its two side matrices, and each is eliminated once, so
+        # f2.rref runs 4 times for the chain route and 7 for the
+        # homological route, all at 1/20.
         c = _complex("t25#t27#figure_eight")
         rref, calls = f2.rref, {"sweep": [], "hsweep": []}
         for q in (20, 400, 2000):
             for tag, route in (("sweep", cone_rank_chain), ("hsweep", cone_rank_homological)):
                 monkeypatch.setattr(f2, "rref", lambda *args, made=calls[tag]: made.append(args) or rref(*args))
                 route(c, Slope(1, q))
-            assert len(sweep_table(c, "sweep")) == 21, q
-            assert len(sweep_table(c.essential_summand, "hsweep")) == 17, q
+            assert len(sweep_table(c, "sweep")) == 4, q
+            assert len(sweep_table(c.essential_summand, "hsweep")) == 7, q
             assert {tag: len(made) for tag, made in calls.items()} == {"sweep": 4, "hsweep": 7}, q
 
-    def test_a_survey_complex_eliminates_fewer_steps_than_transitions(self, monkeypatch):
+    def test_each_class_side_is_read_once_per_route(self, monkeypatch):
+        # The floor table: the first cone with a HatB column reads the h and
+        # v sides of each class run of its floors -(g-1)..g-1 once, and a
+        # cone at another q shares the table and reads no side.  Each
+        # transition of the table is one f2.rref call.
+        c = _complex("t25#t27#figure_eight")
+        reads = {"cocycle_side": [], "induced_side": []}
+        for name, made in reads.items():
+            read = getattr(MappingCone, name)
+            monkeypatch.setattr(
+                MappingCone, name, lambda self, *args, read=read, made=made: made.append(args) or read(self, *args)
+            )
+        rref, calls = f2.rref, []
+        monkeypatch.setattr(f2, "rref", lambda *args: calls.append(args) or rref(*args))
+        routes = (
+            (c, "sweep", cone_rank_chain, "cocycle_side"),
+            (c.essential_summand, "hsweep", cone_rank_homological, "induced_side"),
+        )
+        for x, tag, route, name in routes:
+            g = x.genus()
+            route(c, Slope(1, 20))
+            assert sorted(reads[name]) == sorted((kind, s) for s, _ in x.class_runs(1 - g, g - 1) for kind in "hv")
+            del reads[name][:]
+            route(c, Slope(3, 7))
+            assert reads[name] == [], tag
+            assert len(calls) == len(sweep_table(x, tag)) > 0, tag
+            del calls[:]
+
+    def test_a_survey_complex_eliminates_each_transition_once(self, monkeypatch):
         # A complex the shape of one survey-fresh query, at its three
-        # slopes: its 35 transitions read 18 sides of its 13 classes, and
-        # those take 2 distinct values, so f2.rref runs for 4 steps alone.
+        # slopes: the sides its cones read, of the classes of floors -4..4,
+        # take 2 distinct values, so its table holds 4 transitions, and
+        # f2.rref runs once for each.
         c = random_complex(RandomSpec(seed=20240212, dots=1, boxes=3, max_side=2, max_offset=3))
         calls = []
         rref = f2.rref
         monkeypatch.setattr(f2, "rref", lambda *args: calls.append(args) or rref(*args))
         for slope in (Slope(4, 7), Slope(5, 1), Slope(5, 2)):
             cone_rank_chain(c, slope)
-        assert len(calls) == len(models.step_table(c, "sweep")) <= len(sweep_table(c, "sweep"))
-        assert (len(calls), len(sweep_table(c, "sweep"))) == (4, 35)
+        assert len({side for _, h, v in sweep_table(c, "sweep") for side in (h, v)}) == 2
+        assert (len(calls), len(sweep_table(c, "sweep"))) == (4, 4)
 
     def test_one_rank_call_per_complex(self, monkeypatch):
         # Each sweep step reads its increment off the pivots of the one
@@ -643,12 +672,12 @@ class TestHomologicalSweep:
             e = c.essential_summand
             for slope in (Slope(1, 1), Slope(1, 3), Slope(2, 3), Slope(3, 2), Slope(5, 4)):
                 cone = MappingCone(e, slope)
-                classes = (_shifted_blocks(cone, first, "induced_boundary") for first in cone.a_columns[:slope.p])
+                classes = (_shifted_blocks(cone, first, models.induced_boundary) for first in cone.a_columns[:slope.p])
                 ranked = sum(f2.rank(_matrix([row for _, block in blocks for row in block])) for blocks in classes)
                 assert f2.rank(block_matrix(cone)) == ranked, (seed, slope)
                 expected = cone.a_homology_dim + cone.b_homology_dim - 2 * ranked
                 assert cone_rank_homological(c, slope) == expected + slope.q * c.acyclic_sum(), (seed, slope)
-            carried += sum(1 for carry, _ in sweep_table(e, "hsweep") if carry)
+            carried += sum(1 for carry, *_ in sweep_table(e, "hsweep") if carry)
         assert carried
 
     def test_memo_stays_bounded_as_q_grows(self):
