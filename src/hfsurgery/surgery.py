@@ -105,16 +105,18 @@ Its states are the carries, numbered as they are first met, the empty
 carry being 0.  With k classes, one more than the cuts, there are at most
 n = 2k sides, and the transition from state m on the sides numbered h and
 v is keyed by the one int (m n + h) n + v and holds the rank the block
-adds and the next state.  A route reads each class's two sides once, when
-it first sweeps a range of floors, into one table per range: for each
-floor, its h side's number times n and its v side's number.  Block j's h
-floor is the v floor of the block before it in its residue class, so a
-block costs one floor division and one probe of the table, and builds no
-tuple.  Each transition is eliminated once, so a run of blocks with the
-same two sides costs one elimination per distinct carry, and no step's
-matrix spans more than three blocks: on t25#t27#figure_eight at 1/20,
-1/400 and 1/2000 the chain route's table holds 4 transitions and the
-homological route's 7, each eliminated once.
+adds and the next state.  A route reads each class's sides once, when it
+first sweeps a range of floors, into one table per range: for each floor,
+its h side's number times n and its v side's number, each read only on
+the floors where some block reads it.  Block j's h floor is the v floor
+of the block before it in its residue class, so a block costs one floor
+division and one probe of the table, and builds no tuple.  Each
+transition builds its block, ``MappingCone.total_boundary``, and is
+eliminated once, so a run of blocks with the same two sides costs one
+elimination per distinct carry, and no step's matrix spans more than
+three blocks: on t25#t27#figure_eight at 1/20, 1/400 and 1/2000 the
+chain route's table holds 4 transitions and the homological route's 7,
+each eliminated once.
 Route one reads no homology, no cycle basis and no split.  The genus,
 which fixes the window, tests each v_hat(s) by its rows on HatB's cocycle
 classes, the rows the sweep reads, and by the size of HatA(s)'s
@@ -321,9 +323,9 @@ def coprime_slopes(pmax: int, qmax: int):
 
 # The most HatB blocks a cone may sweep.  The sweep costs one probe of its
 # transition table per block, under 2 s for this many: ``hfsurgery rank``
-# on t25 at 1/3333333, 9,999,998 blocks, took 1.06-1.37 s through
+# on t25 at 1/3333333, 9,999,998 blocks, took 1.02-1.06 s through
 # ``cli.main`` in one process on a shared 2-core Xeon with Python 3.11.7,
-# and t25 at 1/10**6 took 0.31-0.50 s per route, over five runs (2.4 s
+# and t25 at 1/10**6 took 0.30-0.51 s per route, over five runs (2.4 s
 # and 0.63 s when each block built a tuple key).
 MAX_HAT_B_BLOCKS = 10**7
 
@@ -434,24 +436,23 @@ class MappingCone:
         a_rank = self._per_column("a_rank", lambda region: len(region.coboundaries))
         return a_rank + len(self.b_columns) * _hat_b_boundary_rank(self.complex)
 
-    def total_boundary(self, key: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
-        """The nonzero rows that one HatB block of the cone's boundary gives
-        the sweep, at most b, on HatB's cocycle classes: the rows, their
-        width and the column where their v block starts.
+    def total_boundary(self, h: F2Matrix, v: F2Matrix) -> tuple[tuple[int, ...], int, int]:
+        """The nonzero rows that one HatB block j of the cone's boundary
+        gives the sweep, from the route's two side matrices at its floors,
+        h at (j - p) // q and v at j // q: the rows, their width and the
+        column where their v block starts.
 
-        A HatB row block j with key = ((j - p) // q, j // q), or the
-        Alexander classes of the two, which give the same maps, gives
-        ``y [h_hat(key[0]) | v_hat(key[1])]`` for each of HatB's b cocycle
-        classes y, the two :meth:`cocycle_side` matrices side by side: the
-        HatA block j - p and the HatA block j in chain order.  HatB's own
-        boundary is ranked in :attr:`boundary_rank` instead, the
-        coboundaries, whose rows are zero, are never read, and a zero row
-        of a class is dropped.  The rows depend on the key alone.  The
-        sweep builds the same rows by :func:`_block` from the side
-        matrices it has numbered, so this one block, read by its floors,
-        serves the tests and the benchmark's tracer; the rows are built on
-        every call, as bare masks."""
-        return _block(self.cocycle_side("h", key[0]), self.cocycle_side("v", key[1]))
+        Row r is h's row r beside v's row r, the HatA block j - p and the
+        HatA block j in chain order, so the v block starts at h.cols.  On
+        the chain route the rows are HatB's b cocycle classes y read as
+        ``y [h_hat | v_hat]``, the two :meth:`cocycle_side` matrices; HatB's
+        own boundary is ranked in :attr:`boundary_rank` instead, and the
+        coboundaries, whose rows are zero, are never read.  A zero row is
+        dropped.  The rows depend on h and v alone, and are built as bare
+        masks on every call, once per transition of the route's table."""
+        v_start = h.cols
+        rows = tuple(row for a, b in zip(h.data, v.data) if (row := a | (b << v_start)))
+        return rows, v_start + v.cols, v_start
 
     def cocycle_side(self, kind: str, s: int) -> F2Matrix:
         """The chain route's side matrix of ``kind``, "h" or "v", at s:
@@ -488,10 +489,12 @@ def _sweep(cone: MappingCone, tag: str, side) -> int:
     keyed by (state * n + h) * n + v, as (increment, next state), and the
     number of each distinct side matrix and the matrices by number, n = 2k
     bounding the matrix numbers, as the k classes of ``alexander_cuts``
-    have at most 2k sides.  It keeps each range of floors' table under
-    ``(tag, first, last)``: for each floor, the number of its h side times
-    n and the number of its v side, each class's two sides read once, when
-    the route first sweeps the range.  Only a missing transition reaches
+    have at most 2k sides.  It keeps each floor table under
+    ``(tag, first, h_last, v_first, last)``: for each floor of first..last,
+    the number of its h side times n, read on first..h_last, and the
+    number of its v side, read on v_first..last, the floors the cone's
+    blocks read each side at, each class's sides read once, when the route
+    first sweeps those ranges.  Only a missing transition reaches
     :func:`_transition`."""
     c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
     if not b:
@@ -500,15 +503,21 @@ def _sweep(cone: MappingCone, tag: str, side) -> int:
         automaton = c._memo[tag] = {(): 0}, [()], {}, {}, []
     _, _, transitions, side_numbers, sides = automaton
     n = 2 * (len(c.alexander_cuts) + 1)
-    # With a HatB column the tight window's floors are -(g-1)..g-1, so
-    # every such cone of a route shares one floor table.
+    # Block j reads the h side at floor (j - p) // q and the v side at
+    # j // q, so a cone reads h sides on the floors first..h_last and v
+    # sides on v_first..last; with a HatB column the tight window's floors
+    # are -(g-1)..g-1, and cones whose p // q agree share one floor table.
     first, last = (b.start - p) // q, (b.stop - 1) // q
-    if (floors := c._memo.get(table := (tag, first, last))) is None:
-        hs, vs = [], []
-        for s, length in c.class_runs(first, last):
+    h_last, v_first = (b.stop - 1 - p) // q, b.start // q
+    if (floors := c._memo.get(table := (tag, first, h_last, v_first, last))) is None:
+        hs, vs = [], [0] * (v_first - first)
+        for s, length in c.class_runs(first, h_last):
             hs += [_number(side_numbers, sides, side("h", s)) * n] * length
+        for s, length in c.class_runs(v_first, last):
             vs += [_number(side_numbers, sides, side("v", s))] * length
-        floors = c._memo[table] = hs, vs
+        # Both lists span first..last: no block reads the 0s, but the loop
+        # fetches hs at a class's last block for a block that never comes.
+        floors = c._memo[table] = hs + [0] * (last - h_last), vs
     hs, vs = floors
     # One probe of the table per HatB block.  j runs shifted by first * q,
     # so that floor f is entry f - first, and h is the h number of the
@@ -519,27 +528,27 @@ def _sweep(cone: MappingCone, tag: str, side) -> int:
         state, h = 0, hs[(start - shift - p) // q]
         for j in range(start - shift, b.stop - shift, p):
             if (entry := get(key := state * nn + h + vs[f := j // q])) is None:
-                entry = transitions[key] = _transition(automaton, key, n)
+                entry = transitions[key] = _transition(cone, automaton, key, n)
             increment, state = entry
             added += increment
             h = hs[f]
     return added
 
 
-def _transition(automaton, key: int, n: int) -> tuple[int, int]:
+def _transition(cone: MappingCone, automaton, key: int, n: int) -> tuple[int, int]:
     """Transition ``key`` of a route's table, (increment, next state).
 
     A step depends only on the carry and on the values of its two side
     matrices, h and v, numbered in ``key``: the block is the nonzero rows
-    of [h | v], as wide as both, its v block starting at h.cols.  So the
-    step builds one matrix, m = [carry; block], whose rows are validated
-    once, and eliminates it once, by ``f2.rref`` cut at the v block: the
-    block adds the pivot count less the carry's size.  The next carry is
-    the reduced rows with no bit below the v block, the only rows the cut
-    form back-substitutes, numbered if it is new."""
+    of [h | v], :meth:`MappingCone.total_boundary`.  So the step builds one
+    matrix, m = [carry; block], whose rows are validated once, and
+    eliminates it once, by ``f2.rref`` cut at the v block: the block adds
+    the pivot count less the carry's size.  The next carry is the reduced
+    rows with no bit below the v block, the only rows the cut form
+    back-substitutes, numbered if it is new."""
     carry_numbers, carries, _, _, sides = automaton
     state, hv = divmod(key, n * n)
-    carry, (block, width, v_start) = carries[state], _block(sides[hv // n], sides[hv % n])
+    carry, (block, width, v_start) = carries[state], cone.total_boundary(sides[hv // n], sides[hv % n])
     reduced, pivots = f2.rref(F2Matrix(width, carry + block), v_start)
     return len(pivots) - len(carry), _number(carry_numbers, carries, tuple(row >> v_start for row in reduced))
 
@@ -552,14 +561,6 @@ def _number(numbers: dict, values: list, value) -> int:
         number = numbers[value] = len(values)
         values.append(value)
     return number
-
-
-def _block(h: F2Matrix, v: F2Matrix) -> tuple[tuple[int, ...], int, int]:
-    """The nonzero rows of [h | v], h's row r beside v's row r: the rows,
-    their width and the column where the v block starts."""
-    v_start = h.cols
-    rows = tuple(row for a, b in zip(h.data, v.data) if (row := a | (b << v_start)))
-    return rows, v_start + v.cols, v_start
 
 
 @memoized("hat_b_boundary_rank")

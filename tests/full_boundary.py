@@ -6,7 +6,7 @@ The chain route never assembles the boundary.  It adds the HatA blocks'
 own boundary ranks and HatB's, once per HatB block, to the ranks its
 sweep adds, block by block, from the rows of HatB's b cocycle classes on
 the HatA blocks (the rows of two ``cocycle_side`` matrices side by side,
-which ``MappingCone.total_boundary(key)`` gives too), each residue class
+which ``MappingCone.total_boundary`` assembles), each residue class
 of j mod p carrying one canonical block.  This module assembles every row in the original basis,
 reading each map's dense view from ``models.dense``, so tests can check
 that split against the full matrix, and replays the sweep's steps from
@@ -14,8 +14,8 @@ the memo the chain route leaves.
 On every complex tried, real cones leave every carry of either route's
 sweep empty, so ``random_side`` gives either route random side matrices,
 patched in for ``cocycle_side`` or ``induced_side``, whose carries
-matter; the blocks, and so ``total_boundary`` and
-``models.induced_boundary``, follow the patched sides.
+matter; the blocks that ``total_boundary`` and
+``models.induced_boundary`` assemble follow the patched sides.
 
 The rank routes use only the tight window.  ``build_cone`` gives the same
 cone on the symmetric window -q*level < j < q*level of the truncation

@@ -276,9 +276,9 @@ def full_form_sweep_step(rows: tuple[tuple[int, ...], int, int], carry: tuple[in
     """One sweep step read off the full reduced row-echelon form of
     m = [carry; block]: the pivot count less the carry's size, and the
     reduced rows whose pivot lies in the v block, shifted down to it.
-    ``rows`` is what :func:`side_block` gives for the step's two side
-    matrices, or ``MappingCone.total_boundary`` for its key: the block,
-    its width and where its v block starts."""
+    ``rows`` is what :func:`side_block`, or ``MappingCone.total_boundary``,
+    gives for the step's two side matrices: the block, its width and where
+    its v block starts."""
     block, width, v_start = rows
     reduced, pivots = f2.rref(F2Matrix(width, carry + block))
     carry_out = tuple(row >> v_start for row, p in zip(reduced, pivots) if p >= v_start)

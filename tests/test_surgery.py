@@ -253,7 +253,8 @@ class TestBuildCone:
         # HatA j side by side, each HatA block as wide as its region, so
         # the v block starts at the h source's dim, where the h block ends,
         # no row reaches further than those two blocks, there is at most
-        # one row per class, b in all, and zero rows are dropped.
+        # one row per class, b in all, and zero rows are dropped.  They
+        # are the rows the tests' own assembly, models.side_block, gives.
         complexes = [builtin(name) for name in BUILTIN_NAMES]
         complexes.append(tensor(builtin("trefoil_rh"), builtin("figure_eight")))
         for c in complexes:
@@ -264,7 +265,9 @@ class TestBuildCone:
                 cocycles = len(c.region_complex(c.top).cocycles)
                 assert cocycles == c.b_rank()
                 for key in {((j - p) // q, j // q) for j in cone.b_columns}:
-                    rows, width, v_start = cone.total_boundary(key)
+                    sides = cone.cocycle_side("h", key[0]), cone.cocycle_side("v", key[1])
+                    rows, width, v_start = cone.total_boundary(*sides)
+                    assert (rows, width, v_start) == models.side_block(*sides)
                     h_width, v_width = (c.region_complex(s).dim for s in key)
                     assert v_start == h_width == c.h_hat(key[0]).source.dim
                     assert width == v_start + v_width == limit
@@ -477,15 +480,16 @@ class TestRefusedSweep:
             surgery.require_grid_sweep(builtin("unknot"), 100001, 1)
 
 
-def _shifted_blocks(cone, first, rows=MappingCone.total_boundary):
+def _shifted_blocks(cone, first, side=None):
     """The HatB blocks j of the residue class of column ``first``, in chain
-    order: each block's rows, read by ``rows(cone, key)``, the chain
-    route's block or ``models.induced_boundary``, shifted to the start of
-    HatA block j - p in the class's own layout, with j."""
-    p, q = cone.slope.p, cone.slope.q
+    order: each block's rows, ``MappingCone.total_boundary`` of the sides
+    ``side`` reads at its floors, the chain route's ``cone.cocycle_side``
+    unless given, shifted to the start of HatA block j - p in the class's
+    own layout, with j."""
+    p, q, side = cone.slope.p, cone.slope.q, side or cone.cocycle_side
     base = 0
     for j in range(first + p, cone.a_columns[-1] + 1, p):
-        narrow, _, v_start = rows(cone, ((j - p) // q, j // q))
+        narrow, _, v_start = cone.total_boundary(side("h", (j - p) // q), side("v", j // q))
         yield j, [row << base for row in narrow]
         base += v_start
 
@@ -554,11 +558,15 @@ class TestSweep:
         assert carried
 
     def test_rows_depend_on_the_key_alone(self):
+        # A block's rows, of the sides read at its floors, are the same on
+        # every cone of the complex, whatever its slope or window.
         c = builtin("t25")
         cones = [MappingCone(c, s) for s in (Slope(1, 3), Slope(5, 2))]
         cones.append(build_cone(c, Slope(2, 1)))
         for key in ((-1, -1), (-1, 0), (0, 0), (0, 1), (1, 1)):
-            first, *others = (cone.total_boundary(key) for cone in cones)
+            first, *others = (
+                cone.total_boundary(cone.cocycle_side("h", key[0]), cone.cocycle_side("v", key[1])) for cone in cones
+            )
             assert all(other == first for other in others), key
 
     def test_memo_stays_bounded_as_q_grows(self):
@@ -595,8 +603,11 @@ class TestSweep:
     def test_each_class_side_is_read_once_per_route(self, monkeypatch):
         # The floor table: the first cone with a HatB column reads the h and
         # v sides of each class run of its floors -(g-1)..g-1 once, and a
-        # cone at another q shares the table and reads no side.  Each
-        # transition of the table is one f2.rref call.
+        # cone at another q with the same p // q shares the table and reads
+        # no side.  A cone with p // q = 1 reads the h sides only below the
+        # top floor and the v sides only above the bottom one, where its
+        # blocks read them.  Each transition of the table is one f2.rref
+        # call.
         c = _complex("t25#t27#figure_eight")
         reads = {"cocycle_side": [], "induced_side": []}
         for name, made in reads.items():
@@ -617,6 +628,11 @@ class TestSweep:
             del reads[name][:]
             route(c, Slope(3, 7))
             assert reads[name] == [], tag
+            route(c, Slope(3, 2))
+            h_reads = [("h", s) for s, _ in x.class_runs(1 - g, g - 2)]
+            v_reads = [("v", s) for s, _ in x.class_runs(2 - g, g - 1)]
+            assert reads[name] == h_reads + v_reads, tag
+            del reads[name][:]
             assert len(calls) == len(sweep_table(x, tag)) > 0, tag
             del calls[:]
 
@@ -672,7 +688,7 @@ class TestHomologicalSweep:
             e = c.essential_summand
             for slope in (Slope(1, 1), Slope(1, 3), Slope(2, 3), Slope(3, 2), Slope(5, 4)):
                 cone = MappingCone(e, slope)
-                classes = (_shifted_blocks(cone, first, models.induced_boundary) for first in cone.a_columns[:slope.p])
+                classes = (_shifted_blocks(cone, first, cone.induced_side) for first in cone.a_columns[:slope.p])
                 ranked = sum(f2.rank(_matrix([row for _, block in blocks for row in block])) for blocks in classes)
                 assert f2.rank(block_matrix(cone)) == ranked, (seed, slope)
                 expected = cone.a_homology_dim + cone.b_homology_dim - 2 * ranked
