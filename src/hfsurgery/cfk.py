@@ -192,9 +192,9 @@ class ComplexTooWideError(ValueError):
 # The most a complex's regions may weigh, n**2 * k for n generators and k
 # Alexander classes meeting [0, top].  Every query on the acceptance
 # corpora built at most k regions of the complex and k of its essential
-# summand, and a region holds up to n cycles, each an int as wide as its
-# position, and up to n entries of its coboundary table.  At this limit
-# ``hfsurgery rank`` at 1/1 peaked at 129 MB on the 1,259-generator
+# summand, and a region holds up to n entries of its coboundary table
+# and, once its homology is read, up to n of the basis's table.  At this
+# limit ``hfsurgery rank`` at 1/1 peaked at 78 MB on the 1,259-generator
 # staircase, each of whose 630 regions holds its coboundary table beside
 # its homology, and at 553 MB on 31,622 dots, whose b = n homology the
 # closed form also reads; 3 * 10**9 let 54,772 dots through at 2.4 GB
@@ -264,9 +264,9 @@ class lazy:
     3.8-3.11, and a fresh ``survey-fresh`` complex makes about 29 such
     reads.  Two threads that read one attribute at once may both compute
     it; each computation gives the same value, and the one stored last is
-    kept.  A table that one computation hands to another, such as a
-    region's ``_image`` or a map's ``_pulled``, is taken with ``pop``, and
-    a reader that finds it gone builds it again."""
+    kept.  The one table that a computation hands to another, a map's
+    ``_pulled``, is taken with ``pop``, and a reader that finds it gone
+    builds it again."""
 
     def __init__(self, compute):
         self.compute = compute
@@ -317,20 +317,17 @@ class RegionComplex:
     class of s, whose members put different powers on it.
 
     What a region caches is read off its boundary on first use: the pivot
-    table of its coboundaries, its cycles, its cocycle classes and its
-    homology; it keeps no cycle rows.  The chain route and the genus read
-    the coboundary table alone, one untracked elimination of the
+    table of its coboundaries, its cocycle classes and its homology; it
+    keeps no cycles, as a list or as rows.  The chain route and the genus
+    read the coboundary table alone, one untracked elimination of the
     boundary's rows, and build no cycle basis.  The homological route reads
-    the homology, and one elimination of the boundary's columns,
-    :func:`f2.column_elimination`, gives both the cycles and the boundary
-    space that the homology quotients them by, so whichever of the two is
-    read first, the columns are eliminated once.  The boundary space is
-    held from the read of the cycles until the homology takes it over.  A
-    region also serves the classes below its mirror class, read through
-    the flip (the module docstring says how), so it is built only for a
-    class at or above its mirror's.  The boundary's columns are its
-    transpose's rows, built only when :attr:`cycles` eliminates them, since
-    the chain route never reads them.
+    the homology, which :class:`f2.HomologyBasis` builds from the boundary
+    alone by one elimination of its columns, and the basis keeps no cycle
+    list either.  A region also serves the classes below its mirror class,
+    read through the flip (the module docstring says how), so it is built
+    only for a class at or above its mirror's.  The boundary's columns are
+    its transpose's rows, built only when the homology eliminates them,
+    since the chain route never reads them.
 
     ``tag`` is a free label, printed by ``repr`` and in the chain-map
     error: ``cfk`` passes the grading s of the class it built.
@@ -354,27 +351,12 @@ class RegionComplex:
 
     @lazy
     def homology(self) -> HomologyBasis:
-        """Homology basis, built on first read as the quotient of
-        :attr:`cycles`.  The chain route, :meth:`CfkComplex.genus` and
-        :meth:`CfkComplex.b_rank` included, never reads it."""
-        cycles = self.cycles
-        # Taken, not shared: the basis extends the table in place.  Two
-        # threads may build the basis at once, and the one that finds the
-        # table taken eliminates the boundary again.
-        image = vars(self).pop("_image", None)
-        if image is None:
-            image = f2.column_elimination(self.boundary.transpose().data)[1]
-        return HomologyBasis(self.boundary, cycles, image)
-
-    @lazy
-    def cycles(self) -> tuple[int, ...]:
-        """The region's one basis of its boundary's kernel, as column masks,
-        built on first read: ``f2.kernel_basis(boundary)``, whose
-        elimination of the boundary's columns, the rows of its one
-        transpose, leaves the boundary space for :attr:`homology`, the
-        only reader."""
-        cycles, self._image = f2.column_elimination(self.boundary.transpose().data)
-        return tuple(cycles)
+        """Homology basis, built on first read from the boundary alone:
+        ``HomologyBasis(boundary)``, one elimination of the boundary's
+        columns, the rows of its one transpose.  The chain route,
+        :meth:`CfkComplex.genus` and :meth:`CfkComplex.b_rank` never read
+        it."""
+        return HomologyBasis(self.boundary)
 
     @lazy
     def cocycles(self) -> tuple[int, ...]:

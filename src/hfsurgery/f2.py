@@ -24,9 +24,10 @@ extends the tracked loop's table, and every other routine here reads its
 answer off one of these.  ``column_elimination`` takes the columns
 themselves, not a matrix: ``kernel_basis`` and ``solve`` pass a matrix's
 columns, ``m.transpose().data``, the one transpose each makes, and
-``solve`` appends its target as one more column.  A region's cycles pass
-its boundary's columns the same way, from one transpose, read only by the
-homological route.  ``cfk`` passes HatB's boundary rows, ``boundary.data``, which
+``solve`` appends its target as one more column.  ``HomologyBasis`` takes
+a differential alone and passes its columns the same way, from one
+transpose; a region's homology, read only by the homological route, is
+that basis of its boundary.  ``cfk`` passes HatB's boundary rows, ``boundary.data``, which
 are the columns of its transpose, and so reads with no transpose the
 cocycles and the pivot table of the coboundaries, against which it
 reduces the cocycles to keep one per cohomology class.  A region's
@@ -377,16 +378,18 @@ def solve(m: F2Matrix, target: int) -> int | None:
 class HomologyBasis:
     """A deterministic basis of ker(d) / im(d) for one square differential.
 
-    ``cycles`` and ``image`` are what :func:`column_elimination` gives for
-    d's columns: a basis of ker(d) as column masks and the pivot table of
-    im(d), the span of those columns.  The basis takes the table over and extends it,
-    so d is eliminated only by that one call.  The chosen representatives
-    are cycles that extend a basis of the boundary space, picked greedily
-    in the order given.  ``coords`` expresses any cycle in the chosen
-    basis, which is what makes induced-map matrices reproducible.
+    After its square and d² checks, the basis eliminates d's columns by one
+    :func:`column_elimination` of ``d.transpose().data``, which gives a
+    basis of ker(d) as column masks and the pivot table of im(d), the span
+    of those columns.  The basis takes the table over and extends it, so d
+    is eliminated only by that one call, and it keeps no list of cycles.
+    The chosen representatives are cycles that extend a basis of the
+    boundary space, picked greedily in the kernel's order.  ``coords``
+    expresses any cycle in the chosen basis, which is what makes
+    induced-map matrices reproducible.
     """
 
-    def __init__(self, differential: F2Matrix, cycles: Sequence[int], image: dict[int, int]):
+    def __init__(self, differential: F2Matrix):
         if differential.rows != differential.cols:
             raise DimensionError("a differential must be square")
         if not (differential @ differential).is_zero():
@@ -398,7 +401,7 @@ class HomologyBasis:
         # representatives it is congruent to modulo the boundary space.
         # Boundary rows carry no representative, and every key is below
         # bit n, so a row reduced to zero in its low part stops reducing.
-        self._table = image
+        cycles, self._table = column_elimination(differential.transpose().data)
         # The table's size is rank(d), so a kernel basis has n - rank(d) vectors.
         if len(cycles) != n - len(self._table):
             raise DimensionError(f"need {n - len(self._table)} cycles, got {len(cycles)}")

@@ -129,8 +129,8 @@ validates the homology-level bookkeeping route two relies on.  The two
 share no elimination of a region.  Route one eliminates each region's
 boundary row by row, untracked, into its coboundary table,
 ``RegionComplex.coboundaries``.  Route two alone eliminates it column by
-column, ``RegionComplex.cycles``, which gives the cycle basis and the
-boundary space that its homology quotients that basis by.  ``cfk``
+column, in ``RegionComplex.homology``, which gives the cycle basis and the
+boundary space that the homology quotients that basis by.  ``cfk``
 holds each map as a generator index map, each element of HatA(s) going
 to one element of HatB or to zero, so neither route multiplies a map by
 a matrix.  Route one reads each map on HatB's b cocycle classes

@@ -55,7 +55,9 @@ gives the formula's t term beside the rank.
 the tests compare the library's ranks of v_hat and t against, and
 ``reference_kernel_basis`` and ``reference_solve`` read a kernel basis and
 a solution off the reduced row-echelon form, which the tests compare
-``f2.kernel_basis`` and ``f2.solve`` against.
+``f2.kernel_basis`` and ``f2.solve`` against.  ``assert_no_kernel_list``
+checks that a region keeps no cycles and that its homology basis, once
+built, holds no list of them.
 The library counts the kernel of the induced block matrix in closed form,
 ``surgery.kernel_rank``, and builds none of its elements, so
 ``kernel_basis_construction`` builds them, with its one exception
@@ -674,7 +676,7 @@ def reference_essential(c: CfkComplex) -> list[str]:
         root[find(index[x])] = find(index[y])
     component = [find(i) for i in range(len(ids))]
     size = Counter(component)
-    cycles = Counter(component[z.bit_length() - 1] for z in c.region_complex(c.top).cycles)
+    cycles = Counter(component[z.bit_length() - 1] for z in f2.kernel_basis(c.region_complex(c.top).boundary))
     essential = {r for r, k in cycles.items() if 2 * k > size[r]}
     if not essential or len(essential) == len(size):
         return list(ids)
@@ -780,6 +782,19 @@ def image_intersection_basis(m1: F2Matrix, m2: F2Matrix) -> list[tuple[int, int]
             f2._insert(table, reduced)
             pairs.append((a, pair >> m1.cols))
     return pairs
+
+
+BASIS_HOLDS = {"differential", "_cycle_mask", "_table", "reps", "dim"}
+
+
+def assert_no_kernel_list(region: RegionComplex) -> None:
+    """A region keeps no cycles, as a list or as the boundary space left
+    over from eliminating them, and its homology basis, when built, holds
+    only its differential, its table and its representatives."""
+    held = vars(region)
+    assert "cycles" not in held and "_image" not in held, region
+    if "homology" in held:
+        assert set(vars(held["homology"])) == BASIS_HOLDS, region
 
 
 def reference_kernel_basis(m: F2Matrix) -> list[int]:

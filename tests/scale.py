@@ -29,6 +29,7 @@ from hfsurgery.surgery import (
 )
 
 from models import (
+    assert_no_kernel_list,
     dot_and_box,
     dot_and_pair,
     full_form_sweep_step,
@@ -139,9 +140,9 @@ def rung() -> None:
     """The rung ranks at 5/3, and a complex with b = 3 at 3/5, by all
     three routes, the genus and the chain route building no homology
     basis and no cycle basis; every region built, the essential summand's
-    too, lies at or above its mirror class and has dim - rank(boundary)
-    cycles, each one closed, and a coboundary table of rank(boundary)
-    entries; HatB has dim - 2 rank(boundary) = b cocycle classes, each one
+    too, lies at or above its mirror class, holds no kernel list, nor does
+    its homology basis, and has dim - rank(boundary) cycles, each one
+    closed, and a coboundary table of rank(boundary) entries; HatB has dim - 2 rank(boundary) = b cocycle classes, each one
     closed under the transpose; and every sweep step equals the full
     form's, one of the b = 3 complex's carrying two or more rows."""
     # On a 2-core Xeon with Python 3.11.7 the chain route on 6,125
@@ -159,7 +160,7 @@ def rung() -> None:
     # The genus and the chain route read HatB's cocycle classes and each
     # region's coboundary table, never a homology basis or a cycle basis,
     # so every basis built is counted, and one built before the
-    # homological route fails, as does a region holding its cycles.
+    # homological route fails, as does a region holding a kernel list.
     init, bases = f2.HomologyBasis.__init__, []
 
     def counting_init(self, *args):
@@ -173,15 +174,17 @@ def rung() -> None:
         assert cone_rank_chain(c, slope) == want, c.name
         assert not bases, f"{c.name}: genus() and cone_rank_chain built {len(bases)} homology bases"
         regions = [r for key, r in c._memo.items() if isinstance(key, tuple) and key[0] == "region"]
-        assert not any("cycles" in vars(r) for r in regions), c.name
+        for r in regions:
+            assert_no_kernel_list(r)
         assert cone_rank_homological(c, slope) == rank_formula(c, slope) == want, c.name
         # The homological route and the closed form read the essential
         # summand, the flip-invariant components with b > 0: 245 of the
         # 6,125 generators.  A class below its mirror class is served the
         # mirror's region and maps, with v and h swapped, so every region
-        # built has a class at or above its mirror's.  f2.rank eliminates
-        # the boundary's rows, so the count of cycles is found
-        # independently too.
+        # built has a class at or above its mirror's.  No region or basis
+        # keeps its kernel, so the check builds it by f2.kernel_basis, and
+        # f2.rank eliminates the boundary's rows, so the count of cycles is
+        # found independently too.
         regions = {
             id(r): (x, r)
             for x in (c, c.essential_summand)
@@ -190,9 +193,11 @@ def rung() -> None:
         }
         for x, r in regions.values():
             assert r.tag == x.top or x.alexander_class(-r.tag) <= r.tag, (x.name, r.tag)
-            assert len(r.cycles) == r.dim - f2.rank(r.boundary), (x.name, r.tag)
-            assert (r.boundary @ F2Matrix.from_columns(r.cycles, r.dim)).is_zero(), (x.name, r.tag)
-            assert len(r.coboundaries) == r.dim - len(r.cycles), (x.name, r.tag)
+            assert_no_kernel_list(r)
+            cycles = f2.kernel_basis(r.boundary)
+            assert len(cycles) == r.dim - f2.rank(r.boundary), (x.name, r.tag)
+            assert (r.boundary @ F2Matrix.from_columns(cycles, r.dim)).is_zero(), (x.name, r.tag)
+            assert len(r.coboundaries) == r.dim - len(cycles), (x.name, r.tag)
         # The chain route ranks HatB's boundary once and sweeps only the
         # rows of one cocycle per class of HatB's cohomology, so each
         # cocycle y is checked to be closed under the transpose,

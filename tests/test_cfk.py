@@ -238,26 +238,28 @@ class TestRegions:
         # After both rank routes, every memoized region holds its grading
         # as its tag, its boundary with one column per generator and
         # what it caches from the boundary, its coboundary table, its
-        # cycles, its cocycle classes (HatB's alone are read) and its
-        # homology: no cycle rows,
-        # no per-element data, which a region shared by a whole Alexander
-        # class could not have, and no boundary space apart from the
-        # homology's.  A class below its mirror class is served the
-        # mirror's region, so every region built has a tag at or above its
-        # mirror's.  It also holds its dim, set once, and no columns of its
-        # boundary: only its cycles read them, from one transpose.
+        # cocycle classes (HatB's alone are read) and its homology: no
+        # cycles, as a list or as rows, no per-element data, which a region
+        # shared by a whole Alexander class could not have, and no boundary
+        # space apart from the homology's, whose basis keeps no cycle list.
+        # A class below its mirror class is served the mirror's region, so
+        # every region built has a tag at or above its mirror's.  It also
+        # holds its dim, set once, and no columns of its boundary: only its
+        # homology reads them, from one transpose.
         c = after_both_routes()
         classes = {
             key[1]: value for key, value in c._memo.items() if isinstance(key, tuple) and key[0] == "region"
         }
         regions = {id(region): region for region in classes.values()}.values()
         assert len(regions) > 2 and len(classes) > len(regions)
-        kept = {"tag", "boundary", "dim", "coboundaries", "cycles", "cocycles", "homology"}
+        kept = {"tag", "boundary", "dim", "coboundaries", "cocycles", "homology"}
         for region in regions:
             assert region.dim == len(c.columns[0][0])
             held = set(vars(region))
             assert {"tag", "boundary", "dim"} <= held <= kept
+            models.assert_no_kernel_list(region)
             assert region.tag == c.top or c.alexander_class(-region.tag) <= region.tag
+        assert any("homology" in vars(region) for region in regions)
         for s, region in classes.items():
             if c.alexander_class(-s) > s:
                 assert region is c.region_complex(-s), s
@@ -304,9 +306,10 @@ class TestRegions:
         assert single > len(units)
 
     def test_cycles_and_homology_share_one_kernel_basis(self, fig8, monkeypatch):
-        # A fresh region eliminates its boundary's columns once, whichever
-        # of cycles and homology is read first: the homology quotients the
-        # region's own cycles by the boundary space that pass left.
+        # A fresh region's homology eliminates its boundary's columns once:
+        # its representatives are drawn from the one kernel basis that
+        # f2.kernel_basis gives, the reduced row-echelon form's, and after
+        # the read neither the region nor the basis holds that basis.
         calls = []
         column_elimination = f2.column_elimination
 
@@ -315,42 +318,27 @@ class TestRegions:
             return column_elimination(columns)
 
         monkeypatch.setattr(f2, "column_elimination", counting)
-        for s, first in ((0, "cycles"), (fig8.top, "homology")):
+        for s in (0, fig8.top):
             region = fig8.region_complex(s)
-            getattr(region, first)
-            assert set(region.homology.reps) <= set(region.cycles)
-            assert list(region.cycles) == models.reference_kernel_basis(region.boundary)
+            reps = region.homology.reps
             assert calls == [region.dim], s
-            assert "_image" not in vars(region), s
+            models.assert_no_kernel_list(region)
+            kernel = f2.kernel_basis(region.boundary)
+            assert set(reps) <= set(kernel)
+            assert kernel == models.reference_kernel_basis(region.boundary)
             calls.clear()
-        # A read that finds the boundary space taken, as a second thread
-        # building the same homology can, eliminates the boundary again and
-        # builds the same basis.  HatA(-1) of the figure-eight is its
-        # mirror's region, HatB, so the region here is t25's HatA(1).
-        t25 = builtin("t25")
-        region = t25.region_complex(1)
-        assert region.tag == 1
-        region.cycles
-        vars(region).pop("_image")
-        fresh = models.reference_complex(t25, models.HatA(1))
-        assert region.homology.reps == fresh.homology.reps
-        assert [region.homology.coords(v) for v in region.cycles] == [
-            fresh.homology.coords(v) for v in fresh.cycles
-        ]
-        assert calls == [region.dim, region.dim, region.dim]
-        calls.clear()
         # HatA(-1) of the figure-eight lies below its mirror class, whose
-        # region is HatB: it is that region, with the cycles and homology
-        # already read, so reading them again eliminates nothing.
+        # region is HatB: it is that region, with the homology already
+        # read, so reading it again eliminates nothing.
         region = fig8.region_complex(-1)
         assert region is fig8.region_complex(fig8.top)
-        assert (region.cycles, region.homology) and calls == []
+        assert region.homology and calls == []
 
-    def test_only_the_cycles_transpose_the_boundary(self, monkeypatch):
-        # A region keeps no columns.  Its cycles eliminate the boundary's
-        # columns from one transpose, the only one a region makes: the
-        # genus and the chain route read its coboundary table, off the
-        # rows, and transpose nothing.
+    def test_only_the_homology_transposes_the_boundary(self, monkeypatch):
+        # A region keeps no columns.  Its homology eliminates the
+        # boundary's columns from one transpose, the only one a region
+        # makes, once per region: the genus and the chain route read its
+        # coboundary table, off the rows, and transpose nothing.
         transposes = []
         from_columns = F2Matrix.from_columns.__func__
 
@@ -365,9 +353,10 @@ class TestRegions:
         assert transposes == []
         for s in (0, 1, 2, c.top):
             region = c.region_complex(s)
-            assert "_columns" not in vars(region) and "cycles" not in vars(region), s
-            reference = models.reference_kernel_basis(region.boundary)
-            assert list(region.cycles) == reference and transposes == [region.dim], s
+            assert "_columns" not in vars(region) and "homology" not in vars(region), s
+            reps = region.homology.reps
+            assert region.homology.reps is reps and transposes == [region.dim], s
+            assert set(reps) <= set(models.reference_kernel_basis(region.boundary)), s
             transposes.clear()
 
     @pytest.mark.parametrize("name", B_HEAVY)
@@ -403,8 +392,8 @@ class TestRegions:
     @pytest.mark.parametrize("build", [models.borromean_corpus()["B_1#B_1"], lambda: models.tensor_of("t25", "t27")])
     def test_the_genus_and_the_chain_route_build_no_cycle_basis(self, build):
         # Both read each region's coboundary table and eliminate no column:
-        # no region holds its cycles, or the boundary space their
-        # elimination leaves, and every region read holds its table.
+        # no region holds a homology basis, cycles or a boundary space, and
+        # every region read holds its table.
         c = build()
         c.genus()
         cone_rank_chain(c, Slope(5, 3))
@@ -412,7 +401,8 @@ class TestRegions:
         assert regions
         for region in regions:
             held = vars(region)
-            assert "cycles" not in held and "_image" not in held, region
+            assert "homology" not in held, region
+            models.assert_no_kernel_list(region)
             assert region.tag == c.top or "coboundaries" in held, region
 
     def test_cocycles_read_the_boundary_rows(self, monkeypatch):
@@ -464,7 +454,7 @@ class TestLazyReads:
         assert vars(probe) == {"value": 1}
         assert Probe().value == 2 and len(calls) == 2
         assert isinstance(Probe.value, cfk.lazy) and Probe.value.__doc__ == "The value, computed on first read."
-        assert RegionComplex.cycles.__doc__.startswith("The region's one basis of its boundary's kernel")
+        assert RegionComplex.homology.__doc__.startswith("Homology basis, built on first read from the boundary alone")
 
     def test_four_threads_on_one_fresh_complex_rank_as_one_thread(self):
         # Four threads read one fresh complex's lazy attributes, taken

@@ -29,10 +29,6 @@ def test_row_mask_outside_column_range(cols, data):
         F2Matrix(cols, data)
 
 
-def _homology(d: F2Matrix) -> HomologyBasis:
-    return HomologyBasis(d, *f2.column_elimination(d.transpose().data))
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -44,10 +40,10 @@ def _homology(d: F2Matrix) -> HomologyBasis:
             lambda: models.image_intersection_basis(F2Matrix(1, (1,)), F2Matrix(1, (1, 0))),
             "image intersection needs equal row counts, got 1 and 2",
         ),
-        (lambda: HomologyBasis(F2Matrix(2, (0,)), [], {}), "a differential must be square"),
+        (lambda: HomologyBasis(F2Matrix(2, (0,))), "a differential must be square"),
         (
             lambda: f2.induced_map_on_homology(
-                F2Matrix(2, (0,)), _homology(F2Matrix(1, (0,))), _homology(F2Matrix(1, (0,)))
+                F2Matrix(2, (0,)), HomologyBasis(F2Matrix(1, (0,))), HomologyBasis(F2Matrix(1, (0,)))
             ),
             "chain map shape does not match the two complexes",
         ),
@@ -153,25 +149,43 @@ class TestHomologyBasis:
     def test_differential_must_square_to_zero(self):
         d = F2Matrix(2, (1, 2))
         with pytest.raises(InvalidComplexError):
-            HomologyBasis(d, *f2.column_elimination(d.transpose().data))
+            HomologyBasis(d)
+
+    def test_checks_come_before_the_elimination(self, monkeypatch):
+        monkeypatch.setattr(f2, "column_elimination", lambda columns: pytest.fail("eliminated before the checks"))
+        with pytest.raises(DimensionError):
+            HomologyBasis(F2Matrix(2, (0,)))
+        with pytest.raises(InvalidComplexError):
+            HomologyBasis(F2Matrix(2, (1, 2)))
 
     def test_segment(self):
-        # d(e0) = e1 kills two of four dimensions
+        # d(e0) = e1 kills two of four dimensions; the basis keeps its
+        # representatives and no list of the three cycles.
         d = mat(4, 4, [(1, 0)])
-        assert HomologyBasis(d, *f2.column_elimination(d.transpose().data)).dim == 2
+        hb = HomologyBasis(d)
+        assert hb.dim == 2 and set(vars(hb)) == models.BASIS_HOLDS
 
     @pytest.mark.parametrize("change", [lambda k: k[:-1], lambda k: k + k[:1]], ids=["few", "many"])
-    def test_needs_exactly_one_cycle_per_kernel_dimension(self, change):
-        # d(e0) = e1: rank 1, so a kernel basis has 4 - 1 = 3 cycles.
+    def test_needs_exactly_one_cycle_per_kernel_dimension(self, change, monkeypatch):
+        # d(e0) = e1: rank 1, so a kernel basis has 4 - 1 = 3 cycles.  The
+        # basis reads column_elimination from the module at call time, so a
+        # patched one that returns a cycle too few or too many meets the check.
         d = mat(4, 4, [(1, 0)])
         cycles, image = f2.column_elimination(d.transpose().data)
         assert len(cycles) == 3
+        column_elimination = f2.column_elimination
+
+        def miscounting(columns):
+            kernel, table = column_elimination(columns)
+            return change(kernel), table
+
+        monkeypatch.setattr(f2, "column_elimination", miscounting)
         with pytest.raises(DimensionError, match="need 3 cycles"):
-            HomologyBasis(d, change(cycles), image)
+            HomologyBasis(d)
 
     def test_coords_rejects_non_cycles(self):
         d = mat(2, 2, [(1, 0)])
-        hb = HomologyBasis(d, *f2.column_elimination(d.transpose().data))
+        hb = HomologyBasis(d)
         with pytest.raises(ValueError):
             hb.coords(0b01)  # e0 is not a cycle
 
@@ -179,19 +193,19 @@ class TestHomologyBasis:
         # The four-generator box, one source, two middles, one sink, as an
         # ungraded 4x4 differential of rank 2: total homology vanishes.
         d = mat(4, 4, [(1, 0), (2, 0), (3, 1), (3, 2)])
-        assert HomologyBasis(d, *f2.column_elimination(d.transpose().data)).dim == 0
+        assert HomologyBasis(d).dim == 0
 
 
 class TestInducedMap:
     def test_identity_chain_map(self):
         d = mat(4, 4, [(1, 0)])
-        hb = HomologyBasis(d, *f2.column_elimination(d.transpose().data))
+        hb = HomologyBasis(d)
         ind = f2.induced_map_on_homology(F2Matrix(4, (1, 2, 4, 8)), hb, hb)
         assert ind.data == tuple(1 << i for i in range(hb.dim))
 
     def test_zero_chain_map(self):
         d = mat(4, 4, [(1, 0)])
-        hb = HomologyBasis(d, *f2.column_elimination(d.transpose().data))
+        hb = HomologyBasis(d)
         ind = f2.induced_map_on_homology(F2Matrix(4, (0, 0, 0, 0)), hb, hb)
         assert ind.is_zero()
 
