@@ -105,12 +105,17 @@ Its states are the carries, numbered as they are first met, the empty
 carry being 0.  With k classes, one more than the cuts, there are at most
 n = 2k sides, and the transition from state m on the sides numbered h and
 v is keyed by the one int (m n + h) n + v and holds the rank the block
-adds and the next state.  A route reads each class's sides once, when it
-first sweeps a range of floors, into one table per range: for each floor,
-its h side's number times n and its v side's number, each read only on
-the floors where some block reads it.  Block j's h floor is the v floor
-of the block before it in its residue class, so a block costs one floor
-division and one probe of the table, and builds no tuple.  Each
+adds and the next state.  A route reads the two sides of each class of
+a range of floors once, into one table per range: for each floor, its h
+side's number times n and its v side's number.  The range is that of the
+floors the cone's blocks read, and every tight cone with a HatB column
+has hi = gq - 1, so its floors are -(g-1)..g-1 at every slope and each
+route keeps one table per complex; a wider window keeps its own.  Of
+those sides, cones with p >= q never read h_hat at g - 1, which on a
+complex with a flip is the map that serves v_hat at -(g-1).  Block j's h
+floor is the v floor of the block before it in its residue class, so a
+block costs one floor division and one probe of the table, and builds no
+tuple.  Each
 transition builds its block, ``MappingCone.total_boundary``, and is
 eliminated once, so a run of blocks with the same two sides costs one
 elimination per distinct carry, and no step's matrix spans more than
@@ -490,12 +495,10 @@ def _sweep(cone: MappingCone, tag: str, side) -> int:
     number of each distinct side matrix and the matrices by number, n = 2k
     bounding the matrix numbers, as the k classes of ``alexander_cuts``
     have at most 2k sides.  It keeps each floor table under
-    ``(tag, first, h_last, v_first, last)``: for each floor of first..last,
-    the number of its h side times n, read on first..h_last, and the
-    number of its v side, read on v_first..last, the floors the cone's
-    blocks read each side at, each class's sides read once, when the route
-    first sweeps those ranges.  Only a missing transition reaches
-    :func:`_transition`."""
+    ``(tag, first, last)``, first..last being the floors the cone's blocks
+    read: for each floor, the number of its h side times n and the number
+    of its v side, each class's two sides read once per table.  Only a
+    missing transition reaches :func:`_transition`."""
     c, p, q, b = cone.complex, cone.slope.p, cone.slope.q, cone.b_columns
     if not b:
         return 0
@@ -504,20 +507,16 @@ def _sweep(cone: MappingCone, tag: str, side) -> int:
     _, _, transitions, side_numbers, sides = automaton
     n = 2 * (len(c.alexander_cuts) + 1)
     # Block j reads the h side at floor (j - p) // q and the v side at
-    # j // q, so a cone reads h sides on the floors first..h_last and v
-    # sides on v_first..last; with a HatB column the tight window's floors
-    # are -(g-1)..g-1, and cones whose p // q agree share one floor table.
+    # j // q, all within first..last; with a HatB column the tight window's
+    # floors are -(g-1)..g-1 at every slope, so each route's tight cones
+    # share one floor table per complex.
     first, last = (b.start - p) // q, (b.stop - 1) // q
-    h_last, v_first = (b.stop - 1 - p) // q, b.start // q
-    if (floors := c._memo.get(table := (tag, first, h_last, v_first, last))) is None:
-        hs, vs = [], [0] * (v_first - first)
-        for s, length in c.class_runs(first, h_last):
+    if (floors := c._memo.get(table := (tag, first, last))) is None:
+        hs, vs = [], []
+        for s, length in c.class_runs(first, last):
             hs += [_number(side_numbers, sides, side("h", s)) * n] * length
-        for s, length in c.class_runs(v_first, last):
             vs += [_number(side_numbers, sides, side("v", s))] * length
-        # Both lists span first..last: no block reads the 0s, but the loop
-        # fetches hs at a class's last block for a block that never comes.
-        floors = c._memo[table] = hs + [0] * (last - h_last), vs
+        floors = c._memo[table] = hs, vs
     hs, vs = floors
     # One probe of the table per HatB block.  j runs shifted by first * q,
     # so that floor f is entry f - first, and h is the h number of the

@@ -518,6 +518,45 @@ def test_numbered_table_equals_the_tuple_keyed_sweep_on_a_tensor(seed):
     assert tables["sweep"] and tables["hsweep"]
 
 
+def floor_tables(x: CfkComplex, tag: str) -> list[tuple]:
+    """The keys of route ``tag``'s floor tables in x's memo, each the tag
+    followed by the table's first floor and last floor."""
+    return [key for key in x._memo if isinstance(key, tuple) and key[0] == tag]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(complexes, spread_complexes, builtin_tensors),
+    st.lists(slopes_to_8, min_size=2, max_size=4),
+    st.integers(1, 3),
+    st.integers(0, 2),
+)
+@example(models.tensor_of("t25", "t27"), [Slope(1, 2), Slope(3, 2)], 1, 0)
+def test_floor_tables_are_shared_across_slopes_and_windows(c, slopes, between, extra):
+    # One complex ranks each slope by both routes in the drawn order, with
+    # the chain route swept on a symmetric window between two of them.
+    # Every rank is the one the slope gets on a fresh copy of the complex,
+    # so no cone is served another's floors.  Every tight cone with a HatB
+    # column sweeps the floors -(g-1)..g-1, whatever its p // q, so each
+    # route keeps one floor table there, and the chain route one more for
+    # the symmetric window, whose floors reach past them.
+    e = c.essential_summand
+    between = min(between, len(slopes) - 1)
+    for i, slope in enumerate(slopes):
+        fresh = c.renamed(c.name)
+        assert cone_rank_chain(c, slope) == cone_rank_chain(fresh, slope), str(slope)
+        assert cone_rank_homological(c, slope) == cone_rank_homological(fresh, slope), str(slope)
+        if i == between - 1:
+            cone = build_cone(c, slope, truncation_bound(c, slope) + extra)
+            assert sweep_rank(cone) == cone_rank_chain(c.renamed(c.name), slope), str(slope)
+    for x, (tag, _) in zip((c, e), SWEEP_ROUTES):
+        g = x.genus()
+        swept = any(MappingCone(x, slope).b_columns for slope in slopes)
+        tight = [key for key in floor_tables(x, tag) if (key[1], key[-1]) == (1 - g, g - 1)]
+        assert len(tight) == swept, tag
+        assert len(floor_tables(x, tag)) == swept + (tag == "sweep"), tag
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.one_of(complexes, spread_complexes, builtin_tensors), slopes_to_12, st.one_of(st.none(), st.integers(0, 10**6))

@@ -601,13 +601,11 @@ class TestSweep:
             assert {tag: len(made) for tag, made in calls.items()} == {"sweep": 4, "hsweep": 7}, q
 
     def test_each_class_side_is_read_once_per_route(self, monkeypatch):
-        # The floor table: the first cone with a HatB column reads the h and
-        # v sides of each class run of its floors -(g-1)..g-1 once, and a
-        # cone at another q with the same p // q shares the table and reads
-        # no side.  A cone with p // q = 1 reads the h sides only below the
-        # top floor and the v sides only above the bottom one, where its
-        # blocks read them.  Each transition of the table is one f2.rref
-        # call.
+        # The floor table: every tight cone with a HatB column sweeps the
+        # floors -(g-1)..g-1, whatever its slope, so over every coprime
+        # p, q <= 8 the first such cone reads the h and v sides of each
+        # class run there exactly once, and no cone after it reads a side.
+        # Each transition of the table is one f2.rref call.
         c = _complex("t25#t27#figure_eight")
         reads = {"cocycle_side": [], "induced_side": []}
         for name, made in reads.items():
@@ -621,18 +619,17 @@ class TestSweep:
             (c, "sweep", cone_rank_chain, "cocycle_side"),
             (c.essential_summand, "hsweep", cone_rank_homological, "induced_side"),
         )
+        slopes = coprime_slopes(8, 8)
         for x, tag, route, name in routes:
             g = x.genus()
-            route(c, Slope(1, 20))
-            assert sorted(reads[name]) == sorted((kind, s) for s, _ in x.class_runs(1 - g, g - 1) for kind in "hv")
-            del reads[name][:]
-            route(c, Slope(3, 7))
-            assert reads[name] == [], tag
-            route(c, Slope(3, 2))
-            h_reads = [("h", s) for s, _ in x.class_runs(1 - g, g - 2)]
-            v_reads = [("v", s) for s, _ in x.class_runs(2 - g, g - 1)]
-            assert reads[name] == h_reads + v_reads, tag
-            del reads[name][:]
+            first = next(slope for slope in slopes if MappingCone(x, slope).b_columns)
+            for slope in slopes:
+                route(c, slope)
+                if slope == first:
+                    expected = [(kind, s) for s, _ in x.class_runs(1 - g, g - 1) for kind in "hv"]
+                    assert sorted(reads[name]) == sorted(expected), tag
+                    del reads[name][:]
+                assert reads[name] == [], (tag, str(slope))
             assert len(calls) == len(sweep_table(x, tag)) > 0, tag
             del calls[:]
 
